@@ -26,6 +26,7 @@ from .core import (
 from .engine import (
     McConfig,
     build_mc_model,
+    impute_tensor,
     mc_recommend_top_n,
     recommend_top_n,
 )
@@ -73,6 +74,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"seed {text} not in [0, 2**64)")
     return value
 
 
@@ -136,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("split", [data], "deterministic per-rating train/test split")
     p.add_argument("--train-fraction", type=_fraction, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--output", required=True,
                    help="prefix; writes PREFIX.train and PREFIX.test")
 
@@ -146,13 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="K for a matrix, R1,R2,R3 for a tensor")
     p.add_argument("--pca-option", choices=("on", "off"), default="off",
                    help="matrix only: PCA instead of SVD")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", required=True, help="factor dump file")
+    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--output", required=True, help="factor archive (.npz)")
 
     p = verb("evaluate", [data], "single benchmark run, report to stdout")
     p.add_argument("--sim", choices=SIM_CHOICES, required=True)
     p.add_argument("--train-fraction", type=_fraction, default=0.7)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("--relevance-threshold", type=float, default=None)
     p.add_argument("--threads", type=_positive_int, default=1)
@@ -165,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="S1,S2,...", help=f"default {','.join(TABLE_SIMS)}")
     p.add_argument("--fractions", type=_fractions_list, default=(0.7, 0.8),
                    metavar="F1,F2,...", help="default 0.7,0.8")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("--relevance-threshold", type=float, default=None)
     p.add_argument("--threads", type=_positive_int, default=1)
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("recommend", [data], "print a user's top-N unrated items")
     p.add_argument("--user", required=True, help="user id")
     p.add_argument("--sim", choices=SIM_CHOICES, default="pearson")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("--ranks", type=_ranks, default=None,
                    help="latent rank (matrix) or R1,R2,R3 (mc-csv input)")
@@ -187,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
              "multi-criteria benchmark through the factorization pipeline")
     p.add_argument("--ranks", type=_ranks, required=True, metavar="R1,R2,R3")
     p.add_argument("--train-fraction", type=_fraction, default=0.7)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--pca-option", choices=("on", "off"), default="off")
     p.add_argument("--sim-space", choices=("latent", "reconstructed"),
                    default="latent")
@@ -300,57 +308,39 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _write_matrix_text(fh, tag: str, m: np.ndarray) -> None:
-    fh.write(f"{tag} {' '.join(str(d) for d in m.shape)}\n")
-    for row in np.atleast_2d(m.reshape(m.shape[0], -1)):
-        fh.write(" ".join(f"{v:.12g}" for v in row) + "\n")
-
-
 def _cmd_decompose(args) -> int:
     if args.format == "mc-csv":
         if len(args.ranks) != 3:
             raise UsageError("tensor decomposition needs --ranks R1,R2,R3")
         tensor = _load_tensor(args)
-        dense = tensor.to_dense(missing=np.nan)
-        imputed = np.empty_like(dense)
-        for s in range(tensor.k + 1):
-            imputed[:, :, s] = impute_missing(dense[:, :, s], "item_mean")
-        model = hosvd(imputed, args.ranks, seed=args.seed)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("decomposition hosvd\n")
-            fh.write(f"ranks {args.ranks[0]} {args.ranks[1]} {args.ranks[2]}\n")
-            for mode, factor in zip((1, 2, 3), model.factors):
-                _write_matrix_text(fh, f"factor {mode}", factor)
-            core = model.core
-            _write_matrix_text(fh, "core", core)
-        print(f"wrote hosvd factors to {args.output}")
-        return 0
-
-    if len(args.ranks) != 1:
-        raise UsageError("matrix decomposition needs a single --ranks value")
-    records, scale = _load_plain(args)
-    d = Dataset.from_records(records, scale)
-    imputed = impute_missing(d.to_dense(missing=np.nan), "item_mean")
-    rank = args.ranks[0]
-    if rank > min(imputed.shape):
-        raise UsageError(f"rank {rank} exceeds matrix dimensions {imputed.shape}")
-    with open(args.output, "w", encoding="utf-8") as fh:
+        model = hosvd(impute_tensor(tensor, "item_mean"), args.ranks,
+                      seed=args.seed)
+        arrays = {"decomposition": "hosvd", "core": model.core,
+                  "factor1": model.factors[0], "factor2": model.factors[1],
+                  "factor3": model.factors[2]}
+    else:
+        if len(args.ranks) != 1:
+            raise UsageError("matrix decomposition needs a single --ranks value")
+        records, scale = _load_plain(args)
+        d = Dataset.from_records(records, scale)
+        imputed = impute_missing(d.to_dense(missing=np.nan), "item_mean")
+        rank = args.ranks[0]
+        if rank > min(imputed.shape):
+            raise UsageError(
+                f"rank {rank} exceeds matrix dimensions {imputed.shape}")
         if args.pca_option == "on":
             model = pca(imputed, rank)
-            fh.write("decomposition pca\n")
-            fh.write(f"rank {rank}\n")
-            _write_matrix_text(fh, "mean", model.mean[None, :])
-            _write_matrix_text(fh, "eigenvalues", model.eigenvalues[None, :])
-            _write_matrix_text(fh, "components", model.components)
-            print(f"wrote pca components to {args.output}")
+            arrays = {"decomposition": "pca", "mean": model.mean,
+                      "eigenvalues": model.eigenvalues,
+                      "components": model.components}
         else:
             model = truncated_svd(imputed, rank, seed=args.seed)
-            fh.write("decomposition svd\n")
-            fh.write(f"rank {rank}\n")
-            _write_matrix_text(fh, "sigma", model.sigma[None, :])
-            _write_matrix_text(fh, "u", model.u)
-            _write_matrix_text(fh, "v", model.v)
-            print(f"wrote svd factors to {args.output}")
+            arrays = {"decomposition": "svd", "sigma": model.sigma,
+                      "u": model.u, "v": model.v}
+    # an open handle keeps np.savez from appending ".npz" to the name
+    with open(args.output, "wb") as fh:
+        np.savez(fh, ranks=np.array(args.ranks), **arrays)
+    print(f"wrote {arrays['decomposition']} factors to {args.output}")
     return 0
 
 

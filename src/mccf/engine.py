@@ -15,15 +15,16 @@ to the overall rating.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    CriteriaRecord,
     CriteriaTensor,
     Dataset,
     RatingScale,
+    _IndexMap,
     criteria_slice,
 )
 from .linalg import TuckerModel, hosvd, impute_missing, tucker_reconstruct
@@ -289,15 +290,28 @@ def _reconstructed_slice_dataset(template: Dataset, values: np.ndarray) -> Datas
     return template.with_dense_values(clamped)
 
 
+def impute_tensor(t: CriteriaTensor, strategy: str) -> np.ndarray:
+    """Dense (users, items, k+1) copy of t, each slice imputed on its own."""
+    dense = t.to_dense(missing=np.nan)
+    for s in range(t.k + 1):
+        dense[:, :, s] = impute_missing(dense[:, :, s], strategy)
+    return dense
+
+
+def _denoise(t: CriteriaTensor, imputed: np.ndarray, tucker: TuckerModel,
+             slice_means: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(reconstruction, denoised): observed cells keep their imputed value,
+    every other cell takes the reconstructed one."""
+    recon = tucker_reconstruct(tucker)
+    if slice_means is not None:
+        recon = recon + slice_means[None, :, :]
+    return recon, np.where(t.to_mask()[:, :, None], imputed, recon)
+
+
 def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
                    config: McConfig = McConfig()) -> McModel:
     """Impute -> (center) -> HOSVD -> reconstruct -> similarities -> weights."""
-    dense = t.to_dense(missing=np.nan)
-    mask = t.to_mask()
-
-    imputed = np.empty_like(dense)
-    for s in range(t.k + 1):
-        imputed[:, :, s] = impute_missing(dense[:, :, s], config.impute_strategy)
+    imputed = impute_tensor(t, config.impute_strategy)
 
     if config.pca_option:
         # center the user mode: each (item, slice) column loses its mean
@@ -310,11 +324,7 @@ def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
         work = imputed
 
     tucker = hosvd(work, ranks, seed=config.seed)
-    recon = tucker_reconstruct(tucker)
-    if slice_means is not None:
-        recon = recon + slice_means[None, :, :]
-
-    denoised = np.where(mask[:, :, None], imputed, recon)
+    recon, denoised = _denoise(t, imputed, tucker, slice_means)
 
     criteria_data = tuple(criteria_slice(t, c) for c in range(1, t.k + 1))
     if config.sim_space == "latent":
@@ -405,178 +415,129 @@ def model_summary(model: McModel) -> str:
 # ---- persistence ------------------------------------------------------------
 
 _MODEL_MAGIC = "mccf-model"
-_SCHEMA_VERSION = 1
-
-
-def _write_matrix(fh, tag: str, m: np.ndarray) -> None:
-    fh.write(f"{tag} {' '.join(str(d) for d in m.shape)}\n")
-    for row in m.reshape(m.shape[0], -1):
-        fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def save_model(model: McModel, path) -> None:
-    """Versioned structured-text dump: header, factor matrices row-major,
-    similarity triples, then the raw training cells."""
-    cfg = model.config
-    spec = cfg.neighborhood
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_MODEL_MAGIC} {_SCHEMA_VERSION}\n")
-        scale = model.scale
-        labels = " ".join(scale.grade_labels) if scale.grade_labels else "-"
-        fh.write(f"scale {repr(scale.min_value)} {repr(scale.max_value)} "
-                 f"{scale.levels} {labels}\n")
-        fh.write(f"ranks {model.ranks[0]} {model.ranks[1]} {model.ranks[2]}\n")
-        fh.write(f"pca {'on' if cfg.pca_option else 'off'}\n")
-        fh.write(f"sim-space {cfg.sim_space}\n")
-        fh.write(f"sim-kind {cfg.sim_kind}\n")
-        fh.write(f"impute {cfg.impute_strategy}\n")
-        fh.write(f"seed {cfg.seed}\n")
-        fh.write("neighborhood "
-                 f"{spec.max_neighbors if spec.max_neighbors is not None else '-'} "
-                 f"{repr(spec.min_similarity) if spec.min_similarity is not None else '-'}\n")
-        w = model.aggregation
-        fh.write("weights " + " ".join(
-            [repr(w.intercept)] + [repr(v) for v in w.weights]
-            + ["1" if w.fallback else "0"]) + "\n")
-        fh.write(f"users {model.tensor.n_users}\n")
-        for uid in model.tensor.user_ids:
-            fh.write(uid + "\n")
-        fh.write(f"items {model.tensor.n_items}\n")
-        for iid in model.tensor.item_ids:
-            fh.write(iid + "\n")
-        for mode, factor in zip((1, 2, 3), model.tucker.factors):
-            _write_matrix(fh, f"factor {mode}", factor)
-        core = model.tucker.core
-        fh.write(f"core {core.shape[0]} {core.shape[1]} {core.shape[2]}\n")
-        for row in core.reshape(core.shape[0], -1):
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        if model.slice_means is not None:
-            _write_matrix(fh, "means", model.slice_means)
-        for idx, store in enumerate(model.item_similarities):
-            triples = list(store.iter_defined())
-            fh.write(f"store {idx} {store.kind} {len(triples)}\n")
-            for i, j, v in triples:
-                fh.write(f"{i} {j} {repr(v)}\n")
-        fh.write(f"cells {model.tensor.n_cells} {model.k}\n")
-        cells = model.tensor.cell_matrix()
-        for row_idx, rec in enumerate(model.tensor.iter_records()):
-            u = model.tensor.user_index(rec.user_id)
-            i = model.tensor.item_index(rec.item_id)
-            fh.write(f"{u} {i} " + " ".join(repr(float(v)) for v in cells[row_idx]) + "\n")
+_SCHEMA_VERSION = 2
 
 
 class ModelFormatError(ValueError):
     pass
 
 
-def _expect(line: str, tag: str) -> list[str]:
-    parts = line.split()
-    if not parts or parts[0] != tag:
-        raise ModelFormatError(f"expected {tag!r} line, got {line!r}")
-    return parts[1:]
+def save_model(model: McModel, path) -> None:
+    """Versioned .npz archive of the fitted arrays.
+
+    The tensor goes in as its id arrays, the (user, item) index of every
+    cell in cell_matrix() row order and cell_matrix() itself, so a load
+    keeps every index map.  The file is written through an open handle:
+    given a path, np.savez would append ".npz" to it.
+    """
+    cfg = model.config
+    spec = cfg.neighborhood
+    scale = model.scale
+    t = model.tensor
+    w = model.aggregation
+    arrays = {
+        "magic": np.array(_MODEL_MAGIC),
+        "version": np.array(_SCHEMA_VERSION),
+        "scale": np.array([scale.min_value, scale.max_value, scale.levels]),
+        "grade_labels": np.array(scale.grade_labels or (), dtype=str),
+        "ranks": np.array(model.ranks),
+        "config": np.array(["on" if cfg.pca_option else "off", cfg.sim_space,
+                            cfg.sim_kind, cfg.impute_strategy, str(cfg.seed)]),
+        # NaN marks an unset neighborhood bound
+        "neighborhood": np.array([
+            np.nan if spec.max_neighbors is None else spec.max_neighbors,
+            np.nan if spec.min_similarity is None else spec.min_similarity]),
+        # intercept, the k weights, then the fallback flag as 0/1
+        "aggregation": np.array((w.intercept, *w.weights, w.fallback)),
+        "user_ids": np.array(t.user_ids, dtype=str),
+        "item_ids": np.array(t.item_ids, dtype=str),
+        "cell_index": np.stack(np.nonzero(t.to_mask()), axis=1),
+        "cells": t.cell_matrix(),
+        "core": model.tucker.core,
+        "factor1": model.tucker.factors[0],
+        "factor2": model.tucker.factors[1],
+        "factor3": model.tucker.factors[2],
+        "similarities": np.stack([s.values for s in model.item_similarities]),
+    }
+    if model.slice_means is not None:
+        arrays["slice_means"] = model.slice_means
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _read_archive(path) -> dict[str, np.ndarray]:
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if isinstance(archive, np.lib.npyio.NpzFile):
+                return {key: archive[key] for key in archive.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ModelFormatError(f"not a model file: {exc}") from exc
+    raise ModelFormatError("not a model file")
 
 
 def load_model(path) -> McModel:
-    """Rebuild a model from save_model output (same schema version only)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    pos = 0
+    """Rebuild a model from save_model output (same schema version only).
 
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ModelFormatError("unexpected end of model file")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    head = take().split()
-    if head[:1] != [_MODEL_MAGIC] or len(head) != 2:
+    Only the denoised tensor and the per-criterion datasets are
+    recomputed; every other array is the saved one.
+    """
+    a = _read_archive(path)
+    if str(a.get("magic")) != _MODEL_MAGIC:
         raise ModelFormatError("not a model file")
-    if int(head[1]) != _SCHEMA_VERSION:
-        raise ModelFormatError(f"unsupported schema version {head[1]}")
+    version = a.get("version")
+    if version is None or version.shape != () or version.dtype.kind not in "iu":
+        raise ModelFormatError("schema version is not an integer")
+    if int(version) != _SCHEMA_VERSION:
+        raise ModelFormatError(f"unsupported schema version {int(version)}")
+    try:
+        return _model_from_arrays(a)
+    except KeyError as exc:
+        raise ModelFormatError(f"missing key {exc}") from exc
+    except (ValueError, IndexError, TypeError) as exc:
+        raise ModelFormatError(f"inconsistent model file: {exc}") from exc
 
-    sparts = _expect(take(), "scale")
-    labels = None if sparts[3] == "-" else tuple(sparts[3:])
-    scale = RatingScale(float(sparts[0]), float(sparts[1]), int(sparts[2]), labels)
-    ranks = tuple(int(v) for v in _expect(take(), "ranks"))
-    pca = _expect(take(), "pca")[0] == "on"
-    sim_space = _expect(take(), "sim-space")[0]
-    sim_kind = _expect(take(), "sim-kind")[0]
-    impute = _expect(take(), "impute")[0]
-    seed = int(_expect(take(), "seed")[0])
-    mn, ms = _expect(take(), "neighborhood")
+
+def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
+    lo, hi, levels = a["scale"].tolist()
+    scale = RatingScale(lo, hi, int(levels),
+                        tuple(a["grade_labels"].tolist()) or None)
+    pca, sim_space, sim_kind, impute, seed = a["config"].tolist()
+    max_neighbors, min_similarity = a["neighborhood"].tolist()
     neighborhood = NeighborhoodSpec(
-        None if mn == "-" else int(mn),
-        None if ms == "-" else float(ms),
+        None if np.isnan(max_neighbors) else int(max_neighbors),
+        None if np.isnan(min_similarity) else min_similarity,
     )
-    wparts = _expect(take(), "weights")
-    aggregation = AggregationWeights(
-        float(wparts[0]),
-        tuple(float(v) for v in wparts[1:-1]),
-        fallback=wparts[-1] == "1",
-    )
-    config = McConfig(pca_option=pca, sim_space=sim_space, sim_kind=sim_kind,
-                      impute_strategy=impute, neighborhood=neighborhood,
-                      seed=seed)
+    config = McConfig(pca_option=pca == "on", sim_space=sim_space,
+                      sim_kind=sim_kind, impute_strategy=impute,
+                      neighborhood=neighborhood, seed=int(seed))
+    intercept, *weights, fallback = a["aggregation"].tolist()
+    aggregation = AggregationWeights(intercept, tuple(weights),
+                                     fallback=bool(fallback))
 
-    n_users = int(_expect(take(), "users")[0])
-    user_ids = [take() for _ in range(n_users)]
-    n_items = int(_expect(take(), "items")[0])
-    item_ids = [take() for _ in range(n_items)]
+    user_ids = a["user_ids"].tolist()
+    item_ids = a["item_ids"].tolist()
+    cells = a["cells"]
+    index = a["cell_index"]
+    if index.shape != (len(cells), 2) or not (
+            (index >= 0) & (index < [len(user_ids), len(item_ids)])).all():
+        raise ValueError("cell index out of range")
+    k = aggregation.k
+    tensor = CriteriaTensor(_IndexMap(user_ids), _IndexMap(item_ids), k,
+                            index[:, 0], index[:, 1], cells, scale)
 
-    def read_matrix(tag: str, extra: str | None = None) -> np.ndarray:
-        parts = _expect(take(), tag)
-        if extra is not None:
-            if parts[0] != extra:
-                raise ModelFormatError(f"expected {tag} {extra}, got {parts}")
-            parts = parts[1:]
-        shape = tuple(int(v) for v in parts)
-        rows = [np.array(take().split(), dtype=np.float64) for _ in range(shape[0])]
-        return np.vstack(rows).reshape(shape)
+    tucker = TuckerModel(a["core"], (a["factor1"], a["factor2"], a["factor3"]))
+    slice_means = a["slice_means"] if config.pca_option else None
+    _, denoised = _denoise(tensor, impute_tensor(tensor, impute), tucker,
+                           slice_means)
 
-    factors = tuple(read_matrix("factor", extra=str(mode)) for mode in (1, 2, 3))
-    core = read_matrix("core")
-    tucker = TuckerModel(core, factors)
-    slice_means = read_matrix("means") if pca else None
-
-    k = len(aggregation.weights)
-    stores = []
+    sims = a["similarities"]
     n_stores = 1 if sim_space == "latent" else k
-    for idx in range(n_stores):
-        sidx, skind, count = _expect(take(), "store")
-        if int(sidx) != idx:
-            raise ModelFormatError(f"store {sidx} out of order")
-        values = np.full((n_items, n_items), np.nan)
-        for _ in range(int(count)):
-            i, j, v = take().split()
-            values[int(i), int(j)] = float(v)
-            values[int(j), int(i)] = float(v)
-        stores.append(SimilarityStore(skind, values, tuple(item_ids)))
-
-    n_cells, k_file = (int(v) for v in _expect(take(), "cells"))
-    if k_file != k:
-        raise ModelFormatError("criteria count mismatch")
-    records = []
-    for _ in range(n_cells):
-        parts = take().split()
-        u, i = int(parts[0]), int(parts[1])
-        vals = [float(v) for v in parts[2:]]
-        records.append(CriteriaRecord(user_ids[u], item_ids[i],
-                                      tuple(vals[1:]), vals[0]))
-    tensor = CriteriaTensor.from_records(records, k, scale)
-    if tensor.user_ids != tuple(user_ids) or tensor.item_ids != tuple(item_ids):
-        raise ModelFormatError("id maps changed across save/load")
-
-    dense = tensor.to_dense(missing=np.nan)
-    mask = tensor.to_mask()
-    imputed = np.empty_like(dense)
-    for s in range(k + 1):
-        imputed[:, :, s] = impute_missing(dense[:, :, s], impute)
-    recon = tucker_reconstruct(tucker)
-    if slice_means is not None:
-        recon = recon + slice_means[None, :, :]
-    denoised = np.where(mask[:, :, None], imputed, recon)
+    if sims.shape != (n_stores, len(item_ids), len(item_ids)):
+        raise ValueError("similarity stores do not match the tensor")
+    kind = "latent_cosine" if sim_space == "latent" else sim_kind
+    stores = tuple(SimilarityStore(kind, values, tensor.item_ids)
+                   for values in sims)
     criteria_data = tuple(criteria_slice(tensor, c) for c in range(1, k + 1))
-    return McModel(tensor, tuple(ranks), config, tucker, slice_means,
-                   denoised, tuple(stores), criteria_data, aggregation)
+    return McModel(tensor, tuple(int(r) for r in a["ranks"]), config, tucker,
+                   slice_means, denoised, stores, criteria_data, aggregation)

@@ -7,7 +7,8 @@ File formats:
              numbers or grade labels of the scale; lines starting with
              ``#`` are headers/comments.
 
-Both formats are UTF-8; LF and CRLF line endings are accepted.
+Both formats are UTF-8, with or without a byte-order mark; LF and CRLF
+line endings are accepted.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class DensityFilterSpec:
 def _iter_lines(source) -> Iterable[tuple[int, str]]:
     """Yield (1-based line number, stripped line), skipping blank lines."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        text = Path(source).read_text(encoding="utf-8-sig")
         lines = text.splitlines()
     else:
         lines = source

@@ -32,8 +32,6 @@ SIMILARITY_KINDS = RATING_KINDS + SET_KINDS + ("latent_cosine",)
 # rating data is unit-spaced, so true nonzero variances are far larger.
 _VAR_EPS = 1e-9
 
-DISTANCE_METRICS = ("manhattan", "euclidean", "chebyshev")
-
 
 class CoRatings(NamedTuple):
     """Ratings of two items restricted to users who rated both."""
@@ -150,28 +148,6 @@ def loglikelihood(i: int, j: int, d: Dataset,
     llr = _llr_from_counts(k11, len(ui) - k11, len(uj) - k11,
                            total_users - union)
     return 1.0 - 1.0 / (1.0 + llr)
-
-
-def criteria_distance(v, w, metric: str = "euclidean") -> float:
-    """Distance between two criteria vectors (manhattan/euclidean/chebyshev)."""
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if v.shape != w.shape:
-        raise ValueError(f"length mismatch: {v.shape} vs {w.shape}")
-    diff = np.abs(v - w)
-    if metric == "manhattan":
-        return float(diff.sum())
-    if metric == "euclidean":
-        return float(np.sqrt((diff * diff).sum()))
-    if metric == "chebyshev":
-        return float(diff.max()) if diff.size else 0.0
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def distance_to_similarity(dist: float) -> float:
-    if dist < 0:
-        raise ValueError(f"distance must be non-negative, got {dist}")
-    return 1.0 / (1.0 + dist)
 
 
 def latent_cosine(model: FactorModel | TuckerModel, i: int, j: int) -> float | None:

@@ -52,10 +52,6 @@ class SyntheticTensorSpec:
 SYNTH_SCALE = RatingScale.one_to_five()
 
 
-def item_group(item_idx: int, spec: SyntheticTensorSpec) -> int:
-    return item_idx % spec.n_groups
-
-
 def generate_tensor(spec: SyntheticTensorSpec) -> CriteriaTensor:
     """Fully observed tensor of shape (n_users, n_items, n_criteria + 1).
 
@@ -103,11 +99,3 @@ def duplicate_overall_tensor(d: Dataset) -> CriteriaTensor:
         for rec in d.iter_records()
     ]
     return CriteriaTensor.from_records(records, 1, d.scale)
-
-
-def global_mean_mae(train_overall: list[float], test_overall: list[float]) -> float:
-    """MAE of the predict-the-training-mean baseline."""
-    if not train_overall or not test_overall:
-        raise ValueError("need non-empty train and test overall ratings")
-    mean = float(np.mean(train_overall))
-    return float(np.mean(np.abs(np.asarray(test_overall) - mean)))

@@ -104,27 +104,28 @@ def test_split_partitions_file(data_dir, tmp_path, capsys):
 
 
 def test_decompose_all_modes(data_dir, tmp_path, capsys):
-    svd_out = tmp_path / "svd.txt"
-    code, _, _ = run(["decompose", "--input", str(data_dir / "ratings.tsv"),
-                      "--ranks", "4", "--seed", "1",
-                      "--output", str(svd_out)], capsys)
-    assert code == 0
-    assert svd_out.read_text().startswith("decomposition svd\nrank 4\n")
-
-    pca_out = tmp_path / "pca.txt"
-    code, _, _ = run(["decompose", "--input", str(data_dir / "ratings.tsv"),
-                      "--ranks", "4", "--pca-option", "on", "--seed", "1",
-                      "--output", str(pca_out)], capsys)
-    assert code == 0
-    assert pca_out.read_text().startswith("decomposition pca\n")
-
-    hosvd_out = tmp_path / "hosvd.txt"
-    code, _, _ = run(["decompose", "--input", str(data_dir / "mc.csv"),
-                      "--format", "mc-csv", "--criteria", "3",
-                      "--ranks", "2,3,3", "--seed", "1",
-                      "--output", str(hosvd_out)], capsys)
-    assert code == 0
-    assert hosvd_out.read_text().startswith("decomposition hosvd\nranks 2 3 3\n")
+    ratings = str(data_dir / "ratings.tsv")
+    cases = (
+        (["--input", ratings, "--ranks", "4"], "svd",
+         {"sigma": (4,), "u": (30, 4), "v": (14, 4)}),
+        (["--input", ratings, "--pca-option", "on", "--ranks", "4"], "pca",
+         {"mean": (14,), "eigenvalues": (4,), "components": (14, 4)}),
+        (["--input", str(data_dir / "mc.csv"), "--format", "mc-csv",
+          "--criteria", "3", "--ranks", "2,3,3"], "hosvd",
+         {"core": (2, 3, 3), "factor1": (30, 2), "factor2": (14, 3),
+          "factor3": (4, 3)}),
+    )
+    for flags, kind, shapes in cases:
+        out = tmp_path / f"{kind}.txt"
+        code, _, _ = run(["decompose", *flags, "--seed", "1",
+                          "--output", str(out)], capsys)
+        assert code == 0
+        # written under the given name, not with ".npz" appended
+        with np.load(out, allow_pickle=False) as z:
+            assert str(z["decomposition"]) == kind
+            assert set(z.files) == {"decomposition", "ranks", *shapes}
+            assert z["ranks"].tolist() == [int(r) for r in flags[-1].split(",")]
+            assert {key: z[key].shape for key in shapes} == shapes
 
 
 def test_evaluate_prints_report(data_dir, capsys):
@@ -188,6 +189,20 @@ def test_exit_codes(data_dir, tmp_path, capsys):
                  "--format", "mc-csv", "--sim", "pearson", "--seed", "1"]) == 1
     assert main(["mc-evaluate", "--input", ratings, "--ranks", "2,3,3",
                  "--seed", "1"]) == 1
+    # a seed outside [0, 2**64) is a usage error on every verb
+    for seed in ("-3", str(2 ** 64), "x"):
+        assert main(["split", "--input", ratings, "--train-fraction", "0.5",
+                     "--seed", seed, "--output", str(tmp_path / "x")]) == 1
+        assert main(["evaluate", "--input", ratings, "--sim", "pearson",
+                     "--seed", seed]) == 1
+        assert main(["decompose", "--input", ratings, "--ranks", "2",
+                     "--seed", seed, "--output", str(tmp_path / "d")]) == 1
+        assert main(["sweep", "--input", ratings, "--seed", seed]) == 1
+        assert main(["recommend", "--input", ratings, "--user", "u1",
+                     "--seed", seed]) == 1
+        assert main(["mc-evaluate", "--input", str(data_dir / "mc.csv"),
+                     "--format", "mc-csv", "--criteria", "3",
+                     "--ranks", "2,3,3", "--seed", seed]) == 1
     capsys.readouterr()
     # data errors -> 2
     assert main(["stats", "--input", str(tmp_path / "missing.tsv")]) == 2

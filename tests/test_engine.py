@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_from_dense, random_dataset
-from mccf.core import CriteriaTensor, Dataset, RatingScale, overall_slice
+from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, RatingScale,
+                       overall_slice)
 from mccf.engine import (
     AggregationWeights,
     McConfig,
@@ -356,19 +357,76 @@ def test_save_load_roundtrip(tmp_path):
                 assert (a is None and b is None) or a == b
 
 
+def test_save_load_keeps_id_maps(tmp_path):
+    # z first appears after y, but in a's (user, item)-sorted cells it
+    # comes before y: a reload that re-indexes the saved cells in order
+    # would swap y and z
+    recs = [CriteriaRecord("a", "x", (4.0,), 4.0),
+            CriteriaRecord("b", "y", (2.0,), 3.0),
+            CriteriaRecord("b", "z", (5.0,), 5.0),
+            CriteriaRecord("a", "z", (3.0,), 2.0)]
+    t = CriteriaTensor.from_records(recs, 1, RatingScale.one_to_five())
+    model = build_mc_model(t, (2, 3, 2), McConfig(seed=3))
+    save_model(model, tmp_path / "model.npz")
+    back = load_model(tmp_path / "model.npz")
+    assert back.tensor.user_ids == ("a", "b")
+    assert back.tensor.item_ids == ("x", "y", "z")
+    assert np.array_equal(back.tensor.cell_matrix(), t.cell_matrix())
+    assert np.array_equal(back.denoised, model.denoised)
+    for got, want in zip(back.item_similarities, model.item_similarities):
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+    for uid in t.user_ids:
+        for iid in t.item_ids:
+            assert np.array_equal(predict_criteria(back, uid, iid),
+                                  predict_criteria(model, uid, iid))
+        assert mc_recommend_top_n(back, uid, 3) == mc_recommend_top_n(model, uid, 3)
+
+
 def test_load_rejects_corrupt_file(tmp_path):
     t = small_tensor(58)
     model = build_mc_model(t, (2, 3, 3), McConfig(seed=10))
-    p = tmp_path / "model.txt"
+    p = tmp_path / "model.npz"
     save_model(model, p)
-    lines = p.read_text().splitlines()
-    (tmp_path / "bad_magic.txt").write_text(
-        "\n".join(["not-a-model 1"] + lines[1:]))
-    with pytest.raises(ModelFormatError):
-        load_model(tmp_path / "bad_magic.txt")
-    (tmp_path / "truncated.txt").write_text("\n".join(lines[:5]))
-    with pytest.raises(ModelFormatError):
-        load_model(tmp_path / "truncated.txt")
+    good = dict(np.load(p, allow_pickle=False))
+    raw = p.read_bytes()
+
+    def assert_rejected(data=None, **changes):
+        bad = tmp_path / "bad.npz"
+        if data is None:
+            arrays = {key: value for key, value in {**good, **changes}.items()
+                      if value is not None}
+            with open(bad, "wb") as fh:
+                np.savez(fh, **arrays)
+        else:
+            bad.write_bytes(data)
+        with pytest.raises(ModelFormatError):
+            load_model(bad)
+
+    # not an npz archive: an old text model, an .npy array, an empty file
+    assert_rejected(b"mccf-model 1\nscale 1.0 5.0 5 -\n")
+    with open(tmp_path / "array.npy", "wb") as fh:
+        np.save(fh, np.arange(3))
+    assert_rejected((tmp_path / "array.npy").read_bytes())
+    assert_rejected(b"")
+    # truncated archives
+    assert_rejected(raw[:len(raw) // 2])
+    assert_rejected(raw[:-1])
+    # header, every key, then the cells and stores against the id maps
+    assert_rejected(magic=np.array("not-a-model"))
+    assert_rejected(version=np.array(1))
+    assert_rejected(version=np.array(3))
+    assert_rejected(version=np.array(2.0))
+    assert_rejected(version=np.array("2"))
+    assert_rejected(version=np.array([2]))
+    for key in good:
+        assert_rejected(**{key: None})
+    for row, col, value in ((0, 0, t.n_users), (0, 1, t.n_items),
+                            (-1, 0, -1), (-1, 1, -1)):
+        index = good["cell_index"].copy()
+        index[row, col] = value
+        assert_rejected(cell_index=index)
+    assert_rejected(cell_index=good["cell_index"][1:])
+    assert_rejected(similarities=good["similarities"][:, 1:])
 
 
 def test_degenerate_single_criterion_matches_plain_cf():

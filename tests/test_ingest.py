@@ -36,6 +36,20 @@ def test_parse_movielens_file(tmp_path):
     assert records[0].overall == 4.0
 
 
+def test_parse_files_with_byte_order_mark(tmp_path):
+    p = tmp_path / "u.data"
+    p.write_text("\ufeff1\t2\t4\t100\n3\t2\t5\t200\n", encoding="utf-8")
+    assert [r.user_id for r in parse_movielens(p)] == ["1", "3"]
+    p = tmp_path / "ratings.csv"
+    p.write_text("\ufeffu1,i1,4,5,3,4\n", encoding="utf-8")
+    assert parse_multicriteria(p, 3, RatingScale.one_to_five()) == [
+        CriteriaRecord("u1", "i1", (4.0, 5.0, 3.0), 4.0)]
+    # a header line behind the mark is still a comment
+    p.write_text("\ufeff# user,item,c1,c2,c3,overall\nu1,i1,4,5,3,4\n",
+                 encoding="utf-8")
+    assert len(parse_multicriteria(p, 3, RatingScale.one_to_five())) == 1
+
+
 def test_parse_movielens_errors():
     with pytest.raises(ParseError, match="line 1"):
         parse_movielens(["1\t2\t3"])

@@ -15,9 +15,7 @@ from mccf.similarity import (
     adjusted_cosine,
     co_ratings,
     cosine,
-    criteria_distance,
     default_min_co_ratings,
-    distance_to_similarity,
     euclidean_sim,
     item_similarity_matrix,
     latent_cosine,
@@ -155,24 +153,6 @@ def test_loglikelihood_total_users():
     assert loglikelihood(0, 1, d, total_users=50) > loglikelihood(0, 1, d)
     with pytest.raises(ValueError):
         loglikelihood(0, 1, d, total_users=1)
-
-
-def test_criteria_distance():
-    v, w = (1.0, 4.0, 2.0), (3.0, 1.0, 2.0)
-    assert criteria_distance(v, w, "manhattan") == 5.0
-    assert criteria_distance(v, w, "euclidean") == pytest.approx(math.sqrt(13))
-    assert criteria_distance(v, w, "chebyshev") == 3.0
-    with pytest.raises(ValueError):
-        criteria_distance(v, (1.0, 2.0), "euclidean")
-    with pytest.raises(ValueError):
-        criteria_distance(v, w, "cosine")
-
-
-def test_distance_to_similarity():
-    assert distance_to_similarity(0.0) == 1.0
-    assert distance_to_similarity(3.0) == 0.25
-    with pytest.raises(ValueError):
-        distance_to_similarity(-0.1)
 
 
 def test_latent_cosine_hand_vectors():
