@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("--relevance-threshold", type=float, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--ranks", type=_ranks, default=None,
                    help="latent rank for --sim latent (default 8)")
     p.add_argument("--output", default=None, help="also write the report here")
@@ -176,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("--relevance-threshold", type=float, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
 
     p = verb("recommend", [data], "print a user's top-N unrated items")
@@ -203,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measure for reconstructed similarity space")
     p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("--relevance-threshold", type=float, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--output", default=None, help="also write the report here")
 
     return parser
@@ -267,11 +264,14 @@ def _cmd_stats(args) -> int:
               f"ratings={tensor.n_cells}")
         print(f"criteria={tensor.k}")
         print(f"density={density:.4f}")
+        print(f"duplicates={tensor.duplicates}")
         return 0
     records, scale = _load_plain(args)
-    stats = dataset_stats(Dataset.from_records(records, scale))
+    d = Dataset.from_records(records, scale)
+    stats = dataset_stats(d)
     print(f"users={stats.users} items={stats.items} ratings={stats.ratings}")
     print(f"density={stats.density:.4f}")
+    print(f"duplicates={d.duplicates}")
     return 0
 
 
@@ -354,7 +354,7 @@ def _cmd_evaluate(args) -> int:
     config = BenchmarkConfig(
         sim=args.sim, train_fraction=args.train_fraction, seed=args.seed,
         top_n=args.top_n, relevance_threshold=args.relevance_threshold,
-        threads=args.threads, latent_rank=latent_rank)
+        latent_rank=latent_rank)
     if records and hasattr(records[0], "criteria"):
         records = list(_to_overall_dataset(records, scale).iter_records())
     report = run_benchmark(records, config, scale)
@@ -367,7 +367,7 @@ def _cmd_sweep(args) -> int:
     if records and hasattr(records[0], "criteria"):
         records = list(_to_overall_dataset(records, scale).iter_records())
     reports = run_sweep(records, args.sims, args.fractions, args.seed,
-                        scale=scale, top_n=args.top_n, threads=args.threads,
+                        scale=scale, top_n=args.top_n,
                         relevance_threshold=args.relevance_threshold)
     lines = [EvalReport.csv_header()] + [r.to_csv_row() for r in reports]
     _emit("\n".join(lines), args.output)
@@ -428,7 +428,7 @@ def _cmd_mc_evaluate(args) -> int:
         ranks=args.ranks, train_fraction=args.train_fraction, seed=args.seed,
         pca_option=args.pca_option == "on", sim_space=args.sim_space,
         sim=args.sim, top_n=args.top_n,
-        relevance_threshold=args.relevance_threshold, threads=args.threads)
+        relevance_threshold=args.relevance_threshold)
     report = run_mc_benchmark(tensor, config)
     _emit(report.to_text(), args.output)
     return 0

@@ -15,6 +15,7 @@ to the overall rating.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass, field
 
@@ -53,8 +54,13 @@ class NeighborhoodSpec:
     min_similarity: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_neighbors is not None and self.max_neighbors < 1:
-            raise ValueError("max_neighbors must be >= 1 when bounded")
+        k = self.max_neighbors
+        if k is not None and (isinstance(k, bool)
+                              or not isinstance(k, (int, np.integer)) or k < 1):
+            raise ValueError(f"max_neighbors must be an integer >= 1, got {k!r}")
+        t = self.min_similarity
+        if t is not None and not math.isfinite(t):
+            raise ValueError(f"min_similarity must be finite, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -67,30 +73,80 @@ class Prediction:
 
 def _keep_mask(sims: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
     threshold = 0.0 if spec.min_similarity is None else spec.min_similarity
-    return ~np.isnan(sims) & (sims > threshold)
+    return sims > threshold    # NaN compares False
 
 
-def _predict_idx(d: Dataset, sims: SimilarityStore, u: int, i: int,
-                 spec: NeighborhoodSpec) -> tuple[float, int] | None:
-    """(clamped value, support) for internal indices, or None."""
-    rated, values = d.items_of(u)
-    row = sims.values[i, rated]
-    keep = _keep_mask(row, spec)
-    if not keep.any():
-        return None
-    weights = row[keep]
-    ratings = values[keep]
-    if spec.max_neighbors is not None and weights.size > spec.max_neighbors:
-        # stable sort on descending sim; rated is ascending-index, so ties
-        # resolve to the lower item index
-        order = np.argsort(-weights, kind="stable")[:spec.max_neighbors]
-        weights = weights[order]
-        ratings = ratings[order]
-    denom = float(np.abs(weights).sum())
-    if denom < DENOM_EPS:
-        return None
-    value = float(weights @ ratings) / denom
-    return d.scale.clamp(value), int(weights.size)
+def _neighborhood(d: Dataset, sims: SimilarityStore, u: int,
+                  items: np.ndarray,
+                  spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(clamped values, support) of user u for each item index in `items`;
+    NaN value and 0 support mark no prediction.
+
+    An item's neighbors are the user's rated items whose similarity to it
+    passes the threshold; with a cap of k, the k most similar, ties going
+    to the lower item index.  The value is sum(w * r) / sum(|w|) over them.
+
+    Every value is bitwise what a one-item-at-a-time loop gives, because
+    the summation order is the same: ascending item index, or descending
+    similarity (stable) where the cap cut the row.  Rows are grouped by
+    neighbor count so each group is one np.vecdot, which calls the same
+    BLAS ddot as a 1-D dot product.
+    """
+    rated, ratings = d.items_of(u)
+    w = sims.values[items[:, None], rated]
+    keep = _keep_mask(w, spec)
+    count = keep.sum(axis=1)
+    k = spec.max_neighbors
+    cut = count > k if k is not None else np.zeros(count.shape, dtype=bool)
+    if cut.any():
+        # keep the weights at or above the k-th largest kept one
+        wc = np.where(keep[cut], w[cut], -np.inf)
+        kth = np.partition(wc, -k, axis=1)[:, -k, None]
+        sel = wc >= kth
+        tied = np.flatnonzero(sel.sum(axis=1) > k)
+        if tied.size:
+            # too many ties at the k-th weight: the lower indices win
+            ties = wc[tied] == kth[tied]
+            room = k - (wc[tied] > kth[tied]).sum(axis=1, keepdims=True)
+            sel[tied] &= ~ties | (np.cumsum(ties, axis=1) <= room)
+        keep[cut] = sel
+        count[cut] = k
+    rows, cols = np.nonzero(keep)
+    kept_w, kept_r = w[rows, cols], ratings[cols]
+    start = np.cumsum(count) - count
+
+    values = np.full(count.shape, np.nan)
+    group = np.where(cut, -1, count)    # the cut rows form group -1
+    for g in np.unique(group):
+        if g == 0:
+            continue
+        idx = np.flatnonzero(group == g)
+        pos = start[idx, None] + np.arange(k if g < 0 else g)
+        if g < 0:
+            order = np.argsort(-kept_w[pos], axis=1, kind="stable")
+            pos = np.take_along_axis(pos, order, axis=1)
+        gw, gr = kept_w[pos], kept_r[pos]
+        denom = np.abs(gw).sum(axis=1)
+        ok = denom >= DENOM_EPS
+        values[idx[ok]] = np.vecdot(gw[ok], gr[ok]) / denom[ok]
+    np.clip(values, d.scale.min_value, d.scale.max_value, out=values)
+    return values, np.where(np.isnan(values), 0, count)
+
+
+def _unrated(n_items: int, rated: np.ndarray) -> np.ndarray:
+    unrated = np.ones(n_items, dtype=bool)
+    unrated[rated] = False
+    return np.flatnonzero(unrated)
+
+
+def _top_n(items: np.ndarray, values: np.ndarray,
+           n: int) -> list[tuple[int, float]]:
+    """The n best (item index, value) pairs, value descending and index
+    ascending on ties; NaN values are left out."""
+    ok = ~np.isnan(values)
+    items, values = items[ok], values[ok]
+    order = np.lexsort((items, -values))[:n]
+    return list(zip(items[order].tolist(), values[order].tolist()))
 
 
 def predict_single(user_id: str, item_id: str, d: Dataset,
@@ -103,10 +159,11 @@ def predict_single(user_id: str, item_id: str, d: Dataset,
     """
     if not (d.has_user(user_id) and d.has_item(item_id)):
         return None
-    got = _predict_idx(d, sims, d.user_index(user_id), d.item_index(item_id), spec)
-    if got is None:
+    values, support = _neighborhood(d, sims, d.user_index(user_id),
+                                    np.array([d.item_index(item_id)]), spec)
+    if not support[0]:
         return None
-    return Prediction(user_id, item_id, got[0], got[1])
+    return Prediction(user_id, item_id, float(values[0]), int(support[0]))
 
 
 def predict_matrix(d: Dataset, sims: SimilarityStore,
@@ -114,7 +171,9 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
     """All (user, item) predictions at once; NaN marks no-prediction.
 
     Only valid for unbounded neighborhoods, where the weighted sums reduce
-    to two matrix products over the full similarity matrix.
+    to two matrix products over the full similarity matrix.  The products
+    sum in another order than the neighborhood kernel, so values agree
+    with predict_single to rounding, not bitwise.
     """
     if spec.max_neighbors is not None:
         raise ValueError("predict_matrix requires an unbounded neighborhood")
@@ -129,19 +188,27 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
     return np.clip(out, d.scale.min_value, d.scale.max_value)
 
 
+def _by_user(users: np.ndarray):
+    """(user, positions) for each distinct user index, positions ascending."""
+    order = np.argsort(users, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(users[order])) + 1):
+        if group.size:
+            yield int(users[group[0]]), group
+
+
 def batch_predict(d: Dataset, sims: SimilarityStore,
                   users: np.ndarray, items: np.ndarray,
                   spec: NeighborhoodSpec = NeighborhoodSpec()) -> np.ndarray:
-    """Predictions for parallel index arrays; NaN marks no-prediction."""
+    """Predictions for parallel index arrays; NaN marks no-prediction.
+
+    One kernel call per distinct user, so every value equals
+    predict_single's bitwise.
+    """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    if spec.max_neighbors is None:
-        return predict_matrix(d, sims, spec)[users, items]
     out = np.full(users.shape, np.nan)
-    for n, (u, i) in enumerate(zip(users, items)):
-        got = _predict_idx(d, sims, int(u), int(i), spec)
-        if got is not None:
-            out[n] = got[0]
+    for u, pos in _by_user(users):
+        out[pos] = _neighborhood(d, sims, u, items[pos], spec)[0]
     return out
 
 
@@ -157,16 +224,9 @@ def recommend_top_n(d: Dataset, sims: SimilarityStore, user_id: str, n: int,
     if not d.has_user(user_id):
         return []
     u = d.user_index(user_id)
-    rated = set(d.items_of(u)[0].tolist())
-    scored: list[tuple[float, int]] = []
-    for i in range(d.n_items):
-        if i in rated:
-            continue
-        got = _predict_idx(d, sims, u, i, spec)
-        if got is not None:
-            scored.append((got[0], i))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return [(d.item_id(i), v) for v, i in scored[:n]]
+    items = _unrated(d.n_items, d.items_of(u)[0])
+    values, _ = _neighborhood(d, sims, u, items, spec)
+    return [(d.item_id(i), v) for i, v in _top_n(items, values, n)]
 
 
 # ---- multi-criteria pipeline -----------------------------------------------
@@ -222,7 +282,14 @@ def aggregate_overall(weights: AggregationWeights, criteria_preds,
     if preds.shape != (weights.k,):
         raise ValueError(f"expected {weights.k} criterion predictions, "
                          f"got shape {preds.shape}")
-    return scale.clamp(float(weights.intercept + np.dot(weights.weights, preds)))
+    return float(_aggregate_rows(weights, preds[None, :], scale)[0])
+
+
+def _aggregate_rows(weights: AggregationWeights, crits: np.ndarray,
+                    scale: RatingScale) -> np.ndarray:
+    """aggregate_overall for each row of a (n, k) array."""
+    overall = weights.intercept + np.vecdot(crits, np.array(weights.weights))
+    return np.clip(overall, scale.min_value, scale.max_value)
 
 
 SIM_SPACES = ("reconstructed", "latent")
@@ -344,6 +411,19 @@ def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
                    fit_aggregation(t))
 
 
+def _criteria_rows(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
+    """(len(items), k) clamped criterion predictions of user u, one kernel
+    call per criterion; criteria whose neighborhood yields nothing take the
+    denoised tensor's value."""
+    out = np.empty((len(items), model.k))
+    for c in range(1, model.k + 1):
+        values, _ = _neighborhood(model.criteria_data[c - 1], model.store_for(c),
+                                  u, items, model.config.neighborhood)
+        out[:, c - 1] = np.where(np.isnan(values),
+                                 model.denoised[u, items, c], values)
+    return np.clip(out, model.scale.min_value, model.scale.max_value)
+
+
 def predict_criteria(model: McModel, user_id: str, item_id: str) -> np.ndarray | None:
     """Per-criterion predictions (clamped); None for unknown user/item.
 
@@ -353,15 +433,8 @@ def predict_criteria(model: McModel, user_id: str, item_id: str) -> np.ndarray |
     t = model.tensor
     if not (t.has_user(user_id) and t.has_item(item_id)):
         return None
-    u = t.user_index(user_id)
-    i = t.item_index(item_id)
-    out = np.empty(model.k)
-    for c in range(1, model.k + 1):
-        d = model.criteria_data[c - 1]
-        got = _predict_idx(d, model.store_for(c), u, i, model.config.neighborhood)
-        value = got[0] if got is not None else float(model.denoised[u, i, c])
-        out[c - 1] = model.scale.clamp(value)
-    return out
+    return _criteria_rows(model, t.user_index(user_id),
+                          np.array([t.item_index(item_id)]))[0]
 
 
 def predict_overall(model: McModel, user_id: str, item_id: str) -> float | None:
@@ -379,16 +452,10 @@ def mc_recommend_top_n(model: McModel, user_id: str, n: int) -> list[tuple[str, 
     if not t.has_user(user_id):
         return []
     u = t.user_index(user_id)
-    rated = set(t.cells_of(u)[0].tolist())
-    scored: list[tuple[float, int]] = []
-    for i in range(t.n_items):
-        if i in rated:
-            continue
-        value = predict_overall(model, user_id, t.item_id(i))
-        if value is not None:
-            scored.append((value, i))
-    scored.sort(key=lambda s: (-s[0], s[1]))
-    return [(t.item_id(i), v) for v, i in scored[:n]]
+    items = _unrated(t.n_items, t.cells_of(u)[0])
+    overall = _aggregate_rows(model.aggregation,
+                              _criteria_rows(model, u, items), model.scale)
+    return [(t.item_id(i), v) for i, v in _top_n(items, overall, n)]
 
 
 def model_summary(model: McModel) -> str:

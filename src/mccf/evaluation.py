@@ -18,28 +18,24 @@ partition and every report is bitwise reproducible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    CriteriaRecord,
-    CriteriaTensor,
-    Dataset,
-    RatingRecord,
-    RatingScale,
-)
+from .core import CriteriaTensor, Dataset, RatingScale
 from .engine import (
     McConfig,
     NeighborhoodSpec,
-    _predict_idx,
-    aggregate_overall,
+    _aggregate_rows,
+    _by_user,
+    _criteria_rows,
+    _top_n,
+    _unrated,
+    batch_predict,
     build_mc_model,
     mc_recommend_top_n,
-    predict_criteria,
     predict_matrix,
     recommend_top_n,
 )
@@ -227,7 +223,6 @@ class BenchmarkConfig:
     seed: int
     top_n: int = 10
     relevance_threshold: float | None = None
-    threads: int = 1
     latent_rank: int = 8
     neighborhood: NeighborhoodSpec = field(default_factory=NeighborhoodSpec)
 
@@ -239,8 +234,6 @@ class BenchmarkConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.latent_rank < 1:
             raise ValueError("latent_rank must be >= 1")
 
@@ -264,21 +257,11 @@ def _build_store(train: Dataset, config: BenchmarkConfig):
     return item_similarity_matrix(train, "latent_cosine", model=model)
 
 
-def _chunked(seq: Sequence, n_chunks: int) -> list[Sequence]:
-    size = max(1, math.ceil(len(seq) / n_chunks))
-    return [seq[i:i + size] for i in range(0, len(seq), size)]
-
-
 def _matrix_top_n(pm: np.ndarray, train: Dataset, u: int, n: int) -> list[int]:
     """Top-n unrated item indices from a precomputed prediction matrix;
     value descending, index ascending on ties (the engine's rule)."""
-    row = pm[u].copy()
-    row[train.items_of(u)[0]] = np.nan
-    cand = np.nonzero(~np.isnan(row))[0]
-    if cand.size == 0:
-        return []
-    order = np.lexsort((cand, -row[cand]))
-    return cand[order[:n]].tolist()
+    items = _unrated(train.n_items, train.items_of(u)[0])
+    return [i for i, _ in _top_n(items, pm[u, items], n)]
 
 
 def _decision_metrics(recommendations: dict[str, list[str]],
@@ -304,11 +287,56 @@ def _decision_metrics(recommendations: dict[str, list[str]],
     return precision, recall, f1, pred_cov, cat_cov
 
 
+def _error_metrics(preds: np.ndarray,
+                   truths: np.ndarray) -> tuple[float, float, float]:
+    """(mae, bias, rmse) over the pairs; NaN each when there are none."""
+    if not len(preds):
+        return (float("nan"),) * 3
+    pairs = np.column_stack([preds, truths])
+    return mae(pairs), bias(pairs), rmse(pairs)
+
+
+def _relevance(threshold: float | None, scale: RatingScale) -> float:
+    if threshold is None:
+        return RelevanceSpec.default_for(scale).threshold
+    return RelevanceSpec(threshold).check(scale).threshold
+
+
+def _decision_stage(test_recs, train: Dataset | CriteriaTensor,
+                    threshold: float, top_n_ids: Callable[[str], list[str]],
+                    made: int):
+    """The protocol both harnesses share: every test user the training data
+    knows gets a top-N list, scored against the test items rated at or
+    above the relevance threshold; returns _decision_metrics' tuple."""
+    interesting: dict[str, set[str]] = {}
+    test_users: dict[str, None] = {}
+    for rec in test_recs:
+        test_users.setdefault(rec.user_id)
+        if rec.overall >= threshold:
+            interesting.setdefault(rec.user_id, set()).add(rec.item_id)
+    recommendations = {uid: top_n_ids(uid) for uid in test_users
+                       if train.has_user(uid)}
+    return _decision_metrics(recommendations, interesting, train.item_ids,
+                             len(test_recs), made)
+
+
+def _known_cells(test_recs, train: Dataset | CriteriaTensor):
+    """The test records whose user and item the training data knows, in
+    order, with their user and item index arrays."""
+    known = [rec for rec in test_recs
+             if train.has_user(rec.user_id) and train.has_item(rec.item_id)]
+    users = np.array([train.user_index(r.user_id) for r in known], dtype=np.int64)
+    items = np.array([train.item_index(r.item_id) for r in known], dtype=np.int64)
+    return known, users, items
+
+
 def run_benchmark(source, config: BenchmarkConfig,
                   scale: RatingScale = MOVIELENS_SCALE) -> EvalReport:
     """Split -> similarity store on train -> predict every test pair -> metrics.
 
     ``source`` is a ratings file path or an in-memory record sequence.
+    Unbounded neighborhoods predict through predict_matrix, bounded ones
+    through the per-user neighborhood kernel.
     """
     if isinstance(source, (str, Path)):
         records = parse_movielens(source)
@@ -317,81 +345,31 @@ def run_benchmark(source, config: BenchmarkConfig,
     train_recs, test_recs = _split_records(records, config.train_fraction,
                                            config.seed)
     train = Dataset.from_records(train_recs, scale)
+    threshold = _relevance(config.relevance_threshold, scale)
     sims = _build_store(train, config)
-    threshold = RelevanceSpec(config.relevance_threshold).check(scale) \
-        if config.relevance_threshold is not None \
-        else RelevanceSpec.default_for(scale)
     spec = config.neighborhood
 
-    known: list[tuple[int, int, float]] = []
-    unknown = 0
-    for rec in test_recs:
-        if train.has_user(rec.user_id) and train.has_item(rec.item_id):
-            known.append((train.user_index(rec.user_id),
-                          train.item_index(rec.item_id), rec.overall))
-        else:
-            unknown += 1
+    known, users, items = _known_cells(test_recs, train)
+    truths = np.array([r.overall for r in known], dtype=np.float64)
+    if spec.max_neighbors is None:
+        pm = predict_matrix(train, sims, spec)
+        preds = pm[users, items]
 
-    pm = predict_matrix(train, sims, spec) if spec.max_neighbors is None else None
-
-    if pm is not None:
-        preds = pm[[k[0] for k in known], [k[1] for k in known]] \
-            if known else np.empty(0)
+        def top_n_ids(uid: str) -> list[str]:
+            return [train.item_id(i) for i in _matrix_top_n(
+                pm, train, train.user_index(uid), config.top_n)]
     else:
-        def _chunk_predict(chunk):
-            out = np.full(len(chunk), np.nan)
-            for n, (u, i, _) in enumerate(chunk):
-                got = _predict_idx(train, sims, u, i, spec)
-                if got is not None:
-                    out[n] = got[0]
-            return out
+        preds = batch_predict(train, sims, users, items, spec)
 
-        chunks = _chunked(known, config.threads)
-        if config.threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                parts = list(pool.map(_chunk_predict, chunks))
-        else:
-            parts = [_chunk_predict(c) for c in chunks]
-        preds = np.concatenate(parts) if parts else np.empty(0)
+        def top_n_ids(uid: str) -> list[str]:
+            return [item for item, _ in
+                    recommend_top_n(train, sims, uid, config.top_n, spec)]
 
-    truths = np.asarray([k[2] for k in known], dtype=np.float64)
     made = ~np.isnan(preds)
     pair_count = int(made.sum())
-    no_prediction = unknown + int((~made).sum())
-    if pair_count:
-        pairs = np.column_stack([preds[made], truths[made]])
-        mae_v, bias_v, rmse_v = mae(pairs), bias(pairs), rmse(pairs)
-    else:
-        mae_v = bias_v = rmse_v = float("nan")
-
-    # decision-support stage: per-user top-N against interesting test items
-    interesting: dict[str, set[str]] = {}
-    test_users: list[str] = []
-    seen: set[str] = set()
-    for rec in test_recs:
-        if rec.user_id not in seen:
-            seen.add(rec.user_id)
-            test_users.append(rec.user_id)
-        if rec.overall >= threshold.threshold:
-            interesting.setdefault(rec.user_id, set()).add(rec.item_id)
-
-    eval_users = [u for u in test_users if train.has_user(u)]
-
-    def _user_top(uid: str) -> tuple[str, list[str]]:
-        if pm is not None:
-            idx = _matrix_top_n(pm, train, train.user_index(uid), config.top_n)
-            return uid, [train.item_id(i) for i in idx]
-        top = recommend_top_n(train, sims, uid, config.top_n, spec)
-        return uid, [item for item, _ in top]
-
-    if config.threads > 1 and len(eval_users) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rec_items = dict(pool.map(_user_top, eval_users))
-    else:
-        rec_items = dict(_user_top(u) for u in eval_users)
-
-    precision, recall, f1, pred_cov, cat_cov = _decision_metrics(
-        rec_items, interesting, train.item_ids, len(test_recs), pair_count)
+    mae_v, bias_v, rmse_v = _error_metrics(preds[made], truths[made])
+    precision, recall, f1, pred_cov, cat_cov = _decision_stage(
+        test_recs, train, threshold, top_n_ids, pair_count)
 
     report_ranks = (config.latent_rank,) if config.sim == "latent" else None
     return EvalReport(
@@ -400,13 +378,14 @@ def run_benchmark(source, config: BenchmarkConfig,
         mae=mae_v, bias=bias_v, rmse=rmse_v,
         precision=precision, recall=recall, f1=f1,
         prediction_coverage=pred_cov, catalog_coverage=cat_cov,
-        pair_count=pair_count, no_prediction_count=no_prediction,
+        pair_count=pair_count,
+        no_prediction_count=len(test_recs) - pair_count,
     )
 
 
 def run_sweep(source, sims: Sequence[str], fractions: Sequence[float],
               seed: int, scale: RatingScale = MOVIELENS_SCALE,
-              top_n: int = 10, threads: int = 1,
+              top_n: int = 10,
               relevance_threshold: float | None = None) -> list[EvalReport]:
     """Benchmark grid: one report per (measure, fraction), fixed seed."""
     if isinstance(source, (str, Path)):
@@ -418,7 +397,7 @@ def run_sweep(source, sims: Sequence[str], fractions: Sequence[float],
         for sim in sims:
             config = BenchmarkConfig(
                 sim=sim, train_fraction=fraction, seed=seed, top_n=top_n,
-                threads=threads, relevance_threshold=relevance_threshold)
+                relevance_threshold=relevance_threshold)
             reports.append(run_benchmark(records, config, scale))
     return reports
 
@@ -435,7 +414,6 @@ class McBenchmarkConfig:
     sim: str = "euclidean"
     top_n: int = 10
     relevance_threshold: float | None = None
-    threads: int = 1
     impute_strategy: str = "item_mean"
     neighborhood: NeighborhoodSpec = field(default_factory=NeighborhoodSpec)
 
@@ -446,8 +424,6 @@ class McBenchmarkConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def engine_config(self) -> McConfig:
         sim_kind = SIM_NAME_MAP.get(self.sim, self.sim)
@@ -481,74 +457,27 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
     caps = (train.n_users, train.n_items, k + 1)
     if any(r > cap for r, cap in zip(config.ranks, caps)):
         raise ValueError(f"ranks {config.ranks} exceed tensor dims {caps}")
+    threshold = _relevance(config.relevance_threshold, scale)
     model = build_mc_model(train, config.ranks, config.engine_config())
-    threshold = RelevanceSpec(config.relevance_threshold).check(scale) \
-        if config.relevance_threshold is not None \
-        else RelevanceSpec.default_for(scale)
 
-    overall_pairs: list[tuple[float, float]] = []
-    crit_pairs: list[list[tuple[float, float]]] = [[] for _ in range(k)]
-    no_prediction = 0
+    # held-out cells, one row of criterion predictions per known cell;
+    # unknown users or items are the only no-predictions
+    known, users, items = _known_cells(test_recs, train)
+    crits = np.empty((len(known), k))
+    for u, group in _by_user(users):
+        crits[group] = _criteria_rows(model, u, items[group])
+    overall = _aggregate_rows(model.aggregation, crits, scale)
+    truths = np.array([(r.overall, *r.criteria) for r in known],
+                      dtype=np.float64).reshape(-1, k + 1)
+    mae_v, bias_v, rmse_v = _error_metrics(overall, truths[:, 0])
+    criteria_mae = tuple(_error_metrics(crits[:, c], truths[:, c + 1])[0]
+                         for c in range(k))
 
-    def _predict_record(rec: CriteriaRecord):
-        crits = predict_criteria(model, rec.user_id, rec.item_id)
-        if crits is None:
-            return None
-        return crits, aggregate_overall(model.aggregation, crits, scale)
+    def top_n_ids(uid: str) -> list[str]:
+        return [item for item, _ in mc_recommend_top_n(model, uid, config.top_n)]
 
-    chunks = _chunked(test_recs, config.threads)
-
-    def _chunk_run(chunk):
-        return [_predict_record(rec) for rec in chunk]
-
-    if config.threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            parts = list(pool.map(_chunk_run, chunks))
-    else:
-        parts = [_chunk_run(c) for c in chunks]
-
-    for chunk, results in zip(chunks, parts):
-        for rec, got in zip(chunk, results):
-            if got is None:
-                no_prediction += 1
-                continue
-            crits, overall = got
-            overall_pairs.append((overall, rec.overall))
-            for c in range(k):
-                crit_pairs[c].append((crits[c], rec.criteria[c]))
-
-    if overall_pairs:
-        mae_v, bias_v, rmse_v = mae(overall_pairs), bias(overall_pairs), \
-            rmse(overall_pairs)
-        criteria_mae = tuple(mae(p) for p in crit_pairs)
-    else:
-        mae_v = bias_v = rmse_v = float("nan")
-        criteria_mae = (float("nan"),) * k
-
-    interesting: dict[str, set[str]] = {}
-    test_users: list[str] = []
-    seen: set[str] = set()
-    for rec in test_recs:
-        if rec.user_id not in seen:
-            seen.add(rec.user_id)
-            test_users.append(rec.user_id)
-        if rec.overall >= threshold.threshold:
-            interesting.setdefault(rec.user_id, set()).add(rec.item_id)
-    eval_users = [u for u in test_users if train.has_user(u)]
-
-    def _user_top(uid: str) -> tuple[str, list[str]]:
-        return uid, [item for item, _ in
-                     mc_recommend_top_n(model, uid, config.top_n)]
-
-    if config.threads > 1 and len(eval_users) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rec_items = dict(pool.map(_user_top, eval_users))
-    else:
-        rec_items = dict(_user_top(u) for u in eval_users)
-
-    precision, recall, f1, pred_cov, cat_cov = _decision_metrics(
-        rec_items, interesting, train.item_ids, len(test_recs),
-        len(overall_pairs))
+    precision, recall, f1, pred_cov, cat_cov = _decision_stage(
+        test_recs, train, threshold, top_n_ids, len(known))
 
     return EvalReport(
         sim="latent" if config.sim_space == "latent" else config.sim,
@@ -557,7 +486,8 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
         mae=mae_v, bias=bias_v, rmse=rmse_v,
         precision=precision, recall=recall, f1=f1,
         prediction_coverage=pred_cov, catalog_coverage=cat_cov,
-        pair_count=len(overall_pairs), no_prediction_count=no_prediction,
+        pair_count=len(known),
+        no_prediction_count=len(test_recs) - len(known),
         criteria_mae=criteria_mae,
     )
 

@@ -20,14 +20,14 @@ VERB_FLAGS = {
     "split": {"--train-fraction", "--seed", "--output"},
     "decompose": {"--ranks", "--pca-option", "--seed", "--output"},
     "evaluate": {"--sim", "--train-fraction", "--seed", "--top-n",
-                 "--relevance-threshold", "--threads", "--ranks", "--output"},
+                 "--relevance-threshold", "--ranks", "--output"},
     "sweep": {"--sims", "--fractions", "--seed", "--top-n",
-              "--relevance-threshold", "--threads", "--output"},
+              "--relevance-threshold", "--output"},
     "recommend": {"--user", "--sim", "--seed", "--top-n", "--ranks",
                   "--pca-option", "--sim-space", "--output"},
     "mc-evaluate": {"--ranks", "--train-fraction", "--seed", "--pca-option",
                     "--sim-space", "--sim", "--top-n",
-                    "--relevance-threshold", "--threads", "--output"},
+                    "--relevance-threshold", "--output"},
 }
 
 
@@ -78,6 +78,22 @@ def test_stats_mc(data_dir, capsys):
                         "--format", "mc-csv", "--criteria", "3"], capsys)
     assert code == 0
     assert "criteria=3" in out
+
+
+def test_stats_prints_duplicates(data_dir, tmp_path, capsys):
+    for name, flags in (("ratings.tsv", []),
+                        ("mc.csv", ["--format", "mc-csv", "--criteria", "3"])):
+        src = data_dir / name
+        code, out, _ = run(["stats", "--input", str(src), *flags], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "duplicates=0"
+        # the first rating again, later in the file
+        lines = src.read_text().splitlines()
+        doubled = tmp_path / name
+        doubled.write_text("\n".join([*lines, lines[0]]) + "\n")
+        code, out, _ = run(["stats", "--input", str(doubled), *flags], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "duplicates=1"
 
 
 def test_filter_writes_output(data_dir, tmp_path, capsys):

@@ -183,9 +183,15 @@ def _tie_matrix_full():
 
 
 def test_neighborhood_spec_validation():
-    with pytest.raises(ValueError):
-        NeighborhoodSpec(max_neighbors=0)
+    for bad in ({"max_neighbors": 0}, {"max_neighbors": 2.5},
+                {"max_neighbors": True}, {"max_neighbors": "3"},
+                {"min_similarity": float("nan")},
+                {"min_similarity": float("inf")},
+                {"min_similarity": -float("inf")}):
+        with pytest.raises(ValueError):
+            NeighborhoodSpec(**bad)
     NeighborhoodSpec(max_neighbors=None)
+    NeighborhoodSpec(max_neighbors=np.int64(3), min_similarity=-1.0)
 
 
 def test_aggregation_weights_validation():

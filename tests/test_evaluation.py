@@ -168,21 +168,16 @@ def test_run_benchmark_latent_reports_rank():
     assert report.ranks == (6,)
 
 
-def test_run_benchmark_deterministic_and_thread_invariant():
+def test_run_benchmark_deterministic():
     records = bench_records(61)
     base = BenchmarkConfig(sim="pearson", train_fraction=0.75, seed=9)
     r1 = run_benchmark(records, base)
     r2 = run_benchmark(records, base)
     assert r1.to_text() == r2.to_text()
-    threaded = BenchmarkConfig(sim="pearson", train_fraction=0.75, seed=9,
-                               threads=4)
-    assert run_benchmark(records, threaded).to_text() == r1.to_text()
     bounded = BenchmarkConfig(sim="pearson", train_fraction=0.75, seed=9,
                               neighborhood=NeighborhoodSpec(max_neighbors=8))
     b1 = run_benchmark(records, bounded)
-    b2 = run_benchmark(records, BenchmarkConfig(
-        sim="pearson", train_fraction=0.75, seed=9, threads=3,
-        neighborhood=NeighborhoodSpec(max_neighbors=8)))
+    b2 = run_benchmark(records, bounded)
     assert b1.to_text() == b2.to_text()
 
 
@@ -257,3 +252,44 @@ def test_degenerate_tensor_matches_single_criterion_harness():
     assert mc.pair_count == plain.pair_count
     assert mc.mae == pytest.approx(plain.mae, abs=1e-6)
     assert mc.rmse == pytest.approx(plain.rmse, abs=1e-6)
+
+
+def test_harness_predictions_equal_single_pair_calls():
+    # both harnesses group held-out cells by user; every error metric must
+    # equal the one from a single-pair call per test record, bitwise
+    from mccf.core import CriteriaTensor, Dataset
+    from mccf.engine import (aggregate_overall, build_mc_model,
+                             predict_criteria, predict_single)
+    from mccf.similarity import item_similarity_matrix
+
+    records = bench_records(68)
+    spec = NeighborhoodSpec(max_neighbors=4)
+    report = run_benchmark(records, BenchmarkConfig(
+        sim="pearson", train_fraction=0.8, seed=2, neighborhood=spec))
+    train_recs, test_recs = split_train_test(records, SplitSpec(0.8, 2))
+    train = Dataset.from_records(train_recs, RatingScale.one_to_five())
+    sims = item_similarity_matrix(train, "pearson")
+    got = [predict_single(r.user_id, r.item_id, train, sims, spec)
+           for r in test_recs]
+    pairs = [(p.value, r.overall) for p, r in zip(got, test_recs) if p]
+    assert report.pair_count == len(pairs)
+    assert (report.mae, report.rmse) == (mae(pairs), rmse(pairs))
+
+    t = mc_tensor(69)
+    config = McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8, seed=3,
+                               neighborhood=NeighborhoodSpec(max_neighbors=3))
+    report = run_mc_benchmark(t, config)
+    train_recs, test_recs = split_train_test(list(t.iter_records()),
+                                             SplitSpec(0.8, 3))
+    model = build_mc_model(
+        CriteriaTensor.from_records(train_recs, t.k, t.scale),
+        config.ranks, config.engine_config())
+    known = [(predict_criteria(model, r.user_id, r.item_id), r)
+             for r in test_recs if model.tensor.has_user(r.user_id)
+             and model.tensor.has_item(r.item_id)]
+    overall = [(aggregate_overall(model.aggregation, c, t.scale), r.overall)
+               for c, r in known]
+    assert report.pair_count == len(overall)
+    assert report.mae == mae(overall)
+    assert report.criteria_mae == tuple(
+        mae([(c[j], r.criteria[j]) for c, r in known]) for j in range(t.k))
