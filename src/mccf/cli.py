@@ -35,6 +35,7 @@ from .evaluation import (
     BenchmarkConfig,
     EvalReport,
     McBenchmarkConfig,
+    _build_store,
     run_benchmark,
     run_mc_benchmark,
     run_sweep,
@@ -51,7 +52,6 @@ from .ingest import (
     write_multicriteria,
 )
 from .linalg import hosvd, impute_missing, pca, truncated_svd
-from .similarity import item_similarity_matrix
 
 SIM_CHOICES = ("pearson", "euclidean", "loglikelihood", "tanimoto",
                "adjusted-cosine", "latent")
@@ -383,14 +383,11 @@ def _cmd_recommend(args) -> int:
             return 2
         if args.ranks is None or len(args.ranks) != 3:
             raise UsageError("mc-csv recommendation needs --ranks R1,R2,R3")
-        sim_kind = SIM_NAME_MAP.get(args.sim, args.sim)
-        if args.sim_space == "latent":
-            config = McConfig(pca_option=args.pca_option == "on",
-                              sim_space="latent", seed=args.seed)
-        else:
-            config = McConfig(pca_option=args.pca_option == "on",
-                              sim_space="reconstructed", sim_kind=sim_kind,
-                              seed=args.seed)
+        # the latent space ignores sim_kind
+        config = McConfig(pca_option=args.pca_option == "on",
+                          sim_space=args.sim_space,
+                          sim_kind=SIM_NAME_MAP.get(args.sim, args.sim),
+                          seed=args.seed)
         model = build_mc_model(tensor, args.ranks, config)
         top = mc_recommend_top_n(model, args.user, args.top_n)
     else:
@@ -399,15 +396,9 @@ def _cmd_recommend(args) -> int:
         if not d.has_user(args.user):
             print(f"error: unknown user {args.user!r}", file=sys.stderr)
             return 2
-        kind = SIM_NAME_MAP[args.sim]
-        if kind == "latent_cosine":
-            rank = 8 if args.ranks is None else args.ranks[0]
-            rank = min(rank, d.n_users, d.n_items)
-            imputed = impute_missing(d.to_dense(missing=np.nan), "item_mean")
-            model = truncated_svd(imputed, rank, seed=args.seed)
-            sims = item_similarity_matrix(d, "latent_cosine", model=model)
-        else:
-            sims = item_similarity_matrix(d, kind)
+        sims = _build_store(d, args.sim,
+                            8 if args.ranks is None else args.ranks[0],
+                            args.seed)
         top = recommend_top_n(d, sims, args.user, args.top_n)
     lines = [f"{rank} {item} {value:.4f}"
              for rank, (item, value) in enumerate(top, start=1)]

@@ -114,97 +114,61 @@ class _IndexMap:
         return len(self.ids)
 
 
-def _index_records(records, scale: RatingScale):
+def _index_records(records):
     """Assign dense indices and deduplicate (keep-last) in one pass.
 
-    Returns (user_map, item_map, cell_order, cell_dict, duplicates) where
-    cell_dict maps (u, i) -> record and cell_order preserves first
-    appearance of each cell.
+    Returns (user_map, item_map, u_idx, i_idx, kept, duplicates), with one
+    entry of u_idx, i_idx and kept per distinct (user, item) cell in the
+    order the cell first appeared; kept holds the cell's last record.
     """
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     cells: dict[tuple[int, int], object] = {}
-    order: list[tuple[int, int]] = []
-    duplicates = 0
-    for rec in records:
-        u = users.setdefault(rec.user_id, len(users))
-        i = items.setdefault(rec.item_id, len(items))
-        key = (u, i)
-        if key in cells:
-            duplicates += 1
-        else:
-            order.append(key)
-        cells[key] = rec
-    umap = _IndexMap(list(users))
-    imap = _IndexMap(list(items))
-    return umap, imap, order, cells, duplicates
+    seen = 0
+    for seen, rec in enumerate(records, 1):
+        # re-assigning a key keeps the position of its first appearance
+        cells[users.setdefault(rec.user_id, len(users)),
+              items.setdefault(rec.item_id, len(items))] = rec
+    index = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
+    return (_IndexMap(list(users)), _IndexMap(list(items)), index[:, 0],
+            index[:, 1], list(cells.values()), seen - len(cells))
 
 
-class Dataset:
-    """Sparse user x item matrix of overall ratings.
+class _Cells:
+    """Sparse user x item cells under two id maps; the shared core of
+    Dataset and CriteriaTensor.
 
-    Ratings are stored twice, in user-major and item-major layouts, so both
-    per-user and per-item traversal are O(degree).  Values are float64 even
-    for discrete scales because predictions are continuous.
+    Values hold one row per cell, shaped (cells,) or (cells, width).  Cells
+    are kept user-major (by user, then item) with a row pointer, so one
+    user's cells are a contiguous slice.  Each (user, item) cell occurs at
+    most once.
     """
 
     def __init__(self, user_map: _IndexMap, item_map: _IndexMap,
                  u_idx: np.ndarray, i_idx: np.ndarray, values: np.ndarray,
-                 scale: RatingScale, duplicates: int = 0):
+                 scale: RatingScale, duplicates: int):
+        values = np.asarray(values, dtype=np.float64)
+        if not len(u_idx) == len(i_idx) == len(values):
+            raise ValueError("cell index and value arrays differ in length")
+        if not np.all((values >= scale.min_value) & (values <= scale.max_value)):
+            raise ValueError("rating outside scale bounds")
+        order = np.lexsort((i_idx, u_idx))
+        u_idx, i_idx = u_idx[order], i_idx[order]
+        if len(order) and not (0 <= u_idx[0] and u_idx[-1] < len(user_map)
+                               and 0 <= i_idx.min()
+                               and i_idx.max() < len(item_map)):
+            raise ValueError("cell index out of range")
+        if np.any((u_idx[1:] == u_idx[:-1]) & (i_idx[1:] == i_idx[:-1])):
+            raise ValueError("repeated (user, item) cell")
         self._users = user_map
         self._items = item_map
         self.scale = scale
         self.duplicates = duplicates
-
-        values = np.asarray(values, dtype=np.float64)
-        if values.size and not (np.all(values >= scale.min_value)
-                                and np.all(values <= scale.max_value)):
-            raise ValueError("rating outside scale bounds")
-
-        m, n = len(user_map), len(item_map)
-        # user-major (CSR-like)
-        order_u = np.lexsort((i_idx, u_idx))
-        self._u_items = i_idx[order_u]
-        self._u_vals = values[order_u]
-        self._u_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.add.at(self._u_ptr, u_idx + 1, 1)
-        np.cumsum(self._u_ptr, out=self._u_ptr)
-        # item-major (CSC-like)
-        order_i = np.lexsort((u_idx, i_idx))
-        self._i_users = u_idx[order_i]
-        self._i_vals = values[order_i]
-        self._i_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self._i_ptr, i_idx + 1, 1)
-        np.cumsum(self._i_ptr, out=self._i_ptr)
-
-        for arr in (self._u_items, self._u_vals, self._u_ptr,
-                    self._i_users, self._i_vals, self._i_ptr):
+        self._u_idx, self._i_idx, self._values = u_idx, i_idx, values[order]
+        # user u's cells are rows _u_ptr[u] up to _u_ptr[u + 1]
+        self._u_ptr = np.searchsorted(u_idx, np.arange(len(user_map) + 1))
+        for arr in (self._u_idx, self._i_idx, self._values, self._u_ptr):
             arr.setflags(write=False)
-
-    @classmethod
-    def from_records(cls, records: Iterable[RatingRecord],
-                     scale: RatingScale) -> "Dataset":
-        umap, imap, order, cells, dups = _index_records(records, scale)
-        u_idx = np.fromiter((u for u, _ in order), dtype=np.int64, count=len(order))
-        i_idx = np.fromiter((i for _, i in order), dtype=np.int64, count=len(order))
-        vals = np.fromiter((cells[key].overall for key in order),
-                           dtype=np.float64, count=len(order))
-        return cls(umap, imap, u_idx, i_idx, vals, scale, dups)
-
-    def with_dense_values(self, dense: np.ndarray) -> "Dataset":
-        """Same observed cells and index maps, values taken from a dense
-        users x items array.  Keeps similarity/prediction indices aligned
-        when ratings are swapped for reconstructed ones."""
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.shape != (self.n_users, self.n_items):
-            raise ValueError(
-                f"expected shape {(self.n_users, self.n_items)}, got {dense.shape}"
-            )
-        u_idx = np.repeat(np.arange(self.n_users, dtype=np.int64),
-                          np.diff(self._u_ptr))
-        i_idx = self._u_items
-        return Dataset(self._users, self._items, u_idx, i_idx,
-                       dense[u_idx, i_idx], self.scale, self.duplicates)
 
     # ---- index bookkeeping -------------------------------------------------
 
@@ -217,8 +181,12 @@ class Dataset:
         return len(self._items)
 
     @property
-    def n_ratings(self) -> int:
-        return len(self._u_vals)
+    def user_ids(self) -> tuple[str, ...]:
+        return self._users.ids
+
+    @property
+    def item_ids(self) -> tuple[str, ...]:
+        return self._items.ids
 
     def user_index(self, user_id: str) -> int:
         return self._users.pos[user_id]
@@ -238,20 +206,91 @@ class Dataset:
     def item_id(self, i: int) -> str:
         return self._items.ids[i]
 
-    @property
-    def user_ids(self) -> tuple[str, ...]:
-        return self._users.ids
-
-    @property
-    def item_ids(self) -> tuple[str, ...]:
-        return self._items.ids
-
     # ---- traversal ---------------------------------------------------------
 
-    def items_of(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """(item indices, ratings) for one user, ascending item index."""
+    def _row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """(item indices, values) of one user's cells, ascending item index."""
         lo, hi = self._u_ptr[u], self._u_ptr[u + 1]
-        return self._u_items[lo:hi], self._u_vals[lo:hi]
+        return self._i_idx[lo:hi], self._values[lo:hi]
+
+    def _lookup(self, u: int, i: int):
+        """Values of cell (u, i), or None when it is not stored."""
+        items, vals = self._row(u)
+        pos = np.searchsorted(items, i)
+        if pos < len(items) and items[pos] == i:
+            return vals[pos]
+        return None
+
+    def _cells(self):
+        """(user id, item id, values) of every cell, user-major."""
+        users, items = self._users.ids, self._items.ids
+        for u, i, v in zip(self._u_idx.tolist(), self._i_idx.tolist(), self._values):
+            yield users[u], items[i], v
+
+    # ---- dense views -------------------------------------------------------
+
+    def to_dense(self, missing: float = np.nan) -> np.ndarray:
+        """users x items array of the values (users x items x width for
+        vector cells); missing fills every cell not stored."""
+        out = np.full((self.n_users, self.n_items) + self._values.shape[1:],
+                      missing, dtype=np.float64)
+        out[self._u_idx, self._i_idx] = self._values
+        return out
+
+    def to_mask(self) -> np.ndarray:
+        """Boolean user x item matrix of stored cells."""
+        out = np.zeros((self.n_users, self.n_items), dtype=bool)
+        out[self._u_idx, self._i_idx] = True
+        return out
+
+
+class Dataset(_Cells):
+    """Sparse user x item matrix of overall ratings.
+
+    Ratings are stored twice, in user-major and item-major layouts, so both
+    per-user and per-item traversal are O(degree).  Values are float64 even
+    for discrete scales because predictions are continuous.
+    """
+
+    def __init__(self, user_map: _IndexMap, item_map: _IndexMap,
+                 u_idx: np.ndarray, i_idx: np.ndarray, values: np.ndarray,
+                 scale: RatingScale, duplicates: int = 0):
+        super().__init__(user_map, item_map, u_idx, i_idx, values, scale, duplicates)
+        # item-major (CSC-like)
+        order = np.lexsort((self._u_idx, self._i_idx))
+        self._i_users = self._u_idx[order]
+        self._i_vals = self._values[order]
+        self._i_ptr = np.searchsorted(self._i_idx[order],
+                                      np.arange(self.n_items + 1))
+        for arr in (self._i_users, self._i_vals, self._i_ptr):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_records(cls, records: Iterable[RatingRecord],
+                     scale: RatingScale) -> "Dataset":
+        umap, imap, u_idx, i_idx, kept, dups = _index_records(records)
+        vals = np.fromiter((rec.overall for rec in kept), dtype=np.float64,
+                           count=len(kept))
+        return cls(umap, imap, u_idx, i_idx, vals, scale, dups)
+
+    def with_dense_values(self, dense: np.ndarray) -> "Dataset":
+        """Same observed cells and index maps, values taken from a dense
+        users x items array.  Keeps similarity/prediction indices aligned
+        when ratings are swapped for reconstructed ones."""
+        dense = np.asarray(dense, dtype=np.float64)
+        if dense.shape != (self.n_users, self.n_items):
+            raise ValueError(
+                f"expected shape {(self.n_users, self.n_items)}, got {dense.shape}"
+            )
+        return Dataset(self._users, self._items, self._u_idx, self._i_idx,
+                       dense[self._u_idx, self._i_idx], self.scale,
+                       self.duplicates)
+
+    @property
+    def n_ratings(self) -> int:
+        return len(self._values)
+
+    items_of = _Cells._row      # (item indices, ratings) of one user
 
     def users_of(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(user indices, ratings) for one item, ascending user index."""
@@ -259,42 +298,24 @@ class Dataset:
         return self._i_users[lo:hi], self._i_vals[lo:hi]
 
     def rating(self, u: int, i: int) -> float | None:
-        items, vals = self.items_of(u)
-        pos = np.searchsorted(items, i)
-        if pos < len(items) and items[pos] == i:
-            return float(vals[pos])
-        return None
+        value = self._lookup(u, i)
+        return None if value is None else float(value)
 
     def iter_records(self) -> Iterator[RatingRecord]:
-        for u in range(self.n_users):
-            items, vals = self.items_of(u)
-            uid = self.user_id(u)
-            for i, v in zip(items, vals):
-                yield RatingRecord(uid, self.item_id(int(i)), float(v))
-
-    # ---- dense views -------------------------------------------------------
-
-    def to_dense(self, missing: float = np.nan) -> np.ndarray:
-        out = np.full((self.n_users, self.n_items), missing, dtype=np.float64)
-        for u in range(self.n_users):
-            items, vals = self.items_of(u)
-            out[u, items] = vals
-        return out
-
-    def to_mask(self) -> np.ndarray:
-        """Boolean user x item matrix of observed cells."""
-        out = np.zeros((self.n_users, self.n_items), dtype=bool)
-        for u in range(self.n_users):
-            out[u, self.items_of(u)[0]] = True
-        return out
+        for uid, iid, value in self._cells():
+            yield RatingRecord(uid, iid, float(value))
 
     def user_means(self) -> np.ndarray:
-        """Per-user mean over all items the user rated."""
-        sums = np.add.reduceat(self._u_vals, self._u_ptr[:-1]) \
-            if self.n_ratings else np.zeros(self.n_users)
+        """Per-user mean over all items the user rated; 0 for a user
+        without ratings."""
         counts = np.diff(self._u_ptr)
+        rated = counts > 0
+        # a user's ratings are contiguous, so reducing from the rated
+        # users' row starts sums exactly each one's own ratings
+        sums = np.zeros(self.n_users)
+        sums[rated] = np.add.reduceat(self._values, self._u_ptr[:-1][rated])
         means = np.zeros(self.n_users)
-        np.divide(sums, counts, out=means, where=counts > 0)
+        np.divide(sums, counts, out=means, where=rated)
         return means
 
 
@@ -313,7 +334,7 @@ def dataset_stats(d: Dataset) -> DatasetStats:
     return DatasetStats(d.n_users, d.n_items, d.n_ratings, density)
 
 
-class CriteriaTensor:
+class CriteriaTensor(_Cells):
     """Sparse user x item x (k+1) rating tensor.
 
     Slice 0 holds the overall rating, slices 1..k the criteria.  Every
@@ -324,27 +345,10 @@ class CriteriaTensor:
     def __init__(self, user_map: _IndexMap, item_map: _IndexMap, k: int,
                  u_idx: np.ndarray, i_idx: np.ndarray, values: np.ndarray,
                  scale: RatingScale, duplicates: int = 0):
-        if values.ndim != 2 or values.shape[1] != k + 1:
+        if np.shape(values)[1:] != (k + 1,):
             raise ValueError(f"cell values must be (cells, {k + 1})")
-        values = np.asarray(values, dtype=np.float64)
-        if values.size and not (np.all(values >= scale.min_value)
-                                and np.all(values <= scale.max_value)):
-            raise ValueError("rating outside scale bounds")
-        self._users = user_map
-        self._items = item_map
+        super().__init__(user_map, item_map, u_idx, i_idx, values, scale, duplicates)
         self.k = k
-        self.scale = scale
-        self.duplicates = duplicates
-
-        order = np.lexsort((i_idx, u_idx))
-        self._u_idx = u_idx[order]
-        self._i_idx = i_idx[order]
-        self._values = values[order]
-        self._u_ptr = np.zeros(len(user_map) + 1, dtype=np.int64)
-        np.add.at(self._u_ptr, u_idx + 1, 1)
-        np.cumsum(self._u_ptr, out=self._u_ptr)
-        for arr in (self._u_idx, self._i_idx, self._values, self._u_ptr):
-            arr.setflags(write=False)
 
     @classmethod
     def from_records(cls, records: Iterable[CriteriaRecord], k: int,
@@ -356,93 +360,29 @@ class CriteriaTensor:
                     f"record for ({rec.user_id}, {rec.item_id}) has "
                     f"{len(rec.criteria)} criteria, expected {k}"
                 )
-        umap, imap, order, cells, dups = _index_records(records, scale)
-        u_idx = np.fromiter((u for u, _ in order), dtype=np.int64, count=len(order))
-        i_idx = np.fromiter((i for _, i in order), dtype=np.int64, count=len(order))
-        vals = np.empty((len(order), k + 1), dtype=np.float64)
-        for row, key in enumerate(order):
-            rec = cells[key]
-            vals[row, 0] = rec.overall
-            vals[row, 1:] = rec.criteria
+        umap, imap, u_idx, i_idx, kept, dups = _index_records(records)
+        vals = np.array([(rec.overall, *rec.criteria) for rec in kept],
+                        dtype=np.float64).reshape(len(kept), k + 1)
         return cls(umap, imap, k, u_idx, i_idx, vals, scale, dups)
-
-    @property
-    def n_users(self) -> int:
-        return len(self._users)
-
-    @property
-    def n_items(self) -> int:
-        return len(self._items)
 
     @property
     def n_cells(self) -> int:
         return len(self._values)
 
-    @property
-    def user_ids(self) -> tuple[str, ...]:
-        return self._users.ids
-
-    @property
-    def item_ids(self) -> tuple[str, ...]:
-        return self._items.ids
-
-    def user_index(self, user_id: str) -> int:
-        return self._users.pos[user_id]
-
-    def item_index(self, item_id: str) -> int:
-        return self._items.pos[item_id]
-
-    def has_user(self, user_id: str) -> bool:
-        return user_id in self._users.pos
-
-    def has_item(self, item_id: str) -> bool:
-        return item_id in self._items.pos
-
-    def user_id(self, u: int) -> str:
-        return self._users.ids[u]
-
-    def item_id(self, i: int) -> str:
-        return self._items.ids[i]
-
-    def cells_of(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """(item indices, (cells x k+1) values) for one user."""
-        lo, hi = self._u_ptr[u], self._u_ptr[u + 1]
-        return self._i_idx[lo:hi], self._values[lo:hi]
-
-    def cell(self, u: int, i: int) -> np.ndarray | None:
-        items, vals = self.cells_of(u)
-        pos = np.searchsorted(items, i)
-        if pos < len(items) and items[pos] == i:
-            return vals[pos]
-        return None
+    cells_of = _Cells._row      # (item indices, (cells x k+1) values)
+    cell = _Cells._lookup
 
     def iter_records(self) -> Iterator[CriteriaRecord]:
-        for row in range(self.n_cells):
-            yield CriteriaRecord(
-                self._users.ids[self._u_idx[row]],
-                self._items.ids[self._i_idx[row]],
-                tuple(self._values[row, 1:]),
-                float(self._values[row, 0]),
-            )
+        for uid, iid, values in self._cells():
+            yield CriteriaRecord(uid, iid, tuple(values[1:]), float(values[0]))
 
     def cell_matrix(self) -> np.ndarray:
         """Copy of all cell values, one row per cell: [overall, c1..ck]."""
         return self._values.copy()
 
     def _slice_dataset(self, s: int) -> Dataset:
-        return Dataset(self._users, self._items,
-                       self._u_idx.copy(), self._i_idx.copy(),
-                       self._values[:, s].copy(), self.scale)
-
-    def to_dense(self, missing: float = np.nan) -> np.ndarray:
-        out = np.full((self.n_users, self.n_items, self.k + 1), missing)
-        out[self._u_idx, self._i_idx] = self._values
-        return out
-
-    def to_mask(self) -> np.ndarray:
-        out = np.zeros((self.n_users, self.n_items), dtype=bool)
-        out[self._u_idx, self._i_idx] = True
-        return out
+        return Dataset(self._users, self._items, self._u_idx, self._i_idx,
+                       self._values[:, s], self.scale)
 
 
 def overall_slice(t: CriteriaTensor) -> Dataset:

@@ -28,7 +28,8 @@ from .core import (
     _IndexMap,
     criteria_slice,
 )
-from .linalg import TuckerModel, hosvd, impute_missing, tucker_reconstruct
+from .linalg import (TuckerModel, check_cell_budget, hosvd, impute_missing,
+                     tucker_reconstruct)
 from .similarity import (
     SIMILARITY_KINDS,
     SimilarityStore,
@@ -358,7 +359,9 @@ def _reconstructed_slice_dataset(template: Dataset, values: np.ndarray) -> Datas
 
 
 def impute_tensor(t: CriteriaTensor, strategy: str) -> np.ndarray:
-    """Dense (users, items, k+1) copy of t, each slice imputed on its own."""
+    """Dense (users, items, k+1) copy of t, each slice imputed on its own;
+    an over-budget tensor fails before any dense copy is made."""
+    check_cell_budget(t.n_users * t.n_items * (t.k + 1))
     dense = t.to_dense(missing=np.nan)
     for s in range(t.k + 1):
         dense[:, :, s] = impute_missing(dense[:, :, s], strategy)
@@ -586,15 +589,17 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     item_ids = a["item_ids"].tolist()
     cells = a["cells"]
     index = a["cell_index"]
-    if index.shape != (len(cells), 2) or not (
-            (index >= 0) & (index < [len(user_ids), len(item_ids)])).all():
-        raise ValueError("cell index out of range")
+    if index.shape != (len(cells), 2):
+        raise ValueError("cell index does not match the cells")
+    # the constructor rejects out-of-range and repeated cells
     k = aggregation.k
     tensor = CriteriaTensor(_IndexMap(user_ids), _IndexMap(item_ids), k,
                             index[:, 0], index[:, 1], cells, scale)
 
     tucker = TuckerModel(a["core"], (a["factor1"], a["factor2"], a["factor3"]))
     slice_means = a["slice_means"] if config.pca_option else None
+    if slice_means is not None and slice_means.shape != (len(item_ids), k + 1):
+        raise ValueError("slice means do not match the tensor")
     _, denoised = _denoise(tensor, impute_tensor(tensor, impute), tucker,
                            slice_means)
 
@@ -602,6 +607,9 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     n_stores = 1 if sim_space == "latent" else k
     if sims.shape != (n_stores, len(item_ids), len(item_ids)):
         raise ValueError("similarity stores do not match the tensor")
+    if not all(np.array_equal(v, v.T, equal_nan=True)
+               and np.isnan(np.diagonal(v)).all() for v in sims):
+        raise ValueError("similarity stores must be symmetric with a NaN diagonal")
     kind = "latent_cosine" if sim_space == "latent" else sim_kind
     stores = tuple(SimilarityStore(kind, values, tensor.item_ids)
                    for values in sims)

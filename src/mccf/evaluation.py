@@ -247,13 +247,14 @@ def _split_records(records, fraction: float, seed: int):
     return train_recs, test_recs
 
 
-def _build_store(train: Dataset, config: BenchmarkConfig):
-    kind = SIM_NAME_MAP[config.sim]
+def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
+    """Item similarities for a measure name of SIM_NAME_MAP."""
+    kind = SIM_NAME_MAP[sim]
     if kind != "latent_cosine":
         return item_similarity_matrix(train, kind)
-    rank = min(config.latent_rank, train.n_users, train.n_items)
+    rank = min(latent_rank, train.n_users, train.n_items)
     imputed = impute_missing(train.to_dense(missing=np.nan), "item_mean")
-    model = truncated_svd(imputed, rank, seed=config.seed)
+    model = truncated_svd(imputed, rank, seed=seed)
     return item_similarity_matrix(train, "latent_cosine", model=model)
 
 
@@ -346,7 +347,7 @@ def run_benchmark(source, config: BenchmarkConfig,
                                            config.seed)
     train = Dataset.from_records(train_recs, scale)
     threshold = _relevance(config.relevance_threshold, scale)
-    sims = _build_store(train, config)
+    sims = _build_store(train, config.sim, config.latent_rank, config.seed)
     spec = config.neighborhood
 
     known, users, items = _known_cells(test_recs, train)

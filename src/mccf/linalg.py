@@ -262,9 +262,20 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     return mode_refold(m @ mode_unfold(t, mode), mode, tuple(dims))
 
 
+# Largest tensor, in cells, that hosvd factors densely in memory.
+HOSVD_CELL_BUDGET = 2e8
+
+
+def check_cell_budget(cells: int, budget: float = HOSVD_CELL_BUDGET) -> None:
+    if cells > budget:
+        raise ValueError(
+            f"tensor has {cells} cells, above the {budget:.0f}-cell budget")
+
+
 def hosvd(t: np.ndarray, ranks: tuple[int, int, int], *,
           oversample: int = 10, power_iters: int = 2,
-          seed: int = 0, cell_budget: float = 2e8) -> TuckerModel:
+          seed: int = 0,
+          cell_budget: float = HOSVD_CELL_BUDGET) -> TuckerModel:
     """Tucker decomposition via per-mode sketched SVD.
 
     Factor s holds the top-r_s left singular vectors of the mode-s
@@ -275,10 +286,7 @@ def hosvd(t: np.ndarray, ranks: tuple[int, int, int], *,
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
         raise ValueError("expected a third-order tensor")
-    if t.size > cell_budget:
-        raise ValueError(
-            f"tensor has {t.size} cells, above the {cell_budget:.0f}-cell budget"
-        )
+    check_cell_budget(t.size, cell_budget)
     for mode in (1, 2, 3):
         if not 1 <= ranks[mode - 1] <= t.shape[mode - 1]:
             raise ValueError(

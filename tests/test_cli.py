@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mccf.cli import build_parser, main
-from mccf.core import RatingRecord
+from mccf.core import CriteriaTensor, RatingRecord
 from mccf.ingest import parse_movielens, write_movielens, write_multicriteria
 from mccf.synth import SyntheticTensorSpec, generate_tensor
 
@@ -191,6 +191,26 @@ def test_mc_evaluate_report(data_dir, capsys):
     assert code == 0
     assert "criteria_mae=" in out
     assert "ranks=2,3,3" in out
+
+
+def test_over_budget_tensor_exits_before_dense_copy(tmp_path, monkeypatch,
+                                                    capsys):
+    # 15,000 users x 15,000 items x 2 slices is above the HOSVD budget
+    path = tmp_path / "diagonal.csv"
+    path.write_text("".join(f"u{x},i{x},3,3\n" for x in range(15_000)))
+
+    def dense_copy(*args, **kwargs):
+        raise AssertionError("dense copy made before the budget check")
+
+    monkeypatch.setattr(CriteriaTensor, "to_dense", dense_copy)
+    monkeypatch.setattr(CriteriaTensor, "to_mask", dense_copy)
+    common = ["--input", str(path), "--format", "mc-csv", "--criteria", "1",
+              "--ranks", "2,2,2", "--seed", "1"]
+    for verb in (["decompose", "--output", str(tmp_path / "out.npz")],
+                 ["recommend", "--user", "u0"],
+                 ["mc-evaluate", "--train-fraction", "0.9"]):
+        code, _, err = run(verb[:1] + common + verb[1:], capsys)
+        assert code == 2 and "budget" in err, (verb, err)
 
 
 def test_exit_codes(data_dir, tmp_path, capsys):

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import DESK_MATRIX, dataset_from_dense
 from mccf.core import (
     CriteriaRecord,
     CriteriaTensor,
     Dataset,
     RatingRecord,
     RatingScale,
+    _IndexMap,
     criteria_slice,
     dataset_stats,
     overall_slice,
 )
+from mccf.similarity import item_similarity_matrix
 
 ONE_TO_FIVE = RatingScale.one_to_five()
 
@@ -110,6 +113,37 @@ def test_user_means_oracle():
     d = Dataset.from_records(RECORDS, ONE_TO_FIVE)
     expected = np.nanmean(d.to_dense(), axis=1)
     assert np.allclose(d.user_means(), expected)
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+def test_user_means_with_a_user_without_ratings(row):
+    d = dataset_from_dense(np.insert(DESK_MATRIX, row, np.nan, axis=0))
+    means = d.user_means()
+    for u in range(d.n_users):
+        ratings = d.items_of(u)[1]
+        assert means[u] == (ratings.sum() / len(ratings) if len(ratings) else 0.0)
+    plain = item_similarity_matrix(dataset_from_dense(DESK_MATRIX),
+                                   "adjusted_cosine")
+    np.testing.assert_allclose(
+        item_similarity_matrix(d, "adjusted_cosine").values, plain.values,
+        rtol=0, atol=1e-12)
+
+
+def test_constructors_reject_bad_cells():
+    users, items = _IndexMap(["a", "b"]), _IndexMap(["x", "y"])
+    # a repeated cell, then each index out of range on either side
+    for u_idx, i_idx in (([1, 1], [0, 0]), ([0, 2], [0, 0]), ([-1, 0], [0, 0]),
+                         ([0, 1], [0, 2]), ([0, 1], [-1, 0])):
+        u_idx, i_idx = np.array(u_idx), np.array(i_idx)
+        with pytest.raises(ValueError):
+            Dataset(users, items, u_idx, i_idx, np.array([1.0, 2.0]),
+                    ONE_TO_FIVE)
+        with pytest.raises(ValueError):
+            CriteriaTensor(users, items, 1, u_idx, i_idx, np.ones((2, 2)),
+                           ONE_TO_FIVE)
+    with pytest.raises(ValueError):
+        Dataset(users, items, np.array([0, 1]), np.array([0, 1]),
+                np.array([1.0]), ONE_TO_FIVE)
 
 
 def test_with_dense_values():

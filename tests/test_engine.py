@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_from_dense, random_dataset
 from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, RatingScale,
-                       overall_slice)
+                       _IndexMap, overall_slice)
 from mccf.engine import (
     AggregationWeights,
     McConfig,
@@ -433,6 +433,43 @@ def test_load_rejects_corrupt_file(tmp_path):
         assert_rejected(cell_index=index)
     assert_rejected(cell_index=good["cell_index"][1:])
     assert_rejected(similarities=good["similarities"][:, 1:])
+    # a cell listed twice, which would hide the cell it overwrote
+    index = good["cell_index"].copy()
+    index[1] = index[0]
+    assert_rejected(cell_index=index)
+    # stores that are not symmetric, or define an item's own similarity
+    sims = good["similarities"].copy()
+    sims[0, 0, 1] = 2.0
+    assert_rejected(similarities=sims)
+    sims = good["similarities"].copy()
+    sims[0, 3, 3] = 1.0
+    assert_rejected(similarities=sims)
+    # slice means of one item would broadcast over every item; from here
+    # on assert_rejected changes the arrays of a centered model
+    save_model(build_mc_model(t, (2, 3, 3), McConfig(pca_option=True, seed=10)), p)
+    good = dict(np.load(p, allow_pickle=False))
+    load_model(p)
+    assert_rejected(slice_means=None)
+    assert_rejected(slice_means=good["slice_means"][:1])
+    assert_rejected(slice_means=good["slice_means"][:, 1:])
+
+
+def test_hosvd_budget_checked_before_any_dense_copy(monkeypatch):
+    # 15,000 x 15,000 x 2 cells is 4.5e8, above the 2e8 budget; a dense
+    # float64 copy would take 3.6 GB
+    n = 15_000
+    ids = _IndexMap([str(x) for x in range(n)])
+    diagonal = np.arange(n)
+    t = CriteriaTensor(ids, ids, 1, diagonal, diagonal, np.full((n, 2), 3.0),
+                       RatingScale.one_to_five())
+
+    def dense_copy(*args, **kwargs):
+        raise AssertionError("dense copy made before the budget check")
+
+    monkeypatch.setattr(CriteriaTensor, "to_dense", dense_copy)
+    monkeypatch.setattr(CriteriaTensor, "to_mask", dense_copy)
+    with pytest.raises(ValueError, match="budget"):
+        build_mc_model(t, (2, 2, 2))
 
 
 def test_degenerate_single_criterion_matches_plain_cf():
