@@ -249,6 +249,16 @@ def _to_overall_dataset(records, scale: RatingScale) -> Dataset:
     return Dataset.from_records(records, scale)
 
 
+def _latent_rank(args) -> int:
+    """The single --ranks value of a plain-input verb; 8 when unset."""
+    if args.ranks is None:
+        return 8
+    if len(args.ranks) != 1:
+        raise UsageError(
+            f"{args.verb} takes a single --ranks value on plain input")
+    return args.ranks[0]
+
+
 def _emit(text: str, output: str | None) -> None:
     print(text)
     if output:
@@ -275,35 +285,29 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _raw_records(args):
+    """(unfiltered records, writer of the input format)."""
+    if args.format == "mc-csv":
+        return _load_mc_records(args), write_multicriteria
+    return parse_movielens(args.input), write_movielens
+
+
 def _cmd_filter(args) -> int:
     # _load_plain/_load_tensor already apply the thresholds; here the
     # filtered records are written back out in the input format
-    if args.format == "mc-csv":
-        records = _load_mc_records(args)
-        kept = density_filter(records,
-                              DensityFilterSpec(args.min_user, args.min_item))
-        write_multicriteria(kept, args.output)
-    else:
-        records = parse_movielens(args.input)
-        kept = density_filter(records,
-                              DensityFilterSpec(args.min_user, args.min_item))
-        write_movielens(kept, args.output)
+    records, write = _raw_records(args)
+    kept = density_filter(records, DensityFilterSpec(args.min_user, args.min_item))
+    write(kept, args.output)
     print(f"kept={len(kept)} dropped={len(records) - len(kept)}")
     return 0
 
 
 def _cmd_split(args) -> int:
-    spec = SplitSpec(args.train_fraction, args.seed)
-    if args.format == "mc-csv":
-        records = _load_mc_records(args)
-        train, test = split_train_test(records, spec)
-        write_multicriteria(train, args.output + ".train")
-        write_multicriteria(test, args.output + ".test")
-    else:
-        records = parse_movielens(args.input)
-        train, test = split_train_test(records, spec)
-        write_movielens(train, args.output + ".train")
-        write_movielens(test, args.output + ".test")
+    records, write = _raw_records(args)
+    train, test = split_train_test(records,
+                                   SplitSpec(args.train_fraction, args.seed))
+    write(train, args.output + ".train")
+    write(test, args.output + ".test")
     print(f"train={len(train)} test={len(test)}")
     return 0
 
@@ -346,15 +350,10 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     records, scale = _load_plain(args)
-    latent_rank = 8
-    if args.ranks is not None:
-        if len(args.ranks) != 1:
-            raise UsageError("evaluate takes a single --ranks value")
-        latent_rank = args.ranks[0]
     config = BenchmarkConfig(
         sim=args.sim, train_fraction=args.train_fraction, seed=args.seed,
         top_n=args.top_n, relevance_threshold=args.relevance_threshold,
-        latent_rank=latent_rank)
+        latent_rank=_latent_rank(args))
     if records and hasattr(records[0], "criteria"):
         records = list(_to_overall_dataset(records, scale).iter_records())
     report = run_benchmark(records, config, scale)
@@ -375,7 +374,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    lines: list[str]
     if args.format == "mc-csv":
         tensor = _load_tensor(args)
         if not tensor.has_user(args.user):
@@ -396,9 +394,7 @@ def _cmd_recommend(args) -> int:
         if not d.has_user(args.user):
             print(f"error: unknown user {args.user!r}", file=sys.stderr)
             return 2
-        sims = _build_store(d, args.sim,
-                            8 if args.ranks is None else args.ranks[0],
-                            args.seed)
+        sims = _build_store(d, args.sim, _latent_rank(args), args.seed)
         top = recommend_top_n(d, sims, args.user, args.top_n)
     lines = [f"{rank} {item} {value:.4f}"
              for rank, (item, value) in enumerate(top, start=1)]

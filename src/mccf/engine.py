@@ -77,24 +77,37 @@ def _keep_mask(sims: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
     return sims > threshold    # NaN compares False
 
 
-def _neighborhood(d: Dataset, sims: SimilarityStore, u: int,
+def _groups(labels: np.ndarray):
+    """(label, positions) for each distinct label, positions ascending."""
+    order = labels.argsort(kind="stable")
+    ordered = labels[order]
+    edges = ((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()
+    for lo, hi in zip([0] + edges, edges + [len(order)]):
+        if hi > lo:
+            yield int(ordered[lo]), order[lo:hi]
+
+
+def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
                   items: np.ndarray,
                   spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(clamped values, support) of user u for each item index in `items`;
-    NaN value and 0 support mark no prediction.
+    """Unclamped (len(items), c) values and the support of one user who
+    rated the items `rated` with the (len(rated), c) `ratings`, for each
+    item index in `items`; NaN values and 0 support mark no prediction.
 
     An item's neighbors are the user's rated items whose similarity to it
     passes the threshold; with a cap of k, the k most similar, ties going
-    to the lower item index.  The value is sum(w * r) / sum(|w|) over them.
+    to the lower item index.  Each column's value is sum(w * r) / sum(|w|)
+    over the one neighbor set.
 
     Every value is bitwise what a one-item-at-a-time loop gives, because
     the summation order is the same: ascending item index, or descending
     similarity (stable) where the cap cut the row.  Rows are grouped by
-    neighbor count so each group is one np.vecdot, which calls the same
-    BLAS ddot as a 1-D dot product.
+    neighbor count so each group is one np.vecdot over a contiguous
+    (rows, c, count) block: the same BLAS ddot as a 1-D dot product.
     """
-    rated, ratings = d.items_of(u)
-    w = sims.values[items[:, None], rated]
+    # the store is symmetric: read the side with fewer rows
+    w = (sims.values[items][:, rated] if len(items) <= len(rated)
+         else sims.values[rated][:, items].T)
     keep = _keep_mask(w, spec)
     count = keep.sum(axis=1)
     k = spec.max_neighbors
@@ -104,34 +117,41 @@ def _neighborhood(d: Dataset, sims: SimilarityStore, u: int,
         wc = np.where(keep[cut], w[cut], -np.inf)
         kth = np.partition(wc, -k, axis=1)[:, -k, None]
         sel = wc >= kth
-        tied = np.flatnonzero(sel.sum(axis=1) > k)
+        tied = (sel.sum(axis=1) > k).nonzero()[0]
         if tied.size:
             # too many ties at the k-th weight: the lower indices win
             ties = wc[tied] == kth[tied]
             room = k - (wc[tied] > kth[tied]).sum(axis=1, keepdims=True)
-            sel[tied] &= ~ties | (np.cumsum(ties, axis=1) <= room)
+            sel[tied] &= ~ties | (ties.cumsum(axis=1) <= room)
         keep[cut] = sel
         count[cut] = k
-    rows, cols = np.nonzero(keep)
-    kept_w, kept_r = w[rows, cols], ratings[cols]
-    start = np.cumsum(count) - count
+    kept_w = w[keep]
+    kept_r = ratings[keep.nonzero()[1]]
+    start = count.cumsum() - count
 
-    values = np.full(count.shape, np.nan)
-    group = np.where(cut, -1, count)    # the cut rows form group -1
-    for g in np.unique(group):
+    values = np.full((len(items), ratings.shape[1]), np.nan)
+    for g, idx in _groups(np.where(cut, -1, count)):   # cut rows: group -1
         if g == 0:
             continue
-        idx = np.flatnonzero(group == g)
-        pos = start[idx, None] + np.arange(k if g < 0 else g)
+        first = start[idx, None]
+        pos = first + np.arange(k if g < 0 else g)
         if g < 0:
-            order = np.argsort(-kept_w[pos], axis=1, kind="stable")
-            pos = np.take_along_axis(pos, order, axis=1)
-        gw, gr = kept_w[pos], kept_r[pos]
+            pos = first + (-kept_w[pos]).argsort(axis=1, kind="stable")
+        gw = kept_w[pos]
         denom = np.abs(gw).sum(axis=1)
-        ok = denom >= DENOM_EPS
-        values[idx[ok]] = np.vecdot(gw[ok], gr[ok]) / denom[ok]
-    np.clip(values, d.scale.min_value, d.scale.max_value, out=values)
-    return values, np.where(np.isnan(values), 0, count)
+        # a NaN denominator leaves the row NaN, without a warning
+        denom[denom < DENOM_EPS] = np.nan
+        gr = np.ascontiguousarray(kept_r[pos].transpose(0, 2, 1))
+        values[idx] = np.vecdot(gw[:, None], gr) / denom[:, None]
+    return values, np.where(np.isnan(values[:, 0]), 0, count)
+
+
+def _predict_user(d: Dataset, sims: SimilarityStore, u: int, items: np.ndarray,
+                  spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped (values, support) of user u for each item index in `items`."""
+    rated, ratings = d.items_of(u)
+    values, support = _neighborhood(sims, rated, ratings[:, None], items, spec)
+    return values[:, 0].clip(d.scale.min_value, d.scale.max_value), support
 
 
 def _unrated(n_items: int, rated: np.ndarray) -> np.ndarray:
@@ -160,7 +180,7 @@ def predict_single(user_id: str, item_id: str, d: Dataset,
     """
     if not (d.has_user(user_id) and d.has_item(item_id)):
         return None
-    values, support = _neighborhood(d, sims, d.user_index(user_id),
+    values, support = _predict_user(d, sims, d.user_index(user_id),
                                     np.array([d.item_index(item_id)]), spec)
     if not support[0]:
         return None
@@ -189,14 +209,6 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
     return np.clip(out, d.scale.min_value, d.scale.max_value)
 
 
-def _by_user(users: np.ndarray):
-    """(user, positions) for each distinct user index, positions ascending."""
-    order = np.argsort(users, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(users[order])) + 1):
-        if group.size:
-            yield int(users[group[0]]), group
-
-
 def batch_predict(d: Dataset, sims: SimilarityStore,
                   users: np.ndarray, items: np.ndarray,
                   spec: NeighborhoodSpec = NeighborhoodSpec()) -> np.ndarray:
@@ -208,8 +220,8 @@ def batch_predict(d: Dataset, sims: SimilarityStore,
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     out = np.full(users.shape, np.nan)
-    for u, pos in _by_user(users):
-        out[pos] = _neighborhood(d, sims, u, items[pos], spec)[0]
+    for u, pos in _groups(users):
+        out[pos] = _predict_user(d, sims, u, items[pos], spec)[0]
     return out
 
 
@@ -226,7 +238,7 @@ def recommend_top_n(d: Dataset, sims: SimilarityStore, user_id: str, n: int,
         return []
     u = d.user_index(user_id)
     items = _unrated(d.n_items, d.items_of(u)[0])
-    values, _ = _neighborhood(d, sims, u, items, spec)
+    values, _ = _predict_user(d, sims, u, items, spec)
     return [(d.item_id(i), v) for i, v in _top_n(items, values, n)]
 
 
@@ -416,14 +428,17 @@ def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
 
 def _criteria_rows(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
     """(len(items), k) clamped criterion predictions of user u, one kernel
-    call per criterion; criteria whose neighborhood yields nothing take the
-    denoised tensor's value."""
-    out = np.empty((len(items), model.k))
-    for c in range(1, model.k + 1):
-        values, _ = _neighborhood(model.criteria_data[c - 1], model.store_for(c),
-                                  u, items, model.config.neighborhood)
-        out[:, c - 1] = np.where(np.isnan(values),
-                                 model.denoised[u, items, c], values)
+    call per similarity store: the latent space's one shared store scores
+    all k criteria over one neighbor selection.  Criteria whose
+    neighborhood yields nothing take the denoised tensor's value."""
+    rated, cells = model.tensor.cells_of(u)
+    stores = model.item_similarities
+    # k columns for one shared store, or one column for each of k stores
+    columns = np.array_split(np.arange(1, model.k + 1), len(stores))
+    out = np.hstack([_neighborhood(s, rated, cells[:, c], items,
+                                   model.config.neighborhood)[0]
+                     for s, c in zip(stores, columns)])
+    out = np.where(np.isnan(out), model.denoised[u, items, 1:], out)
     return np.clip(out, model.scale.min_value, model.scale.max_value)
 
 
@@ -607,9 +622,6 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     n_stores = 1 if sim_space == "latent" else k
     if sims.shape != (n_stores, len(item_ids), len(item_ids)):
         raise ValueError("similarity stores do not match the tensor")
-    if not all(np.array_equal(v, v.T, equal_nan=True)
-               and np.isnan(np.diagonal(v)).all() for v in sims):
-        raise ValueError("similarity stores must be symmetric with a NaN diagonal")
     kind = "latent_cosine" if sim_space == "latent" else sim_kind
     stores = tuple(SimilarityStore(kind, values, tensor.item_ids)
                    for values in sims)

@@ -29,8 +29,8 @@ from .engine import (
     McConfig,
     NeighborhoodSpec,
     _aggregate_rows,
-    _by_user,
     _criteria_rows,
+    _groups,
     _top_n,
     _unrated,
     batch_predict,
@@ -161,57 +161,34 @@ class EvalReport:
         "criteria_mae",
     )
 
-    def _ranks_str(self) -> str:
-        if self.ranks is None:
-            return "-"
-        return ",".join(str(r) for r in self.ranks)
+    def _cells(self, fraction: str, digits: int) -> dict[str, str]:
+        """CSV_FIELDS -> formatted value, metrics to `digits` decimals."""
+        metrics = ("mae", "bias", "rmse", "precision", "recall", "f1",
+                   "prediction_coverage", "catalog_coverage")
+        return {
+            "sim": self.sim, "train_fraction": fraction, "seed": str(self.seed),
+            "ranks": "-" if self.ranks is None else ",".join(map(str, self.ranks)),
+            **{m: f"{getattr(self, m):.{digits}f}" for m in metrics},
+            "pair_count": str(self.pair_count),
+            "no_prediction_count": str(self.no_prediction_count),
+            "criteria_mae": ";".join(f"{v:.{digits}f}" for v in self.criteria_mae),
+        }
 
     def to_text(self) -> str:
-        """key=value lines, one metric per line."""
-        lines = [
-            f"sim={self.sim}",
-            f"train_fraction={self.train_fraction}",
-            f"seed={self.seed}",
-            f"ranks={self._ranks_str()}",
-            f"mae={self.mae:.6f}",
-            f"bias={self.bias:.6f}",
-            f"rmse={self.rmse:.6f}",
-            f"precision={self.precision:.6f}",
-            f"recall={self.recall:.6f}",
-            f"f1={self.f1:.6f}",
-            f"prediction_coverage={self.prediction_coverage:.6f}",
-            f"catalog_coverage={self.catalog_coverage:.6f}",
-            f"pair_count={self.pair_count}",
-            f"no_prediction_count={self.no_prediction_count}",
-        ]
-        if self.criteria_mae:
-            lines.append("criteria_mae="
-                         + ";".join(f"{v:.6f}" for v in self.criteria_mae))
-        return "\n".join(lines)
+        """key=value lines, one metric per line; criteria_mae only when set."""
+        cells = self._cells(str(self.train_fraction), 6)
+        if not self.criteria_mae:
+            del cells["criteria_mae"]
+        return "\n".join(f"{key}={value}" for key, value in cells.items())
 
     @classmethod
     def csv_header(cls) -> str:
         return ",".join(cls.CSV_FIELDS)
 
     def to_csv_row(self) -> str:
-        cells = [
-            self.sim,
-            f"{self.train_fraction:.4f}",
-            str(self.seed),
-            self._ranks_str().replace(",", ";"),
-            f"{self.mae:.4f}",
-            f"{self.bias:.4f}",
-            f"{self.rmse:.4f}",
-            f"{self.precision:.4f}",
-            f"{self.recall:.4f}",
-            f"{self.f1:.4f}",
-            f"{self.prediction_coverage:.4f}",
-            f"{self.catalog_coverage:.4f}",
-            str(self.pair_count),
-            str(self.no_prediction_count),
-            ";".join(f"{v:.4f}" for v in self.criteria_mae),
-        ]
-        return ",".join(cells)
+        cells = self._cells(f"{self.train_fraction:.4f}", 4)
+        cells["ranks"] = cells["ranks"].replace(",", ";")
+        return ",".join(cells.values())
 
 
 @dataclass(frozen=True)
@@ -465,7 +442,7 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
     # unknown users or items are the only no-predictions
     known, users, items = _known_cells(test_recs, train)
     crits = np.empty((len(known), k))
-    for u, group in _by_user(users):
+    for u, group in _groups(users):
         crits[group] = _criteria_rows(model, u, items[group])
     overall = _aggregate_rows(model.aggregation, crits, scale)
     truths = np.array([(r.overall, *r.criteria) for r in known],

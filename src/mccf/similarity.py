@@ -169,12 +169,21 @@ def _row_cosine(vectors: np.ndarray, i: int, j: int) -> float | None:
 class SimilarityStore:
     """Symmetric item x item similarity matrix; NaN marks undefined pairs.
 
-    The diagonal is always NaN (an item is not its own neighbor).
+    The diagonal is always NaN (an item is not its own neighbor).  The
+    constructor enforces both, since the neighborhood kernel reads an
+    item's similarities from whichever side of the matrix is cheaper.
     """
 
     kind: str
     values: np.ndarray      # (n_items, n_items), float64
     item_ids: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        v, nan = self.values, np.isnan(self.values)
+        if (v.shape != (len(self.item_ids),) * 2 or not nan.diagonal().all()
+                or ((v != v.T) & ~(nan & nan.T)).any()):
+            raise ValueError("similarity values must be a symmetric items x "
+                             "items matrix with a NaN diagonal")
 
     @property
     def n_items(self) -> int:

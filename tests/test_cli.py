@@ -225,6 +225,8 @@ def test_exit_codes(data_dir, tmp_path, capsys):
                  "--format", "mc-csv", "--sim", "pearson", "--seed", "1"]) == 1
     assert main(["mc-evaluate", "--input", ratings, "--ranks", "2,3,3",
                  "--seed", "1"]) == 1
+    assert main(["recommend", "--input", ratings, "--user", "u1",
+                 "--sim", "latent", "--ranks", "2,3,4", "--seed", "1"]) == 1
     # a seed outside [0, 2**64) is a usage error on every verb
     for seed in ("-3", str(2 ** 64), "x"):
         assert main(["split", "--input", ratings, "--train-fraction", "0.5",

@@ -8,13 +8,16 @@ last-digit difference can flip a near-tie in a top-N list.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_from_dense
 from mccf.core import CriteriaTensor
 from mccf.engine import (
     DENOM_EPS,
     McConfig,
+    McModel,
     NeighborhoodSpec,
+    _neighborhood,
     batch_predict,
     build_mc_model,
     mc_recommend_top_n,
@@ -150,12 +153,44 @@ def _sparse_tensor(seed):
     return CriteriaTensor.from_records(records, t.k, t.scale)
 
 
-@pytest.mark.parametrize("sim_space", ["latent", "reconstructed"])
-@pytest.mark.parametrize("spec", SPECS[2:], ids=SPEC_IDS[2:])
-def test_multicriteria_paths_match_loop(sim_space, spec):
+def _quarter_steps(store):
+    """The store coarsened to quarter steps, so many neighbors tie."""
+    return SimilarityStore(store.kind, np.round(store.values * 4) / 4,
+                           store.item_ids)
+
+
+def _mc_model(kind, spec):
+    """A latent or reconstructed model of a sparse tensor; "latent-tied"
+    is the latent model with its shared store in quarter steps."""
     t = _sparse_tensor(73)
-    model = build_mc_model(t, (3, 4, 3), McConfig(
-        sim_space=sim_space, sim_kind="pearson", neighborhood=spec, seed=2))
+    space = "reconstructed" if kind == "reconstructed" else "latent"
+    m = build_mc_model(t, (3, 4, 3), McConfig(
+        sim_space=space, sim_kind="pearson", neighborhood=spec, seed=2))
+    if kind != "latent-tied":
+        return m
+    return McModel(m.tensor, m.ranks, m.config, m.tucker, m.slice_means,
+                   m.denoised, (_quarter_steps(m.item_similarities[0]),),
+                   m.criteria_data, m.aggregation)
+
+
+def test_tied_latent_store_splits_ties_at_the_cap():
+    m = _mc_model("latent-tied", SPECS[2])
+    sims = m.item_similarities[0].values
+    tie_cuts = 0
+    for u in range(m.tensor.n_users):
+        rated = m.tensor.cells_of(u)[0]
+        for i in range(m.tensor.n_items):
+            row = sims[i, rated]
+            kept = np.sort(row[row > 0])[::-1]
+            tie_cuts += kept.size > 5 and kept[4] == kept[5]
+    assert tie_cuts > 100
+
+
+@pytest.mark.parametrize("kind", ["latent", "latent-tied", "reconstructed"])
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_multicriteria_paths_match_loop(kind, spec):
+    model = _mc_model(kind, spec)
+    t = model.tensor
     for u, uid in enumerate(t.user_ids):
         rated = set(t.cells_of(u)[0].tolist())
         scored = []
@@ -173,3 +208,38 @@ def test_multicriteria_paths_match_loop(sim_space, spec):
         scored.sort()
         assert mc_recommend_top_n(model, uid, 8) == \
             [(t.item_id(i), -v) for v, i in scored[:8]]
+
+
+@settings(deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([1, 3]),
+       k=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+       threshold=st.sampled_from([None, -1.0, 0.25]))
+def test_kernel_columns_match_loop(seed, c, k, threshold):
+    """Each of the c rating columns gives the loop's value bitwise, over
+    one neighbor selection with the loop's support."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 16))
+    upper = np.triu(rng.integers(-4, 5, (n, n)) / 4, 1)
+    values = upper + upper.T
+    undefined = rng.random((n, n)) < 0.3
+    values[undefined | undefined.T] = np.nan
+    np.fill_diagonal(values, np.nan)
+    item_ids = tuple(f"i{i}" for i in range(n))
+    sims = SimilarityStore("pearson", values, item_ids)
+    rated = np.flatnonzero(rng.random(n) < rng.random())
+    ratings = rng.integers(1, 6, (len(rated), c)).astype(float)
+    items = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    spec = NeighborhoodSpec(k, threshold)
+
+    got, support = _neighborhood(sims, rated, ratings, items, spec)
+    assert got.shape == (len(items), c)
+    for j in range(c):
+        row = np.full((1, n), np.nan)
+        row[0, rated] = ratings[:, j]
+        d = dataset_from_dense(row)
+        for p, i in enumerate(items.tolist()):
+            expect = loop_predict(d, sims, 0, i, spec)
+            if expect is None:
+                assert np.isnan(got[p, j]) and support[p] == 0
+            else:
+                assert (d.scale.clamp(got[p, j]), support[p]) == expect

@@ -233,6 +233,26 @@ def test_store_structure(desk):
     assert store.item_ids == desk.item_ids
 
 
+def test_store_rejects_values_that_are_not_a_symmetric_square():
+    ids = ("i0", "i1", "i2")
+    good = np.array([[NAN, 0.5, NAN],
+                     [0.5, NAN, -0.25],
+                     [NAN, -0.25, NAN]])
+    SimilarityStore("pearson", good, ids)
+    asymmetric = good.copy()
+    asymmetric[0, 1] = 0.75
+    one_sided = good.copy()
+    one_sided[0, 2] = 0.25          # defined one way, undefined the other
+    diagonal = good.copy()
+    diagonal[1, 1] = 1.0
+    for values, item_ids in ((asymmetric, ids), (one_sided, ids),
+                             (diagonal, ids), (good[:, :2], ids),
+                             (good[:2], ids), (good[0], ids),
+                             (good, ids[:2]), (good, ids + ("i3",))):
+        with pytest.raises(ValueError):
+            SimilarityStore("pearson", values, item_ids)
+
+
 def test_store_csv_roundtrip(tmp_path, desk):
     store = item_similarity_matrix(desk, "pearson")
     p = tmp_path / "sims.csv"
