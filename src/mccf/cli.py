@@ -53,8 +53,7 @@ from .ingest import (
 )
 from .linalg import hosvd, impute_missing, pca, truncated_svd
 
-SIM_CHOICES = ("pearson", "euclidean", "loglikelihood", "tanimoto",
-               "adjusted-cosine", "latent")
+SIM_CHOICES = tuple(SIM_NAME_MAP)
 TABLE_SIMS = ("pearson", "euclidean", "loglikelihood", "tanimoto")
 SCALES = {"1-5": RatingScale.one_to_five, "letter13": RatingScale.letter_13}
 
@@ -74,6 +73,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
     return value
 
 
@@ -126,9 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="criterion count (required for mc-csv)")
     data.add_argument("--scale", choices=tuple(SCALES), default="1-5",
                       help="rating scale of the input")
-    data.add_argument("--min-user", type=int, default=0, metavar="N",
-                      help="drop users with fewer than N ratings")
-    data.add_argument("--min-item", type=int, default=0, metavar="N",
+    data.add_argument("--min-user", type=_non_negative_int, default=0,
+                      metavar="N", help="drop users with fewer than N ratings")
+    data.add_argument("--min-item", type=_non_negative_int, default=0,
+                      metavar="N",
                       help="drop items with fewer than N ratings")
 
     def verb(name: str, parents: list, help_text: str) -> argparse.ArgumentParser:
@@ -374,13 +381,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
+    # flags are checked before any data is read
     if args.format == "mc-csv":
+        if args.ranks is None or len(args.ranks) != 3:
+            raise UsageError("mc-csv recommendation needs --ranks R1,R2,R3")
         tensor = _load_tensor(args)
         if not tensor.has_user(args.user):
             print(f"error: unknown user {args.user!r}", file=sys.stderr)
             return 2
-        if args.ranks is None or len(args.ranks) != 3:
-            raise UsageError("mc-csv recommendation needs --ranks R1,R2,R3")
         # the latent space ignores sim_kind
         config = McConfig(pca_option=args.pca_option == "on",
                           sim_space=args.sim_space,
@@ -389,12 +397,13 @@ def _cmd_recommend(args) -> int:
         model = build_mc_model(tensor, args.ranks, config)
         top = mc_recommend_top_n(model, args.user, args.top_n)
     else:
+        rank = _latent_rank(args)
         records, scale = _load_plain(args)
         d = Dataset.from_records(records, scale)
         if not d.has_user(args.user):
             print(f"error: unknown user {args.user!r}", file=sys.stderr)
             return 2
-        sims = _build_store(d, args.sim, _latent_rank(args), args.seed)
+        sims = _build_store(d, args.sim, rank, args.seed)
         top = recommend_top_n(d, sims, args.user, args.top_n)
     lines = [f"{rank} {item} {value:.4f}"
              for rank, (item, value) in enumerate(top, start=1)]

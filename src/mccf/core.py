@@ -146,7 +146,7 @@ class _Cells:
 
     def __init__(self, user_map: _IndexMap, item_map: _IndexMap,
                  u_idx: np.ndarray, i_idx: np.ndarray, values: np.ndarray,
-                 scale: RatingScale, duplicates: int):
+                 scale: RatingScale, duplicates: int = 0):
         values = np.asarray(values, dtype=np.float64)
         if not len(u_idx) == len(i_idx) == len(values):
             raise ValueError("cell index and value arrays differ in length")
@@ -247,23 +247,9 @@ class _Cells:
 class Dataset(_Cells):
     """Sparse user x item matrix of overall ratings.
 
-    Ratings are stored twice, in user-major and item-major layouts, so both
-    per-user and per-item traversal are O(degree).  Values are float64 even
-    for discrete scales because predictions are continuous.
+    Values are float64 even for discrete scales because predictions are
+    continuous.
     """
-
-    def __init__(self, user_map: _IndexMap, item_map: _IndexMap,
-                 u_idx: np.ndarray, i_idx: np.ndarray, values: np.ndarray,
-                 scale: RatingScale, duplicates: int = 0):
-        super().__init__(user_map, item_map, u_idx, i_idx, values, scale, duplicates)
-        # item-major (CSC-like)
-        order = np.lexsort((self._u_idx, self._i_idx))
-        self._i_users = self._u_idx[order]
-        self._i_vals = self._values[order]
-        self._i_ptr = np.searchsorted(self._i_idx[order],
-                                      np.arange(self.n_items + 1))
-        for arr in (self._i_users, self._i_vals, self._i_ptr):
-            arr.setflags(write=False)
 
     @classmethod
     def from_records(cls, records: Iterable[RatingRecord],
@@ -291,11 +277,6 @@ class Dataset(_Cells):
         return len(self._values)
 
     items_of = _Cells._row      # (item indices, ratings) of one user
-
-    def users_of(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(user indices, ratings) for one item, ascending user index."""
-        lo, hi = self._i_ptr[i], self._i_ptr[i + 1]
-        return self._i_users[lo:hi], self._i_vals[lo:hi]
 
     def rating(self, u: int, i: int) -> float | None:
         value = self._lookup(u, i)

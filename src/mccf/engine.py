@@ -344,6 +344,7 @@ class McModel:
         self.tucker = tucker
         self.slice_means = slice_means
         self.denoised = denoised
+        # one store shared by all criteria (latent space) or one per criterion
         self.item_similarities = stores
         self.criteria_data = criteria_data
         self.aggregation = aggregation
@@ -353,14 +354,6 @@ class McModel:
     @property
     def k(self) -> int:
         return self.tensor.k
-
-    def store_for(self, c: int) -> SimilarityStore:
-        """Similarity store for criterion c in 1..k (shared in latent mode)."""
-        if not 1 <= c <= self.k:
-            raise IndexError(f"criterion index {c} out of range 1..{self.k}")
-        if len(self.item_similarities) == 1:
-            return self.item_similarities[0]
-        return self.item_similarities[c - 1]
 
 
 def _reconstructed_slice_dataset(template: Dataset, values: np.ndarray) -> Dataset:
@@ -474,27 +467,6 @@ def mc_recommend_top_n(model: McModel, user_id: str, n: int) -> list[tuple[str, 
     overall = _aggregate_rows(model.aggregation,
                               _criteria_rows(model, u, items), model.scale)
     return [(t.item_id(i), v) for i, v in _top_n(items, overall, n)]
-
-
-def model_summary(model: McModel) -> str:
-    """Human-readable report of the fitted model."""
-    w = model.aggregation
-    lines = [
-        f"ranks={model.ranks[0]},{model.ranks[1]},{model.ranks[2]}",
-        f"pca_option={'on' if model.config.pca_option else 'off'}",
-        f"sim_space={model.config.sim_space}",
-        f"sim_kind={model.config.sim_kind if model.config.sim_space == 'reconstructed' else 'latent_cosine'}",
-        f"users={model.tensor.n_users}",
-        f"items={model.tensor.n_items}",
-        f"criteria={model.k}",
-        f"cells={model.tensor.n_cells}",
-        f"intercept={w.intercept:.6f}",
-        "weights=" + ",".join(f"{v:.6f}" for v in w.weights),
-        f"weights_fallback={'yes' if w.fallback else 'no'}",
-        "similarity_pairs=" + ",".join(
-            str(s.defined_count()) for s in model.item_similarities),
-    ]
-    return "\n".join(lines)
 
 
 # ---- persistence ------------------------------------------------------------

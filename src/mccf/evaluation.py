@@ -215,6 +215,16 @@ class BenchmarkConfig:
             raise ValueError("latent_rank must be >= 1")
 
 
+def _records(source) -> list:
+    """The records of a MovieLens file path, a CriteriaTensor or a record
+    sequence."""
+    if isinstance(source, (str, Path)):
+        return parse_movielens(source)
+    if isinstance(source, CriteriaTensor):
+        return list(source.iter_records())
+    return list(source)
+
+
 def _split_records(records, fraction: float, seed: int):
     train_recs, test_recs = split_train_test(records, SplitSpec(fraction, seed))
     if not train_recs:
@@ -312,16 +322,13 @@ def run_benchmark(source, config: BenchmarkConfig,
                   scale: RatingScale = MOVIELENS_SCALE) -> EvalReport:
     """Split -> similarity store on train -> predict every test pair -> metrics.
 
-    ``source`` is a ratings file path or an in-memory record sequence.
-    Unbounded neighborhoods predict through predict_matrix, bounded ones
-    through the per-user neighborhood kernel.
+    ``source`` is a MovieLens file path, a record sequence or a
+    CriteriaTensor (whose overall ratings are used).  Unbounded
+    neighborhoods predict through predict_matrix, bounded ones through the
+    per-user neighborhood kernel.
     """
-    if isinstance(source, (str, Path)):
-        records = parse_movielens(source)
-    else:
-        records = list(source)
-    train_recs, test_recs = _split_records(records, config.train_fraction,
-                                           config.seed)
+    train_recs, test_recs = _split_records(
+        _records(source), config.train_fraction, config.seed)
     train = Dataset.from_records(train_recs, scale)
     threshold = _relevance(config.relevance_threshold, scale)
     sims = _build_store(train, config.sim, config.latent_rank, config.seed)
@@ -366,10 +373,7 @@ def run_sweep(source, sims: Sequence[str], fractions: Sequence[float],
               top_n: int = 10,
               relevance_threshold: float | None = None) -> list[EvalReport]:
     """Benchmark grid: one report per (measure, fraction), fixed seed."""
-    if isinstance(source, (str, Path)):
-        records = parse_movielens(source)
-    else:
-        records = list(source)
+    records = _records(source)
     reports = []
     for fraction in fractions:
         for sim in sims:
@@ -421,14 +425,11 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
     ``source`` is a CriteriaTensor or a CriteriaRecord sequence (with k and
     scale given).
     """
+    records = _records(source)
     if isinstance(source, CriteriaTensor):
-        records = list(source.iter_records())
-        k = source.k
-        scale = source.scale
-    else:
-        records = list(source)
-        if k is None or scale is None:
-            raise ValueError("record input needs explicit k and scale")
+        k, scale = source.k, source.scale
+    elif k is None or scale is None:
+        raise ValueError("record input needs explicit k and scale")
     train_recs, test_recs = _split_records(records, config.train_fraction,
                                            config.seed)
     train = CriteriaTensor.from_records(train_recs, k, scale)
@@ -472,10 +473,6 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
 
 def global_mean_baseline(source, fraction: float, seed: int) -> float:
     """MAE of always predicting the training mean, same split as the harness."""
-    if isinstance(source, CriteriaTensor):
-        records = list(source.iter_records())
-    else:
-        records = list(source)
-    train_recs, test_recs = _split_records(records, fraction, seed)
+    train_recs, test_recs = _split_records(_records(source), fraction, seed)
     mean = float(np.mean([r.overall for r in train_recs]))
     return float(np.mean([abs(mean - r.overall) for r in test_recs]))

@@ -40,10 +40,6 @@ class FactorModel:
         if self.u.shape[1] != self.sigma.shape[0] or self.v.shape[1] != self.sigma.shape[0]:
             raise ValueError("factor shapes disagree on rank")
 
-    @property
-    def rank(self) -> int:
-        return self.sigma.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
 
@@ -67,10 +63,6 @@ class TuckerModel:
 
     core: np.ndarray                 # (r1, r2, r3)
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]   # (I_s, r_s) each
-
-    @property
-    def ranks(self) -> tuple[int, int, int]:
-        return self.core.shape
 
     def mode_weights(self, mode: int) -> np.ndarray:
         """Row norms of the core's mode unfolding (per-factor-column energy)."""

@@ -1,0 +1,204 @@
+"""Reference semantics the library's vectorized code is tested against.
+
+The per-pair similarity measures compute one item pair at a time from the
+ratings of the users who rated both items; item_similarity_matrix must give
+the same numbers for all pairs at once.  loop_predict is the per-pair
+neighborhood loop the engine's kernel must match bitwise.  An undefined
+similarity is None here and NaN inside a store.
+
+The small helpers read stores, models and datasets the way the tests need
+to, through nothing but their public arrays.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from mccf.engine import DENOM_EPS
+from mccf.similarity import _VAR_EPS
+
+
+# ---- access helpers --------------------------------------------------------
+
+
+def users_of(d, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """(user indices, ratings) for one item, ascending user index."""
+    column = d.to_dense(missing=np.nan)[:, i]
+    users = np.flatnonzero(~np.isnan(column))
+    return users, column[users]
+
+
+def sim(store, i: int, j: int) -> float | None:
+    """Similarity of items i and j, or None where the store has NaN."""
+    v = store.values[i, j]
+    return None if np.isnan(v) else float(v)
+
+
+def defined_pairs(store) -> list[tuple[int, int, float]]:
+    """(i, j, value) for every defined pair with i < j, row-major."""
+    iu, ju = np.nonzero(np.triu(~np.isnan(store.values), 1))
+    return [(int(i), int(j), float(store.values[i, j])) for i, j in zip(iu, ju)]
+
+
+def store_for(model, c: int):
+    """Similarity store of criterion c in 1..k (one shared latent store,
+    or one store per criterion)."""
+    stores = model.item_similarities
+    return stores[0] if len(stores) == 1 else stores[c - 1]
+
+
+# ---- per-pair similarity measures -----------------------------------------
+
+
+class CoRatings(NamedTuple):
+    """Ratings of two items restricted to users who rated both."""
+
+    users: np.ndarray
+    ratings_i: np.ndarray
+    ratings_j: np.ndarray
+
+
+def co_ratings(i: int, j: int, d) -> CoRatings:
+    ui, vi = users_of(d, i)
+    uj, vj = users_of(d, j)
+    common, pos_i, pos_j = np.intersect1d(ui, uj, assume_unique=True,
+                                          return_indices=True)
+    return CoRatings(common, vi[pos_i], vj[pos_j])
+
+
+def pearson(i: int, j: int, d) -> float | None:
+    """Sample correlation of co-ratings; None below 2 co-raters or at zero
+    variance."""
+    co = co_ratings(i, j, d)
+    n = len(co.users)
+    if n < 2:
+        return None
+    xc = co.ratings_i - co.ratings_i.mean()
+    yc = co.ratings_j - co.ratings_j.mean()
+    vx = float(xc @ xc)
+    vy = float(yc @ yc)
+    if vx <= _VAR_EPS or vy <= _VAR_EPS:
+        return None
+    return float(np.clip((xc @ yc) / math.sqrt(vx * vy), -1.0, 1.0))
+
+
+def adjusted_cosine(i: int, j: int, d) -> float | None:
+    """Cosine of co-ratings centered by each user's mean over all items."""
+    means = d.user_means()
+    co = co_ratings(i, j, d)
+    if len(co.users) == 0:
+        return None
+    xc = co.ratings_i - means[co.users]
+    yc = co.ratings_j - means[co.users]
+    vx = float(xc @ xc)
+    vy = float(yc @ yc)
+    if vx <= _VAR_EPS or vy <= _VAR_EPS:
+        return None
+    return float(np.clip((xc @ yc) / math.sqrt(vx * vy), -1.0, 1.0))
+
+
+def cosine(i: int, j: int, d) -> float | None:
+    """Plain cosine over co-ratings (no centering)."""
+    co = co_ratings(i, j, d)
+    if len(co.users) == 0:
+        return None
+    vx = float(co.ratings_i @ co.ratings_i)
+    vy = float(co.ratings_j @ co.ratings_j)
+    if vx <= _VAR_EPS or vy <= _VAR_EPS:
+        return None
+    return float(np.clip((co.ratings_i @ co.ratings_j) / math.sqrt(vx * vy),
+                         -1.0, 1.0))
+
+
+def euclidean_sim(i: int, j: int, d) -> float | None:
+    """1 / (1 + dist / sqrt(c)) over c co-raters; None when c = 0.
+
+    Without the sqrt(c) normalization items with many co-raters would be
+    systematically penalized.
+    """
+    co = co_ratings(i, j, d)
+    n = len(co.users)
+    if n == 0:
+        return None
+    diff = co.ratings_i - co.ratings_j
+    return 1.0 / (1.0 + math.sqrt(float(diff @ diff)) / math.sqrt(n))
+
+
+def tanimoto(i: int, j: int, d) -> float:
+    """Rater-set intersection over union; rating values are ignored."""
+    ui = users_of(d, i)[0]
+    uj = users_of(d, j)[0]
+    inter = len(np.intersect1d(ui, uj, assume_unique=True))
+    union = len(ui) + len(uj) - inter
+    return inter / union if union else 0.0
+
+
+def _llr_from_counts(k11: float, k12: float, k21: float, k22: float) -> float:
+    """2 * sum over cells of k * ln(k N / (row col)), with 0 ln 0 = 0."""
+    n = k11 + k12 + k21 + k22
+    rows = (k11 + k12, k21 + k22)
+    cols = (k11 + k21, k12 + k22)
+    total = 0.0
+    for k, r, c in ((k11, rows[0], cols[0]), (k12, rows[0], cols[1]),
+                    (k21, rows[1], cols[0]), (k22, rows[1], cols[1])):
+        if k > 0:
+            total += k * math.log(k * n / (r * c))
+    return max(2.0 * total, 0.0)
+
+
+def loglikelihood(i: int, j: int, d, total_users: int | None = None) -> float:
+    """Co-occurrence significance mapped to [0, 1) as 1 - 1/(1 + LLR)."""
+    ui = users_of(d, i)[0]
+    uj = users_of(d, j)[0]
+    if total_users is None:
+        total_users = d.n_users
+    k11 = len(np.intersect1d(ui, uj, assume_unique=True))
+    union = len(ui) + len(uj) - k11
+    if total_users < union:
+        raise ValueError("total_users smaller than the observed rater union")
+    llr = _llr_from_counts(k11, len(ui) - k11, len(uj) - k11,
+                           total_users - union)
+    return 1.0 - 1.0 / (1.0 + llr)
+
+
+def latent_cosine(model, i: int, j: int) -> float | None:
+    """Cosine between two items' latent vectors; None on a zero vector."""
+    return _row_cosine(model.item_vectors(), i, j)
+
+
+def _row_cosine(vectors: np.ndarray, i: int, j: int) -> float | None:
+    vi, vj = vectors[i], vectors[j]
+    ni = float(vi @ vi)
+    nj = float(vj @ vj)
+    if ni <= _VAR_EPS or nj <= _VAR_EPS:
+        return None
+    return float(np.clip((vi @ vj) / math.sqrt(ni * nj), -1.0, 1.0))
+
+
+# ---- per-pair neighborhood loop -------------------------------------------
+
+
+def loop_predict(d, sims, u, i, spec):
+    """Reference: (clamped value, support) for one (user, item) index pair,
+    or None.  Kept weights are summed in ascending item order, or in
+    stable descending-similarity order when the cap cuts them."""
+    rated, values = d.items_of(u)
+    row = sims.values[i, rated]
+    threshold = 0.0 if spec.min_similarity is None else spec.min_similarity
+    keep = ~np.isnan(row) & (row > threshold)
+    if not keep.any():
+        return None
+    weights = row[keep]
+    ratings = values[keep]
+    if spec.max_neighbors is not None and weights.size > spec.max_neighbors:
+        order = np.argsort(-weights, kind="stable")[:spec.max_neighbors]
+        weights = weights[order]
+        ratings = ratings[order]
+    denom = float(np.abs(weights).sum())
+    if denom < DENOM_EPS:
+        return None
+    value = float(weights @ ratings) / denom
+    return d.scale.clamp(value), int(weights.size)

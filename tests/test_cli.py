@@ -227,6 +227,19 @@ def test_exit_codes(data_dir, tmp_path, capsys):
                  "--seed", "1"]) == 1
     assert main(["recommend", "--input", ratings, "--user", "u1",
                  "--sim", "latent", "--ranks", "2,3,4", "--seed", "1"]) == 1
+    # recommend's flags are checked before the data, so a bad flag is a
+    # usage error even for a user the data does not know
+    assert main(["recommend", "--input", ratings, "--user", "nobody",
+                 "--sim", "latent", "--ranks", "2,3", "--seed", "1"]) == 1
+    assert main(["recommend", "--input", str(data_dir / "mc.csv"),
+                 "--format", "mc-csv", "--criteria", "2", "--ranks", "2",
+                 "--user", "nobody", "--seed", "1"]) == 1
+    # a negative density threshold is a usage error on every verb
+    assert main(["filter", "--input", ratings, "--min-user", "-1",
+                 "--output", str(tmp_path / "f")]) == 1
+    for verb in (["stats"], ["evaluate", "--sim", "pearson", "--seed", "1"]):
+        for flag in ("--min-user", "--min-item"):
+            assert main([*verb, "--input", ratings, flag, "-5"]) == 1
     # a seed outside [0, 2**64) is a usage error on every verb
     for seed in ("-3", str(2 ** 64), "x"):
         assert main(["split", "--input", ratings, "--train-fraction", "0.5",

@@ -96,9 +96,6 @@ def test_traversal_sorted():
     items, vals = d.items_of(d.user_index("alice"))
     assert items.tolist() == [0, 1]
     assert vals.tolist() == [5.0, 1.0]
-    users, vals = d.users_of(d.item_index("x"))
-    assert users.tolist() == [0, 2]
-    assert vals.tolist() == [5.0, 4.0]
 
 
 def test_dense_and_mask():

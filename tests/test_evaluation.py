@@ -21,7 +21,7 @@ from mccf.evaluation import (
     run_sweep,
 )
 from mccf.engine import NeighborhoodSpec
-from mccf.ingest import SplitSpec, split_train_test
+from mccf.ingest import SplitSpec, split_train_test, write_movielens
 from mccf.synth import SyntheticTensorSpec,duplicate_overall_tensor, generate_tensor
 
 DESK_PAIRS = [(3.0, 2.0), (4.0, 6.0)]
@@ -237,6 +237,31 @@ def test_run_mc_benchmark_needs_k_and_scale_for_records():
         neighborhood=NeighborhoodSpec(max_neighbors=3)),
         k=t.k, scale=t.scale)
     assert len(report.criteria_mae) == 3
+
+
+def test_every_source_form_gives_the_same_reports(tmp_path):
+    # a MovieLens path, a record list and a tensor all reach the same split
+    records = bench_records(67)
+    path = tmp_path / "ratings.tsv"
+    write_movielens(records, path)
+    config = BenchmarkConfig(sim="pearson", train_fraction=0.7, seed=4)
+    assert run_benchmark(path, config).to_text() == \
+        run_benchmark(str(path), config).to_text() == \
+        run_benchmark(records, config).to_text()
+    assert [r.to_text() for r in run_sweep(path, ("tanimoto",), (0.7,), 4)] \
+        == [r.to_text() for r in run_sweep(records, ("tanimoto",), (0.7,), 4)]
+    assert global_mean_baseline(path, 0.7, 4) == \
+        global_mean_baseline(records, 0.7, 4)
+
+    t = mc_tensor(68)
+    mc_records = list(t.iter_records())
+    mc_config = McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8, seed=1)
+    assert run_mc_benchmark(t, mc_config).to_text() == run_mc_benchmark(
+        mc_records, mc_config, k=t.k, scale=t.scale).to_text()
+    assert global_mean_baseline(t, 0.8, 1) == \
+        global_mean_baseline(mc_records, 0.8, 1)
+    assert run_benchmark(t, config).to_text() == \
+        run_benchmark(mc_records, config).to_text()
 
 
 def test_degenerate_tensor_matches_single_criterion_harness():

@@ -1,5 +1,5 @@
 """Differential tests: the engine's vectorized neighborhood kernel against
-the per-pair loop it replaced.
+the per-pair loop it replaced, kept as oracles.loop_predict.
 
 Every prediction path (single pair, batch, top-N, multi-criteria) must give
 the loop's definedness and support exactly and its values bitwise, since a
@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import dataset_from_dense
 from mccf.core import CriteriaTensor
 from mccf.engine import (
-    DENOM_EPS,
     McConfig,
     McModel,
     NeighborhoodSpec,
@@ -28,6 +27,7 @@ from mccf.engine import (
 )
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
+from oracles import loop_predict, store_for
 
 SPECS = [
     NeighborhoodSpec(),
@@ -36,29 +36,6 @@ SPECS = [
     NeighborhoodSpec(max_neighbors=5, min_similarity=-1.0),
 ]
 SPEC_IDS = ["unbounded", "k1", "k5", "k5-negative"]
-
-
-def loop_predict(d, sims, u, i, spec):
-    """Reference: (clamped value, support) for one (user, item) index pair,
-    or None.  Kept weights are summed in ascending item order, or in
-    stable descending-similarity order when the cap cuts them."""
-    rated, values = d.items_of(u)
-    row = sims.values[i, rated]
-    threshold = 0.0 if spec.min_similarity is None else spec.min_similarity
-    keep = ~np.isnan(row) & (row > threshold)
-    if not keep.any():
-        return None
-    weights = row[keep]
-    ratings = values[keep]
-    if spec.max_neighbors is not None and weights.size > spec.max_neighbors:
-        order = np.argsort(-weights, kind="stable")[:spec.max_neighbors]
-        weights = weights[order]
-        ratings = ratings[order]
-    denom = float(np.abs(weights).sum())
-    if denom < DENOM_EPS:
-        return None
-    value = float(weights @ ratings) / denom
-    return d.scale.clamp(value), int(weights.size)
 
 
 def _ratings_matrix(seed, n_users=70, n_items=60):
@@ -198,7 +175,7 @@ def test_multicriteria_paths_match_loop(kind, spec):
             expect = np.empty(t.k)
             for c in range(1, t.k + 1):
                 got = loop_predict(model.criteria_data[c - 1],
-                                   model.store_for(c), u, i, spec)
+                                   store_for(model, c), u, i, spec)
                 value = float(model.denoised[u, i, c]) if got is None \
                     else got[0]
                 expect[c - 1] = t.scale.clamp(value)

@@ -12,15 +12,19 @@ from mccf.similarity import (
     SET_KINDS,
     SIMILARITY_KINDS,
     SimilarityStore,
+    default_min_co_ratings,
+    item_similarity_matrix,
+)
+from oracles import (
     adjusted_cosine,
     co_ratings,
     cosine,
-    default_min_co_ratings,
+    defined_pairs,
     euclidean_sim,
-    item_similarity_matrix,
     latent_cosine,
     loglikelihood,
     pearson,
+    sim,
     tanimoto,
 )
 
@@ -97,11 +101,7 @@ def test_euclidean_modes():
     ]))
     # distance sqrt(8), two co-raters
     assert euclidean_sim(0, 1, d) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert euclidean_sim(0, 1, d, mode="raw") == pytest.approx(
-        1.0 / (1.0 + math.sqrt(8.0)), abs=1e-12)
     assert euclidean_sim(0, 0, d) == 1.0
-    with pytest.raises(ValueError):
-        euclidean_sim(0, 1, d, mode="squared")
 
 
 def test_euclidean_no_coraters():
@@ -175,17 +175,20 @@ PAIR_FUNCS = {
 
 @pytest.mark.parametrize("kind", RATING_KINDS + SET_KINDS)
 def test_matrix_matches_per_pair_reference(kind):
-    d = random_dataset(17)
+    _assert_matches_per_pair(random_dataset(17), kind)
+
+
+def _assert_matches_per_pair(d, kind):
+    """Every pair of the whole-matrix store is undefined exactly where the
+    per-pair function (behind the co-rater gate) is, and equal to 1e-12
+    elsewhere."""
     store = item_similarity_matrix(d, kind)
     gate = default_min_co_ratings(kind)
     fn = PAIR_FUNCS[kind]
     for i in range(d.n_items):
         for j in range(d.n_items):
-            if i == j:
-                assert store.sim(i, j) is None
-                continue
-            got = store.sim(i, j)
-            if len(co_ratings(i, j, d).users) < gate:
+            got = sim(store, i, j)
+            if i == j or len(co_ratings(i, j, d).users) < gate:
                 assert got is None
                 continue
             expect = fn(i, j, d)
@@ -195,10 +198,33 @@ def test_matrix_matches_per_pair_reference(kind):
                 assert got == pytest.approx(expect, abs=1e-12)
 
 
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(2, 25),
+       n_items=st.integers(2, 12), fill=st.floats(0.05, 0.9))
+def test_matrix_matches_per_pair_on_random_sparse_data(seed, n_users, n_items,
+                                                       fill):
+    """Integer 1-5 ratings with items nobody rated, users with a single
+    rating and constant columns, for every rating and set measure."""
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n_users, n_items)) < fill,
+                     rng.integers(1, 6, (n_users, n_items)).astype(float), NAN)
+    single = rng.random(n_users) < 0.2           # users left one rating
+    for u in np.flatnonzero(single):
+        keep = rng.integers(n_items)
+        dense[u, np.arange(n_items) != keep] = NAN
+    role = rng.integers(0, 4, n_items)           # 0: unrated, 1: constant
+    dense[:, role == 0] = NAN
+    for i in np.flatnonzero(role == 1):
+        dense[~np.isnan(dense[:, i]), i] = float(rng.integers(1, 6))
+    d = dataset_from_dense(dense)
+    for kind in RATING_KINDS + SET_KINDS:
+        _assert_matches_per_pair(d, kind)
+
+
 def test_matrix_gating():
     d = random_dataset(18)
     store = item_similarity_matrix(d, "pearson", min_co_ratings=2)
-    for i, j, _ in store.iter_defined():
+    for i, j, _ in defined_pairs(store):
         assert len(co_ratings(i, j, d).users) >= 2
     blocked = item_similarity_matrix(d, "pearson",
                                      min_co_ratings=d.n_users + 1)
@@ -212,7 +238,7 @@ def test_matrix_latent():
     store = item_similarity_matrix(d, "latent_cosine", model=model)
     for i in range(d.n_items):
         for j in range(i + 1, d.n_items):
-            assert store.sim(i, j) == pytest.approx(
+            assert sim(store, i, j) == pytest.approx(
                 latent_cosine(model, i, j), abs=1e-12)
     with pytest.raises(ValueError):
         item_similarity_matrix(d, "latent_cosine")
@@ -227,7 +253,7 @@ def test_store_structure(desk):
     store = item_similarity_matrix(desk, "euclidean")
     assert np.all(np.isnan(np.diag(store.values)))
     assert np.array_equal(store.values, store.values.T, equal_nan=True)
-    pairs = list(store.iter_defined())
+    pairs = defined_pairs(store)
     assert store.defined_count() == len(pairs)
     assert all(i < j for i, j, _ in pairs)
     assert store.item_ids == desk.item_ids
@@ -251,19 +277,6 @@ def test_store_rejects_values_that_are_not_a_symmetric_square():
                              (good, ids[:2]), (good, ids + ("i3",))):
         with pytest.raises(ValueError):
             SimilarityStore("pearson", values, item_ids)
-
-
-def test_store_csv_roundtrip(tmp_path, desk):
-    store = item_similarity_matrix(desk, "pearson")
-    p = tmp_path / "sims.csv"
-    store.write_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "item_a,item_b,kind,value"
-    assert len(lines) == 1 + store.defined_count()
-    for line, (i, j, v) in zip(lines[1:], store.iter_defined()):
-        a, b, kind, value = line.split(",")
-        assert (a, b, kind) == (desk.item_id(i), desk.item_id(j), "pearson")
-        assert float(value) == pytest.approx(v, abs=1e-9)
 
 
 def test_default_min_co_ratings():
