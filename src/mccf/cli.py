@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="latent rank (matrix) or R1,R2,R3 (mc-csv input)")
     p.add_argument("--pca-option", choices=("on", "off"), default="off")
     p.add_argument("--sim-space", choices=("latent", "reconstructed"),
-                   default="latent", help="mc-csv input only")
+                   help="mc-csv input only (default latent)")
     p.add_argument("--output", default=None)
 
     p = verb("mc-evaluate", [data],
@@ -323,6 +323,8 @@ def _cmd_decompose(args) -> int:
     if args.format == "mc-csv":
         if len(args.ranks) != 3:
             raise UsageError("tensor decomposition needs --ranks R1,R2,R3")
+        if args.pca_option == "on":
+            raise UsageError("--pca-option applies to matrix input only")
         tensor = _load_tensor(args)
         model = hosvd(impute_tensor(tensor, "item_mean"), args.ranks,
                       seed=args.seed)
@@ -334,7 +336,7 @@ def _cmd_decompose(args) -> int:
             raise UsageError("matrix decomposition needs a single --ranks value")
         records, scale = _load_plain(args)
         d = Dataset.from_records(records, scale)
-        imputed = impute_missing(d.to_dense(missing=np.nan), "item_mean")
+        imputed = impute_missing(d.to_dense(), "item_mean")
         rank = args.ranks[0]
         if rank > min(imputed.shape):
             raise UsageError(
@@ -385,18 +387,22 @@ def _cmd_recommend(args) -> int:
     if args.format == "mc-csv":
         if args.ranks is None or len(args.ranks) != 3:
             raise UsageError("mc-csv recommendation needs --ranks R1,R2,R3")
+        if args.sim_space == "reconstructed" and args.sim == "latent":
+            raise UsageError("--sim latent has no reconstructed space")
         tensor = _load_tensor(args)
         if not tensor.has_user(args.user):
             print(f"error: unknown user {args.user!r}", file=sys.stderr)
             return 2
         # the latent space ignores sim_kind
         config = McConfig(pca_option=args.pca_option == "on",
-                          sim_space=args.sim_space,
+                          sim_space=args.sim_space or "latent",
                           sim_kind=SIM_NAME_MAP.get(args.sim, args.sim),
                           seed=args.seed)
         model = build_mc_model(tensor, args.ranks, config)
         top = mc_recommend_top_n(model, args.user, args.top_n)
     else:
+        if args.pca_option == "on" or args.sim_space is not None:
+            raise UsageError("--pca-option and --sim-space need mc-csv input")
         rank = _latent_rank(args)
         records, scale = _load_plain(args)
         d = Dataset.from_records(records, scale)
@@ -419,6 +425,8 @@ def _cmd_mc_evaluate(args) -> int:
         raise UsageError("mc-evaluate requires --format mc-csv")
     if len(args.ranks) != 3:
         raise UsageError("mc-evaluate needs --ranks R1,R2,R3")
+    if args.sim_space == "reconstructed" and args.sim == "latent":
+        raise UsageError("--sim latent has no reconstructed space")
     tensor = _load_tensor(args)
     config = McBenchmarkConfig(
         ranks=args.ranks, train_fraction=args.train_fraction, seed=args.seed,

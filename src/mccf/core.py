@@ -229,11 +229,11 @@ class _Cells:
 
     # ---- dense views -------------------------------------------------------
 
-    def to_dense(self, missing: float = np.nan) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """users x items array of the values (users x items x width for
-        vector cells); missing fills every cell not stored."""
+        vector cells); NaN fills every cell not stored."""
         out = np.full((self.n_users, self.n_items) + self._values.shape[1:],
-                      missing, dtype=np.float64)
+                      np.nan, dtype=np.float64)
         out[self._u_idx, self._i_idx] = self._values
         return out
 

@@ -200,7 +200,7 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
         raise ValueError("predict_matrix requires an unbounded neighborhood")
     s = np.where(_keep_mask(sims.values, spec), sims.values, 0.0)
     b = d.to_mask().astype(np.float64)
-    r = np.nan_to_num(d.to_dense(missing=np.nan), nan=0.0)
+    r = np.nan_to_num(d.to_dense(), nan=0.0)
     num = (r * b) @ s
     den = b @ np.abs(s)
     out = np.full_like(num, np.nan)
@@ -367,7 +367,7 @@ def impute_tensor(t: CriteriaTensor, strategy: str) -> np.ndarray:
     """Dense (users, items, k+1) copy of t, each slice imputed on its own;
     an over-budget tensor fails before any dense copy is made."""
     check_cell_budget(t.n_users * t.n_items * (t.k + 1))
-    dense = t.to_dense(missing=np.nan)
+    dense = t.to_dense()
     for s in range(t.k + 1):
         dense[:, :, s] = impute_missing(dense[:, :, s], strategy)
     return dense

@@ -240,7 +240,7 @@ def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
     if kind != "latent_cosine":
         return item_similarity_matrix(train, kind)
     rank = min(latent_rank, train.n_users, train.n_items)
-    imputed = impute_missing(train.to_dense(missing=np.nan), "item_mean")
+    imputed = impute_missing(train.to_dense(), "item_mean")
     model = truncated_svd(imputed, rank, seed=seed)
     return item_similarity_matrix(train, "latent_cosine", model=model)
 
@@ -425,6 +425,8 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
     ``source`` is a CriteriaTensor or a CriteriaRecord sequence (with k and
     scale given).
     """
+    if isinstance(source, (str, Path)):
+        raise ValueError("a path has no criteria; pass a tensor or records")
     records = _records(source)
     if isinstance(source, CriteriaTensor):
         k, scale = source.k, source.scale

@@ -2,11 +2,11 @@
 
 Truncated SVD is computed by Gaussian sketching: draw G, form Y = A G,
 orthonormalize, project, and eigendecompose the small projected Gram matrix.
-Oversampling and power iterations sharpen the sketch on slowly decaying
-spectra; both default on in the convenience wrappers.  The Tucker
-decomposition extracts each mode factor from the mode unfolding with the
-same sketched SVD and forms the core by projecting the tensor onto the
-factor transposes.
+The sketch has no tuning knobs: 10 oversampling columns (fewer on small
+matrices) and two power iterations, after Halko, Martinsson & Tropp, SIAM
+Review 53(2), 2011.  The Tucker decomposition extracts each mode factor from
+the mode unfolding with the same truncated SVD and forms the core by
+projecting the tensor onto the factor transposes.
 
 Conventions used throughout:
   - matrices are float64 ndarrays; tensors are 3-d ndarrays
@@ -111,14 +111,13 @@ def _complete_orthonormal(v: np.ndarray, have: int) -> None:
         raise ValueError("could not complete orthonormal basis")
 
 
-def ssvd(a: np.ndarray, k: int, oversample: int = 0, power_iters: int = 0,
-         seed: int = 0) -> FactorModel:
+def truncated_svd(a: np.ndarray, k: int, seed: int = 0) -> FactorModel:
     """Sketched truncated SVD of rank k.
 
-    Pipeline: Gaussian sketch of width k + oversample, orthonormal basis Q
-    (Householder QR), projection B = Q.T A, eigendecomposition of the small
-    B B.T, then back-transformation.  ``power_iters`` extra passes multiply
-    the sketch by (A A.T), re-orthonormalizing after each half-product.
+    Pipeline: Gaussian sketch of width k + min(10, min(m, n) - k), so that
+    full-rank requests stay valid; orthonormal basis Q (Householder QR); two
+    power iterations by (A A.T), re-orthonormalizing after each half-product;
+    projection B = Q.T A; eigendecomposition of B B.T; back-transformation.
 
     Right singular vectors for numerically zero singular values cannot be
     recovered from the sketch (the back-transform divides by sigma); those
@@ -128,16 +127,12 @@ def ssvd(a: np.ndarray, k: int, oversample: int = 0, power_iters: int = 0,
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"rank {k} out of range 1..{min(m, n)}")
-    if oversample < 0 or k + oversample > min(m, n):
-        raise ValueError(
-            f"sketch width {k + oversample} exceeds min(m, n) = {min(m, n)}"
-        )
 
-    width = k + oversample
+    width = k + min(10, min(m, n) - k)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, width))
     q, _ = np.linalg.qr(a @ g)
-    for _ in range(power_iters):
+    for _ in range(2):
         z, _ = np.linalg.qr(a.T @ q)
         q, _ = np.linalg.qr(a @ z)
 
@@ -163,17 +158,6 @@ def ssvd(a: np.ndarray, k: int, oversample: int = 0, power_iters: int = 0,
     _sign_fix(u, v)
     _complete_orthonormal(v, int(np.count_nonzero(sigma > 0)))
     return FactorModel(u, sigma, v)
-
-
-def truncated_svd(a: np.ndarray, k: int, seed: int = 0) -> FactorModel:
-    """Rank-k SVD with default sketch accuracy knobs.
-
-    Oversampling 10 and two power iterations, with the oversampling capped
-    by the matrix size so full-rank requests stay valid.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    oversample = min(10, min(a.shape) - k)
-    return ssvd(a, k, oversample=oversample, power_iters=2, seed=seed)
 
 
 def pca(x: np.ndarray, k: int) -> PcaModel:
@@ -258,27 +242,25 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
 HOSVD_CELL_BUDGET = 2e8
 
 
-def check_cell_budget(cells: int, budget: float = HOSVD_CELL_BUDGET) -> None:
-    if cells > budget:
-        raise ValueError(
-            f"tensor has {cells} cells, above the {budget:.0f}-cell budget")
+def check_cell_budget(cells: int) -> None:
+    if cells > HOSVD_CELL_BUDGET:
+        raise ValueError(f"tensor has {cells} cells, above the "
+                         f"{HOSVD_CELL_BUDGET:.0f}-cell budget")
 
 
 def hosvd(t: np.ndarray, ranks: tuple[int, int, int], *,
-          oversample: int = 10, power_iters: int = 2,
-          seed: int = 0,
-          cell_budget: float = HOSVD_CELL_BUDGET) -> TuckerModel:
-    """Tucker decomposition via per-mode sketched SVD.
+          seed: int = 0) -> TuckerModel:
+    """Tucker decomposition via per-mode truncated SVD.
 
     Factor s holds the top-r_s left singular vectors of the mode-s
-    unfolding; the core is the tensor multiplied by every factor transpose.
-    Oversampling is capped by each unfolding's smaller dimension.  The cell
-    budget rejects tensors too large to factor densely in memory.
+    unfolding, from truncated_svd with seed + s; the core is the tensor
+    multiplied by every factor transpose.  Tensors above HOSVD_CELL_BUDGET
+    cells are rejected as too large to factor densely in memory.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
         raise ValueError("expected a third-order tensor")
-    check_cell_budget(t.size, cell_budget)
+    check_cell_budget(t.size)
     for mode in (1, 2, 3):
         if not 1 <= ranks[mode - 1] <= t.shape[mode - 1]:
             raise ValueError(
@@ -293,10 +275,7 @@ def hosvd(t: np.ndarray, ranks: tuple[int, int, int], *,
         # singular vectors (r up to I_s); the surplus is an orthonormal
         # completion, harmless to the reconstruction projector
         r_eff = min(r, unfolding.shape[1])
-        spare = min(unfolding.shape) - r_eff
-        model = ssvd(unfolding, r_eff, oversample=min(oversample, spare),
-                     power_iters=power_iters, seed=seed + mode)
-        u = model.u
+        u = truncated_svd(unfolding, r_eff, seed=seed + mode).u
         if r_eff < r:
             full = np.zeros((unfolding.shape[0], r))
             full[:, :r_eff] = u

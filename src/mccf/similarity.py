@@ -11,10 +11,12 @@ latent_cosine is the cosine of two items' latent factor vectors.
 
 item_similarity_matrix computes every pair at once from dense sufficient
 statistics (valid at desk scale, where a dense items x items array fits
-comfortably in memory).  An undefined similarity (too few co-raters, zero
-variance, zero norm) is NaN in the store; undefined pairs never enter a
-neighborhood, since 0 would be a meaningful correlation value.  The tests
-pin every measure to a per-pair reference implementation.
+comfortably in memory).  A pair is undefined, NaN in the store, with zero
+variance or norm or with fewer co-raters than the fixed gate: 2 for
+rating-based measures (a variance needs two points), 1 for set-based ones,
+none for latent_cosine.  Undefined pairs never enter a neighborhood, since
+0 would be a meaningful correlation value.  The tests pin every measure to
+a per-pair reference implementation.
 """
 
 from __future__ import annotations
@@ -60,12 +62,6 @@ class SimilarityStore:
         return n // 2
 
 
-def default_min_co_ratings(kind: str) -> int:
-    """2 for rating-based measures (variance needs two points), 1 for
-    set-based and latent."""
-    return 2 if kind in RATING_KINDS else 1
-
-
 def _symmetrize(s: np.ndarray) -> np.ndarray:
     """Copy the upper triangle onto the lower so sim(i,j) == sim(j,i)
     bit-for-bit, and blank the diagonal."""
@@ -75,9 +71,8 @@ def _symmetrize(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def item_similarity_matrix(d: Dataset, kind: str,
-                           min_co_ratings: int | None = None,
-                           *, model: FactorModel | TuckerModel | None = None
+def item_similarity_matrix(d: Dataset, kind: str, *,
+                           model: FactorModel | TuckerModel | None = None
                            ) -> SimilarityStore:
     """All defined pairwise similarities with enough co-raters.
 
@@ -86,8 +81,6 @@ def item_similarity_matrix(d: Dataset, kind: str,
     """
     if kind not in SIMILARITY_KINDS:
         raise ValueError(f"unknown similarity kind {kind!r}")
-    if min_co_ratings is None:
-        min_co_ratings = default_min_co_ratings(kind)
 
     if kind == "latent_cosine":
         if model is None:
@@ -104,10 +97,10 @@ def item_similarity_matrix(d: Dataset, kind: str,
         sims[:, norms * norms <= _VAR_EPS] = np.nan
         return SimilarityStore(kind, _symmetrize(sims), d.item_ids)
 
-    r = np.nan_to_num(d.to_dense(missing=np.nan), nan=0.0)
+    r = np.nan_to_num(d.to_dense(), nan=0.0)
     b = d.to_mask().astype(np.float64)
     n_co = b.T @ b                       # co-rater counts
-    low = n_co < max(min_co_ratings, 1)
+    low = n_co < (2 if kind in RATING_KINDS else 1)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         if kind in ("pearson", "euclidean", "cosine"):
@@ -121,7 +114,6 @@ def item_similarity_matrix(d: Dataset, kind: str,
                 sims = cov / np.sqrt(vx * vy)
                 sims[(vx <= _VAR_EPS) | (vy <= _VAR_EPS)] = np.nan
                 sims = np.clip(sims, -1.0, 1.0)
-                low = n_co < max(min_co_ratings, 2)
             elif kind == "cosine":
                 sims = np.clip(sxy / np.sqrt(sxx * sxx.T), -1.0, 1.0)
                 sims[(sxx <= _VAR_EPS) | (sxx.T <= _VAR_EPS)] = np.nan
@@ -138,7 +130,6 @@ def item_similarity_matrix(d: Dataset, kind: str,
             counts = b.sum(axis=0)
             union = counts[:, None] + counts[None, :] - n_co
             sims = np.where(union > 0, n_co / np.where(union > 0, union, 1.0), 0.0)
-            low = np.zeros_like(low) if min_co_ratings <= 0 else low
         else:  # loglikelihood
             counts = b.sum(axis=0)
             n = float(d.n_users)
@@ -158,6 +149,5 @@ def item_similarity_matrix(d: Dataset, kind: str,
             llr = np.clip(2.0 * llr, 0.0, None)
             sims = 1.0 - 1.0 / (1.0 + llr)
 
-    sims = np.asarray(sims, dtype=np.float64)
     sims[low] = np.nan
     return SimilarityStore(kind, _symmetrize(sims), d.item_ids)

@@ -26,7 +26,7 @@ from mccf.similarity import _VAR_EPS
 
 def users_of(d, i: int) -> tuple[np.ndarray, np.ndarray]:
     """(user indices, ratings) for one item, ascending user index."""
-    column = d.to_dense(missing=np.nan)[:, i]
+    column = d.to_dense()[:, i]
     users = np.flatnonzero(~np.isnan(column))
     return users, column[users]
 

@@ -33,7 +33,7 @@ from mccf.evaluation import (
     run_mc_benchmark,
 )
 from mccf.ingest import SplitSpec, parse_movielens, split_train_test
-from mccf.linalg import hosvd, impute_missing, pca, pca_project, pca_reconstruct, ssvd, truncated_svd, tucker_reconstruct
+from mccf.linalg import hosvd, impute_missing, pca, pca_project, pca_reconstruct, truncated_svd, tucker_reconstruct
 from mccf.similarity import item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, duplicate_overall_tensor, generate_tensor
 import oracles
@@ -123,7 +123,7 @@ def test_criterion_3_randomized_svd_oracle(capsys):
         v = np.linalg.qr(rng.normal(size=(20, 20)))[0]
         spectrum = 10.0 * 0.8 ** np.arange(20)
         a = (u * spectrum) @ v.T
-        model = ssvd(a, 5, oversample=10, power_iters=2, seed=seed)
+        model = truncated_svd(a, 5, seed=seed)
         evals = np.linalg.eigvalsh(a.T @ a)[::-1]
         oracle = np.sqrt(np.clip(evals, 0.0, None))
         rel = float(np.max(np.abs(model.sigma - oracle[:5]) / oracle[:5]))
@@ -291,11 +291,11 @@ def test_criterion_8_determinism(capsys):
 
     rng = np.random.default_rng(77)
     a = rng.normal(size=(25, 15))
-    m1 = ssvd(a, 4, oversample=10, power_iters=2, seed=13)
-    m2 = ssvd(a, 4, oversample=10, power_iters=2, seed=13)
-    ssvd_same = (np.array_equal(m1.u, m2.u)
-                 and np.array_equal(m1.sigma, m2.sigma)
-                 and np.array_equal(m1.v, m2.v))
+    m1 = truncated_svd(a, 4, seed=13)
+    m2 = truncated_svd(a, 4, seed=13)
+    svd_same = (np.array_equal(m1.u, m2.u)
+                and np.array_equal(m1.sigma, m2.sigma)
+                and np.array_equal(m1.v, m2.v))
 
     cube = rng.normal(size=(7, 6, 4))
     h1 = hosvd(cube, (3, 3, 2), seed=5)
@@ -312,9 +312,9 @@ def test_criterion_8_determinism(capsys):
     mc_same = (run_mc_benchmark(t, mc_cfg).to_text()
                == run_mc_benchmark(t, mc_cfg).to_text())
 
-    ok = split_same and ssvd_same and hosvd_same and report_same and mc_same
+    ok = split_same and svd_same and hosvd_same and report_same and mc_same
     _verdict(capsys, 8, label, ok,
-             f"split {split_same}, ssvd {ssvd_same}, hosvd {hosvd_same}, "
+             f"split {split_same}, svd {svd_same}, hosvd {hosvd_same}, "
              f"benchmark {report_same}, mc benchmark {mc_same}")
     assert ok
 

@@ -234,6 +234,22 @@ def test_exit_codes(data_dir, tmp_path, capsys):
     assert main(["recommend", "--input", str(data_dir / "mc.csv"),
                  "--format", "mc-csv", "--criteria", "2", "--ranks", "2",
                  "--user", "nobody", "--seed", "1"]) == 1
+    # no reconstructed space for --sim latent: rejected before the (here
+    # missing) input is read
+    missing_mc = ["--input", str(tmp_path / "missing.csv"), "--format",
+                  "mc-csv", "--criteria", "3", "--seed", "1",
+                  "--sim-space", "reconstructed", "--sim", "latent"]
+    assert main(["mc-evaluate", *missing_mc, "--ranks", "2,3,3"]) == 1
+    assert main(["recommend", *missing_mc, "--ranks", "2,3,3",
+                 "--user", "u1"]) == 1
+    # flags the input cannot use are rejected, not ignored
+    for flag in (["--pca-option", "on"], ["--sim-space", "latent"]):
+        assert main(["recommend", "--input", ratings, "--user", "u1",
+                     "--seed", "1", *flag]) == 1
+    assert main(["decompose", "--input", str(data_dir / "mc.csv"),
+                 "--format", "mc-csv", "--criteria", "3", "--ranks", "2,2,2",
+                 "--pca-option", "on", "--seed", "1",
+                 "--output", str(tmp_path / "d")]) == 1
     # a negative density threshold is a usage error on every verb
     assert main(["filter", "--input", ratings, "--min-user", "-1",
                  "--output", str(tmp_path / "f")]) == 1

@@ -239,6 +239,18 @@ def test_run_mc_benchmark_needs_k_and_scale_for_records():
     assert len(report.criteria_mae) == 3
 
 
+def test_run_mc_benchmark_rejects_a_file_path(tmp_path):
+    # a path would be read as MovieLens, whose records have no criteria;
+    # the missing file shows the path is rejected before it is read
+    config = McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8, seed=1)
+    path = tmp_path / "ratings.tsv"
+    write_movielens(bench_records(69), path)
+    for source in (path, str(path), tmp_path / "missing.tsv"):
+        with pytest.raises(ValueError, match="path"):
+            run_mc_benchmark(source, config, k=3,
+                             scale=RatingScale.one_to_five())
+
+
 def test_every_source_form_gives_the_same_reports(tmp_path):
     # a MovieLens path, a record list and a tensor all reach the same split
     records = bench_records(67)

@@ -14,7 +14,6 @@ from mccf.linalg import (
     pca,
     pca_project,
     pca_reconstruct,
-    ssvd,
     truncated_svd,
     tucker_reconstruct,
 )
@@ -41,9 +40,12 @@ def oracle_singular_values(a):
     return np.sqrt(np.clip(evals, 0.0, None))[::-1]
 
 
+# the sketched SVD ("ssvd" in the test names) is truncated_svd
+
+
 def test_ssvd_recovers_exact_low_rank():
     a = make_low_rank(0, 20, 15, [5.0, 3.0, 1.0])
-    model = ssvd(a, 3, oversample=5, power_iters=2, seed=1)
+    model = truncated_svd(a, 3, seed=1)
     assert np.allclose(model.sigma, [5.0, 3.0, 1.0], rtol=1e-10)
     assert np.allclose(model.reconstruct(), a, atol=1e-10)
 
@@ -51,7 +53,7 @@ def test_ssvd_recovers_exact_low_rank():
 def test_ssvd_factors_orthonormal():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((25, 10))
-    model = ssvd(a, 6, oversample=4, power_iters=2, seed=0)
+    model = truncated_svd(a, 6, seed=0)
     assert np.allclose(model.u.T @ model.u, np.eye(6), atol=1e-10)
     assert np.allclose(model.v.T @ model.v, np.eye(6), atol=1e-10)
     assert np.all(np.diff(model.sigma) <= 1e-12)
@@ -62,7 +64,7 @@ def test_ssvd_matches_dense_oracle_on_decaying_spectrum():
     sigmas = 10.0 * 0.8 ** np.arange(20)
     for seed in range(5):
         a = make_low_rank(seed, 30, 20, sigmas)
-        model = ssvd(a, 5, oversample=10, power_iters=2, seed=seed)
+        model = truncated_svd(a, 5, seed=seed)
         oracle = oracle_singular_values(a)[:5]
         assert np.all(np.abs(model.sigma - oracle) / oracle <= 1e-6)
 
@@ -70,17 +72,13 @@ def test_ssvd_matches_dense_oracle_on_decaying_spectrum():
 def test_ssvd_rank_validation():
     a = np.ones((4, 3))
     with pytest.raises(ValueError):
-        ssvd(a, 0)
+        truncated_svd(a, 0)
     with pytest.raises(ValueError):
-        ssvd(a, 4)
-    with pytest.raises(ValueError):
-        ssvd(a, 3, oversample=1)
-    with pytest.raises(ValueError):
-        ssvd(a, 2, oversample=-1)
+        truncated_svd(a, 4)
 
 
 def test_ssvd_zero_matrix():
-    model = ssvd(np.zeros((6, 4)), 3, seed=0)
+    model = truncated_svd(np.zeros((6, 4)), 3, seed=0)
     assert np.all(model.sigma == 0.0)
     assert np.allclose(model.v.T @ model.v, np.eye(3), atol=1e-12)
 
@@ -88,8 +86,8 @@ def test_ssvd_zero_matrix():
 def test_ssvd_seed_determinism():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((12, 8))
-    m1 = ssvd(a, 4, oversample=2, power_iters=1, seed=5)
-    m2 = ssvd(a, 4, oversample=2, power_iters=1, seed=5)
+    m1 = truncated_svd(a, 4, seed=5)
+    m2 = truncated_svd(a, 4, seed=5)
     assert np.array_equal(m1.u, m2.u)
     assert np.array_equal(m1.sigma, m2.sigma)
     assert np.array_equal(m1.v, m2.v)
@@ -265,7 +263,7 @@ def test_hosvd_rank_above_unfolding_columns():
     assert np.allclose(tucker_reconstruct(model), t, atol=1e-9)
 
 
-def test_hosvd_validation():
+def test_hosvd_validation(monkeypatch):
     t = np.zeros((3, 3, 3))
     with pytest.raises(ValueError):
         hosvd(np.zeros((3, 3)), (1, 1, 1))
@@ -273,8 +271,23 @@ def test_hosvd_validation():
         hosvd(t, (0, 1, 1))
     with pytest.raises(ValueError):
         hosvd(t, (4, 1, 1))
+    monkeypatch.setattr("mccf.linalg.HOSVD_CELL_BUDGET", 10)
     with pytest.raises(ValueError, match="budget"):
-        hosvd(t, (1, 1, 1), cell_budget=10)
+        hosvd(t, (1, 1, 1))
+
+
+def test_hosvd_factors_are_truncated_svd_of_each_unfolding():
+    # mode 1 (size 6) has more rows than its unfolding has columns (4),
+    # so the completion covers only the surplus beyond truncated_svd's u
+    rng = np.random.default_rng(26)
+    for t, ranks in ((rng.standard_normal((5, 6, 3)), (2, 3, 2)),
+                     (rng.standard_normal((6, 2, 2)), (5, 2, 2))):
+        model = hosvd(t, ranks, seed=4)
+        for mode, (factor, r) in enumerate(zip(model.factors, ranks), start=1):
+            unfolding = mode_unfold(t, mode)
+            u = truncated_svd(unfolding, min(r, unfolding.shape[1]),
+                              seed=4 + mode).u
+            assert np.array_equal(factor[:, :u.shape[1]], u)
 
 
 def test_hosvd_determinism():

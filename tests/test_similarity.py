@@ -12,7 +12,6 @@ from mccf.similarity import (
     SET_KINDS,
     SIMILARITY_KINDS,
     SimilarityStore,
-    default_min_co_ratings,
     item_similarity_matrix,
 )
 from oracles import (
@@ -183,7 +182,7 @@ def _assert_matches_per_pair(d, kind):
     per-pair function (behind the co-rater gate) is, and equal to 1e-12
     elsewhere."""
     store = item_similarity_matrix(d, kind)
-    gate = default_min_co_ratings(kind)
+    gate = 2 if kind in RATING_KINDS else 1
     fn = PAIR_FUNCS[kind]
     for i in range(d.n_items):
         for j in range(d.n_items):
@@ -223,12 +222,9 @@ def test_matrix_matches_per_pair_on_random_sparse_data(seed, n_users, n_items,
 
 def test_matrix_gating():
     d = random_dataset(18)
-    store = item_similarity_matrix(d, "pearson", min_co_ratings=2)
+    store = item_similarity_matrix(d, "pearson")
     for i, j, _ in defined_pairs(store):
         assert len(co_ratings(i, j, d).users) >= 2
-    blocked = item_similarity_matrix(d, "pearson",
-                                     min_co_ratings=d.n_users + 1)
-    assert blocked.defined_count() == 0
 
 
 def test_matrix_latent():
@@ -277,13 +273,6 @@ def test_store_rejects_values_that_are_not_a_symmetric_square():
                              (good, ids[:2]), (good, ids + ("i3",))):
         with pytest.raises(ValueError):
             SimilarityStore("pearson", values, item_ids)
-
-
-def test_default_min_co_ratings():
-    for kind in RATING_KINDS:
-        assert default_min_co_ratings(kind) == 2
-    for kind in SET_KINDS + ("latent_cosine",):
-        assert default_min_co_ratings(kind) == 1
 
 
 @settings(deadline=None, max_examples=25)
