@@ -1,10 +1,17 @@
 """Command-line front end.
 
 Verbs: stats, filter, split, decompose, evaluate, sweep, recommend,
-mc-evaluate.  Exit status 0 on success, 1 on usage errors, 2 on data
-errors.  Every verb that involves randomness (splitting, sketched
+mc-evaluate.  _check_flags rejects every bad flag combination before any
+input is read, and every verb reads its input through _records (parse,
+then the --min-user/--min-item filter); filter alone reads it unfiltered,
+to count what it drops.  Exit status 0 on success, 1 on usage errors, 2
+on data errors.  Every verb that involves randomness (splitting, sketched
 factorizations) requires an explicit --seed so runs are reproducible by
 construction.
+
+On mc-csv input, recommend and mc-evaluate take item similarities in the
+HOSVD's latent space for --sim latent, and from the reconstructed
+criterion slices with the named measure otherwise.
 """
 
 from __future__ import annotations
@@ -35,13 +42,13 @@ from .evaluation import (
     BenchmarkConfig,
     EvalReport,
     McBenchmarkConfig,
+    RelevanceSpec,
     _build_store,
     run_benchmark,
     run_mc_benchmark,
     run_sweep,
 )
 from .ingest import (
-    MOVIELENS_SCALE,
     DensityFilterSpec,
     SplitSpec,
     density_filter,
@@ -56,6 +63,7 @@ from .linalg import hosvd, impute_missing, pca, truncated_svd
 SIM_CHOICES = tuple(SIM_NAME_MAP)
 TABLE_SIMS = ("pearson", "euclidean", "loglikelihood", "tanimoto")
 SCALES = {"1-5": RatingScale.one_to_five, "letter13": RatingScale.letter_13}
+WRITERS = {"movielens": write_movielens, "mc-csv": write_multicriteria}
 
 
 class UsageError(Exception):
@@ -138,6 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="N",
                       help="drop items with fewer than N ratings")
 
+    # the protocol flags of evaluate, sweep and mc-evaluate
+    bench = argparse.ArgumentParser(add_help=False)
+    bench.add_argument("--seed", type=_seed, required=True)
+    bench.add_argument("--top-n", type=_positive_int, default=10)
+    bench.add_argument("--relevance-threshold", type=float, default=None)
+
     def verb(name: str, parents: list, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=parents, help=help_text,
                            description=help_text)
@@ -164,50 +178,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--output", required=True, help="factor archive (.npz)")
 
-    p = verb("evaluate", [data], "single benchmark run, report to stdout")
+    p = verb("evaluate", [data, bench], "single benchmark run, report to stdout")
     p.add_argument("--sim", choices=SIM_CHOICES, required=True)
     p.add_argument("--train-fraction", type=_fraction, default=0.7)
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--top-n", type=_positive_int, default=10)
-    p.add_argument("--relevance-threshold", type=float, default=None)
     p.add_argument("--ranks", type=_ranks, default=None,
                    help="latent rank for --sim latent (default 8)")
     p.add_argument("--output", default=None, help="also write the report here")
 
-    p = verb("sweep", [data], "benchmark grid over measures x fractions (CSV)")
+    p = verb("sweep", [data, bench],
+             "benchmark grid over measures x fractions (CSV)")
     p.add_argument("--sims", type=_sims_list, default=TABLE_SIMS,
                    metavar="S1,S2,...", help=f"default {','.join(TABLE_SIMS)}")
     p.add_argument("--fractions", type=_fractions_list, default=(0.7, 0.8),
                    metavar="F1,F2,...", help="default 0.7,0.8")
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--top-n", type=_positive_int, default=10)
-    p.add_argument("--relevance-threshold", type=float, default=None)
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
 
     p = verb("recommend", [data], "print a user's top-N unrated items")
     p.add_argument("--user", required=True, help="user id")
-    p.add_argument("--sim", choices=SIM_CHOICES, default="pearson")
+    p.add_argument("--sim", choices=SIM_CHOICES, default=None,
+                   help="default pearson; latent on mc-csv input")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("--ranks", type=_ranks, default=None,
-                   help="latent rank (matrix) or R1,R2,R3 (mc-csv input)")
+                   help="rank of --sim latent (matrix) or R1,R2,R3 (mc-csv)")
     p.add_argument("--pca-option", choices=("on", "off"), default="off")
-    p.add_argument("--sim-space", choices=("latent", "reconstructed"),
-                   help="mc-csv input only (default latent)")
     p.add_argument("--output", default=None)
 
-    p = verb("mc-evaluate", [data],
+    p = verb("mc-evaluate", [data, bench],
              "multi-criteria benchmark through the factorization pipeline")
     p.add_argument("--ranks", type=_ranks, required=True, metavar="R1,R2,R3")
     p.add_argument("--train-fraction", type=_fraction, default=0.7)
-    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--pca-option", choices=("on", "off"), default="off")
-    p.add_argument("--sim-space", choices=("latent", "reconstructed"),
-                   default="latent")
-    p.add_argument("--sim", choices=SIM_CHOICES, default="euclidean",
-                   help="measure for reconstructed similarity space")
-    p.add_argument("--top-n", type=_positive_int, default=10)
-    p.add_argument("--relevance-threshold", type=float, default=None)
+    p.add_argument("--sim", choices=SIM_CHOICES, default="latent",
+                   help="latent space, or a measure on the reconstructed slices")
     p.add_argument("--output", default=None, help="also write the report here")
 
     return parser
@@ -217,53 +220,67 @@ def _scale_of(args) -> RatingScale:
     return SCALES[args.scale]()
 
 
-def _load_plain(args) -> tuple[list, RatingScale]:
-    """Records + scale for single-rating verbs; mc-csv input contributes its
-    overall column."""
-    scale = _scale_of(args)
-    if args.format == "movielens":
-        if args.scale != "1-5":
-            raise UsageError("movielens format implies --scale 1-5")
-        records = parse_movielens(args.input)
-        scale = MOVIELENS_SCALE
-    else:
-        records = _load_mc_records(args)
-    if args.min_user > 0 or args.min_item > 0:
-        records = density_filter(
-            records, DensityFilterSpec(args.min_user, args.min_item))
-    return records, scale
-
-
-def _load_mc_records(args) -> list:
-    if args.criteria is None:
+def _check_flags(args) -> None:
+    """Reject every flag combination argparse cannot express.  Runs before
+    any input is read, so a bad flag exits 1 whatever the data holds."""
+    mc = args.format == "mc-csv"
+    if mc and args.criteria is None:
         raise UsageError("--criteria is required with --format mc-csv")
-    return parse_multicriteria(args.input, args.criteria, _scale_of(args))
+    if not mc and args.criteria is not None:
+        raise UsageError("--criteria needs --format mc-csv")
+    if not mc and args.scale != "1-5":
+        raise UsageError("movielens format implies --scale 1-5")
+    if args.verb == "mc-evaluate" and not mc:
+        raise UsageError("mc-evaluate requires --format mc-csv")
+    # decompose, recommend and mc-evaluate factor a tensor on mc-csv input;
+    # everywhere else --ranks is the one latent rank of a matrix
+    tensor = mc and args.verb in ("decompose", "recommend", "mc-evaluate")
+    ranks = getattr(args, "ranks", None)
+    if tensor and (ranks is None or len(ranks) != 3):
+        raise UsageError(f"{args.verb} on mc-csv input needs --ranks R1,R2,R3")
+    if not tensor and ranks is not None:
+        if len(ranks) != 1:
+            raise UsageError(f"{args.verb} takes a single --ranks value "
+                             f"on {args.format} input")
+        if args.verb != "decompose" and args.sim != "latent":
+            raise UsageError("--ranks sets the rank of --sim latent only")
+    # PCA replaces the SVD of a matrix in decompose, and centres the HOSVD
+    # of the multi-criteria pipeline in recommend and mc-evaluate
+    pca_on = getattr(args, "pca_option", "off") == "on"
+    if pca_on and (args.verb == "decompose") == mc:
+        raise UsageError(f"--pca-option does not apply to {args.verb} "
+                         f"on {args.format} input")
+    threshold = getattr(args, "relevance_threshold", None)
+    if threshold is not None:
+        try:
+            RelevanceSpec(threshold).check(_scale_of(args))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
-def _load_tensor(args) -> CriteriaTensor:
-    records = _load_mc_records(args)
+def _parse(args) -> list:
+    """The input's records, unfiltered."""
+    if args.format == "mc-csv":
+        return parse_multicriteria(args.input, args.criteria, _scale_of(args))
+    return parse_movielens(args.input)
+
+
+def _records(args) -> list:
+    """The input's records after the --min-user/--min-item filter."""
+    records = _parse(args)
     if args.min_user > 0 or args.min_item > 0:
         records = density_filter(
             records, DensityFilterSpec(args.min_user, args.min_item))
-    return CriteriaTensor.from_records(records, args.criteria, _scale_of(args))
+    return records
 
 
-def _to_overall_dataset(records, scale: RatingScale) -> Dataset:
-    if records and hasattr(records[0], "criteria"):
-        tensor = CriteriaTensor.from_records(
-            records, len(records[0].criteria), scale)
-        return overall_slice(tensor)
-    return Dataset.from_records(records, scale)
-
-
-def _latent_rank(args) -> int:
-    """The single --ranks value of a plain-input verb; 8 when unset."""
-    if args.ranks is None:
-        return 8
-    if len(args.ranks) != 1:
-        raise UsageError(
-            f"{args.verb} takes a single --ranks value on plain input")
-    return args.ranks[0]
+def _load(args, matrix: bool = False):
+    """The filtered input: a CriteriaTensor on mc-csv input; on MovieLens
+    input a Dataset when `matrix` is set, else the records."""
+    records = _records(args)
+    if args.format == "mc-csv":
+        return CriteriaTensor.from_records(records, args.criteria, _scale_of(args))
+    return Dataset.from_records(records, _scale_of(args)) if matrix else records
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -273,70 +290,44 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_stats(args) -> int:
-    if args.format == "mc-csv":
-        tensor = _load_tensor(args)
-        cells = tensor.n_users * tensor.n_items
-        density = tensor.n_cells / cells if cells else 0.0
-        print(f"users={tensor.n_users} items={tensor.n_items} "
-              f"ratings={tensor.n_cells}")
-        print(f"criteria={tensor.k}")
-        print(f"density={density:.4f}")
-        print(f"duplicates={tensor.duplicates}")
-        return 0
-    records, scale = _load_plain(args)
-    d = Dataset.from_records(records, scale)
-    stats = dataset_stats(d)
+    data = _load(args, matrix=True)
+    mc = args.format == "mc-csv"
+    stats = dataset_stats(overall_slice(data) if mc else data)
     print(f"users={stats.users} items={stats.items} ratings={stats.ratings}")
+    if mc:
+        print(f"criteria={data.k}")
     print(f"density={stats.density:.4f}")
-    print(f"duplicates={d.duplicates}")
+    print(f"duplicates={data.duplicates}")
     return 0
 
 
-def _raw_records(args):
-    """(unfiltered records, writer of the input format)."""
-    if args.format == "mc-csv":
-        return _load_mc_records(args), write_multicriteria
-    return parse_movielens(args.input), write_movielens
-
-
 def _cmd_filter(args) -> int:
-    # _load_plain/_load_tensor already apply the thresholds; here the
-    # filtered records are written back out in the input format
-    records, write = _raw_records(args)
+    records = _parse(args)
     kept = density_filter(records, DensityFilterSpec(args.min_user, args.min_item))
-    write(kept, args.output)
+    WRITERS[args.format](kept, args.output)
     print(f"kept={len(kept)} dropped={len(records) - len(kept)}")
     return 0
 
 
 def _cmd_split(args) -> int:
-    records, write = _raw_records(args)
-    train, test = split_train_test(records,
+    train, test = split_train_test(_records(args),
                                    SplitSpec(args.train_fraction, args.seed))
-    write(train, args.output + ".train")
-    write(test, args.output + ".test")
+    WRITERS[args.format](train, args.output + ".train")
+    WRITERS[args.format](test, args.output + ".test")
     print(f"train={len(train)} test={len(test)}")
     return 0
 
 
 def _cmd_decompose(args) -> int:
+    data = _load(args, matrix=True)
     if args.format == "mc-csv":
-        if len(args.ranks) != 3:
-            raise UsageError("tensor decomposition needs --ranks R1,R2,R3")
-        if args.pca_option == "on":
-            raise UsageError("--pca-option applies to matrix input only")
-        tensor = _load_tensor(args)
-        model = hosvd(impute_tensor(tensor, "item_mean"), args.ranks,
+        model = hosvd(impute_tensor(data, "item_mean"), args.ranks,
                       seed=args.seed)
         arrays = {"decomposition": "hosvd", "core": model.core,
                   "factor1": model.factors[0], "factor2": model.factors[1],
                   "factor3": model.factors[2]}
     else:
-        if len(args.ranks) != 1:
-            raise UsageError("matrix decomposition needs a single --ranks value")
-        records, scale = _load_plain(args)
-        d = Dataset.from_records(records, scale)
-        imputed = impute_missing(d.to_dense(), "item_mean")
+        imputed = impute_missing(data.to_dense(), "item_mean")
         rank = args.ranks[0]
         if rank > min(imputed.shape):
             raise UsageError(
@@ -358,24 +349,19 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    records, scale = _load_plain(args)
     config = BenchmarkConfig(
         sim=args.sim, train_fraction=args.train_fraction, seed=args.seed,
         top_n=args.top_n, relevance_threshold=args.relevance_threshold,
-        latent_rank=_latent_rank(args))
-    if records and hasattr(records[0], "criteria"):
-        records = list(_to_overall_dataset(records, scale).iter_records())
-    report = run_benchmark(records, config, scale)
+        latent_rank=args.ranks[0] if args.ranks else 8)
+    # a tensor contributes its overall ratings
+    report = run_benchmark(_load(args), config, _scale_of(args))
     _emit(report.to_text(), args.output)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    records, scale = _load_plain(args)
-    if records and hasattr(records[0], "criteria"):
-        records = list(_to_overall_dataset(records, scale).iter_records())
-    reports = run_sweep(records, args.sims, args.fractions, args.seed,
-                        scale=scale, top_n=args.top_n,
+    reports = run_sweep(_load(args), args.sims, args.fractions, args.seed,
+                        scale=_scale_of(args), top_n=args.top_n,
                         relevance_threshold=args.relevance_threshold)
     lines = [EvalReport.csv_header()] + [r.to_csv_row() for r in reports]
     _emit("\n".join(lines), args.output)
@@ -383,34 +369,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    # flags are checked before any data is read
+    data = _load(args, matrix=True)
+    if not data.has_user(args.user):
+        print(f"error: unknown user {args.user!r}", file=sys.stderr)
+        return 2
     if args.format == "mc-csv":
-        if args.ranks is None or len(args.ranks) != 3:
-            raise UsageError("mc-csv recommendation needs --ranks R1,R2,R3")
-        if args.sim_space == "reconstructed" and args.sim == "latent":
-            raise UsageError("--sim latent has no reconstructed space")
-        tensor = _load_tensor(args)
-        if not tensor.has_user(args.user):
-            print(f"error: unknown user {args.user!r}", file=sys.stderr)
-            return 2
-        # the latent space ignores sim_kind
-        config = McConfig(pca_option=args.pca_option == "on",
-                          sim_space=args.sim_space or "latent",
-                          sim_kind=SIM_NAME_MAP.get(args.sim, args.sim),
-                          seed=args.seed)
-        model = build_mc_model(tensor, args.ranks, config)
+        sim = args.sim or "latent"
+        space = "latent" if sim == "latent" else "reconstructed"
+        config = McConfig(pca_option=args.pca_option == "on", sim_space=space,
+                          sim_kind=SIM_NAME_MAP[sim], seed=args.seed)
+        model = build_mc_model(data, args.ranks, config)
         top = mc_recommend_top_n(model, args.user, args.top_n)
     else:
-        if args.pca_option == "on" or args.sim_space is not None:
-            raise UsageError("--pca-option and --sim-space need mc-csv input")
-        rank = _latent_rank(args)
-        records, scale = _load_plain(args)
-        d = Dataset.from_records(records, scale)
-        if not d.has_user(args.user):
-            print(f"error: unknown user {args.user!r}", file=sys.stderr)
-            return 2
-        sims = _build_store(d, args.sim, rank, args.seed)
-        top = recommend_top_n(d, sims, args.user, args.top_n)
+        sims = _build_store(data, args.sim or "pearson",
+                            args.ranks[0] if args.ranks else 8, args.seed)
+        top = recommend_top_n(data, sims, args.user, args.top_n)
     lines = [f"{rank} {item} {value:.4f}"
              for rank, (item, value) in enumerate(top, start=1)]
     if lines:
@@ -421,19 +394,13 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_mc_evaluate(args) -> int:
-    if args.format != "mc-csv":
-        raise UsageError("mc-evaluate requires --format mc-csv")
-    if len(args.ranks) != 3:
-        raise UsageError("mc-evaluate needs --ranks R1,R2,R3")
-    if args.sim_space == "reconstructed" and args.sim == "latent":
-        raise UsageError("--sim latent has no reconstructed space")
-    tensor = _load_tensor(args)
     config = McBenchmarkConfig(
         ranks=args.ranks, train_fraction=args.train_fraction, seed=args.seed,
-        pca_option=args.pca_option == "on", sim_space=args.sim_space,
+        pca_option=args.pca_option == "on",
+        sim_space="latent" if args.sim == "latent" else "reconstructed",
         sim=args.sim, top_n=args.top_n,
         relevance_threshold=args.relevance_threshold)
-    report = run_mc_benchmark(tensor, config)
+    report = run_mc_benchmark(_load(args), config)
     _emit(report.to_text(), args.output)
     return 0
 
@@ -458,6 +425,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems and 0 for --help
         return 0 if exc.code == 0 else 1
     try:
+        _check_flags(args)
         return _HANDLERS[args.verb](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -201,7 +201,7 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
     s = np.where(_keep_mask(sims.values, spec), sims.values, 0.0)
     b = d.to_mask().astype(np.float64)
     r = np.nan_to_num(d.to_dense(), nan=0.0)
-    num = (r * b) @ s
+    num = r @ s     # r is 0 wherever b is, so r carries the mask
     den = b @ np.abs(s)
     out = np.full_like(num, np.nan)
     good = den >= DENOM_EPS

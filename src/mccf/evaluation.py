@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import CriteriaTensor, Dataset, RatingScale
+from .core import CriteriaRecord, CriteriaTensor, Dataset, RatingScale
 from .engine import (
     McConfig,
     NeighborhoodSpec,
@@ -432,6 +432,8 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
         k, scale = source.k, source.scale
     elif k is None or scale is None:
         raise ValueError("record input needs explicit k and scale")
+    elif not all(isinstance(r, CriteriaRecord) for r in records):
+        raise ValueError("records without criteria; pass CriteriaRecords")
     train_recs, test_recs = _split_records(records, config.train_fraction,
                                            config.seed)
     train = CriteriaTensor.from_records(train_recs, k, scale)

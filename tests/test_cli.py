@@ -1,9 +1,11 @@
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mccf.cli import build_parser, main
+from mccf.cli import _check_flags, build_parser, main
 from mccf.core import CriteriaTensor, RatingRecord
 from mccf.ingest import parse_movielens, write_movielens, write_multicriteria
 from mccf.synth import SyntheticTensorSpec, generate_tensor
@@ -24,10 +26,9 @@ VERB_FLAGS = {
     "sweep": {"--sims", "--fractions", "--seed", "--top-n",
               "--relevance-threshold", "--output"},
     "recommend": {"--user", "--sim", "--seed", "--top-n", "--ranks",
-                  "--pca-option", "--sim-space", "--output"},
+                  "--pca-option", "--output"},
     "mc-evaluate": {"--ranks", "--train-fraction", "--seed", "--pca-option",
-                    "--sim-space", "--sim", "--top-n",
-                    "--relevance-threshold", "--output"},
+                    "--sim", "--top-n", "--relevance-threshold", "--output"},
 }
 
 
@@ -36,8 +37,29 @@ def test_parser_covers_documented_flags():
     assert set(parser.verb_parsers) == set(VERBS)
     for verb, sub in parser.verb_parsers.items():
         flags = {opt for action in sub._actions for opt in action.option_strings}
-        missing = (COMMON_FLAGS | VERB_FLAGS[verb]) - flags
-        assert not missing, f"{verb} lacks {missing}"
+        # exactly the documented flags: none missing, none left over
+        assert flags == COMMON_FLAGS | VERB_FLAGS[verb] | {"-h", "--help"}, verb
+
+
+def _readme_cli_lines() -> list[str]:
+    """The `mccf ...` lines of README's CLI code block, with lines continued
+    by a backslash joined and trailing comments dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```text", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [line.split("#", 1)[0] for line in joined.splitlines()
+            if line.startswith("mccf ")]
+
+
+def test_readme_cli_examples_pass_the_flag_check():
+    # parsing and the flag check read no input, so the documented examples
+    # need no files
+    lines = _readme_cli_lines()
+    assert {shlex.split(line)[1] for line in lines} == set(VERBS)
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        _check_flags(args)
 
 
 @pytest.fixture(scope="module")
@@ -108,15 +130,23 @@ def test_filter_writes_output(data_dir, tmp_path, capsys):
 
 
 def test_split_partitions_file(data_dir, tmp_path, capsys):
-    prefix = tmp_path / "part"
-    code, out, _ = run(["split", "--input", str(data_dir / "ratings.tsv"),
-                        "--train-fraction", "0.8", "--seed", "3",
-                        "--output", str(prefix)], capsys)
-    assert code == 0
-    train = parse_movielens(str(prefix) + ".train")
-    test = parse_movielens(str(prefix) + ".test")
-    assert len(train) + len(test) == 336
-    assert len(train) > len(test)
+    ratings = str(data_dir / "ratings.tsv")
+    kept = tmp_path / "kept.tsv"
+    run(["filter", "--input", ratings, "--min-user", "12",
+         "--output", str(kept)], capsys)
+    # split honours the density filter: it partitions the filtered ratings
+    for flags, total in (([], 336), (["--min-user", "12"], 72)):
+        prefix = tmp_path / "part"
+        code, out, _ = run(["split", "--input", ratings, *flags,
+                            "--train-fraction", "0.8", "--seed", "3",
+                            "--output", str(prefix)], capsys)
+        assert code == 0
+        train = parse_movielens(str(prefix) + ".train")
+        test = parse_movielens(str(prefix) + ".test")
+        assert out == f"train={len(train)} test={len(test)}\n"
+        assert len(train) + len(test) == total
+        assert len(train) > len(test)
+    assert set(train + test) == set(parse_movielens(kept))
 
 
 def test_decompose_all_modes(data_dir, tmp_path, capsys):
@@ -193,6 +223,27 @@ def test_mc_evaluate_report(data_dir, capsys):
     assert "ranks=2,3,3" in out
 
 
+def test_mc_sim_selects_the_similarity_space(data_dir, capsys):
+    mc = ["--input", str(data_dir / "mc.csv"), "--format", "mc-csv",
+          "--criteria", "3", "--ranks", "2,3,3", "--seed", "7"]
+    outputs = {}
+    for sim in (None, "latent", "pearson"):
+        flag = [] if sim is None else ["--sim", sim]
+        code, report, _ = run(["mc-evaluate", *mc, *flag], capsys)
+        assert code == 0
+        code, top, _ = run(["recommend", *mc, *flag, "--user", "u3",
+                            "--top-n", "3"], capsys)
+        assert code == 0
+        outputs[sim] = report, top
+    # the default is the latent space; any other measure is taken on the
+    # reconstructed slices and changes both the report and the ranking
+    assert outputs[None] == outputs["latent"]
+    assert "sim=latent" in outputs["latent"][0]
+    assert "sim=pearson" in outputs["pearson"][0]
+    for latent, pearson in zip(outputs["latent"], outputs["pearson"]):
+        assert latent != pearson
+
+
 def test_over_budget_tensor_exits_before_dense_copy(tmp_path, monkeypatch,
                                                     capsys):
     # 15,000 users x 15,000 items x 2 slices is above the HOSVD budget
@@ -227,25 +278,37 @@ def test_exit_codes(data_dir, tmp_path, capsys):
                  "--seed", "1"]) == 1
     assert main(["recommend", "--input", ratings, "--user", "u1",
                  "--sim", "latent", "--ranks", "2,3,4", "--seed", "1"]) == 1
-    # recommend's flags are checked before the data, so a bad flag is a
-    # usage error even for a user the data does not know
+    # flags are checked before the data, so a bad flag is a usage error
+    # even for a user the data does not know
     assert main(["recommend", "--input", ratings, "--user", "nobody",
                  "--sim", "latent", "--ranks", "2,3", "--seed", "1"]) == 1
     assert main(["recommend", "--input", str(data_dir / "mc.csv"),
                  "--format", "mc-csv", "--criteria", "2", "--ranks", "2",
                  "--user", "nobody", "--seed", "1"]) == 1
-    # no reconstructed space for --sim latent: rejected before the (here
-    # missing) input is read
+    # every flag check runs before the input is read: with a missing input
+    # file, a check made after reading would exit 2
+    missing = ["--input", str(tmp_path / "missing.tsv")]
     missing_mc = ["--input", str(tmp_path / "missing.csv"), "--format",
-                  "mc-csv", "--criteria", "3", "--seed", "1",
-                  "--sim-space", "reconstructed", "--sim", "latent"]
-    assert main(["mc-evaluate", *missing_mc, "--ranks", "2,3,3"]) == 1
-    assert main(["recommend", *missing_mc, "--ranks", "2,3,3",
-                 "--user", "u1"]) == 1
+                  "mc-csv", "--criteria", "3", "--seed", "1"]
+    assert main(["mc-evaluate", *missing_mc, "--ranks", "2,3"]) == 1
+    assert main(["recommend", *missing_mc, "--user", "u1"]) == 1
     # flags the input cannot use are rejected, not ignored
-    for flag in (["--pca-option", "on"], ["--sim-space", "latent"]):
-        assert main(["recommend", "--input", ratings, "--user", "u1",
-                     "--seed", "1", *flag]) == 1
+    assert main(["recommend", *missing, "--user", "u1", "--seed", "1",
+                 "--pca-option", "on"]) == 1
+    for verb in (["stats"], ["decompose", "--ranks", "2", "--seed", "1",
+                             "--output", str(tmp_path / "d")]):
+        assert main([*verb, *missing, "--criteria", "3"]) == 1
+    for verb in (["evaluate", "--sim", "pearson"], ["recommend", "--user", "u1"],
+                 ["recommend", "--user", "u1", "--sim", "euclidean"]):
+        assert main([*verb, *missing, "--seed", "1", "--ranks", "5"]) == 1
+    assert main(["split", *missing, "--scale", "letter13",
+                 "--train-fraction", "0.5", "--seed", "1",
+                 "--output", str(tmp_path / "x")]) == 1
+    # a relevance threshold outside the scale the flags give
+    for verb in (["evaluate", *missing, "--sim", "pearson", "--seed", "1"],
+                 ["sweep", *missing, "--seed", "1"],
+                 ["mc-evaluate", *missing_mc, "--ranks", "2,3,3"]):
+        assert main([*verb, "--relevance-threshold", "9"]) == 1
     assert main(["decompose", "--input", str(data_dir / "mc.csv"),
                  "--format", "mc-csv", "--criteria", "3", "--ranks", "2,2,2",
                  "--pca-option", "on", "--seed", "1",

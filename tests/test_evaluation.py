@@ -251,6 +251,15 @@ def test_run_mc_benchmark_rejects_a_file_path(tmp_path):
                              scale=RatingScale.one_to_five())
 
 
+def test_run_mc_benchmark_rejects_records_without_criteria():
+    # plain rating records used to fail deep in the tensor build with an
+    # AttributeError; they are rejected before the split
+    config = McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8, seed=1)
+    records = bench_records(69)[:80]
+    with pytest.raises(ValueError, match="criteria"):
+        run_mc_benchmark(records, config, k=3, scale=RatingScale.one_to_five())
+
+
 def test_every_source_form_gives_the_same_reports(tmp_path):
     # a MovieLens path, a record list and a tensor all reach the same split
     records = bench_records(67)
