@@ -15,14 +15,15 @@ from mccf.evaluation import McBenchmarkConfig, global_mean_baseline, run_mc_benc
 from mccf.synth import SyntheticTensorSpec, generate_tensor
 
 NOISE_LEVELS = (0.0, 0.1, 0.3, 0.5)
-SIM_SPACES = ("latent", "reconstructed")
+# similarity space -> the measure that picks it
+SPACE_SIMS = {"latent": "latent", "reconstructed": "euclidean"}
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--train-fraction", type=float, default=0.8)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"{'noise':>6} {'space':>13} {'baseline':>9} {'mae':>7} "
           f"{'rmse':>7} {'improvement':>12}")
@@ -32,10 +33,10 @@ def main() -> int:
                                    seed=args.seed)
         tensor = generate_tensor(spec)
         baseline = global_mean_baseline(tensor, args.train_fraction, args.seed)
-        for space in SIM_SPACES:
+        for space, sim in SPACE_SIMS.items():
             report = run_mc_benchmark(tensor, McBenchmarkConfig(
                 ranks=spec.ranks, train_fraction=args.train_fraction,
-                seed=args.seed, sim_space=space, sim="euclidean",
+                seed=args.seed, sim=sim,
                 neighborhood=NeighborhoodSpec(max_neighbors=3)))
             gain = (baseline - report.mae) / baseline
             print(f"{noise:>6.2f} {space:>13} {baseline:>9.4f} "

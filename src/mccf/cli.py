@@ -374,10 +374,9 @@ def _cmd_recommend(args) -> int:
         print(f"error: unknown user {args.user!r}", file=sys.stderr)
         return 2
     if args.format == "mc-csv":
-        sim = args.sim or "latent"
-        space = "latent" if sim == "latent" else "reconstructed"
-        config = McConfig(pca_option=args.pca_option == "on", sim_space=space,
-                          sim_kind=SIM_NAME_MAP[sim], seed=args.seed)
+        config = McConfig(pca_option=args.pca_option == "on",
+                          sim_kind=SIM_NAME_MAP[args.sim or "latent"],
+                          seed=args.seed)
         model = build_mc_model(data, args.ranks, config)
         top = mc_recommend_top_n(model, args.user, args.top_n)
     else:
@@ -396,9 +395,7 @@ def _cmd_recommend(args) -> int:
 def _cmd_mc_evaluate(args) -> int:
     config = McBenchmarkConfig(
         ranks=args.ranks, train_fraction=args.train_fraction, seed=args.seed,
-        pca_option=args.pca_option == "on",
-        sim_space="latent" if args.sim == "latent" else "reconstructed",
-        sim=args.sim, top_n=args.top_n,
+        pca_option=args.pca_option == "on", sim=args.sim, top_n=args.top_n,
         relevance_threshold=args.relevance_threshold)
     report = run_mc_benchmark(_load(args), config)
     _emit(report.to_text(), args.output)

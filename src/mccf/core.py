@@ -326,8 +326,8 @@ class CriteriaTensor(_Cells):
     def __init__(self, user_map: _IndexMap, item_map: _IndexMap, k: int,
                  u_idx: np.ndarray, i_idx: np.ndarray, values: np.ndarray,
                  scale: RatingScale, duplicates: int = 0):
-        if np.shape(values)[1:] != (k + 1,):
-            raise ValueError(f"cell values must be (cells, {k + 1})")
+        if k < 1 or np.shape(values)[1:] != (k + 1,):
+            raise ValueError(f"need k >= 1 and cell values (cells, {k + 1})")
         super().__init__(user_map, item_map, u_idx, i_idx, values, scale, duplicates)
         self.k = k
 

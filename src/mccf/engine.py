@@ -6,11 +6,15 @@ ratings as similarity-weighted means over the target user's rated items.
 Multi-criteria path (McModel): the rating tensor is imputed, factored with
 a Tucker/HOSVD model (optionally mean-centered first), and per-criterion
 item similarities are computed from the reconstructed slices restricted to
-the observed-cell structure (or from shared latent item factors).  Criterion
-predictions use the neighborhood formula over *observed* ratings; the
-reconstructed tensor only fills in cells the neighborhood cannot reach.
-A linear aggregation fitted on training cells maps criterion predictions
-to the overall rating.
+the observed-cell structure (or, for the latent_cosine kind, from shared
+latent item factors).  Criterion predictions use the neighborhood formula
+over *observed* ratings; the reconstructed tensor only fills in cells the
+neighborhood cannot reach.  A linear aggregation fitted on training cells
+maps criterion predictions to the overall rating.
+
+A saved model holds the training tensor, the settings and the Tucker
+factors; loading derives everything else through the same assembly step
+a build ends with.
 """
 
 from __future__ import annotations
@@ -305,44 +309,34 @@ def _aggregate_rows(weights: AggregationWeights, crits: np.ndarray,
     return np.clip(overall, scale.min_value, scale.max_value)
 
 
-SIM_SPACES = ("reconstructed", "latent")
-
-
 @dataclass(frozen=True)
 class McConfig:
-    """Pipeline knobs for build_mc_model."""
+    """Pipeline knobs for build_mc_model.  sim_kind "latent_cosine" picks
+    the latent space (one store shared by the criteria); any other kind is
+    that measure on each criterion's reconstructed slice."""
 
     pca_option: bool = False
-    sim_space: str = "latent"
-    sim_kind: str = "euclidean"
+    sim_kind: str = "latent_cosine"
     impute_strategy: str = "item_mean"
     neighborhood: NeighborhoodSpec = field(default_factory=NeighborhoodSpec)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sim_space not in SIM_SPACES:
-            raise ValueError(f"unknown sim_space {self.sim_space!r}")
-        if self.sim_space == "reconstructed":
-            if self.sim_kind not in SIMILARITY_KINDS or self.sim_kind == "latent_cosine":
-                raise ValueError(
-                    f"sim_kind {self.sim_kind!r} not usable in reconstructed space"
-                )
+        if self.sim_kind not in SIMILARITY_KINDS:
+            raise ValueError(f"unknown sim_kind {self.sim_kind!r}")
 
 
 class McModel:
     """Immutable multi-criteria model; safe for concurrent prediction."""
 
-    def __init__(self, tensor: CriteriaTensor, ranks: tuple[int, int, int],
-                 config: McConfig, tucker: TuckerModel,
-                 slice_means: np.ndarray | None, denoised: np.ndarray,
+    def __init__(self, tensor: CriteriaTensor, config: McConfig,
+                 tucker: TuckerModel, denoised: np.ndarray,
                  stores: tuple[SimilarityStore, ...],
                  criteria_data: tuple[Dataset, ...],
                  aggregation: AggregationWeights):
         self.tensor = tensor
-        self.ranks = ranks
         self.config = config
         self.tucker = tucker
-        self.slice_means = slice_means
         self.denoised = denoised
         # one store shared by all criteria (latent space) or one per criterion
         self.item_similarities = stores
@@ -355,12 +349,9 @@ class McModel:
     def k(self) -> int:
         return self.tensor.k
 
-
-def _reconstructed_slice_dataset(template: Dataset, values: np.ndarray) -> Dataset:
-    """Template's observed structure with reconstructed values, clamped
-    into scale since a truncated reconstruction may overshoot the bounds."""
-    clamped = np.clip(values, template.scale.min_value, template.scale.max_value)
-    return template.with_dense_values(clamped)
+    @property
+    def ranks(self) -> tuple[int, int, int]:
+        return tuple(int(r) for r in self.tucker.core.shape)
 
 
 def impute_tensor(t: CriteriaTensor, strategy: str) -> np.ndarray:
@@ -373,50 +364,46 @@ def impute_tensor(t: CriteriaTensor, strategy: str) -> np.ndarray:
     return dense
 
 
-def _denoise(t: CriteriaTensor, imputed: np.ndarray, tucker: TuckerModel,
-             slice_means: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(reconstruction, denoised): observed cells keep their imputed value,
-    every other cell takes the reconstructed one."""
+def _slice_means(imputed: np.ndarray, config: McConfig) -> np.ndarray | None:
+    """The PCA option's (item, slice) means over users: the HOSVD factors
+    the user-centered tensor, as covariance-based factor extraction does."""
+    return imputed.mean(axis=0) if config.pca_option else None
+
+
+def _assemble(t: CriteriaTensor, config: McConfig, tucker: TuckerModel,
+              imputed: np.ndarray, slice_means: np.ndarray | None) -> McModel:
+    """The model of a training tensor and its Tucker factors; build_mc_model
+    and load_model both end here.  Observed cells of the denoised tensor keep
+    their imputed value, every other cell takes the reconstructed one."""
     recon = tucker_reconstruct(tucker)
     if slice_means is not None:
         recon = recon + slice_means[None, :, :]
-    return recon, np.where(t.to_mask()[:, :, None], imputed, recon)
+    denoised = np.where(t.to_mask()[:, :, None], imputed, recon)
+    criteria_data = tuple(criteria_slice(t, c) for c in range(1, t.k + 1))
+    if config.sim_kind == "latent_cosine":
+        stores = (item_similarity_matrix(criteria_data[0], "latent_cosine",
+                                         model=tucker),)
+    else:
+        # each slice's observed structure with its reconstructed values,
+        # clamped: a truncated reconstruction may overshoot the scale
+        lo, hi = t.scale.min_value, t.scale.max_value
+        stores = tuple(
+            item_similarity_matrix(
+                data.with_dense_values(np.clip(recon[:, :, c], lo, hi)),
+                config.sim_kind)
+            for c, data in enumerate(criteria_data, start=1))
+    return McModel(t, config, tucker, denoised, stores, criteria_data,
+                   fit_aggregation(t))
 
 
 def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
                    config: McConfig = McConfig()) -> McModel:
     """Impute -> (center) -> HOSVD -> reconstruct -> similarities -> weights."""
     imputed = impute_tensor(t, config.impute_strategy)
-
-    if config.pca_option:
-        # center the user mode: each (item, slice) column loses its mean
-        # over users, mirroring covariance-based factor extraction; the
-        # means return after reconstruction
-        slice_means = imputed.mean(axis=0)
-        work = imputed - slice_means[None, :, :]
-    else:
-        slice_means = None
-        work = imputed
-
+    slice_means = _slice_means(imputed, config)
+    work = imputed if slice_means is None else imputed - slice_means[None, :, :]
     tucker = hosvd(work, ranks, seed=config.seed)
-    recon, denoised = _denoise(t, imputed, tucker, slice_means)
-
-    criteria_data = tuple(criteria_slice(t, c) for c in range(1, t.k + 1))
-    if config.sim_space == "latent":
-        stores = (item_similarity_matrix(criteria_data[0], "latent_cosine",
-                                         model=tucker),)
-    else:
-        stores = tuple(
-            item_similarity_matrix(
-                _reconstructed_slice_dataset(criteria_data[c - 1], recon[:, :, c]),
-                config.sim_kind,
-            )
-            for c in range(1, t.k + 1)
-        )
-
-    return McModel(t, tuple(int(r) for r in ranks), config, tucker,
-                   slice_means, denoised, stores, criteria_data,
-                   fit_aggregation(t))
+    return _assemble(t, config, tucker, imputed, slice_means)
 
 
 def _criteria_rows(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
@@ -472,7 +459,7 @@ def mc_recommend_top_n(model: McModel, user_id: str, n: int) -> list[tuple[str, 
 # ---- persistence ------------------------------------------------------------
 
 _MODEL_MAGIC = "mccf-model"
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 
 
 class ModelFormatError(ValueError):
@@ -480,32 +467,28 @@ class ModelFormatError(ValueError):
 
 
 def save_model(model: McModel, path) -> None:
-    """Versioned .npz archive of the fitted arrays.
+    """Versioned .npz archive of the training tensor, the settings and the
+    Tucker factors: all a load cannot cheaply derive again.
 
     The tensor goes in as its id arrays, the (user, item) index of every
     cell in cell_matrix() row order and cell_matrix() itself, so a load
-    keeps every index map.  The file is written through an open handle:
-    given a path, np.savez would append ".npz" to it.
-    """
+    keeps every index map.  An open handle keeps np.savez from appending
+    ".npz" to the name."""
     cfg = model.config
     spec = cfg.neighborhood
     scale = model.scale
     t = model.tensor
-    w = model.aggregation
     arrays = {
         "magic": np.array(_MODEL_MAGIC),
         "version": np.array(_SCHEMA_VERSION),
         "scale": np.array([scale.min_value, scale.max_value, scale.levels]),
         "grade_labels": np.array(scale.grade_labels or (), dtype=str),
-        "ranks": np.array(model.ranks),
-        "config": np.array(["on" if cfg.pca_option else "off", cfg.sim_space,
-                            cfg.sim_kind, cfg.impute_strategy, str(cfg.seed)]),
+        "config": np.array(["on" if cfg.pca_option else "off", cfg.sim_kind,
+                            cfg.impute_strategy, str(cfg.seed)]),
         # NaN marks an unset neighborhood bound
         "neighborhood": np.array([
             np.nan if spec.max_neighbors is None else spec.max_neighbors,
             np.nan if spec.min_similarity is None else spec.min_similarity]),
-        # intercept, the k weights, then the fallback flag as 0/1
-        "aggregation": np.array((w.intercept, *w.weights, w.fallback)),
         "user_ids": np.array(t.user_ids, dtype=str),
         "item_ids": np.array(t.item_ids, dtype=str),
         "cell_index": np.stack(np.nonzero(t.to_mask()), axis=1),
@@ -514,10 +497,7 @@ def save_model(model: McModel, path) -> None:
         "factor1": model.tucker.factors[0],
         "factor2": model.tucker.factors[1],
         "factor3": model.tucker.factors[2],
-        "similarities": np.stack([s.values for s in model.item_similarities]),
     }
-    if model.slice_means is not None:
-        arrays["slice_means"] = model.slice_means
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -534,11 +514,9 @@ def _read_archive(path) -> dict[str, np.ndarray]:
 
 
 def load_model(path) -> McModel:
-    """Rebuild a model from save_model output (same schema version only).
-
-    Only the denoised tensor and the per-criterion datasets are
-    recomputed; every other array is the saved one.
-    """
+    """Rebuild a model from save_model output (same schema version only):
+    the step build_mc_model ends with derives every array but the saved
+    ones again, so a loaded model equals the saved one bitwise."""
     a = _read_archive(path)
     if str(a.get("magic")) != _MODEL_MAGIC:
         raise ModelFormatError("not a model file")
@@ -559,44 +537,28 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     lo, hi, levels = a["scale"].tolist()
     scale = RatingScale(lo, hi, int(levels),
                         tuple(a["grade_labels"].tolist()) or None)
-    pca, sim_space, sim_kind, impute, seed = a["config"].tolist()
+    pca, sim_kind, impute, seed = a["config"].tolist()
     max_neighbors, min_similarity = a["neighborhood"].tolist()
     neighborhood = NeighborhoodSpec(
         None if np.isnan(max_neighbors) else int(max_neighbors),
-        None if np.isnan(min_similarity) else min_similarity,
-    )
-    config = McConfig(pca_option=pca == "on", sim_space=sim_space,
-                      sim_kind=sim_kind, impute_strategy=impute,
-                      neighborhood=neighborhood, seed=int(seed))
-    intercept, *weights, fallback = a["aggregation"].tolist()
-    aggregation = AggregationWeights(intercept, tuple(weights),
-                                     fallback=bool(fallback))
+        None if np.isnan(min_similarity) else min_similarity)
+    config = McConfig(pca_option=pca == "on", sim_kind=sim_kind,
+                      impute_strategy=impute, neighborhood=neighborhood,
+                      seed=int(seed))
 
-    user_ids = a["user_ids"].tolist()
-    item_ids = a["item_ids"].tolist()
     cells = a["cells"]
     index = a["cell_index"]
     if index.shape != (len(cells), 2):
         raise ValueError("cell index does not match the cells")
     # the constructor rejects out-of-range and repeated cells
-    k = aggregation.k
-    tensor = CriteriaTensor(_IndexMap(user_ids), _IndexMap(item_ids), k,
+    tensor = CriteriaTensor(_IndexMap(a["user_ids"].tolist()),
+                            _IndexMap(a["item_ids"].tolist()), cells.shape[1] - 1,
                             index[:, 0], index[:, 1], cells, scale)
 
-    tucker = TuckerModel(a["core"], (a["factor1"], a["factor2"], a["factor3"]))
-    slice_means = a["slice_means"] if config.pca_option else None
-    if slice_means is not None and slice_means.shape != (len(item_ids), k + 1):
-        raise ValueError("slice means do not match the tensor")
-    _, denoised = _denoise(tensor, impute_tensor(tensor, impute), tucker,
-                           slice_means)
-
-    sims = a["similarities"]
-    n_stores = 1 if sim_space == "latent" else k
-    if sims.shape != (n_stores, len(item_ids), len(item_ids)):
-        raise ValueError("similarity stores do not match the tensor")
-    kind = "latent_cosine" if sim_space == "latent" else sim_kind
-    stores = tuple(SimilarityStore(kind, values, tensor.item_ids)
-                   for values in sims)
-    criteria_data = tuple(criteria_slice(tensor, c) for c in range(1, k + 1))
-    return McModel(tensor, tuple(int(r) for r in a["ranks"]), config, tucker,
-                   slice_means, denoised, stores, criteria_data, aggregation)
+    # a factor with one row would broadcast over the whole mode
+    factors = (a["factor1"], a["factor2"], a["factor3"])
+    if tuple(map(len, factors)) != (tensor.n_users, tensor.n_items, tensor.k + 1):
+        raise ValueError("Tucker factors do not match the tensor")
+    imputed = impute_tensor(tensor, config.impute_strategy)
+    return _assemble(tensor, config, TuckerModel(a["core"], factors), imputed,
+                     _slice_means(imputed, config))

@@ -318,15 +318,23 @@ def _known_cells(test_recs, train: Dataset | CriteriaTensor):
     return known, users, items
 
 
+def _source_scale(source, scale: RatingScale | None) -> RatingScale:
+    """The given scale, else a tensor's own, else MovieLens 1-5."""
+    default = source.scale if isinstance(source, CriteriaTensor) else MOVIELENS_SCALE
+    return default if scale is None else scale
+
+
 def run_benchmark(source, config: BenchmarkConfig,
-                  scale: RatingScale = MOVIELENS_SCALE) -> EvalReport:
+                  scale: RatingScale | None = None) -> EvalReport:
     """Split -> similarity store on train -> predict every test pair -> metrics.
 
     ``source`` is a MovieLens file path, a record sequence or a
-    CriteriaTensor (whose overall ratings are used).  Unbounded
+    CriteriaTensor (whose overall ratings are used).  The scale defaults
+    to a tensor's own and to MovieLens 1-5 otherwise.  Unbounded
     neighborhoods predict through predict_matrix, bounded ones through the
     per-user neighborhood kernel.
     """
+    scale = _source_scale(source, scale)
     train_recs, test_recs = _split_records(
         _records(source), config.train_fraction, config.seed)
     train = Dataset.from_records(train_recs, scale)
@@ -369,10 +377,12 @@ def run_benchmark(source, config: BenchmarkConfig,
 
 
 def run_sweep(source, sims: Sequence[str], fractions: Sequence[float],
-              seed: int, scale: RatingScale = MOVIELENS_SCALE,
+              seed: int, scale: RatingScale | None = None,
               top_n: int = 10,
               relevance_threshold: float | None = None) -> list[EvalReport]:
-    """Benchmark grid: one report per (measure, fraction), fixed seed."""
+    """Benchmark grid: one report per (measure, fraction), fixed seed;
+    source and scale as for run_benchmark."""
+    scale = _source_scale(source, scale)
     records = _records(source)
     reports = []
     for fraction in fractions:
@@ -386,14 +396,16 @@ def run_sweep(source, sims: Sequence[str], fractions: Sequence[float],
 
 @dataclass(frozen=True)
 class McBenchmarkConfig:
-    """Multi-criteria benchmark: factorization ranks plus protocol knobs."""
+    """Multi-criteria benchmark: factorization ranks plus protocol knobs.
+    sim "latent" picks the latent space, any other measure the
+    reconstructed one; sim_space, if given, must name the same space."""
 
     ranks: tuple[int, int, int]
     train_fraction: float
     seed: int
     pca_option: bool = False
-    sim_space: str = "latent"
-    sim: str = "euclidean"
+    sim_space: str | None = None
+    sim: str = "latent"
     top_n: int = 10
     relevance_threshold: float | None = None
     impute_strategy: str = "item_mean"
@@ -406,13 +418,16 @@ class McBenchmarkConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
+        # McConfig rejects an unknown measure
+        latent = self.engine_config().sim_kind == "latent_cosine"
+        if self.sim_space not in (None, "latent" if latent else "reconstructed"):
+            raise ValueError(f"sim_space {self.sim_space!r} does not match "
+                             f"sim {self.sim!r}")
 
     def engine_config(self) -> McConfig:
-        sim_kind = SIM_NAME_MAP.get(self.sim, self.sim)
-        if self.sim_space == "latent":
-            sim_kind = "euclidean"  # unused placeholder; latent store rules
-        return McConfig(pca_option=self.pca_option, sim_space=self.sim_space,
-                        sim_kind=sim_kind, impute_strategy=self.impute_strategy,
+        return McConfig(pca_option=self.pca_option,
+                        sim_kind=SIM_NAME_MAP.get(self.sim, self.sim),
+                        impute_strategy=self.impute_strategy,
                         neighborhood=self.neighborhood, seed=self.seed)
 
 
@@ -463,7 +478,7 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
         test_recs, train, threshold, top_n_ids, len(known))
 
     return EvalReport(
-        sim="latent" if config.sim_space == "latent" else config.sim,
+        sim=config.sim,
         train_fraction=config.train_fraction, seed=config.seed,
         ranks=tuple(config.ranks),
         mae=mae_v, bias=bias_v, rmse=rmse_v,

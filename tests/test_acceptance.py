@@ -248,14 +248,14 @@ def test_criterion_7_multicriteria_pipeline(capsys):
     baseline = global_mean_baseline(noisy, 0.8, 5)
     noisy_rep = run_mc_benchmark(noisy, McBenchmarkConfig(
         ranks=noisy_spec.ranks, train_fraction=0.8, seed=5,
-        sim_space="reconstructed", sim="euclidean",
+        sim="euclidean",
         neighborhood=neighborhood))
     improvement = (baseline - noisy_rep.mae) / baseline
 
     clean_spec = SyntheticTensorSpec(noise_std=0.0, seed=5, **shape)
     clean_rep = run_mc_benchmark(generate_tensor(clean_spec), McBenchmarkConfig(
         ranks=clean_spec.ranks, train_fraction=0.8, seed=5,
-        sim_space="reconstructed", sim="euclidean",
+        sim="euclidean",
         neighborhood=neighborhood))
 
     source = generate_tensor(SyntheticTensorSpec(
@@ -268,7 +268,7 @@ def test_criterion_7_multicriteria_pipeline(capsys):
         sim="euclidean", train_fraction=0.8, seed=11))
     degen = run_mc_benchmark(duplicate_overall_tensor(d), McBenchmarkConfig(
         ranks=(d.n_users, d.n_items, 2), train_fraction=0.8, seed=11,
-        sim_space="reconstructed", sim="euclidean"))
+        sim="euclidean"))
     degen_gap = abs(degen.mae - plain.mae)
 
     ok = improvement >= 0.20 and clean_rep.mae <= 0.05 and degen_gap <= 1e-6

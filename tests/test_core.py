@@ -212,6 +212,10 @@ def test_tensor_basics():
 def test_tensor_wrong_arity():
     with pytest.raises(ValueError):
         CriteriaTensor.from_records(MC_RECORDS, 2, ONE_TO_FIVE)
+    # an overall rating alone is no multi-criteria cell
+    with pytest.raises(ValueError, match="k >= 1"):
+        CriteriaTensor.from_records([CriteriaRecord("a", "x", (), 3.0)], 0,
+                                    ONE_TO_FIVE)
 
 
 def test_cell_matrix_layout():

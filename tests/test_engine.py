@@ -249,13 +249,11 @@ def test_aggregate_overall_clamps_and_validates():
 
 
 def test_mc_config_validation():
-    with pytest.raises(ValueError):
-        McConfig(sim_space="projected")
-    with pytest.raises(ValueError):
-        McConfig(sim_space="reconstructed", sim_kind="latent_cosine")
-    with pytest.raises(ValueError):
-        McConfig(sim_space="reconstructed", sim_kind="dice")
-    assert McConfig().sim_space == "latent"
+    for kind in ("dice", "latent", "", "Pearson"):
+        with pytest.raises(ValueError, match="sim_kind"):
+            McConfig(sim_kind=kind)
+    assert McConfig().sim_kind == "latent_cosine"
+    assert McConfig(sim_kind="tanimoto").sim_kind == "tanimoto"
 
 
 def small_tensor(seed=50):
@@ -266,12 +264,12 @@ def small_tensor(seed=50):
 
 def test_build_mc_model_store_layout():
     t = small_tensor()
-    latent = build_mc_model(t, (2, 3, 3), McConfig(sim_space="latent", seed=1))
+    latent = build_mc_model(t, (2, 3, 3), McConfig(seed=1))
     assert len(latent.item_similarities) == 1
-    recon = build_mc_model(t, (2, 3, 3),
-                           McConfig(sim_space="reconstructed",
-                                    sim_kind="euclidean", seed=1))
+    assert latent.item_similarities[0].kind == "latent_cosine"
+    recon = build_mc_model(t, (2, 3, 3), McConfig(sim_kind="euclidean", seed=1))
     assert len(recon.item_similarities) == t.k
+    assert all(s.kind == "euclidean" for s in recon.item_similarities)
     assert len({id(s) for s in recon.item_similarities}) == t.k
 
 
@@ -331,30 +329,46 @@ def test_mc_recommend_excludes_training_cells():
     assert mc_recommend_top_n(model, "ghost", 5) == []
 
 
+MODEL_KEYS = {"magic", "version", "scale", "grade_labels", "config",
+              "neighborhood", "user_ids", "item_ids", "cell_index", "cells",
+              "core", "factor1", "factor2", "factor3"}
+
+
 def test_save_load_roundtrip(tmp_path):
+    # both similarity spaces, with and without the PCA centering
     t = small_tensor(57)
-    for config in (McConfig(seed=9),
-                   McConfig(sim_space="reconstructed", sim_kind="pearson",
-                            pca_option=True, seed=9,
-                            neighborhood=NeighborhoodSpec(max_neighbors=4))):
-        model = build_mc_model(t, (2, 3, 3), config)
-        p = tmp_path / "model.txt"
-        save_model(model, p)
-        back = load_model(p)
-        assert back.ranks == model.ranks
-        assert back.config == model.config
-        assert back.aggregation == model.aggregation
-        assert back.tensor.user_ids == model.tensor.user_ids
-        assert back.tensor.item_ids == model.tensor.item_ids
-        assert back.tensor.n_cells == model.tensor.n_cells
-        assert len(back.item_similarities) == len(model.item_similarities)
-        for a, b in zip(back.item_similarities, model.item_similarities):
-            assert np.array_equal(a.values, b.values, equal_nan=True)
-        for uid in t.user_ids[:4]:
-            for iid in t.item_ids[:4]:
-                a = predict_overall(model, uid, iid)
-                b = predict_overall(back, uid, iid)
-                assert (a is None and b is None) or a == b
+    for sim_kind in ("latent_cosine", "pearson"):
+        for pca_option in (False, True):
+            config = McConfig(sim_kind=sim_kind, pca_option=pca_option, seed=9,
+                              neighborhood=NeighborhoodSpec(max_neighbors=4))
+            _assert_roundtrip(build_mc_model(t, (2, 3, 3), config),
+                              tmp_path / "model.txt")
+
+
+def _assert_roundtrip(model, path):
+    save_model(model, path)
+    with np.load(path, allow_pickle=False) as archive:
+        assert set(archive.files) == MODEL_KEYS
+    back = load_model(path)
+    assert back.ranks == model.ranks == (2, 3, 3)
+    assert back.config == model.config
+    assert back.aggregation == model.aggregation
+    t = model.tensor
+    assert back.tensor.user_ids == t.user_ids
+    assert back.tensor.item_ids == t.item_ids
+    assert np.array_equal(back.tensor.cell_matrix(), t.cell_matrix())
+    assert np.array_equal(back.denoised, model.denoised)
+    assert len(back.item_similarities) == len(model.item_similarities)
+    for a, b in zip(back.item_similarities, model.item_similarities):
+        assert a.kind == b.kind
+        assert np.array_equal(a.values, b.values, equal_nan=True)
+    for a, b in zip(back.criteria_data, model.criteria_data):
+        assert np.array_equal(a.to_dense(), b.to_dense(), equal_nan=True)
+    for uid in t.user_ids:
+        for iid in t.item_ids:
+            assert np.array_equal(predict_criteria(back, uid, iid),
+                                  predict_criteria(model, uid, iid))
+        assert mc_recommend_top_n(back, uid, 5) == mc_recommend_top_n(model, uid, 5)
 
 
 def test_save_load_keeps_id_maps(tmp_path):
@@ -411,13 +425,15 @@ def test_load_rejects_corrupt_file(tmp_path):
     # truncated archives
     assert_rejected(raw[:len(raw) // 2])
     assert_rejected(raw[:-1])
-    # header, every key, then the cells and stores against the id maps
+    # header, every key, then the cells and factors against the id maps
     assert_rejected(magic=np.array("not-a-model"))
     assert_rejected(version=np.array(1))
-    assert_rejected(version=np.array(3))
-    assert_rejected(version=np.array(2.0))
-    assert_rejected(version=np.array("2"))
-    assert_rejected(version=np.array([2]))
+    assert_rejected(version=np.array(2))
+    assert_rejected(version=np.array(4))
+    assert_rejected(version=np.array(3.0))
+    assert_rejected(version=np.array("3"))
+    assert_rejected(version=np.array([3]))
+    assert set(good) == MODEL_KEYS
     for key in good:
         assert_rejected(**{key: None})
     for row, col, value in ((0, 0, t.n_users), (0, 1, t.n_items),
@@ -426,26 +442,19 @@ def test_load_rejects_corrupt_file(tmp_path):
         index[row, col] = value
         assert_rejected(cell_index=index)
     assert_rejected(cell_index=good["cell_index"][1:])
-    assert_rejected(similarities=good["similarities"][:, 1:])
     # a cell listed twice, which would hide the cell it overwrote
     index = good["cell_index"].copy()
     index[1] = index[0]
     assert_rejected(cell_index=index)
-    # stores that are not symmetric, or define an item's own similarity
-    sims = good["similarities"].copy()
-    sims[0, 0, 1] = 2.0
-    assert_rejected(similarities=sims)
-    sims = good["similarities"].copy()
-    sims[0, 3, 3] = 1.0
-    assert_rejected(similarities=sims)
-    # slice means of one item would broadcast over every item; from here
-    # on assert_rejected changes the arrays of a centered model
-    save_model(build_mc_model(t, (2, 3, 3), McConfig(pca_option=True, seed=10)), p)
-    good = dict(np.load(p, allow_pickle=False))
-    load_model(p)
-    assert_rejected(slice_means=None)
-    assert_rejected(slice_means=good["slice_means"][:1])
-    assert_rejected(slice_means=good["slice_means"][:, 1:])
+    assert_rejected(config=np.array(["off", "dice", "item_mean", "10"]))
+    # factors of another tensor shape, or of other ranks than the core's;
+    # one user row would otherwise broadcast over every user
+    assert_rejected(factor1=good["factor1"][:1])
+    assert_rejected(factor2=good["factor2"][1:])
+    assert_rejected(factor3=good["factor3"][:, :1])
+    assert_rejected(core=good["core"][:1])
+    # cells without criteria, even with a matching mode-3 factor
+    assert_rejected(cells=good["cells"][:, :1], factor3=good["factor3"][:1])
 
 
 def test_hosvd_budget_checked_before_any_dense_copy(monkeypatch):
@@ -471,8 +480,7 @@ def test_degenerate_single_criterion_matches_plain_cf():
     d = random_dataset(59, n_users=15, n_items=10, fill=0.8)
     t = duplicate_overall_tensor(d)
     ranks = (t.n_users, t.n_items, 2)
-    model = build_mc_model(t, ranks, McConfig(sim_space="reconstructed",
-                                              sim_kind="euclidean", seed=0))
+    model = build_mc_model(t, ranks, McConfig(sim_kind="euclidean", seed=0))
     store = item_similarity_matrix(overall_slice(t), "euclidean")
     spec = NeighborhoodSpec()
     for uid in t.user_ids:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mccf.core import RatingScale
+from mccf.core import CriteriaRecord, CriteriaTensor, RatingScale
 from mccf.evaluation import (
     BenchmarkConfig,
     EvalReport,
@@ -205,6 +205,34 @@ def mc_tensor(seed=64, noise=0.1):
         noise_std=noise, seed=seed))
 
 
+def test_mc_benchmark_config_sim_picks_the_space():
+    def config(**kw):
+        return McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8, seed=3,
+                                 neighborhood=NeighborhoodSpec(max_neighbors=3),
+                                 **kw)
+
+    # rejected at construction, before any split or tensor build
+    for kw in (dict(sim="dice"), dict(sim="Pearson"),
+               dict(sim_space="reconstructed", sim="latent"),
+               dict(sim_space="reconstructed"),
+               dict(sim_space="latent", sim="pearson"),
+               dict(sim_space="projected", sim="pearson")):
+        with pytest.raises(ValueError):
+            config(**kw)
+    assert config().engine_config().sim_kind == "latent_cosine"
+    assert config(sim_space="latent").engine_config() == config().engine_config()
+    t = mc_tensor()
+    latent = run_mc_benchmark(t, config())
+    assert latent.sim == "latent"
+    assert run_mc_benchmark(t, config(sim_space="latent")) == latent
+    # any other measure is the reconstructed space, named in the report
+    tanimoto = run_mc_benchmark(t, config(sim="tanimoto"))
+    assert tanimoto.sim == "tanimoto"
+    assert tanimoto.mae != latent.mae
+    assert run_mc_benchmark(
+        t, config(sim="tanimoto", sim_space="reconstructed")) == tanimoto
+
+
 def test_run_mc_benchmark_report():
     t = mc_tensor()
     config = McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8, seed=3,
@@ -284,6 +312,17 @@ def test_every_source_form_gives_the_same_reports(tmp_path):
     assert run_benchmark(t, config).to_text() == \
         run_benchmark(mc_records, config).to_text()
 
+    # a tensor brings its own scale: 1-5 mapped onto the 13-level ladder
+    letter = CriteriaTensor.from_records(
+        [CriteriaRecord(r.user_id, r.item_id,
+                        tuple(3 * c - 2 for c in r.criteria), 3 * r.overall - 2)
+         for r in mc_records], t.k, RatingScale.letter_13())
+    assert run_benchmark(letter, config).to_text() == \
+        run_benchmark(letter, config, letter.scale).to_text()
+    assert [r.to_text() for r in run_sweep(letter, ("tanimoto",), (0.7,), 4)] \
+        == [r.to_text() for r in run_sweep(letter, ("tanimoto",), (0.7,), 4,
+                                           scale=letter.scale)]
+
 
 def test_degenerate_tensor_matches_single_criterion_harness():
     records = bench_records(67, noise=0.3)
@@ -294,7 +333,7 @@ def test_degenerate_tensor_matches_single_criterion_harness():
         sim="euclidean", train_fraction=0.8, seed=11))
     mc = run_mc_benchmark(t, McBenchmarkConfig(
         ranks=(d.n_users, d.n_items, 2), train_fraction=0.8, seed=11,
-        sim_space="reconstructed", sim="euclidean"))
+        sim="euclidean"))
     assert mc.pair_count == plain.pair_count
     assert mc.mae == pytest.approx(plain.mae, abs=1e-6)
     assert mc.rmse == pytest.approx(plain.rmse, abs=1e-6)

@@ -140,13 +140,13 @@ def _mc_model(kind, spec):
     """A latent or reconstructed model of a sparse tensor; "latent-tied"
     is the latent model with its shared store in quarter steps."""
     t = _sparse_tensor(73)
-    space = "reconstructed" if kind == "reconstructed" else "latent"
+    sim_kind = "pearson" if kind == "reconstructed" else "latent_cosine"
     m = build_mc_model(t, (3, 4, 3), McConfig(
-        sim_space=space, sim_kind="pearson", neighborhood=spec, seed=2))
+        sim_kind=sim_kind, neighborhood=spec, seed=2))
     if kind != "latent-tied":
         return m
-    return McModel(m.tensor, m.ranks, m.config, m.tucker, m.slice_means,
-                   m.denoised, (_quarter_steps(m.item_similarities[0]),),
+    return McModel(m.tensor, m.config, m.tucker, m.denoised,
+                   (_quarter_steps(m.item_similarities[0]),),
                    m.criteria_data, m.aggregation)
 
 
