@@ -105,21 +105,43 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
 
     Every value is bitwise what a one-item-at-a-time loop gives, because
     the summation order is the same: ascending item index, or descending
-    similarity (stable) where the cap cut the row.  Rows are grouped by
-    neighbor count so each group is one np.vecdot over a contiguous
-    (rows, c, count) block: the same BLAS ddot as a 1-D dot product.
+    similarity (stable) where the cap cut the row.  Rows are ordered by
+    neighbor count.  The cut rows form one (rows, k) block and the uncut
+    rows one contiguous block per count; each block is one np.vecdot,
+    the same BLAS ddot as a 1-D dot product.
     """
-    # the store is symmetric: read the side with fewer rows
-    w = (sims.values[items][:, rated] if len(items) <= len(rated)
-         else sims.values[rated][:, items].T)
+    n, m = len(items), len(rated)
+    # the store is symmetric: gather from the side with fewer rows
+    w = (sims.values[items[:, None], rated] if n <= m
+         else sims.values[rated].T[items])
     keep = _keep_mask(w, spec)
     count = keep.sum(axis=1)
+    # rows without neighbors, then uncut rows, then cut ones, by count
+    order = count.argsort(kind="stable")
+    sizes = count[order]
     k = spec.max_neighbors
-    cut = count > k if k is not None else np.zeros(count.shape, dtype=bool)
-    if cut.any():
-        # keep the weights at or above the k-th largest kept one
-        wc = np.where(keep[cut], w[cut], -np.inf)
-        kth = np.partition(wc, -k, axis=1)[:, -k, None]
+    lo = int(sizes.searchsorted(1))
+    hi = n if k is None else int(sizes.searchsorted(k, "right"))
+    blocks = []     # (rows, weights, rated positions), each (len(rows), g)
+    if lo < hi:
+        rows, sizes = order[lo:hi], sizes[lo:hi]
+        flat = keep[rows].ravel().nonzero()[0]
+        cols = flat - np.arange(0, len(rows) * m, m).repeat(sizes)
+        kw = w.take(rows, axis=0).ravel().take(flat)
+        per = np.bincount(sizes)
+        a = start = 0
+        for g in per.nonzero()[0].tolist():
+            b, end = a + int(per[g]), start + int(per[g]) * g
+            blocks.append((rows[a:b], kw[start:end].reshape(-1, g),
+                           cols[start:end].reshape(-1, g)))
+            a, start = b, end
+    if hi < n:
+        # sorted negated rows (NaN last) lead with the k largest weights:
+        # keep those at or above the k-th, summed in descending order
+        cut = order[hi:]
+        wc = w[cut]
+        s = np.sort(-wc, axis=1)
+        kth = -s[:, k - 1, None]
         sel = wc >= kth
         tied = (sel.sum(axis=1) > k).nonzero()[0]
         if tied.size:
@@ -127,26 +149,17 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
             ties = wc[tied] == kth[tied]
             room = k - (wc[tied] > kth[tied]).sum(axis=1, keepdims=True)
             sel[tied] &= ~ties | (ties.cumsum(axis=1) <= room)
-        keep[cut] = sel
+        flat = sel.ravel().nonzero()[0]
+        cols = flat - np.arange(0, len(cut) * m, m).repeat(k)
+        by_weight = (-wc.ravel().take(flat)).reshape(-1, k).argsort(
+            axis=1, kind="stable") + np.arange(0, flat.size, k)[:, None]
+        blocks.append((cut, -s[:, :k], cols.take(by_weight)))
         count[cut] = k
-    kept_w = w[keep]
-    kept_r = ratings[keep.nonzero()[1]]
-    start = count.cumsum() - count
-
-    values = np.full((len(items), ratings.shape[1]), np.nan)
-    for g, idx in _groups(np.where(cut, -1, count)):   # cut rows: group -1
-        if g == 0:
-            continue
-        first = start[idx, None]
-        pos = first + np.arange(k if g < 0 else g)
-        if g < 0:
-            pos = first + (-kept_w[pos]).argsort(axis=1, kind="stable")
-        gw = kept_w[pos]
-        denom = np.abs(gw).sum(axis=1)
-        # a NaN denominator leaves the row NaN, without a warning
-        denom[denom < DENOM_EPS] = np.nan
-        gr = np.ascontiguousarray(kept_r[pos].transpose(0, 2, 1))
-        values[idx] = np.vecdot(gw[:, None], gr) / denom[:, None]
+    values = np.full((n, ratings.shape[1]), np.nan)
+    for rows, gw, at in blocks:
+        den = np.abs(gw).sum(axis=1)
+        den[den < DENOM_EPS] = np.nan    # the row stays NaN, without a warning
+        values[rows] = (np.vecdot(gw, ratings.T.take(at, axis=1)) / den).T
     return values, np.where(np.isnan(values[:, 0]), 0, count)
 
 

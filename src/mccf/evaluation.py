@@ -414,19 +414,16 @@ class McBenchmarkConfig:
     def __post_init__(self) -> None:
         if len(self.ranks) != 3 or any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be three positive integers")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        # McConfig rejects an unknown measure
-        latent = self.engine_config().sim_kind == "latent_cosine"
+        # the fields shared with BenchmarkConfig pass its checks
+        BenchmarkConfig(self.sim, self.train_fraction, self.seed, self.top_n)
+        latent = self.sim == "latent"
         if self.sim_space not in (None, "latent" if latent else "reconstructed"):
             raise ValueError(f"sim_space {self.sim_space!r} does not match "
                              f"sim {self.sim!r}")
 
     def engine_config(self) -> McConfig:
         return McConfig(pca_option=self.pca_option,
-                        sim_kind=SIM_NAME_MAP.get(self.sim, self.sim),
+                        sim_kind=SIM_NAME_MAP[self.sim],
                         impute_strategy=self.impute_strategy,
                         neighborhood=self.neighborhood, seed=self.seed)
 

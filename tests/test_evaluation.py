@@ -233,6 +233,22 @@ def test_mc_benchmark_config_sim_picks_the_space():
         t, config(sim="tanimoto", sim_space="reconstructed")) == tanimoto
 
 
+def test_mc_benchmark_config_takes_one_name_per_measure():
+    """Similarity-kind names are not measure names: sim takes the
+    SIM_NAME_MAP keys only, with BenchmarkConfig's error."""
+    for kind, name in (("latent_cosine", "latent"),
+                       ("adjusted_cosine", "adjusted-cosine")):
+        with pytest.raises(ValueError) as mc_error:
+            McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8, seed=3,
+                              sim=kind)
+        with pytest.raises(ValueError) as plain_error:
+            BenchmarkConfig(sim=kind, train_fraction=0.8, seed=3)
+        assert str(mc_error.value) == str(plain_error.value)
+        config = McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8,
+                                   seed=3, sim=name)
+        assert config.engine_config().sim_kind == kind
+
+
 def test_run_mc_benchmark_report():
     t = mc_tensor()
     config = McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8, seed=3,

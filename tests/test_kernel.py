@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_from_dense
-from mccf.core import CriteriaTensor
+from mccf.core import CriteriaTensor, RatingScale
 from mccf.engine import (
     McConfig,
     McModel,
     NeighborhoodSpec,
+    _keep_mask,
     _neighborhood,
     batch_predict,
     build_mc_model,
@@ -220,3 +221,55 @@ def test_kernel_columns_match_loop(seed, c, k, threshold):
                 assert np.isnan(got[p, j]) and support[p] == 0
             else:
                 assert (d.scale.clamp(got[p, j]), support[p]) == expect
+
+
+@pytest.fixture(scope="module")
+def wide_store():
+    """300 items in steps of 1/3, biased positive so rows keep dozens of
+    neighbors, with a fifth of the pairs undefined.  Thirds are inexact in
+    binary, so a sum in another order changes bits."""
+    rng = np.random.default_rng(74)
+    n = 300
+    upper = np.triu(rng.integers(-2, 4, (n, n)) / 3, 1)
+    values = upper + upper.T
+    undefined = np.triu(rng.random((n, n)) < 0.2, 1)
+    values[undefined | undefined.T] = np.nan
+    np.fill_diagonal(values, np.nan)
+    return SimilarityStore("pearson", values, tuple(f"i{i}" for i in range(n)))
+
+
+@pytest.mark.parametrize("c", [1, 4])
+@pytest.mark.parametrize("threshold", [None, -1.0])
+@pytest.mark.parametrize("k", [30, None])
+def test_wide_blocks_match_loop(wide_store, k, threshold, c):
+    """Rows with dozens of kept neighbors, cut at k=30 with many ties at
+    the cap, give the loop's values bitwise.  The user with 40 rated items
+    is scored on more items than it rated and the one with 200 on fewer,
+    so both gather orientations run; the scale is wide enough that no
+    value is clamped."""
+    n = len(wide_store.item_ids)
+    spec = NeighborhoodSpec(k, threshold)
+    unclamped = RatingScale(-1e300, 1e300, 2)
+    rng = np.random.default_rng(75)
+    tie_cuts = 0
+    for n_rated in (40, 200):
+        rated = np.sort(rng.permutation(n)[:n_rated])
+        items = np.setdiff1d(np.arange(n), rated)
+        ratings = rng.integers(1, 6, (n_rated, c)).astype(float)
+        got, support = _neighborhood(wide_store, rated, ratings, items, spec)
+        for j in range(c):
+            row = np.full((1, n), np.nan)
+            row[0, rated] = ratings[:, j]
+            d = dataset_from_dense(row, unclamped)
+            for p, i in enumerate(items.tolist()):
+                expect = loop_predict(d, wide_store, 0, i, spec)
+                if expect is None:
+                    assert np.isnan(got[p, j]) and support[p] == 0
+                else:
+                    assert (got[p, j], support[p]) == expect, (n_rated, i, j)
+        w = wide_store.values[np.ix_(items, rated)]
+        best = -np.sort(-np.where(_keep_mask(w, spec), w, -np.inf), axis=1)
+        # the 30th and 31st best kept weights tie: a cap of 30 splits a tie
+        tie_cuts += int(((best[:, 30] == best[:, 29])
+                         & (best[:, 30] > -np.inf)).sum())
+    assert tie_cuts > 50
