@@ -58,7 +58,8 @@ from .ingest import (
     write_movielens,
     write_multicriteria,
 )
-from .linalg import hosvd, impute_missing, pca, truncated_svd
+from .linalg import (check_cell_budget, hosvd, impute_missing, pca,
+                     truncated_svd)
 
 SIM_CHOICES = tuple(SIM_NAME_MAP)
 TABLE_SIMS = ("pearson", "euclidean", "loglikelihood", "tanimoto")
@@ -327,6 +328,7 @@ def _cmd_decompose(args) -> int:
                   "factor1": model.factors[0], "factor2": model.factors[1],
                   "factor3": model.factors[2]}
     else:
+        check_cell_budget(data.n_users * data.n_items)
         imputed = impute_missing(data.to_dense(), "item_mean")
         rank = args.ranks[0]
         if rank > min(imputed.shape):

@@ -229,18 +229,19 @@ class _Cells:
 
     # ---- dense views -------------------------------------------------------
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self, dtype=np.float64) -> np.ndarray:
         """users x items array of the values (users x items x width for
         vector cells); NaN fills every cell not stored."""
         out = np.full((self.n_users, self.n_items) + self._values.shape[1:],
-                      np.nan, dtype=np.float64)
+                      np.nan, dtype=dtype)
         out[self._u_idx, self._i_idx] = self._values
         return out
 
-    def to_mask(self) -> np.ndarray:
-        """Boolean user x item matrix of stored cells."""
-        out = np.zeros((self.n_users, self.n_items), dtype=bool)
-        out[self._u_idx, self._i_idx] = True
+    def to_mask(self, dtype=bool) -> np.ndarray:
+        """user x item matrix of stored cells: True (1) where a cell is
+        stored, False (0) elsewhere."""
+        out = np.zeros((self.n_users, self.n_items), dtype=dtype)
+        out[self._u_idx, self._i_idx] = 1
         return out
 
 
@@ -275,6 +276,11 @@ class Dataset(_Cells):
     @property
     def n_ratings(self) -> int:
         return len(self._values)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The stored ratings, user-major (read-only)."""
+        return self._values
 
     items_of = _Cells._row      # (item indices, ratings) of one user
 

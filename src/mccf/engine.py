@@ -37,6 +37,7 @@ from .linalg import (TuckerModel, check_cell_budget, hosvd, impute_missing,
 from .similarity import (
     SIMILARITY_KINDS,
     SimilarityStore,
+    check_store_budget,
     item_similarity_matrix,
 )
 
@@ -211,19 +212,21 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
     Only valid for unbounded neighborhoods, where the weighted sums reduce
     to two matrix products over the full similarity matrix.  The products
     sum in another order than the neighborhood kernel, so values agree
-    with predict_single to rounding, not bitwise.
+    with predict_single to rounding, not bitwise.  Over-budget data is
+    rejected as by item_similarity_matrix.
     """
     if spec.max_neighbors is not None:
         raise ValueError("predict_matrix requires an unbounded neighborhood")
+    check_store_budget(d)
     s = np.where(_keep_mask(sims.values, spec), sims.values, 0.0)
-    b = d.to_mask().astype(np.float64)
-    r = np.nan_to_num(d.to_dense(), nan=0.0)
-    num = r @ s     # r is 0 wherever b is, so r carries the mask
-    den = b @ np.abs(s)
-    out = np.full_like(num, np.nan)
+    # the ratings are 0 off the mask, so they carry it; one unblocked
+    # product, since blocking it changes bits
+    num = np.nan_to_num(d.to_dense(), nan=0.0, copy=False) @ s
+    den = d.to_mask(np.float64) @ np.abs(s, out=s)
     good = den >= DENOM_EPS
-    out[good] = num[good] / den[good]
-    return np.clip(out, d.scale.min_value, d.scale.max_value)
+    np.divide(num, den, out=num, where=good)
+    num[~good] = np.nan
+    return np.clip(num, d.scale.min_value, d.scale.max_value, out=num)
 
 
 def batch_predict(d: Dataset, sims: SimilarityStore,

@@ -41,7 +41,7 @@ from .engine import (
 )
 from .ingest import MOVIELENS_SCALE, SplitSpec, parse_movielens, split_train_test
 from .linalg import impute_missing, truncated_svd
-from .similarity import item_similarity_matrix
+from .similarity import check_store_budget, item_similarity_matrix
 
 # CLI-facing measure names -> similarity-module kinds
 SIM_NAME_MAP = {
@@ -239,6 +239,7 @@ def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
     kind = SIM_NAME_MAP[sim]
     if kind != "latent_cosine":
         return item_similarity_matrix(train, kind)
+    check_store_budget(train)
     rank = min(latent_rank, train.n_users, train.n_items)
     imputed = impute_missing(train.to_dense(), "item_mean")
     model = truncated_svd(imputed, rank, seed=seed)

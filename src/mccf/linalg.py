@@ -238,14 +238,16 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     return mode_refold(m @ mode_unfold(t, mode), mode, tuple(dims))
 
 
-# Largest tensor, in cells, that hosvd factors densely in memory.
-HOSVD_CELL_BUDGET = 2e8
+# Most cells the dense arrays of one step may hold: the tensor hosvd
+# factors, or a plain dataset's users x items ratings plus its items x items
+# similarity store.  2e8 float64 cells are 1.6 GB.
+DENSE_CELL_BUDGET = 2e8
 
 
 def check_cell_budget(cells: int) -> None:
-    if cells > HOSVD_CELL_BUDGET:
-        raise ValueError(f"tensor has {cells} cells, above the "
-                         f"{HOSVD_CELL_BUDGET:.0f}-cell budget")
+    if cells > DENSE_CELL_BUDGET:
+        raise ValueError(f"dense arrays need {cells} cells, above the "
+                         f"{DENSE_CELL_BUDGET:.0f}-cell budget")
 
 
 def hosvd(t: np.ndarray, ranks: tuple[int, int, int], *,
@@ -254,7 +256,7 @@ def hosvd(t: np.ndarray, ranks: tuple[int, int, int], *,
 
     Factor s holds the top-r_s left singular vectors of the mode-s
     unfolding, from truncated_svd with seed + s; the core is the tensor
-    multiplied by every factor transpose.  Tensors above HOSVD_CELL_BUDGET
+    multiplied by every factor transpose.  Tensors above DENSE_CELL_BUDGET
     cells are rejected as too large to factor densely in memory.
     """
     t = np.asarray(t, dtype=np.float64)

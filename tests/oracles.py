@@ -2,9 +2,12 @@
 
 The per-pair similarity measures compute one item pair at a time from the
 ratings of the users who rated both items; item_similarity_matrix must give
-the same numbers for all pairs at once.  loop_predict is the per-pair
-neighborhood loop the engine's kernel must match bitwise.  An undefined
-similarity is None here and NaN inside a store.
+the same numbers for all pairs at once.  whole_matrix_similarity and
+whole_matrix_predictions are the plain float64 whole-matrix builds that
+item_similarity_matrix and predict_matrix must match bit for bit.
+loop_predict is the per-pair neighborhood loop the engine's kernel must
+match bitwise.  An undefined similarity is None here and NaN inside a
+store.
 
 The small helpers read stores, models and datasets the way the tests need
 to, through nothing but their public arrays.
@@ -17,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mccf.engine import DENOM_EPS
-from mccf.similarity import _VAR_EPS
+from mccf.engine import DENOM_EPS, _keep_mask
+from mccf.similarity import RATING_KINDS, _VAR_EPS
 
 
 # ---- access helpers --------------------------------------------------------
@@ -176,6 +179,91 @@ def _row_cosine(vectors: np.ndarray, i: int, j: int) -> float | None:
     if ni <= _VAR_EPS or nj <= _VAR_EPS:
         return None
     return float(np.clip((vi @ vj) / math.sqrt(ni * nj), -1.0, 1.0))
+
+
+# ---- whole-matrix float64 builds -------------------------------------------
+
+
+def symmetrize(s: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle onto the lower so sim(i,j) == sim(j,i)
+    bit-for-bit, and blank the diagonal."""
+    out = np.triu(s, 1)
+    out = out + out.T
+    np.fill_diagonal(out, np.nan)
+    return out
+
+
+def whole_matrix_similarity(d, kind: str) -> np.ndarray:
+    """Store values of a rating or set kind from float64 Gram products of
+    the whole users x items matrix."""
+    r = np.nan_to_num(d.to_dense(), nan=0.0)
+    b = d.to_mask().astype(np.float64)
+    n_co = b.T @ b                       # co-rater counts
+    low = n_co < (2 if kind in RATING_KINDS else 1)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if kind in ("pearson", "euclidean", "cosine"):
+            sxy = r.T @ r
+            sx = r.T @ b                 # sum of item-i ratings over co-raters
+            sxx = (r * r).T @ b
+            if kind == "pearson":
+                cov = sxy - sx * sx.T / n_co
+                vx = sxx - sx * sx / n_co
+                vy = vx.T
+                sims = cov / np.sqrt(vx * vy)
+                sims[(vx <= _VAR_EPS) | (vy <= _VAR_EPS)] = np.nan
+                sims = np.clip(sims, -1.0, 1.0)
+            elif kind == "cosine":
+                sims = np.clip(sxy / np.sqrt(sxx * sxx.T), -1.0, 1.0)
+                sims[(sxx <= _VAR_EPS) | (sxx.T <= _VAR_EPS)] = np.nan
+            else:
+                d2 = np.sqrt(np.clip(sxx + sxx.T - 2.0 * sxy, 0.0, None))
+                sims = 1.0 / (1.0 + d2 / np.sqrt(n_co))
+        elif kind == "adjusted_cosine":
+            rc = np.where(b > 0, r - d.user_means()[:, None], 0.0)
+            num = rc.T @ rc
+            nx = (rc * rc).T @ b
+            sims = np.clip(num / np.sqrt(nx * nx.T), -1.0, 1.0)
+            sims[(nx <= _VAR_EPS) | (nx.T <= _VAR_EPS)] = np.nan
+        elif kind == "tanimoto":
+            counts = b.sum(axis=0)
+            union = counts[:, None] + counts[None, :] - n_co
+            sims = np.where(union > 0, n_co / np.where(union > 0, union, 1.0), 0.0)
+        else:  # loglikelihood
+            counts = b.sum(axis=0)
+            n = float(d.n_users)
+            k11 = n_co
+            k12 = counts[:, None] - k11
+            k21 = counts[None, :] - k11
+            k22 = n - (counts[:, None] + counts[None, :] - k11)
+            llr = np.zeros_like(k11)
+            rows1 = k11 + k12
+            cols1 = k11 + k21
+            for kk, rr, cc in ((k11, rows1, cols1), (k12, rows1, n - cols1),
+                               (k21, n - rows1, cols1), (k22, n - rows1, n - cols1)):
+                term = np.zeros_like(kk)
+                good = kk > 0
+                term[good] = kk[good] * np.log(kk[good] * n / (rr * cc)[good])
+                llr += term
+            llr = np.clip(2.0 * llr, 0.0, None)
+            sims = 1.0 - 1.0 / (1.0 + llr)
+
+    sims[low] = np.nan
+    return symmetrize(sims)
+
+
+def whole_matrix_predictions(d, sims, spec) -> np.ndarray:
+    """All (user, item) predictions of an unbounded neighborhood from two
+    whole-matrix products, with a fresh array for every step."""
+    s = np.where(_keep_mask(sims.values, spec), sims.values, 0.0)
+    b = d.to_mask().astype(np.float64)
+    r = np.nan_to_num(d.to_dense(), nan=0.0)
+    num = r @ s
+    den = b @ np.abs(s)
+    out = np.full_like(num, np.nan)
+    good = den >= DENOM_EPS
+    out[good] = num[good] / den[good]
+    return np.clip(out, d.scale.min_value, d.scale.max_value)
 
 
 # ---- per-pair neighborhood loop -------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mccf.cli import _check_flags, build_parser, main
-from mccf.core import CriteriaTensor, RatingRecord
+from mccf.core import CriteriaTensor, Dataset, RatingRecord
 from mccf.ingest import parse_movielens, write_movielens, write_multicriteria
 from mccf.synth import SyntheticTensorSpec, generate_tensor
 
@@ -260,6 +260,28 @@ def test_over_budget_tensor_exits_before_dense_copy(tmp_path, monkeypatch,
     for verb in (["decompose", "--output", str(tmp_path / "out.npz")],
                  ["recommend", "--user", "u0"],
                  ["mc-evaluate", "--train-fraction", "0.9"]):
+        code, _, err = run(verb[:1] + common + verb[1:], capsys)
+        assert code == 2 and "budget" in err, (verb, err)
+
+
+def test_over_budget_ratings_exit_before_dense_copy(tmp_path, monkeypatch,
+                                                    capsys):
+    # 15,000 users x 15,000 items: even the 70% training split's ratings
+    # plus its item x item store are above the dense cell budget
+    path = tmp_path / "diagonal.data"
+    path.write_text("".join(f"u{x}\ti{x}\t3\t0\n" for x in range(15_000)))
+
+    def dense_copy(*args, **kwargs):
+        raise AssertionError("dense copy made before the budget check")
+
+    monkeypatch.setattr(Dataset, "to_dense", dense_copy)
+    monkeypatch.setattr(Dataset, "to_mask", dense_copy)
+    common = ["--input", str(path), "--seed", "1"]
+    for verb in (["evaluate", "--sim", "pearson"],
+                 ["recommend", "--user", "u0"],
+                 ["recommend", "--user", "u0", "--sim", "latent"],
+                 ["decompose", "--ranks", "2", "--output",
+                  str(tmp_path / "out.npz")]):
         code, _, err = run(verb[:1] + common + verb[1:], capsys)
         assert code == 2 and "budget" in err, (verb, err)
 

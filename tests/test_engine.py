@@ -25,7 +25,7 @@ from mccf.engine import (
 )
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
-from oracles import sim
+from oracles import sim, whole_matrix_predictions
 
 NAN = np.nan
 
@@ -91,6 +91,18 @@ def test_predict_matrix_matches_per_pair():
                 assert pm[u, i] == pytest.approx(got.value, abs=1e-10)
     with pytest.raises(ValueError):
         predict_matrix(d, store, NeighborhoodSpec(max_neighbors=5))
+
+
+def test_predict_matrix_is_bitwise_the_whole_matrix_build():
+    d = random_dataset(34, n_users=40, n_items=25, fill=0.3)
+    for kind, spec in (("pearson", NeighborhoodSpec()),
+                       ("euclidean", NeighborhoodSpec(min_similarity=0.3))):
+        store = item_similarity_matrix(d, kind)
+        before = store.values.copy()
+        got = predict_matrix(d, store, spec)
+        expect = whole_matrix_predictions(d, store, spec)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+        assert np.array_equal(store.values, before, equal_nan=True)
 
 
 def test_batch_predict_both_paths():

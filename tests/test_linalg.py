@@ -271,7 +271,7 @@ def test_hosvd_validation(monkeypatch):
         hosvd(t, (0, 1, 1))
     with pytest.raises(ValueError):
         hosvd(t, (4, 1, 1))
-    monkeypatch.setattr("mccf.linalg.HOSVD_CELL_BUDGET", 10)
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", 10)
     with pytest.raises(ValueError, match="budget"):
         hosvd(t, (1, 1, 1))
 

@@ -8,10 +8,14 @@ from conftest import DESK_MATRIX, dataset_from_dense, random_dataset
 from mccf.core import RatingScale
 from mccf.linalg import FactorModel, truncated_svd
 from mccf.similarity import (
+    _BLOCK,
+    _VAR_EPS,
     RATING_KINDS,
     SET_KINDS,
     SIMILARITY_KINDS,
     SimilarityStore,
+    _float32_exact,
+    _mirror_upper,
     item_similarity_matrix,
 )
 from oracles import (
@@ -24,7 +28,9 @@ from oracles import (
     loglikelihood,
     pearson,
     sim,
+    symmetrize,
     tanimoto,
+    whole_matrix_similarity,
 )
 
 NAN = np.nan
@@ -326,3 +332,86 @@ def test_user_order_invariance(seed):
         a = item_similarity_matrix(d, kind).values
         b = item_similarity_matrix(flipped, kind).values
         assert np.allclose(a, b, atol=1e-12, equal_nan=True)
+
+
+def assert_same_bits(got: np.ndarray, expect: np.ndarray) -> None:
+    assert got.shape == expect.shape
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def _wide_dataset(seed: int, continuous: bool):
+    """40 users over more than two item blocks, the last one ragged, with
+    unrated items and constant columns.  Continuous values add columns
+    whose co-rater variance sits near _VAR_EPS, where sxx - sx^2/n
+    cancels."""
+    n_users, n_items = 40, 2 * _BLOCK + 37
+    rng = np.random.default_rng(seed)
+    values = (rng.uniform(1.0, 5.0, (n_users, n_items)) if continuous
+              else rng.integers(1, 6, (n_users, n_items)).astype(float))
+    dense = np.where(rng.random((n_users, n_items)) < 0.3, values, NAN)
+    dense[:, ::50] = NAN                                  # unrated
+    dense[:, 7::61] = np.where(np.isnan(dense[:, 7::61]), NAN, 4.0)
+    if continuous:
+        for col, scale in zip(range(11, n_items, 97), (0.5, 1.0, 2.0) * 2):
+            step = scale * math.sqrt(_VAR_EPS / 4)
+            wobble = rng.choice((-step, step), n_users)
+            dense[:, col] = np.where(np.isnan(dense[:, col]), NAN, 3.0 + wobble)
+    return dataset_from_dense(dense)
+
+
+@pytest.mark.parametrize("kind", RATING_KINDS + SET_KINDS)
+def test_store_is_bitwise_the_whole_matrix_build(kind):
+    """Integer data takes the float32 row blocks (adjusted_cosine centres
+    it, so it does not); continuous data the one float64 block of the
+    rating kinds.  Both must give the float64 whole-matrix bits."""
+    for continuous in (False, True):
+        d = _wide_dataset(23, continuous)
+        assert _float32_exact(d, kind) == (
+            kind in SET_KINDS
+            or not (continuous or kind == "adjusted_cosine"))
+        assert_same_bits(item_similarity_matrix(d, kind).values,
+                         whole_matrix_similarity(d, kind))
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 8),
+       n_items=st.integers(1, 6), fill=st.floats(0.0, 1.0),
+       halves=st.booleans())
+def test_store_is_bitwise_the_whole_matrix_build_on_small_data(
+        seed, n_users, n_items, fill, halves):
+    """Down to no stored cell at all; half-point ratings are not integers
+    and take float64."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(2, 11, (n_users, n_items)) / 2.0    # 1.0 .. 5.0
+    if not halves:
+        values = np.ceil(values)
+    dense = np.where(rng.random((n_users, n_items)) < fill, values, NAN)
+    d = dataset_from_dense(dense)
+    for kind in RATING_KINDS + SET_KINDS:
+        assert_same_bits(item_similarity_matrix(d, kind).values,
+                         whole_matrix_similarity(d, kind))
+
+
+def test_exactness_check_takes_float64_for_empty_or_fractional_values():
+    empty = dataset_from_dense(np.full((2, 2), NAN))
+    half = dataset_from_dense(np.array([[3.5, 4.0], [1.0, NAN]]))
+    whole = dataset_from_dense(np.array([[3.0, 4.0], [1.0, NAN]]))
+    for kind in RATING_KINDS + SET_KINDS:
+        assert not _float32_exact(empty, kind)
+        assert _float32_exact(half, kind) == (kind in SET_KINDS)
+        assert _float32_exact(whole, kind) == (kind != "adjusted_cosine")
+
+
+def test_mirror_keeps_the_bits_of_summing_the_triangles(monkeypatch):
+    # blocks of 2 rows over 5 items: two full blocks and a ragged one
+    monkeypatch.setattr("mccf.similarity._BLOCK", 2)
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(5, 5))
+    m[0, 1] = m[2, 4] = -0.0
+    m[1, 3] = NAN
+    m[0, 4] = np.copysign(NAN, -1.0)
+    m[3, 4] = 0.0
+    got = m.copy()
+    _mirror_upper(got)
+    assert_same_bits(got, symmetrize(m))
+    assert not np.signbit(got[1, 0]) and not np.signbit(got[4, 2])
