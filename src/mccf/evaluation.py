@@ -12,13 +12,17 @@ Metric conventions:
 
 The harness splits with the keyed-hash splitter from ingest (no second
 source of randomness), so a (fraction, seed) pair fully determines the
-partition and every report is bitwise reproducible.
+partition and every report is bitwise reproducible.  As the split is keyed
+by (user, item), no test pair is a training cell, so both harnesses score
+each test user the training data knows once, on every item without a
+training cell, and read the top-N list and the held-out pairs from that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,14 +34,11 @@ from .engine import (
     NeighborhoodSpec,
     _aggregate_rows,
     _criteria_rows,
-    _groups,
+    _predict_user,
     _top_n,
     _unrated,
-    batch_predict,
     build_mc_model,
-    mc_recommend_top_n,
     predict_matrix,
-    recommend_top_n,
 )
 from .ingest import MOVIELENS_SCALE, SplitSpec, parse_movielens, split_train_test
 from .linalg import impute_missing, truncated_svd
@@ -246,6 +247,7 @@ def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
     return item_similarity_matrix(train, "latent_cosine", model=model)
 
 
+# only perfbench's replay calls this now; it goes with ROADMAP F
 def _matrix_top_n(pm: np.ndarray, train: Dataset, u: int, n: int) -> list[int]:
     """Top-n unrated item indices from a precomputed prediction matrix;
     value descending, index ascending on ties (the engine's rule)."""
@@ -291,32 +293,66 @@ def _relevance(threshold: float | None, scale: RatingScale) -> float:
     return RelevanceSpec(threshold).check(scale).threshold
 
 
-def _decision_stage(test_recs, train: Dataset | CriteriaTensor,
-                    threshold: float, top_n_ids: Callable[[str], list[str]],
-                    made: int):
-    """The protocol both harnesses share: every test user the training data
-    knows gets a top-N list, scored against the test items rated at or
-    above the relevance threshold; returns _decision_metrics' tuple."""
+def _scored_test(test_recs, train: Dataset | CriteriaTensor, threshold: float,
+                 top_n: int, width: int,
+                 score: Callable[[int, np.ndarray], np.ndarray]):
+    """The protocol of both harnesses.  Each test user the training data
+    knows is scored once, by score(u, items) -> (len(items), width) on the
+    items without a training cell; column 0 ranks the top-N list and is the
+    prediction.  Returns the predicted test records, their rows in order,
+    and the top-N item ids and interesting test items of each user."""
     interesting: dict[str, set[str]] = {}
-    test_users: dict[str, None] = {}
-    for rec in test_recs:
-        test_users.setdefault(rec.user_id)
+    # each test user's known items: positions in test_recs, item indices
+    cells: dict[str, tuple[list[int], list[int]]] = {}
+    for pos, rec in enumerate(test_recs):
+        at, idx = cells.setdefault(rec.user_id, ([], []))
+        if train.has_item(rec.item_id):
+            at.append(pos)
+            idx.append(train.item_index(rec.item_id))
         if rec.overall >= threshold:
             interesting.setdefault(rec.user_id, set()).add(rec.item_id)
-    recommendations = {uid: top_n_ids(uid) for uid in test_users
-                       if train.has_user(uid)}
-    return _decision_metrics(recommendations, interesting, train.item_ids,
-                             len(test_recs), made)
+    rows = np.full((len(test_recs), width), np.nan)
+    recommendations: dict[str, list[str]] = {}
+    for uid, (at, idx) in cells.items():
+        if not train.has_user(uid):
+            continue
+        u = train.user_index(uid)
+        items = _unrated(train.n_items, train._row(u)[0])
+        scored = score(u, items)
+        recommendations[uid] = [train.item_id(i) for i, _ in
+                                _top_n(items, scored[:, 0], top_n)]
+        # no test pair is a training cell, so each is one of the items
+        rows[at] = scored.take(items.searchsorted(idx), axis=0)
+    made = ~np.isnan(rows[:, 0])
+    return (list(compress(test_recs, made.tolist())), rows[made],
+            recommendations, interesting)
 
 
-def _known_cells(test_recs, train: Dataset | CriteriaTensor):
-    """The test records whose user and item the training data knows, in
-    order, with their user and item index arrays."""
-    known = [rec for rec in test_recs
-             if train.has_user(rec.user_id) and train.has_item(rec.item_id)]
-    users = np.array([train.user_index(r.user_id) for r in known], dtype=np.int64)
-    items = np.array([train.item_index(r.item_id) for r in known], dtype=np.int64)
-    return known, users, items
+def _report(config: BenchmarkConfig | McBenchmarkConfig, ranks, test_recs,
+            train: Dataset | CriteriaTensor, threshold: float, width: int,
+            score) -> EvalReport:
+    """A harness's report from its score (see _scored_test): column 0
+    predicts the overall, any column c after it criterion c."""
+    made, rows, recommendations, interesting = _scored_test(
+        test_recs, train, threshold, config.top_n, width, score)
+    truths = np.array([r.overall for r in made], dtype=np.float64)
+    mae_v, bias_v, rmse_v = _error_metrics(rows[:, 0], truths)
+    criteria_mae = tuple(_error_metrics(rows[:, c], np.array(
+        [r.criteria[c - 1] for r in made], dtype=np.float64))[0]
+        for c in range(1, width))
+    precision, recall, f1, pred_cov, cat_cov = _decision_metrics(
+        recommendations, interesting, train.item_ids, len(test_recs),
+        len(made))
+    return EvalReport(
+        sim=config.sim, train_fraction=config.train_fraction,
+        seed=config.seed, ranks=ranks,
+        mae=mae_v, bias=bias_v, rmse=rmse_v,
+        precision=precision, recall=recall, f1=f1,
+        prediction_coverage=pred_cov, catalog_coverage=cat_cov,
+        pair_count=len(made),
+        no_prediction_count=len(test_recs) - len(made),
+        criteria_mae=criteria_mae,
+    )
 
 
 def _source_scale(source, scale: RatingScale | None) -> RatingScale:
@@ -335,46 +371,28 @@ def run_benchmark(source, config: BenchmarkConfig,
     neighborhoods predict through predict_matrix, bounded ones through the
     per-user neighborhood kernel.
     """
-    scale = _source_scale(source, scale)
     train_recs, test_recs = _split_records(
         _records(source), config.train_fraction, config.seed)
-    train = Dataset.from_records(train_recs, scale)
-    threshold = _relevance(config.relevance_threshold, scale)
+    train = Dataset.from_records(train_recs, _source_scale(source, scale))
+    return _evaluate(train, test_recs, config)
+
+
+def _evaluate(train: Dataset, test_recs, config: BenchmarkConfig) -> EvalReport:
+    """run_benchmark after the split."""
+    threshold = _relevance(config.relevance_threshold, train.scale)
     sims = _build_store(train, config.sim, config.latent_rank, config.seed)
     spec = config.neighborhood
-
-    known, users, items = _known_cells(test_recs, train)
-    truths = np.array([r.overall for r in known], dtype=np.float64)
     if spec.max_neighbors is None:
         pm = predict_matrix(train, sims, spec)
-        preds = pm[users, items]
 
-        def top_n_ids(uid: str) -> list[str]:
-            return [train.item_id(i) for i in _matrix_top_n(
-                pm, train, train.user_index(uid), config.top_n)]
+        def score(u: int, items: np.ndarray) -> np.ndarray:
+            return pm[u, items, None]
     else:
-        preds = batch_predict(train, sims, users, items, spec)
+        def score(u: int, items: np.ndarray) -> np.ndarray:
+            return _predict_user(train, sims, u, items, spec)[0][:, None]
 
-        def top_n_ids(uid: str) -> list[str]:
-            return [item for item, _ in
-                    recommend_top_n(train, sims, uid, config.top_n, spec)]
-
-    made = ~np.isnan(preds)
-    pair_count = int(made.sum())
-    mae_v, bias_v, rmse_v = _error_metrics(preds[made], truths[made])
-    precision, recall, f1, pred_cov, cat_cov = _decision_stage(
-        test_recs, train, threshold, top_n_ids, pair_count)
-
-    report_ranks = (config.latent_rank,) if config.sim == "latent" else None
-    return EvalReport(
-        sim=config.sim, train_fraction=config.train_fraction,
-        seed=config.seed, ranks=report_ranks,
-        mae=mae_v, bias=bias_v, rmse=rmse_v,
-        precision=precision, recall=recall, f1=f1,
-        prediction_coverage=pred_cov, catalog_coverage=cat_cov,
-        pair_count=pair_count,
-        no_prediction_count=len(test_recs) - pair_count,
-    )
+    ranks = (config.latent_rank,) if config.sim == "latent" else None
+    return _report(config, ranks, test_recs, train, threshold, 1, score)
 
 
 def run_sweep(source, sims: Sequence[str], fractions: Sequence[float],
@@ -382,16 +400,18 @@ def run_sweep(source, sims: Sequence[str], fractions: Sequence[float],
               top_n: int = 10,
               relevance_threshold: float | None = None) -> list[EvalReport]:
     """Benchmark grid: one report per (measure, fraction), fixed seed;
-    source and scale as for run_benchmark."""
+    source and scale as for run_benchmark.  Each fraction is split and
+    indexed once, for all measures."""
     scale = _source_scale(source, scale)
     records = _records(source)
     reports = []
     for fraction in fractions:
-        for sim in sims:
-            config = BenchmarkConfig(
-                sim=sim, train_fraction=fraction, seed=seed, top_n=top_n,
-                relevance_threshold=relevance_threshold)
-            reports.append(run_benchmark(records, config, scale))
+        configs = [BenchmarkConfig(
+            sim=sim, train_fraction=fraction, seed=seed, top_n=top_n,
+            relevance_threshold=relevance_threshold) for sim in sims]
+        train_recs, test_recs = _split_records(records, fraction, seed)
+        train = Dataset.from_records(train_recs, scale)
+        reports += [_evaluate(train, test_recs, c) for c in configs]
     return reports
 
 
@@ -456,36 +476,15 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
     threshold = _relevance(config.relevance_threshold, scale)
     model = build_mc_model(train, config.ranks, config.engine_config())
 
-    # held-out cells, one row of criterion predictions per known cell;
+    def score(u: int, items: np.ndarray) -> np.ndarray:
+        # the overall, then the k criteria
+        crits = _criteria_rows(model, u, items)
+        return np.column_stack(
+            [_aggregate_rows(model.aggregation, crits, scale), crits])
+
     # unknown users or items are the only no-predictions
-    known, users, items = _known_cells(test_recs, train)
-    crits = np.empty((len(known), k))
-    for u, group in _groups(users):
-        crits[group] = _criteria_rows(model, u, items[group])
-    overall = _aggregate_rows(model.aggregation, crits, scale)
-    truths = np.array([(r.overall, *r.criteria) for r in known],
-                      dtype=np.float64).reshape(-1, k + 1)
-    mae_v, bias_v, rmse_v = _error_metrics(overall, truths[:, 0])
-    criteria_mae = tuple(_error_metrics(crits[:, c], truths[:, c + 1])[0]
-                         for c in range(k))
-
-    def top_n_ids(uid: str) -> list[str]:
-        return [item for item, _ in mc_recommend_top_n(model, uid, config.top_n)]
-
-    precision, recall, f1, pred_cov, cat_cov = _decision_stage(
-        test_recs, train, threshold, top_n_ids, len(known))
-
-    return EvalReport(
-        sim=config.sim,
-        train_fraction=config.train_fraction, seed=config.seed,
-        ranks=tuple(config.ranks),
-        mae=mae_v, bias=bias_v, rmse=rmse_v,
-        precision=precision, recall=recall, f1=f1,
-        prediction_coverage=pred_cov, catalog_coverage=cat_cov,
-        pair_count=len(known),
-        no_prediction_count=len(test_recs) - len(known),
-        criteria_mae=criteria_mae,
-    )
+    return _report(config, tuple(config.ranks), test_recs, train, threshold,
+                   k + 1, score)
 
 
 def global_mean_baseline(source, fraction: float, seed: int) -> float:

@@ -197,6 +197,11 @@ def test_run_sweep_grid():
     assert len(reports) == 4
     assert [(r.sim, r.train_fraction) for r in reports] == [
         ("pearson", 0.7), ("tanimoto", 0.7), ("pearson", 0.8), ("tanimoto", 0.8)]
+    # one split and index per fraction gives each measure's own report
+    for r in reports:
+        alone = run_benchmark(records, BenchmarkConfig(
+            sim=r.sim, train_fraction=r.train_fraction, seed=2))
+        assert r.to_csv_row() == alone.to_csv_row()
 
 
 def mc_tensor(seed=64, noise=0.1):
@@ -355,12 +360,35 @@ def test_degenerate_tensor_matches_single_criterion_harness():
     assert mc.rmse == pytest.approx(plain.rmse, abs=1e-6)
 
 
+def decision_of(report):
+    return (report.precision, report.recall, report.f1,
+            report.prediction_coverage, report.catalog_coverage)
+
+
+def public_decision(test_recs, train, top_n_ids, made):
+    """_decision_metrics over the top-N lists of a public call for every
+    test user the training data knows."""
+    from mccf.evaluation import _decision_metrics
+    threshold = RelevanceSpec.default_for(train.scale).threshold
+    interesting = {}
+    for r in test_recs:
+        if r.overall >= threshold:
+            interesting.setdefault(r.user_id, set()).add(r.item_id)
+    lists = {uid: top_n_ids(uid) for uid in dict.fromkeys(
+        r.user_id for r in test_recs) if train.has_user(uid)}
+    return _decision_metrics(lists, interesting, train.item_ids,
+                             len(test_recs), made)
+
+
 def test_harness_predictions_equal_single_pair_calls():
-    # both harnesses group held-out cells by user; every error metric must
-    # equal the one from a single-pair call per test record, bitwise
+    # both harnesses score each test user once; every error metric must
+    # equal the one from a single-pair call per test record, bitwise, and
+    # every decision metric the one from the public top-N calls
     from mccf.core import CriteriaTensor, Dataset
     from mccf.engine import (aggregate_overall, build_mc_model,
-                             predict_criteria, predict_single)
+                             mc_recommend_top_n, predict_criteria,
+                             predict_matrix, predict_single, recommend_top_n)
+    from mccf.evaluation import _matrix_top_n
     from mccf.similarity import item_similarity_matrix
 
     records = bench_records(68)
@@ -375,6 +403,23 @@ def test_harness_predictions_equal_single_pair_calls():
     pairs = [(p.value, r.overall) for p, r in zip(got, test_recs) if p]
     assert report.pair_count == len(pairs)
     assert (report.mae, report.rmse) == (mae(pairs), rmse(pairs))
+    assert decision_of(report) == public_decision(
+        test_recs, train, lambda uid: [i for i, _ in recommend_top_n(
+            train, sims, uid, 10, spec)], len(pairs))
+
+    # unbounded: predict_matrix's values and top-N lists
+    report = run_benchmark(records, BenchmarkConfig(
+        sim="pearson", train_fraction=0.8, seed=2))
+    pm = predict_matrix(train, sims)
+    pairs = [(pm[train.user_index(r.user_id), train.item_index(r.item_id)],
+              r.overall) for r in test_recs
+             if train.has_user(r.user_id) and train.has_item(r.item_id)]
+    pairs = [p for p in pairs if not np.isnan(p[0])]
+    assert report.pair_count == len(pairs)
+    assert (report.mae, report.rmse) == (mae(pairs), rmse(pairs))
+    assert decision_of(report) == public_decision(
+        test_recs, train, lambda uid: [train.item_id(i) for i in _matrix_top_n(
+            pm, train, train.user_index(uid), 10)], len(pairs))
 
     t = mc_tensor(69)
     config = McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8, seed=3,
@@ -394,3 +439,45 @@ def test_harness_predictions_equal_single_pair_calls():
     assert report.mae == mae(overall)
     assert report.criteria_mae == tuple(
         mae([(c[j], r.criteria[j]) for c, r in known]) for j in range(t.k))
+    assert decision_of(report) == public_decision(
+        test_recs, model.tensor, lambda uid: [i for i, _ in mc_recommend_top_n(
+            model, uid, 10)], len(overall))
+
+
+def test_one_kernel_call_per_known_test_user_and_store(monkeypatch):
+    """Each test user the training data knows is scored once per store:
+    the test pairs and the top-N list come from the same kernel call."""
+    import mccf.engine as engine
+    from mccf.core import Dataset, RatingRecord
+    calls = []
+    kernel = engine._neighborhood
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(engine, "_neighborhood", counted)
+    # users and items the training side may not know
+    records = bench_records(70) + [RatingRecord(f"new{n}", f"i{n}", 4.0)
+                                   for n in range(12)]
+    records += [RatingRecord(f"u{n}", f"newi{n}", 4.0) for n in range(12)]
+    train_recs, test_recs = split_train_test(records, SplitSpec(0.8, 2))
+    train = Dataset.from_records(train_recs, RatingScale.one_to_five())
+    users = {r.user_id for r in test_recs if train.has_user(r.user_id)}
+    assert len(users) < len({r.user_id for r in test_recs})
+    run_benchmark(records, BenchmarkConfig(
+        sim="pearson", train_fraction=0.8, seed=2,
+        neighborhood=NeighborhoodSpec(max_neighbors=4)))
+    assert len(calls) == len(users)
+
+    t = mc_tensor(71)
+    train_recs, test_recs = split_train_test(list(t.iter_records()),
+                                             SplitSpec(0.8, 3))
+    train = CriteriaTensor.from_records(train_recs, t.k, t.scale)
+    users = {r.user_id for r in test_recs if train.has_user(r.user_id)}
+    for sim, stores in (("latent", 1), ("pearson", t.k)):
+        calls.clear()
+        run_mc_benchmark(t, McBenchmarkConfig(
+            ranks=(2, 4, 4), train_fraction=0.8, seed=3, sim=sim,
+            neighborhood=NeighborhoodSpec(max_neighbors=3)))
+        assert len(calls) == stores * len(users)

@@ -168,6 +168,22 @@ def test_split_partitions(trip, fraction, seed):
             si += 1
 
 
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.integers(1, 5)), max_size=30),
+       st.randoms(use_true_random=False), st.floats(0.1, 0.9))
+def test_no_test_pair_is_a_training_cell(trip, rng, fraction):
+    """The harnesses read a held-out pair's prediction from the scores of
+    the user's items without a training cell; that needs every repeat of a
+    (user, item) pair on one side of the split."""
+    records = [RatingRecord(f"u{a}", f"i{b}", float(r)) for a, b, r in trip]
+    rng.shuffle(records)
+    for seed in (0, 7, 2 ** 63):
+        train, test = split_train_test(records, SplitSpec(fraction, seed))
+        assert not ({(r.user_id, r.item_id) for r in train}
+                    & {(r.user_id, r.item_id) for r in test})
+
+
 def test_split_deterministic_and_order_free():
     records = [RatingRecord(f"u{u}", f"i{i}", float(1 + (u * i) % 5))
                for u in range(20) for i in range(10)]
