@@ -46,9 +46,9 @@ class RatingScale:
     grade_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not self.min_value < self.max_value:
+        if not -np.inf < self.min_value < self.max_value < np.inf:
             raise ValueError(
-                f"min_value must be < max_value, got [{self.min_value}, {self.max_value}]"
+                f"need finite min_value < max_value, got [{self.min_value}, {self.max_value}]"
             )
         if self.levels < 2:
             raise ValueError(f"need at least 2 levels, got {self.levels}")

@@ -19,7 +19,6 @@ a build ends with.
 
 from __future__ import annotations
 
-import math
 import zipfile
 from dataclasses import dataclass, field
 
@@ -48,25 +47,15 @@ DENOM_EPS = 1e-12
 
 @dataclass(frozen=True)
 class NeighborhoodSpec:
-    """Neighbor filter: size cap and similarity threshold.
-
-    min_similarity=None keeps strictly positive similarities only (negative
-    and zero weights are excluded); an explicit threshold keeps sims
-    strictly above it, so e.g. -1.0 admits negative-similarity neighbors,
-    which then enter the prediction with |sim| in the denominator.
-    """
+    """Neighborhood size cap; None keeps every positive-similarity neighbor."""
 
     max_neighbors: int | None = None
-    min_similarity: float | None = None
 
     def __post_init__(self) -> None:
         k = self.max_neighbors
         if k is not None and (isinstance(k, bool)
                               or not isinstance(k, (int, np.integer)) or k < 1):
             raise ValueError(f"max_neighbors must be an integer >= 1, got {k!r}")
-        t = self.min_similarity
-        if t is not None and not math.isfinite(t):
-            raise ValueError(f"min_similarity must be finite, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -75,11 +64,6 @@ class Prediction:
     item_id: str
     value: float
     support: int
-
-
-def _keep_mask(sims: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
-    threshold = 0.0 if spec.min_similarity is None else spec.min_similarity
-    return sims > threshold    # NaN compares False
 
 
 def _groups(labels: np.ndarray):
@@ -99,10 +83,10 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
     rated the items `rated` with the (len(rated), c) `ratings`, for each
     item index in `items`; NaN values and 0 support mark no prediction.
 
-    An item's neighbors are the user's rated items whose similarity to it
-    passes the threshold; with a cap of k, the k most similar, ties going
-    to the lower item index.  Each column's value is sum(w * r) / sum(|w|)
-    over the one neighbor set.
+    An item's neighbors are the user's rated items of strictly positive
+    similarity to it; with a cap of k, the k most similar, ties going to
+    the lower item index.  Each column's value is sum(w * r) / sum(w) over
+    the one neighbor set.
 
     Every value is bitwise what a one-item-at-a-time loop gives, because
     the summation order is the same: ascending item index, or descending
@@ -115,7 +99,7 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
     # the store is symmetric: gather from the side with fewer rows
     w = (sims.values[items[:, None], rated] if n <= m
          else sims.values[rated].T[items])
-    keep = _keep_mask(w, spec)
+    keep = w > 0    # NaN compares False
     count = keep.sum(axis=1)
     # rows without neighbors, then uncut rows, then cut ones, by count
     order = count.argsort(kind="stable")
@@ -158,7 +142,7 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
         count[cut] = k
     values = np.full((n, ratings.shape[1]), np.nan)
     for rows, gw, at in blocks:
-        den = np.abs(gw).sum(axis=1)
+        den = gw.sum(axis=1)
         den[den < DENOM_EPS] = np.nan    # the row stays NaN, without a warning
         values[rows] = (np.vecdot(gw, ratings.T.take(at, axis=1)) / den).T
     return values, np.where(np.isnan(values[:, 0]), 0, count)
@@ -218,11 +202,11 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
     if spec.max_neighbors is not None:
         raise ValueError("predict_matrix requires an unbounded neighborhood")
     check_store_budget(d)
-    s = np.where(_keep_mask(sims.values, spec), sims.values, 0.0)
+    s = np.where(sims.values > 0, sims.values, 0.0)
     # the ratings are 0 off the mask, so they carry it; one unblocked
     # product, since blocking it changes bits
     num = np.nan_to_num(d.to_dense(), nan=0.0, copy=False) @ s
-    den = d.to_mask(np.float64) @ np.abs(s, out=s)
+    den = d.to_mask(np.float64) @ s
     good = den >= DENOM_EPS
     np.divide(num, den, out=num, where=good)
     num[~good] = np.nan
@@ -475,7 +459,7 @@ def mc_recommend_top_n(model: McModel, user_id: str, n: int) -> list[tuple[str, 
 # ---- persistence ------------------------------------------------------------
 
 _MODEL_MAGIC = "mccf-model"
-_SCHEMA_VERSION = 3
+_SCHEMA_VERSION = 4
 
 
 class ModelFormatError(ValueError):
@@ -491,7 +475,7 @@ def save_model(model: McModel, path) -> None:
     keeps every index map.  An open handle keeps np.savez from appending
     ".npz" to the name."""
     cfg = model.config
-    spec = cfg.neighborhood
+    k = cfg.neighborhood.max_neighbors
     scale = model.scale
     t = model.tensor
     arrays = {
@@ -501,10 +485,8 @@ def save_model(model: McModel, path) -> None:
         "grade_labels": np.array(scale.grade_labels or (), dtype=str),
         "config": np.array(["on" if cfg.pca_option else "off", cfg.sim_kind,
                             cfg.impute_strategy, str(cfg.seed)]),
-        # NaN marks an unset neighborhood bound
-        "neighborhood": np.array([
-            np.nan if spec.max_neighbors is None else spec.max_neighbors,
-            np.nan if spec.min_similarity is None else spec.min_similarity]),
+        # NaN marks an unbounded neighborhood
+        "neighborhood": np.array([np.nan if k is None else k]),
         "user_ids": np.array(t.user_ids, dtype=str),
         "item_ids": np.array(t.item_ids, dtype=str),
         "cell_index": np.stack(np.nonzero(t.to_mask()), axis=1),
@@ -549,15 +531,21 @@ def load_model(path) -> McModel:
         raise ModelFormatError(f"inconsistent model file: {exc}") from exc
 
 
+def _count(x) -> int:
+    if not float(x).is_integer():
+        raise ValueError(f"{x!r} is not a whole number")
+    return int(x)
+
+
 def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     lo, hi, levels = a["scale"].tolist()
-    scale = RatingScale(lo, hi, int(levels),
+    scale = RatingScale(lo, hi, _count(levels),
                         tuple(a["grade_labels"].tolist()) or None)
     pca, sim_kind, impute, seed = a["config"].tolist()
-    max_neighbors, min_similarity = a["neighborhood"].tolist()
-    neighborhood = NeighborhoodSpec(
-        None if np.isnan(max_neighbors) else int(max_neighbors),
-        None if np.isnan(min_similarity) else min_similarity)
+    if pca not in ("on", "off"):
+        raise ValueError(f"unknown pca flag {pca!r}")
+    (cap,) = a["neighborhood"].tolist()
+    neighborhood = NeighborhoodSpec(None if np.isnan(cap) else _count(cap))
     config = McConfig(pca_option=pca == "on", sim_kind=sim_kind,
                       impute_strategy=impute, neighborhood=neighborhood,
                       seed=int(seed))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mccf.engine import DENOM_EPS, _keep_mask
+from mccf.engine import DENOM_EPS
 from mccf.similarity import RATING_KINDS, _VAR_EPS
 
 
@@ -252,10 +252,10 @@ def whole_matrix_similarity(d, kind: str) -> np.ndarray:
     return symmetrize(sims)
 
 
-def whole_matrix_predictions(d, sims, spec) -> np.ndarray:
+def whole_matrix_predictions(d, sims) -> np.ndarray:
     """All (user, item) predictions of an unbounded neighborhood from two
     whole-matrix products, with a fresh array for every step."""
-    s = np.where(_keep_mask(sims.values, spec), sims.values, 0.0)
+    s = np.where(sims.values > 0, sims.values, 0.0)
     b = d.to_mask().astype(np.float64)
     r = np.nan_to_num(d.to_dense(), nan=0.0)
     num = r @ s
@@ -275,8 +275,7 @@ def loop_predict(d, sims, u, i, spec):
     stable descending-similarity order when the cap cuts them."""
     rated, values = d.items_of(u)
     row = sims.values[i, rated]
-    threshold = 0.0 if spec.min_similarity is None else spec.min_similarity
-    keep = ~np.isnan(row) & (row > threshold)
+    keep = ~np.isnan(row) & (row > 0)
     if not keep.any():
         return None
     weights = row[keep]

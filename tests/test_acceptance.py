@@ -433,12 +433,7 @@ def _oracle_predict(u, i, sims, cols, spec):
         if j == i or u not in col:
             continue
         s = sims[i][j] if i != j else None
-        if s is None:
-            continue
-        if spec.min_similarity is None:
-            if s <= 0.0:
-                continue
-        elif s < spec.min_similarity:
+        if s is None or s <= 0.0:
             continue
         cand.append((s, j, col[u]))
     cand.sort(key=lambda triple: (-triple[0], triple[1]))

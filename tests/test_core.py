@@ -42,8 +42,9 @@ def test_letter_scale():
 
 
 def test_scale_validation():
-    with pytest.raises(ValueError):
-        RatingScale(5.0, 1.0, 5)
+    for lo, hi in ((5.0, 1.0), (1.0, np.inf), (-np.inf, 5.0), (np.nan, 5.0)):
+        with pytest.raises(ValueError):
+            RatingScale(lo, hi, 5)
     with pytest.raises(ValueError):
         RatingScale(1.0, 5.0, 1)
     with pytest.raises(ValueError):

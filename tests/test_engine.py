@@ -8,6 +8,7 @@ from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, RatingScale,
 from mccf.engine import (
     AggregationWeights,
     McConfig,
+    McModel,
     ModelFormatError,
     NeighborhoodSpec,
     aggregate_overall,
@@ -25,39 +26,14 @@ from mccf.engine import (
 )
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
-from oracles import sim, whole_matrix_predictions
+from oracles import loop_predict, sim, whole_matrix_predictions
 
 NAN = np.nan
-
-
-def brute_predict(d, store, uid, iid, spec):
-    """Independent loop implementation of the neighborhood formula."""
-    if not (d.has_user(uid) and d.has_item(iid)):
-        return None
-    u, i = d.user_index(uid), d.item_index(iid)
-    thr = 0.0 if spec.min_similarity is None else spec.min_similarity
-    cands = []
-    items, vals = d.items_of(u)
-    for j, r in zip(items.tolist(), vals.tolist()):
-        s = sim(store, i, int(j))
-        if s is not None and s > thr:
-            cands.append((s, int(j), r))
-    cands.sort(key=lambda t: (-t[0], t[1]))
-    if spec.max_neighbors is not None:
-        cands = cands[:spec.max_neighbors]
-    den = sum(abs(s) for s, _, _ in cands)
-    if den < 1e-12:
-        return None
-    val = sum(s * r for s, _, r in cands) / den
-    return d.scale.clamp(val)
-
 
 SPECS = [
     NeighborhoodSpec(),
     NeighborhoodSpec(max_neighbors=1),
     NeighborhoodSpec(max_neighbors=3),
-    NeighborhoodSpec(min_similarity=0.4),
-    NeighborhoodSpec(max_neighbors=2, min_similarity=-1.0),
 ]
 
 
@@ -65,16 +41,15 @@ SPECS = [
 def test_predictions_match_brute_force(spec):
     d = random_dataset(31, n_users=15, n_items=8)
     store = item_similarity_matrix(d, "pearson")
-    for uid in d.user_ids:
-        for iid in d.item_ids:
-            expect = brute_predict(d, store, uid, iid, spec)
+    for u, uid in enumerate(d.user_ids):
+        for i, iid in enumerate(d.item_ids):
+            expect = loop_predict(d, store, u, i, spec)
             got = predict_single(uid, iid, d, store, spec)
             if expect is None:
                 assert got is None
             else:
-                assert got.value == pytest.approx(expect, abs=1e-10)
+                assert (got.value, got.support) == expect
                 assert got.user_id == uid and got.item_id == iid
-                assert got.support >= 1
 
 
 def test_predict_matrix_matches_per_pair():
@@ -95,12 +70,11 @@ def test_predict_matrix_matches_per_pair():
 
 def test_predict_matrix_is_bitwise_the_whole_matrix_build():
     d = random_dataset(34, n_users=40, n_items=25, fill=0.3)
-    for kind, spec in (("pearson", NeighborhoodSpec()),
-                       ("euclidean", NeighborhoodSpec(min_similarity=0.3))):
+    for kind in ("pearson", "euclidean"):
         store = item_similarity_matrix(d, kind)
         before = store.values.copy()
-        got = predict_matrix(d, store, spec)
-        expect = whole_matrix_predictions(d, store, spec)
+        got = predict_matrix(d, store)
+        expect = whole_matrix_predictions(d, store)
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
         assert np.array_equal(store.values, before, equal_nan=True)
 
@@ -113,11 +87,11 @@ def test_batch_predict_both_paths():
     for spec in (NeighborhoodSpec(), NeighborhoodSpec(max_neighbors=2)):
         out = batch_predict(d, store, users, items, spec)
         for n, (u, i) in enumerate(zip(users, items)):
-            expect = brute_predict(d, store, d.user_id(u), d.item_id(i), spec)
+            expect = loop_predict(d, store, u, i, spec)
             if expect is None:
                 assert np.isnan(out[n])
             else:
-                assert out[n] == pytest.approx(expect, abs=1e-10)
+                assert out[n] == expect[0]
 
 
 def test_unknown_ids_are_no_prediction():
@@ -137,9 +111,6 @@ def test_negative_only_similarities_give_none():
     store = item_similarity_matrix(d, "pearson")
     assert sim(store, 0, 1) == pytest.approx(-1.0)
     assert predict_single("u0", "i2", d, store) is None
-    # an explicit threshold below -1 admits them, weighted by |sim|
-    got = predict_single("u2", "i2", d, store, NeighborhoodSpec(min_similarity=-1.5))
-    assert got is None or got.value >= 1.0    # i2 has no defined sims at all
 
 
 @settings(deadline=None, max_examples=30)
@@ -196,14 +167,11 @@ def _tie_matrix_full():
 
 def test_neighborhood_spec_validation():
     for bad in ({"max_neighbors": 0}, {"max_neighbors": 2.5},
-                {"max_neighbors": True}, {"max_neighbors": "3"},
-                {"min_similarity": float("nan")},
-                {"min_similarity": float("inf")},
-                {"min_similarity": -float("inf")}):
+                {"max_neighbors": True}, {"max_neighbors": "3"}):
         with pytest.raises(ValueError):
             NeighborhoodSpec(**bad)
     NeighborhoodSpec(max_neighbors=None)
-    NeighborhoodSpec(max_neighbors=np.int64(3), min_similarity=-1.0)
+    NeighborhoodSpec(max_neighbors=np.int64(3))
 
 
 def test_aggregation_weights_validation():
@@ -319,14 +287,20 @@ def test_predict_overall_is_aggregated_criteria():
 
 def test_unreachable_neighborhood_falls_back_to_reconstruction():
     t = small_tensor(54)
-    # sims are capped at 1, so a threshold above 1 empties every neighborhood
-    config = McConfig(seed=6, neighborhood=NeighborhoodSpec(min_similarity=2.0))
-    model = build_mc_model(t, (2, 3, 3), config)
-    u, i = 0, 0
-    preds = predict_criteria(model, t.user_id(u), t.item_id(i))
-    for c in range(1, t.k + 1):
-        expect = t.scale.clamp(float(model.denoised[u, i, c]))
-        assert preds[c - 1] == pytest.approx(expect, abs=1e-12)
+    lo, hi = t.scale.min_value, t.scale.max_value
+    for kind in ("latent_cosine", "pearson"):
+        m = build_mc_model(t, (2, 3, 3), McConfig(sim_kind=kind, seed=6))
+        # stores without a defined similarity empty every neighborhood
+        empty = tuple(SimilarityStore(s.kind, np.full_like(s.values, NAN),
+                                      s.item_ids)
+                      for s in m.item_similarities)
+        model = McModel(m.tensor, m.config, m.tucker, m.denoised, empty,
+                        m.criteria_data, m.aggregation)
+        for u, uid in enumerate(t.user_ids):
+            for i, iid in enumerate(t.item_ids):
+                expect = np.clip(m.denoised[u, i, 1:], lo, hi)
+                assert np.array_equal(predict_criteria(model, uid, iid),
+                                      expect)
 
 
 def test_mc_recommend_excludes_training_cells():
@@ -441,10 +415,11 @@ def test_load_rejects_corrupt_file(tmp_path):
     assert_rejected(magic=np.array("not-a-model"))
     assert_rejected(version=np.array(1))
     assert_rejected(version=np.array(2))
-    assert_rejected(version=np.array(4))
-    assert_rejected(version=np.array(3.0))
-    assert_rejected(version=np.array("3"))
-    assert_rejected(version=np.array([3]))
+    assert_rejected(version=np.array(3))
+    assert_rejected(version=np.array(5))
+    assert_rejected(version=np.array(4.0))
+    assert_rejected(version=np.array("4"))
+    assert_rejected(version=np.array([4]))
     assert set(good) == MODEL_KEYS
     for key in good:
         assert_rejected(**{key: None})
@@ -459,6 +434,15 @@ def test_load_rejects_corrupt_file(tmp_path):
     index[1] = index[0]
     assert_rejected(cell_index=index)
     assert_rejected(config=np.array(["off", "dice", "item_mean", "10"]))
+    assert_rejected(config=np.array(["yes", "latent_cosine", "item_mean", "10"]))
+    # a cap or level count that is not a whole number, a cap of the wrong
+    # shape (schema 3 also stored a similarity threshold), infinite bounds
+    for cap in ([np.inf], [-np.inf], [2.5], [0.0], [np.inf, np.nan],
+                [2.0, np.nan], [], np.array(2.0), [[2.0]], ["3"]):
+        assert_rejected(neighborhood=np.array(cap))
+    for scale in ([1.0, 5.0, np.inf], [1.0, 5.0, np.nan], [1.0, 5.0, 4.5],
+                  [1.0, 5.0], [1.0, np.inf, 5.0], [-np.inf, 5.0, 5.0]):
+        assert_rejected(scale=np.array(scale))
     # factors of another tensor shape, or of other ranks than the core's;
     # one user row would otherwise broadcast over every user
     assert_rejected(factor1=good["factor1"][:1])

@@ -16,7 +16,6 @@ from mccf.engine import (
     McConfig,
     McModel,
     NeighborhoodSpec,
-    _keep_mask,
     _neighborhood,
     batch_predict,
     build_mc_model,
@@ -34,9 +33,8 @@ SPECS = [
     NeighborhoodSpec(),
     NeighborhoodSpec(max_neighbors=1),
     NeighborhoodSpec(max_neighbors=5),
-    NeighborhoodSpec(max_neighbors=5, min_similarity=-1.0),
 ]
-SPEC_IDS = ["unbounded", "k1", "k5", "k5-negative"]
+SPEC_IDS = ["unbounded", "k1", "k5"]
 
 
 def _ratings_matrix(seed, n_users=70, n_items=60):
@@ -190,9 +188,8 @@ def test_multicriteria_paths_match_loop(kind, spec):
 
 @settings(deadline=None, max_examples=50)
 @given(seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([1, 3]),
-       k=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
-       threshold=st.sampled_from([None, -1.0, 0.25]))
-def test_kernel_columns_match_loop(seed, c, k, threshold):
+       k=st.sampled_from([None, 1, 2, 3, 4, 5, 6]))
+def test_kernel_columns_match_loop(seed, c, k):
     """Each of the c rating columns gives the loop's value bitwise, over
     one neighbor selection with the loop's support."""
     rng = np.random.default_rng(seed)
@@ -207,7 +204,7 @@ def test_kernel_columns_match_loop(seed, c, k, threshold):
     rated = np.flatnonzero(rng.random(n) < rng.random())
     ratings = rng.integers(1, 6, (len(rated), c)).astype(float)
     items = rng.permutation(n)[:int(rng.integers(1, n + 1))]
-    spec = NeighborhoodSpec(k, threshold)
+    spec = NeighborhoodSpec(k)
 
     got, support = _neighborhood(sims, rated, ratings, items, spec)
     assert got.shape == (len(items), c)
@@ -239,16 +236,15 @@ def wide_store():
 
 
 @pytest.mark.parametrize("c", [1, 4])
-@pytest.mark.parametrize("threshold", [None, -1.0])
 @pytest.mark.parametrize("k", [30, None])
-def test_wide_blocks_match_loop(wide_store, k, threshold, c):
+def test_wide_blocks_match_loop(wide_store, k, c):
     """Rows with dozens of kept neighbors, cut at k=30 with many ties at
     the cap, give the loop's values bitwise.  The user with 40 rated items
     is scored on more items than it rated and the one with 200 on fewer,
     so both gather orientations run; the scale is wide enough that no
     value is clamped."""
     n = len(wide_store.item_ids)
-    spec = NeighborhoodSpec(k, threshold)
+    spec = NeighborhoodSpec(k)
     unclamped = RatingScale(-1e300, 1e300, 2)
     rng = np.random.default_rng(75)
     tie_cuts = 0
@@ -268,7 +264,7 @@ def test_wide_blocks_match_loop(wide_store, k, threshold, c):
                 else:
                     assert (got[p, j], support[p]) == expect, (n_rated, i, j)
         w = wide_store.values[np.ix_(items, rated)]
-        best = -np.sort(-np.where(_keep_mask(w, spec), w, -np.inf), axis=1)
+        best = -np.sort(-np.where(w > 0, w, -np.inf), axis=1)
         # the 30th and 31st best kept weights tie: a cap of 30 splits a tie
         tie_cuts += int(((best[:, 30] == best[:, 29])
                          & (best[:, 30] > -np.inf)).sum())
