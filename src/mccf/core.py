@@ -114,24 +114,61 @@ class _IndexMap:
         return len(self.ids)
 
 
-def _index_records(records):
-    """Assign dense indices and deduplicate (keep-last) in one pass.
+def _factorize(ids) -> tuple[tuple[str, ...], np.ndarray]:
+    """(distinct ids in first-appearance order, code of each entry)."""
+    pos: dict[str, int] = {}
+    codes = np.array([pos.setdefault(x, len(pos)) for x in ids], dtype=np.int64)
+    return tuple(pos), codes
 
-    Returns (user_map, item_map, u_idx, i_idx, kept, duplicates), with one
-    entry of u_idx, i_idx and kept per distinct (user, item) cell in the
-    order the cell first appeared; kept holds the cell's last record.
-    """
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
-    cells: dict[tuple[int, int], object] = {}
-    seen = 0
-    for seen, rec in enumerate(records, 1):
-        # re-assigning a key keeps the position of its first appearance
-        cells[users.setdefault(rec.user_id, len(users)),
-              items.setdefault(rec.item_id, len(items))] = rec
-    index = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
-    return (_IndexMap(list(users)), _IndexMap(list(items)), index[:, 0],
-            index[:, 1], list(cells.values()), seen - len(cells))
+
+@dataclass(frozen=True, eq=False)
+class _Ratings:
+    """A columnar batch of rating events in input order: user and item
+    codes into id tuples (equal ids share a code), a C-ordered (n, c+1)
+    value array with the overall in column 0, and optional timestamps."""
+
+    user_ids: tuple[str, ...]
+    u: np.ndarray
+    item_ids: tuple[str, ...]
+    i: np.ndarray
+    values: np.ndarray
+    timestamps: list[int] | None = None
+
+    @classmethod
+    def of_records(cls, records, k: int | None = None) -> "_Ratings":
+        """The records' columns (a batch as it is); with k, the values are
+        [overall, c1..ck] and every record must carry k criteria."""
+        if isinstance(records, _Ratings):
+            return records
+        records = list(records)
+        for rec in records if k is not None else ():
+            if len(rec.criteria) != k:
+                raise ValueError(
+                    f"record for ({rec.user_id}, {rec.item_id}) has "
+                    f"{len(rec.criteria)} criteria, expected {k}")
+        values = np.array([r.overall for r in records] if k is None else
+                          [(r.overall, *r.criteria) for r in records],
+                          dtype=np.float64).reshape(len(records), (k or 0) + 1)
+        return cls(*_factorize([r.user_id for r in records]),
+                   *_factorize([r.item_id for r in records]), values)
+
+
+def _index(batch: _Ratings):
+    """First-appearance id maps and keep-last deduplication: (user_map,
+    item_map, u_idx, i_idx, rows, duplicates), one entry of u_idx, i_idx
+    and rows (the batch row of its last rating) per cell, user-major."""
+    maps, index = [], []
+    for codes, ids in ((batch.u, batch.user_ids), (batch.i, batch.item_ids)):
+        uniq, first, inverse = np.unique(codes, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        maps.append(_IndexMap([ids[c] for c in uniq[order].tolist()]))
+        index.append(np.argsort(order)[inverse])
+    (u, i), width = index, len(maps[1])
+    # a cell's first row in reverse is its last rating
+    cells, first = np.unique((u * width + i)[::-1], return_index=True)
+    return (*maps, cells // width, cells % width, len(u) - 1 - first,
+            len(u) - len(cells))
 
 
 class _Cells:
@@ -255,10 +292,9 @@ class Dataset(_Cells):
     @classmethod
     def from_records(cls, records: Iterable[RatingRecord],
                      scale: RatingScale) -> "Dataset":
-        umap, imap, u_idx, i_idx, kept, dups = _index_records(records)
-        vals = np.fromiter((rec.overall for rec in kept), dtype=np.float64,
-                           count=len(kept))
-        return cls(umap, imap, u_idx, i_idx, vals, scale, dups)
+        batch = _Ratings.of_records(records)
+        umap, imap, u_idx, i_idx, rows, dups = _index(batch)
+        return cls(umap, imap, u_idx, i_idx, batch.values[rows, 0], scale, dups)
 
     def with_dense_values(self, dense: np.ndarray) -> "Dataset":
         """Same observed cells and index maps, values taken from a dense
@@ -340,17 +376,9 @@ class CriteriaTensor(_Cells):
     @classmethod
     def from_records(cls, records: Iterable[CriteriaRecord], k: int,
                      scale: RatingScale) -> "CriteriaTensor":
-        records = list(records)
-        for rec in records:
-            if len(rec.criteria) != k:
-                raise ValueError(
-                    f"record for ({rec.user_id}, {rec.item_id}) has "
-                    f"{len(rec.criteria)} criteria, expected {k}"
-                )
-        umap, imap, u_idx, i_idx, kept, dups = _index_records(records)
-        vals = np.array([(rec.overall, *rec.criteria) for rec in kept],
-                        dtype=np.float64).reshape(len(kept), k + 1)
-        return cls(umap, imap, k, u_idx, i_idx, vals, scale, dups)
+        batch = _Ratings.of_records(records, k)
+        umap, imap, u_idx, i_idx, rows, dups = _index(batch)
+        return cls(umap, imap, k, u_idx, i_idx, batch.values[rows], scale, dups)
 
     @property
     def n_cells(self) -> int:

@@ -165,10 +165,14 @@ def _unrated(n_items: int, rated: np.ndarray) -> np.ndarray:
 def _top_n(items: np.ndarray, values: np.ndarray,
            n: int) -> list[tuple[int, float]]:
     """The n best (item index, value) pairs, value descending and index
-    ascending on ties; NaN values are left out."""
+    ascending on ties; NaN values are left out.  Ties keep their order in
+    `items`, which every caller passes ascending."""
     ok = ~np.isnan(values)
     items, values = items[ok], values[ok]
-    order = np.lexsort((items, -values))[:n]
+    if 0 < n < len(values):     # keep the n-th best value and all above
+        keep = values >= np.partition(values, -n)[-n]
+        items, values = items[keep], values[keep]
+    order = np.argsort(-values, kind="stable")[:n]
     return list(zip(items[order].tolist(), values[order].tolist()))
 
 

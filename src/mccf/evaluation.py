@@ -22,25 +22,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import CriteriaRecord, CriteriaTensor, Dataset, RatingScale
+from .core import CriteriaRecord, CriteriaTensor, Dataset, RatingScale, _Ratings
 from .engine import (
     McConfig,
     NeighborhoodSpec,
     _aggregate_rows,
     _criteria_rows,
+    _groups,
     _predict_user,
     _top_n,
     _unrated,
     build_mc_model,
     predict_matrix,
 )
-from .ingest import MOVIELENS_SCALE, SplitSpec, parse_movielens, split_train_test
+from .ingest import MOVIELENS_SCALE, SplitSpec, _parse_movielens, _train_mask
 from .linalg import impute_missing, truncated_svd
 from .similarity import check_store_budget, item_similarity_matrix
 
@@ -216,23 +216,27 @@ class BenchmarkConfig:
             raise ValueError("latent_rank must be >= 1")
 
 
-def _records(source) -> list:
-    """The records of a MovieLens file path, a CriteriaTensor or a record
-    sequence."""
+def _batch(source, k: int | None = None) -> _Ratings:
+    """The ratings of a MovieLens file path, a CriteriaTensor (its cells,
+    user-major) or a record sequence (with k criteria when k is given)."""
     if isinstance(source, (str, Path)):
-        return parse_movielens(source)
+        return _parse_movielens(source)
     if isinstance(source, CriteriaTensor):
-        return list(source.iter_records())
-    return list(source)
+        return _Ratings(source.user_ids, source._u_idx, source.item_ids,
+                        source._i_idx, source._values)
+    return _Ratings.of_records(source, k)
 
 
-def _split_records(records, fraction: float, seed: int):
-    train_recs, test_recs = split_train_test(records, SplitSpec(fraction, seed))
-    if not train_recs:
+def _split(batch: _Ratings, fraction: float, seed: int):
+    """(train, test) batches, each in input order."""
+    train = _train_mask(batch, SplitSpec(fraction, seed))
+    if not train.any():
         raise ValueError("training split is empty; raise the train fraction")
-    if not test_recs:
+    if train.all():
         raise ValueError("test split is empty; lower the train fraction")
-    return train_recs, test_recs
+    return tuple(_Ratings(batch.user_ids, batch.u[rows], batch.item_ids,
+                          batch.i[rows], batch.values[rows])
+                 for rows in (train, ~train))
 
 
 def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
@@ -293,64 +297,60 @@ def _relevance(threshold: float | None, scale: RatingScale) -> float:
     return RelevanceSpec(threshold).check(scale).threshold
 
 
-def _scored_test(test_recs, train: Dataset | CriteriaTensor, threshold: float,
-                 top_n: int, width: int,
+def _scored_test(test: _Ratings, train: Dataset | CriteriaTensor,
+                 threshold: float, top_n: int, width: int,
                  score: Callable[[int, np.ndarray], np.ndarray]):
     """The protocol of both harnesses.  Each test user the training data
     knows is scored once, by score(u, items) -> (len(items), width) on the
     items without a training cell; column 0 ranks the top-N list and is the
-    prediction.  Returns the predicted test records, their rows in order,
-    and the top-N item ids and interesting test items of each user."""
+    prediction.  Returns which test rows were predicted, their rows, and
+    the top-N item ids and interesting test items of each user."""
     interesting: dict[str, set[str]] = {}
-    # each test user's known items: positions in test_recs, item indices
-    cells: dict[str, tuple[list[int], list[int]]] = {}
-    for pos, rec in enumerate(test_recs):
-        at, idx = cells.setdefault(rec.user_id, ([], []))
-        if train.has_item(rec.item_id):
-            at.append(pos)
-            idx.append(train.item_index(rec.item_id))
-        if rec.overall >= threshold:
-            interesting.setdefault(rec.user_id, set()).add(rec.item_id)
-    rows = np.full((len(test_recs), width), np.nan)
+    good = test.values[:, 0] >= threshold
+    for u, i in zip(test.u[good].tolist(), test.i[good].tolist()):
+        interesting.setdefault(test.user_ids[u], set()).add(test.item_ids[i])
+    # each row's training item index, -1 where training lacks the item
+    known = np.array([train._items.pos.get(x, -1) for x in test.item_ids],
+                     dtype=np.int64)[test.i]
+    rows = np.full((len(test.u), width), np.nan)
     recommendations: dict[str, list[str]] = {}
-    for uid, (at, idx) in cells.items():
-        if not train.has_user(uid):
+    # test users by first appearance, each with its rows in order
+    for code, at in sorted(_groups(test.u), key=lambda group: group[1][0]):
+        u = train._users.pos.get(test.user_ids[code])
+        if u is None:
             continue
-        u = train.user_index(uid)
         items = _unrated(train.n_items, train._row(u)[0])
         scored = score(u, items)
-        recommendations[uid] = [train.item_id(i) for i, _ in
-                                _top_n(items, scored[:, 0], top_n)]
-        # no test pair is a training cell, so each is one of the items
-        rows[at] = scored.take(items.searchsorted(idx), axis=0)
+        recommendations[train.user_id(u)] = [
+            train.item_id(i) for i, _ in _top_n(items, scored[:, 0], top_n)]
+        # no test pair is a training cell, so each known one is in items
+        at = at[known[at] >= 0]
+        rows[at] = scored.take(items.searchsorted(known[at]), axis=0)
     made = ~np.isnan(rows[:, 0])
-    return (list(compress(test_recs, made.tolist())), rows[made],
-            recommendations, interesting)
+    return made, rows[made], recommendations, interesting
 
 
-def _report(config: BenchmarkConfig | McBenchmarkConfig, ranks, test_recs,
-            train: Dataset | CriteriaTensor, threshold: float, width: int,
-            score) -> EvalReport:
+def _report(config: BenchmarkConfig | McBenchmarkConfig, ranks,
+            test: _Ratings, train: Dataset | CriteriaTensor, threshold: float,
+            width: int, score) -> EvalReport:
     """A harness's report from its score (see _scored_test): column 0
     predicts the overall, any column c after it criterion c."""
     made, rows, recommendations, interesting = _scored_test(
-        test_recs, train, threshold, config.top_n, width, score)
-    truths = np.array([r.overall for r in made], dtype=np.float64)
-    mae_v, bias_v, rmse_v = _error_metrics(rows[:, 0], truths)
-    criteria_mae = tuple(_error_metrics(rows[:, c], np.array(
-        [r.criteria[c - 1] for r in made], dtype=np.float64))[0]
-        for c in range(1, width))
+        test, train, threshold, config.top_n, width, score)
+    truths = test.values[made]
+    mae_v, bias_v, rmse_v = _error_metrics(rows[:, 0], truths[:, 0])
+    criteria_mae = tuple(_error_metrics(rows[:, c], truths[:, c])[0]
+                         for c in range(1, width))
     precision, recall, f1, pred_cov, cat_cov = _decision_metrics(
-        recommendations, interesting, train.item_ids, len(test_recs),
-        len(made))
+        recommendations, interesting, train.item_ids, len(test.u), len(rows))
     return EvalReport(
         sim=config.sim, train_fraction=config.train_fraction,
         seed=config.seed, ranks=ranks,
         mae=mae_v, bias=bias_v, rmse=rmse_v,
         precision=precision, recall=recall, f1=f1,
         prediction_coverage=pred_cov, catalog_coverage=cat_cov,
-        pair_count=len(made),
-        no_prediction_count=len(test_recs) - len(made),
+        pair_count=len(rows),
+        no_prediction_count=len(test.u) - len(rows),
         criteria_mae=criteria_mae,
     )
 
@@ -371,13 +371,13 @@ def run_benchmark(source, config: BenchmarkConfig,
     neighborhoods predict through predict_matrix, bounded ones through the
     per-user neighborhood kernel.
     """
-    train_recs, test_recs = _split_records(
-        _records(source), config.train_fraction, config.seed)
-    train = Dataset.from_records(train_recs, _source_scale(source, scale))
-    return _evaluate(train, test_recs, config)
+    train, test = _split(_batch(source), config.train_fraction, config.seed)
+    train = Dataset.from_records(train, _source_scale(source, scale))
+    return _evaluate(train, test, config)
 
 
-def _evaluate(train: Dataset, test_recs, config: BenchmarkConfig) -> EvalReport:
+def _evaluate(train: Dataset, test: _Ratings,
+              config: BenchmarkConfig) -> EvalReport:
     """run_benchmark after the split."""
     threshold = _relevance(config.relevance_threshold, train.scale)
     sims = _build_store(train, config.sim, config.latent_rank, config.seed)
@@ -392,7 +392,7 @@ def _evaluate(train: Dataset, test_recs, config: BenchmarkConfig) -> EvalReport:
             return _predict_user(train, sims, u, items, spec)[0][:, None]
 
     ranks = (config.latent_rank,) if config.sim == "latent" else None
-    return _report(config, ranks, test_recs, train, threshold, 1, score)
+    return _report(config, ranks, test, train, threshold, 1, score)
 
 
 def run_sweep(source, sims: Sequence[str], fractions: Sequence[float],
@@ -403,15 +403,15 @@ def run_sweep(source, sims: Sequence[str], fractions: Sequence[float],
     source and scale as for run_benchmark.  Each fraction is split and
     indexed once, for all measures."""
     scale = _source_scale(source, scale)
-    records = _records(source)
+    batch = _batch(source)
     reports = []
     for fraction in fractions:
         configs = [BenchmarkConfig(
             sim=sim, train_fraction=fraction, seed=seed, top_n=top_n,
             relevance_threshold=relevance_threshold) for sim in sims]
-        train_recs, test_recs = _split_records(records, fraction, seed)
-        train = Dataset.from_records(train_recs, scale)
-        reports += [_evaluate(train, test_recs, c) for c in configs]
+        train, test = _split(batch, fraction, seed)
+        train = Dataset.from_records(train, scale)
+        reports += [_evaluate(train, test, c) for c in configs]
     return reports
 
 
@@ -460,16 +460,16 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
     """
     if isinstance(source, (str, Path)):
         raise ValueError("a path has no criteria; pass a tensor or records")
-    records = _records(source)
     if isinstance(source, CriteriaTensor):
         k, scale = source.k, source.scale
     elif k is None or scale is None:
         raise ValueError("record input needs explicit k and scale")
-    elif not all(isinstance(r, CriteriaRecord) for r in records):
-        raise ValueError("records without criteria; pass CriteriaRecords")
-    train_recs, test_recs = _split_records(records, config.train_fraction,
-                                           config.seed)
-    train = CriteriaTensor.from_records(train_recs, k, scale)
+    else:
+        source = list(source)
+        if not all(isinstance(r, CriteriaRecord) for r in source):
+            raise ValueError("records without criteria; pass CriteriaRecords")
+    train, test = _split(_batch(source, k), config.train_fraction, config.seed)
+    train = CriteriaTensor.from_records(train, k, scale)
     caps = (train.n_users, train.n_items, k + 1)
     if any(r > cap for r, cap in zip(config.ranks, caps)):
         raise ValueError(f"ranks {config.ranks} exceed tensor dims {caps}")
@@ -483,12 +483,12 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
             [_aggregate_rows(model.aggregation, crits, scale), crits])
 
     # unknown users or items are the only no-predictions
-    return _report(config, tuple(config.ranks), test_recs, train, threshold,
+    return _report(config, tuple(config.ranks), test, train, threshold,
                    k + 1, score)
 
 
 def global_mean_baseline(source, fraction: float, seed: int) -> float:
     """MAE of always predicting the training mean, same split as the harness."""
-    train_recs, test_recs = _split_records(_records(source), fraction, seed)
-    mean = float(np.mean([r.overall for r in train_recs]))
-    return float(np.mean([abs(mean - r.overall) for r in test_recs]))
+    train, test = _split(_batch(source), fraction, seed)
+    mean = float(np.mean(train.values[:, 0]))
+    return float(np.mean(np.abs(mean - test.values[:, 0])))

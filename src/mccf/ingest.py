@@ -15,14 +15,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
+
+import numpy as np
 
 from .core import (
     CriteriaRecord,
     ParseError,
     RatingRecord,
     RatingScale,
+    _factorize,
+    _Ratings,
 )
 
 MOVIELENS_SCALE = RatingScale.one_to_five()
@@ -58,17 +63,57 @@ class DensityFilterSpec:
             raise ValueError("thresholds must be >= 0")
 
 
-def _iter_lines(source) -> Iterable[tuple[int, str]]:
-    """Yield (1-based line number, stripped line), skipping blank lines."""
+def _parse(source, sep: str, data, row, scale: RatingScale, n: int,
+           stamped: bool = False) -> _Ratings:
+    """The data lines of a path or of lines as a batch: user, item, n values
+    on the scale (the overall last) and, if stamped, a timestamp.  Whole
+    columns convert at once, numpy taking the tokens float() takes; on any
+    failure the per-line row(line number, line) reruns, raising the first
+    bad line's ParseError (or taking what only it takes: grade labels)."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8-sig")
-        lines = text.splitlines()
+        lines = Path(source).read_text(encoding="utf-8-sig").splitlines()
     else:
-        lines = source
-    for no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if line.strip():
-            yield no, line
+        lines = [raw.rstrip("\r\n") for raw in source]
+
+    def batch(users, items, *cols) -> _Ratings:
+        values = np.array(cols[:n], dtype=np.float64)
+        if not np.all((values >= scale.min_value) & (values <= scale.max_value)):
+            raise ValueError("value outside the scale")
+        values = np.roll(values, 1, axis=0).T.copy()    # the overall first
+        stamps = [int(t) for t in cols[n]] if stamped else None
+        return _Ratings(*_factorize(map(str.strip, users)),
+                        *_factorize(map(str.strip, items)), values, stamps)
+
+    kept = list(filter(data, lines))
+    width = 2 + n + stamped
+    if not {line.count(sep) for line in kept} - {width - 1}:
+        fields = sep.join(kept).split(sep) if kept else []
+        try:
+            return batch(*[fields[c::width] for c in range(width)])
+        except ValueError:
+            pass
+    return batch(*zip(*[row(no, line) for no, line in enumerate(lines, 1)
+                        if data(line)]))
+
+
+def _movielens_row(no: int, line: str) -> tuple[str, str, float, int]:
+    parts = line.split("\t")
+    if len(parts) != 4:
+        raise ParseError(f"expected 4 TAB-separated fields, got {len(parts)}", no)
+    user, item, rating_s, ts_s = (p.strip() for p in parts)
+    try:
+        rating = float(rating_s)
+        timestamp = int(ts_s)
+    except ValueError:
+        raise ParseError(f"non-numeric rating or timestamp in {line!r}", no) from None
+    if not MOVIELENS_SCALE.contains(rating):
+        raise ParseError(f"rating {rating} outside [1, 5]", no)
+    return user, item, rating, timestamp
+
+
+def _parse_movielens(source) -> _Ratings:
+    return _parse(source, "\t", str.strip, _movielens_row, MOVIELENS_SCALE, 1,
+                  stamped=True)
 
 
 def parse_movielens(source) -> list[RatingRecord]:
@@ -76,21 +121,9 @@ def parse_movielens(source) -> list[RatingRecord]:
 
     ``source`` is a path or an iterable of lines.  Ratings must lie in 1-5.
     """
-    records = []
-    for no, line in _iter_lines(source):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 TAB-separated fields, got {len(parts)}", no)
-        user, item, rating_s, ts_s = (p.strip() for p in parts)
-        try:
-            rating = float(rating_s)
-            timestamp = int(ts_s)
-        except ValueError:
-            raise ParseError(f"non-numeric rating or timestamp in {line!r}", no) from None
-        if not MOVIELENS_SCALE.contains(rating):
-            raise ParseError(f"rating {rating} outside [1, 5]", no)
-        records.append(RatingRecord(user, item, rating, timestamp))
-    return records
+    b = _parse_movielens(source)
+    return [RatingRecord(b.user_ids[u], b.item_ids[i], r, t) for u, i, r, t in
+            zip(b.u.tolist(), b.i.tolist(), b.values[:, 0].tolist(), b.timestamps)]
 
 
 def grade_to_number(grade: str, scale: RatingScale) -> float:
@@ -118,23 +151,23 @@ def _parse_value(token: str, scale: RatingScale, line_no: int) -> float:
     return value
 
 
+def _mc_row(no: int, line: str, k: int, scale: RatingScale) -> tuple:
+    parts = line.split(",")
+    if len(parts) != k + 3:
+        raise ParseError(
+            f"expected {k + 3} comma-separated fields, got {len(parts)}", no
+        )
+    return (parts[0].strip(), parts[1].strip(),
+            *[_parse_value(tok, scale, no) for tok in parts[2:]])
+
+
 def parse_multicriteria(source, k: int, scale: RatingScale) -> list[CriteriaRecord]:
     """Parse ``user,item,c1,...,ck,overall`` lines (numeric or grade labels)."""
-    records = []
-    for no, line in _iter_lines(source):
-        if line.lstrip().startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != k + 3:
-            raise ParseError(
-                f"expected {k + 3} comma-separated fields, got {len(parts)}", no
-            )
-        user, item = parts[0].strip(), parts[1].strip()
-        values = [_parse_value(tok, scale, no) for tok in parts[2:]]
-        records.append(
-            CriteriaRecord(user, item, tuple(values[:-1]), values[-1])
-        )
-    return records
+    b = _parse(source, ",",
+               lambda line: line.strip() and not line.lstrip().startswith("#"),
+               lambda no, line: _mc_row(no, line, k, scale), scale, k + 1)
+    return [CriteriaRecord(b.user_ids[u], b.item_ids[i], tuple(v[1:]), v[0])
+            for u, i, v in zip(b.u.tolist(), b.i.tolist(), b.values.tolist())]
 
 
 def density_filter(records: Sequence[RecordT],
@@ -146,51 +179,44 @@ def density_filter(records: Sequence[RecordT],
     fixpoint is order-independent; the order is fixed for determinism.
     Input order of the surviving records is preserved.
     """
-    kept = list(records)
+    records = list(records)
+    b = _Ratings.of_records(records)
+    kept = np.ones(len(records), dtype=bool)
     while True:
-        user_counts: dict[str, int] = {}
-        for rec in kept:
-            user_counts[rec.user_id] = user_counts.get(rec.user_id, 0) + 1
-        after_users = [r for r in kept
-                       if user_counts[r.user_id] >= spec.min_user_ratings]
-
-        item_counts: dict[str, int] = {}
-        for rec in after_users:
-            item_counts[rec.item_id] = item_counts.get(rec.item_id, 0) + 1
-        after_items = [r for r in after_users
-                       if item_counts[r.item_id] >= spec.min_item_ratings]
-
-        if len(after_items) == len(kept):
-            return after_items
-        kept = after_items
+        users = np.bincount(b.u[kept], minlength=len(b.user_ids))
+        after = kept & (users[b.u] >= spec.min_user_ratings)
+        items = np.bincount(b.i[after], minlength=len(b.item_ids))
+        after &= items[b.i] >= spec.min_item_ratings
+        if after.sum() == kept.sum():
+            return list(compress(records, after.tolist()))
+        kept = after
 
 
-def _split_point(seed: int, user_id: str, item_id: str) -> float:
-    """Deterministic uniform draw in [0, 1) keyed on (seed, user, item).
-
-    Keyed on ids rather than file order so the same pair lands on the same
-    side no matter how the input was ordered.  blake2b is stable across
-    platforms and Python processes (unlike hash()).
-    """
-    h = hashlib.blake2b(
-        f"{user_id}\x1f{item_id}".encode("utf-8"),
-        key=seed.to_bytes(8, "little"),
-        digest_size=8,
-    )
-    return int.from_bytes(h.digest(), "big") / 2.0 ** 64
+def _train_mask(batch: _Ratings, spec: SplitSpec) -> np.ndarray:
+    """Which rows train: each distinct (user, item) pair trains when a
+    blake2b hash of its ids keyed on the seed, read as a point in [0, 1),
+    lies below the fraction.  Keyed on ids, not file order, and stable
+    across platforms and processes, unlike hash()."""
+    width = len(batch.item_ids)
+    pairs, inverse = np.unique(batch.u * width + batch.i, return_inverse=True)
+    keyed = hashlib.blake2b(key=spec.seed.to_bytes(8, "little"), digest_size=8)
+    digests = []
+    for u, i in zip((pairs // width).tolist(), (pairs % width).tolist()):
+        h = keyed.copy()
+        h.update(f"{batch.user_ids[u]}\x1f{batch.item_ids[i]}".encode("utf-8"))
+        digests.append(h.digest())
+    points = np.frombuffer(b"".join(digests), dtype=">u8") / 2.0 ** 64
+    return (points < spec.train_fraction)[inverse]
 
 
 def split_train_test(records: Sequence[RecordT],
                      spec: SplitSpec) -> tuple[list[RecordT], list[RecordT]]:
-    """Partition records into (train, test), each record independently."""
-    train: list[RecordT] = []
-    test: list[RecordT] = []
-    for rec in records:
-        if _split_point(spec.seed, rec.user_id, rec.item_id) < spec.train_fraction:
-            train.append(rec)
-        else:
-            test.append(rec)
-    return train, test
+    """Partition records into (train, test), each record independently,
+    both in input order."""
+    records = list(records)
+    train = _train_mask(_Ratings.of_records(records), spec)
+    return (list(compress(records, train.tolist())),
+            list(compress(records, (~train).tolist())))
 
 
 def _fmt_rating(v: float) -> str:

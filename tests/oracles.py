@@ -9,18 +9,30 @@ loop_predict is the per-pair neighborhood loop the engine's kernel must
 match bitwise.  An undefined similarity is None here and NaN inside a
 store.
 
+The per-record ingest (parse_movielens, parse_multicriteria,
+split_train_test, index_records and the containers built on it) is the
+record-at-a-time code the library's columnar ingest must match: the same
+records, ParseError messages, splits, index maps, cells and duplicate
+counts.  top_n is the lexsort rule the engine's partial selection must
+match.
+
 The small helpers read stores, models and datasets the way the tests need
 to, through nothing but their public arrays.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, ParseError,
+                       RatingRecord, _IndexMap)
 from mccf.engine import DENOM_EPS
+from mccf.ingest import MOVIELENS_SCALE, grade_to_number
 from mccf.similarity import RATING_KINDS, _VAR_EPS
 
 
@@ -289,3 +301,127 @@ def loop_predict(d, sims, u, i, spec):
         return None
     value = float(weights @ ratings) / denom
     return d.scale.clamp(value), int(weights.size)
+
+
+def top_n(items: np.ndarray, values: np.ndarray, n: int) -> list[tuple[int, float]]:
+    """The n best (item index, value) pairs by one full lexsort: value
+    descending, index ascending on ties; NaN values left out."""
+    ok = ~np.isnan(values)
+    items, values = items[ok], values[ok]
+    order = np.lexsort((items, -values))[:n]
+    return list(zip(items[order].tolist(), values[order].tolist()))
+
+
+# ---- per-record ingest -----------------------------------------------------
+
+
+def iter_lines(source):
+    """Yield (1-based line number, stripped line), skipping blank lines."""
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text(encoding="utf-8-sig")
+        lines = text.splitlines()
+    else:
+        lines = source
+    for no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if line.strip():
+            yield no, line
+
+
+def parse_movielens(source) -> list[RatingRecord]:
+    records = []
+    for no, line in iter_lines(source):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(f"expected 4 TAB-separated fields, got {len(parts)}", no)
+        user, item, rating_s, ts_s = (p.strip() for p in parts)
+        try:
+            rating = float(rating_s)
+            timestamp = int(ts_s)
+        except ValueError:
+            raise ParseError(f"non-numeric rating or timestamp in {line!r}", no) from None
+        if not MOVIELENS_SCALE.contains(rating):
+            raise ParseError(f"rating {rating} outside [1, 5]", no)
+        records.append(RatingRecord(user, item, rating, timestamp))
+    return records
+
+
+def parse_value(token: str, scale, line_no: int) -> float:
+    token = token.strip()
+    try:
+        value = float(token)
+    except ValueError:
+        try:
+            value = grade_to_number(token, scale)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+    if not scale.contains(value):
+        raise ParseError(f"value {value} outside scale bounds", line_no)
+    return value
+
+
+def parse_multicriteria(source, k: int, scale) -> list[CriteriaRecord]:
+    records = []
+    for no, line in iter_lines(source):
+        if line.lstrip().startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != k + 3:
+            raise ParseError(
+                f"expected {k + 3} comma-separated fields, got {len(parts)}", no
+            )
+        user, item = parts[0].strip(), parts[1].strip()
+        values = [parse_value(tok, scale, no) for tok in parts[2:]]
+        records.append(CriteriaRecord(user, item, tuple(values[:-1]), values[-1]))
+    return records
+
+
+def split_point(seed: int, user_id: str, item_id: str) -> float:
+    """Uniform draw in [0, 1) keyed on (seed, user, item)."""
+    h = hashlib.blake2b(
+        f"{user_id}\x1f{item_id}".encode("utf-8"),
+        key=seed.to_bytes(8, "little"),
+        digest_size=8,
+    )
+    return int.from_bytes(h.digest(), "big") / 2.0 ** 64
+
+
+def split_train_test(records, spec):
+    train, test = [], []
+    for rec in records:
+        if split_point(spec.seed, rec.user_id, rec.item_id) < spec.train_fraction:
+            train.append(rec)
+        else:
+            test.append(rec)
+    return train, test
+
+
+def index_records(records):
+    """Dense first-appearance indices and keep-last deduplication in one
+    pass: (user_map, item_map, u_idx, i_idx, kept, duplicates), one entry
+    of u_idx, i_idx and kept per cell in first-appearance order."""
+    users: dict[str, int] = {}
+    items: dict[str, int] = {}
+    cells: dict[tuple[int, int], object] = {}
+    seen = 0
+    for seen, rec in enumerate(records, 1):
+        # re-assigning a key keeps the position of its first appearance
+        cells[users.setdefault(rec.user_id, len(users)),
+              items.setdefault(rec.item_id, len(items))] = rec
+    index = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
+    return (_IndexMap(list(users)), _IndexMap(list(items)), index[:, 0],
+            index[:, 1], list(cells.values()), seen - len(cells))
+
+
+def dataset_from_records(records, scale) -> Dataset:
+    umap, imap, u_idx, i_idx, kept, dups = index_records(records)
+    vals = np.fromiter((rec.overall for rec in kept), dtype=np.float64,
+                       count=len(kept))
+    return Dataset(umap, imap, u_idx, i_idx, vals, scale, dups)
+
+
+def tensor_from_records(records, k: int, scale) -> CriteriaTensor:
+    umap, imap, u_idx, i_idx, kept, dups = index_records(records)
+    vals = np.array([(rec.overall, *rec.criteria) for rec in kept],
+                    dtype=np.float64).reshape(len(kept), k + 1)
+    return CriteriaTensor(umap, imap, k, u_idx, i_idx, vals, scale, dups)

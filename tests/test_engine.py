@@ -23,10 +23,11 @@ from mccf.engine import (
     predict_single,
     recommend_top_n,
     save_model,
+    _top_n,
 )
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
-from oracles import loop_predict, sim, whole_matrix_predictions
+from oracles import loop_predict, sim, top_n, whole_matrix_predictions
 
 NAN = np.nan
 
@@ -138,6 +139,18 @@ def _tie_matrix():
     for i in range(3):
         values[i, 3] = values[3, i] = 0.5
     return values
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.sampled_from([NAN, 1.0, 2.5, 2.5, 4.0, 0.0, -0.0, -1.0,
+                                 np.inf]), max_size=40),
+       st.integers(0, 50), st.integers(1, 45))
+def test_top_n_partial_selection_matches_lexsort(values, first, n):
+    """Heavy ties, NaNs, all-NaN and empty input, and n >= len: the
+    partial selection keeps the lexsort rule on ascending items."""
+    items = first + np.arange(len(values), dtype=np.int64) * 3
+    values = np.array(values, dtype=np.float64)
+    assert _top_n(items, values, n) == top_n(items, values, n)
 
 
 def test_recommend_excludes_rated_and_orders():

@@ -2,10 +2,14 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mccf.core import CriteriaRecord, ParseError, RatingRecord, RatingScale
+import oracles
+from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, ParseError,
+                       RatingRecord, RatingScale, _Ratings)
+from mccf.evaluation import _split
 from mccf.ingest import (
     MOVIELENS_SCALE,
     DensityFilterSpec,
@@ -221,3 +225,125 @@ def test_multicriteria_roundtrip(tmp_path):
     p = tmp_path / "out.csv"
     write_multicriteria(records, p)
     assert parse_multicriteria(p, 3, RatingScale.one_to_five()) == records
+
+
+# ---- columnar ingest against the per-record oracles -------------------------
+
+# characters that end a line under str.splitlines, plus the separators
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+ids = st.builds(
+    lambda pad, core, tail: pad + core + tail,
+    st.sampled_from(["", " ", "\u2003"]),
+    st.one_of(st.sampled_from(["u1", "a\x1fb", "\x1f", "ü", "#x", "0"]),
+              st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters=_LINE_BREAKS + "\t,"),
+                       min_size=1, max_size=3)),
+    st.sampled_from(["", " "]))
+ML_RATINGS = ["1", "5", "3.5", " 4", "+2", "0_1", "\u0663", "2e0"]
+ML_STAMPS = ["0", "881250949", " 7", "+5", "1_0", "-3", "9" * 25]
+ML_BAD = ["u\ti\t3", "u\ti\tx\t5", "u\ti\t7\t5", "u\ti\tnan\t1",
+          "u\ti\t3\t1.5", "u\ti\t3\t5\textra", "u\ti\t1__0\t5"]
+MC_NUMBERS = ["1", "13", " 7", "+2", "0_5", "\u0663"]
+MC_LABELS = ["A+", "F", " B- ", "C"]
+MC_BAD = ["u,i,1,2,3", "u,i,1,2,3,14", "u,i,1,2,Q,3", "u,i,nan,1,1,1",
+          "u,i,1,2,3,4,5"]
+FILLER = ["", "  ", "\t"]
+
+
+def _document(draw, line, bad_lines, comments):
+    """Lines with repeats, blank (and comment) lines, at most one bad line,
+    joined with LF or CRLF behind an optional byte-order mark."""
+    pool = draw(st.lists(ids, min_size=1, max_size=5))
+    lines = [line(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+             for _ in range(draw(st.integers(0, 25)))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(FILLER + comments)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(bad_lines)))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@st.composite
+def movielens_text(draw):
+    return _document(draw, lambda u, i: "\t".join(
+        [u, i, draw(st.sampled_from(ML_RATINGS)),
+         draw(st.sampled_from(ML_STAMPS))]), ML_BAD, [])
+
+
+@st.composite
+def letter_text(draw):
+    # grade labels take the per-line parse, numbers alone the columnar one
+    values = MC_NUMBERS + (MC_LABELS if draw(st.booleans()) else [])
+    return _document(draw, lambda u, i: ",".join(
+        [u, i] + [draw(st.sampled_from(values)) for _ in range(4)]),
+        MC_BAD, ["# user,item", " #x"])
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line_no)
+
+
+def _same_cells(got, want):
+    assert (got.user_ids, got.item_ids, got.duplicates) == \
+        (want.user_ids, want.item_ids, want.duplicates)
+    for a, b in ((got._u_idx, want._u_idx), (got._i_idx, want._i_idx),
+                 (got._values, want._values)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _same_split(records, seed, scale):
+    spec = SplitSpec(0.6, seed)
+    got, want = split_train_test(records, spec), oracles.split_train_test(
+        records, spec)
+    assert got == want
+    assert all(a is b for a, b in zip(got[0] + got[1], want[0] + want[1]))
+    if want[0] and want[1]:
+        # the harness splits and indexes the batch, whose codes follow the
+        # whole input rather than the training side
+        train, test = _split(_Ratings.of_records(records), 0.6, seed)
+        _same_cells(Dataset.from_records(train, scale),
+                    oracles.dataset_from_records(want[0], scale))
+        assert [(test.user_ids[u], test.item_ids[i], v) for u, i, v in zip(
+            test.u.tolist(), test.i.tolist(), test.values[:, 0].tolist())] \
+            == [(r.user_id, r.item_id, r.overall) for r in want[1]]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("columnar")
+
+
+@settings(deadline=None, max_examples=80)
+@given(movielens_text(), st.integers(0, 2 ** 64 - 1))
+def test_columnar_movielens_matches_per_record_oracles(scratch, text, seed):
+    path = scratch / "u.data"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, text.splitlines(keepends=True)):
+        got = _outcome(parse_movielens, source)
+        assert got == _outcome(oracles.parse_movielens, source)
+    if isinstance(got, tuple):
+        return
+    _same_cells(Dataset.from_records(got, MOVIELENS_SCALE),
+                oracles.dataset_from_records(got, MOVIELENS_SCALE))
+    _same_split(got, seed, MOVIELENS_SCALE)
+
+
+@settings(deadline=None, max_examples=80)
+@given(letter_text(), st.integers(0, 2 ** 64 - 1))
+def test_columnar_mc_csv_matches_per_record_oracles(scratch, text, seed):
+    path = scratch / "ratings.csv"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, text.splitlines(keepends=True)):
+        got = _outcome(parse_multicriteria, source, 3, LETTER)
+        assert got == _outcome(oracles.parse_multicriteria, source, 3, LETTER)
+    if isinstance(got, tuple):
+        return
+    _same_cells(CriteriaTensor.from_records(got, 3, LETTER),
+                oracles.tensor_from_records(got, 3, LETTER))
+    _same_split(got, seed, LETTER)
