@@ -79,7 +79,7 @@ class RatingScale:
         return self.max_value - self.min_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatingRecord:
     """One (user, item, overall) event; timestamp optional."""
 
@@ -89,7 +89,7 @@ class RatingRecord:
     timestamp: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriteriaRecord:
     """One rating event carrying k criterion ratings plus the overall."""
 
@@ -189,19 +189,26 @@ class _Cells:
             raise ValueError("cell index and value arrays differ in length")
         if not np.all((values >= scale.min_value) & (values <= scale.max_value)):
             raise ValueError("rating outside scale bounds")
-        order = np.lexsort((i_idx, u_idx))
-        u_idx, i_idx = u_idx[order], i_idx[order]
-        if len(order) and not (0 <= u_idx[0] and u_idx[-1] < len(user_map)
+        if len(u_idx) and not (0 <= u_idx.min() and u_idx.max() < len(user_map)
                                and 0 <= i_idx.min()
                                and i_idx.max() < len(item_map)):
             raise ValueError("cell index out of range")
-        if np.any((u_idx[1:] == u_idx[:-1]) & (i_idx[1:] == i_idx[:-1])):
-            raise ValueError("repeated (user, item) cell")
+        # in range, the keys order cells user-major; strictly increasing
+        # keys are sorted cells without a repeat, so only other input sorts
+        keys = u_idx.astype(np.int64) * len(item_map) + i_idx
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.lexsort((i_idx, u_idx))
+            keys = keys[order]
+            if np.any(keys[1:] == keys[:-1]):
+                raise ValueError("repeated (user, item) cell")
+            u_idx, i_idx, values = u_idx[order], i_idx[order], values[order]
+        else:
+            u_idx, i_idx, values = u_idx.copy(), i_idx.copy(), values.copy()
         self._users = user_map
         self._items = item_map
         self.scale = scale
         self.duplicates = duplicates
-        self._u_idx, self._i_idx, self._values = u_idx, i_idx, values[order]
+        self._u_idx, self._i_idx, self._values = u_idx, i_idx, values
         # user u's cells are rows _u_ptr[u] up to _u_ptr[u + 1]
         self._u_ptr = np.searchsorted(u_idx, np.arange(len(user_map) + 1))
         for arr in (self._u_idx, self._i_idx, self._values, self._u_ptr):

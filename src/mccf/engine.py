@@ -31,7 +31,7 @@ from .core import (
     _IndexMap,
     criteria_slice,
 )
-from .linalg import (TuckerModel, check_cell_budget, hosvd, impute_missing,
+from .linalg import (TuckerModel, check_tensor_budget, hosvd, impute_missing,
                      tucker_reconstruct)
 from .similarity import (
     SIMILARITY_KINDS,
@@ -360,29 +360,28 @@ class McModel:
 
 def impute_tensor(t: CriteriaTensor, strategy: str) -> np.ndarray:
     """Dense (users, items, k+1) copy of t, each slice imputed on its own;
-    an over-budget tensor fails before any dense copy is made."""
-    check_cell_budget(t.n_users * t.n_items * (t.k + 1))
+    a tensor whose build would exceed the dense cell budget fails before
+    any dense copy is made."""
+    check_tensor_budget(t.n_users * t.n_items * (t.k + 1))
     dense = t.to_dense()
     for s in range(t.k + 1):
         dense[:, :, s] = impute_missing(dense[:, :, s], strategy)
     return dense
 
 
-def _slice_means(imputed: np.ndarray, config: McConfig) -> np.ndarray | None:
-    """The PCA option's (item, slice) means over users: the HOSVD factors
-    the user-centered tensor, as covariance-based factor extraction does."""
-    return imputed.mean(axis=0) if config.pca_option else None
-
-
 def _assemble(t: CriteriaTensor, config: McConfig, tucker: TuckerModel,
-              imputed: np.ndarray, slice_means: np.ndarray | None) -> McModel:
+              slice_means: np.ndarray | None) -> McModel:
     """The model of a training tensor and its Tucker factors; build_mc_model
-    and load_model both end here.  Observed cells of the denoised tensor keep
-    their imputed value, every other cell takes the reconstructed one."""
-    recon = tucker_reconstruct(tucker)
+    and load_model both end here.  The denoised tensor is the reconstruction
+    (plus the PCA option's slice means) with each observed cell set to its
+    rating, which is the imputed value there: imputation fills only missing
+    cells, so no imputed tensor is read.  The reconstructed-space stores
+    read the reconstruction before the ratings go in."""
+    check_tensor_budget(t.n_users * t.n_items * (t.k + 1))
+    # C order keeps one cell's slices together for the criterion fallback
+    recon = np.ascontiguousarray(tucker_reconstruct(tucker))
     if slice_means is not None:
-        recon = recon + slice_means[None, :, :]
-    denoised = np.where(t.to_mask()[:, :, None], imputed, recon)
+        recon += slice_means
     criteria_data = tuple(criteria_slice(t, c) for c in range(1, t.k + 1))
     if config.sim_kind == "latent_cosine":
         stores = (item_similarity_matrix(criteria_data[0], "latent_cosine",
@@ -396,18 +395,31 @@ def _assemble(t: CriteriaTensor, config: McConfig, tucker: TuckerModel,
                 data.with_dense_values(np.clip(recon[:, :, c], lo, hi)),
                 config.sim_kind)
             for c, data in enumerate(criteria_data, start=1))
-    return McModel(t, config, tucker, denoised, stores, criteria_data,
+    # the mask's cells run user-major, as the cell matrix's rows do
+    recon[t.to_mask()] = t.cell_matrix()
+    return McModel(t, config, tucker, recon, stores, criteria_data,
                    fit_aggregation(t))
 
 
 def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
                    config: McConfig = McConfig()) -> McModel:
-    """Impute -> (center) -> HOSVD -> reconstruct -> similarities -> weights."""
-    imputed = impute_tensor(t, config.impute_strategy)
-    slice_means = _slice_means(imputed, config)
-    work = imputed if slice_means is None else imputed - slice_means[None, :, :]
-    tucker = hosvd(work, ranks, seed=config.seed)
-    return _assemble(t, config, tucker, imputed, slice_means)
+    """Impute -> (center) -> HOSVD -> reconstruct -> similarities -> weights.
+
+    The imputed tensor goes to hosvd as the only reference to it (held in a
+    one-item list until the call), so hosvd frees it before its first
+    sketch, and the denoised tensor is the reconstruction overwritten in
+    place: the build holds at most TENSOR_COPIES dense copies of the tensor
+    at once.
+    """
+    work = [impute_tensor(t, config.impute_strategy)]
+    slice_means = None
+    if config.pca_option:
+        # the (item, slice) means over users: the HOSVD factors the
+        # user-centered tensor, as covariance-based factor extraction does
+        slice_means = work[0].mean(axis=0)
+        work[0] -= slice_means
+    tucker = hosvd(work.pop(), ranks, seed=config.seed)
+    return _assemble(t, config, tucker, slice_means)
 
 
 def _criteria_rows(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
@@ -567,6 +579,8 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     factors = (a["factor1"], a["factor2"], a["factor3"])
     if tuple(map(len, factors)) != (tensor.n_users, tensor.n_items, tensor.k + 1):
         raise ValueError("Tucker factors do not match the tensor")
-    imputed = impute_tensor(tensor, config.impute_strategy)
-    return _assemble(tensor, config, TuckerModel(a["core"], factors), imputed,
-                     _slice_means(imputed, config))
+    # only the PCA option's slice means read the imputed tensor
+    slice_means = (impute_tensor(tensor, config.impute_strategy).mean(axis=0)
+                   if config.pca_option else None)
+    return _assemble(tensor, config, TuckerModel(a["core"], factors),
+                     slice_means)

@@ -4,9 +4,13 @@ Truncated SVD is computed by Gaussian sketching: draw G, form Y = A G,
 orthonormalize, project, and eigendecompose the small projected Gram matrix.
 The sketch has no tuning knobs: 10 oversampling columns (fewer on small
 matrices) and two power iterations, after Halko, Martinsson & Tropp, SIAM
-Review 53(2), 2011.  The Tucker decomposition extracts each mode factor from
-the mode unfolding with the same truncated SVD and forms the core by
-projecting the tensor onto the factor transposes.
+Review 53(2), 2011.  The Tucker decomposition (Kolda & Bader, SIAM Review
+51(3), 2009) takes each mode factor from the mode unfolding with the same
+sketch, forming only the left singular vectors, and forms the core by
+projecting the tensor onto the factor transposes.  It releases its input
+once the first unfolding holds the values, so a caller that hands over the
+only reference bounds the whole factoring at TENSOR_COPIES dense copies of
+the tensor.
 
 Conventions used throughout:
   - matrices are float64 ndarrays; tensors are 3-d ndarrays
@@ -73,16 +77,13 @@ class TuckerModel:
         return self.factors[1] * self.mode_weights(2)
 
 
-def _sign_fix(u: np.ndarray, v: np.ndarray | None = None) -> None:
-    """Flip columns of u (and matching columns of v) in place so the
-    largest-magnitude coordinate of each u column is non-negative."""
-    if u.shape[1] == 0:
-        return
+def _sign_fix(u: np.ndarray) -> np.ndarray:
+    """Flip columns of u in place so the largest-magnitude coordinate of
+    each column is non-negative; returns the mask of flipped columns."""
     lead = np.abs(u).argmax(axis=0)
     flip = u[lead, np.arange(u.shape[1])] < 0
     u[:, flip] *= -1.0
-    if v is not None:
-        v[:, flip] *= -1.0
+    return flip
 
 
 def _complete_orthonormal(v: np.ndarray, have: int) -> None:
@@ -111,6 +112,34 @@ def _complete_orthonormal(v: np.ndarray, have: int) -> None:
         raise ValueError("could not complete orthonormal basis")
 
 
+def _left_factor(a: np.ndarray, k: int,
+                 seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sketch of truncated_svd up to its left factor: (Q X, sigma, B, X)
+    over all sketch columns, with B = Q.T A, X the eigenvectors of B B.T
+    and sigma zero at and below the cutoff.
+
+    Each (n, width) intermediate (the sketch, A.T Q and its basis) dies
+    within the statement that uses it, so beside A the routine holds at
+    most three (n, width) arrays at once (A.T Q, QR's copy of it and the
+    basis) plus LAPACK's two buffers for that QR.
+    """
+    m, n = a.shape
+    width = k + min(10, min(m, n) - k)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(a @ rng.standard_normal((n, width)))
+    for _ in range(2):
+        q, _ = np.linalg.qr(a @ np.linalg.qr(a.T @ q)[0])
+
+    b = q.T @ a
+    evals, x = np.linalg.eigh(b @ b.T)
+    order = np.argsort(evals)[::-1]
+    evals = evals[order]
+    x = x[:, order]
+    sigma = np.sqrt(np.clip(evals, 0.0, None))
+    cutoff = SIGMA_CUTOFF * sigma[0] if sigma[0] > 0 else 0.0
+    return q @ x, np.where(sigma > cutoff, sigma, 0.0), b, x
+
+
 def truncated_svd(a: np.ndarray, k: int, seed: int = 0) -> FactorModel:
     """Sketched truncated SVD of rank k.
 
@@ -128,34 +157,16 @@ def truncated_svd(a: np.ndarray, k: int, seed: int = 0) -> FactorModel:
     if not 1 <= k <= min(m, n):
         raise ValueError(f"rank {k} out of range 1..{min(m, n)}")
 
-    width = k + min(10, min(m, n) - k)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, width))
-    q, _ = np.linalg.qr(a @ g)
-    for _ in range(2):
-        z, _ = np.linalg.qr(a.T @ q)
-        q, _ = np.linalg.qr(a @ z)
-
-    b = q.T @ a
-    evals, x = np.linalg.eigh(b @ b.T)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    x = x[:, order]
-    sigma = np.sqrt(np.clip(evals, 0.0, None))
-
-    u = q @ x
-    cutoff = SIGMA_CUTOFF * sigma[0] if sigma[0] > 0 else 0.0
-    nonzero = sigma > cutoff
-    sigma = np.where(nonzero, sigma, 0.0)
-    v = np.zeros((n, width))
-    if nonzero.any():
-        nz = np.flatnonzero(nonzero)
+    u, sigma, b, x = _left_factor(a, k, seed)
+    v = np.zeros((n, len(sigma)))
+    nz = np.flatnonzero(sigma)
+    if nz.size:
         v[:, nz] = b.T @ (x[:, nz] / sigma[nz])
 
     u = u[:, :k].copy()
     v = v[:, :k].copy()
     sigma = sigma[:k].copy()
-    _sign_fix(u, v)
+    v[:, _sign_fix(u)] *= -1.0
     _complete_orthonormal(v, int(np.count_nonzero(sigma > 0)))
     return FactorModel(u, sigma, v)
 
@@ -238,10 +249,19 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     return mode_refold(m @ mode_unfold(t, mode), mode, tuple(dims))
 
 
-# Most cells the dense arrays of one step may hold: the tensor hosvd
-# factors, or a plain dataset's users x items ratings plus its items x items
-# similarity store.  2e8 float64 cells are 1.6 GB.
+# Most cells the dense arrays of one step may hold: a plain dataset's
+# users x items ratings plus its items x items similarity store, or the
+# matrix decompose factors; a tensor counts TENSOR_COPIES times.  2e8
+# float64 cells are 1.6 GB.
 DENSE_CELL_BUDGET = 2e8
+
+# Dense copies of a (users, items, k+1) tensor that hosvd, and so an MC
+# build, holds at its peak: an unfolding plus, where the sketch is as wide
+# as the unfolding is tall (always for mode 3 with k+1 <= r3 + 10), A.T Q,
+# QR's copy of it and its basis, which tracemalloc sees (4.0 copies for a
+# 1,000 x 800 x 5 build), and the two LAPACK buffers of that QR, which it
+# does not.
+TENSOR_COPIES = 6
 
 
 def check_cell_budget(cells: int) -> None:
@@ -250,43 +270,63 @@ def check_cell_budget(cells: int) -> None:
                          f"{DENSE_CELL_BUDGET:.0f}-cell budget")
 
 
+def check_tensor_budget(cells: int) -> None:
+    """Reject a tensor of this many cells whose HOSVD would hold more than
+    DENSE_CELL_BUDGET cells at once."""
+    check_cell_budget(TENSOR_COPIES * cells)
+
+
 def hosvd(t: np.ndarray, ranks: tuple[int, int, int], *,
           seed: int = 0) -> TuckerModel:
     """Tucker decomposition via per-mode truncated SVD.
 
     Factor s holds the top-r_s left singular vectors of the mode-s
-    unfolding, from truncated_svd with seed + s; the core is the tensor
-    multiplied by every factor transpose.  Tensors above DENSE_CELL_BUDGET
-    cells are rejected as too large to factor densely in memory.
+    unfolding, those truncated_svd with seed + s returns; the core is the
+    tensor multiplied by every factor transpose, mode 1 first, each
+    product taken as soon as its factor exists.  Only the left factors
+    are formed.  The function drops its reference to t once the mode-1
+    unfolding exists, and each unfolding once the next one does, so a
+    caller that passes the only reference to t frees it before the first
+    sketch.  A tensor whose factoring would hold more than
+    DENSE_CELL_BUDGET cells (TENSOR_COPIES per tensor cell) is rejected
+    before any of it.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
         raise ValueError("expected a third-order tensor")
-    check_cell_budget(t.size)
+    check_tensor_budget(t.size)
     for mode in (1, 2, 3):
         if not 1 <= ranks[mode - 1] <= t.shape[mode - 1]:
             raise ValueError(
                 f"rank {ranks[mode - 1]} out of range 1..{t.shape[mode - 1]} "
                 f"for mode {mode}"
             )
+    dims = t.shape
+    # from here on the unfoldings hold the tensor's values: each is formed
+    # from the one before, C-ordered as the tensor's own unfolding would be
+    unfolding = mode_unfold(t, 1)
+    del t
     factors = []
     for mode in (1, 2, 3):
-        unfolding = mode_unfold(t, mode)
+        if mode > 1:
+            unfolding = np.ascontiguousarray(
+                mode_unfold(mode_refold(unfolding, mode - 1, dims), mode))
         r = ranks[mode - 1]
         # a mode's factor may have more columns than the unfolding has
         # singular vectors (r up to I_s); the surplus is an orthonormal
         # completion, harmless to the reconstruction projector
         r_eff = min(r, unfolding.shape[1])
-        u = truncated_svd(unfolding, r_eff, seed=seed + mode).u
+        u = _left_factor(unfolding, r_eff, seed + mode)[0][:, :r_eff].copy()
+        _sign_fix(u)
         if r_eff < r:
             full = np.zeros((unfolding.shape[0], r))
             full[:, :r_eff] = u
             _complete_orthonormal(full, r_eff)
             u = full
         factors.append(u)
-    core = t
-    for mode, u in zip((1, 2, 3), factors):
-        core = mode_product(core, u.T, mode)
+        # t x1 u1.T reads the unfolding in hand, as mode_product would
+        core = (mode_refold(u.T @ unfolding, 1, (r,) + dims[1:]) if mode == 1
+                else mode_product(core, u.T, mode))
     return TuckerModel(core, tuple(factors))
 
 

@@ -6,7 +6,9 @@ the same numbers for all pairs at once.  whole_matrix_similarity and
 whole_matrix_predictions are the plain float64 whole-matrix builds that
 item_similarity_matrix and predict_matrix must match bit for bit.
 loop_predict is the per-pair neighborhood loop the engine's kernel must
-match bitwise.  An undefined similarity is None here and NaN inside a
+match bitwise.  hosvd_reference is the Tucker decomposition as truncated
+SVDs of whole unfoldings, the core formed after every factor: the factors
+and core hosvd must match bit for bit.  An undefined similarity is None here and NaN inside a
 store.
 
 The per-record ingest (parse_movielens, parse_multicriteria,
@@ -33,6 +35,8 @@ from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, ParseError,
                        RatingRecord, _IndexMap)
 from mccf.engine import DENOM_EPS
 from mccf.ingest import MOVIELENS_SCALE, grade_to_number
+from mccf.linalg import (TuckerModel, _complete_orthonormal, mode_product,
+                         mode_unfold, truncated_svd)
 from mccf.similarity import RATING_KINDS, _VAR_EPS
 
 
@@ -276,6 +280,31 @@ def whole_matrix_predictions(d, sims) -> np.ndarray:
     good = den >= DENOM_EPS
     out[good] = num[good] / den[good]
     return np.clip(out, d.scale.min_value, d.scale.max_value)
+
+
+# ---- Tucker decomposition --------------------------------------------------
+
+
+def hosvd_reference(t: np.ndarray, ranks: tuple[int, int, int],
+                    seed: int = 0) -> TuckerModel:
+    """Factor s: truncated_svd(mode-s unfolding, r_s, seed + s).u, with an
+    orthonormal completion where r_s exceeds the unfolding's columns; the
+    core is t multiplied by every factor transpose once all exist."""
+    factors = []
+    for mode, r in zip((1, 2, 3), ranks):
+        unfolding = mode_unfold(t, mode)
+        r_eff = min(r, unfolding.shape[1])
+        u = truncated_svd(unfolding, r_eff, seed=seed + mode).u
+        if r_eff < r:
+            full = np.zeros((unfolding.shape[0], r))
+            full[:, :r_eff] = u
+            _complete_orthonormal(full, r_eff)
+            u = full
+        factors.append(u)
+    core = t
+    for mode, u in zip((1, 2, 3), factors):
+        core = mode_product(core, u.T, mode)
+    return TuckerModel(core, tuple(factors))
 
 
 # ---- per-pair neighborhood loop -------------------------------------------

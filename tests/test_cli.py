@@ -264,6 +264,22 @@ def test_over_budget_tensor_exits_before_dense_copy(tmp_path, monkeypatch,
         assert code == 2 and "budget" in err, (verb, err)
 
 
+def test_budget_counts_every_copy_of_the_mc_build(data_dir, monkeypatch,
+                                                  capsys):
+    # 30 users x 14 items x 4 slices: one dense copy fits a budget of that
+    # many cells, the build's TENSOR_COPIES copies do not
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", 30 * 14 * 4)
+
+    def dense_copy(*args, **kwargs):
+        raise AssertionError("dense copy made before the budget check")
+
+    monkeypatch.setattr(CriteriaTensor, "to_dense", dense_copy)
+    code, _, err = run(["mc-evaluate", "--input", str(data_dir / "mc.csv"),
+                        "--format", "mc-csv", "--criteria", "3",
+                        "--ranks", "2,3,3", "--seed", "1"], capsys)
+    assert code == 2 and "budget" in err, err
+
+
 def test_over_budget_ratings_exit_before_dense_copy(tmp_path, monkeypatch,
                                                     capsys):
     # 15,000 users x 15,000 items: even the 70% training split's ratings

@@ -144,6 +144,26 @@ def test_constructors_reject_bad_cells():
                 np.array([1.0]), ONE_TO_FIVE)
 
 
+def test_unsorted_cells_are_sorted_or_rejected():
+    users, items = _IndexMap(["a", "b", "c"]), _IndexMap(["x", "y"])
+    u_idx, i_idx = np.array([2, 0, 1, 0]), np.array([0, 1, 1, 0])
+    d = Dataset(users, items, u_idx, i_idx, np.array([1.0, 2.0, 3.0, 4.0]),
+                ONE_TO_FIVE)
+    assert d.items_of(0)[0].tolist() == [0, 1]
+    assert d.values.tolist() == [4.0, 2.0, 3.0, 1.0]
+    # the arrays passed in stay the caller's; sorted input is copied too
+    sorted_u = np.array([0, 1])
+    d = Dataset(users, items, sorted_u, np.array([1, 0]),
+                np.array([1.0, 2.0]), ONE_TO_FIVE)
+    sorted_u[0] = 2
+    assert d.items_of(0)[0].tolist() == [1]
+    # a repeated cell, apart (unsorted) or adjacent (otherwise sorted)
+    for u_idx, i_idx in (([0, 1, 0], [1, 0, 1]), ([0, 0, 1], [1, 1, 0])):
+        with pytest.raises(ValueError, match="repeated"):
+            CriteriaTensor(users, items, 1, np.array(u_idx), np.array(i_idx),
+                           np.ones((3, 2)), ONE_TO_FIVE)
+
+
 def test_with_dense_values():
     d = Dataset.from_records(RECORDS, ONE_TO_FIVE)
     replaced = d.with_dense_values(np.full((3, 2), 2.5))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from mccf.engine import (
     save_model,
     _top_n,
 )
+from mccf.linalg import TENSOR_COPIES
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
 from oracles import loop_predict, sim, top_n, whole_matrix_predictions
@@ -482,6 +485,52 @@ def test_hosvd_budget_checked_before_any_dense_copy(monkeypatch):
     monkeypatch.setattr(CriteriaTensor, "to_mask", dense_copy)
     with pytest.raises(ValueError, match="budget"):
         build_mc_model(t, (2, 2, 2))
+
+
+def test_budget_counts_the_copies_a_build_holds(monkeypatch, tmp_path):
+    t = generate_tensor(SyntheticTensorSpec(n_users=20, n_items=10, seed=1))
+    cells = t.n_users * t.n_items * (t.k + 1)
+    path = tmp_path / "model.npz"
+    save_model(build_mc_model(t, (2, 3, 3)), path)
+    # at TENSOR_COPIES copies of the tensor the build and a load still fit
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", TENSOR_COPIES * cells)
+    build_mc_model(t, (2, 3, 3))
+    load_model(path)
+    # one copy fits a budget of the tensor's cells, the build does not; the
+    # load, which imputes nothing without the PCA option, fails before its
+    # reconstruction
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
+
+    def dense_copy(*args, **kwargs):
+        raise AssertionError("dense copy made before the budget check")
+
+    monkeypatch.setattr(CriteriaTensor, "to_dense", dense_copy)
+    monkeypatch.setattr("mccf.engine.tucker_reconstruct", dense_copy)
+    with pytest.raises(ValueError, match="budget"):
+        build_mc_model(t, (2, 3, 3))
+    with pytest.raises(ModelFormatError, match="budget"):
+        load_model(path)
+
+
+def test_build_holds_at_most_four_and_a_half_tensor_copies():
+    # 200 x 150 x 5 cells, 1.2 MB a dense copy; the build used to peak at
+    # 7 copies (imputed tensor, unfoldings, sketch, right factor, ...)
+    rng = np.random.default_rng(60)
+    flat = rng.choice(200 * 150, size=6000, replace=False)
+    t = CriteriaTensor(_IndexMap([f"u{x}" for x in range(200)]),
+                       _IndexMap([f"i{x}" for x in range(150)]), 4,
+                       flat // 150, flat % 150,
+                       rng.integers(1, 6, size=(6000, 5)).astype(float),
+                       RatingScale.one_to_five())
+    copy = 200 * 150 * 5 * 8
+    for config in (McConfig(), McConfig(pca_option=True)):
+        tracemalloc.start()
+        try:
+            build_mc_model(t, (8, 8, 3), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * copy, (config, peak / copy)
 
 
 def test_degenerate_single_criterion_matches_plain_cf():

@@ -18,6 +18,8 @@ from mccf.linalg import (
     tucker_reconstruct,
 )
 
+from oracles import hosvd_reference
+
 NAN = np.nan
 
 
@@ -288,6 +290,25 @@ def test_hosvd_factors_are_truncated_svd_of_each_unfolding():
             u = truncated_svd(unfolding, min(r, unfolding.shape[1]),
                               seed=4 + mode).u
             assert np.array_equal(factor[:, :u.shape[1]], u)
+
+
+def test_hosvd_matches_reference_bitwise():
+    # random tensors, a mode with r_eff < r (6 > 2 * 2), an all-constant
+    # tensor (zero singular values) and a tensor centred as the PCA option
+    # centres it
+    rng = np.random.default_rng(27)
+    centred = rng.integers(1, 6, size=(9, 7, 4)).astype(float)
+    centred -= centred.mean(axis=0)
+    for t, ranks in ((rng.standard_normal((5, 6, 3)), (2, 3, 2)),
+                     (rng.standard_normal((12, 10, 5)), (12, 4, 5)),
+                     (rng.standard_normal((6, 2, 2)), (5, 2, 2)),
+                     (np.full((4, 5, 3), 3.0), (2, 3, 2)),
+                     (centred, (3, 3, 2))):
+        want = hosvd_reference(t, ranks, seed=4)
+        got = hosvd(t.copy(), ranks, seed=4)
+        assert got.core.tobytes() == want.core.tobytes()
+        for a, b in zip(got.factors, want.factors):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_hosvd_determinism():
