@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare the multi-criteria pipeline against a global-mean baseline.
 
-Runs the full pipeline (impute, optional PCA centering, Tucker
-factorization, item-item similarity, weighted aggregation) on planted
-low-rank tensors at several noise levels and prints one row per setting.
+Runs the full pipeline (Tucker factorization of the item-mean-filled
+tensor from its cells, optionally PCA-centred, item-item similarity,
+weighted aggregation) on planted low-rank tensors at several noise
+levels and prints one row per setting.
 
 Usage: python3 scripts/synthetic_mc_experiment.py [--seed S]
 """

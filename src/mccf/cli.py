@@ -33,7 +33,6 @@ from .core import (
 from .engine import (
     McConfig,
     build_mc_model,
-    impute_tensor,
     mc_recommend_top_n,
     recommend_top_n,
 )
@@ -58,7 +57,7 @@ from .ingest import (
     write_movielens,
     write_multicriteria,
 )
-from .linalg import (check_cell_budget, hosvd, impute_missing, pca,
+from .linalg import (CellTensor, check_cell_budget, hosvd, impute_missing, pca,
                      truncated_svd)
 
 SIM_CHOICES = tuple(SIM_NAME_MAP)
@@ -322,8 +321,9 @@ def _cmd_split(args) -> int:
 def _cmd_decompose(args) -> int:
     data = _load(args, matrix=True)
     if args.format == "mc-csv":
-        model = hosvd(impute_tensor(data, "item_mean"), args.ranks,
-                      seed=args.seed)
+        model = hosvd(CellTensor((data.n_users, data.n_items, data.k + 1),
+                                 *data.cell_index(), data.values),
+                      args.ranks, seed=args.seed)
         arrays = {"decomposition": "hosvd", "core": model.core,
                   "factor1": model.factors[0], "factor2": model.factors[1],
                   "factor3": model.factors[2]}

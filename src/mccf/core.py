@@ -252,6 +252,16 @@ class _Cells:
 
     # ---- traversal ---------------------------------------------------------
 
+    @property
+    def values(self) -> np.ndarray:
+        """The stored values, one row per cell, user-major (read-only)."""
+        return self._values
+
+    def cell_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(user indices, item indices) of every cell, user-major
+        (read-only)."""
+        return self._u_idx, self._i_idx
+
     def _row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """(item indices, values) of one user's cells, ascending item index."""
         lo, hi = self._u_ptr[u], self._u_ptr[u + 1]
@@ -303,27 +313,20 @@ class Dataset(_Cells):
         umap, imap, u_idx, i_idx, rows, dups = _index(batch)
         return cls(umap, imap, u_idx, i_idx, batch.values[rows, 0], scale, dups)
 
-    def with_dense_values(self, dense: np.ndarray) -> "Dataset":
-        """Same observed cells and index maps, values taken from a dense
-        users x items array.  Keeps similarity/prediction indices aligned
+    def with_cell_values(self, values: np.ndarray) -> "Dataset":
+        """Same observed cells and index maps, with one new value per cell
+        in user-major order.  Keeps similarity/prediction indices aligned
         when ratings are swapped for reconstructed ones."""
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.shape != (self.n_users, self.n_items):
-            raise ValueError(
-                f"expected shape {(self.n_users, self.n_items)}, got {dense.shape}"
-            )
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != self._values.shape:
+            raise ValueError(f"expected {self._values.shape} cell values, "
+                             f"got {values.shape}")
         return Dataset(self._users, self._items, self._u_idx, self._i_idx,
-                       dense[self._u_idx, self._i_idx], self.scale,
-                       self.duplicates)
+                       values, self.scale, self.duplicates)
 
     @property
     def n_ratings(self) -> int:
         return len(self._values)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The stored ratings, user-major (read-only)."""
-        return self._values
 
     items_of = _Cells._row      # (item indices, ratings) of one user
 

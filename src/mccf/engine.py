@@ -3,14 +3,17 @@
 Single-rating path: a Dataset plus a SimilarityStore predict held-out
 ratings as similarity-weighted means over the target user's rated items.
 
-Multi-criteria path (McModel): the rating tensor is imputed, factored with
-a Tucker/HOSVD model (optionally mean-centered first), and per-criterion
-item similarities are computed from the reconstructed slices restricted to
-the observed-cell structure (or, for the latent_cosine kind, from shared
-latent item factors).  Criterion predictions use the neighborhood formula
-over *observed* ratings; the reconstructed tensor only fills in cells the
-neighborhood cannot reach.  A linear aggregation fitted on training cells
-maps criterion predictions to the overall rating.
+Multi-criteria path (McModel): the rating tensor, imputed slice by slice
+and optionally mean-centred, is factored with a Tucker/HOSVD model
+straight from its cells (linalg.CellTensor), so no dense tensor exists in
+the build or the model.  Per-criterion item similarities are computed
+from the reconstruction at the observed cells (or, for the latent_cosine
+kind, from shared latent item factors).  Criterion predictions use the
+neighborhood formula over *observed* ratings; a criterion the
+neighborhood cannot reach takes the cell's rating where it is observed
+and the reconstruction U1[u] . w[i] elsewhere.  A linear aggregation
+fitted on training cells maps criterion predictions to the overall
+rating.
 
 A saved model holds the training tensor, the settings and the Tucker
 factors; loading derives everything else through the same assembly step
@@ -31,8 +34,8 @@ from .core import (
     _IndexMap,
     criteria_slice,
 )
-from .linalg import (TuckerModel, check_tensor_budget, hosvd, impute_missing,
-                     tucker_reconstruct)
+from .linalg import (CellTensor, TuckerModel, cell_factoring_cells,
+                     check_cell_budget, hosvd)
 from .similarity import (
     SIMILARITY_KINDS,
     SimilarityStore,
@@ -331,23 +334,34 @@ class McConfig:
 
 
 class McModel:
-    """Immutable multi-criteria model; safe for concurrent prediction."""
+    """Immutable multi-criteria model; safe for concurrent prediction.
+
+    Besides the Tucker model it keeps w = core x2 U2 x3 U3, laid out
+    (items, k+1, r1), so the reconstruction of cell (u, i, s) is the dot
+    product of w[i, s] with U1[u], plus the PCA option's slice mean.
+    """
 
     def __init__(self, tensor: CriteriaTensor, config: McConfig,
-                 tucker: TuckerModel, denoised: np.ndarray,
+                 tucker: TuckerModel, slice_means: np.ndarray | None,
                  stores: tuple[SimilarityStore, ...],
                  criteria_data: tuple[Dataset, ...],
                  aggregation: AggregationWeights):
         self.tensor = tensor
         self.config = config
         self.tucker = tucker
-        self.denoised = denoised
+        # (items, k+1) means over users, for the PCA option; else None
+        self.slice_means = slice_means
+        _, u2, u3 = tucker.factors
+        self.w = np.ascontiguousarray(
+            np.einsum("abc,ib,sc->isa", tucker.core, u2, u3))
         # one store shared by all criteria (latent space) or one per criterion
         self.item_similarities = stores
         self.criteria_data = criteria_data
         self.aggregation = aggregation
         self.scale = tensor.scale
-        self.denoised.setflags(write=False)
+        for arr in (self.w, slice_means):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -357,68 +371,73 @@ class McModel:
     def ranks(self) -> tuple[int, int, int]:
         return tuple(int(r) for r in self.tucker.core.shape)
 
+    def reconstruction(self, users: np.ndarray, items: np.ndarray,
+                       s: slice = slice(1, None)) -> np.ndarray:
+        """(pairs, slices) reconstructed tensor at the (user, item) index
+        pairs, slices s (the criteria by default): one dot product per
+        value, so a value does not depend on the other pairs asked for."""
+        out = np.vecdot(self.w[items, s], self.tucker.factors[0][users, None])
+        if self.slice_means is not None:
+            out += self.slice_means[items, s]
+        return out
 
-def impute_tensor(t: CriteriaTensor, strategy: str) -> np.ndarray:
-    """Dense (users, items, k+1) copy of t, each slice imputed on its own;
-    a tensor whose build would exceed the dense cell budget fails before
-    any dense copy is made."""
-    check_tensor_budget(t.n_users * t.n_items * (t.k + 1))
-    dense = t.to_dense()
-    for s in range(t.k + 1):
-        dense[:, :, s] = impute_missing(dense[:, :, s], strategy)
-    return dense
+
+def _check_budget(t: CriteriaTensor, ranks: tuple[int, int, int],
+                  config: McConfig) -> None:
+    """Reject a build or load before any of its arrays exists when the
+    factoring from the cells, w and the similarity stores (one in latent
+    space, one per criterion otherwise) exceed the dense cell budget."""
+    shape = (t.n_users, t.n_items, t.k + 1)
+    stores = 1 if config.sim_kind == "latent_cosine" else t.k
+    check_cell_budget(cell_factoring_cells(shape, t.n_cells, ranks)
+                      + ranks[0] * t.n_items * (t.k + 1)
+                      + stores * t.n_items ** 2)
+
+
+def _cells_of(t: CriteriaTensor, config: McConfig) -> CellTensor:
+    return CellTensor((t.n_users, t.n_items, t.k + 1), *t.cell_index(),
+                      t.values, config.impute_strategy, config.pca_option)
 
 
 def _assemble(t: CriteriaTensor, config: McConfig, tucker: TuckerModel,
               slice_means: np.ndarray | None) -> McModel:
     """The model of a training tensor and its Tucker factors; build_mc_model
-    and load_model both end here.  The denoised tensor is the reconstruction
-    (plus the PCA option's slice means) with each observed cell set to its
-    rating, which is the imputed value there: imputation fills only missing
-    cells, so no imputed tensor is read.  The reconstructed-space stores
-    read the reconstruction before the ratings go in."""
-    check_tensor_budget(t.n_users * t.n_items * (t.k + 1))
-    # C order keeps one cell's slices together for the criterion fallback
-    recon = np.ascontiguousarray(tucker_reconstruct(tucker))
-    if slice_means is not None:
-        recon += slice_means
+    and load_model both end here.  The reconstructed-space stores read the
+    reconstruction at the observed cells only."""
     criteria_data = tuple(criteria_slice(t, c) for c in range(1, t.k + 1))
+    # the stores are set before the model is handed out
+    model = McModel(t, config, tucker, slice_means, (), criteria_data,
+                    fit_aggregation(t))
     if config.sim_kind == "latent_cosine":
         stores = (item_similarity_matrix(criteria_data[0], "latent_cosine",
                                          model=tucker),)
     else:
         # each slice's observed structure with its reconstructed values,
         # clamped: a truncated reconstruction may overshoot the scale
+        users, items = t.cell_index()
         lo, hi = t.scale.min_value, t.scale.max_value
         stores = tuple(
-            item_similarity_matrix(
-                data.with_dense_values(np.clip(recon[:, :, c], lo, hi)),
-                config.sim_kind)
+            item_similarity_matrix(data.with_cell_values(np.clip(
+                model.reconstruction(users, items, slice(c, c + 1))[:, 0],
+                lo, hi)), config.sim_kind)
             for c, data in enumerate(criteria_data, start=1))
-    # the mask's cells run user-major, as the cell matrix's rows do
-    recon[t.to_mask()] = t.cell_matrix()
-    return McModel(t, config, tucker, recon, stores, criteria_data,
-                   fit_aggregation(t))
+    model.item_similarities = stores
+    return model
 
 
 def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
                    config: McConfig = McConfig()) -> McModel:
-    """Impute -> (center) -> HOSVD -> reconstruct -> similarities -> weights.
+    """(Impute -> center) -> HOSVD -> similarities -> weights.
 
-    The imputed tensor goes to hosvd as the only reference to it (held in a
-    one-item list until the call), so hosvd frees it before its first
-    sketch, and the denoised tensor is the reconstruction overwritten in
-    place: the build holds at most TENSOR_COPIES dense copies of the tensor
-    at once.
+    The imputed (and centred) tensor is never formed: hosvd factors it
+    from the cells and the fill (linalg.CellTensor), so the build holds
+    arrays of the cells, the sketch, w and the stores, and no users x
+    items array outside a reconstructed-space store's own build.
     """
-    work = [impute_tensor(t, config.impute_strategy)]
-    slice_means = None
-    if config.pca_option:
-        # the (item, slice) means over users: the HOSVD factors the
-        # user-centered tensor, as covariance-based factor extraction does
-        slice_means = work[0].mean(axis=0)
-        work[0] -= slice_means
-    tucker = hosvd(work.pop(), ranks, seed=config.seed)
+    _check_budget(t, ranks, config)
+    cells = _cells_of(t, config)
+    tucker, slice_means = hosvd(cells, ranks, seed=config.seed), cells.means
+    del cells       # freed before the stores are built
     return _assemble(t, config, tucker, slice_means)
 
 
@@ -426,7 +445,8 @@ def _criteria_rows(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
     """(len(items), k) clamped criterion predictions of user u, one kernel
     call per similarity store: the latent space's one shared store scores
     all k criteria over one neighbor selection.  Criteria whose
-    neighborhood yields nothing take the denoised tensor's value."""
+    neighborhood yields nothing take the user's rating where the cell is
+    observed and the reconstruction elsewhere."""
     rated, cells = model.tensor.cells_of(u)
     stores = model.item_similarities
     # k columns for one shared store, or one column for each of k stores
@@ -434,7 +454,15 @@ def _criteria_rows(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
     out = np.hstack([_neighborhood(s, rated, cells[:, c], items,
                                    model.config.neighborhood)[0]
                      for s, c in zip(stores, columns)])
-    out = np.where(np.isnan(out), model.denoised[u, items, 1:], out)
+    rows = np.isnan(out).any(axis=1).nonzero()[0]
+    if rows.size:
+        at = items[rows]
+        fill = model.reconstruction(np.full(len(at), u), at)
+        pos = rated.searchsorted(at)
+        seen = pos < len(rated)
+        seen[seen] = rated[pos[seen]] == at[seen]
+        fill[seen] = cells[pos[seen], 1:]
+        out[rows] = np.where(np.isnan(out[rows]), fill, out[rows])
     return np.clip(out, model.scale.min_value, model.scale.max_value)
 
 
@@ -505,7 +533,7 @@ def save_model(model: McModel, path) -> None:
         "neighborhood": np.array([np.nan if k is None else k]),
         "user_ids": np.array(t.user_ids, dtype=str),
         "item_ids": np.array(t.item_ids, dtype=str),
-        "cell_index": np.stack(np.nonzero(t.to_mask()), axis=1),
+        "cell_index": np.stack(t.cell_index(), axis=1).astype(np.intp),
         "cells": t.cell_matrix(),
         "core": model.tucker.core,
         "factor1": model.tucker.factors[0],
@@ -575,12 +603,14 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
                             _IndexMap(a["item_ids"].tolist()), cells.shape[1] - 1,
                             index[:, 0], index[:, 1], cells, scale)
 
-    # a factor with one row would broadcast over the whole mode
-    factors = (a["factor1"], a["factor2"], a["factor3"])
-    if tuple(map(len, factors)) != (tensor.n_users, tensor.n_items, tensor.k + 1):
-        raise ValueError("Tucker factors do not match the tensor")
-    # only the PCA option's slice means read the imputed tensor
-    slice_means = (impute_tensor(tensor, config.impute_strategy).mean(axis=0)
-                   if config.pca_option else None)
-    return _assemble(tensor, config, TuckerModel(a["core"], factors),
-                     slice_means)
+    # a factor of one row would broadcast over a whole tensor mode, one of
+    # one column over a whole core mode
+    tucker = TuckerModel(a["core"], (a["factor1"], a["factor2"], a["factor3"]))
+    dims = (tensor.n_users, tensor.n_items, tensor.k + 1)
+    if tucker.core.ndim != 3 or tuple(f.shape for f in tucker.factors) != \
+            tuple(zip(dims, tucker.core.shape)):
+        raise ValueError("Tucker factors do not match the tensor and core")
+    _check_budget(tensor, tucker.core.shape, config)
+    # the PCA option's slice means come from the cells, as in the build
+    slice_means = _cells_of(tensor, config).means if config.pca_option else None
+    return _assemble(tensor, config, tucker, slice_means)

@@ -7,10 +7,13 @@ matrices) and two power iterations, after Halko, Martinsson & Tropp, SIAM
 Review 53(2), 2011.  The Tucker decomposition (Kolda & Bader, SIAM Review
 51(3), 2009) takes each mode factor from the mode unfolding with the same
 sketch, forming only the left singular vectors, and forms the core by
-projecting the tensor onto the factor transposes.  It releases its input
-once the first unfolding holds the values, so a caller that hands over the
-only reference bounds the whole factoring at TENSOR_COPIES dense copies of
-the tensor.
+projecting the tensor onto the factor transposes.  It runs over one of
+two unfolding operators.  A dense tensor is released once the first
+unfolding holds its values, so a caller that hands over the only
+reference bounds the factoring at TENSOR_COPIES dense copies of it.  A
+CellTensor, an imputed (and optionally centred) tensor known by its
+observed cells, is factored from those cells and its low-rank fill and
+is never formed; its factors agree with the dense tensor's to rounding.
 
 Conventions used throughout:
   - matrices are float64 ndarrays; tensors are 3-d ndarrays
@@ -250,18 +253,23 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
 
 
 # Most cells the dense arrays of one step may hold: a plain dataset's
-# users x items ratings plus its items x items similarity store, or the
-# matrix decompose factors; a tensor counts TENSOR_COPIES times.  2e8
-# float64 cells are 1.6 GB.
+# users x items ratings plus its items x items similarity store, the
+# matrix decompose factors, a dense tensor's TENSOR_COPIES copies, or a
+# CellTensor's factoring (cell_factoring_cells).  2e8 float64 cells are
+# 1.6 GB.
 DENSE_CELL_BUDGET = 2e8
 
-# Dense copies of a (users, items, k+1) tensor that hosvd, and so an MC
-# build, holds at its peak: an unfolding plus, where the sketch is as wide
+# Dense copies of a (users, items, k+1) tensor that hosvd of a dense
+# tensor holds at its peak: an unfolding plus, where the sketch is as wide
 # as the unfolding is tall (always for mode 3 with k+1 <= r3 + 10), A.T Q,
 # QR's copy of it and its basis, which tracemalloc sees (4.0 copies for a
-# 1,000 x 800 x 5 build), and the two LAPACK buffers of that QR, which it
+# 1,000 x 800 x 5 tensor), and the two LAPACK buffers of that QR, which it
 # does not.
 TENSOR_COPIES = 6
+
+# Cells per block of a CellTensor's per-cell products: a block's
+# (cells, slices, sketch width) temporaries stay in cache.
+_CELL_BLOCK = 2048
 
 
 def check_cell_budget(cells: int) -> None:
@@ -270,64 +278,303 @@ def check_cell_budget(cells: int) -> None:
                          f"{DENSE_CELL_BUDGET:.0f}-cell budget")
 
 
-def check_tensor_budget(cells: int) -> None:
-    """Reject a tensor of this many cells whose HOSVD would hold more than
-    DENSE_CELL_BUDGET cells at once."""
-    check_cell_budget(TENSOR_COPIES * cells)
+def cell_factoring_cells(shape: tuple[int, int, int], n_cells: int,
+                         ranks: tuple[int, int, int]) -> int:
+    """Array cells a CellTensor of this shape and cell count holds, with
+    hosvd's factoring of it to these ranks at its peak: the cells' values,
+    indices and fill, one sketch mode's rows plus four arrays of its
+    unfolding's columns at the sketch width, a block's per-cell products
+    (a block ends on the first segment bound past _CELL_BLOCK cells) and
+    the core's per-user sums."""
+    users, items, slices = shape
+    width = max(ranks[:2]) + 10
+    block = min(n_cells, _CELL_BLOCK + max(users, items))
+    return (n_cells * (2 * slices + 4) + 2 * (users + items) * slices
+            + max(users + 4 * items * slices, items + 4 * users * slices) * width
+            + 2 * block * slices * width + users * ranks[1] * ranks[2])
 
 
-def hosvd(t: np.ndarray, ranks: tuple[int, int, int], *,
+def _segment_sums(ptr: np.ndarray, rows, tail: tuple[int, ...]) -> np.ndarray:
+    """(len(ptr) - 1, *tail) sums of per-cell rows over the segments
+    ptr[j]:ptr[j + 1]; rows(lo, hi) gives cells lo..hi's (hi - lo, *tail)
+    rows, and an empty segment sums to zero.  The cells go in blocks of
+    about _CELL_BLOCK that end on segment bounds, each one np.add.reduceat
+    over its nonempty segments."""
+    n = len(ptr) - 1
+    out = np.zeros((n,) + tail)
+    cuts = np.unique(np.concatenate((
+        [0], ptr.searchsorted(np.arange(_CELL_BLOCK, ptr[-1], _CELL_BLOCK),
+                              "right") - 1, [n])))
+    filled = ptr[1:] > ptr[:-1]
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        lo, hi = int(ptr[a]), int(ptr[b])
+        if hi > lo:
+            keep = filled[a:b]
+            out[a:b][keep] = np.add.reduceat(rows(lo, hi), ptr[a:b][keep] - lo,
+                                             axis=0)
+    return out
+
+
+class CellTensor:
+    """A (users, items, slices) tensor known by its observed cells.
+
+    Each slice is filled in elsewhere as impute_missing fills a matrix
+    with the same strategy and, with center, has its (item, slice) means
+    over users taken out (the PCA option's input; they are kept in
+    means).  Either way every slice is a low-rank fill plus a part D_s
+    that is nonzero on the observed cells only,
+
+        T[:, :, s] = sum_j P_j[:, s] Q_j[:, s].T + D_s,
+
+    with a column term (P = 1: the item or global means, or minus the
+    centring's residual means) and, for user means, a user term.  hosvd
+    factors it through the products of these parts, the sparse-plus-
+    low-rank products of Soft-Impute (Mazumder, Hastie & Tibshirani, JMLR
+    11, 2010), so no users x items array is ever formed.
+    """
+
+    def __init__(self, shape: tuple[int, int, int], users: np.ndarray,
+                 items: np.ndarray, values: np.ndarray,
+                 strategy: str = "item_mean", center: bool = False):
+        if strategy not in IMPUTE_STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        n_users, n_items, slices = self.shape = tuple(shape)
+        values = np.asarray(values, dtype=np.float64).reshape(-1, slices)
+        self.n_cells = len(values)
+        if not self.n_cells and strategy != "zero":
+            raise ValueError("tensor has no observed cells")
+        if np.any(users[1:] < users[:-1]):
+            by_user = np.argsort(users, kind="stable")
+            users, items, values = users[by_user], items[by_user], values[by_user]
+        by_item = np.argsort(items, kind="stable")
+        self._u_ptr = users.searchsorted(np.arange(n_users + 1))
+        self._i_ptr = items[by_item].searchsorted(np.arange(n_items + 1))
+        self._users, self._items = users, items
+
+        def means(ptr, grouped):
+            """Each segment's mean of the grouped values, or the slice's
+            mean for a segment without cells."""
+            count = np.diff(ptr)[:, None]
+            sums = _segment_sums(ptr, lambda lo, hi: grouped[lo:hi], (slices,))
+            out = np.empty(sums.shape)
+            out[:] = values.mean(axis=0)
+            return np.divide(sums, count, out=out, where=count > 0)
+
+        ones_u, ones_i = np.ones((n_users, slices)), np.ones((n_items, slices))
+        if strategy == "item_mean":
+            self._terms = [(ones_u, means(self._i_ptr, values[by_item]))]
+        elif strategy == "user_mean":
+            self._terms = [(means(self._u_ptr, values), ones_i)]
+        elif strategy == "global_mean":
+            self._terms = [(ones_u, ones_i * values.mean(axis=0))]
+        else:
+            self._terms = []
+        self._d = values - self._fill_at_cells()
+        self._u_im, self._d_im = users[by_item], self._d[by_item]
+        self.means = None
+        if center:
+            # the means over users are each term's mean user row times its
+            # item rows plus D's column sums over the user count: what is
+            # left after taking them out is the user terms less their
+            # means and minus that residual as the column term
+            residual = _segment_sums(self._i_ptr, lambda lo, hi:
+                                     self._d_im[lo:hi], (slices,)) / n_users
+            self.means = residual.copy()
+            centred = []
+            for p, q in self._terms:
+                self.means += p.mean(axis=0) * q
+                p = p - p.mean(axis=0)
+                if p.any():
+                    centred.append((p, q))
+            self._terms = centred + [(ones_u, -residual)]
+
+    def _fill_at_cells(self) -> np.ndarray:
+        fill = np.zeros((self.n_cells, self.shape[2]))
+        for p, q in self._terms:
+            fill += p.take(self._users, axis=0) * q.take(self._items, axis=0)
+        return fill
+
+    def _gram(self) -> np.ndarray:
+        """The mode-3 unfolding times its transpose, (k+1) x (k+1): the
+        fill's part by pairs of terms, the rest over the cells."""
+        fill, d = self._fill_at_cells(), self._d
+        cross = fill.T @ d
+        gram = d.T @ d + cross + cross.T
+        for p1, q1 in self._terms:
+            for p2, q2 in self._terms:
+                gram += (p1.T @ p2) * (q1.T @ q2)
+        return gram
+
+    def _factor(self, mode: int, r: int, seed: int) -> np.ndarray:
+        if mode < 3:
+            return _unfolding_factor(_CellUnfolding(self, mode), r, seed)
+        # mode 3 has k+1 rows: the eigenvectors of its exact Gram matrix
+        # replace the sketch and its QR of a tensor-sized A.T Q
+        evals, vecs = np.linalg.eigh(self._gram())
+        r_eff = min(r, self.shape[0] * self.shape[1])
+        return _completed(vecs[:, np.argsort(evals)[::-1][:r_eff]], r)
+
+    def _core(self, factors) -> np.ndarray:
+        """The tensor times every factor transpose: the fill's part by
+        terms, D's part summed per user over the cells."""
+        u1, u2, u3 = factors
+        r2, r3 = u2.shape[1], u3.shape[1]
+        e = self._d @ u3
+        per_user = _segment_sums(self._u_ptr, lambda lo, hi: (
+            u2.take(self._items[lo:hi], axis=0)[:, :, None]
+            * e[lo:hi, None, :]).reshape(hi - lo, r2 * r3), (r2 * r3,))
+        core = (u1.T @ per_user).reshape(-1, r2, r3)
+        for p, q in self._terms:
+            core += np.einsum("as,bs,sc->abc", u1.T @ p, u2.T @ q, u3)
+        return core
+
+
+class _CellUnfolding:
+    """The mode-1 or mode-2 unfolding of a CellTensor as an operator: a @ x,
+    a.T @ y and y.T @ a multiply like the unfolding, from the fill's terms
+    plus one gather of x's or y's rows at the cells and one segment sum.
+    The rows' side of the cells gives a @ x, the columns' side a.T @ y."""
+
+    __array_ufunc__ = None      # so that ndarray @ operator calls __rmatmul__
+
+    def __init__(self, cells: CellTensor, mode: int):
+        n_users, n_items, self._slices = cells.shape
+        by_user = (cells._u_ptr, cells._items, cells._d)
+        by_item = (cells._i_ptr, cells._u_im, cells._d_im)
+        self._mode = mode
+        if mode == 1:
+            rows, other = n_users, n_items
+            self._by_row, self._by_col = by_user, by_item
+            self._terms = cells._terms
+        else:
+            rows, other = n_items, n_users
+            self._by_row, self._by_col = by_item, by_user
+            self._terms = [(q, p) for p, q in cells._terms]
+        self._other = other
+        self.shape = (rows, other * self._slices)
+        self.T = _Transposed(self)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        s, width = self._slices, x.shape[1]
+        # the columns of mode 1 run slice-major, those of mode 2 other-major
+        xo = (x.reshape(s, self._other, width).transpose(1, 0, 2)
+              if self._mode == 1 else x.reshape(self._other, s, width))
+        out = sum(p @ np.einsum("os,osw->sw", q, xo) for p, q in self._terms)
+        ptr, at, d = self._by_row
+        flat = np.ascontiguousarray(xo).reshape(self._other, s * width)
+        return out + _segment_sums(ptr, lambda lo, hi: np.einsum(
+            "cs,csw->cw", d[lo:hi],
+            flat.take(at[lo:hi], axis=0).reshape(hi - lo, s, width)), (width,))
+
+    def _rmatmat(self, y: np.ndarray) -> np.ndarray:
+        ptr, at, d = self._by_col
+        out = _segment_sums(ptr, lambda lo, hi: d[lo:hi, :, None]
+                            * y.take(at[lo:hi], axis=0)[:, None, :],
+                            (self._slices, y.shape[1]))
+        for p, q in self._terms:
+            out += q[:, :, None] * (p.T @ y)
+        if self._mode == 1:
+            out = out.transpose(1, 0, 2)
+        return out.reshape(-1, y.shape[1])
+
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        return self._rmatmat(y.T).T
+
+
+class _Transposed:
+    def __init__(self, a: _CellUnfolding):
+        self._a = a
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        return self._a._rmatmat(y)
+
+
+class _DenseUnfoldings:
+    """hosvd's view of a dense tensor: each unfolding is formed from the
+    one before, C-ordered as the tensor's own unfolding would be, and the
+    core takes each factor transpose as soon as the factor exists (mode 1
+    from the unfolding in hand, as mode_product would)."""
+
+    def __init__(self, t: np.ndarray):
+        self.shape = t.shape
+        self._unfolding = mode_unfold(t, 1)
+
+    def _factor(self, mode: int, r: int, seed: int) -> np.ndarray:
+        dims = self.shape
+        if mode > 1:
+            self._unfolding = np.ascontiguousarray(
+                mode_unfold(mode_refold(self._unfolding, mode - 1, dims), mode))
+        u = _unfolding_factor(self._unfolding, r, seed)
+        self._core_so_far = (
+            mode_refold(u.T @ self._unfolding, 1, (r,) + dims[1:]) if mode == 1
+            else mode_product(self._core_so_far, u.T, mode))
+        return u
+
+    def _core(self, factors) -> np.ndarray:
+        return self._core_so_far
+
+
+def _completed(u: np.ndarray, r: int) -> np.ndarray:
+    """u sign-fixed, with an orthonormal completion up to r columns."""
+    _sign_fix(u)
+    if u.shape[1] == r:
+        return u
+    full = np.zeros((u.shape[0], r))
+    full[:, :u.shape[1]] = u
+    _complete_orthonormal(full, u.shape[1])
+    return full
+
+
+def _unfolding_factor(a, r: int, seed: int) -> np.ndarray:
+    """The top-r left singular vectors of an unfolding (or its operator)
+    from the sketch.  A factor may have more columns than the unfolding
+    has singular vectors (r up to its rows); the surplus is an orthonormal
+    completion, harmless to the reconstruction projector."""
+    r_eff = min(r, a.shape[1])
+    return _completed(_left_factor(a, r_eff, seed)[0][:, :r_eff].copy(), r)
+
+
+def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
           seed: int = 0) -> TuckerModel:
     """Tucker decomposition via per-mode truncated SVD.
 
     Factor s holds the top-r_s left singular vectors of the mode-s
     unfolding, those truncated_svd with seed + s returns; the core is the
-    tensor multiplied by every factor transpose, mode 1 first, each
-    product taken as soon as its factor exists.  Only the left factors
-    are formed.  The function drops its reference to t once the mode-1
-    unfolding exists, and each unfolding once the next one does, so a
-    caller that passes the only reference to t frees it before the first
-    sketch.  A tensor whose factoring would hold more than
-    DENSE_CELL_BUDGET cells (TENSOR_COPIES per tensor cell) is rejected
-    before any of it.
+    tensor multiplied by every factor transpose.  Only the left factors
+    are formed.
+
+    A dense tensor's unfoldings are formed one from the other, and the
+    function drops its reference to t once the mode-1 unfolding exists,
+    so a caller that passes the only reference frees it before the first
+    sketch; one whose factoring would hold more than DENSE_CELL_BUDGET
+    cells (TENSOR_COPIES per tensor cell) is rejected before any of it.
+
+    A CellTensor is factored from its parts: modes 1 and 2 run the same
+    sketch over the unfolding's products, with the same seeds; mode 3,
+    of k+1 rows, takes the eigenvectors of its exact Gram matrix, which
+    the sketch, as wide as the unfolding is tall, also finds; and the
+    core sums D's cells per user.  Factors agree with the dense tensor's
+    to rounding.  Its budget is cell_factoring_cells.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 3:
-        raise ValueError("expected a third-order tensor")
-    check_tensor_budget(t.size)
+    cells = isinstance(t, CellTensor)
+    if not cells:
+        t = np.asarray(t, dtype=np.float64)
+        if t.ndim != 3:
+            raise ValueError("expected a third-order tensor")
+        check_cell_budget(TENSOR_COPIES * t.size)
     for mode in (1, 2, 3):
         if not 1 <= ranks[mode - 1] <= t.shape[mode - 1]:
             raise ValueError(
                 f"rank {ranks[mode - 1]} out of range 1..{t.shape[mode - 1]} "
                 f"for mode {mode}"
             )
-    dims = t.shape
-    # from here on the unfoldings hold the tensor's values: each is formed
-    # from the one before, C-ordered as the tensor's own unfolding would be
-    unfolding = mode_unfold(t, 1)
+    if cells:
+        check_cell_budget(cell_factoring_cells(t.shape, t.n_cells, ranks))
+    op = t if cells else _DenseUnfoldings(t)
     del t
-    factors = []
-    for mode in (1, 2, 3):
-        if mode > 1:
-            unfolding = np.ascontiguousarray(
-                mode_unfold(mode_refold(unfolding, mode - 1, dims), mode))
-        r = ranks[mode - 1]
-        # a mode's factor may have more columns than the unfolding has
-        # singular vectors (r up to I_s); the surplus is an orthonormal
-        # completion, harmless to the reconstruction projector
-        r_eff = min(r, unfolding.shape[1])
-        u = _left_factor(unfolding, r_eff, seed + mode)[0][:, :r_eff].copy()
-        _sign_fix(u)
-        if r_eff < r:
-            full = np.zeros((unfolding.shape[0], r))
-            full[:, :r_eff] = u
-            _complete_orthonormal(full, r_eff)
-            u = full
-        factors.append(u)
-        # t x1 u1.T reads the unfolding in hand, as mode_product would
-        core = (mode_refold(u.T @ unfolding, 1, (r,) + dims[1:]) if mode == 1
-                else mode_product(core, u.T, mode))
-    return TuckerModel(core, tuple(factors))
+    factors = tuple(op._factor(mode, ranks[mode - 1], seed + mode)
+                    for mode in (1, 2, 3))
+    return TuckerModel(op._core(factors), factors)
 
 
 def tucker_reconstruct(model: TuckerModel) -> np.ndarray:

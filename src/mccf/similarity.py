@@ -250,10 +250,12 @@ def item_similarity_matrix(d: Dataset, kind: str, *,
         if vectors.shape[0] != d.n_items:
             raise ValueError("model item count does not match dataset")
         norms = np.linalg.norm(vectors, axis=1)
-        sims = (vectors @ vectors.T)
-        denom = np.outer(norms, norms)
+        # in place: the store and the norms' outer product are the only
+        # items x items arrays
+        sims = vectors @ vectors.T
         with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.clip(sims / denom, -1.0, 1.0)
+            sims /= np.outer(norms, norms)
+        np.clip(sims, -1.0, 1.0, out=sims)
         sims[norms * norms <= _VAR_EPS, :] = np.nan
         sims[:, norms * norms <= _VAR_EPS] = np.nan
         _mirror_upper(sims)

@@ -9,7 +9,7 @@ loop_predict is the per-pair neighborhood loop the engine's kernel must
 match bitwise.  hosvd_reference is the Tucker decomposition as truncated
 SVDs of whole unfoldings, the core formed after every factor: the factors
 and core hosvd must match bit for bit.  An undefined similarity is None here and NaN inside a
-store.
+store.  factored_value is the per-cell value an MC model falls back to.
 
 The per-record ingest (parse_movielens, parse_multicriteria,
 split_train_test, index_records and the containers built on it) is the
@@ -67,6 +67,19 @@ def store_for(model, c: int):
     or one store per criterion)."""
     stores = model.item_similarities
     return stores[0] if len(stores) == 1 else stores[c - 1]
+
+
+def factored_value(model, u: int, i: int, c: int) -> float:
+    """The value of cell (u, i) in slice c that an MC model falls back to:
+    the rating where the cell is observed, else U1[u] . w[i, c] as one 1-D
+    dot product, plus the PCA option's slice mean."""
+    cell = model.tensor.cell(u, i)
+    if cell is not None:
+        return float(cell[c])
+    value = float(np.dot(model.tucker.factors[0][u], model.w[i, c]))
+    if model.slice_means is not None:
+        value += model.slice_means[i, c]
+    return value
 
 
 # ---- per-pair similarity measures -----------------------------------------

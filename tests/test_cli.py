@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from mccf.cli import _check_flags, build_parser, main
-from mccf.core import CriteriaTensor, Dataset, RatingRecord
-from mccf.ingest import parse_movielens, write_movielens, write_multicriteria
+from mccf.core import CriteriaTensor, Dataset, RatingRecord, RatingScale
+from mccf.ingest import (parse_movielens, parse_multicriteria,
+                         write_movielens, write_multicriteria)
+from mccf.linalg import cell_factoring_cells
 from mccf.synth import SyntheticTensorSpec, generate_tensor
 
 VERBS = ("stats", "filter", "split", "decompose", "evaluate", "sweep",
@@ -246,7 +248,9 @@ def test_mc_sim_selects_the_similarity_space(data_dir, capsys):
 
 def test_over_budget_tensor_exits_before_dense_copy(tmp_path, monkeypatch,
                                                     capsys):
-    # 15,000 users x 15,000 items x 2 slices is above the HOSVD budget
+    # 15,000 users x 15,000 items x 2 slices: the MC build's items x items
+    # store is above the budget, and so is decompose's sketch at a mode-1
+    # rank of 15,000 (factoring from the cells, it holds no dense tensor)
     path = tmp_path / "diagonal.csv"
     path.write_text("".join(f"u{x},i{x},3,3\n" for x in range(15_000)))
 
@@ -256,27 +260,41 @@ def test_over_budget_tensor_exits_before_dense_copy(tmp_path, monkeypatch,
     monkeypatch.setattr(CriteriaTensor, "to_dense", dense_copy)
     monkeypatch.setattr(CriteriaTensor, "to_mask", dense_copy)
     common = ["--input", str(path), "--format", "mc-csv", "--criteria", "1",
-              "--ranks", "2,2,2", "--seed", "1"]
-    for verb in (["decompose", "--output", str(tmp_path / "out.npz")],
-                 ["recommend", "--user", "u0"],
-                 ["mc-evaluate", "--train-fraction", "0.9"]):
+              "--seed", "1"]
+    for verb in (["decompose", "--ranks", "15000,2,2", "--output",
+                  str(tmp_path / "out.npz")],
+                 ["recommend", "--ranks", "2,2,2", "--user", "u0"],
+                 ["mc-evaluate", "--ranks", "2,2,2", "--train-fraction", "0.9"]):
         code, _, err = run(verb[:1] + common + verb[1:], capsys)
         assert code == 2 and "budget" in err, (verb, err)
 
 
 def test_budget_counts_every_copy_of_the_mc_build(data_dir, monkeypatch,
                                                   capsys):
-    # 30 users x 14 items x 4 slices: one dense copy fits a budget of that
-    # many cells, the build's TENSOR_COPIES copies do not
-    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", 30 * 14 * 4)
+    # the build on all of mc.csv counts the factoring from its cells, w
+    # and its items x items store: it runs at that many cells and exits 2
+    # at one cell fewer, before the factoring or any dense copy
+    t = CriteriaTensor.from_records(parse_multicriteria(
+        data_dir / "mc.csv", 3, RatingScale.one_to_five()), 3,
+        RatingScale.one_to_five())
+    ranks = (2, 3, 3)
+    cells = (cell_factoring_cells((t.n_users, t.n_items, 4), t.n_cells, ranks)
+             + ranks[0] * t.n_items * 4 + t.n_items ** 2)
+    args = ["recommend", "--input", str(data_dir / "mc.csv"), "--format",
+            "mc-csv", "--criteria", "3", "--ranks", "2,3,3", "--user",
+            t.user_ids[0], "--seed", "1"]
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
+    code, _, err = run(args, capsys)
+    assert code == 0, err
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells - 1)
 
-    def dense_copy(*args, **kwargs):
-        raise AssertionError("dense copy made before the budget check")
+    def allocation(*args, **kwargs):
+        raise AssertionError("allocation made before the budget check")
 
-    monkeypatch.setattr(CriteriaTensor, "to_dense", dense_copy)
-    code, _, err = run(["mc-evaluate", "--input", str(data_dir / "mc.csv"),
-                        "--format", "mc-csv", "--criteria", "3",
-                        "--ranks", "2,3,3", "--seed", "1"], capsys)
+    monkeypatch.setattr(CriteriaTensor, "to_dense", allocation)
+    monkeypatch.setattr(CriteriaTensor, "to_mask", allocation)
+    monkeypatch.setattr("mccf.engine.hosvd", allocation)
+    code, _, err = run(args, capsys)
     assert code == 2 and "budget" in err, err
 
 

@@ -164,15 +164,21 @@ def test_unsorted_cells_are_sorted_or_rejected():
                            np.ones((3, 2)), ONE_TO_FIVE)
 
 
-def test_with_dense_values():
+def test_with_cell_values():
     d = Dataset.from_records(RECORDS, ONE_TO_FIVE)
-    replaced = d.with_dense_values(np.full((3, 2), 2.5))
+    values = 1.5 + np.arange(d.n_ratings) / 2
+    replaced = d.with_cell_values(values)
     assert replaced.user_ids == d.user_ids
     assert replaced.item_ids == d.item_ids
     assert np.array_equal(replaced.to_mask(), d.to_mask())
-    assert replaced.rating(0, 0) == 2.5
+    assert np.array_equal(replaced.values, values)
+    users, items = d.cell_index()
+    for n, (u, i) in enumerate(zip(users.tolist(), items.tolist())):
+        assert replaced.rating(u, i) == values[n]
     with pytest.raises(ValueError):
-        d.with_dense_values(np.zeros((2, 2)))
+        d.with_cell_values(values[1:])
+    with pytest.raises(ValueError):
+        d.with_cell_values(np.zeros(d.n_ratings))    # outside the scale
 
 
 def test_stats():

@@ -1,4 +1,5 @@
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -25,12 +26,14 @@ from mccf.engine import (
     predict_single,
     recommend_top_n,
     save_model,
+    _criteria_rows,
     _top_n,
 )
-from mccf.linalg import TENSOR_COPIES
+from mccf.linalg import cell_factoring_cells, tucker_reconstruct
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
-from oracles import loop_predict, sim, top_n, whole_matrix_predictions
+from oracles import (factored_value, loop_predict, sim, top_n,
+                     whole_matrix_predictions)
 
 NAN = np.nan
 
@@ -269,15 +272,37 @@ def test_build_mc_model_store_layout():
     assert len({id(s) for s in recon.item_similarities}) == t.k
 
 
-def test_denoised_preserves_observed_cells():
+def _without_neighbors(m):
+    """m with stores that have no defined similarity, so that every
+    criterion takes the fallback."""
+    empty = tuple(SimilarityStore(s.kind, np.full_like(s.values, NAN),
+                                  s.item_ids)
+                  for s in m.item_similarities)
+    return McModel(m.tensor, m.config, m.tucker, m.slice_means, empty,
+                   m.criteria_data, m.aggregation)
+
+
+def test_factored_rows_preserve_observed_cells():
+    # the fallback at an observed cell is its rating; w is core x2 U2 x3
+    # U3, and U1[u] . w[i] (plus the slice means) the dense reconstruction
     t = small_tensor(51)
-    model = build_mc_model(t, (2, 3, 3), McConfig(seed=3))
-    from mccf.linalg import impute_missing
-    dense = t.to_dense()
-    mask = t.to_mask()
-    for s in range(t.k + 1):
-        imputed = impute_missing(dense[:, :, s], "item_mean")
-        assert np.array_equal(model.denoised[:, :, s][mask], imputed[mask])
+    for pca_option in (False, True):
+        m = build_mc_model(t, (2, 3, 3), McConfig(pca_option=pca_option,
+                                                  seed=3))
+        model = _without_neighbors(m)
+        for u in range(t.n_users):
+            rated, cells = t.cells_of(u)
+            assert np.array_equal(_criteria_rows(model, u, rated), cells[:, 1:])
+        core, (u1, u2, u3) = m.tucker.core, m.tucker.factors
+        assert np.allclose(m.w, np.einsum("abc,ib,sc->isa", core, u2, u3),
+                           rtol=0, atol=1e-12)
+        dense = tucker_reconstruct(m.tucker)
+        if pca_option:
+            dense += m.slice_means
+        users, items = t.cell_index()
+        assert np.allclose(m.reconstruction(users, items, slice(None)),
+                           dense[users, items], rtol=0, atol=1e-12)
+        assert (m.slice_means is None) == (not pca_option)
 
 
 def test_predict_criteria_shape_and_bounds():
@@ -305,18 +330,19 @@ def test_unreachable_neighborhood_falls_back_to_reconstruction():
     t = small_tensor(54)
     lo, hi = t.scale.min_value, t.scale.max_value
     for kind in ("latent_cosine", "pearson"):
-        m = build_mc_model(t, (2, 3, 3), McConfig(sim_kind=kind, seed=6))
-        # stores without a defined similarity empty every neighborhood
-        empty = tuple(SimilarityStore(s.kind, np.full_like(s.values, NAN),
-                                      s.item_ids)
-                      for s in m.item_similarities)
-        model = McModel(m.tensor, m.config, m.tucker, m.denoised, empty,
-                        m.criteria_data, m.aggregation)
-        for u, uid in enumerate(t.user_ids):
-            for i, iid in enumerate(t.item_ids):
-                expect = np.clip(m.denoised[u, i, 1:], lo, hi)
-                assert np.array_equal(predict_criteria(model, uid, iid),
-                                      expect)
+        for pca_option in (False, True):
+            model = _without_neighbors(build_mc_model(t, (2, 3, 3), McConfig(
+                sim_kind=kind, pca_option=pca_option, seed=6)))
+            for u, uid in enumerate(t.user_ids):
+                expect = np.clip([[factored_value(model, u, i, c)
+                                   for c in range(1, t.k + 1)]
+                                  for i in range(t.n_items)], lo, hi)
+                # one item at a time and all at once give the same bits
+                assert np.array_equal(
+                    _criteria_rows(model, u, np.arange(t.n_items)), expect)
+                for i, iid in enumerate(t.item_ids):
+                    assert np.array_equal(predict_criteria(model, uid, iid),
+                                          expect[i])
 
 
 def test_mc_recommend_excludes_training_cells():
@@ -359,7 +385,11 @@ def _assert_roundtrip(model, path):
     assert back.tensor.user_ids == t.user_ids
     assert back.tensor.item_ids == t.item_ids
     assert np.array_equal(back.tensor.cell_matrix(), t.cell_matrix())
-    assert np.array_equal(back.denoised, model.denoised)
+    assert np.array_equal(back.w, model.w)
+    if model.slice_means is None:
+        assert back.slice_means is None
+    else:
+        assert np.array_equal(back.slice_means, model.slice_means)
     assert len(back.item_similarities) == len(model.item_similarities)
     for a, b in zip(back.item_similarities, model.item_similarities):
         assert a.kind == b.kind
@@ -388,7 +418,7 @@ def test_save_load_keeps_id_maps(tmp_path):
     assert back.tensor.user_ids == ("a", "b")
     assert back.tensor.item_ids == ("x", "y", "z")
     assert np.array_equal(back.tensor.cell_matrix(), t.cell_matrix())
-    assert np.array_equal(back.denoised, model.denoised)
+    assert np.array_equal(back.w, model.w)
     for got, want in zip(back.item_similarities, model.item_similarities):
         assert np.array_equal(got.values, want.values, equal_nan=True)
     for uid in t.user_ids:
@@ -396,6 +426,30 @@ def test_save_load_keeps_id_maps(tmp_path):
             assert np.array_equal(predict_criteria(back, uid, iid),
                                   predict_criteria(model, uid, iid))
         assert mc_recommend_top_n(back, uid, 3) == mc_recommend_top_n(model, uid, 3)
+
+
+def _members(path):
+    """(name, bytes) of each archive member, in order: the archive less
+    the zip timestamps."""
+    with zipfile.ZipFile(path) as archive:
+        return [(info.filename, archive.read(info))
+                for info in archive.infolist()]
+
+
+def test_saved_archive_is_byte_identical(tmp_path):
+    # the cell index comes from the tensor's own cell arrays; it is the
+    # one the stored-cell mask gives, and a load saves to the same bytes
+    t = small_tensor(56)
+    model = build_mc_model(t, (2, 3, 3), McConfig(pca_option=True, seed=8))
+    save_model(model, tmp_path / "a.npz")
+    save_model(load_model(tmp_path / "a.npz"), tmp_path / "b.npz")
+    with np.load(tmp_path / "a.npz", allow_pickle=False) as archive:
+        arrays = dict(archive)
+    arrays["cell_index"] = np.stack(np.nonzero(t.to_mask()), axis=1)
+    with open(tmp_path / "c.npz", "wb") as fh:
+        np.savez(fh, **arrays)
+    assert _members(tmp_path / "a.npz") == _members(tmp_path / "b.npz") \
+        == _members(tmp_path / "c.npz")
 
 
 def test_load_rejects_corrupt_file(tmp_path):
@@ -488,41 +542,50 @@ def test_hosvd_budget_checked_before_any_dense_copy(monkeypatch):
 
 
 def test_budget_counts_the_copies_a_build_holds(monkeypatch, tmp_path):
+    # a build or load counts the factoring from the cells, w and the
+    # stores: at that many cells both run; one cell fewer rejects both
+    # before the factoring, a store or any dense copy
     t = generate_tensor(SyntheticTensorSpec(n_users=20, n_items=10, seed=1))
-    cells = t.n_users * t.n_items * (t.k + 1)
-    path = tmp_path / "model.npz"
-    save_model(build_mc_model(t, (2, 3, 3)), path)
-    # at TENSOR_COPIES copies of the tensor the build and a load still fit
-    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", TENSOR_COPIES * cells)
-    build_mc_model(t, (2, 3, 3))
-    load_model(path)
-    # one copy fits a budget of the tensor's cells, the build does not; the
-    # load, which imputes nothing without the PCA option, fails before its
-    # reconstruction
-    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
-
-    def dense_copy(*args, **kwargs):
-        raise AssertionError("dense copy made before the budget check")
-
-    monkeypatch.setattr(CriteriaTensor, "to_dense", dense_copy)
-    monkeypatch.setattr("mccf.engine.tucker_reconstruct", dense_copy)
-    with pytest.raises(ValueError, match="budget"):
-        build_mc_model(t, (2, 3, 3))
-    with pytest.raises(ModelFormatError, match="budget"):
+    ranks = (2, 3, 3)
+    for config, stores in ((McConfig(), 1),
+                           (McConfig(sim_kind="pearson", pca_option=True), t.k)):
+        cells = (cell_factoring_cells((t.n_users, t.n_items, t.k + 1),
+                                      t.n_cells, ranks)
+                 + ranks[0] * t.n_items * (t.k + 1) + stores * t.n_items ** 2)
+        path = tmp_path / "model.npz"
+        monkeypatch.undo()
+        save_model(build_mc_model(t, ranks, config), path)
+        monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
+        build_mc_model(t, ranks, config)
         load_model(path)
+        monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells - 1)
+
+        def allocation(*args, **kwargs):
+            raise AssertionError("allocation made before the budget check")
+
+        for name in ("mccf.engine.CellTensor", "mccf.engine.hosvd",
+                     "mccf.engine.item_similarity_matrix"):
+            monkeypatch.setattr(name, allocation)
+        monkeypatch.setattr(CriteriaTensor, "to_dense", allocation)
+        monkeypatch.setattr(CriteriaTensor, "to_mask", allocation)
+        with pytest.raises(ValueError, match="budget"):
+            build_mc_model(t, ranks, config)
+        with pytest.raises(ModelFormatError, match="budget"):
+            load_model(path)
 
 
-def test_build_holds_at_most_four_and_a_half_tensor_copies():
-    # 200 x 150 x 5 cells, 1.2 MB a dense copy; the build used to peak at
-    # 7 copies (imputed tensor, unfoldings, sketch, right factor, ...)
+def test_sparse_build_peaks_below_one_dense_copy():
+    # 2,000 x 1,500 x 5 cells, 120 MB a dense copy, with 1% of the cells
+    # observed: the build holds no dense tensor at all
     rng = np.random.default_rng(60)
-    flat = rng.choice(200 * 150, size=6000, replace=False)
-    t = CriteriaTensor(_IndexMap([f"u{x}" for x in range(200)]),
-                       _IndexMap([f"i{x}" for x in range(150)]), 4,
-                       flat // 150, flat % 150,
-                       rng.integers(1, 6, size=(6000, 5)).astype(float),
+    n_users, n_items, n_cells = 2000, 1500, 30_000
+    flat = rng.choice(n_users * n_items, size=n_cells, replace=False)
+    t = CriteriaTensor(_IndexMap([f"u{x}" for x in range(n_users)]),
+                       _IndexMap([f"i{x}" for x in range(n_items)]), 4,
+                       flat // n_items, flat % n_items,
+                       rng.integers(1, 6, size=(n_cells, 5)).astype(float),
                        RatingScale.one_to_five())
-    copy = 200 * 150 * 5 * 8
+    copy = n_users * n_items * 5 * 8
     for config in (McConfig(), McConfig(pca_option=True)):
         tracemalloc.start()
         try:
@@ -530,7 +593,7 @@ def test_build_holds_at_most_four_and_a_half_tensor_copies():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * copy, (config, peak / copy)
+        assert peak < copy, (config, peak / copy)
 
 
 def test_degenerate_single_criterion_matches_plain_cf():

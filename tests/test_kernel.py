@@ -27,7 +27,7 @@ from mccf.engine import (
 )
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
-from oracles import loop_predict, store_for
+from oracles import factored_value, loop_predict, store_for
 
 SPECS = [
     NeighborhoodSpec(),
@@ -144,7 +144,7 @@ def _mc_model(kind, spec):
         sim_kind=sim_kind, neighborhood=spec, seed=2))
     if kind != "latent-tied":
         return m
-    return McModel(m.tensor, m.config, m.tucker, m.denoised,
+    return McModel(m.tensor, m.config, m.tucker, m.slice_means,
                    (_quarter_steps(m.item_similarities[0]),),
                    m.criteria_data, m.aggregation)
 
@@ -175,7 +175,7 @@ def test_multicriteria_paths_match_loop(kind, spec):
             for c in range(1, t.k + 1):
                 got = loop_predict(model.criteria_data[c - 1],
                                    store_for(model, c), u, i, spec)
-                value = float(model.denoised[u, i, c]) if got is None \
+                value = factored_value(model, u, i, c) if got is None \
                     else got[0]
                 expect[c - 1] = t.scale.clamp(value)
             assert np.array_equal(predict_criteria(model, uid, iid), expect)

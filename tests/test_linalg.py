@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mccf.linalg import (
+    CellTensor,
     FactorModel,
     IMPUTE_STRATEGIES,
     TuckerModel,
+    _CellUnfolding,
     hosvd,
     impute_missing,
     mode_product,
@@ -309,6 +311,100 @@ def test_hosvd_matches_reference_bitwise():
         assert got.core.tobytes() == want.core.tobytes()
         for a, b in zip(got.factors, want.factors):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _observed_cells(rng, dims):
+    """Cells of a (users, items, slices) tensor in shuffled order: at least
+    half of the (user, item) pairs, each with integer 1-5 ratings."""
+    n_users, n_items, slices = dims
+    pairs = n_users * n_items
+    flat = rng.choice(pairs, int(rng.integers((pairs + 1) // 2, pairs + 1)),
+                      replace=False)
+    values = rng.integers(1, 6, (len(flat), slices)).astype(float)
+    return flat // n_items, flat % n_items, values
+
+
+def _filled(dims, users, items, values, strategy, center):
+    """The dense tensor a CellTensor stands for: each slice imputed by
+    impute_missing, then centred on its means over users if asked."""
+    dense = np.full(dims, NAN)
+    dense[users, items] = values
+    filled = np.stack([impute_missing(dense[:, :, s], strategy)
+                       for s in range(dims[2])], axis=2)
+    means = filled.mean(axis=0) if center else None
+    return (filled - means if center else filled), means
+
+
+def _assert_close(got, want, rtol=1e-10):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
+
+
+cell_cases = dict(seed=st.integers(0, 2 ** 32 - 1),
+                  strategy=st.sampled_from(IMPUTE_STRATEGIES),
+                  center=st.booleans())
+
+
+@settings(deadline=None, max_examples=60)
+@given(**cell_cases)
+def test_cell_tensor_products_match_dense_unfoldings(seed, strategy, center):
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(x) for x in rng.integers(1, 9, 3))
+    users, items, values = _observed_cells(rng, dims)
+    filled, means = _filled(dims, users, items, values, strategy, center)
+    cells = CellTensor(dims, users, items, values, strategy, center)
+    for mode in (1, 2):
+        a, op = mode_unfold(filled, mode), _CellUnfolding(cells, mode)
+        assert op.shape == a.shape
+        x = rng.standard_normal((a.shape[1], 3))
+        y = rng.standard_normal((a.shape[0], 3))
+        _assert_close(op @ x, a @ x)
+        _assert_close(op.T @ y, a.T @ y)
+        _assert_close(y.T @ op, y.T @ a)
+    a3 = mode_unfold(filled, 3)
+    _assert_close(cells._gram(), a3 @ a3.T)
+    if center:
+        _assert_close(cells.means, means)
+    else:
+        assert cells.means is None
+
+
+def _separated(t, ranks) -> bool:
+    """Whether each mode's kept singular vectors are determined: distinct
+    singular values down to the first one left out, and a clear largest
+    coordinate for the sign fix."""
+    for mode, r in zip((1, 2, 3), ranks):
+        a = mode_unfold(t, mode)
+        u, sv, _ = np.linalg.svd(a)
+        r_eff = min(r, a.shape[1])
+        kept = np.append(sv, 0.0)[:r_eff + 1]
+        if np.any(-np.diff(kept) <= 1e-4 * max(sv[0], 1.0)):
+            return False
+        lead = np.sort(np.abs(u[:, :r_eff]), axis=0)
+        if len(lead) > 1 and np.any(lead[-1] - lead[-2] <= 1e-6):
+            return False
+    return True
+
+
+@settings(deadline=None, max_examples=60)
+@given(**cell_cases)
+def test_cell_tensor_hosvd_matches_reference(seed, strategy, center):
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(x) for x in rng.integers(2, 9, 3))
+    ranks = tuple(int(rng.integers(1, d + 1)) for d in dims)
+    users, items, values = _observed_cells(rng, dims)
+    filled, means = _filled(dims, users, items, values, strategy, center)
+    assume(_separated(filled, ranks))
+    want = hosvd_reference(filled, ranks, seed=3)
+    cells = CellTensor(dims, users, items, values, strategy, center)
+    got = hosvd(cells, ranks, seed=3)
+    for a, b in zip(got.factors, want.factors):
+        _assert_close(a, b)
+    _assert_close(got.core, want.core)
+    _assert_close(tucker_reconstruct(got)[users, items],
+                  tucker_reconstruct(want)[users, items])
+    if center:
+        _assert_close(cells.means, means)
 
 
 def test_hosvd_determinism():
