@@ -38,11 +38,11 @@ LETTER_GRADES_13 = (
 
 @dataclass(frozen=True)
 class RatingScale:
-    """Bounds and grade labels of a rating domain."""
+    """Bounds and grade labels of a rating domain; a labelled scale has
+    one label per whole number from min_value to max_value."""
 
     min_value: float
     max_value: float
-    levels: int
     grade_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -50,23 +50,18 @@ class RatingScale:
             raise ValueError(
                 f"need finite min_value < max_value, got [{self.min_value}, {self.max_value}]"
             )
-        if self.levels < 2:
-            raise ValueError(f"need at least 2 levels, got {self.levels}")
-        if self.grade_labels is not None:
-            if len(self.grade_labels) != self.levels:
-                raise ValueError(
-                    f"{len(self.grade_labels)} grade labels for {self.levels} levels"
-                )
-            if self.levels != int(self.max_value - self.min_value + 1):
-                raise ValueError("labelled scales must have unit-spaced levels")
+        if self.grade_labels is not None and \
+                len(self.grade_labels) != self.max_value - self.min_value + 1:
+            raise ValueError(f"{len(self.grade_labels)} grade labels for the "
+                             f"scale [{self.min_value}, {self.max_value}]")
 
     @classmethod
     def one_to_five(cls) -> "RatingScale":
-        return cls(1.0, 5.0, 5)
+        return cls(1.0, 5.0)
 
     @classmethod
     def letter_13(cls) -> "RatingScale":
-        return cls(1.0, 13.0, 13, LETTER_GRADES_13)
+        return cls(1.0, 13.0, LETTER_GRADES_13)
 
     def contains(self, value: float) -> bool:
         return self.min_value <= value <= self.max_value

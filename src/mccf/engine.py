@@ -3,8 +3,8 @@
 Single-rating path: a Dataset plus a SimilarityStore predict held-out
 ratings as similarity-weighted means over the target user's rated items.
 
-Multi-criteria path (McModel): the rating tensor, imputed slice by slice
-and optionally mean-centred, is factored with a Tucker/HOSVD model
+Multi-criteria path (McModel): the rating tensor, filled slice by slice
+with item means and optionally mean-centred, is factored with a Tucker/HOSVD model
 straight from its cells (linalg.CellTensor), so no dense tensor exists in
 the build or the model.  Per-criterion item similarities are computed
 from the reconstruction at the observed cells (or, for the latent_cosine
@@ -318,13 +318,13 @@ def _aggregate_rows(weights: AggregationWeights, crits: np.ndarray,
 
 @dataclass(frozen=True)
 class McConfig:
-    """Pipeline knobs for build_mc_model.  sim_kind "latent_cosine" picks
+    """Pipeline knobs for build_mc_model.  The tensor is always filled with
+    item means; pca_option also centres it.  sim_kind "latent_cosine" picks
     the latent space (one store shared by the criteria); any other kind is
     that measure on each criterion's reconstructed slice."""
 
     pca_option: bool = False
     sim_kind: str = "latent_cosine"
-    impute_strategy: str = "item_mean"
     neighborhood: NeighborhoodSpec = field(default_factory=NeighborhoodSpec)
     seed: int = 0
 
@@ -396,7 +396,7 @@ def _check_budget(t: CriteriaTensor, ranks: tuple[int, int, int],
 
 def _cells_of(t: CriteriaTensor, config: McConfig) -> CellTensor:
     return CellTensor((t.n_users, t.n_items, t.k + 1), *t.cell_index(),
-                      t.values, config.impute_strategy, config.pca_option)
+                      t.values, center=config.pca_option)
 
 
 def _assemble(t: CriteriaTensor, config: McConfig, tucker: TuckerModel,
@@ -503,7 +503,7 @@ def mc_recommend_top_n(model: McModel, user_id: str, n: int) -> list[tuple[str, 
 # ---- persistence ------------------------------------------------------------
 
 _MODEL_MAGIC = "mccf-model"
-_SCHEMA_VERSION = 4
+_SCHEMA_VERSION = 5
 
 
 class ModelFormatError(ValueError):
@@ -525,10 +525,10 @@ def save_model(model: McModel, path) -> None:
     arrays = {
         "magic": np.array(_MODEL_MAGIC),
         "version": np.array(_SCHEMA_VERSION),
-        "scale": np.array([scale.min_value, scale.max_value, scale.levels]),
+        "scale": np.array([scale.min_value, scale.max_value]),
         "grade_labels": np.array(scale.grade_labels or (), dtype=str),
         "config": np.array(["on" if cfg.pca_option else "off", cfg.sim_kind,
-                            cfg.impute_strategy, str(cfg.seed)]),
+                            str(cfg.seed)]),
         # NaN marks an unbounded neighborhood
         "neighborhood": np.array([np.nan if k is None else k]),
         "user_ids": np.array(t.user_ids, dtype=str),
@@ -582,17 +582,15 @@ def _count(x) -> int:
 
 
 def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
-    lo, hi, levels = a["scale"].tolist()
-    scale = RatingScale(lo, hi, _count(levels),
-                        tuple(a["grade_labels"].tolist()) or None)
-    pca, sim_kind, impute, seed = a["config"].tolist()
+    lo, hi = a["scale"].tolist()
+    scale = RatingScale(lo, hi, tuple(a["grade_labels"].tolist()) or None)
+    pca, sim_kind, seed = a["config"].tolist()
     if pca not in ("on", "off"):
         raise ValueError(f"unknown pca flag {pca!r}")
     (cap,) = a["neighborhood"].tolist()
     neighborhood = NeighborhoodSpec(None if np.isnan(cap) else _count(cap))
     config = McConfig(pca_option=pca == "on", sim_kind=sim_kind,
-                      impute_strategy=impute, neighborhood=neighborhood,
-                      seed=int(seed))
+                      neighborhood=neighborhood, seed=int(seed))
 
     cells = a["cells"]
     index = a["cell_index"]

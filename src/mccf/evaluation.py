@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -429,7 +429,8 @@ class McBenchmarkConfig:
     sim: str = "latent"
     top_n: int = 10
     relevance_threshold: float | None = None
-    impute_strategy: str = "item_mean"
+    # the one fill the multi-criteria build uses; not a setting
+    impute_strategy: ClassVar[str] = "item_mean"
     neighborhood: NeighborhoodSpec = field(default_factory=NeighborhoodSpec)
 
     def __post_init__(self) -> None:
@@ -445,7 +446,6 @@ class McBenchmarkConfig:
     def engine_config(self) -> McConfig:
         return McConfig(pca_option=self.pca_option,
                         sim_kind=SIM_NAME_MAP[self.sim],
-                        impute_strategy=self.impute_strategy,
                         neighborhood=self.neighborhood, seed=self.seed)
 
 

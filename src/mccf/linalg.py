@@ -7,13 +7,11 @@ matrices) and two power iterations, after Halko, Martinsson & Tropp, SIAM
 Review 53(2), 2011.  The Tucker decomposition (Kolda & Bader, SIAM Review
 51(3), 2009) takes each mode factor from the mode unfolding with the same
 sketch, forming only the left singular vectors, and forms the core by
-projecting the tensor onto the factor transposes.  It runs over one of
-two unfolding operators.  A dense tensor is released once the first
-unfolding holds its values, so a caller that hands over the only
-reference bounds the factoring at TENSOR_COPIES dense copies of it.  A
-CellTensor, an imputed (and optionally centred) tensor known by its
-observed cells, is factored from those cells and its low-rank fill and
-is never formed; its factors agree with the dense tensor's to rounding.
+projecting the tensor onto the factor transposes.  A dense tensor's
+unfoldings are formed from the tensor, one mode at a time.  A
+CellTensor, an item-mean-filled (and optionally centred) tensor known by
+its observed cells, is factored from those cells and its fill and is
+never formed; its factors agree with the dense tensor's to rounding.
 
 Conventions used throughout:
   - matrices are float64 ndarrays; tensors are 3-d ndarrays
@@ -260,12 +258,13 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
 DENSE_CELL_BUDGET = 2e8
 
 # Dense copies of a (users, items, k+1) tensor that hosvd of a dense
-# tensor holds at its peak: an unfolding plus, where the sketch is as wide
-# as the unfolding is tall (always for mode 3 with k+1 <= r3 + 10), A.T Q,
-# QR's copy of it and its basis, which tracemalloc sees (4.0 copies for a
+# tensor holds at its peak, the caller's tensor included: the tensor, an
+# unfolding and, where the sketch is as wide as the unfolding is tall
+# (always for mode 3 with k+1 <= r3 + 10), A.T Q, QR's copy of it and its
+# basis, which tracemalloc sees (4.0 copies beside the input for a
 # 1,000 x 800 x 5 tensor), and the two LAPACK buffers of that QR, which it
 # does not.
-TENSOR_COPIES = 6
+TENSOR_COPIES = 7
 
 # Cells per block of a CellTensor's per-cell products: a block's
 # (cells, slices, sketch width) temporaries stay in cache.
@@ -318,30 +317,27 @@ def _segment_sums(ptr: np.ndarray, rows, tail: tuple[int, ...]) -> np.ndarray:
 class CellTensor:
     """A (users, items, slices) tensor known by its observed cells.
 
-    Each slice is filled in elsewhere as impute_missing fills a matrix
-    with the same strategy and, with center, has its (item, slice) means
-    over users taken out (the PCA option's input; they are kept in
-    means).  Either way every slice is a low-rank fill plus a part D_s
-    that is nonzero on the observed cells only,
+    Each slice is filled elsewhere as impute_missing(..., "item_mean")
+    fills a matrix: an item's mean over its cells, or the slice's mean
+    for an item without cells.  With center, it also has its (item,
+    slice) means over users taken out (the PCA option's input; they are
+    kept in means).  Either way every slice is a column term plus a part
+    D_s that is nonzero on the observed cells only,
 
-        T[:, :, s] = sum_j P_j[:, s] Q_j[:, s].T + D_s,
+        T[:, :, s] = 1 Q[:, s].T + D_s,
 
-    with a column term (P = 1: the item or global means, or minus the
-    centring's residual means) and, for user means, a user term.  hosvd
-    factors it through the products of these parts, the sparse-plus-
-    low-rank products of Soft-Impute (Mazumder, Hastie & Tibshirani, JMLR
-    11, 2010), so no users x items array is ever formed.
+    with Q the item means, or minus the centring's residual means.
+    hosvd factors it through the products of these parts, the sparse-
+    plus-low-rank products of Soft-Impute (Mazumder, Hastie & Tibshirani,
+    JMLR 11, 2010), so no users x items array is ever formed.
     """
 
     def __init__(self, shape: tuple[int, int, int], users: np.ndarray,
-                 items: np.ndarray, values: np.ndarray,
-                 strategy: str = "item_mean", center: bool = False):
-        if strategy not in IMPUTE_STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
+                 items: np.ndarray, values: np.ndarray, center: bool = False):
         n_users, n_items, slices = self.shape = tuple(shape)
         values = np.asarray(values, dtype=np.float64).reshape(-1, slices)
         self.n_cells = len(values)
-        if not self.n_cells and strategy != "zero":
+        if not self.n_cells:
             raise ValueError("tensor has no observed cells")
         if np.any(users[1:] < users[:-1]):
             by_user = np.argsort(users, kind="stable")
@@ -351,58 +347,42 @@ class CellTensor:
         self._i_ptr = items[by_item].searchsorted(np.arange(n_items + 1))
         self._users, self._items = users, items
 
-        def means(ptr, grouped):
-            """Each segment's mean of the grouped values, or the slice's
-            mean for a segment without cells."""
-            count = np.diff(ptr)[:, None]
-            sums = _segment_sums(ptr, lambda lo, hi: grouped[lo:hi], (slices,))
-            out = np.empty(sums.shape)
-            out[:] = values.mean(axis=0)
-            return np.divide(sums, count, out=out, where=count > 0)
-
-        ones_u, ones_i = np.ones((n_users, slices)), np.ones((n_items, slices))
-        if strategy == "item_mean":
-            self._terms = [(ones_u, means(self._i_ptr, values[by_item]))]
-        elif strategy == "user_mean":
-            self._terms = [(means(self._u_ptr, values), ones_i)]
-        elif strategy == "global_mean":
-            self._terms = [(ones_u, ones_i * values.mean(axis=0))]
-        else:
-            self._terms = []
+        count = np.diff(self._i_ptr)[:, None]
+        grouped = values[by_item]
+        sums = _segment_sums(self._i_ptr, lambda lo, hi: grouped[lo:hi],
+                             (slices,))
+        q = np.empty(sums.shape)
+        q[:] = values.mean(axis=0)
+        np.divide(sums, count, out=q, where=count > 0)
+        # the column term (ones, Q): its products take the ones as a
+        # matrix, so they round as matrix products, not as row sums
+        self._term = (np.ones((n_users, slices)), q)
         self._d = values - self._fill_at_cells()
         self._u_im, self._d_im = users[by_item], self._d[by_item]
         self.means = None
         if center:
-            # the means over users are each term's mean user row times its
-            # item rows plus D's column sums over the user count: what is
-            # left after taking them out is the user terms less their
-            # means and minus that residual as the column term
+            # the means over users are the item means plus D's column sums
+            # over the user count: what is left after taking them out is
+            # minus that residual as the column term
             residual = _segment_sums(self._i_ptr, lambda lo, hi:
                                      self._d_im[lo:hi], (slices,)) / n_users
-            self.means = residual.copy()
-            centred = []
-            for p, q in self._terms:
-                self.means += p.mean(axis=0) * q
-                p = p - p.mean(axis=0)
-                if p.any():
-                    centred.append((p, q))
-            self._terms = centred + [(ones_u, -residual)]
+            self.means = residual + q
+            self._term = (self._term[0], -residual)
 
     def _fill_at_cells(self) -> np.ndarray:
+        # added to zeros, a -0.0 in Q enters the fill as 0.0
         fill = np.zeros((self.n_cells, self.shape[2]))
-        for p, q in self._terms:
-            fill += p.take(self._users, axis=0) * q.take(self._items, axis=0)
+        fill += self._term[1].take(self._items, axis=0)
         return fill
 
     def _gram(self) -> np.ndarray:
         """The mode-3 unfolding times its transpose, (k+1) x (k+1): the
-        fill's part by pairs of terms, the rest over the cells."""
+        fill's part from the column term, the rest over the cells."""
         fill, d = self._fill_at_cells(), self._d
         cross = fill.T @ d
         gram = d.T @ d + cross + cross.T
-        for p1, q1 in self._terms:
-            for p2, q2 in self._terms:
-                gram += (p1.T @ p2) * (q1.T @ q2)
+        p, q = self._term
+        gram += (p.T @ p) * (q.T @ q)
         return gram
 
     def _factor(self, mode: int, r: int, seed: int) -> np.ndarray:
@@ -415,8 +395,8 @@ class CellTensor:
         return _completed(vecs[:, np.argsort(evals)[::-1][:r_eff]], r)
 
     def _core(self, factors) -> np.ndarray:
-        """The tensor times every factor transpose: the fill's part by
-        terms, D's part summed per user over the cells."""
+        """The tensor times every factor transpose: the fill's part from
+        the column term, D's part summed per user over the cells."""
         u1, u2, u3 = factors
         r2, r3 = u2.shape[1], u3.shape[1]
         e = self._d @ u3
@@ -424,14 +404,14 @@ class CellTensor:
             u2.take(self._items[lo:hi], axis=0)[:, :, None]
             * e[lo:hi, None, :]).reshape(hi - lo, r2 * r3), (r2 * r3,))
         core = (u1.T @ per_user).reshape(-1, r2, r3)
-        for p, q in self._terms:
-            core += np.einsum("as,bs,sc->abc", u1.T @ p, u2.T @ q, u3)
+        p, q = self._term
+        core += np.einsum("as,bs,sc->abc", u1.T @ p, u2.T @ q, u3)
         return core
 
 
 class _CellUnfolding:
     """The mode-1 or mode-2 unfolding of a CellTensor as an operator: a @ x,
-    a.T @ y and y.T @ a multiply like the unfolding, from the fill's terms
+    a.T @ y and y.T @ a multiply like the unfolding, from the column term
     plus one gather of x's or y's rows at the cells and one segment sum.
     The rows' side of the cells gives a @ x, the columns' side a.T @ y."""
 
@@ -445,11 +425,11 @@ class _CellUnfolding:
         if mode == 1:
             rows, other = n_users, n_items
             self._by_row, self._by_col = by_user, by_item
-            self._terms = cells._terms
+            self._p, self._q = cells._term
         else:
             rows, other = n_items, n_users
             self._by_row, self._by_col = by_item, by_user
-            self._terms = [(q, p) for p, q in cells._terms]
+            self._q, self._p = cells._term
         self._other = other
         self.shape = (rows, other * self._slices)
         self.T = _Transposed(self)
@@ -459,7 +439,7 @@ class _CellUnfolding:
         # the columns of mode 1 run slice-major, those of mode 2 other-major
         xo = (x.reshape(s, self._other, width).transpose(1, 0, 2)
               if self._mode == 1 else x.reshape(self._other, s, width))
-        out = sum(p @ np.einsum("os,osw->sw", q, xo) for p, q in self._terms)
+        out = self._p @ np.einsum("os,osw->sw", self._q, xo)
         ptr, at, d = self._by_row
         flat = np.ascontiguousarray(xo).reshape(self._other, s * width)
         return out + _segment_sums(ptr, lambda lo, hi: np.einsum(
@@ -471,8 +451,7 @@ class _CellUnfolding:
         out = _segment_sums(ptr, lambda lo, hi: d[lo:hi, :, None]
                             * y.take(at[lo:hi], axis=0)[:, None, :],
                             (self._slices, y.shape[1]))
-        for p, q in self._terms:
-            out += q[:, :, None] * (p.T @ y)
+        out += self._q[:, :, None] * (self._p.T @ y)
         if self._mode == 1:
             out = out.transpose(1, 0, 2)
         return out.reshape(-1, y.shape[1])
@@ -487,31 +466,6 @@ class _Transposed:
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         return self._a._rmatmat(y)
-
-
-class _DenseUnfoldings:
-    """hosvd's view of a dense tensor: each unfolding is formed from the
-    one before, C-ordered as the tensor's own unfolding would be, and the
-    core takes each factor transpose as soon as the factor exists (mode 1
-    from the unfolding in hand, as mode_product would)."""
-
-    def __init__(self, t: np.ndarray):
-        self.shape = t.shape
-        self._unfolding = mode_unfold(t, 1)
-
-    def _factor(self, mode: int, r: int, seed: int) -> np.ndarray:
-        dims = self.shape
-        if mode > 1:
-            self._unfolding = np.ascontiguousarray(
-                mode_unfold(mode_refold(self._unfolding, mode - 1, dims), mode))
-        u = _unfolding_factor(self._unfolding, r, seed)
-        self._core_so_far = (
-            mode_refold(u.T @ self._unfolding, 1, (r,) + dims[1:]) if mode == 1
-            else mode_product(self._core_so_far, u.T, mode))
-        return u
-
-    def _core(self, factors) -> np.ndarray:
-        return self._core_so_far
 
 
 def _completed(u: np.ndarray, r: int) -> np.ndarray:
@@ -543,11 +497,9 @@ def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
     tensor multiplied by every factor transpose.  Only the left factors
     are formed.
 
-    A dense tensor's unfoldings are formed one from the other, and the
-    function drops its reference to t once the mode-1 unfolding exists,
-    so a caller that passes the only reference frees it before the first
-    sketch; one whose factoring would hold more than DENSE_CELL_BUDGET
-    cells (TENSOR_COPIES per tensor cell) is rejected before any of it.
+    A dense tensor whose factoring would hold more than
+    DENSE_CELL_BUDGET cells (TENSOR_COPIES per tensor cell) is rejected
+    before any unfolding of it is formed.
 
     A CellTensor is factored from its parts: modes 1 and 2 run the same
     sketch over the unfolding's products, with the same seeds; mode 3,
@@ -570,11 +522,15 @@ def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
             )
     if cells:
         check_cell_budget(cell_factoring_cells(t.shape, t.n_cells, ranks))
-    op = t if cells else _DenseUnfoldings(t)
-    del t
-    factors = tuple(op._factor(mode, ranks[mode - 1], seed + mode)
-                    for mode in (1, 2, 3))
-    return TuckerModel(op._core(factors), factors)
+        factors = tuple(t._factor(mode, ranks[mode - 1], seed + mode)
+                        for mode in (1, 2, 3))
+        return TuckerModel(t._core(factors), factors)
+    factors = tuple(_unfolding_factor(mode_unfold(t, mode), ranks[mode - 1],
+                                      seed + mode) for mode in (1, 2, 3))
+    core = t
+    for mode, u in zip((1, 2, 3), factors):
+        core = mode_product(core, u.T, mode)
+    return TuckerModel(core, factors)
 
 
 def tucker_reconstruct(model: TuckerModel) -> np.ndarray:

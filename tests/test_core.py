@@ -28,14 +28,14 @@ RECORDS = [
 
 def test_one_to_five():
     s = RatingScale.one_to_five()
-    assert (s.min_value, s.max_value, s.levels) == (1.0, 5.0, 5)
+    assert (s.min_value, s.max_value) == (1.0, 5.0)
     assert s.span == 4.0
     assert s.grade_labels is None
 
 
 def test_letter_scale():
     s = RatingScale.letter_13()
-    assert s.levels == 13
+    assert (s.min_value, s.max_value) == (1.0, 13.0)
     assert s.grade_labels[0] == "F"
     assert s.grade_labels[-1] == "A+"
     assert len(set(s.grade_labels)) == 13
@@ -44,14 +44,12 @@ def test_letter_scale():
 def test_scale_validation():
     for lo, hi in ((5.0, 1.0), (1.0, np.inf), (-np.inf, 5.0), (np.nan, 5.0)):
         with pytest.raises(ValueError):
-            RatingScale(lo, hi, 5)
-    with pytest.raises(ValueError):
-        RatingScale(1.0, 5.0, 1)
-    with pytest.raises(ValueError):
-        RatingScale(1.0, 5.0, 5, ("a", "b"))
-    with pytest.raises(ValueError):
-        # labels require unit-spaced levels
-        RatingScale(1.0, 2.0, 3, ("a", "b", "c"))
+            RatingScale(lo, hi)
+    # a labelled scale has one label per whole number from min to max
+    for hi, labels in ((5.0, ("a", "b")), (2.0, ("a", "b", "c")),
+                       (2.5, ("a", "b"))):
+        with pytest.raises(ValueError):
+            RatingScale(1.0, hi, labels)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -459,6 +459,8 @@ def test_load_rejects_corrupt_file(tmp_path):
     save_model(model, p)
     good = dict(np.load(p, allow_pickle=False))
     raw = p.read_bytes()
+    assert int(good["version"]) == 5
+    load_model(p)
 
     def assert_rejected(data=None, **changes):
         bad = tmp_path / "bad.npz"
@@ -483,13 +485,11 @@ def test_load_rejects_corrupt_file(tmp_path):
     assert_rejected(raw[:-1])
     # header, every key, then the cells and factors against the id maps
     assert_rejected(magic=np.array("not-a-model"))
-    assert_rejected(version=np.array(1))
-    assert_rejected(version=np.array(2))
-    assert_rejected(version=np.array(3))
-    assert_rejected(version=np.array(5))
-    assert_rejected(version=np.array(4.0))
-    assert_rejected(version=np.array("4"))
-    assert_rejected(version=np.array([4]))
+    for version in (1, 2, 3, 4, 6):
+        assert_rejected(version=np.array(version))
+    assert_rejected(version=np.array(5.0))
+    assert_rejected(version=np.array("5"))
+    assert_rejected(version=np.array([5]))
     assert set(good) == MODEL_KEYS
     for key in good:
         assert_rejected(**{key: None})
@@ -503,16 +503,22 @@ def test_load_rejects_corrupt_file(tmp_path):
     index = good["cell_index"].copy()
     index[1] = index[0]
     assert_rejected(cell_index=index)
-    assert_rejected(config=np.array(["off", "dice", "item_mean", "10"]))
-    assert_rejected(config=np.array(["yes", "latent_cosine", "item_mean", "10"]))
-    # a cap or level count that is not a whole number, a cap of the wrong
-    # shape (schema 3 also stored a similarity threshold), infinite bounds
+    assert_rejected(config=np.array(["off", "dice", "10"]))
+    assert_rejected(config=np.array(["yes", "latent_cosine", "10"]))
+    # schema 4's config also stored the impute strategy
+    assert_rejected(config=np.array(["off", "latent_cosine", "item_mean", "10"]))
+    # a cap that is not a whole number, a cap of the wrong shape (schema 3
+    # also stored a similarity threshold), infinite or missing bounds, a
+    # scale of the wrong shape (schema 4 also stored a level count)
     for cap in ([np.inf], [-np.inf], [2.5], [0.0], [np.inf, np.nan],
                 [2.0, np.nan], [], np.array(2.0), [[2.0]], ["3"]):
         assert_rejected(neighborhood=np.array(cap))
-    for scale in ([1.0, 5.0, np.inf], [1.0, 5.0, np.nan], [1.0, 5.0, 4.5],
-                  [1.0, 5.0], [1.0, np.inf, 5.0], [-np.inf, 5.0, 5.0]):
+    for scale in ([1.0, np.inf], [1.0, np.nan], [np.nan, 5.0], [5.0, 1.0],
+                  [-np.inf, 5.0], [1.0], [1.0, 5.0, 5.0], [[1.0, 5.0]]):
         assert_rejected(scale=np.array(scale))
+    # grade labels that do not give each whole number of the scale one
+    for scale, labels in (([1.0, 5.0], ["a", "b"]), ([1.0, 5.5], list("abcde"))):
+        assert_rejected(scale=np.array(scale), grade_labels=np.array(labels))
     # factors of another tensor shape, or of other ranks than the core's;
     # one user row would otherwise broadcast over every user
     assert_rejected(factor1=good["factor1"][:1])

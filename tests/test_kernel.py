@@ -245,7 +245,7 @@ def test_wide_blocks_match_loop(wide_store, k, c):
     value is clamped."""
     n = len(wide_store.item_ids)
     spec = NeighborhoodSpec(k)
-    unclamped = RatingScale(-1e300, 1e300, 2)
+    unclamped = RatingScale(-1e300, 1e300)
     rng = np.random.default_rng(75)
     tie_cuts = 0
     for n_rated in (40, 200):

@@ -6,6 +6,7 @@ from mccf.linalg import (
     CellTensor,
     FactorModel,
     IMPUTE_STRATEGIES,
+    TENSOR_COPIES,
     TuckerModel,
     _CellUnfolding,
     hosvd,
@@ -275,7 +276,20 @@ def test_hosvd_validation(monkeypatch):
         hosvd(t, (0, 1, 1))
     with pytest.raises(ValueError):
         hosvd(t, (4, 1, 1))
-    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", 10)
+    with pytest.raises(ValueError, match="no observed cells"):
+        CellTensor((2, 2, 2), np.array([], dtype=np.intp),
+                   np.array([], dtype=np.intp), np.empty((0, 2)))
+    # a dense tensor is admitted at exactly TENSOR_COPIES cells per cell and
+    # rejected at one cell fewer, before any unfolding of it is formed
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", TENSOR_COPIES * t.size)
+    hosvd(t, (1, 1, 1))
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET",
+                        TENSOR_COPIES * t.size - 1)
+
+    def no_unfolding(*args, **kwargs):
+        raise AssertionError("unfolding formed before the budget check")
+
+    monkeypatch.setattr("mccf.linalg.mode_unfold", no_unfolding)
     with pytest.raises(ValueError, match="budget"):
         hosvd(t, (1, 1, 1))
 
@@ -324,12 +338,13 @@ def _observed_cells(rng, dims):
     return flat // n_items, flat % n_items, values
 
 
-def _filled(dims, users, items, values, strategy, center):
+def _filled(dims, users, items, values, center):
     """The dense tensor a CellTensor stands for: each slice imputed by
-    impute_missing, then centred on its means over users if asked."""
+    impute_missing with item means, then centred on its means over users
+    if asked."""
     dense = np.full(dims, NAN)
     dense[users, items] = values
-    filled = np.stack([impute_missing(dense[:, :, s], strategy)
+    filled = np.stack([impute_missing(dense[:, :, s], "item_mean")
                        for s in range(dims[2])], axis=2)
     means = filled.mean(axis=0) if center else None
     return (filled - means if center else filled), means
@@ -340,19 +355,17 @@ def _assert_close(got, want, rtol=1e-10):
     assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
 
 
-cell_cases = dict(seed=st.integers(0, 2 ** 32 - 1),
-                  strategy=st.sampled_from(IMPUTE_STRATEGIES),
-                  center=st.booleans())
+cell_cases = dict(seed=st.integers(0, 2 ** 32 - 1), center=st.booleans())
 
 
 @settings(deadline=None, max_examples=60)
 @given(**cell_cases)
-def test_cell_tensor_products_match_dense_unfoldings(seed, strategy, center):
+def test_cell_tensor_products_match_dense_unfoldings(seed, center):
     rng = np.random.default_rng(seed)
     dims = tuple(int(x) for x in rng.integers(1, 9, 3))
     users, items, values = _observed_cells(rng, dims)
-    filled, means = _filled(dims, users, items, values, strategy, center)
-    cells = CellTensor(dims, users, items, values, strategy, center)
+    filled, means = _filled(dims, users, items, values, center)
+    cells = CellTensor(dims, users, items, values, center)
     for mode in (1, 2):
         a, op = mode_unfold(filled, mode), _CellUnfolding(cells, mode)
         assert op.shape == a.shape
@@ -388,15 +401,15 @@ def _separated(t, ranks) -> bool:
 
 @settings(deadline=None, max_examples=60)
 @given(**cell_cases)
-def test_cell_tensor_hosvd_matches_reference(seed, strategy, center):
+def test_cell_tensor_hosvd_matches_reference(seed, center):
     rng = np.random.default_rng(seed)
     dims = tuple(int(x) for x in rng.integers(2, 9, 3))
     ranks = tuple(int(rng.integers(1, d + 1)) for d in dims)
     users, items, values = _observed_cells(rng, dims)
-    filled, means = _filled(dims, users, items, values, strategy, center)
+    filled, means = _filled(dims, users, items, values, center)
     assume(_separated(filled, ranks))
     want = hosvd_reference(filled, ranks, seed=3)
-    cells = CellTensor(dims, users, items, values, strategy, center)
+    cells = CellTensor(dims, users, items, values, center)
     got = hosvd(cells, ranks, seed=3)
     for a, b in zip(got.factors, want.factors):
         _assert_close(a, b)
