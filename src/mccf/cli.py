@@ -32,6 +32,7 @@ from .core import (
 )
 from .engine import (
     McConfig,
+    _cells_of,
     build_mc_model,
     mc_recommend_top_n,
     recommend_top_n,
@@ -57,8 +58,7 @@ from .ingest import (
     write_movielens,
     write_multicriteria,
 )
-from .linalg import (CellTensor, check_cell_budget, hosvd, impute_missing, pca,
-                     truncated_svd)
+from .linalg import check_cell_budget, hosvd, impute_missing, pca, truncated_svd
 
 SIM_CHOICES = tuple(SIM_NAME_MAP)
 TABLE_SIMS = ("pearson", "euclidean", "loglikelihood", "tanimoto")
@@ -321,26 +321,25 @@ def _cmd_split(args) -> int:
 def _cmd_decompose(args) -> int:
     data = _load(args, matrix=True)
     if args.format == "mc-csv":
-        model = hosvd(CellTensor((data.n_users, data.n_items, data.k + 1),
-                                 *data.cell_index(), data.values),
-                      args.ranks, seed=args.seed)
+        model = hosvd(_cells_of(data), args.ranks, seed=args.seed)
         arrays = {"decomposition": "hosvd", "core": model.core,
                   "factor1": model.factors[0], "factor2": model.factors[1],
                   "factor3": model.factors[2]}
     else:
-        check_cell_budget(data.n_users * data.n_items)
-        imputed = impute_missing(data.to_dense(), "item_mean")
-        rank = args.ranks[0]
-        if rank > min(imputed.shape):
-            raise UsageError(
-                f"rank {rank} exceeds matrix dimensions {imputed.shape}")
-        if args.pca_option == "on":
-            model = pca(imputed, rank)
+        # only PCA forms the filled matrix; the SVD factors it from the cells
+        rank, pca_on = args.ranks[0], args.pca_option == "on"
+        if pca_on:
+            check_cell_budget(data.n_users * data.n_items)
+        a = impute_missing(data.to_dense()) if pca_on else _cells_of(data)
+        if rank > min(a.shape[:2]):
+            raise UsageError(f"rank {rank} exceeds matrix dimensions {a.shape[:2]}")
+        if pca_on:
+            model = pca(a, rank)
             arrays = {"decomposition": "pca", "mean": model.mean,
                       "eigenvalues": model.eigenvalues,
                       "components": model.components}
         else:
-            model = truncated_svd(imputed, rank, seed=args.seed)
+            model = truncated_svd(a, rank, seed=args.seed)
             arrays = {"decomposition": "svd", "sigma": model.sigma,
                       "u": model.u, "v": model.v}
     # an open handle keeps np.savez from appending ".npz" to the name

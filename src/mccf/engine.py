@@ -394,9 +394,10 @@ def _check_budget(t: CriteriaTensor, ranks: tuple[int, int, int],
                       + stores * t.n_items ** 2)
 
 
-def _cells_of(t: CriteriaTensor, config: McConfig) -> CellTensor:
-    return CellTensor((t.n_users, t.n_items, t.k + 1), *t.cell_index(),
-                      t.values, center=config.pca_option)
+def _cells_of(d: Dataset | CriteriaTensor, center: bool = False) -> CellTensor:
+    """d's CellTensor: one slice for a Dataset, k+1 for a tensor."""
+    return CellTensor((d.n_users, d.n_items, getattr(d, "k", 0) + 1),
+                      *d.cell_index(), d.values, center=center)
 
 
 def _assemble(t: CriteriaTensor, config: McConfig, tucker: TuckerModel,
@@ -435,7 +436,7 @@ def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
     items array outside a reconstructed-space store's own build.
     """
     _check_budget(t, ranks, config)
-    cells = _cells_of(t, config)
+    cells = _cells_of(t, config.pca_option)
     tucker, slice_means = hosvd(cells, ranks, seed=config.seed), cells.means
     del cells       # freed before the stores are built
     return _assemble(t, config, tucker, slice_means)
@@ -610,5 +611,5 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
         raise ValueError("Tucker factors do not match the tensor and core")
     _check_budget(tensor, tucker.core.shape, config)
     # the PCA option's slice means come from the cells, as in the build
-    slice_means = _cells_of(tensor, config).means if config.pca_option else None
+    slice_means = _cells_of(tensor, center=True).means if config.pca_option else None
     return _assemble(tensor, config, tucker, slice_means)

@@ -32,6 +32,7 @@ from .engine import (
     McConfig,
     NeighborhoodSpec,
     _aggregate_rows,
+    _cells_of,
     _criteria_rows,
     _groups,
     _predict_user,
@@ -41,7 +42,7 @@ from .engine import (
     predict_matrix,
 )
 from .ingest import MOVIELENS_SCALE, SplitSpec, _parse_movielens, _train_mask
-from .linalg import impute_missing, truncated_svd
+from .linalg import truncated_svd
 from .similarity import check_store_budget, item_similarity_matrix
 
 # CLI-facing measure names -> similarity-module kinds
@@ -246,8 +247,7 @@ def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
         return item_similarity_matrix(train, kind)
     check_store_budget(train)
     rank = min(latent_rank, train.n_users, train.n_items)
-    imputed = impute_missing(train.to_dense(), "item_mean")
-    model = truncated_svd(imputed, rank, seed=seed)
+    model = truncated_svd(_cells_of(train), rank, seed=seed)
     return item_similarity_matrix(train, "latent_cosine", model=model)
 
 

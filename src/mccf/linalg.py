@@ -7,11 +7,11 @@ matrices) and two power iterations, after Halko, Martinsson & Tropp, SIAM
 Review 53(2), 2011.  The Tucker decomposition (Kolda & Bader, SIAM Review
 51(3), 2009) takes each mode factor from the mode unfolding with the same
 sketch, forming only the left singular vectors, and forms the core by
-projecting the tensor onto the factor transposes.  A dense tensor's
-unfoldings are formed from the tensor, one mode at a time.  A
-CellTensor, an item-mean-filled (and optionally centred) tensor known by
-its observed cells, is factored from those cells and its fill and is
-never formed; its factors agree with the dense tensor's to rounding.
+projecting the tensor onto the factor transposes.  A CellTensor, an
+item-mean-filled (and optionally centred) tensor known by its observed
+cells, is factored from those cells and its fill and is never formed;
+its factors agree with the dense tensor's to rounding.  truncated_svd
+takes a rating matrix the same way, as a one-slice CellTensor.
 
 Conventions used throughout:
   - matrices are float64 ndarrays; tensors are 3-d ndarrays
@@ -141,7 +141,7 @@ def _left_factor(a: np.ndarray, k: int,
     return q @ x, np.where(sigma > cutoff, sigma, 0.0), b, x
 
 
-def truncated_svd(a: np.ndarray, k: int, seed: int = 0) -> FactorModel:
+def truncated_svd(a: np.ndarray | CellTensor, k: int, seed: int = 0) -> FactorModel:
     """Sketched truncated SVD of rank k.
 
     Pipeline: Gaussian sketch of width k + min(10, min(m, n) - k), so that
@@ -151,9 +151,17 @@ def truncated_svd(a: np.ndarray, k: int, seed: int = 0) -> FactorModel:
 
     Right singular vectors for numerically zero singular values cannot be
     recovered from the sketch (the back-transform divides by sigma); those
-    columns are filled with a deterministic orthonormal completion.
+    columns are filled with a deterministic orthonormal completion.  A
+    one-slice CellTensor, the item-mean-filled rating matrix, is sketched
+    through its mode-1 unfolding's products, under hosvd's cell budget.
     """
-    a = np.asarray(a, dtype=np.float64)
+    if isinstance(a, CellTensor):
+        if a.shape[2] != 1:
+            raise ValueError("expected a one-slice CellTensor")
+        check_cell_budget(cell_factoring_cells(a.shape, a.n_cells, (k, k, 1)))
+        a = _CellUnfolding(a, 1)
+    else:
+        a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"rank {k} out of range 1..{min(m, n)}")
@@ -252,8 +260,8 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
 
 # Most cells the dense arrays of one step may hold: a plain dataset's
 # users x items ratings plus its items x items similarity store, the
-# matrix decompose factors, a dense tensor's TENSOR_COPIES copies, or a
-# CellTensor's factoring (cell_factoring_cells).  2e8 float64 cells are
+# matrix decompose's PCA takes, a dense tensor's TENSOR_COPIES copies, or
+# a CellTensor's factoring (cell_factoring_cells).  2e8 float64 cells are
 # 1.6 GB.
 DENSE_CELL_BUDGET = 2e8
 
@@ -327,9 +335,9 @@ class CellTensor:
         T[:, :, s] = 1 Q[:, s].T + D_s,
 
     with Q the item means, or minus the centring's residual means.
-    hosvd factors it through the products of these parts, the sparse-
-    plus-low-rank products of Soft-Impute (Mazumder, Hastie & Tibshirani,
-    JMLR 11, 2010), so no users x items array is ever formed.
+    hosvd and truncated_svd factor it through the products of these parts,
+    the sparse-plus-low-rank products of Soft-Impute (Mazumder, Hastie &
+    Tibshirani, JMLR 11, 2010), so no users x items array is ever formed.
     """
 
     def __init__(self, shape: tuple[int, int, int], users: np.ndarray,
@@ -540,33 +548,21 @@ def tucker_reconstruct(model: TuckerModel) -> np.ndarray:
     return out
 
 
-IMPUTE_STRATEGIES = ("item_mean", "user_mean", "global_mean", "zero")
+IMPUTE_STRATEGIES = ("item_mean",)
 
 
 def impute_missing(a: np.ndarray, strategy: str = "item_mean") -> np.ndarray:
-    """Fill NaN cells of a users-by-items matrix.
-
-    item_mean / user_mean fall back to the global mean for empty columns /
-    rows.  A matrix with no observed cell at all has no meaningful fill and
-    is rejected.
-    """
+    """Fill the NaN cells of a users-by-items matrix with their item's mean,
+    or the global mean for an item without ratings, as a one-slice
+    CellTensor is filled.  A matrix without observed cells is rejected."""
     if strategy not in IMPUTE_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     a = np.asarray(a, dtype=np.float64)
     observed = ~np.isnan(a)
-    if strategy == "zero":
-        return np.where(observed, a, 0.0)
     if not observed.any():
         raise ValueError("matrix has no observed cells")
-    filled = a.copy()
-    global_mean = a[observed].mean()
-    if strategy == "global_mean":
-        filled[~observed] = global_mean
-        return filled
-    axis = 0 if strategy == "item_mean" else 1
-    counts = observed.sum(axis=axis)
-    sums = np.where(observed, a, 0.0).sum(axis=axis)
-    means = np.full(counts.shape, global_mean)
+    counts = observed.sum(axis=0)
+    sums = np.where(observed, a, 0.0).sum(axis=0)
+    means = np.full(counts.shape, a[observed].mean())
     np.divide(sums, counts, out=means, where=counts > 0)
-    fill = means[np.newaxis, :] if axis == 0 else means[:, np.newaxis]
-    return np.where(observed, a, fill)
+    return np.where(observed, a, means)

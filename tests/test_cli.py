@@ -176,6 +176,19 @@ def test_decompose_all_modes(data_dir, tmp_path, capsys):
             assert {key: z[key].shape for key in shapes} == shapes
 
 
+def test_decompose_rank_above_matrix_dims_is_a_usage_error(data_dir, tmp_path,
+                                                           capsys):
+    # ratings.tsv is 30 users x 14 items
+    for pca_flag in ([], ["--pca-option", "on"]):
+        out = tmp_path / "out.npz"
+        code, _, err = run(["decompose", "--input", str(data_dir / "ratings.tsv"),
+                            "--ranks", "15", *pca_flag, "--seed", "1",
+                            "--output", str(out)], capsys)
+        assert code == 1, err
+        assert "rank 15 exceeds matrix dimensions (30, 14)" in err
+        assert not out.exists()
+
+
 def test_evaluate_prints_report(data_dir, capsys):
     args = ["evaluate", "--input", str(data_dir / "ratings.tsv"),
             "--sim", "euclidean", "--train-fraction", "0.8", "--seed", "7"]
@@ -301,23 +314,36 @@ def test_budget_counts_every_copy_of_the_mc_build(data_dir, monkeypatch,
 def test_over_budget_ratings_exit_before_dense_copy(tmp_path, monkeypatch,
                                                     capsys):
     # 15,000 users x 15,000 items: even the 70% training split's ratings
-    # plus its item x item store are above the dense cell budget
+    # plus its item x item store are above the dense cell budget, and so
+    # is the PCA's filled matrix; the SVD factors the matrix from its cells
+    # and is over budget only at a rank of 15,000
     path = tmp_path / "diagonal.data"
     path.write_text("".join(f"u{x}\ti{x}\t3\t0\n" for x in range(15_000)))
 
     def dense_copy(*args, **kwargs):
         raise AssertionError("dense copy made before the budget check")
 
+    def factoring(*args, **kwargs):
+        raise AssertionError("latent factoring run before the budget check")
+
     monkeypatch.setattr(Dataset, "to_dense", dense_copy)
     monkeypatch.setattr(Dataset, "to_mask", dense_copy)
+    monkeypatch.setattr("mccf.evaluation.truncated_svd", factoring)
+    out = tmp_path / "out.npz"
     common = ["--input", str(path), "--seed", "1"]
     for verb in (["evaluate", "--sim", "pearson"],
                  ["recommend", "--user", "u0"],
                  ["recommend", "--user", "u0", "--sim", "latent"],
-                 ["decompose", "--ranks", "2", "--output",
-                  str(tmp_path / "out.npz")]):
+                 ["decompose", "--ranks", "2", "--pca-option", "on",
+                  "--output", str(out)],
+                 ["decompose", "--ranks", "15000", "--output", str(out)]):
         code, _, err = run(verb[:1] + common + verb[1:], capsys)
         assert code == 2 and "budget" in err, (verb, err)
+    assert not out.exists()
+    # at rank 2 the SVD of the same matrix runs, from its 15,000 cells
+    code, _, err = run(["decompose"] + common + ["--ranks", "2", "--output",
+                                                 str(out)], capsys)
+    assert code == 0 and out.exists(), err
 
 
 def test_exit_codes(data_dir, tmp_path, capsys):

@@ -9,6 +9,7 @@ from mccf.linalg import (
     TENSOR_COPIES,
     TuckerModel,
     _CellUnfolding,
+    cell_factoring_cells,
     hosvd,
     impute_missing,
     mode_product,
@@ -420,6 +421,44 @@ def test_cell_tensor_hosvd_matches_reference(seed, center):
         _assert_close(cells.means, means)
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_cell_tensor_svd_matches_reference(seed):
+    # a rating matrix is a one-slice CellTensor: its SVD from the cells is
+    # the SVD of the item-mean-filled dense matrix
+    rng = np.random.default_rng(seed)
+    dims = (*(int(x) for x in rng.integers(2, 9, 2)), 1)
+    k = int(rng.integers(1, min(dims[:2]) + 1))
+    users, items, values = _observed_cells(rng, dims)
+    filled, _ = _filled(dims, users, items, values, False)
+    assume(_separated(filled, (k, k, 1)))
+    want = truncated_svd(filled[:, :, 0], k, seed=3)
+    got = truncated_svd(CellTensor(dims, users, items, values), k, seed=3)
+    for a, b in ((got.u, want.u), (got.sigma, want.sigma), (got.v, want.v)):
+        _assert_close(a, b)
+
+
+def test_cell_tensor_svd_validation(monkeypatch):
+    rng = np.random.default_rng(28)
+    users, items, values = _observed_cells(rng, (6, 5, 2))
+    with pytest.raises(ValueError, match="one-slice"):
+        truncated_svd(CellTensor((6, 5, 2), users, items, values), 2)
+    cells = CellTensor((6, 5, 1), users, items, values[:, 0])
+    # admitted at exactly its factoring's cells, rejected at one cell
+    # fewer before any product with the matrix is formed
+    budget = cell_factoring_cells(cells.shape, cells.n_cells, (2, 2, 1))
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", budget)
+    truncated_svd(cells, 2)
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", budget - 1)
+
+    def no_product(*args, **kwargs):
+        raise AssertionError("product formed before the budget check")
+
+    monkeypatch.setattr(_CellUnfolding, "__matmul__", no_product)
+    with pytest.raises(ValueError, match="budget"):
+        truncated_svd(cells, 2)
+
+
 def test_hosvd_determinism():
     rng = np.random.default_rng(24)
     t = rng.standard_normal((5, 6, 3))
@@ -458,23 +497,14 @@ IMPUTE_CASE = np.array([
 
 
 def test_impute_strategies():
+    assert IMPUTE_STRATEGIES == ("item_mean",)
     filled = impute_missing(IMPUTE_CASE, "item_mean")
     assert filled[1, 0] == 2.5
     assert filled[0, 1] == 2.0
     assert filled[2, 2] == 4.0
-    filled = impute_missing(IMPUTE_CASE, "user_mean")
-    assert filled[0, 1] == 2.0
-    assert filled[1, 0] == 3.5
-    assert filled[2, 1] == 4.0 and filled[2, 2] == 4.0
-    filled = impute_missing(IMPUTE_CASE, "global_mean")
-    assert filled[0, 1] == 3.0
-    filled = impute_missing(IMPUTE_CASE, "zero")
-    assert filled[0, 1] == 0.0
-    for s in IMPUTE_STRATEGIES:
-        out = impute_missing(IMPUTE_CASE, s)
-        observed = ~np.isnan(IMPUTE_CASE)
-        assert np.array_equal(out[observed], IMPUTE_CASE[observed])
-        assert not np.isnan(out).any()
+    observed = ~np.isnan(IMPUTE_CASE)
+    assert np.array_equal(filled[observed], IMPUTE_CASE[observed])
+    assert not np.isnan(filled).any()
 
 
 def test_impute_empty_column_falls_back():
@@ -483,8 +513,9 @@ def test_impute_empty_column_falls_back():
 
 
 def test_impute_errors():
-    with pytest.raises(ValueError):
-        impute_missing(IMPUTE_CASE, "median")
-    with pytest.raises(ValueError):
+    # item means are the one fill
+    for strategy in ("median", "user_mean", "global_mean", "zero"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            impute_missing(IMPUTE_CASE, strategy)
+    with pytest.raises(ValueError, match="no observed cells"):
         impute_missing(np.full((2, 2), NAN), "item_mean")
-    assert np.all(impute_missing(np.full((2, 2), NAN), "zero") == 0.0)
