@@ -2,12 +2,12 @@
 
 Verbs: stats, filter, split, decompose, evaluate, sweep, recommend,
 mc-evaluate.  _check_flags rejects every bad flag combination before any
-input is read, and every verb reads its input through _records (parse,
-then the --min-user/--min-item filter); filter alone reads it unfiltered,
-to count what it drops.  Exit status 0 on success, 1 on usage errors, 2
-on data errors.  Every verb that involves randomness (splitting, sketched
-factorizations) requires an explicit --seed so runs are reproducible by
-construction.
+input is read, and every verb reads its input through _read, as one
+columnar batch and the rows the --min-user/--min-item filter keeps; only
+filter and split build records, for the writers.  Exit status 0 on
+success, 1 on usage errors, 2 on data errors.  Every verb that involves
+randomness (splitting, sketched factorizations) requires an explicit
+--seed so runs are reproducible by construction.
 
 On mc-csv input, recommend and mc-evaluate take item similarities in the
 HOSVD's latent space for --sim latent, and from the reconstructed
@@ -27,6 +27,7 @@ from .core import (
     Dataset,
     ParseError,
     RatingScale,
+    _Ratings,
     dataset_stats,
     overall_slice,
 )
@@ -51,10 +52,10 @@ from .evaluation import (
 from .ingest import (
     DensityFilterSpec,
     SplitSpec,
-    density_filter,
-    parse_movielens,
-    parse_multicriteria,
-    split_train_test,
+    _density_mask,
+    _parse_movielens,
+    _parse_multicriteria,
+    _train_mask,
     write_movielens,
     write_multicriteria,
 )
@@ -258,29 +259,22 @@ def _check_flags(args) -> None:
             raise UsageError(str(exc)) from None
 
 
-def _parse(args) -> list:
-    """The input's records, unfiltered."""
-    if args.format == "mc-csv":
-        return parse_multicriteria(args.input, args.criteria, _scale_of(args))
-    return parse_movielens(args.input)
-
-
-def _records(args) -> list:
-    """The input's records after the --min-user/--min-item filter."""
-    records = _parse(args)
-    if args.min_user > 0 or args.min_item > 0:
-        records = density_filter(
-            records, DensityFilterSpec(args.min_user, args.min_item))
-    return records
+def _read(args) -> tuple[_Ratings, np.ndarray]:
+    """The input's ratings that the --min-user/--min-item filter keeps, as
+    a batch, and the filter's mask over all the input's ratings."""
+    batch = (_parse_multicriteria(args.input, args.criteria, _scale_of(args))
+             if args.format == "mc-csv" else _parse_movielens(args.input))
+    kept = _density_mask(batch, DensityFilterSpec(args.min_user, args.min_item))
+    return batch.take(kept), kept
 
 
 def _load(args, matrix: bool = False):
     """The filtered input: a CriteriaTensor on mc-csv input; on MovieLens
-    input a Dataset when `matrix` is set, else the records."""
-    records = _records(args)
+    input a Dataset when `matrix` is set, else the batch."""
+    batch = _read(args)[0]
     if args.format == "mc-csv":
-        return CriteriaTensor.from_records(records, args.criteria, _scale_of(args))
-    return Dataset.from_records(records, _scale_of(args)) if matrix else records
+        return CriteriaTensor.from_records(batch, args.criteria, _scale_of(args))
+    return Dataset.from_records(batch, _scale_of(args)) if matrix else batch
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -302,19 +296,18 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    records = _parse(args)
-    kept = density_filter(records, DensityFilterSpec(args.min_user, args.min_item))
-    WRITERS[args.format](kept, args.output)
-    print(f"kept={len(kept)} dropped={len(records) - len(kept)}")
+    batch, kept = _read(args)
+    WRITERS[args.format](batch.records(), args.output)
+    print(f"kept={kept.sum()} dropped={len(kept) - kept.sum()}")
     return 0
 
 
 def _cmd_split(args) -> int:
-    train, test = split_train_test(_records(args),
-                                   SplitSpec(args.train_fraction, args.seed))
-    WRITERS[args.format](train, args.output + ".train")
-    WRITERS[args.format](test, args.output + ".test")
-    print(f"train={len(train)} test={len(test)}")
+    batch = _read(args)[0]
+    train = _train_mask(batch, SplitSpec(args.train_fraction, args.seed))
+    for suffix, rows in ((".train", train), (".test", ~train)):
+        WRITERS[args.format](batch.take(rows).records(), args.output + suffix)
+    print(f"train={train.sum()} test={len(train) - train.sum()}")
     return 0
 
 

@@ -13,6 +13,7 @@ are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -147,6 +148,24 @@ class _Ratings:
         return cls(*_factorize([r.user_id for r in records]),
                    *_factorize([r.item_id for r in records]), values)
 
+    def take(self, rows: np.ndarray) -> "_Ratings":
+        """The rows a boolean mask keeps, in order, with their timestamps."""
+        stamps = self.timestamps
+        return _Ratings(self.user_ids, self.u[rows], self.item_ids, self.i[rows],
+                        self.values[rows], None if stamps is None else
+                        list(compress(stamps, rows.tolist())))
+
+    def records(self) -> list:
+        """One RatingRecord per row of a one-column batch, else one
+        CriteriaRecord per row; every value a Python float."""
+        users = [self.user_ids[u] for u in self.u.tolist()]
+        items = [self.item_ids[i] for i in self.i.tolist()]
+        if self.values.shape[1] == 1:
+            return list(map(RatingRecord, users, items, self.values[:, 0].tolist(),
+                            self.timestamps or repeat(None)))
+        return [CriteriaRecord(u, i, tuple(v[1:]), v[0])
+                for u, i, v in zip(users, items, self.values.tolist())]
+
 
 def _index(batch: _Ratings):
     """First-appearance id maps and keep-last deduplication: (user_map,
@@ -270,11 +289,15 @@ class _Cells:
             return vals[pos]
         return None
 
-    def _cells(self):
-        """(user id, item id, values) of every cell, user-major."""
-        users, items = self._users.ids, self._items.ids
-        for u, i, v in zip(self._u_idx.tolist(), self._i_idx.tolist(), self._values):
-            yield users[u], items[i], v
+    def _ratings(self) -> _Ratings:
+        """The cells as a batch, user-major."""
+        values = self._values
+        return _Ratings(self.user_ids, self._u_idx, self.item_ids, self._i_idx,
+                        values[:, None] if values.ndim == 1 else values)
+
+    def iter_records(self) -> Iterator[RatingRecord | CriteriaRecord]:
+        """One record per cell, user-major (see _Ratings.records)."""
+        yield from self._ratings().records()
 
     # ---- dense views -------------------------------------------------------
 
@@ -328,10 +351,6 @@ class Dataset(_Cells):
     def rating(self, u: int, i: int) -> float | None:
         value = self._lookup(u, i)
         return None if value is None else float(value)
-
-    def iter_records(self) -> Iterator[RatingRecord]:
-        for uid, iid, value in self._cells():
-            yield RatingRecord(uid, iid, float(value))
 
     def user_means(self) -> np.ndarray:
         """Per-user mean over all items the user rated; 0 for a user
@@ -391,10 +410,6 @@ class CriteriaTensor(_Cells):
 
     cells_of = _Cells._row      # (item indices, (cells x k+1) values)
     cell = _Cells._lookup
-
-    def iter_records(self) -> Iterator[CriteriaRecord]:
-        for uid, iid, values in self._cells():
-            yield CriteriaRecord(uid, iid, tuple(values[1:]), float(values[0]))
 
     def cell_matrix(self) -> np.ndarray:
         """Copy of all cell values, one row per cell: [overall, c1..ck]."""

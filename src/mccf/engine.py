@@ -39,7 +39,6 @@ from .linalg import (CellTensor, TuckerModel, cell_factoring_cells,
 from .similarity import (
     SIMILARITY_KINDS,
     SimilarityStore,
-    check_store_budget,
     item_similarity_matrix,
 )
 
@@ -204,11 +203,11 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
     to two matrix products over the full similarity matrix.  The products
     sum in another order than the neighborhood kernel, so values agree
     with predict_single to rounding, not bitwise.  Over-budget data is
-    rejected as by item_similarity_matrix.
+    rejected as by a rating-based item_similarity_matrix.
     """
     if spec.max_neighbors is not None:
         raise ValueError("predict_matrix requires an unbounded neighborhood")
-    check_store_budget(d)
+    check_cell_budget(d.n_users * d.n_items + d.n_items ** 2)
     s = np.where(sims.values > 0, sims.values, 0.0)
     # the ratings are 0 off the mask, so they carry it; one unblocked
     # product, since blocking it changes bits
@@ -386,12 +385,13 @@ def _check_budget(t: CriteriaTensor, ranks: tuple[int, int, int],
                   config: McConfig) -> None:
     """Reject a build or load before any of its arrays exists when the
     factoring from the cells, w and the similarity stores (one in latent
-    space, one per criterion otherwise) exceed the dense cell budget."""
+    space, else one per criterion and the users x items ratings a store's
+    build holds) exceed the dense cell budget: no store rejects it later."""
     shape = (t.n_users, t.n_items, t.k + 1)
-    stores = 1 if config.sim_kind == "latent_cosine" else t.k
+    stores = (t.n_items ** 2 if config.sim_kind == "latent_cosine"
+              else t.k * t.n_items ** 2 + t.n_users * t.n_items)
     check_cell_budget(cell_factoring_cells(shape, t.n_cells, ranks)
-                      + ranks[0] * t.n_items * (t.k + 1)
-                      + stores * t.n_items ** 2)
+                      + ranks[0] * t.n_items * (t.k + 1) + stores)
 
 
 def _cells_of(d: Dataset | CriteriaTensor, center: bool = False) -> CellTensor:

@@ -42,8 +42,8 @@ from .engine import (
     predict_matrix,
 )
 from .ingest import MOVIELENS_SCALE, SplitSpec, _parse_movielens, _train_mask
-from .linalg import truncated_svd
-from .similarity import check_store_budget, item_similarity_matrix
+from .linalg import cell_factoring_cells, check_cell_budget, truncated_svd
+from .similarity import item_similarity_matrix
 
 # CLI-facing measure names -> similarity-module kinds
 SIM_NAME_MAP = {
@@ -223,8 +223,7 @@ def _batch(source, k: int | None = None) -> _Ratings:
     if isinstance(source, (str, Path)):
         return _parse_movielens(source)
     if isinstance(source, CriteriaTensor):
-        return _Ratings(source.user_ids, source._u_idx, source.item_ids,
-                        source._i_idx, source._values)
+        return source._ratings()
     return _Ratings.of_records(source, k)
 
 
@@ -235,9 +234,7 @@ def _split(batch: _Ratings, fraction: float, seed: int):
         raise ValueError("training split is empty; raise the train fraction")
     if train.all():
         raise ValueError("test split is empty; lower the train fraction")
-    return tuple(_Ratings(batch.user_ids, batch.u[rows], batch.item_ids,
-                          batch.i[rows], batch.values[rows])
-                 for rows in (train, ~train))
+    return batch.take(train), batch.take(~train)
 
 
 def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
@@ -245,8 +242,11 @@ def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
     kind = SIM_NAME_MAP[sim]
     if kind != "latent_cosine":
         return item_similarity_matrix(train, kind)
-    check_store_budget(train)
+    # the factoring from the cells, then the store, before either runs
     rank = min(latent_rank, train.n_users, train.n_items)
+    check_cell_budget(cell_factoring_cells(
+        (train.n_users, train.n_items, 1), train.n_ratings, (rank, rank, 1))
+        + train.n_items ** 2)
     model = truncated_svd(_cells_of(train), rank, seed=seed)
     return item_similarity_matrix(train, "latent_cosine", model=model)
 

@@ -121,9 +121,7 @@ def parse_movielens(source) -> list[RatingRecord]:
 
     ``source`` is a path or an iterable of lines.  Ratings must lie in 1-5.
     """
-    b = _parse_movielens(source)
-    return [RatingRecord(b.user_ids[u], b.item_ids[i], r, t) for u, i, r, t in
-            zip(b.u.tolist(), b.i.tolist(), b.values[:, 0].tolist(), b.timestamps)]
+    return _parse_movielens(source).records()
 
 
 def grade_to_number(grade: str, scale: RatingScale) -> float:
@@ -161,35 +159,42 @@ def _mc_row(no: int, line: str, k: int, scale: RatingScale) -> tuple:
             *[_parse_value(tok, scale, no) for tok in parts[2:]])
 
 
+def _parse_multicriteria(source, k: int, scale: RatingScale) -> _Ratings:
+    return _parse(source, ",",
+                  lambda line: line.strip() and not line.lstrip().startswith("#"),
+                  lambda no, line: _mc_row(no, line, k, scale), scale, k + 1)
+
+
 def parse_multicriteria(source, k: int, scale: RatingScale) -> list[CriteriaRecord]:
     """Parse ``user,item,c1,...,ck,overall`` lines (numeric or grade labels)."""
-    b = _parse(source, ",",
-               lambda line: line.strip() and not line.lstrip().startswith("#"),
-               lambda no, line: _mc_row(no, line, k, scale), scale, k + 1)
-    return [CriteriaRecord(b.user_ids[u], b.item_ids[i], tuple(v[1:]), v[0])
-            for u, i, v in zip(b.u.tolist(), b.i.tolist(), b.values.tolist())]
+    return _parse_multicriteria(source, k, scale).records()
 
 
-def density_filter(records: Sequence[RecordT],
-                   spec: DensityFilterSpec) -> list[RecordT]:
-    """Drop users/items with too few ratings, iterated to the fixpoint.
+def _density_mask(b: _Ratings, spec: DensityFilterSpec) -> np.ndarray:
+    """Which rows the density filter keeps.
 
     Removing a user can push an item below its threshold and vice versa, so
     removal alternates user-pass then item-pass until nothing changes.  The
     fixpoint is order-independent; the order is fixed for determinism.
-    Input order of the surviving records is preserved.
     """
-    records = list(records)
-    b = _Ratings.of_records(records)
-    kept = np.ones(len(records), dtype=bool)
+    kept = np.ones(len(b.u), dtype=bool)
     while True:
         users = np.bincount(b.u[kept], minlength=len(b.user_ids))
         after = kept & (users[b.u] >= spec.min_user_ratings)
         items = np.bincount(b.i[after], minlength=len(b.item_ids))
         after &= items[b.i] >= spec.min_item_ratings
         if after.sum() == kept.sum():
-            return list(compress(records, after.tolist()))
+            return after
         kept = after
+
+
+def density_filter(records: Sequence[RecordT],
+                   spec: DensityFilterSpec) -> list[RecordT]:
+    """Drop users/items with too few ratings, iterated to the fixpoint
+    (see _density_mask); the surviving records keep their input order."""
+    records = list(records)
+    return list(compress(records, _density_mask(_Ratings.of_records(records),
+                                                spec).tolist()))
 
 
 def _train_mask(batch: _Ratings, spec: SplitSpec) -> np.ndarray:
@@ -219,24 +224,18 @@ def split_train_test(records: Sequence[RecordT],
             list(compress(records, (~train).tolist())))
 
 
-def _fmt_rating(v: float) -> str:
-    return f"{v:g}"
-
-
 def write_movielens(records: Iterable[RatingRecord], path) -> None:
     """TAB-separated ``user item rating timestamp``; missing timestamps
     write as 0 to keep the 4-field shape."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             ts = rec.timestamp if rec.timestamp is not None else 0
-            fh.write(f"{rec.user_id}\t{rec.item_id}\t{_fmt_rating(rec.overall)}\t{ts}\n")
+            fh.write(f"{rec.user_id}\t{rec.item_id}\t{rec.overall:g}\t{ts}\n")
 
 
 def write_multicriteria(records: Iterable[CriteriaRecord], path) -> None:
     """Comma-separated ``user,item,c1..ck,overall`` (numeric values)."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            cells = [rec.user_id, rec.item_id]
-            cells += [_fmt_rating(v) for v in rec.criteria]
-            cells.append(_fmt_rating(rec.overall))
-            fh.write(",".join(cells) + "\n")
+            values = [f"{v:g}" for v in (*rec.criteria, rec.overall)]
+            fh.write(",".join([rec.user_id, rec.item_id, *values]) + "\n")

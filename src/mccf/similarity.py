@@ -25,7 +25,8 @@ is the store, up to three float32 users x items operands and a few
 _BLOCK x items temporaries: a traced peak of 80 MB for the 23 MB pearson
 store of a 943 x 1682 (MovieLens-100K-shaped) dataset.  A dataset whose
 users x items plus items x items cells exceed linalg.DENSE_CELL_BUDGET
-(2e8, 1.6 GB of float64) is rejected before any dense copy.
+(2e8, 1.6 GB of float64) is rejected before any dense copy; latent_cosine
+forms no users x items array, so only its store counts.
 
 A pair is undefined, NaN in the store, with zero variance or norm or with
 fewer co-raters than the fixed gate: 2 for rating-based measures (a
@@ -96,12 +97,6 @@ def _mirror_upper(s: np.ndarray) -> None:
         s[a:e, e:] += 0.0
         s[e:, a:e] = s[a:e, e:].T
     np.fill_diagonal(s, np.nan)
-
-
-def check_store_budget(d: Dataset) -> None:
-    """Reject d before any dense copy when its users x items ratings and
-    items x items store together exceed the dense cell budget."""
-    check_cell_budget(d.n_users * d.n_items + d.n_items ** 2)
 
 
 def _float32_exact(d: Dataset, kind: str) -> bool:
@@ -241,9 +236,11 @@ def item_similarity_matrix(d: Dataset, kind: str, *,
     """
     if kind not in SIMILARITY_KINDS:
         raise ValueError(f"unknown similarity kind {kind!r}")
-    check_store_budget(d)
+    # the store, plus the users x items ratings all but latent_cosine read
+    latent = kind == "latent_cosine"
+    check_cell_budget((0 if latent else d.n_users * d.n_items) + d.n_items ** 2)
 
-    if kind == "latent_cosine":
+    if latent:
         if model is None:
             raise ValueError("latent_cosine needs a factor model")
         vectors = model.item_vectors()

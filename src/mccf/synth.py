@@ -11,11 +11,11 @@ global-mean predictor cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CriteriaRecord, CriteriaTensor, Dataset, RatingScale
+from .core import CriteriaTensor, Dataset, RatingScale, _IndexMap
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,12 @@ def generate_tensor(spec: SyntheticTensorSpec) -> CriteriaTensor:
         full = full + rng.normal(0.0, spec.noise_std, size=full.shape)
         full = np.clip(full, SYNTH_SCALE.min_value, SYNTH_SCALE.max_value)
 
-    records = [
-        CriteriaRecord(
-            f"u{u + 1}", f"i{i + 1}",
-            tuple(float(x) for x in full[u, i, 1:]),
-            float(full[u, i, 0]),
-        )
-        for u in range(spec.n_users)
-        for i in range(spec.n_items)
-    ]
-    return CriteriaTensor.from_records(records, spec.n_criteria, SYNTH_SCALE)
+    # every (user, item) cell, user-major
+    cells = np.divmod(np.arange(spec.n_users * spec.n_items), spec.n_items)
+    return CriteriaTensor(_IndexMap([f"u{u + 1}" for u in range(spec.n_users)]),
+                          _IndexMap([f"i{i + 1}" for i in range(spec.n_items)]),
+                          spec.n_criteria, *cells,
+                          full.reshape(-1, spec.n_criteria + 1), SYNTH_SCALE)
 
 
 def duplicate_overall_tensor(d: Dataset) -> CriteriaTensor:
@@ -94,8 +90,7 @@ def duplicate_overall_tensor(d: Dataset) -> CriteriaTensor:
     information as the plain single-rating dataset, which makes it a
     consistency probe: predictions should agree with the plain engine.
     """
-    records = [
-        CriteriaRecord(rec.user_id, rec.item_id, (rec.overall,), rec.overall)
-        for rec in d.iter_records()
-    ]
-    return CriteriaTensor.from_records(records, 1, d.scale)
+    cells = d._ratings()
+    # indexed anew, as records of the cells in user-major order would be
+    return CriteriaTensor.from_records(
+        replace(cells, values=cells.values[:, [0, 0]]), 1, d.scale)

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from mccf.cli import _check_flags, build_parser, main
-from mccf.core import CriteriaTensor, Dataset, RatingRecord, RatingScale
-from mccf.ingest import (parse_movielens, parse_multicriteria,
+from mccf.core import (CriteriaTensor, Dataset, ParseError, RatingRecord,
+                       RatingScale)
+from mccf.evaluation import (BenchmarkConfig, McBenchmarkConfig, run_benchmark,
+                             run_mc_benchmark)
+from mccf.ingest import (DensityFilterSpec, SplitSpec, density_filter,
+                         parse_movielens, parse_multicriteria, split_train_test,
                          write_movielens, write_multicriteria)
 from mccf.linalg import cell_factoring_cells
 from mccf.synth import SyntheticTensorSpec, generate_tensor
@@ -259,11 +263,137 @@ def test_mc_sim_selects_the_similarity_space(data_dir, capsys):
         assert latent != pearson
 
 
+@pytest.fixture(scope="module")
+def repeat_inputs(data_dir):
+    """{format: (path, flags, scale, malformed line)} for MovieLens, numeric
+    mc-csv and letter13 mc-csv files whose last line rates the first
+    line's (user, item) again, with another value."""
+    ml = (data_dir / "ratings.tsv").read_text().splitlines()
+    user, item, rating, _ = ml[0].split("\t")
+    ml.append(f"{user}\t{item}\t{6 - float(rating):g}\t9")
+    mc = (data_dir / "mc.csv").read_text().splitlines()
+    mc.append(mc[0].rsplit(",", 1)[0] + ",1")
+    # whole ratings 1-5 as the odd letter grades F, D, C-, C+ and B, some
+    # written as labels and some as numbers, under a header
+    labels = RatingScale.letter_13().grade_labels
+    letters = ["# user,item,c1,c2,c3,overall"]
+    for n, line in enumerate(mc):
+        fields = line.split(",")
+        grades = [2 * round(float(v)) - 1 for v in fields[2:]]
+        letters.append(",".join(fields[:2] + [
+            labels[g - 1] if (n + c) % 3 else str(g)
+            for c, g in enumerate(grades)]))
+    mc_flags = ["--format", "mc-csv", "--criteria", "3"]
+    files = {"movielens": (ml, [], RatingScale.one_to_five(), "u1\ti1\tfive\t0"),
+             "mc-csv": (mc, mc_flags, RatingScale.one_to_five(), "u1,i1,3,3,3"),
+             "letter13": (letters, mc_flags + ["--scale", "letter13"],
+                          RatingScale.letter_13(), "u1,i1,B,Q,B,B")}
+    out = {}
+    for name, (lines, flags, scale, bad) in files.items():
+        path = data_dir / f"repeat-{name}"
+        path.write_text("\n".join(lines) + "\n")
+        out[name] = (path, flags, scale, bad)
+    return out
+
+
+def _parse_as(fmt, path, scale):
+    if fmt == "movielens":
+        return parse_movielens(path)
+    return parse_multicriteria(path, 3, scale)
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("fmt", ["movielens", "mc-csv", "letter13"])
+def test_cli_batch_route_matches_the_record_api(repeat_inputs, fmt, filtered,
+                                                tmp_path, capsys):
+    path, flags, scale, bad = repeat_inputs[fmt]
+    density = ["--min-user", "12", "--min-item", "6"] if filtered else []
+    common = ["--input", str(path), *flags, *density]
+    write = write_movielens if fmt == "movielens" else write_multicriteria
+    records = _parse_as(fmt, path, scale)
+    assert len({(r.user_id, r.item_id) for r in records}) < len(records)
+    kept = density_filter(records, DensityFilterSpec(12, 6) if filtered
+                          else DensityFilterSpec(0, 0))
+    assert 0 < len(kept) < len(records) if filtered else kept == records
+
+    code, out, _ = run(["filter", *common, "--output", str(tmp_path / "f")],
+                       capsys)
+    write(kept, tmp_path / "expect")
+    assert (code, out) == (0, f"kept={len(kept)} dropped={len(records) - len(kept)}\n")
+    assert (tmp_path / "f").read_bytes() == (tmp_path / "expect").read_bytes()
+
+    code, out, _ = run(["split", *common, "--train-fraction", "0.7",
+                        "--seed", "3", "--output", str(tmp_path / "s")], capsys)
+    parts = split_train_test(kept, SplitSpec(0.7, 3))
+    assert (code, out) == (0, f"train={len(parts[0])} test={len(parts[1])}\n")
+    for part, suffix in zip(parts, (".train", ".test")):
+        write(part, tmp_path / "expect")
+        assert (tmp_path / ("s" + suffix)).read_bytes() == \
+            (tmp_path / "expect").read_bytes()
+
+    # a tensor contributes its overall ratings to evaluate
+    source = kept if fmt == "movielens" else \
+        CriteriaTensor.from_records(kept, 3, scale)
+    report = run_benchmark(source, BenchmarkConfig("pearson", 0.7, 3), scale)
+    code, out, _ = run(["evaluate", *common, "--sim", "pearson", "--seed", "3"],
+                       capsys)
+    assert (code, out) == (0, report.to_text() + "\n")
+    if fmt != "movielens":
+        report = run_mc_benchmark(source, McBenchmarkConfig((2, 3, 3), 0.7, 3))
+        code, out, _ = run(["mc-evaluate", *common, "--ranks", "2,3,3",
+                            "--seed", "3"], capsys)
+        assert (code, out) == (0, report.to_text() + "\n")
+
+    # a malformed line fails as the parser fails, whatever the verb
+    lines = path.read_text().splitlines()
+    lines.insert(7, bad)
+    path = tmp_path / "bad"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        _parse_as(fmt, path, scale)
+    assert exc.value.line_no == 8
+    common[1] = str(path)
+    for verb in (["stats"], ["filter", "--output", str(tmp_path / "f")],
+                 ["evaluate", "--sim", "pearson", "--seed", "3"]):
+        code, out, err = run(verb[:1] + common + verb[1:], capsys)
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
+def test_compute_verbs_build_no_record(data_dir, tmp_path, monkeypatch,
+                                       capsys):
+    def record(*args, **kwargs):
+        raise AssertionError("record built")
+
+    monkeypatch.setattr("mccf.core.RatingRecord", record)
+    monkeypatch.setattr("mccf.core.CriteriaRecord", record)
+    # the patch reaches the records the parsers build
+    with pytest.raises(AssertionError):
+        parse_movielens(data_dir / "ratings.tsv")
+    out = str(tmp_path / "factors.npz")
+    ml = ["--input", str(data_dir / "ratings.tsv"), "--min-user", "2"]
+    mc = ["--input", str(data_dir / "mc.csv"), "--format", "mc-csv",
+          "--criteria", "3", "--min-user", "2"]
+    for data, ranks in ((ml, "2"), (mc, "2,3,3")):
+        verbs = [["stats"],
+                 ["decompose", "--ranks", ranks, "--seed", "1", "--output", out],
+                 ["evaluate", "--sim", "pearson", "--seed", "1"],
+                 ["sweep", "--sims", "pearson,latent", "--seed", "1"],
+                 ["recommend", "--user", "u3", "--seed", "1"]
+                 + (["--ranks", ranks] if data is mc else [])]
+        if data is mc:
+            verbs.append(["mc-evaluate", "--ranks", ranks, "--seed", "1"])
+        for verb in verbs:
+            code, _, err = run(verb[:1] + data + verb[1:], capsys)
+            assert code == 0, (verb, err)
+
+
 def test_over_budget_tensor_exits_before_dense_copy(tmp_path, monkeypatch,
                                                     capsys):
     # 15,000 users x 15,000 items x 2 slices: the MC build's items x items
     # store is above the budget, and so is decompose's sketch at a mode-1
-    # rank of 15,000 (factoring from the cells, it holds no dense tensor)
+    # rank of 15,000 (factoring from the cells, it holds no dense tensor).
+    # A 90% split's latent store, 1.8e8 cells, fits; its reconstructed-space
+    # store build also holds the users x items ratings, which do not
     path = tmp_path / "diagonal.csv"
     path.write_text("".join(f"u{x},i{x},3,3\n" for x in range(15_000)))
 
@@ -277,7 +407,9 @@ def test_over_budget_tensor_exits_before_dense_copy(tmp_path, monkeypatch,
     for verb in (["decompose", "--ranks", "15000,2,2", "--output",
                   str(tmp_path / "out.npz")],
                  ["recommend", "--ranks", "2,2,2", "--user", "u0"],
-                 ["mc-evaluate", "--ranks", "2,2,2", "--train-fraction", "0.9"]):
+                 ["mc-evaluate", "--ranks", "2,2,2", "--train-fraction", "0.99"],
+                 ["mc-evaluate", "--ranks", "2,2,2", "--train-fraction", "0.9",
+                  "--sim", "pearson"]):
         code, _, err = run(verb[:1] + common + verb[1:], capsys)
         assert code == 2 and "budget" in err, (verb, err)
 

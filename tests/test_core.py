@@ -289,6 +289,33 @@ def test_tensor_record_roundtrip():
     assert np.array_equal(t.to_mask(), t2.to_mask())
 
 
+def test_iter_records_rebuilds_the_container_bitwise():
+    # u0 rates every item first, in order, so the items first appear as a
+    # user-major walk meets them; the rest comes shuffled, with repeats
+    rng = np.random.default_rng(19)
+    pairs = [(0, i) for i in range(6)] + [
+        (int(u), int(i)) for u, i in rng.integers(0, 6, size=(60, 2))]
+    rows = rng.integers(4, 21, size=(len(pairs), 4)) / 4.0     # 1, 1.25 .. 5
+    plain = [RatingRecord(f"u{u}", f"i{i}", float(r[0])) for (u, i), r in
+             zip(pairs, rows)]
+    crit = [CriteriaRecord(f"u{u}", f"i{i}", tuple(r[1:].tolist()), float(r[0]))
+            for (u, i), r in zip(pairs, rows)]
+    for x, rebuild in (
+            (Dataset.from_records(plain, ONE_TO_FIVE),
+             lambda recs: Dataset.from_records(recs, ONE_TO_FIVE)),
+            (CriteriaTensor.from_records(crit, 3, ONE_TO_FIVE),
+             lambda recs: CriteriaTensor.from_records(recs, 3, ONE_TO_FIVE))):
+        assert x.duplicates > 0
+        records = list(x.iter_records())
+        for rec in records:
+            assert type(rec.overall) is float
+            assert all(type(v) is float for v in getattr(rec, "criteria", ()))
+        y = rebuild(records)
+        assert (y.user_ids, y.item_ids) == (x.user_ids, x.item_ids)
+        for a, b in zip((*x.cell_index(), x.values), (*y.cell_index(), y.values)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_tensor_out_of_scale_rejected():
     with pytest.raises(ValueError):
         CriteriaTensor.from_records(

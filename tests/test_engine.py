@@ -548,16 +548,20 @@ def test_hosvd_budget_checked_before_any_dense_copy(monkeypatch):
 
 
 def test_budget_counts_the_copies_a_build_holds(monkeypatch, tmp_path):
-    # a build or load counts the factoring from the cells, w and the
-    # stores: at that many cells both run; one cell fewer rejects both
+    # a build or load counts the factoring from the cells, w, the stores
+    # and the users x items ratings a reconstructed-space store's build
+    # holds: at that many cells both run; one cell fewer rejects both
     # before the factoring, a store or any dense copy
     t = generate_tensor(SyntheticTensorSpec(n_users=20, n_items=10, seed=1))
     ranks = (2, 3, 3)
-    for config, stores in ((McConfig(), 1),
-                           (McConfig(sim_kind="pearson", pca_option=True), t.k)):
+    for config, stores, ratings in (
+            (McConfig(), 1, 0),
+            (McConfig(sim_kind="pearson", pca_option=True), t.k,
+             t.n_users * t.n_items)):
         cells = (cell_factoring_cells((t.n_users, t.n_items, t.k + 1),
                                       t.n_cells, ranks)
-                 + ranks[0] * t.n_items * (t.k + 1) + stores * t.n_items ** 2)
+                 + ranks[0] * t.n_items * (t.k + 1) + stores * t.n_items ** 2
+                 + ratings)
         path = tmp_path / "model.npz"
         monkeypatch.undo()
         save_model(build_mc_model(t, ranks, config), path)
@@ -578,6 +582,34 @@ def test_budget_counts_the_copies_a_build_holds(monkeypatch, tmp_path):
             build_mc_model(t, ranks, config)
         with pytest.raises(ModelFormatError, match="budget"):
             load_model(path)
+
+
+def test_budget_admits_no_build_a_store_rejects(monkeypatch):
+    # 2,000 users x 200 items x 2 slices, one cell per user, under a budget
+    # of the latent build's own count: its 200 x 200 store fits, as it
+    # forms no users x items array; a reconstructed-space build also holds
+    # the 400,000-cell ratings and is rejected before the factoring runs
+    rng = np.random.default_rng(18)
+    n_users, n_items, ranks = 2000, 200, (2, 2, 2)
+    users = np.arange(n_users)
+    t = CriteriaTensor(_IndexMap([f"u{u}" for u in users]),
+                       _IndexMap([f"i{i}" for i in range(n_items)]), 1,
+                       users, users % n_items,
+                       rng.integers(1, 6, size=(n_users, 2)).astype(float),
+                       RatingScale.one_to_five())
+    cells = (cell_factoring_cells((n_users, n_items, 2), n_users, ranks)
+             + ranks[0] * n_items * 2 + n_items ** 2)
+    assert cells < n_users * n_items + n_items ** 2
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
+    assert build_mc_model(t, ranks).item_similarities[0].values.shape == \
+        (n_items, n_items)
+
+    def factoring(*args, **kwargs):
+        raise AssertionError("factoring run before the budget check")
+
+    monkeypatch.setattr("mccf.engine.hosvd", factoring)
+    with pytest.raises(ValueError, match="budget"):
+        build_mc_model(t, ranks, McConfig(sim_kind="pearson"))
 
 
 def test_sparse_build_peaks_below_one_dense_copy():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mccf.core import CriteriaRecord, CriteriaTensor, RatingScale
+from mccf.core import CriteriaRecord, CriteriaTensor, Dataset, RatingScale, _IndexMap
 from mccf.evaluation import (
+    _build_store,
     BenchmarkConfig,
     EvalReport,
     McBenchmarkConfig,
@@ -22,6 +23,7 @@ from mccf.evaluation import (
 )
 from mccf.engine import NeighborhoodSpec
 from mccf.ingest import SplitSpec, split_train_test, write_movielens
+from mccf.linalg import cell_factoring_cells
 from mccf.synth import SyntheticTensorSpec,duplicate_overall_tensor, generate_tensor
 
 DESK_PAIRS = [(3.0, 2.0), (4.0, 6.0)]
@@ -481,3 +483,31 @@ def test_one_kernel_call_per_known_test_user_and_store(monkeypatch):
             ranks=(2, 4, 4), train_fraction=0.8, seed=3, sim=sim,
             neighborhood=NeighborhoodSpec(max_neighbors=3)))
         assert len(calls) == stores * len(users)
+
+
+def test_latent_store_budget_counts_its_factoring_and_store(monkeypatch):
+    # 2,000 users x 500 items, one rating per user: the latent store forms
+    # no users x items array, so its factoring from the cells plus its
+    # items x items store is all it needs; pearson's build holds the
+    # ratings too and is rejected under the same budget
+    rng = np.random.default_rng(18)
+    n_users, n_items = 2000, 500
+    users = np.arange(n_users)
+    d = Dataset(_IndexMap([f"u{u}" for u in users]),
+                _IndexMap([f"i{i}" for i in range(n_items)]), users,
+                users % n_items, rng.integers(1, 6, size=n_users).astype(float),
+                RatingScale.one_to_five())
+    cells = (cell_factoring_cells((n_users, n_items, 1), n_users, (8, 8, 1))
+             + n_items ** 2)
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
+    assert _build_store(d, "latent", 8, 1).values.shape == (n_items, n_items)
+    with pytest.raises(ValueError, match="budget"):
+        _build_store(d, "pearson", 8, 1)
+
+    def factoring(*args, **kwargs):
+        raise AssertionError("factoring run before the budget check")
+
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells - 1)
+    monkeypatch.setattr("mccf.evaluation.truncated_svd", factoring)
+    with pytest.raises(ValueError, match="budget"):
+        _build_store(d, "latent", 8, 1)
