@@ -229,6 +229,8 @@ def _batch(source, k: int | None = None) -> _Ratings:
 
 def _split(batch: _Ratings, fraction: float, seed: int):
     """(train, test) batches, each in input order."""
+    if not len(batch.values):
+        raise ValueError("input has no ratings")
     train = _train_mask(batch, SplitSpec(fraction, seed))
     if not train.any():
         raise ValueError("training split is empty; raise the train fraction")

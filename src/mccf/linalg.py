@@ -346,7 +346,8 @@ class CellTensor:
         values = np.asarray(values, dtype=np.float64).reshape(-1, slices)
         self.n_cells = len(values)
         if not self.n_cells:
-            raise ValueError("tensor has no observed cells")
+            raise ValueError(f"{'tensor' if slices > 1 else 'matrix'} "
+                             "has no observed cells")
         if np.any(users[1:] < users[:-1]):
             by_user = np.argsort(users, kind="stable")
             users, items, values = users[by_user], items[by_user], values[by_user]

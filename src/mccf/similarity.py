@@ -19,11 +19,17 @@ for the set measures), every partial sum of a product is an integer that
 float32 holds, so the blocks multiply in float32 and give exactly the
 float64 sums.  Other inputs (fractional ratings, adjusted_cosine's
 centred ratings, an empty dataset) keep one float64 block of the whole
-matrix, since a blocked float64 product can change the last bits.
-Either way the store is bitwise the float64 whole-matrix build.  Memory
-is the store, up to three float32 users x items operands and a few
-_BLOCK x items temporaries: a traced peak of 80 MB for the 23 MB pearson
-store of a 943 x 1682 (MovieLens-100K-shaped) dataset.  A dataset whose
+matrix, since a blocked float64 product can change the last bits.  The
+products keep their dtype and the finishers compute in float64, in place
+and into the store, forming each statistic when they first need it and
+dropping it after its last use.  Either way the store is bitwise the
+float64 whole-matrix build.  Memory is the store, up to three float32
+users x items operands and about three float64 _BLOCK x items arrays: a
+traced peak of 51 MB for the 23 MB pearson store of a 943 x 1682
+(MovieLens-100K-shaped) dataset, 399 MB for the 110 MB store of a
+6,040 x 3,706 (MovieLens-1M-shaped) one.  The whole-matrix block holds
+its float64 statistics as items x items arrays, one or two at a time,
+about three for pearson.  A dataset whose
 users x items plus items x items cells exceed linalg.DENSE_CELL_BUDGET
 (2e8, 1.6 GB of float64) is rejected before any dense copy; latent_cosine
 forms no users x items array, so only its store counts.
@@ -51,7 +57,8 @@ SIMILARITY_KINDS = RATING_KINDS + SET_KINDS + ("latent_cosine",)
 
 # Variance / squared-norm below this is treated as exactly zero.  Real
 # rating data is unit-spaced, so true nonzero variances are far larger.
-_VAR_EPS = 1e-9
+# A float64 scalar, so a float32 statistic is compared in float64.
+_VAR_EPS = np.float64(1e-9)
 
 # Item rows per block of the float32 build and of the in-place mirror.
 _BLOCK = 256
@@ -118,49 +125,110 @@ def _float32_exact(d: Dataset, kind: str) -> bool:
     return d.n_users * top * top < _FLOAT32_EXACT
 
 
-def _pearson(n_co, sxy, sx, sx_t, sxx, sxx_t, **_):
-    cov = sxy - sx * sx_t / n_co
-    vx = sxx - sx * sx / n_co
-    vy = sxx_t - sx_t * sx_t / n_co
-    sims = cov / np.sqrt(vx * vy)
-    sims[(vx <= _VAR_EPS) | (vy <= _VAR_EPS)] = np.nan
-    return np.clip(sims, -1.0, 1.0)
+def _pearson(sims, n_co, gate, sxy, sx, sxx, **_):
+    # beside sims it holds cov, vy and one or two float32 statistics; the
+    # co-rater counts shrink to the gate's mask once they have divided
+    sx, sx_t = sx()
+    vx = np.multiply(sx, sx, out=sims, dtype=np.float64)
+    cov = np.multiply(sx, sx_t, dtype=np.float64)
+    del sx
+    vy = np.multiply(sx_t, sx_t, dtype=np.float64)
+    del sx_t
+    count = n_co()
+    for v in (cov, vx, vy):
+        v /= count
+    few = count < gate
+    del count
+    np.subtract(sxy(), cov, out=cov)
+    sxx = sxx()
+    np.subtract(next(sxx), vx, out=vx)
+    np.subtract(next(sxx), vy, out=vy)
+    del sxx
+    bad = vx <= _VAR_EPS
+    bad |= vy <= _VAR_EPS
+    vx *= vy
+    del vy
+    np.sqrt(vx, out=vx)
+    np.divide(cov, vx, out=sims)
+    sims[bad] = np.nan
+    np.clip(sims, -1.0, 1.0, out=sims)
+    sims[few] = np.nan
 
 
-def _cosine(sxy, sxx, sxx_t, **_):
+def _cosine(sims, n_co, gate, sxy, sxx, **_):
     """cosine; adjusted_cosine on centred x."""
-    sims = np.clip(sxy / np.sqrt(sxx * sxx_t), -1.0, 1.0)
-    sims[(sxx <= _VAR_EPS) | (sxx_t <= _VAR_EPS)] = np.nan
-    return sims
+    sxx, sxx_t = sxx()
+    bad = sxx <= _VAR_EPS
+    bad |= sxx_t <= _VAR_EPS
+    np.multiply(sxx, sxx_t, out=sims, dtype=np.float64)
+    del sxx, sxx_t
+    np.sqrt(sims, out=sims)
+    np.divide(sxy(), sims, out=sims)
+    np.clip(sims, -1.0, 1.0, out=sims)
+    sims[bad] = np.nan
+    sims[n_co() < gate] = np.nan
 
 
-def _euclidean(n_co, sxy, sxx, sxx_t, **_):
-    d2 = np.sqrt(np.clip(sxx + sxx_t - 2.0 * sxy, 0.0, None))
-    return 1.0 / (1.0 + d2 / np.sqrt(n_co))
+def _euclidean(sims, n_co, gate, sxy, sxx, **_):
+    sxx, sxx_t = sxx()
+    np.add(sxx, sxx_t, out=sims, dtype=np.float64)
+    del sxx, sxx_t
+    t = np.multiply(sxy(), 2.0, dtype=np.float64)
+    sims -= t
+    np.clip(sims, 0.0, None, out=sims)
+    np.sqrt(sims, out=sims)
+    count = n_co()
+    sims /= np.sqrt(count, out=t, dtype=np.float64)
+    sims += 1.0
+    np.divide(1.0, sims, out=sims)
+    sims[count < gate] = np.nan
 
 
-def _tanimoto(n_co, count_row, count_col, **_):
-    union = count_row + count_col - n_co
-    return np.where(union > 0, n_co / np.where(union > 0, union, 1.0), 0.0)
+def _tanimoto(sims, n_co, gate, count_row, count_col, **_):
+    count = n_co()
+    union = np.add(count_row, count_col, out=sims)
+    union -= count
+    empty = ~(union > 0)
+    union[empty] = 1.0
+    np.divide(count, union, out=sims)
+    sims[empty] = 0.0
+    sims[count < gate] = np.nan
 
 
-def _loglikelihood(n_co, count_row, count_col, n_users, **_):
+def _loglikelihood(sims, n_co, gate, count_row, count_col, n_users, **_):
     n = float(n_users)
-    k11 = n_co
-    k12 = count_row - k11
-    k21 = count_col - k11
-    k22 = n - (count_row + count_col - k11)
-    llr = np.zeros_like(k11)
-    rows1 = k11 + k12
-    cols1 = k11 + k21
-    for kk, rr, cc in ((k11, rows1, cols1), (k12, rows1, n - cols1),
-                       (k21, n - rows1, cols1), (k22, n - rows1, n - cols1)):
-        term = np.zeros_like(kk)
+    k11 = n_co()
+    kk = np.empty(sims.shape)
+    llr = sims
+    llr.fill(0.0)
+
+    def add_cell(rows, cols):
+        # the G-statistic term of the rater table's cell held in kk
         good = kk > 0
-        term[good] = kk[good] * np.log(kk[good] * n / (rr * cc)[good])
-        llr += term
-    llr = np.clip(2.0 * llr, 0.0, None)
-    return 1.0 - 1.0 / (1.0 + llr)
+        ratio = kk[good] * n
+        ratio /= (rows * cols)[good]
+        term = np.log(ratio)
+        del ratio
+        term *= kk[good]
+        llr[good] += term
+
+    # every count is an integer below 2**53, so any order of the sums
+    # gives the same table
+    np.copyto(kk, k11)                          # rated both items
+    add_cell(count_row, count_col)
+    np.subtract(count_row, k11, out=kk)         # only the row item
+    add_cell(count_row, n - count_col)
+    np.subtract(count_col, k11, out=kk)         # only the column item
+    add_cell(n - count_row, count_col)
+    np.subtract(n - count_row, kk, out=kk)      # neither
+    add_cell(n - count_row, n - count_col)
+    del kk
+    llr *= 2.0
+    np.clip(llr, 0.0, None, out=llr)
+    llr += 1.0
+    np.divide(1.0, llr, out=llr)
+    np.subtract(1.0, llr, out=llr)
+    sims[k11 < gate] = np.nan
 
 
 _FINISH = {"pearson": _pearson, "adjusted_cosine": _cosine,
@@ -168,36 +236,42 @@ _FINISH = {"pearson": _pearson, "adjusted_cosine": _cosine,
            "tanimoto": _tanimoto, "loglikelihood": _loglikelihood}
 
 
-def _finished_block(kind: str, x, xx, b, counts, a: int, e: int):
-    """kind's similarities of item rows [a, e) against item columns [a, n),
-    NaN below the co-rater gate.
+def _finish_block(kind: str, x, xx, b, counts, a: int, e: int,
+                  sims: np.ndarray) -> None:
+    """Write kind's similarities of item rows [a, e) against item columns
+    [a, n) into sims, NaN below the co-rater gate.
 
-    The float64 Gram statistics are, over the co-raters of a pair (i, j)
-    with i the row item: ``n_co`` counts them, ``sxy`` sums x_i x_j,
-    ``sx`` sums x_i and ``sxx`` sums x_i^2; ``sx_t`` and ``sxx_t`` sum x_j
-    and x_j^2.  A block that covers every item takes those two as
-    transposed views of ``sx`` and ``sxx``.
+    Each Gram statistic is passed as a function that forms it, so a
+    finisher holds it only from its first use to its last.  Over the
+    co-raters of a pair (i, j) with i the row item: ``n_co()`` counts
+    them, ``sxy()`` sums x_i x_j, and ``sx()`` yields the sums of x_i
+    and then of x_j, ``sxx()`` those of x_i^2 and x_j^2.  A block that
+    covers every item yields the column sums as a transposed view of the
+    row sums.  The products keep the operands' dtype: float32 statistics
+    hold integers exactly, and the finishers compute in float64
+    (``dtype=np.float64`` or a float64 ``out``), so every operation sees
+    the operands of a float64 build.
     """
     whole = a == 0 and e == b.shape[1]
 
     def gram(left, right):
-        return (left[:, a:e].T @ right[:, a:]).astype(np.float64, copy=False)
+        return left[:, a:e].T @ right[:, a:]
 
-    def with_transposed(left):
-        s = gram(left, b)
-        return s, (s.T if whole else gram(b, left))
+    def sums(v):
+        s = gram(v, b)
+        yield s
+        if whole:
+            yield s.T
+        else:
+            del s
+            yield gram(b, v)
 
-    stats = {"n_co": gram(b, b), "count_row": counts[a:e, None],
-             "count_col": counts[None, a:], "n_users": b.shape[0]}
-    if kind in RATING_KINDS:
-        stats["sxy"] = gram(x, x)
-        stats["sxx"], stats["sxx_t"] = with_transposed(xx)
-    if kind == "pearson":
-        stats["sx"], stats["sx_t"] = with_transposed(x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        sims = _FINISH[kind](**stats)
-    sims[stats["n_co"] < (2 if kind in RATING_KINDS else 1)] = np.nan
-    return sims
+        _FINISH[kind](sims, n_co=lambda: gram(b, b),
+                      gate=2 if kind in RATING_KINDS else 1,
+                      sxy=lambda: gram(x, x), sx=lambda: sums(x),
+                      sxx=lambda: sums(xx), count_row=counts[a:e, None],
+                      count_col=counts[None, a:], n_users=b.shape[0])
 
 
 def _dense_store(d: Dataset, kind: str) -> np.ndarray:
@@ -213,7 +287,8 @@ def _dense_store(d: Dataset, kind: str) -> np.ndarray:
     if kind in RATING_KINDS:
         x = np.nan_to_num(d.to_dense(dtype), nan=0.0, copy=False)
         if kind == "adjusted_cosine":
-            x = np.where(b > 0, x - d.user_means()[:, None], 0.0)
+            x -= d.user_means()[:, None]
+            x[b == 0] = 0.0
         xx = x * x
     counts = b.sum(axis=0, dtype=np.float64)
     n = d.n_items
@@ -221,7 +296,7 @@ def _dense_store(d: Dataset, kind: str) -> np.ndarray:
     out = np.empty((n, n))
     for a in range(0, n, step):
         e = min(a + step, n)
-        out[a:e, a:] = _finished_block(kind, x, xx, b, counts, a, e)
+        _finish_block(kind, x, xx, b, counts, a, e, out[a:e, a:])
     _mirror_upper(out)
     return out
 
@@ -247,11 +322,12 @@ def item_similarity_matrix(d: Dataset, kind: str, *,
         if vectors.shape[0] != d.n_items:
             raise ValueError("model item count does not match dataset")
         norms = np.linalg.norm(vectors, axis=1)
-        # in place: the store and the norms' outer product are the only
-        # items x items arrays
+        # in place, dividing one block of rows by its norm products at a
+        # time: the store is the only items x items array
         sims = vectors @ vectors.T
         with np.errstate(invalid="ignore", divide="ignore"):
-            sims /= np.outer(norms, norms)
+            for a in range(0, len(norms), _BLOCK):
+                sims[a:a + _BLOCK] /= np.outer(norms[a:a + _BLOCK], norms)
         np.clip(sims, -1.0, 1.0, out=sims)
         sims[norms * norms <= _VAR_EPS, :] = np.nan
         sims[:, norms * norms <= _VAR_EPS] = np.nan

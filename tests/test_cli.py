@@ -478,6 +478,24 @@ def test_over_budget_ratings_exit_before_dense_copy(tmp_path, monkeypatch,
     assert code == 0 and out.exists(), err
 
 
+def test_empty_input_says_it_has_no_ratings(tmp_path, capsys):
+    # no train fraction can help, so the message names the input
+    empty_tsv, empty_csv = tmp_path / "empty.data", tmp_path / "empty.csv"
+    empty_tsv.write_text("")
+    empty_csv.write_text("")
+    for verb in (["evaluate", "--input", str(empty_tsv), "--sim", "pearson"],
+                 ["mc-evaluate", "--input", str(empty_csv), "--format",
+                  "mc-csv", "--criteria", "2", "--ranks", "2,2,2"]):
+        code, _, err = run(verb + ["--seed", "1"], capsys)
+        assert (code, err) == (2, "error: input has no ratings\n"), verb
+    # the SVD factors a one-slice CellTensor; it says matrix, as the PCA does
+    for pca in ("off", "on"):
+        code, _, err = run(["decompose", "--input", str(empty_tsv), "--ranks",
+                            "1", "--pca-option", pca, "--seed", "1",
+                            "--output", str(tmp_path / "d.npz")], capsys)
+        assert (code, err) == (2, "error: matrix has no observed cells\n"), pca
+
+
 def test_exit_codes(data_dir, tmp_path, capsys):
     ratings = str(data_dir / "ratings.tsv")
     # usage errors -> 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,3 +416,62 @@ def test_mirror_keeps_the_bits_of_summing_the_triangles(monkeypatch):
     _mirror_upper(got)
     assert_same_bits(got, symmetrize(m))
     assert not np.signbit(got[1, 0]) and not np.signbit(got[4, 2])
+
+
+def _traced_peak(build) -> int:
+    """Bytes the call to build() held at its peak, beyond what was held
+    before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _integer_dataset(n_users: int, n_items: int):
+    rng = np.random.default_rng(29)
+    return dataset_from_dense(np.where(
+        rng.random((n_users, n_items)) < 0.3,
+        rng.integers(1, 6, (n_users, n_items)).astype(float), NAN))
+
+
+@pytest.mark.parametrize("kind, operands", [("pearson", 3), ("tanimoto", 1)])
+def test_exact_build_holds_few_block_temporaries(kind, operands):
+    """The float32 row blocks hold the store, the float32 users x items
+    operands (mask, ratings, squares) and at most three float64 _BLOCK x
+    items arrays: statistics stay float32 and are finished in place."""
+    n_users, n_items = 300, 2 * _BLOCK + 88
+    d = _integer_dataset(n_users, n_items)
+    assert _float32_exact(d, kind)
+    bound = (8 * n_items ** 2 + operands * 4 * n_users * n_items
+             + 3 * 8 * _BLOCK * n_items)
+    assert _traced_peak(lambda: item_similarity_matrix(d, kind)) < bound
+
+
+def test_whole_matrix_build_holds_few_items_squared_temporaries():
+    """adjusted_cosine's one float64 block holds the store, the three
+    float64 users x items operands and at most two more items x items
+    arrays."""
+    n_users, n_items = 100, 600
+    d = _integer_dataset(n_users, n_items)
+    assert not _float32_exact(d, "adjusted_cosine")
+    bound = 3 * 8 * n_items ** 2 + 3 * 8 * n_users * n_items
+    peak = _traced_peak(lambda: item_similarity_matrix(d, "adjusted_cosine"))
+    assert peak < bound
+
+
+def test_latent_store_holds_no_second_items_squared_array():
+    """The norms divide the store one _BLOCK of rows at a time; the rest of
+    the bound is the store's symmetry check, up to four items x items bool
+    arrays."""
+    n_items = 1000
+    d = _integer_dataset(50, n_items)
+    rng = np.random.default_rng(3)
+    model = FactorModel(rng.normal(size=(50, 4)), np.array([4.0, 3.0, 2.0, 1.0]),
+                        rng.normal(size=(n_items, 4)))
+    bound = 8 * n_items ** 2 + 4 * n_items ** 2 + 8 * _BLOCK * n_items
+    peak = _traced_peak(lambda: item_similarity_matrix(
+        d, "latent_cosine", model=model))
+    assert peak < bound
