@@ -13,7 +13,8 @@ are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -112,9 +113,9 @@ class _IndexMap:
 
 def _factorize(ids) -> tuple[tuple[str, ...], np.ndarray]:
     """(distinct ids in first-appearance order, code of each entry)."""
-    pos: dict[str, int] = {}
-    codes = np.array([pos.setdefault(x, len(pos)) for x in ids], dtype=np.int64)
-    return tuple(pos), codes
+    ids = list(ids)
+    pos = dict(zip(dict.fromkeys(ids), range(len(ids))))
+    return tuple(pos), np.fromiter(map(pos.__getitem__, ids), np.int64, len(ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,20 +134,23 @@ class _Ratings:
     @classmethod
     def of_records(cls, records, k: int | None = None) -> "_Ratings":
         """The records' columns (a batch as it is); with k, the values are
-        [overall, c1..ck] and every record must carry k criteria."""
+        [overall, c1..ck] and every record must carry k criteria.  A list
+        is read as it is; other input is copied to one."""
         if isinstance(records, _Ratings):
             return records
-        records = list(records)
-        for rec in records if k is not None else ():
-            if len(rec.criteria) != k:
+        records = records if isinstance(records, list) else list(records)
+        n, column = len(records), lambda name: map(attrgetter(name), records)
+        values = np.empty((n, (k or 0) + 1))
+        if k is not None:
+            for rec in compress(records, map(k.__ne__, map(len, column("criteria")))):
                 raise ValueError(
                     f"record for ({rec.user_id}, {rec.item_id}) has "
                     f"{len(rec.criteria)} criteria, expected {k}")
-        values = np.array([r.overall for r in records] if k is None else
-                          [(r.overall, *r.criteria) for r in records],
-                          dtype=np.float64).reshape(len(records), (k or 0) + 1)
-        return cls(*_factorize([r.user_id for r in records]),
-                   *_factorize([r.item_id for r in records]), values)
+            values[:, 1:] = np.fromiter(chain.from_iterable(column("criteria")),
+                                        np.float64, n * k).reshape(n, k)
+        values[:, 0] = np.fromiter(column("overall"), np.float64, n)
+        return cls(*_factorize(column("user_id")),
+                   *_factorize(column("item_id")), values)
 
     def take(self, rows: np.ndarray) -> "_Ratings":
         """The rows a boolean mask keeps, in order, with their timestamps."""
@@ -157,14 +161,27 @@ class _Ratings:
 
     def records(self) -> list:
         """One RatingRecord per row of a one-column batch, else one
-        CriteriaRecord per row; every value a Python float."""
-        users = [self.user_ids[u] for u in self.u.tolist()]
-        items = [self.item_ids[i] for i in self.i.tolist()]
-        if self.values.shape[1] == 1:
-            return list(map(RatingRecord, users, items, self.values[:, 0].tolist(),
+        CriteriaRecord per row; every value a Python float.  Rows equal bit
+        for bit (-0.0 is not 0.0) share one criteria tuple, and a column's
+        equal values share one float, so few distinct rows cost little."""
+        def shared(objects, codes: np.ndarray) -> np.ndarray:
+            return np.fromiter(objects, object, len(objects))[codes]
+
+        rows, columns = None, []
+        for column in self.values.view(np.int64).T:
+            distinct, inverse = np.unique(column, return_inverse=True)
+            columns.append(shared(distinct.view(np.float64).tolist(), inverse))
+            # numbered densely, the (row, value) code pairs stay below n
+            rows = inverse if rows is None else np.unique(
+                rows * len(distinct) + inverse, return_inverse=True)[1]
+        ids = shared(self.user_ids, self.u), shared(self.item_ids, self.i)
+        if len(columns) == 1:
+            return list(map(RatingRecord, *ids, columns[0],
                             self.timestamps or repeat(None)))
-        return [CriteriaRecord(u, i, tuple(v[1:]), v[0])
-                for u, i, v in zip(users, items, self.values.tolist())]
+        row_of = np.empty(rows.max(initial=-1) + 1, dtype=np.int64)  # one per code
+        row_of[rows] = np.arange(len(rows))
+        criteria = list(zip(*[c[row_of] for c in columns[1:]]))
+        return list(map(CriteriaRecord, *ids, shared(criteria, rows), columns[0]))
 
 
 def _index(batch: _Ratings):

@@ -205,10 +205,13 @@ def _train_mask(batch: _Ratings, spec: SplitSpec) -> np.ndarray:
     width = len(batch.item_ids)
     pairs, inverse = np.unique(batch.u * width + batch.i, return_inverse=True)
     keyed = hashlib.blake2b(key=spec.seed.to_bytes(8, "little"), digest_size=8)
+    users = [f"{x}\x1f".encode("utf-8") for x in batch.user_ids]    # each id once
+    items = [x.encode("utf-8") for x in batch.item_ids]
     digests = []
     for u, i in zip((pairs // width).tolist(), (pairs % width).tolist()):
         h = keyed.copy()
-        h.update(f"{batch.user_ids[u]}\x1f{batch.item_ids[i]}".encode("utf-8"))
+        h.update(users[u])
+        h.update(items[i])
         digests.append(h.digest())
     points = np.frombuffer(b"".join(digests), dtype=">u8") / 2.0 ** 64
     return (points < spec.train_fraction)[inverse]

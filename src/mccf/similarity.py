@@ -81,9 +81,11 @@ class SimilarityStore:
     item_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        v, nan = self.values, np.isnan(self.values)
-        if (v.shape != (len(self.item_ids),) * 2 or not nan.diagonal().all()
-                or ((v != v.T) & ~(nan & nan.T)).any()):
+        v = self.values
+        if (v.shape != (len(self.item_ids),) * 2 or not np.isnan(v.diagonal()).all()
+                or any(((r != c) & ~(np.isnan(r) & np.isnan(c))).any() for r, c in (
+                    (v[a:a + _BLOCK], v[:, a:a + _BLOCK].T)     # a block at a time
+                    for a in range(0, len(v), _BLOCK)))):
             raise ValueError("similarity values must be a symmetric items x "
                              "items matrix with a NaN diagonal")
 

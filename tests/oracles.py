@@ -15,8 +15,10 @@ The per-record ingest (parse_movielens, parse_multicriteria,
 split_train_test, index_records and the containers built on it) is the
 record-at-a-time code the library's columnar ingest must match: the same
 records, ParseError messages, splits, index maps, cells and duplicate
-counts.  top_n is the lexsort rule the engine's partial selection must
-match.
+counts.  factorize, ratings_of_records and batch_records are the
+record edge one list comprehension at a time: _Ratings.of_records must
+give their batches bit for bit, _Ratings.records their records.  top_n is
+the lexsort rule the engine's partial selection must match.
 
 The small helpers read stores, models and datasets the way the tests need
 to, through nothing but their public arrays.
@@ -26,13 +28,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, ParseError,
-                       RatingRecord, _IndexMap)
+                       RatingRecord, _IndexMap, _Ratings)
 from mccf.engine import DENOM_EPS
 from mccf.ingest import MOVIELENS_SCALE, grade_to_number
 from mccf.linalg import (TuckerModel, _complete_orthonormal, mode_product,
@@ -467,3 +470,36 @@ def tensor_from_records(records, k: int, scale) -> CriteriaTensor:
     vals = np.array([(rec.overall, *rec.criteria) for rec in kept],
                     dtype=np.float64).reshape(len(kept), k + 1)
     return CriteriaTensor(umap, imap, k, u_idx, i_idx, vals, scale, dups)
+
+
+# ---- the record edge -------------------------------------------------------
+
+
+def factorize(ids) -> tuple[tuple[str, ...], np.ndarray]:
+    pos: dict[str, int] = {}
+    codes = np.array([pos.setdefault(x, len(pos)) for x in ids], dtype=np.int64)
+    return tuple(pos), codes
+
+
+def ratings_of_records(records, k: int | None = None) -> _Ratings:
+    records = list(records)
+    for rec in records if k is not None else ():
+        if len(rec.criteria) != k:
+            raise ValueError(
+                f"record for ({rec.user_id}, {rec.item_id}) has "
+                f"{len(rec.criteria)} criteria, expected {k}")
+    values = np.array([r.overall for r in records] if k is None else
+                      [(r.overall, *r.criteria) for r in records],
+                      dtype=np.float64).reshape(len(records), (k or 0) + 1)
+    return _Ratings(*factorize([r.user_id for r in records]),
+                    *factorize([r.item_id for r in records]), values)
+
+
+def batch_records(batch: _Ratings) -> list:
+    users = [batch.user_ids[u] for u in batch.u.tolist()]
+    items = [batch.item_ids[i] for i in batch.i.tolist()]
+    if batch.values.shape[1] == 1:
+        return list(map(RatingRecord, users, items, batch.values[:, 0].tolist(),
+                        batch.timestamps or repeat(None)))
+    return [CriteriaRecord(u, i, tuple(v[1:]), v[0])
+            for u, i, v in zip(users, items, batch.values.tolist())]

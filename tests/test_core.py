@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import DESK_MATRIX, dataset_from_dense
 from mccf.core import (
     CriteriaRecord,
@@ -10,6 +13,7 @@ from mccf.core import (
     RatingRecord,
     RatingScale,
     _IndexMap,
+    _Ratings,
     criteria_slice,
     dataset_stats,
     overall_slice,
@@ -314,6 +318,68 @@ def test_iter_records_rebuilds_the_container_bitwise():
         assert (y.user_ids, y.item_ids) == (x.user_ids, x.item_ids)
         for a, b in zip((*x.cell_index(), x.values), (*y.cell_index(), y.values)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# ---- the record edge against its oracle -------------------------------------
+
+SIGNED = RatingScale(-2.0, 2.0)             # spans 0, so -0.0 and 0.0 occur
+SIGNED_VALUES = st.sampled_from([-0.0, 0.0, 1.5, -2.0, 2, -1, 0])
+SIGNED_OVERALLS = st.one_of(SIGNED_VALUES, st.sampled_from(["-0", "0.5", "-1e0"]))
+
+
+@st.composite
+def edge_records(draw):
+    """(k, CriteriaRecords) whose value rows come from a small pool, so
+    rows repeat; float, int and str values; at most one record with the
+    wrong number of criteria."""
+    k = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(SIGNED_OVERALLS, st.tuples(
+        *[SIGNED_VALUES] * k)), min_size=1, max_size=4))
+    ids = st.sampled_from(["u1", "u2", "ü", "0"])
+    records = [CriteriaRecord(draw(ids), draw(ids), criteria, overall)
+               for overall, criteria in draw(st.lists(st.sampled_from(pool),
+                                                      max_size=30))]
+    if draw(st.booleans()):
+        records.insert(draw(st.integers(0, len(records))), CriteriaRecord(
+            "u9", "i9", (0.0,) * draw(st.sampled_from([k - 1, k + 1])), 1.0))
+    return k, records
+
+
+def _values(records) -> list:
+    return [v for r in records for v in (r.overall, *getattr(r, "criteria", ()))]
+
+
+@settings(deadline=None, max_examples=60)
+@given(edge_records())
+def test_record_edge_matches_its_oracle(case):
+    k, records = case
+    for width in (k, None):
+        try:
+            want = oracles.ratings_of_records(records, width)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _Ratings.of_records(iter(records), width)
+            assert str(got.value) == str(exc)
+            continue
+        got = _Ratings.of_records(iter(records), width)
+        assert (got.user_ids, got.item_ids) == (want.user_ids, want.item_ids)
+        for a, b in ((got.u, want.u), (got.i, want.i), (got.values, want.values)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        batches = [got] if width is None else \
+            [got, CriteriaTensor.from_records(records, k, SIGNED)._ratings()]
+        for batch in batches:
+            recs, expected = batch.records(), oracles.batch_records(batch)
+            assert recs == expected
+            assert [math.copysign(1.0, v) for v in _values(recs)] == \
+                [math.copysign(1.0, v) for v in _values(expected)]
+            assert all(type(v) is float for v in _values(recs))
+            # rows equal bit for bit share their value objects
+            first = {}
+            for rec, row in zip(recs, batch.values):
+                same = first.setdefault(row.tobytes(), rec)
+                assert rec.overall is same.overall
+                assert getattr(rec, "criteria", None) is \
+                    getattr(same, "criteria", None)
 
 
 def test_tensor_out_of_scale_rejected():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -225,6 +226,29 @@ def test_multicriteria_roundtrip(tmp_path):
     p = tmp_path / "out.csv"
     write_multicriteria(records, p)
     assert parse_multicriteria(p, 3, RatingScale.one_to_five()) == records
+
+
+def test_parsed_mc_csv_holds_under_100_bytes_a_row():
+    """Rows whose values repeat share their criteria tuple and floats, so a
+    parse holds about a record and a list slot per row, not also a tuple
+    and k + 1 floats (about 264 B a row at k = 4).  The criteria follow the
+    overall within one step, as multi-criteria ratings tend to."""
+    rng = np.random.default_rng(5)
+    n = 5000
+    overall = rng.integers(1, 6, n)
+    criteria = np.clip(overall[:, None] + rng.integers(-1, 2, (n, 4)), 1, 5)
+    lines = [f"u{u},i{i},{c1},{c2},{c3},{c4},{o}" for u, i, (c1, c2, c3, c4), o
+             in zip(rng.integers(0, 300, n).tolist(),
+                    rng.integers(0, 200, n).tolist(), criteria.tolist(),
+                    overall.tolist())]
+    tracemalloc.start()
+    try:
+        records = parse_multicriteria(lines, 4, MOVIELENS_SCALE)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == n
+    assert held <= 100 * n + 64 * 1024
 
 
 # ---- columnar ingest against the per-record oracles -------------------------

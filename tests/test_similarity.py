@@ -274,11 +274,22 @@ def test_store_rejects_values_that_are_not_a_symmetric_square():
     one_sided[0, 2] = 0.25          # defined one way, undefined the other
     diagonal = good.copy()
     diagonal[1, 1] = 1.0
+    # the check runs in 256-row blocks: flaws inside the ragged last one
+    n = 2 * 256 + 37
+    many = tuple(f"i{i}" for i in range(n))
+    big = np.random.default_rng(3).random((n, n))
+    big += big.T
+    np.fill_diagonal(big, NAN)
+    SimilarityStore("pearson", big, many)
+    big_asymmetric, big_one_sided = big.copy(), big.copy()
+    big_asymmetric[540, 520] += 0.5
+    big_one_sided[530, 545] = NAN
     for values, item_ids in ((asymmetric, ids), (one_sided, ids),
                              (diagonal, ids), (good[:, :2], ids),
                              (good[:2], ids), (good[0], ids),
-                             (good, ids[:2]), (good, ids + ("i3",))):
-        with pytest.raises(ValueError):
+                             (good, ids[:2]), (good, ids + ("i3",)),
+                             (big_asymmetric, many), (big_one_sided, many)):
+        with pytest.raises(ValueError, match="symmetric items x items"):
             SimilarityStore("pearson", values, item_ids)
 
 
