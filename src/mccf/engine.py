@@ -470,8 +470,9 @@ def _criteria_rows(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
 def predict_criteria(model: McModel, user_id: str, item_id: str) -> np.ndarray | None:
     """Per-criterion predictions (clamped); None for unknown user/item.
 
-    Criteria whose neighborhood yields nothing take the reconstructed-tensor
-    value, so indexed pairs always get a full vector.
+    A criterion whose neighborhood yields nothing takes the user's
+    observed cell where there is one and the reconstructed-tensor value
+    elsewhere, so indexed pairs always get a full vector.
     """
     t = model.tensor
     if not (t.has_user(user_id) and t.has_item(item_id)):

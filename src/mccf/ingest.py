@@ -227,18 +227,24 @@ def split_train_test(records: Sequence[RecordT],
             list(compress(records, (~train).tolist())))
 
 
+def _number(v: float) -> str:
+    """v in its shortest round-trip form, without a trailing ".0"."""
+    return repr(float(v)).removesuffix(".0")
+
+
 def write_movielens(records: Iterable[RatingRecord], path) -> None:
     """TAB-separated ``user item rating timestamp``; missing timestamps
     write as 0 to keep the 4-field shape."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             ts = rec.timestamp if rec.timestamp is not None else 0
-            fh.write(f"{rec.user_id}\t{rec.item_id}\t{rec.overall:g}\t{ts}\n")
+            fh.write(f"{rec.user_id}\t{rec.item_id}\t{_number(rec.overall)}"
+                     f"\t{ts}\n")
 
 
 def write_multicriteria(records: Iterable[CriteriaRecord], path) -> None:
     """Comma-separated ``user,item,c1..ck,overall`` (numeric values)."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            values = [f"{v:g}" for v in (*rec.criteria, rec.overall)]
+            values = [_number(v) for v in (*rec.criteria, rec.overall)]
             fh.write(",".join([rec.user_id, rec.item_id, *values]) + "\n")

@@ -1,17 +1,18 @@
 """Low-rank matrix and third-order tensor numerics.
 
 Truncated SVD is computed by Gaussian sketching: draw G, form Y = A G,
-orthonormalize, project, and eigendecompose the small projected Gram matrix.
-The sketch has no tuning knobs: 10 oversampling columns (fewer on small
-matrices) and two power iterations, after Halko, Martinsson & Tropp, SIAM
-Review 53(2), 2011.  The Tucker decomposition (Kolda & Bader, SIAM Review
-51(3), 2009) takes each mode factor from the mode unfolding with the same
-sketch, forming only the left singular vectors, and forms the core by
-projecting the tensor onto the factor transposes.  A CellTensor, an
-item-mean-filled (and optionally centred) tensor known by its observed
-cells, is factored from those cells and its fill and is never formed;
-its factors agree with the dense tensor's to rounding.  truncated_svd
-takes a rating matrix the same way, as a one-slice CellTensor.
+orthonormalize, project, and eigendecompose the small projected Gram matrix;
+it asks only for A X and A.T Y.  The sketch has no tuning knobs: 10
+oversampling columns (fewer on small matrices) and two power iterations,
+after Halko, Martinsson & Tropp, SIAM Review 53(2), 2011.  The Tucker
+decomposition (Kolda & Bader, SIAM Review 51(3), 2009) takes each mode
+factor from the mode unfolding with the same sketch, forming only the left
+singular vectors, and forms the core by np.tensordot mode products with the
+factor transposes; one QR completes a factor the data cannot fill.  A
+CellTensor, an item-mean-filled (and optionally centred) tensor known by
+its observed cells, is factored from those cells and its fill and is never
+formed; its factors agree with the dense tensor's to rounding.
+truncated_svd takes a rating matrix the same way, as a one-slice CellTensor.
 
 Conventions used throughout:
   - matrices are float64 ndarrays; tensors are 3-d ndarrays
@@ -90,34 +91,21 @@ def _sign_fix(u: np.ndarray) -> np.ndarray:
 def _complete_orthonormal(v: np.ndarray, have: int) -> None:
     """Fill columns have.. of v with an orthonormal completion in place.
 
-    Candidates are the standard basis vectors, projected against the
-    existing columns; deterministic and independent of any seed.
+    The columns are have..k of one Householder QR of [v[:, :have], I[:, :k]]:
+    orthonormal, orthogonal to v's first have columns, deterministic and
+    independent of any seed.
     """
     n, k = v.shape
-    col = have
-    # generous acceptance threshold first; retry near-spanned candidates
-    # only if the first sweep could not fill every column
-    for threshold in (0.5, 1e-8):
-        for cand in range(n):
-            if col == k:
-                return
-            w = np.zeros(n)
-            w[cand] = 1.0
-            for _ in range(2):  # twice-is-enough re-orthogonalization
-                w -= v[:, :col] @ (v[:, :col].T @ w)
-            norm = np.linalg.norm(w)
-            if norm > threshold:
-                v[:, col] = w / norm
-                col += 1
-    if col < k:
-        raise ValueError("could not complete orthonormal basis")
+    if have < k:
+        q = np.linalg.qr(np.hstack([v[:, :have], np.eye(n, k)]))[0]
+        v[:, have:] = q[:, have:k]
 
 
 def _left_factor(a: np.ndarray, k: int,
                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sketch of truncated_svd up to its left factor: (Q X, sigma, B, X)
-    over all sketch columns, with B = Q.T A, X the eigenvectors of B B.T
-    and sigma zero at and below the cutoff.
+    """The sketch of truncated_svd up to its left factor: (Q X, sigma, A.T Q,
+    X) over all sketch columns, with X the eigenvectors of (A.T Q).T A.T Q
+    and sigma zero at and below the cutoff.  A needs only a @ x and a.T @ y.
 
     Each (n, width) intermediate (the sketch, A.T Q and its basis) dies
     within the statement that uses it, so beside A the routine holds at
@@ -131,14 +119,14 @@ def _left_factor(a: np.ndarray, k: int,
     for _ in range(2):
         q, _ = np.linalg.qr(a @ np.linalg.qr(a.T @ q)[0])
 
-    b = q.T @ a
-    evals, x = np.linalg.eigh(b @ b.T)
+    bt = a.T @ q
+    evals, x = np.linalg.eigh(bt.T @ bt)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     x = x[:, order]
     sigma = np.sqrt(np.clip(evals, 0.0, None))
     cutoff = SIGMA_CUTOFF * sigma[0] if sigma[0] > 0 else 0.0
-    return q @ x, np.where(sigma > cutoff, sigma, 0.0), b, x
+    return q @ x, np.where(sigma > cutoff, sigma, 0.0), bt, x
 
 
 def truncated_svd(a: np.ndarray | CellTensor, k: int, seed: int = 0) -> FactorModel:
@@ -147,7 +135,7 @@ def truncated_svd(a: np.ndarray | CellTensor, k: int, seed: int = 0) -> FactorMo
     Pipeline: Gaussian sketch of width k + min(10, min(m, n) - k), so that
     full-rank requests stay valid; orthonormal basis Q (Householder QR); two
     power iterations by (A A.T), re-orthonormalizing after each half-product;
-    projection B = Q.T A; eigendecomposition of B B.T; back-transformation.
+    projection A.T Q; eigendecomposition of its Gram matrix; back-transform.
 
     Right singular vectors for numerically zero singular values cannot be
     recovered from the sketch (the back-transform divides by sigma); those
@@ -166,11 +154,11 @@ def truncated_svd(a: np.ndarray | CellTensor, k: int, seed: int = 0) -> FactorMo
     if not 1 <= k <= min(m, n):
         raise ValueError(f"rank {k} out of range 1..{min(m, n)}")
 
-    u, sigma, b, x = _left_factor(a, k, seed)
+    u, sigma, bt, x = _left_factor(a, k, seed)
     v = np.zeros((n, len(sigma)))
     nz = np.flatnonzero(sigma)
     if nz.size:
-        v[:, nz] = b.T @ (x[:, nz] / sigma[nz])
+        v[:, nz] = bt @ (x[:, nz] / sigma[nz])
 
     u = u[:, :k].copy()
     v = v[:, :k].copy()
@@ -233,19 +221,9 @@ def mode_unfold(t: np.ndarray, mode: int) -> np.ndarray:
     return t.transpose(axes).reshape(t.shape[mode - 1], -1)
 
 
-def mode_refold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of mode_unfold for a tensor of the given dims."""
-    if mode not in _UNFOLD_AXES:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    axes = _UNFOLD_AXES[mode]
-    shuffled = tuple(dims[a] for a in axes)
-    # each unfolding permutation is an involution
-    return m.reshape(shuffled).transpose(axes)
-
-
 def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
-    """Multiply a matrix into one tensor mode: result's mode-s unfolding is
-    m @ (t's mode-s unfolding)."""
+    """Multiply a matrix into one tensor mode (one tensordot contraction):
+    the result's mode-s unfolding is m @ (t's mode-s unfolding)."""
     t = np.asarray(t, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     if m.shape[1] != t.shape[mode - 1]:
@@ -253,9 +231,7 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
             f"matrix has {m.shape[1]} columns, tensor mode {mode} has size "
             f"{t.shape[mode - 1]}"
         )
-    dims = list(t.shape)
-    dims[mode - 1] = m.shape[0]
-    return mode_refold(m @ mode_unfold(t, mode), mode, tuple(dims))
+    return np.moveaxis(np.tensordot(m, t, axes=(1, mode - 1)), 0, mode - 1)
 
 
 # Most cells the dense arrays of one step may hold: a plain dataset's
@@ -419,12 +395,10 @@ class CellTensor:
 
 
 class _CellUnfolding:
-    """The mode-1 or mode-2 unfolding of a CellTensor as an operator: a @ x,
-    a.T @ y and y.T @ a multiply like the unfolding, from the column term
-    plus one gather of x's or y's rows at the cells and one segment sum.
-    The rows' side of the cells gives a @ x, the columns' side a.T @ y."""
-
-    __array_ufunc__ = None      # so that ndarray @ operator calls __rmatmul__
+    """The mode-1 or mode-2 unfolding of a CellTensor as an operator with
+    the sketch's two products, a @ x and a.T @ y: the column term plus one
+    gather of x's or y's rows at the cells and one segment sum, the rows'
+    side of the cells for a @ x, the columns' side for a.T @ y."""
 
     def __init__(self, cells: CellTensor, mode: int):
         n_users, n_items, self._slices = cells.shape
@@ -464,9 +438,6 @@ class _CellUnfolding:
         if self._mode == 1:
             out = out.transpose(1, 0, 2)
         return out.reshape(-1, y.shape[1])
-
-    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
-        return self._rmatmat(y.T).T
 
 
 class _Transposed:

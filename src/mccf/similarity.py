@@ -72,8 +72,8 @@ class SimilarityStore:
     """Symmetric item x item similarity matrix; NaN marks undefined pairs.
 
     The diagonal is always NaN (an item is not its own neighbor).  The
-    constructor enforces both, since the neighborhood kernel reads an
-    item's similarities from whichever side of the matrix is cheaper.
+    constructor enforces both and makes values read-only, since the kernel
+    reads an item's similarities from whichever side of the matrix is cheaper.
     """
 
     kind: str
@@ -88,6 +88,7 @@ class SimilarityStore:
                     for a in range(0, len(v), _BLOCK)))):
             raise ValueError("similarity values must be a symmetric items x "
                              "items matrix with a NaN diagonal")
+        v.setflags(write=False)
 
     def defined_count(self) -> int:
         n = int(np.count_nonzero(~np.isnan(self.values)))

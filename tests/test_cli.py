@@ -201,6 +201,32 @@ def test_evaluate_prints_report(data_dir, capsys):
     assert "mae=" in out and "sim=euclidean" in out
     code2, out2, _ = run(args, capsys)
     assert out2 == out        # bitwise-stable report
+    # the default relevance threshold, given explicitly
+    code3, out3, _ = run(args + ["--relevance-threshold", "4"], capsys)
+    assert (code3, out3) == (0, out)
+
+
+def test_output_flag_writes_what_stdout_shows(data_dir, tmp_path, capsys):
+    ratings = str(data_dir / "ratings.tsv")
+    mc = ["--input", str(data_dir / "mc.csv"), "--format", "mc-csv",
+          "--criteria", "3"]
+    # u1 has rated every item, so it has nothing to recommend
+    full = tmp_path / "full.tsv"
+    full.write_text("u1\ti1\t4\t0\nu1\ti2\t3\t0\nu2\ti1\t5\t0\n")
+    for n, verb in enumerate((
+            ["evaluate", "--input", ratings, "--sim", "euclidean", "--seed", "7"],
+            ["sweep", "--input", ratings, "--seed", "7", "--fractions", "0.8",
+             "--sims", "tanimoto"],
+            ["mc-evaluate", *mc, "--ranks", "2,3,3", "--seed", "7"],
+            ["recommend", "--input", ratings, "--user", "u3", "--sim",
+             "euclidean", "--seed", "1", "--top-n", "3"],
+            ["recommend", "--input", str(full), "--user", "u1", "--sim",
+             "euclidean", "--seed", "1"])):
+        path = tmp_path / f"out{n}"
+        code, out, _ = run([*verb, "--output", str(path)], capsys)
+        assert code == 0
+        assert path.read_text() == out, verb[0]
+    assert out == ""
 
 
 def test_sweep_csv_shape(data_dir, capsys):
@@ -545,6 +571,12 @@ def test_exit_codes(data_dir, tmp_path, capsys):
                  "--format", "mc-csv", "--criteria", "3", "--ranks", "2,2,2",
                  "--pca-option", "on", "--seed", "1",
                  "--output", str(tmp_path / "d")]) == 1
+    # malformed list and count values
+    for verb in (["decompose", "--ranks", "2,x", "--output", str(tmp_path / "d")],
+                 ["decompose", "--ranks", "0", "--output", str(tmp_path / "d")],
+                 ["sweep", "--sims", "pearson,nope"],
+                 ["recommend", "--user", "u1", "--top-n", "0"]):
+        assert main([*verb, "--input", ratings, "--seed", "1"]) == 1, verb
     # a negative density threshold is a usage error on every verb
     assert main(["filter", "--input", ratings, "--min-user", "-1",
                  "--output", str(tmp_path / "f")]) == 1

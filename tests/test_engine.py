@@ -355,6 +355,8 @@ def test_mc_recommend_excludes_training_cells():
     values = [v for _, v in top]
     assert values == sorted(values, reverse=True)
     assert mc_recommend_top_n(model, "ghost", 5) == []
+    with pytest.raises(ValueError):
+        mc_recommend_top_n(model, uid, 0)
 
 
 MODEL_KEYS = {"magic", "version", "scale", "grade_labels", "config",

@@ -367,11 +367,12 @@ def decision_of(report):
             report.prediction_coverage, report.catalog_coverage)
 
 
-def public_decision(test_recs, train, top_n_ids, made):
+def public_decision(test_recs, train, top_n_ids, made, threshold=None):
     """_decision_metrics over the top-N lists of a public call for every
     test user the training data knows."""
     from mccf.evaluation import _decision_metrics
-    threshold = RelevanceSpec.default_for(train.scale).threshold
+    if threshold is None:
+        threshold = RelevanceSpec.default_for(train.scale).threshold
     interesting = {}
     for r in test_recs:
         if r.overall >= threshold:
@@ -444,6 +445,46 @@ def test_harness_predictions_equal_single_pair_calls():
     assert decision_of(report) == public_decision(
         test_recs, model.tensor, lambda uid: [i for i, _ in mc_recommend_top_n(
             model, uid, 10)], len(overall))
+
+
+def test_explicit_relevance_threshold():
+    # the default given explicitly reproduces the default report; at the
+    # scale maximum only the test ratings equal to it are interesting
+    from mccf.engine import recommend_top_n
+    from mccf.similarity import item_similarity_matrix
+
+    records = bench_records(68)
+    spec = NeighborhoodSpec(max_neighbors=4)
+
+    def report(threshold):
+        return run_benchmark(records, BenchmarkConfig(
+            sim="pearson", train_fraction=0.8, seed=2, neighborhood=spec,
+            relevance_threshold=threshold))
+
+    default = report(None)
+    assert report(4.0).to_text() == default.to_text()
+    top = report(5.0)
+    train_recs, test_recs = split_train_test(records, SplitSpec(0.8, 2))
+    assert {r.overall for r in test_recs} >= {4.0, 5.0}
+    train = Dataset.from_records(train_recs, RatingScale.one_to_five())
+    sims = item_similarity_matrix(train, "pearson")
+    assert decision_of(top) == public_decision(
+        test_recs, train, lambda uid: [i for i, _ in recommend_top_n(
+            train, sims, uid, 10, spec)], top.pair_count, threshold=5.0)
+    assert (top.precision, top.recall) != (default.precision, default.recall)
+
+
+def test_report_without_a_predicted_pair():
+    # one rating per user: no test user is known to training, so no pair
+    # is predicted and the error metrics are NaN
+    from mccf.core import RatingRecord
+    records = [RatingRecord(f"u{n}", f"i{n % 5}", float(1 + n % 5))
+               for n in range(40)]
+    report = run_benchmark(records, BenchmarkConfig(
+        sim="pearson", train_fraction=0.5, seed=1))
+    _, test_recs = split_train_test(records, SplitSpec(0.5, 1))
+    assert (report.pair_count, report.no_prediction_count) == (0, len(test_recs))
+    assert "mae=nan" in report.to_text().splitlines()
 
 
 def test_one_kernel_call_per_known_test_user_and_store(monkeypatch):

@@ -212,19 +212,25 @@ def test_split_deterministic_and_order_free():
 
 def test_movielens_roundtrip(tmp_path):
     records = [RatingRecord("u1", "i1", 4.0, 123),
-               RatingRecord("u2", "i9", 2.5, None)]
+               RatingRecord("u2", "i9", 2.5, None),
+               RatingRecord("u3", "i2", 3.3333333333, 7)]
     p = tmp_path / "out.tsv"
     write_movielens(records, p)
+    assert p.read_text().splitlines()[0] == "u1\ti1\t4\t123"
     back = parse_movielens(p)
     assert back[0] == records[0]
     assert back[1] == RatingRecord("u2", "i9", 2.5, 0)   # None -> 0
+    assert back[2] == records[2]            # every digit survives
 
 
 def test_multicriteria_roundtrip(tmp_path):
     records = [CriteriaRecord("u1", "i1", (4.0, 3.5, 5.0), 4.25),
-               CriteriaRecord("u2", "i2", (1.0, 2.0, 3.0), 2.0)]
+               CriteriaRecord("u2", "i2", (1.0, 2.0, 3.0), 2.0),
+               CriteriaRecord("u3", "i1", (4.123456789, 1.0, 4 / 3),
+                              3.3333333333)]
     p = tmp_path / "out.csv"
     write_multicriteria(records, p)
+    assert p.read_text().splitlines()[1] == "u2,i2,1,2,3,2"
     assert parse_multicriteria(p, 3, RatingScale.one_to_five()) == records
 
 

@@ -267,7 +267,9 @@ def test_store_rejects_values_that_are_not_a_symmetric_square():
     good = np.array([[NAN, 0.5, NAN],
                      [0.5, NAN, -0.25],
                      [NAN, -0.25, NAN]])
-    SimilarityStore("pearson", good, ids)
+    store = SimilarityStore("pearson", good, ids)
+    with pytest.raises(ValueError, match="read-only"):
+        store.values[0, 1] = 0.99   # a one-sided write would break symmetry
     asymmetric = good.copy()
     asymmetric[0, 1] = 0.75
     one_sided = good.copy()
