@@ -202,15 +202,29 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
     Only valid for unbounded neighborhoods, where the weighted sums reduce
     to two matrix products over the full similarity matrix.  The products
     sum in another order than the neighborhood kernel, so values agree
-    with predict_single to rounding, not bitwise.  Over-budget data is
-    rejected as by a rating-based item_similarity_matrix.
+    with predict_single to rounding, not bitwise.  Data whose caller's
+    store, positive weights and the products' three users x items arrays
+    (2 items^2 + 3 users x items cells) exceed the dense cell budget is
+    rejected before any of them is formed.
     """
     if spec.max_neighbors is not None:
         raise ValueError("predict_matrix requires an unbounded neighborhood")
-    check_cell_budget(d.n_users * d.n_items + d.n_items ** 2)
-    s = np.where(sims.values > 0, sims.values, 0.0)
+    check_cell_budget(2 * d.n_items ** 2 + 3 * d.n_users * d.n_items)
+    return _weighted_means(d, _positive_weights(sims))
+
+
+def _positive_weights(sims: SimilarityStore) -> np.ndarray:
+    """The store's strictly positive similarities, 0 elsewhere (NaN too):
+    an unbounded neighborhood's weights, as a new items x items array."""
+    return np.where(sims.values > 0, sims.values, 0.0)
+
+
+def _weighted_means(d: Dataset, s: np.ndarray) -> np.ndarray:
+    """predict_matrix from the positive weights s.  Beside s it holds three
+    users x items arrays: the ratings (then the mask), the numerator and
+    the denominator."""
     # the ratings are 0 off the mask, so they carry it; one unblocked
-    # product, since blocking it changes bits
+    # product, since blocks of user rows or of weight columns change bits
     num = np.nan_to_num(d.to_dense(), nan=0.0, copy=False) @ s
     den = d.to_mask(np.float64) @ s
     good = den >= DENOM_EPS

@@ -35,11 +35,12 @@ from .engine import (
     _cells_of,
     _criteria_rows,
     _groups,
+    _positive_weights,
     _predict_user,
     _top_n,
     _unrated,
+    _weighted_means,
     build_mc_model,
-    predict_matrix,
 )
 from .ingest import MOVIELENS_SCALE, SplitSpec, _parse_movielens, _train_mask
 from .linalg import cell_factoring_cells, check_cell_budget, truncated_svd
@@ -370,8 +371,10 @@ def run_benchmark(source, config: BenchmarkConfig,
     ``source`` is a MovieLens file path, a record sequence or a
     CriteriaTensor (whose overall ratings are used).  The scale defaults
     to a tensor's own and to MovieLens 1-5 otherwise.  Unbounded
-    neighborhoods predict through predict_matrix, bounded ones through the
-    per-user neighborhood kernel.
+    neighborhoods predict through predict_matrix's two products, bounded
+    ones through the per-user neighborhood kernel.  The unbounded step
+    lets go of the store once its positive weights exist, so at its peak
+    it holds one items x items array and three users x items ones.
     """
     train, test = _split(_batch(source), config.train_fraction, config.seed)
     train = Dataset.from_records(train, _source_scale(source, scale))
@@ -382,14 +385,20 @@ def _evaluate(train: Dataset, test: _Ratings,
               config: BenchmarkConfig) -> EvalReport:
     """run_benchmark after the split."""
     threshold = _relevance(config.relevance_threshold, train.scale)
-    sims = _build_store(train, config.sim, config.latent_rank, config.seed)
     spec = config.neighborhood
     if spec.max_neighbors is None:
-        pm = predict_matrix(train, sims, spec)
+        # the weights and the products' three users x items arrays: the
+        # store is handed over unnamed, so it is freed once the weights exist
+        check_cell_budget(train.n_items ** 2
+                          + 3 * train.n_users * train.n_items)
+        pm = _weighted_means(train, _positive_weights(_build_store(
+            train, config.sim, config.latent_rank, config.seed)))
 
         def score(u: int, items: np.ndarray) -> np.ndarray:
             return pm[u, items, None]
     else:
+        sims = _build_store(train, config.sim, config.latent_rank, config.seed)
+
         def score(u: int, items: np.ndarray) -> np.ndarray:
             return _predict_user(train, sims, u, items, spec)[0][:, None]
 

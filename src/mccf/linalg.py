@@ -415,7 +415,12 @@ class _CellUnfolding:
             self._q, self._p = cells._term
         self._other = other
         self.shape = (rows, other * self._slices)
-        self.T = _Transposed(self)
+
+    @property
+    def T(self) -> "_Transposed":
+        # made on each use: a stored one would form a reference cycle that
+        # keeps the cells' arrays alive until the cyclic collector runs
+        return _Transposed(self)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         s, width = self._slices, x.shape[1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,19 @@ def random_dataset(seed: int, n_users: int = 30, n_items: int = 12,
         if np.isnan(dense[:, i]).all():
             dense[rng.integers(n_users), i] = float(rng.integers(1, 6))
     return dataset_from_dense(dense)
+
+
+def traced(fn):
+    """(fn(), peak, held): the bytes the call held at its peak and at its
+    end, beyond what was traced before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - base, held - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,11 +1,10 @@
-import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dataset_from_dense, random_dataset
+from conftest import dataset_from_dense, random_dataset, traced
 from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, RatingScale,
                        _IndexMap, overall_slice)
 from mccf.engine import (
@@ -627,12 +626,7 @@ def test_sparse_build_peaks_below_one_dense_copy():
                        RatingScale.one_to_five())
     copy = n_users * n_items * 5 * 8
     for config in (McConfig(), McConfig(pca_option=True)):
-        tracemalloc.start()
-        try:
-            build_mc_model(t, (8, 8, 3), config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced(lambda: build_mc_model(t, (8, 8, 3), config))
         assert peak < copy, (config, peak / copy)
 
 

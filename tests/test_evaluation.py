@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_dataset, traced
 from mccf.core import CriteriaRecord, CriteriaTensor, Dataset, RatingScale, _IndexMap
 from mccf.evaluation import (
     _build_store,
+    SIM_NAME_MAP,
     BenchmarkConfig,
     EvalReport,
     McBenchmarkConfig,
@@ -21,7 +24,8 @@ from mccf.evaluation import (
     run_mc_benchmark,
     run_sweep,
 )
-from mccf.engine import NeighborhoodSpec
+from mccf.engine import NeighborhoodSpec, predict_matrix
+from mccf.similarity import item_similarity_matrix
 from mccf.ingest import SplitSpec, split_train_test, write_movielens
 from mccf.linalg import cell_factoring_cells
 from mccf.synth import SyntheticTensorSpec,duplicate_overall_tensor, generate_tensor
@@ -390,9 +394,8 @@ def test_harness_predictions_equal_single_pair_calls():
     from mccf.core import CriteriaTensor, Dataset
     from mccf.engine import (aggregate_overall, build_mc_model,
                              mc_recommend_top_n, predict_criteria,
-                             predict_matrix, predict_single, recommend_top_n)
+                             predict_single, recommend_top_n)
     from mccf.evaluation import _matrix_top_n
-    from mccf.similarity import item_similarity_matrix
 
     records = bench_records(68)
     spec = NeighborhoodSpec(max_neighbors=4)
@@ -410,19 +413,20 @@ def test_harness_predictions_equal_single_pair_calls():
         test_recs, train, lambda uid: [i for i, _ in recommend_top_n(
             train, sims, uid, 10, spec)], len(pairs))
 
-    # unbounded: predict_matrix's values and top-N lists
-    report = run_benchmark(records, BenchmarkConfig(
-        sim="pearson", train_fraction=0.8, seed=2))
-    pm = predict_matrix(train, sims)
-    pairs = [(pm[train.user_index(r.user_id), train.item_index(r.item_id)],
-              r.overall) for r in test_recs
-             if train.has_user(r.user_id) and train.has_item(r.item_id)]
-    pairs = [p for p in pairs if not np.isnan(p[0])]
-    assert report.pair_count == len(pairs)
-    assert (report.mae, report.rmse) == (mae(pairs), rmse(pairs))
-    assert decision_of(report) == public_decision(
-        test_recs, train, lambda uid: [train.item_id(i) for i in _matrix_top_n(
-            pm, train, train.user_index(uid), 10)], len(pairs))
+    # unbounded, for every measure: predict_matrix's values and top-N lists
+    for sim in SIM_NAME_MAP:
+        report = run_benchmark(records, BenchmarkConfig(
+            sim=sim, train_fraction=0.8, seed=2))
+        pm = predict_matrix(train, _build_store(train, sim, 8, 2))
+        pairs = [(pm[train.user_index(r.user_id), train.item_index(r.item_id)],
+                  r.overall) for r in test_recs
+                 if train.has_user(r.user_id) and train.has_item(r.item_id)]
+        pairs = [p for p in pairs if not np.isnan(p[0])]
+        assert report.pair_count == len(pairs), sim
+        assert (report.mae, report.rmse) == (mae(pairs), rmse(pairs)), sim
+        assert decision_of(report) == public_decision(
+            test_recs, train, lambda uid: [train.item_id(i) for i in _matrix_top_n(
+                pm, train, train.user_index(uid), 10)], len(pairs)), sim
 
     t = mc_tensor(69)
     config = McBenchmarkConfig(ranks=(2, 4, 4), train_fraction=0.8, seed=3,
@@ -552,3 +556,50 @@ def test_latent_store_budget_counts_its_factoring_and_store(monkeypatch):
     monkeypatch.setattr("mccf.evaluation.truncated_svd", factoring)
     with pytest.raises(ValueError, match="budget"):
         _build_store(d, "latent", 8, 1)
+
+
+def test_unbounded_budget_counts_the_weights_and_products(monkeypatch):
+    # the harness checks the weights and the products' three users x items
+    # arrays before it builds the store; public predict_matrix, whose
+    # caller holds the store, counts that store too
+    records = bench_records(68)
+    config = BenchmarkConfig(sim="pearson", train_fraction=0.8, seed=2)
+    train_recs, _ = split_train_test(records, SplitSpec(0.8, 2))
+    train = Dataset.from_records(train_recs, RatingScale.one_to_five())
+    sims = item_similarity_matrix(train, "pearson")
+    cells = train.n_items ** 2 + 3 * train.n_users * train.n_items
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
+    assert run_benchmark(records, config).pair_count
+    with pytest.raises(ValueError, match="budget"):
+        predict_matrix(train, sims)
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET",
+                        cells + train.n_items ** 2)
+    predict_matrix(train, sims)
+
+    def store(*args, **kwargs):
+        raise AssertionError("store built before the budget check")
+
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells - 1)
+    monkeypatch.setattr("mccf.evaluation.item_similarity_matrix", store)
+    with pytest.raises(ValueError, match="budget"):
+        run_benchmark(records, config)
+
+
+def test_unbounded_products_hold_one_items_squared_array(monkeypatch):
+    # when the products' ratings operand is formed, the store is gone and
+    # the weights are the one items x items array left
+    n_items = 1000
+    records = list(random_dataset(5, n_users=30, n_items=n_items,
+                                  fill=0.1).iter_records())
+    held = []
+    to_dense = Dataset.to_dense
+
+    def recorded(self, *args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return to_dense(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "to_dense", recorded)
+    traced(lambda: run_benchmark(records, BenchmarkConfig(
+        sim="pearson", train_fraction=0.8, seed=1)))
+    # a store's build may densify too, but the products' call is the last
+    assert held and held[-1] <= 8 * n_items ** 2 + 2 ** 20

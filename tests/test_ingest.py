@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import traced
 from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, ParseError,
                        RatingRecord, RatingScale, _Ratings)
 from mccf.evaluation import _split
@@ -247,12 +247,8 @@ def test_parsed_mc_csv_holds_under_100_bytes_a_row():
              in zip(rng.integers(0, 300, n).tolist(),
                     rng.integers(0, 200, n).tolist(), criteria.tolist(),
                     overall.tolist())]
-    tracemalloc.start()
-    try:
-        records = parse_multicriteria(lines, 4, MOVIELENS_SCALE)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    records, _, held = traced(
+        lambda: parse_multicriteria(lines, 4, MOVIELENS_SCALE))
     assert len(records) == n
     assert held <= 100 * n + 64 * 1024
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -366,6 +369,22 @@ def test_cell_tensor_products_match_dense_unfoldings(seed, center):
         _assert_close(cells.means, means)
     else:
         assert cells.means is None
+
+
+def test_cell_unfolding_goes_with_its_last_reference():
+    # no reference cycle holds it, so the cells' arrays it reads are freed
+    # without waiting for the cyclic collector
+    rng = np.random.default_rng(7)
+    dims = (5, 4, 2)
+    op = _CellUnfolding(CellTensor(dims, *_observed_cells(rng, dims), False), 1)
+    assert (op.T @ np.ones((5, 1))).shape == (4 * 2, 1)
+    gone = weakref.ref(op)
+    gc.disable()
+    try:
+        del op
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def _separated(t, ranks) -> bool:

@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DESK_MATRIX, dataset_from_dense, random_dataset
+from conftest import DESK_MATRIX, dataset_from_dense, random_dataset, traced
 from mccf.core import RatingScale
 from mccf.linalg import FactorModel, truncated_svd
 from mccf.similarity import (
@@ -431,18 +430,6 @@ def test_mirror_keeps_the_bits_of_summing_the_triangles(monkeypatch):
     assert not np.signbit(got[1, 0]) and not np.signbit(got[4, 2])
 
 
-def _traced_peak(build) -> int:
-    """Bytes the call to build() held at its peak, beyond what was held
-    before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        build()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def _integer_dataset(n_users: int, n_items: int):
     rng = np.random.default_rng(29)
     return dataset_from_dense(np.where(
@@ -460,7 +447,7 @@ def test_exact_build_holds_few_block_temporaries(kind, operands):
     assert _float32_exact(d, kind)
     bound = (8 * n_items ** 2 + operands * 4 * n_users * n_items
              + 3 * 8 * _BLOCK * n_items)
-    assert _traced_peak(lambda: item_similarity_matrix(d, kind)) < bound
+    assert traced(lambda: item_similarity_matrix(d, kind))[1] < bound
 
 
 def test_whole_matrix_build_holds_few_items_squared_temporaries():
@@ -471,7 +458,7 @@ def test_whole_matrix_build_holds_few_items_squared_temporaries():
     d = _integer_dataset(n_users, n_items)
     assert not _float32_exact(d, "adjusted_cosine")
     bound = 3 * 8 * n_items ** 2 + 3 * 8 * n_users * n_items
-    peak = _traced_peak(lambda: item_similarity_matrix(d, "adjusted_cosine"))
+    _, peak, _ = traced(lambda: item_similarity_matrix(d, "adjusted_cosine"))
     assert peak < bound
 
 
@@ -485,6 +472,6 @@ def test_latent_store_holds_no_second_items_squared_array():
     model = FactorModel(rng.normal(size=(50, 4)), np.array([4.0, 3.0, 2.0, 1.0]),
                         rng.normal(size=(n_items, 4)))
     bound = 8 * n_items ** 2 + 4 * n_items ** 2 + 8 * _BLOCK * n_items
-    peak = _traced_peak(lambda: item_similarity_matrix(
+    _, peak, _ = traced(lambda: item_similarity_matrix(
         d, "latent_cosine", model=model))
     assert peak < bound
