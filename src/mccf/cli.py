@@ -59,7 +59,8 @@ from .ingest import (
     write_movielens,
     write_multicriteria,
 )
-from .linalg import check_cell_budget, hosvd, impute_missing, pca, truncated_svd
+from .linalg import (check_cell_budget, hosvd, impute_missing, pca, pca_cells,
+                     truncated_svd)
 
 SIM_CHOICES = tuple(SIM_NAME_MAP)
 TABLE_SIMS = ("pearson", "euclidean", "loglikelihood", "tanimoto")
@@ -321,18 +322,18 @@ def _cmd_decompose(args) -> int:
     else:
         # only PCA forms the filled matrix; the SVD factors it from the cells
         rank, pca_on = args.ranks[0], args.pca_option == "on"
+        dims = (data.n_users, data.n_items)
         if pca_on:
-            check_cell_budget(data.n_users * data.n_items)
-        a = impute_missing(data.to_dense()) if pca_on else _cells_of(data)
-        if rank > min(a.shape[:2]):
-            raise UsageError(f"rank {rank} exceeds matrix dimensions {a.shape[:2]}")
+            check_cell_budget(pca_cells(dims))
+        if 0 < min(dims) < rank:     # the fill rejects an empty matrix
+            raise UsageError(f"rank {rank} exceeds matrix dimensions {dims}")
         if pca_on:
-            model = pca(a, rank)
+            model = pca(impute_missing(data.to_dense()), rank)
             arrays = {"decomposition": "pca", "mean": model.mean,
                       "eigenvalues": model.eigenvalues,
                       "components": model.components}
         else:
-            model = truncated_svd(a, rank, seed=args.seed)
+            model = truncated_svd(_cells_of(data), rank, seed=args.seed)
             arrays = {"decomposition": "svd", "sigma": model.sigma,
                       "u": model.u, "v": model.v}
     # an open handle keeps np.savez from appending ".npz" to the name

@@ -40,6 +40,7 @@ from .similarity import (
     SIMILARITY_KINDS,
     SimilarityStore,
     item_similarity_matrix,
+    store_cells,
 )
 
 # Below this total neighbor weight a weighted mean is numerically
@@ -202,15 +203,20 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
     Only valid for unbounded neighborhoods, where the weighted sums reduce
     to two matrix products over the full similarity matrix.  The products
     sum in another order than the neighborhood kernel, so values agree
-    with predict_single to rounding, not bitwise.  Data whose caller's
-    store, positive weights and the products' three users x items arrays
-    (2 items^2 + 3 users x items cells) exceed the dense cell budget is
-    rejected before any of them is formed.
+    with predict_single to rounding, not bitwise.  Data over the budget
+    for its products_cells is rejected before any array is formed.
     """
     if spec.max_neighbors is not None:
         raise ValueError("predict_matrix requires an unbounded neighborhood")
-    check_cell_budget(2 * d.n_items ** 2 + 3 * d.n_users * d.n_items)
+    check_cell_budget(products_cells(d))
     return _weighted_means(d, _positive_weights(sims))
+
+
+def products_cells(d: Dataset) -> int:
+    """Float64 cells predict_matrix holds: the store, the positive weights
+    (their mask, an eighth, as they form) and three users x items arrays:
+    the ratings (then the mask), the numerator, the denominator."""
+    return 2 * d.n_items ** 2 + 3 * d.n_users * d.n_items
 
 
 def _positive_weights(sims: SimilarityStore) -> np.ndarray:
@@ -220,9 +226,7 @@ def _positive_weights(sims: SimilarityStore) -> np.ndarray:
 
 
 def _weighted_means(d: Dataset, s: np.ndarray) -> np.ndarray:
-    """predict_matrix from the positive weights s.  Beside s it holds three
-    users x items arrays: the ratings (then the mask), the numerator and
-    the denominator."""
+    """predict_matrix from the positive weights s."""
     # the ratings are 0 off the mask, so they carry it; one unblocked
     # product, since blocks of user rows or of weight columns change bits
     num = np.nan_to_num(d.to_dense(), nan=0.0, copy=False) @ s
@@ -256,14 +260,20 @@ def recommend_top_n(d: Dataset, sims: SimilarityStore, user_id: str, n: int,
     Sort is by value descending with ties broken by ascending internal item
     index; items without a prediction are left out; unknown user -> [].
     """
+    return _recommend(d, user_id, n, lambda u, items: _predict_user(
+        d, sims, u, items, spec)[0])
+
+
+def _recommend(cells: Dataset | CriteriaTensor, user_id: str, n: int,
+               score) -> list[tuple[str, float]]:
+    """recommend_top_n of a Dataset or a tensor, by score(u, items)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not d.has_user(user_id):
+    if not cells.has_user(user_id):
         return []
-    u = d.user_index(user_id)
-    items = _unrated(d.n_items, d.items_of(u)[0])
-    values, _ = _predict_user(d, sims, u, items, spec)
-    return [(d.item_id(i), v) for i, v in _top_n(items, values, n)]
+    u = cells.user_index(user_id)
+    items = _unrated(cells.n_items, cells._row(u)[0])
+    return [(cells.item_id(i), v) for i, v in _top_n(items, score(u, items), n)]
 
 
 # ---- multi-criteria pipeline -----------------------------------------------
@@ -395,17 +405,18 @@ class McModel:
         return out
 
 
-def _check_budget(t: CriteriaTensor, ranks: tuple[int, int, int],
-                  config: McConfig) -> None:
-    """Reject a build or load before any of its arrays exists when the
-    factoring from the cells, w and the similarity stores (one in latent
-    space, else one per criterion and the users x items ratings a store's
-    build holds) exceed the dense cell budget: no store rejects it later."""
+def mc_build_cells(t: CriteriaTensor, ranks: tuple[int, int, int],
+                   config: McConfig) -> float:
+    """Float64 cells build_mc_model holds, and load_model too: the factoring
+    from the cells (its per-cell arrays cover a load's archive and tensor),
+    w, k criterion datasets of three cells per cell, and one latent store or
+    k reconstructed ones, the last on the float64 path fractional values take."""
     shape = (t.n_users, t.n_items, t.k + 1)
-    stores = (t.n_items ** 2 if config.sim_kind == "latent_cosine"
-              else t.k * t.n_items ** 2 + t.n_users * t.n_items)
-    check_cell_budget(cell_factoring_cells(shape, t.n_cells, ranks)
-                      + ranks[0] * t.n_items * (t.k + 1) + stores)
+    stores = (store_cells(t, "latent_cosine") if config.sim_kind == "latent_cosine"
+              else (t.k - 1) * t.n_items ** 2
+              + store_cells(t, config.sim_kind, exact=False))
+    return (cell_factoring_cells(shape, t.n_cells, ranks)
+            + ranks[0] * t.n_items * (t.k + 1) + 3 * t.k * t.n_cells + stores)
 
 
 def _cells_of(d: Dataset | CriteriaTensor, center: bool = False) -> CellTensor:
@@ -445,11 +456,9 @@ def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
     """(Impute -> center) -> HOSVD -> similarities -> weights.
 
     The imputed (and centred) tensor is never formed: hosvd factors it
-    from the cells and the fill (linalg.CellTensor), so the build holds
-    arrays of the cells, the sketch, w and the stores, and no users x
-    items array outside a reconstructed-space store's own build.
+    from the cells and the fill (linalg.CellTensor).
     """
-    _check_budget(t, ranks, config)
+    check_cell_budget(mc_build_cells(t, ranks, config))
     cells = _cells_of(t, config.pca_option)
     tucker, slice_means = hosvd(cells, ranks, seed=config.seed), cells.means
     del cells       # freed before the stores are built
@@ -504,16 +513,8 @@ def predict_overall(model: McModel, user_id: str, item_id: str) -> float | None:
 
 def mc_recommend_top_n(model: McModel, user_id: str, n: int) -> list[tuple[str, float]]:
     """Top-n items the user has no training cell for, by predicted overall."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    t = model.tensor
-    if not t.has_user(user_id):
-        return []
-    u = t.user_index(user_id)
-    items = _unrated(t.n_items, t.cells_of(u)[0])
-    overall = _aggregate_rows(model.aggregation,
-                              _criteria_rows(model, u, items), model.scale)
-    return [(t.item_id(i), v) for i, v in _top_n(items, overall, n)]
+    return _recommend(model.tensor, user_id, n, lambda u, items: _aggregate_rows(
+        model.aggregation, _criteria_rows(model, u, items), model.scale))
 
 
 # ---- persistence ------------------------------------------------------------
@@ -624,7 +625,7 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     if tucker.core.ndim != 3 or tuple(f.shape for f in tucker.factors) != \
             tuple(zip(dims, tucker.core.shape)):
         raise ValueError("Tucker factors do not match the tensor and core")
-    _check_budget(tensor, tucker.core.shape, config)
+    check_cell_budget(mc_build_cells(tensor, tucker.core.shape, config))
     # the PCA option's slice means come from the cells, as in the build
     slice_means = _cells_of(tensor, center=True).means if config.pca_option else None
     return _assemble(tensor, config, tucker, slice_means)

@@ -41,10 +41,11 @@ from .engine import (
     _unrated,
     _weighted_means,
     build_mc_model,
+    products_cells,
 )
 from .ingest import MOVIELENS_SCALE, SplitSpec, _parse_movielens, _train_mask
 from .linalg import cell_factoring_cells, check_cell_budget, truncated_svd
-from .similarity import item_similarity_matrix
+from .similarity import item_similarity_matrix, store_cells
 
 # CLI-facing measure names -> similarity-module kinds
 SIM_NAME_MAP = {
@@ -246,12 +247,19 @@ def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
     if kind != "latent_cosine":
         return item_similarity_matrix(train, kind)
     # the factoring from the cells, then the store, before either runs
+    check_cell_budget(_build_store_cells(train, sim, latent_rank))
     rank = min(latent_rank, train.n_users, train.n_items)
-    check_cell_budget(cell_factoring_cells(
-        (train.n_users, train.n_items, 1), train.n_ratings, (rank, rank, 1))
-        + train.n_items ** 2)
     model = truncated_svd(_cells_of(train), rank, seed=seed)
     return item_similarity_matrix(train, "latent_cosine", model=model)
+
+
+def _build_store_cells(train: Dataset, sim: str, latent_rank: int) -> float:
+    """Cells _build_store holds: the store, for latent after the factoring
+    from the cells at latent_rank (at least the clamped rank's count)."""
+    kind = SIM_NAME_MAP[sim]
+    factoring = cell_factoring_cells((train.n_users, train.n_items, 1),
+                                     train.n_ratings, (latent_rank, latent_rank, 1))
+    return store_cells(train, kind) + (factoring if kind == "latent_cosine" else 0)
 
 
 # only perfbench's replay calls this now; it goes with ROADMAP F
@@ -272,8 +280,6 @@ def _decision_metrics(recommendations: dict[str, list[str]],
     for uid, top in recommendations.items():
         recommended_union.update(top)
     for uid, good in interesting.items():
-        if not good:
-            continue
         p, r, _ = precision_recall_f1(recommendations.get(uid, []), good)
         precisions.append(p)
         recalls.append(r)
@@ -373,8 +379,7 @@ def run_benchmark(source, config: BenchmarkConfig,
     to a tensor's own and to MovieLens 1-5 otherwise.  Unbounded
     neighborhoods predict through predict_matrix's two products, bounded
     ones through the per-user neighborhood kernel.  The unbounded step
-    lets go of the store once its positive weights exist, so at its peak
-    it holds one items x items array and three users x items ones.
+    lets go of the store once its positive weights exist.
     """
     train, test = _split(_batch(source), config.train_fraction, config.seed)
     train = Dataset.from_records(train, _source_scale(source, scale))
@@ -387,10 +392,11 @@ def _evaluate(train: Dataset, test: _Ratings,
     threshold = _relevance(config.relevance_threshold, train.scale)
     spec = config.neighborhood
     if spec.max_neighbors is None:
-        # the weights and the products' three users x items arrays: the
-        # store is handed over unnamed, so it is freed once the weights exist
-        check_cell_budget(train.n_items ** 2
-                          + 3 * train.n_users * train.n_items)
+        # the store's build, then the products: the store is handed over
+        # unnamed, so it is freed once the weights exist
+        check_cell_budget(max(
+            _build_store_cells(train, config.sim, config.latent_rank),
+            products_cells(train)))
         pm = _weighted_means(train, _positive_weights(_build_store(
             train, config.sim, config.latent_rank, config.seed)))
 

@@ -107,10 +107,8 @@ def _left_factor(a: np.ndarray, k: int,
     X) over all sketch columns, with X the eigenvectors of (A.T Q).T A.T Q
     and sigma zero at and below the cutoff.  A needs only a @ x and a.T @ y.
 
-    Each (n, width) intermediate (the sketch, A.T Q and its basis) dies
-    within the statement that uses it, so beside A the routine holds at
-    most three (n, width) arrays at once (A.T Q, QR's copy of it and the
-    basis) plus LAPACK's two buffers for that QR.
+    Each (n, width) intermediate dies within the statement that uses it
+    (cell_factoring_cells counts those one statement holds).
     """
     m, n = a.shape
     width = k + min(10, min(m, n) - k)
@@ -234,31 +232,35 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(m, t, axes=(1, mode - 1)), 0, mode - 1)
 
 
-# Most cells the dense arrays of one step may hold: a plain dataset's
-# users x items ratings plus its items x items similarity store, the
-# matrix decompose's PCA takes, a dense tensor's TENSOR_COPIES copies, or
-# a CellTensor's factoring (cell_factoring_cells).  2e8 float64 cells are
-# 1.6 GB.
+# Most float64 cells the arrays of one step may hold at its peak, as the
+# step's footprint function (a *_cells function) counts them; 2e8 cells
+# are 1.6 GB.
 DENSE_CELL_BUDGET = 2e8
-
-# Dense copies of a (users, items, k+1) tensor that hosvd of a dense
-# tensor holds at its peak, the caller's tensor included: the tensor, an
-# unfolding and, where the sketch is as wide as the unfolding is tall
-# (always for mode 3 with k+1 <= r3 + 10), A.T Q, QR's copy of it and its
-# basis, which tracemalloc sees (4.0 copies beside the input for a
-# 1,000 x 800 x 5 tensor), and the two LAPACK buffers of that QR, which it
-# does not.
-TENSOR_COPIES = 7
 
 # Cells per block of a CellTensor's per-cell products: a block's
 # (cells, slices, sketch width) temporaries stay in cache.
 _CELL_BLOCK = 2048
 
 
-def check_cell_budget(cells: int) -> None:
+def check_cell_budget(cells: float) -> None:
     if cells > DENSE_CELL_BUDGET:
-        raise ValueError(f"dense arrays need {cells} cells, above the "
+        raise ValueError(f"dense arrays need {cells:.0f} cells, above the "
                          f"{DENSE_CELL_BUDGET:.0f}-cell budget")
+
+
+def dense_hosvd_cells(shape: tuple[int, int, int]) -> int:
+    """Cells hosvd of a dense tensor holds, its input included: seven copies
+    of it (an unfolding and, as the sketch is as wide as mode 3's unfolding
+    is tall, A.T Q, QR's copy and basis, and two LAPACK buffers, untraced)."""
+    return 7 * int(np.prod(shape))
+
+
+def pca_cells(shape: tuple[int, int]) -> float:
+    """Cells pca(impute_missing(x), k) holds for a dense (obs, vars) x: x,
+    the fill's mask (an eighth) and filled copy, later centred; and five
+    vars x vars arrays: the covariance, eigh's vectors, and LAPACK's copy
+    and 2 x vars^2 workspace (dsyevd), which tracemalloc does not see."""
+    return 2.125 * shape[0] * shape[1] + 5 * shape[1] ** 2
 
 
 def cell_factoring_cells(shape: tuple[int, int, int], n_cells: int,
@@ -482,9 +484,8 @@ def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
     tensor multiplied by every factor transpose.  Only the left factors
     are formed.
 
-    A dense tensor whose factoring would hold more than
-    DENSE_CELL_BUDGET cells (TENSOR_COPIES per tensor cell) is rejected
-    before any unfolding of it is formed.
+    A dense tensor over its dense_hosvd_cells budget is rejected before
+    any unfolding of it is formed.
 
     A CellTensor is factored from its parts: modes 1 and 2 run the same
     sketch over the unfolding's products, with the same seeds; mode 3,
@@ -498,7 +499,7 @@ def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
         t = np.asarray(t, dtype=np.float64)
         if t.ndim != 3:
             raise ValueError("expected a third-order tensor")
-        check_cell_budget(TENSOR_COPIES * t.size)
+        check_cell_budget(dense_hosvd_cells(t.shape))
     for mode in (1, 2, 3):
         if not 1 <= ranks[mode - 1] <= t.shape[mode - 1]:
             raise ValueError(

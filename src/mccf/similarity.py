@@ -23,16 +23,9 @@ matrix, since a blocked float64 product can change the last bits.  The
 products keep their dtype and the finishers compute in float64, in place
 and into the store, forming each statistic when they first need it and
 dropping it after its last use.  Either way the store is bitwise the
-float64 whole-matrix build.  Memory is the store, up to three float32
-users x items operands and about three float64 _BLOCK x items arrays: a
-traced peak of 51 MB for the 23 MB pearson store of a 943 x 1682
-(MovieLens-100K-shaped) dataset, 399 MB for the 110 MB store of a
-6,040 x 3,706 (MovieLens-1M-shaped) one.  The whole-matrix block holds
-its float64 statistics as items x items arrays, one or two at a time,
-about three for pearson.  A dataset whose
-users x items plus items x items cells exceed linalg.DENSE_CELL_BUDGET
-(2e8, 1.6 GB of float64) is rejected before any dense copy; latent_cosine
-forms no users x items array, so only its store counts.
+float64 whole-matrix build.  store_cells counts the memory each build
+holds, and a dataset whose count exceeds linalg.DENSE_CELL_BUDGET (2e8,
+1.6 GB of float64) is rejected before any dense copy.
 
 A pair is undefined, NaN in the store, with zero variance or norm or with
 fewer co-raters than the fixed gate: 2 for rating-based measures (a
@@ -238,6 +231,26 @@ _FINISH = {"pearson": _pearson, "adjusted_cosine": _cosine,
            "cosine": _cosine, "euclidean": _euclidean,
            "tanimoto": _tanimoto, "loglikelihood": _loglikelihood}
 
+# row blocks a build holds beside the store at its peak: pearson's and
+# loglikelihood's statistics, else _mirror_upper's two blocks and mask
+_BLOCK_ARRAYS = {"pearson": 3.25, "loglikelihood": 5.25}
+
+
+def store_cells(d: Dataset, kind: str, exact: bool | None = None) -> float:
+    """Float64 cells item_similarity_matrix(d, kind) holds at its peak, a
+    float32 or bool cell at half or an eighth: the store, _BLOCK_ARRAYS
+    row blocks (2.25 by default) and the users x items operands (three for
+    a rating kind; a set kind's mask, counted whole, so the count is never
+    under users x items + items x items).  exact defaults to
+    _float32_exact(d, kind); False, the larger count, serves unformed values."""
+    latent = kind == "latent_cosine"
+    exact = latent or _float32_exact(d, kind) if exact is None else exact
+    operands = 0 if latent else max(
+        1, (3 if kind in RATING_KINDS else 1) * (0.5 if exact else 1))
+    rows = min(_BLOCK, d.n_items) if exact else d.n_items
+    return (d.n_items ** 2 + operands * d.n_users * d.n_items
+            + _BLOCK_ARRAYS.get(kind, 2.25) * rows * d.n_items)
+
 
 def _finish_block(kind: str, x, xx, b, counts, a: int, e: int,
                   sims: np.ndarray) -> None:
@@ -314,11 +327,9 @@ def item_similarity_matrix(d: Dataset, kind: str, *,
     """
     if kind not in SIMILARITY_KINDS:
         raise ValueError(f"unknown similarity kind {kind!r}")
-    # the store, plus the users x items ratings all but latent_cosine read
-    latent = kind == "latent_cosine"
-    check_cell_budget((0 if latent else d.n_users * d.n_items) + d.n_items ** 2)
+    check_cell_budget(store_cells(d, kind))
 
-    if latent:
+    if kind == "latent_cosine":
         if model is None:
             raise ValueError("latent_cosine needs a factor model")
         vectors = model.item_vectors()

@@ -8,12 +8,12 @@ import pytest
 from mccf.cli import _check_flags, build_parser, main
 from mccf.core import (CriteriaTensor, Dataset, ParseError, RatingRecord,
                        RatingScale)
+from mccf.engine import McConfig, mc_build_cells
 from mccf.evaluation import (BenchmarkConfig, McBenchmarkConfig, run_benchmark,
                              run_mc_benchmark)
 from mccf.ingest import (DensityFilterSpec, SplitSpec, density_filter,
                          parse_movielens, parse_multicriteria, split_train_test,
                          write_movielens, write_multicriteria)
-from mccf.linalg import cell_factoring_cells
 from mccf.synth import SyntheticTensorSpec, generate_tensor
 
 VERBS = ("stats", "filter", "split", "decompose", "evaluate", "sweep",
@@ -181,8 +181,14 @@ def test_decompose_all_modes(data_dir, tmp_path, capsys):
 
 
 def test_decompose_rank_above_matrix_dims_is_a_usage_error(data_dir, tmp_path,
-                                                           capsys):
-    # ratings.tsv is 30 users x 14 items
+                                                           monkeypatch, capsys):
+    # ratings.tsv is 30 users x 14 items; the rank is rejected before the
+    # PCA's dense fill or the SVD's cells are formed
+    def fill(*args, **kwargs):
+        raise AssertionError("matrix filled before the rank check")
+
+    monkeypatch.setattr(Dataset, "to_dense", fill)
+    monkeypatch.setattr("mccf.cli._cells_of", fill)
     for pca_flag in ([], ["--pca-option", "on"]):
         out = tmp_path / "out.npz"
         code, _, err = run(["decompose", "--input", str(data_dir / "ratings.tsv"),
@@ -442,15 +448,13 @@ def test_over_budget_tensor_exits_before_dense_copy(tmp_path, monkeypatch,
 
 def test_budget_counts_every_copy_of_the_mc_build(data_dir, monkeypatch,
                                                   capsys):
-    # the build on all of mc.csv counts the factoring from its cells, w
-    # and its items x items store: it runs at that many cells and exits 2
-    # at one cell fewer, before the factoring or any dense copy
+    # the build on all of mc.csv runs at its footprint and exits 2 at one
+    # cell fewer, before the factoring or any dense copy
     t = CriteriaTensor.from_records(parse_multicriteria(
         data_dir / "mc.csv", 3, RatingScale.one_to_five()), 3,
         RatingScale.one_to_five())
     ranks = (2, 3, 3)
-    cells = (cell_factoring_cells((t.n_users, t.n_items, 4), t.n_cells, ranks)
-             + ranks[0] * t.n_items * 4 + t.n_items ** 2)
+    cells = mc_build_cells(t, ranks, McConfig())
     args = ["recommend", "--input", str(data_dir / "mc.csv"), "--format",
             "mc-csv", "--criteria", "3", "--ranks", "2,3,3", "--user",
             t.user_ids[0], "--seed", "1"]

@@ -144,6 +144,8 @@ def test_constructors_reject_bad_cells():
     with pytest.raises(ValueError):
         Dataset(users, items, np.array([0, 1]), np.array([0, 1]),
                 np.array([1.0]), ONE_TO_FIVE)
+    with pytest.raises(ValueError, match="duplicate"):
+        _IndexMap(["a", "b", "a"])
 
 
 def test_unsorted_cells_are_sorted_or_rejected():

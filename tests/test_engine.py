@@ -18,6 +18,7 @@ from mccf.engine import (
     build_mc_model,
     fit_aggregation,
     load_model,
+    mc_build_cells,
     mc_recommend_top_n,
     predict_criteria,
     predict_matrix,
@@ -28,7 +29,7 @@ from mccf.engine import (
     _criteria_rows,
     _top_n,
 )
-from mccf.linalg import cell_factoring_cells, tucker_reconstruct
+from mccf.linalg import tucker_reconstruct
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
 from oracles import (factored_value, loop_predict, sim, top_n,
@@ -252,6 +253,13 @@ def test_mc_config_validation():
             McConfig(sim_kind=kind)
     assert McConfig().sim_kind == "latent_cosine"
     assert McConfig(sim_kind="tanimoto").sim_kind == "tanimoto"
+
+
+def test_synthetic_spec_validation():
+    for bad in (dict(n_users=1), dict(n_items=1), dict(n_groups=0),
+                dict(n_groups=25), dict(n_criteria=0), dict(noise_std=-0.1)):
+        with pytest.raises(ValueError):
+            SyntheticTensorSpec(**bad)
 
 
 def small_tensor(seed=50):
@@ -549,20 +557,12 @@ def test_hosvd_budget_checked_before_any_dense_copy(monkeypatch):
 
 
 def test_budget_counts_the_copies_a_build_holds(monkeypatch, tmp_path):
-    # a build or load counts the factoring from the cells, w, the stores
-    # and the users x items ratings a reconstructed-space store's build
-    # holds: at that many cells both run; one cell fewer rejects both
-    # before the factoring, a store or any dense copy
+    # a build or load runs at the build's footprint; one cell fewer
+    # rejects both before the factoring, a store or any dense copy
     t = generate_tensor(SyntheticTensorSpec(n_users=20, n_items=10, seed=1))
     ranks = (2, 3, 3)
-    for config, stores, ratings in (
-            (McConfig(), 1, 0),
-            (McConfig(sim_kind="pearson", pca_option=True), t.k,
-             t.n_users * t.n_items)):
-        cells = (cell_factoring_cells((t.n_users, t.n_items, t.k + 1),
-                                      t.n_cells, ranks)
-                 + ranks[0] * t.n_items * (t.k + 1) + stores * t.n_items ** 2
-                 + ratings)
+    for config in (McConfig(), McConfig(sim_kind="pearson", pca_option=True)):
+        cells = mc_build_cells(t, ranks, config)
         path = tmp_path / "model.npz"
         monkeypatch.undo()
         save_model(build_mc_model(t, ranks, config), path)
@@ -589,7 +589,8 @@ def test_budget_admits_no_build_a_store_rejects(monkeypatch):
     # 2,000 users x 200 items x 2 slices, one cell per user, under a budget
     # of the latent build's own count: its 200 x 200 store fits, as it
     # forms no users x items array; a reconstructed-space build also holds
-    # the 400,000-cell ratings and is rejected before the factoring runs
+    # the 400,000-cell users x items operands of its stores' builds and is
+    # rejected before the factoring runs
     rng = np.random.default_rng(18)
     n_users, n_items, ranks = 2000, 200, (2, 2, 2)
     users = np.arange(n_users)
@@ -598,9 +599,9 @@ def test_budget_admits_no_build_a_store_rejects(monkeypatch):
                        users, users % n_items,
                        rng.integers(1, 6, size=(n_users, 2)).astype(float),
                        RatingScale.one_to_five())
-    cells = (cell_factoring_cells((n_users, n_items, 2), n_users, ranks)
-             + ranks[0] * n_items * 2 + n_items ** 2)
-    assert cells < n_users * n_items + n_items ** 2
+    cells = mc_build_cells(t, ranks, McConfig())
+    assert cells + n_users * n_items <= mc_build_cells(
+        t, ranks, McConfig(sim_kind="pearson"))
     monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
     assert build_mc_model(t, ranks).item_similarities[0].values.shape == \
         (n_items, n_items)

@@ -24,8 +24,8 @@ from mccf.evaluation import (
     run_mc_benchmark,
     run_sweep,
 )
-from mccf.engine import NeighborhoodSpec, predict_matrix
-from mccf.similarity import item_similarity_matrix
+from mccf.engine import NeighborhoodSpec, predict_matrix, products_cells
+from mccf.similarity import item_similarity_matrix, store_cells
 from mccf.ingest import SplitSpec, split_train_test, write_movielens
 from mccf.linalg import cell_factoring_cells
 from mccf.synth import SyntheticTensorSpec,duplicate_overall_tensor, generate_tensor
@@ -140,6 +140,8 @@ def test_benchmark_config_validation():
         BenchmarkConfig(sim="pearson", train_fraction=1.2, seed=0)
     with pytest.raises(ValueError):
         BenchmarkConfig(sim="pearson", train_fraction=0.7, seed=0, top_n=0)
+    with pytest.raises(ValueError, match="latent_rank"):
+        BenchmarkConfig(sim="latent", train_fraction=0.7, seed=0, latent_rank=0)
     with pytest.raises(ValueError):
         McBenchmarkConfig(ranks=(2, 4), train_fraction=0.7, seed=0)
 
@@ -543,7 +545,7 @@ def test_latent_store_budget_counts_its_factoring_and_store(monkeypatch):
                 users % n_items, rng.integers(1, 6, size=n_users).astype(float),
                 RatingScale.one_to_five())
     cells = (cell_factoring_cells((n_users, n_items, 1), n_users, (8, 8, 1))
-             + n_items ** 2)
+             + store_cells(d, "latent_cosine"))
     monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
     assert _build_store(d, "latent", 8, 1).values.shape == (n_items, n_items)
     with pytest.raises(ValueError, match="budget"):
@@ -559,22 +561,24 @@ def test_latent_store_budget_counts_its_factoring_and_store(monkeypatch):
 
 
 def test_unbounded_budget_counts_the_weights_and_products(monkeypatch):
-    # the harness checks the weights and the products' three users x items
-    # arrays before it builds the store; public predict_matrix, whose
-    # caller holds the store, counts that store too
+    # the harness counts the store's build plus the weights and the
+    # products' three users x items arrays before it builds the store;
+    # public predict_matrix, whose caller holds the store, counts that
+    # store beside its products
     records = bench_records(68)
     config = BenchmarkConfig(sim="pearson", train_fraction=0.8, seed=2)
     train_recs, _ = split_train_test(records, SplitSpec(0.8, 2))
     train = Dataset.from_records(train_recs, RatingScale.one_to_five())
     sims = item_similarity_matrix(train, "pearson")
-    cells = train.n_items ** 2 + 3 * train.n_users * train.n_items
-    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
-    assert run_benchmark(records, config).pair_count
+    products = products_cells(train)
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", products)
+    predict_matrix(train, sims)
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", products - 1)
     with pytest.raises(ValueError, match="budget"):
         predict_matrix(train, sims)
-    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET",
-                        cells + train.n_items ** 2)
-    predict_matrix(train, sims)
+    cells = max(store_cells(train, "pearson"), products_cells(train))
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", cells)
+    assert run_benchmark(records, config).pair_count
 
     def store(*args, **kwargs):
         raise AssertionError("store built before the budget check")

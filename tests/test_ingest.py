@@ -156,6 +156,9 @@ def test_split_spec_validation():
         SplitSpec(1.0, 1)
     with pytest.raises(ValueError):
         SplitSpec(0.5, -1)
+    for mu, mi in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            DensityFilterSpec(mu, mi)
 
 
 @settings(deadline=None, max_examples=60)

@@ -9,10 +9,10 @@ from mccf.linalg import (
     CellTensor,
     FactorModel,
     IMPUTE_STRATEGIES,
-    TENSOR_COPIES,
     TuckerModel,
     _CellUnfolding,
     cell_factoring_cells,
+    dense_hosvd_cells,
     hosvd,
     impute_missing,
     mode_product,
@@ -83,6 +83,11 @@ def test_ssvd_rank_validation():
         truncated_svd(a, 0)
     with pytest.raises(ValueError):
         truncated_svd(a, 4)
+    # factors whose ranks disagree
+    for u, sigma, v in ((np.eye(3, 2), np.ones(3), np.eye(3, 3)),
+                        (np.eye(3, 2), np.ones(2), np.eye(3, 3))):
+        with pytest.raises(ValueError, match="rank"):
+            FactorModel(u, sigma, v)
 
 
 def test_ssvd_zero_matrix():
@@ -183,6 +188,8 @@ def test_mode_unfold_layout():
                 assert m1[a, c * 3 + b] == t[a, b, c]
                 assert mode_unfold(t, 2)[b, a * 4 + c] == t[a, b, c]
                 assert mode_unfold(t, 3)[c, b * 2 + a] == t[a, b, c]
+    with pytest.raises(ValueError, match="mode"):
+        mode_unfold(t, 4)
 
 
 def test_mode_product_einsum_oracle():
@@ -269,12 +276,13 @@ def test_hosvd_validation(monkeypatch):
     with pytest.raises(ValueError, match="no observed cells"):
         CellTensor((2, 2, 2), np.array([], dtype=np.intp),
                    np.array([], dtype=np.intp), np.empty((0, 2)))
-    # a dense tensor is admitted at exactly TENSOR_COPIES cells per cell and
+    # a dense tensor is admitted at exactly its factoring's cells and
     # rejected at one cell fewer, before any unfolding of it is formed
-    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET", TENSOR_COPIES * t.size)
+    monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET",
+                        dense_hosvd_cells(t.shape))
     hosvd(t, (1, 1, 1))
     monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET",
-                        TENSOR_COPIES * t.size - 1)
+                        dense_hosvd_cells(t.shape) - 1)
 
     def no_unfolding(*args, **kwargs):
         raise AssertionError("unfolding formed before the budget check")

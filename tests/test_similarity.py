@@ -244,6 +244,9 @@ def test_matrix_latent():
                 latent_cosine(model, i, j), abs=1e-12)
     with pytest.raises(ValueError):
         item_similarity_matrix(d, "latent_cosine")
+    with pytest.raises(ValueError, match="item count"):
+        item_similarity_matrix(d, "latent_cosine", model=FactorModel(
+            model.u, model.sigma, model.v[1:]))
 
 
 def test_matrix_unknown_kind():
