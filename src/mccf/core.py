@@ -202,6 +202,11 @@ def _index(batch: _Ratings):
             len(u) - len(cells))
 
 
+def _check_scale(values: np.ndarray, scale: RatingScale) -> None:
+    if not np.all((values >= scale.min_value) & (values <= scale.max_value)):
+        raise ValueError("rating outside scale bounds")
+
+
 class _Cells:
     """Sparse user x item cells under two id maps; the shared core of
     Dataset and CriteriaTensor.
@@ -218,8 +223,7 @@ class _Cells:
         values = np.asarray(values, dtype=np.float64)
         if not len(u_idx) == len(i_idx) == len(values):
             raise ValueError("cell index and value arrays differ in length")
-        if not np.all((values >= scale.min_value) & (values <= scale.max_value)):
-            raise ValueError("rating outside scale bounds")
+        _check_scale(values, scale)
         if len(u_idx) and not (0 <= u_idx.min() and u_idx.max() < len(user_map)
                                and 0 <= i_idx.min()
                                and i_idx.max() < len(item_map)):
@@ -306,6 +310,20 @@ class _Cells:
             return vals[pos]
         return None
 
+    def _dataset(self, values: np.ndarray, duplicates: int = 0) -> "Dataset":
+        """A Dataset of these cells holding a copy of values, one per cell
+        in user-major order, sharing the index maps and the checked,
+        read-only index arrays rather than copying and checking them."""
+        values = np.array(values, dtype=np.float64)
+        _check_scale(values, self.scale)
+        values.setflags(write=False)
+        d = Dataset.__new__(Dataset)        # the fields _Cells.__init__ sets
+        d._users, d._items, d.scale, d.duplicates = (self._users, self._items,
+                                                     self.scale, duplicates)
+        d._u_idx, d._i_idx, d._values, d._u_ptr = (self._u_idx, self._i_idx,
+                                                   values, self._u_ptr)
+        return d
+
     def _ratings(self) -> _Ratings:
         """The cells as a batch, user-major."""
         values = self._values
@@ -356,8 +374,7 @@ class Dataset(_Cells):
         if values.shape != self._values.shape:
             raise ValueError(f"expected {self._values.shape} cell values, "
                              f"got {values.shape}")
-        return Dataset(self._users, self._items, self._u_idx, self._i_idx,
-                       values, self.scale, self.duplicates)
+        return self._dataset(values, self.duplicates)
 
     @property
     def n_ratings(self) -> int:
@@ -433,8 +450,7 @@ class CriteriaTensor(_Cells):
         return self._values.copy()
 
     def _slice_dataset(self, s: int) -> Dataset:
-        return Dataset(self._users, self._items, self._u_idx, self._i_idx,
-                       self._values[:, s], self.scale)
+        return self._dataset(self._values[:, s])
 
 
 def overall_slice(t: CriteriaTensor) -> Dataset:

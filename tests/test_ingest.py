@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import traced
+from mccf import ingest
 from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, ParseError,
                        RatingRecord, RatingScale, _Ratings)
 from mccf.evaluation import _split
@@ -22,6 +24,7 @@ from mccf.ingest import (
     split_train_test,
     write_movielens,
     write_multicriteria,
+    _parse_movielens,
 )
 
 LETTER = RatingScale.letter_13()
@@ -256,6 +259,20 @@ def test_parsed_mc_csv_holds_under_100_bytes_a_row():
     assert held <= 100 * n + 64 * 1024
 
 
+def test_parse_holds_one_piece_beyond_its_output(tmp_path, monkeypatch):
+    """The parse reads its input a piece at a time, so what it holds at its
+    peak beyond its output stays the same when the input doubles."""
+    monkeypatch.setattr(ingest, "_CHUNK", 1 << 10)      # about 50 lines
+    extra = []
+    for n in (4000, 8000):
+        path = tmp_path / f"{n}.data"
+        path.write_text("".join(f"u{k % 97}\ti{k % 89}\t{k % 5 + 1}\t{k}\n"
+                                for k in range(n)), encoding="utf-8")
+        _, peak, held = traced(lambda: _parse_movielens(path))
+        extra.append(peak - held)
+    assert extra[1] - extra[0] <= 16 * 1024, extra
+
+
 # ---- columnar ingest against the per-record oracles -------------------------
 
 # characters that end a line under str.splitlines, plus the separators
@@ -277,6 +294,9 @@ MC_LABELS = ["A+", "F", " B- ", "C"]
 MC_BAD = ["u,i,1,2,3", "u,i,1,2,3,14", "u,i,1,2,Q,3", "u,i,nan,1,1,1",
           "u,i,1,2,3,4,5"]
 FILLER = ["", "  ", "\t"]
+# pieces of 3 characters or lines cut the input next to the byte-order mark,
+# inside CRLF text and around a bad line, and bring ids first seen late
+CHUNKS = st.sampled_from([3, ingest._CHUNK])
 
 
 def _document(draw, line, bad_lines, comments):
@@ -349,30 +369,32 @@ def scratch(tmp_path_factory):
 
 
 @settings(deadline=None, max_examples=80)
-@given(movielens_text(), st.integers(0, 2 ** 64 - 1))
-def test_columnar_movielens_matches_per_record_oracles(scratch, text, seed):
+@given(movielens_text(), st.integers(0, 2 ** 64 - 1), CHUNKS)
+def test_columnar_movielens_matches_per_record_oracles(scratch, text, seed, chunk):
     path = scratch / "u.data"
     path.write_text(text, encoding="utf-8")
-    for source in (path, text.splitlines(keepends=True)):
-        got = _outcome(parse_movielens, source)
-        assert got == _outcome(oracles.parse_movielens, source)
-    if isinstance(got, tuple):
-        return
-    _same_cells(Dataset.from_records(got, MOVIELENS_SCALE),
-                oracles.dataset_from_records(got, MOVIELENS_SCALE))
-    _same_split(got, seed, MOVIELENS_SCALE)
+    with mock.patch.object(ingest, "_CHUNK", chunk):
+        for source in (path, text.splitlines(keepends=True)):
+            got = _outcome(parse_movielens, source)
+            assert got == _outcome(oracles.parse_movielens, source)
+        if isinstance(got, tuple):
+            return
+        _same_cells(Dataset.from_records(got, MOVIELENS_SCALE),
+                    oracles.dataset_from_records(got, MOVIELENS_SCALE))
+        _same_split(got, seed, MOVIELENS_SCALE)
 
 
 @settings(deadline=None, max_examples=80)
-@given(letter_text(), st.integers(0, 2 ** 64 - 1))
-def test_columnar_mc_csv_matches_per_record_oracles(scratch, text, seed):
+@given(letter_text(), st.integers(0, 2 ** 64 - 1), CHUNKS)
+def test_columnar_mc_csv_matches_per_record_oracles(scratch, text, seed, chunk):
     path = scratch / "ratings.csv"
     path.write_text(text, encoding="utf-8")
-    for source in (path, text.splitlines(keepends=True)):
-        got = _outcome(parse_multicriteria, source, 3, LETTER)
-        assert got == _outcome(oracles.parse_multicriteria, source, 3, LETTER)
-    if isinstance(got, tuple):
-        return
-    _same_cells(CriteriaTensor.from_records(got, 3, LETTER),
-                oracles.tensor_from_records(got, 3, LETTER))
-    _same_split(got, seed, LETTER)
+    with mock.patch.object(ingest, "_CHUNK", chunk):
+        for source in (path, text.splitlines(keepends=True)):
+            got = _outcome(parse_multicriteria, source, 3, LETTER)
+            assert got == _outcome(oracles.parse_multicriteria, source, 3, LETTER)
+        if isinstance(got, tuple):
+            return
+        _same_cells(CriteriaTensor.from_records(got, 3, LETTER),
+                    oracles.tensor_from_records(got, 3, LETTER))
+        _same_split(got, seed, LETTER)
