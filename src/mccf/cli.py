@@ -154,24 +154,28 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--top-n", type=_positive_int, default=10)
     bench.add_argument("--relevance-threshold", type=float, default=None)
 
-    def verb(name: str, parents: list, help_text: str) -> argparse.ArgumentParser:
+    def verb(name: str, handler, parents: list,
+             help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=parents, help=help_text,
                            description=help_text)
+        p.set_defaults(handler=handler)
         parser.verb_parsers[name] = p
         return p
 
-    verb("stats", [data], "print dataset size and density")
+    verb("stats", _cmd_stats, [data], "print dataset size and density")
 
-    p = verb("filter", [data], "apply the density filter and write the result")
+    p = verb("filter", _cmd_filter, [data],
+             "apply the density filter and write the result")
     p.add_argument("--output", required=True, help="filtered ratings file")
 
-    p = verb("split", [data], "deterministic per-rating train/test split")
+    p = verb("split", _cmd_split, [data],
+             "deterministic per-rating train/test split")
     p.add_argument("--train-fraction", type=_fraction, required=True)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--output", required=True,
                    help="prefix; writes PREFIX.train and PREFIX.test")
 
-    p = verb("decompose", [data],
+    p = verb("decompose", _cmd_decompose, [data],
              "factor the rating matrix (SVD/PCA) or tensor (HOSVD)")
     p.add_argument("--ranks", type=_ranks, required=True,
                    help="K for a matrix, R1,R2,R3 for a tensor")
@@ -180,14 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--output", required=True, help="factor archive (.npz)")
 
-    p = verb("evaluate", [data, bench], "single benchmark run, report to stdout")
+    p = verb("evaluate", _cmd_evaluate, [data, bench],
+             "single benchmark run, report to stdout")
     p.add_argument("--sim", choices=SIM_CHOICES, required=True)
     p.add_argument("--train-fraction", type=_fraction, default=0.7)
     p.add_argument("--ranks", type=_ranks, default=None,
                    help="latent rank for --sim latent (default 8)")
     p.add_argument("--output", default=None, help="also write the report here")
 
-    p = verb("sweep", [data, bench],
+    p = verb("sweep", _cmd_sweep, [data, bench],
              "benchmark grid over measures x fractions (CSV)")
     p.add_argument("--sims", type=_sims_list, default=TABLE_SIMS,
                    metavar="S1,S2,...", help=f"default {','.join(TABLE_SIMS)}")
@@ -195,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="F1,F2,...", help="default 0.7,0.8")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
 
-    p = verb("recommend", [data], "print a user's top-N unrated items")
+    p = verb("recommend", _cmd_recommend, [data],
+             "print a user's top-N unrated items")
     p.add_argument("--user", required=True, help="user id")
     p.add_argument("--sim", choices=SIM_CHOICES, default=None,
                    help="default pearson; latent on mc-csv input")
@@ -206,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca-option", choices=("on", "off"), default="off")
     p.add_argument("--output", default=None)
 
-    p = verb("mc-evaluate", [data, bench],
+    p = verb("mc-evaluate", _cmd_mc_evaluate, [data, bench],
              "multi-criteria benchmark through the factorization pipeline")
     p.add_argument("--ranks", type=_ranks, required=True, metavar="R1,R2,R3")
     p.add_argument("--train-fraction", type=_fraction, default=0.7)
@@ -397,18 +403,6 @@ def _cmd_mc_evaluate(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "stats": _cmd_stats,
-    "filter": _cmd_filter,
-    "split": _cmd_split,
-    "decompose": _cmd_decompose,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-    "recommend": _cmd_recommend,
-    "mc-evaluate": _cmd_mc_evaluate,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -418,7 +412,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         _check_flags(args)
-        return _HANDLERS[args.verb](args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

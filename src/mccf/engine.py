@@ -15,9 +15,9 @@ and the reconstruction U1[u] . w[i] elsewhere.  A linear aggregation
 fitted on training cells maps criterion predictions to the overall
 rating.
 
-A saved model holds the training tensor, the settings and the Tucker
-factors; loading derives everything else through the same assembly step
-a build ends with.
+A model holds no per-criterion copy of the cells.  A saved model holds
+the training tensor, the settings and the Tucker factors; a load runs the
+model's one constructor on them, as a build does.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .core import (
     RatingScale,
     _IndexMap,
     criteria_slice,
+    overall_slice,
 )
 from .linalg import (CellTensor, TuckerModel, cell_factoring_cells,
                      check_cell_budget, hosvd)
@@ -311,7 +312,7 @@ def fit_aggregation(train: CriteriaTensor) -> AggregationWeights:
     equal weights.
     """
     k = train.k
-    cells = train.cell_matrix()
+    cells = train.values
     if len(cells) < k + 1:
         return AggregationWeights(0.0, (1.0 / k,) * k, fallback=True)
     y = cells[:, 0]
@@ -359,32 +360,47 @@ class McConfig:
 class McModel:
     """Immutable multi-criteria model; safe for concurrent prediction.
 
-    Besides the Tucker model it keeps w = core x2 U2 x3 U3, laid out
-    (items, k+1, r1), so the reconstruction of cell (u, i, s) is the dot
-    product of w[i, s] with U1[u], plus the PCA option's slice mean.
+    Of the tensor and its Tucker model it derives the aggregation weights,
+    the stores and w = core x2 U2 x3 U3, laid out (items, k+1, r1), so the
+    reconstruction of cell (u, i, s) is the dot product of w[i, s] with
+    U1[u], plus the PCA option's slice mean.
     """
 
     def __init__(self, tensor: CriteriaTensor, config: McConfig,
-                 tucker: TuckerModel, slice_means: np.ndarray | None,
-                 stores: tuple[SimilarityStore, ...],
-                 criteria_data: tuple[Dataset, ...],
-                 aggregation: AggregationWeights):
+                 tucker: TuckerModel, slice_means: np.ndarray | None):
         self.tensor = tensor
         self.config = config
         self.tucker = tucker
         # (items, k+1) means over users, for the PCA option; else None
         self.slice_means = slice_means
+        self.scale = tensor.scale
         _, u2, u3 = tucker.factors
         self.w = np.ascontiguousarray(
             np.einsum("abc,ib,sc->isa", tucker.core, u2, u3))
-        # one store shared by all criteria (latent space) or one per criterion
-        self.item_similarities = stores
-        self.criteria_data = criteria_data
-        self.aggregation = aggregation
-        self.scale = tensor.scale
         for arr in (self.w, slice_means):
             if arr is not None:
                 arr.setflags(write=False)
+        self.aggregation = fit_aggregation(tensor)
+        # one store shared by all criteria (latent space) or one per criterion
+        self.item_similarities = self._stores()
+
+    def _stores(self) -> tuple[SimilarityStore, ...]:
+        t, kind = self.tensor, self.config.sim_kind
+        if kind == "latent_cosine":
+            return (item_similarity_matrix(overall_slice(t), kind,
+                                           model=self.tucker),)
+        # each slice's observed cells with their reconstructed values,
+        # clamped: a truncated reconstruction may overshoot the scale
+        users, items = t.cell_index()
+        lo, hi = self.scale.min_value, self.scale.max_value
+        return tuple(item_similarity_matrix(t._dataset(np.clip(
+            self.reconstruction(users, items, slice(c, c + 1))[:, 0], lo, hi)),
+            kind) for c in range(1, t.k + 1))
+
+    @property
+    def criteria_data(self) -> tuple[Dataset, ...]:
+        """The k criterion slices as Datasets, made on each access."""
+        return tuple(criteria_slice(self.tensor, c) for c in range(1, self.k + 1))
 
     @property
     def k(self) -> int:
@@ -409,8 +425,10 @@ def mc_build_cells(t: CriteriaTensor, ranks: tuple[int, int, int],
                    config: McConfig) -> float:
     """Float64 cells build_mc_model holds, and load_model too: the factoring
     from the cells (its per-cell arrays cover a load's archive and tensor),
-    w, k criterion datasets of three cells per cell, and one latent store or
-    k reconstructed ones, the last on the float64 path fractional values take."""
+    w, three cells per cell and criterion for the per-cell arrays that
+    follow it (the aggregation fit's design matrix, a reconstructed store's
+    values at the cells), and one latent store or k reconstructed ones, the
+    last on the float64 path fractional values take."""
     shape = (t.n_users, t.n_items, t.k + 1)
     stores = (store_cells(t, "latent_cosine") if config.sim_kind == "latent_cosine"
               else (t.k - 1) * t.n_items ** 2
@@ -425,32 +443,6 @@ def _cells_of(d: Dataset | CriteriaTensor, center: bool = False) -> CellTensor:
                       *d.cell_index(), d.values, center=center)
 
 
-def _assemble(t: CriteriaTensor, config: McConfig, tucker: TuckerModel,
-              slice_means: np.ndarray | None) -> McModel:
-    """The model of a training tensor and its Tucker factors; build_mc_model
-    and load_model both end here.  The reconstructed-space stores read the
-    reconstruction at the observed cells only."""
-    criteria_data = tuple(criteria_slice(t, c) for c in range(1, t.k + 1))
-    # the stores are set before the model is handed out
-    model = McModel(t, config, tucker, slice_means, (), criteria_data,
-                    fit_aggregation(t))
-    if config.sim_kind == "latent_cosine":
-        stores = (item_similarity_matrix(criteria_data[0], "latent_cosine",
-                                         model=tucker),)
-    else:
-        # each slice's observed structure with its reconstructed values,
-        # clamped: a truncated reconstruction may overshoot the scale
-        users, items = t.cell_index()
-        lo, hi = t.scale.min_value, t.scale.max_value
-        stores = tuple(
-            item_similarity_matrix(data.with_cell_values(np.clip(
-                model.reconstruction(users, items, slice(c, c + 1))[:, 0],
-                lo, hi)), config.sim_kind)
-            for c, data in enumerate(criteria_data, start=1))
-    model.item_similarities = stores
-    return model
-
-
 def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
                    config: McConfig = McConfig()) -> McModel:
     """(Impute -> center) -> HOSVD -> similarities -> weights.
@@ -462,7 +454,7 @@ def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
     cells = _cells_of(t, config.pca_option)
     tucker, slice_means = hosvd(cells, ranks, seed=config.seed), cells.means
     del cells       # freed before the stores are built
-    return _assemble(t, config, tucker, slice_means)
+    return McModel(t, config, tucker, slice_means)
 
 
 def _criteria_rows(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
@@ -574,8 +566,9 @@ def _read_archive(path) -> dict[str, np.ndarray]:
 
 def load_model(path) -> McModel:
     """Rebuild a model from save_model output (same schema version only):
-    the step build_mc_model ends with derives every array but the saved
-    ones again, so a loaded model equals the saved one bitwise."""
+    the McModel constructor, which build_mc_model ends with too, derives
+    every array but the saved ones again, so a loaded model equals the
+    saved one bitwise."""
     a = _read_archive(path)
     if str(a.get("magic")) != _MODEL_MAGIC:
         raise ModelFormatError("not a model file")
@@ -609,14 +602,15 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     config = McConfig(pca_option=pca == "on", sim_kind=sim_kind,
                       neighborhood=neighborhood, seed=int(seed))
 
-    cells = a["cells"]
-    index = a["cell_index"]
+    # taken out of the archive, so the tensor's copies are the only ones kept
+    cells, index = a.pop("cells"), a.pop("cell_index")
     if index.shape != (len(cells), 2):
         raise ValueError("cell index does not match the cells")
     # the constructor rejects out-of-range and repeated cells
-    tensor = CriteriaTensor(_IndexMap(a["user_ids"].tolist()),
-                            _IndexMap(a["item_ids"].tolist()), cells.shape[1] - 1,
+    tensor = CriteriaTensor(_IndexMap(a.pop("user_ids").tolist()),
+                            _IndexMap(a.pop("item_ids").tolist()), cells.shape[1] - 1,
                             index[:, 0], index[:, 1], cells, scale)
+    del cells, index
 
     # a factor of one row would broadcast over a whole tensor mode, one of
     # one column over a whole core mode
@@ -628,4 +622,4 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     check_cell_budget(mc_build_cells(tensor, tucker.core.shape, config))
     # the PCA option's slice means come from the cells, as in the build
     slice_means = _cells_of(tensor, center=True).means if config.pca_option else None
-    return _assemble(tensor, config, tucker, slice_means)
+    return McModel(tensor, config, tucker, slice_means)

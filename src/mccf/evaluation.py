@@ -21,7 +21,7 @@ training cell, and read the top-N list and the held-out pairs from that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, ClassVar, Sequence
 
@@ -158,12 +158,7 @@ class EvalReport:
     no_prediction_count: int
     criteria_mae: tuple[float, ...] = ()
 
-    CSV_FIELDS = (
-        "sim", "train_fraction", "seed", "ranks", "mae", "bias", "rmse",
-        "precision", "recall", "f1", "prediction_coverage",
-        "catalog_coverage", "pair_count", "no_prediction_count",
-        "criteria_mae",
-    )
+    CSV_FIELDS: ClassVar[tuple[str, ...]]     # the fields, in order
 
     def _cells(self, fraction: str, digits: int) -> dict[str, str]:
         """CSV_FIELDS -> formatted value, metrics to `digits` decimals."""
@@ -193,6 +188,9 @@ class EvalReport:
         cells = self._cells(f"{self.train_fraction:.4f}", 4)
         cells["ranks"] = cells["ranks"].replace(",", ";")
         return ",".join(cells.values())
+
+
+EvalReport.CSV_FIELDS = tuple(f.name for f in fields(EvalReport))
 
 
 @dataclass(frozen=True)

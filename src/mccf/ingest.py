@@ -28,6 +28,7 @@ from .core import (
     RatingRecord,
     RatingScale,
     _Ratings,
+    _check_scale,
 )
 
 MOVIELENS_SCALE = RatingScale.one_to_five()
@@ -96,8 +97,7 @@ def _parse(source, sep: str, data, row, scale: RatingScale, n: int,
 
     def batch(*cols) -> None:
         rated = np.array(cols[2:2 + n], dtype=np.float64)
-        if not np.all((rated >= scale.min_value) & (rated <= scale.max_value)):
-            raise ValueError("value outside the scale")
+        _check_scale(rated, scale)
         if stamped:
             stamps.extend([int(t) for t in cols[-1]])
         for column, code, out in zip(cols, codes, (u, i)):

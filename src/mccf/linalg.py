@@ -101,6 +101,15 @@ def _complete_orthonormal(v: np.ndarray, have: int) -> None:
         v[:, have:] = q[:, have:k]
 
 
+def _eigh_descending(a: np.ndarray,
+                     k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The top k (default all) eigenpairs of a symmetric matrix as new
+    arrays, eigenvalues non-increasing."""
+    evals, vecs = np.linalg.eigh(a)
+    order = np.argsort(evals)[::-1][:k]
+    return evals[order], vecs[:, order]
+
+
 def _left_factor(a: np.ndarray, k: int,
                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The sketch of truncated_svd up to its left factor: (Q X, sigma, A.T Q,
@@ -118,10 +127,7 @@ def _left_factor(a: np.ndarray, k: int,
         q, _ = np.linalg.qr(a @ np.linalg.qr(a.T @ q)[0])
 
     bt = a.T @ q
-    evals, x = np.linalg.eigh(bt.T @ bt)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    x = x[:, order]
+    evals, x = _eigh_descending(bt.T @ bt)
     sigma = np.sqrt(np.clip(evals, 0.0, None))
     cutoff = SIGMA_CUTOFF * sigma[0] if sigma[0] > 0 else 0.0
     return q @ x, np.where(sigma > cutoff, sigma, 0.0), bt, x
@@ -182,10 +188,8 @@ def pca(x: np.ndarray, k: int) -> PcaModel:
     mean = x.mean(axis=0)
     xc = x - mean
     cov = (xc.T @ xc) / (obs - 1)
-    evals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1][:k]
-    components = vecs[:, order].copy()
-    eigenvalues = np.clip(evals[order], 0.0, None)
+    evals, components = _eigh_descending(cov, k)
+    eigenvalues = np.clip(evals, 0.0, None)
     _sign_fix(components)
     return PcaModel(mean, components, eigenvalues)
 
@@ -377,9 +381,8 @@ class CellTensor:
             return _unfolding_factor(_CellUnfolding(self, mode), r, seed)
         # mode 3 has k+1 rows: the eigenvectors of its exact Gram matrix
         # replace the sketch and its QR of a tensor-sized A.T Q
-        evals, vecs = np.linalg.eigh(self._gram())
         r_eff = min(r, self.shape[0] * self.shape[1])
-        return _completed(vecs[:, np.argsort(evals)[::-1][:r_eff]], r)
+        return _completed(_eigh_descending(self._gram(), r_eff)[1], r)
 
     def _core(self, factors) -> np.ndarray:
         """The tensor times every factor transpose: the fill's part from

@@ -20,12 +20,17 @@ record edge one list comprehension at a time: _Ratings.of_records must
 give their batches bit for bit, _Ratings.records their records.  top_n is
 the lexsort rule the engine's partial selection must match.
 
+reference_report is the benchmark protocol as plain loops over records,
+built from these references: run_benchmark with a capped neighbourhood
+and run_mc_benchmark must give its report bit for bit.
+
 The small helpers read stores, models and datasets the way the tests need
 to, through nothing but their public arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from itertools import repeat
@@ -36,8 +41,10 @@ import numpy as np
 
 from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, ParseError,
                        RatingRecord, _IndexMap, _Ratings)
-from mccf.engine import DENOM_EPS
-from mccf.ingest import MOVIELENS_SCALE, grade_to_number
+from mccf.engine import DENOM_EPS, aggregate_overall, build_mc_model
+from mccf.evaluation import (EvalReport, RelevanceSpec, _build_store, bias,
+                             coverage, mae, precision_recall_f1, rmse)
+from mccf.ingest import MOVIELENS_SCALE, SplitSpec, grade_to_number
 from mccf.linalg import (TuckerModel, _complete_orthonormal, mode_product,
                          mode_unfold, truncated_svd)
 from mccf.similarity import RATING_KINDS, _VAR_EPS
@@ -503,3 +510,95 @@ def batch_records(batch: _Ratings) -> list:
                         batch.timestamps or repeat(None)))
     return [CriteriaRecord(u, i, tuple(v[1:]), v[0])
             for u, i, v in zip(users, items, batch.values.tolist())]
+
+
+# ---- the benchmark protocol ------------------------------------------------
+
+
+def reference_report(records, config, k: int | None = None,
+                     scale=MOVIELENS_SCALE) -> EvalReport:
+    """The report of run_benchmark (a BenchmarkConfig) or, with k
+    criteria, of run_mc_benchmark (an McBenchmarkConfig) on records, one
+    record and one pair at a time.  The split and the training data are
+    the per-record references, every prediction is loop_predict's (an MC
+    criterion it cannot reach takes factored_value), every top-N list is
+    top_n's over the user's items without a training cell, and the
+    metrics are the public functions.  The store and the MC model are the
+    library's, pinned by their own tests.  A test rating that repeats its
+    (user, item) pair is scored as a pair of its own."""
+    train, test = split_train_test(
+        records, SplitSpec(config.train_fraction, config.seed))
+    spec = config.neighborhood
+    if k is None:
+        train = dataset_from_records(train, scale)
+        sims = _build_store(train, config.sim, config.latent_rank, config.seed)
+        ranks = (config.latent_rank,) if config.sim == "latent" else None
+
+        def predict(u, i):
+            got = loop_predict(train, sims, u, i, spec)
+            return None if got is None else (got[0],)
+    else:
+        train = tensor_from_records(train, k, scale)
+        model = build_mc_model(train, config.ranks, config.engine_config())
+        criteria, ranks = model.criteria_data, tuple(config.ranks)
+
+        def predict(u, i):
+            crits = []
+            for c in range(1, k + 1):
+                got = loop_predict(criteria[c - 1], store_for(model, c), u, i,
+                                   spec)
+                crits.append(scale.clamp(factored_value(model, u, i, c))
+                             if got is None else got[0])
+            return (aggregate_overall(model.aggregation, crits, scale), *crits)
+
+    threshold = (RelevanceSpec.default_for(scale) if config.relevance_threshold
+                 is None else RelevanceSpec(config.relevance_threshold)).threshold
+    interesting: dict[str, set[str]] = {}
+    for rec in test:
+        if rec.overall >= threshold:
+            interesting.setdefault(rec.user_id, set()).add(rec.item_id)
+    # a known test pair is one of its user's top-N candidates: scored once
+    predict = functools.cache(predict)
+    mask = train.to_mask()
+    recommendations: dict[str, list[str]] = {}
+    for uid in dict.fromkeys(rec.user_id for rec in test):
+        if train.has_user(uid):
+            u = train.user_index(uid)
+            items = np.flatnonzero(~mask[u])
+            values = np.array([np.nan if (p := predict(u, i)) is None else p[0]
+                               for i in items.tolist()])
+            recommendations[uid] = [train.item_id(i) for i, _ in
+                                    top_n(items, values, config.top_n)]
+    pairs = []      # (predictions, truths): the overall, then the criteria
+    for rec in test:
+        if train.has_user(rec.user_id) and train.has_item(rec.item_id):
+            p = predict(train.user_index(rec.user_id),
+                        train.item_index(rec.item_id))
+            if p is not None:
+                pairs.append((p, (rec.overall, *getattr(rec, "criteria", ()))))
+
+    def errors(c):
+        got = [(p[c], t[c]) for p, t in pairs]
+        return (mae(got), bias(got), rmse(got)) if got else (math.nan,) * 3
+
+    precisions, recalls = [], []    # macro averages over interested users
+    for uid, good in interesting.items():
+        p, r, _ = precision_recall_f1(recommendations.get(uid, []), good)
+        precisions.append(p)
+        recalls.append(r)
+    precision = float(np.mean(precisions)) if precisions else 0.0
+    recall = float(np.mean(recalls)) if recalls else 0.0
+    prediction_coverage, catalog_coverage = coverage(
+        len(test), len(pairs), train.item_ids,
+        set().union(*recommendations.values()))
+    mae_v, bias_v, rmse_v = errors(0)
+    return EvalReport(
+        sim=config.sim, train_fraction=config.train_fraction,
+        seed=config.seed, ranks=ranks, mae=mae_v, bias=bias_v,
+        rmse=rmse_v, precision=precision, recall=recall,
+        f1=0.0 if precision + recall == 0 else
+        2.0 * precision * recall / (precision + recall),
+        prediction_coverage=prediction_coverage,
+        catalog_coverage=catalog_coverage, pair_count=len(pairs),
+        no_prediction_count=len(test) - len(pairs),
+        criteria_mae=tuple(errors(c)[0] for c in range(1, (k or 0) + 1)))

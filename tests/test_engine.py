@@ -1,3 +1,4 @@
+import copy
 import zipfile
 
 import numpy as np
@@ -10,7 +11,6 @@ from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, RatingScale,
 from mccf.engine import (
     AggregationWeights,
     McConfig,
-    McModel,
     ModelFormatError,
     NeighborhoodSpec,
     aggregate_overall,
@@ -282,11 +282,11 @@ def test_build_mc_model_store_layout():
 def _without_neighbors(m):
     """m with stores that have no defined similarity, so that every
     criterion takes the fallback."""
-    empty = tuple(SimilarityStore(s.kind, np.full_like(s.values, NAN),
-                                  s.item_ids)
-                  for s in m.item_similarities)
-    return McModel(m.tensor, m.config, m.tucker, m.slice_means, empty,
-                   m.criteria_data, m.aggregation)
+    model = copy.copy(m)
+    model.item_similarities = tuple(
+        SimilarityStore(s.kind, np.full_like(s.values, NAN), s.item_ids)
+        for s in m.item_similarities)
+    return model
 
 
 def test_factored_rows_preserve_observed_cells():

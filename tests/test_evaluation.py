@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from conftest import random_dataset, traced
-from mccf.core import CriteriaRecord, CriteriaTensor, Dataset, RatingScale, _IndexMap
+from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, RatingRecord,
+                       RatingScale, _IndexMap)
 from mccf.evaluation import (
     _build_store,
     SIM_NAME_MAP,
@@ -607,3 +609,71 @@ def test_unbounded_products_hold_one_items_squared_array(monkeypatch):
         sim="pearson", train_fraction=0.8, seed=1)))
     # a store's build may densify too, but the products' call is the last
     assert held and held[-1] <= 8 * n_items ** 2 + 2 ** 20
+
+
+# ---- the harnesses against the reference protocol ---------------------------
+
+
+@st.composite
+def small_records(draw, k=None):
+    """Up to 12 users x 10 items of ratings on 1-5, in whole or half
+    steps, with k criteria: two fifths to two thirds of the cells rated,
+    some of them more than once."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_users, n_items = rng.integers(2, 13), rng.integers(2, 11)
+    n = rng.integers(n_users * n_items // 2, n_users * n_items + 1)
+    step = draw(st.sampled_from([1, 2]))
+    users, items = rng.integers(0, n_users, n), rng.integers(0, n_items, n)
+    values = rng.integers(step, 5 * step + 1, (n, (k or 0) + 1)) / step
+    if k is None:
+        return [RatingRecord(f"u{u}", f"i{i}", v[0])
+                for u, i, v in zip(users, items, values.tolist())]
+    return [CriteriaRecord(f"u{u}", f"i{i}", tuple(v[1:]), v[0])
+            for u, i, v in zip(users, items, values.tolist())]
+
+
+def _split_both_sides(records, seed):
+    train, test = oracles.split_train_test(records, SplitSpec(0.7, seed))
+    assume(train and test)
+    return train
+
+
+@settings(deadline=None, max_examples=30)
+@given(small_records(), st.sampled_from(sorted(SIM_NAME_MAP)),
+       st.sampled_from([None, 1, 3, 20]), st.integers(0, 2 ** 64 - 1))
+def test_run_benchmark_follows_the_reference_protocol(records, sim, cap, seed):
+    """Capped, the kernel is the loop bit for bit, and so is the report.
+    Unbounded, predict_matrix's products round otherwise: the errors agree
+    to rounding, and the top-N lists are not compared, since a last-bit
+    difference reorders items whose predictions tie."""
+    _split_both_sides(records, seed)
+    config = BenchmarkConfig(sim=sim, train_fraction=0.7, seed=seed, top_n=3,
+                             latent_rank=2, neighborhood=NeighborhoodSpec(cap))
+    got = run_benchmark(records, config)
+    want = oracles.reference_report(records, config)
+    if cap is not None:
+        assert repr(got) == repr(want)
+        return
+    for name in ("mae", "bias", "rmse"):
+        assert getattr(got, name) == pytest.approx(
+            getattr(want, name), rel=1e-12, abs=1e-12, nan_ok=True), name
+    for name in ("pair_count", "no_prediction_count", "prediction_coverage"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@settings(deadline=None, max_examples=15)
+@given(small_records(k=2),
+       st.sampled_from(["latent", "pearson", "adjusted-cosine", "tanimoto"]),
+       st.sampled_from([None, 2]), st.booleans(), st.integers(0, 2 ** 64 - 1))
+def test_run_mc_benchmark_follows_the_reference_protocol(records, sim, cap,
+                                                          pca_option, seed):
+    # every MC prediction runs the kernel, capped or not
+    scale = RatingScale.one_to_five()
+    train = oracles.tensor_from_records(_split_both_sides(records, seed), 2,
+                                        scale)
+    config = McBenchmarkConfig(
+        ranks=(min(2, train.n_users), min(3, train.n_items), 2),
+        train_fraction=0.7, seed=seed, pca_option=pca_option, sim=sim,
+        top_n=3, neighborhood=NeighborhoodSpec(cap))
+    assert repr(run_mc_benchmark(records, config, 2, scale)) == \
+        repr(oracles.reference_report(records, config, 2, scale))

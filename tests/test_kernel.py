@@ -6,6 +6,8 @@ the loop's definedness and support exactly and its values bitwise, since a
 last-digit difference can flip a near-tie in a top-N list.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,6 @@ from conftest import dataset_from_dense
 from mccf.core import CriteriaTensor, RatingScale
 from mccf.engine import (
     McConfig,
-    McModel,
     NeighborhoodSpec,
     _neighborhood,
     batch_predict,
@@ -144,9 +145,9 @@ def _mc_model(kind, spec):
         sim_kind=sim_kind, neighborhood=spec, seed=2))
     if kind != "latent-tied":
         return m
-    return McModel(m.tensor, m.config, m.tucker, m.slice_means,
-                   (_quarter_steps(m.item_similarities[0]),),
-                   m.criteria_data, m.aggregation)
+    model = copy.copy(m)
+    model.item_similarities = (_quarter_steps(m.item_similarities[0]),)
+    return model
 
 
 def test_tied_latent_store_splits_ties_at_the_cap():
@@ -166,14 +167,14 @@ def test_tied_latent_store_splits_ties_at_the_cap():
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_multicriteria_paths_match_loop(kind, spec):
     model = _mc_model(kind, spec)
-    t = model.tensor
+    t, criteria = model.tensor, model.criteria_data
     for u, uid in enumerate(t.user_ids):
         rated = set(t.cells_of(u)[0].tolist())
         scored = []
         for i, iid in enumerate(t.item_ids):
             expect = np.empty(t.k)
             for c in range(1, t.k + 1):
-                got = loop_predict(model.criteria_data[c - 1],
+                got = loop_predict(criteria[c - 1],
                                    store_for(model, c), u, i, spec)
                 value = factored_value(model, u, i, c) if got is None \
                     else got[0]
