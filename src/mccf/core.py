@@ -13,7 +13,7 @@ are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, filterfalse, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -111,11 +111,13 @@ class _IndexMap:
         return len(self.ids)
 
 
-def _factorize(ids) -> tuple[tuple[str, ...], np.ndarray]:
-    """(distinct ids in first-appearance order, code of each entry)."""
+def _codes(code: dict[str, int], ids) -> np.ndarray:
+    """The code of each id; code (id -> code) first gains the ids it lacks,
+    numbered on from len(code) in first-appearance order."""
     ids = list(ids)
-    pos = dict(zip(dict.fromkeys(ids), range(len(ids))))
-    return tuple(pos), np.fromiter(map(pos.__getitem__, ids), np.int64, len(ids))
+    code.update(zip(filterfalse(code.__contains__, dict.fromkeys(ids)),
+                    count(len(code))))
+    return np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +151,9 @@ class _Ratings:
             values[:, 1:] = np.fromiter(chain.from_iterable(column("criteria")),
                                         np.float64, n * k).reshape(n, k)
         values[:, 0] = np.fromiter(column("overall"), np.float64, n)
-        return cls(*_factorize(column("user_id")),
-                   *_factorize(column("item_id")), values)
+        users, items = {}, {}
+        u, i = _codes(users, column("user_id")), _codes(items, column("item_id"))
+        return cls(tuple(users), u, tuple(items), i, values)
 
     def take(self, rows: np.ndarray) -> "_Ratings":
         """The rows a boolean mask keeps, in order, with their timestamps."""
@@ -214,13 +217,16 @@ class _Cells:
     Values hold one row per cell, shaped (cells,) or (cells, width).  Cells
     are kept user-major (by user, then item) with a row pointer, so one
     user's cells are a contiguous slice.  Each (user, item) cell occurs at
-    most once.
+    most once.  __init__ builds and checks every container, slice views
+    included; a view shares its source's read-only index arrays.
     """
 
     def __init__(self, user_map: _IndexMap, item_map: _IndexMap,
                  u_idx: np.ndarray, i_idx: np.ndarray, values: np.ndarray,
                  scale: RatingScale, duplicates: int = 0):
         values = np.asarray(values, dtype=np.float64)
+        if u_idx.dtype.kind not in "iu" or i_idx.dtype.kind not in "iu":
+            raise ValueError("cell index of a non-integer type")
         if not len(u_idx) == len(i_idx) == len(values):
             raise ValueError("cell index and value arrays differ in length")
         _check_scale(values, scale)
@@ -237,8 +243,10 @@ class _Cells:
             if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("repeated (user, item) cell")
             u_idx, i_idx, values = u_idx[order], i_idx[order], values[order]
-        else:
-            u_idx, i_idx, values = u_idx.copy(), i_idx.copy(), values.copy()
+        else:   # a read-only array owning its data is another container's own
+            u_idx, i_idx = (x.copy() if x.flags.writeable or x.base is not None
+                            else x for x in (u_idx, i_idx))
+            values = values.copy()
         self._users = user_map
         self._items = item_map
         self.scale = scale
@@ -310,19 +318,11 @@ class _Cells:
             return vals[pos]
         return None
 
-    def _dataset(self, values: np.ndarray, duplicates: int = 0) -> "Dataset":
+    def _dataset(self, values: np.ndarray) -> "Dataset":
         """A Dataset of these cells holding a copy of values, one per cell
-        in user-major order, sharing the index maps and the checked,
-        read-only index arrays rather than copying and checking them."""
-        values = np.array(values, dtype=np.float64)
-        _check_scale(values, self.scale)
-        values.setflags(write=False)
-        d = Dataset.__new__(Dataset)        # the fields _Cells.__init__ sets
-        d._users, d._items, d.scale, d.duplicates = (self._users, self._items,
-                                                     self.scale, duplicates)
-        d._u_idx, d._i_idx, d._values, d._u_ptr = (self._u_idx, self._i_idx,
-                                                   values, self._u_ptr)
-        return d
+        in user-major order, under the same index maps and arrays."""
+        return Dataset(self._users, self._items, self._u_idx, self._i_idx,
+                       values, self.scale)
 
     def _ratings(self) -> _Ratings:
         """The cells as a batch, user-major."""
@@ -365,16 +365,6 @@ class Dataset(_Cells):
         batch = _Ratings.of_records(records)
         umap, imap, u_idx, i_idx, rows, dups = _index(batch)
         return cls(umap, imap, u_idx, i_idx, batch.values[rows, 0], scale, dups)
-
-    def with_cell_values(self, values: np.ndarray) -> "Dataset":
-        """Same observed cells and index maps, with one new value per cell
-        in user-major order.  Keeps similarity/prediction indices aligned
-        when ratings are swapped for reconstructed ones."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self._values.shape:
-            raise ValueError(f"expected {self._values.shape} cell values, "
-                             f"got {values.shape}")
-        return self._dataset(values, self.duplicates)
 
     @property
     def n_ratings(self) -> int:
@@ -423,20 +413,20 @@ class CriteriaTensor(_Cells):
     construction (the source data gives no semantics for them).
     """
 
-    def __init__(self, user_map: _IndexMap, item_map: _IndexMap, k: int,
+    def __init__(self, user_map: _IndexMap, item_map: _IndexMap,
                  u_idx: np.ndarray, i_idx: np.ndarray, values: np.ndarray,
                  scale: RatingScale, duplicates: int = 0):
-        if k < 1 or np.shape(values)[1:] != (k + 1,):
-            raise ValueError(f"need k >= 1 and cell values (cells, {k + 1})")
+        if np.ndim(values) != 2 or np.shape(values)[1] < 2:
+            raise ValueError(f"need k >= 1: cell values (cells, k + 1), got {np.shape(values)}")
         super().__init__(user_map, item_map, u_idx, i_idx, values, scale, duplicates)
-        self.k = k
+        self.k = self._values.shape[1] - 1
 
     @classmethod
     def from_records(cls, records: Iterable[CriteriaRecord], k: int,
                      scale: RatingScale) -> "CriteriaTensor":
         batch = _Ratings.of_records(records, k)
         umap, imap, u_idx, i_idx, rows, dups = _index(batch)
-        return cls(umap, imap, k, u_idx, i_idx, batch.values[rows], scale, dups)
+        return cls(umap, imap, u_idx, i_idx, batch.values[rows], scale, dups)
 
     @property
     def n_cells(self) -> int:
@@ -449,17 +439,14 @@ class CriteriaTensor(_Cells):
         """Copy of all cell values, one row per cell: [overall, c1..ck]."""
         return self._values.copy()
 
-    def _slice_dataset(self, s: int) -> Dataset:
-        return self._dataset(self._values[:, s])
-
 
 def overall_slice(t: CriteriaTensor) -> Dataset:
     """Slice 0 of every cell as a Dataset with identical index maps."""
-    return t._slice_dataset(0)
+    return t._dataset(t.values[:, 0])
 
 
 def criteria_slice(t: CriteriaTensor, c: int) -> Dataset:
     """Slice c (1..k) of every cell; slice 0 is the overall, not a criterion."""
     if not 1 <= c <= t.k:
         raise IndexError(f"criterion index {c} out of range 1..{t.k}")
-    return t._slice_dataset(c)
+    return t._dataset(t.values[:, c])

@@ -606,9 +606,9 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     cells, index = a.pop("cells"), a.pop("cell_index")
     if index.shape != (len(cells), 2):
         raise ValueError("cell index does not match the cells")
-    # the constructor rejects out-of-range and repeated cells
+    # the constructor rejects non-integer, out-of-range and repeated cells
     tensor = CriteriaTensor(_IndexMap(a.pop("user_ids").tolist()),
-                            _IndexMap(a.pop("item_ids").tolist()), cells.shape[1] - 1,
+                            _IndexMap(a.pop("item_ids").tolist()),
                             index[:, 0], index[:, 1], cells, scale)
     del cells, index
 
@@ -619,6 +619,8 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     if tucker.core.ndim != 3 or tuple(f.shape for f in tucker.factors) != \
             tuple(zip(dims, tucker.core.shape)):
         raise ValueError("Tucker factors do not match the tensor and core")
+    if not all(np.isfinite(x).all() for x in (tucker.core, *tucker.factors)):
+        raise ValueError("non-finite Tucker core or factor")
     check_cell_budget(mc_build_cells(tensor, tucker.core.shape, config))
     # the PCA option's slice means come from the cells, as in the build
     slice_means = _cells_of(tensor, center=True).means if config.pca_option else None

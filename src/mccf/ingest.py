@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from itertools import compress, count, filterfalse, islice
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
@@ -29,6 +29,7 @@ from .core import (
     RatingScale,
     _Ratings,
     _check_scale,
+    _codes,
 )
 
 MOVIELENS_SCALE = RatingScale.one_to_five()
@@ -88,8 +89,7 @@ def _parse(source, sep: str, data, row, scale: RatingScale, n: int,
     on any failure the per-line row(line number, line) reruns the piece,
     raising its first bad line's ParseError (or taking what only it takes:
     grade labels).  Holding its output and one piece, a 1M-line
-    MovieLens-1M-shaped file peaks at 62.1 MiB traced for 60.6 MiB held
-    (367.7 MiB with the whole input's strings)."""
+    MovieLens-1M-shaped file peaks at 62.1 MiB traced for 60.6 MiB held."""
     width = 2 + n + stamped
     codes: tuple[dict[str, int], dict[str, int]] = ({}, {})     # id -> code
     u, i, values = array("q"), array("q"), array("d")    # grown piece by piece
@@ -101,11 +101,7 @@ def _parse(source, sep: str, data, row, scale: RatingScale, n: int,
         if stamped:
             stamps.extend([int(t) for t in cols[-1]])
         for column, code, out in zip(cols, codes, (u, i)):
-            column = list(map(str.strip, column))
-            code.update(zip(filterfalse(code.__contains__, dict.fromkeys(column)),
-                            count(len(code))))
-            out.frombytes(np.fromiter(map(code.__getitem__, column), np.int64,
-                                      len(column)).tobytes())
+            out.frombytes(_codes(code, map(str.strip, column)).tobytes())
         values.frombytes(np.roll(rated, 1, axis=0).T.tobytes())  # the overall first
 
     def columnar(kept: list[str]) -> bool:
@@ -235,8 +231,7 @@ def _train_mask(batch: _Ratings, spec: SplitSpec) -> np.ndarray:
     blake2b hash of its ids keyed on the seed, read as a point in [0, 1),
     lies below the fraction.  Keyed on ids, not file order, and stable
     across platforms and processes, unlike hash().  Hashing _CHUNK pairs at
-    a time, it peaks at 52.6 MiB at MovieLens-1M shape (114.0 MiB with
-    every digest held)."""
+    a time, it peaks at 52.6 MiB at MovieLens-1M shape."""
     width = len(batch.item_ids)
     pairs, inverse = np.unique(batch.u * width + batch.i, return_inverse=True)
     keyed = hashlib.blake2b(key=spec.seed.to_bytes(8, "little"), digest_size=8)

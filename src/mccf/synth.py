@@ -79,7 +79,7 @@ def generate_tensor(spec: SyntheticTensorSpec) -> CriteriaTensor:
     cells = np.divmod(np.arange(spec.n_users * spec.n_items), spec.n_items)
     return CriteriaTensor(_IndexMap([f"u{u + 1}" for u in range(spec.n_users)]),
                           _IndexMap([f"i{i + 1}" for i in range(spec.n_items)]),
-                          spec.n_criteria, *cells,
+                          *cells,
                           full.reshape(-1, spec.n_criteria + 1), SYNTH_SCALE)
 
 

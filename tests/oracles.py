@@ -476,7 +476,7 @@ def tensor_from_records(records, k: int, scale) -> CriteriaTensor:
     umap, imap, u_idx, i_idx, kept, dups = index_records(records)
     vals = np.array([(rec.overall, *rec.criteria) for rec in kept],
                     dtype=np.float64).reshape(len(kept), k + 1)
-    return CriteriaTensor(umap, imap, k, u_idx, i_idx, vals, scale, dups)
+    return CriteriaTensor(umap, imap, u_idx, i_idx, vals, scale, dups)
 
 
 # ---- the record edge -------------------------------------------------------

@@ -139,11 +139,17 @@ def test_constructors_reject_bad_cells():
             Dataset(users, items, u_idx, i_idx, np.array([1.0, 2.0]),
                     ONE_TO_FIVE)
         with pytest.raises(ValueError):
-            CriteriaTensor(users, items, 1, u_idx, i_idx, np.ones((2, 2)),
+            CriteriaTensor(users, items, u_idx, i_idx, np.ones((2, 2)),
                            ONE_TO_FIVE)
     with pytest.raises(ValueError):
         Dataset(users, items, np.array([0, 1]), np.array([0, 1]),
                 np.array([1.0]), ONE_TO_FIVE)
+    # index arrays of a type that would not index, or would mask
+    for bad in (np.array([0.0, 1.0]), np.array([False, True])):
+        for u_idx, i_idx in ((bad, np.array([0, 1])), (np.array([0, 1]), bad)):
+            with pytest.raises(ValueError, match="non-integer"):
+                Dataset(users, items, u_idx, i_idx, np.array([1.0, 2.0]),
+                        ONE_TO_FIVE)
     with pytest.raises(ValueError, match="duplicate"):
         _IndexMap(["a", "b", "a"])
 
@@ -161,28 +167,29 @@ def test_unsorted_cells_are_sorted_or_rejected():
                 np.array([1.0, 2.0]), ONE_TO_FIVE)
     sorted_u[0] = 2
     assert d.items_of(0)[0].tolist() == [1]
+    # so is a read-only view of an array the caller can still write
+    sorted_u = np.array([0, 1])
+    view = sorted_u[:]
+    view.setflags(write=False)
+    d = Dataset(users, items, view, np.array([1, 0]), np.array([1.0, 2.0]),
+                ONE_TO_FIVE)
+    sorted_u[0] = 2
+    assert d.cell_index()[0].tolist() == [0, 1]
     # a repeated cell, apart (unsorted) or adjacent (otherwise sorted)
     for u_idx, i_idx in (([0, 1, 0], [1, 0, 1]), ([0, 0, 1], [1, 1, 0])):
         with pytest.raises(ValueError, match="repeated"):
-            CriteriaTensor(users, items, 1, np.array(u_idx), np.array(i_idx),
+            CriteriaTensor(users, items, np.array(u_idx), np.array(i_idx),
                            np.ones((3, 2)), ONE_TO_FIVE)
 
 
-def test_with_cell_values():
-    d = Dataset.from_records(RECORDS, ONE_TO_FIVE)
-    values = 1.5 + np.arange(d.n_ratings) / 2
-    replaced = d.with_cell_values(values)
-    assert replaced.user_ids == d.user_ids
-    assert replaced.item_ids == d.item_ids
-    assert np.array_equal(replaced.to_mask(), d.to_mask())
-    assert np.array_equal(replaced.values, values)
-    users, items = d.cell_index()
-    for n, (u, i) in enumerate(zip(users.tolist(), items.tolist())):
-        assert replaced.rating(u, i) == values[n]
+def test_view_rejects_bad_values():
+    # a view is built by the one constructor, so its values are checked
+    t = CriteriaTensor.from_records(MC_RECORDS, 3, ONE_TO_FIVE)
+    assert np.array_equal(t._dataset(t.values[:, 2]).values, t.values[:, 2])
     with pytest.raises(ValueError):
-        d.with_cell_values(values[1:])
+        t._dataset(t.values[1:, 0])
     with pytest.raises(ValueError):
-        d.with_cell_values(np.zeros(d.n_ratings))    # outside the scale
+        t._dataset(np.zeros(t.n_cells))     # outside the scale
 
 
 def test_stats():
@@ -247,6 +254,15 @@ def test_tensor_wrong_arity():
     with pytest.raises(ValueError, match="k >= 1"):
         CriteriaTensor.from_records([CriteriaRecord("a", "x", (), 3.0)], 0,
                                     ONE_TO_FIVE)
+    # the constructor reads k from the values' width
+    users, items = _IndexMap(["a", "b"]), _IndexMap(["x"])
+    cells = np.array([0, 1]), np.array([0, 0])
+    for width in (2, 3, 5):
+        t = CriteriaTensor(users, items, *cells, np.ones((2, width)), ONE_TO_FIVE)
+        assert t.k == width - 1
+    for values in (np.ones((2, 1)), np.ones(2)):
+        with pytest.raises(ValueError, match="k >= 1"):
+            CriteriaTensor(users, items, *cells, values, ONE_TO_FIVE)
 
 
 def test_cell_matrix_layout():
@@ -270,6 +286,11 @@ def test_slices_share_index_maps():
     dense = t.to_dense()
     assert np.array_equal(overall.to_dense(), dense[:, :, 0], equal_nan=True)
     assert np.array_equal(c2.to_dense(), dense[:, :, 2], equal_nan=True)
+    # a view keeps the tensor's read-only index arrays, not its values
+    for view in (overall, c2):
+        for mine, its in zip(view.cell_index(), t.cell_index()):
+            assert np.shares_memory(mine, its)
+        assert not np.shares_memory(view.values, t.values)
 
 
 def test_criteria_slice_range():

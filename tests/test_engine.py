@@ -512,6 +512,9 @@ def test_load_rejects_corrupt_file(tmp_path):
     index = good["cell_index"].copy()
     index[1] = index[0]
     assert_rejected(cell_index=index)
+    # indices that would not index, or would mask
+    assert_rejected(cell_index=good["cell_index"] + 0.25)
+    assert_rejected(cell_index=good["cell_index"] > 0)
     assert_rejected(config=np.array(["off", "dice", "10"]))
     assert_rejected(config=np.array(["yes", "latent_cosine", "10"]))
     # schema 4's config also stored the impute strategy
@@ -536,6 +539,12 @@ def test_load_rejects_corrupt_file(tmp_path):
     assert_rejected(core=good["core"][:1])
     # cells without criteria, even with a matching mode-3 factor
     assert_rejected(cells=good["cells"][:, :1], factor3=good["factor3"][:1])
+    # a non-finite core or factor entry, which every score would carry
+    for key in ("core", "factor1", "factor2", "factor3"):
+        for value in (np.inf, np.nan):
+            bad = good[key].copy()
+            bad.flat[0] = value
+            assert_rejected(**{key: bad})
 
 
 def test_hosvd_budget_checked_before_any_dense_copy(monkeypatch):
@@ -544,7 +553,7 @@ def test_hosvd_budget_checked_before_any_dense_copy(monkeypatch):
     n = 15_000
     ids = _IndexMap([str(x) for x in range(n)])
     diagonal = np.arange(n)
-    t = CriteriaTensor(ids, ids, 1, diagonal, diagonal, np.full((n, 2), 3.0),
+    t = CriteriaTensor(ids, ids, diagonal, diagonal, np.full((n, 2), 3.0),
                        RatingScale.one_to_five())
 
     def dense_copy(*args, **kwargs):
@@ -595,7 +604,7 @@ def test_budget_admits_no_build_a_store_rejects(monkeypatch):
     n_users, n_items, ranks = 2000, 200, (2, 2, 2)
     users = np.arange(n_users)
     t = CriteriaTensor(_IndexMap([f"u{u}" for u in users]),
-                       _IndexMap([f"i{i}" for i in range(n_items)]), 1,
+                       _IndexMap([f"i{i}" for i in range(n_items)]),
                        users, users % n_items,
                        rng.integers(1, 6, size=(n_users, 2)).astype(float),
                        RatingScale.one_to_five())
@@ -621,7 +630,7 @@ def test_sparse_build_peaks_below_one_dense_copy():
     n_users, n_items, n_cells = 2000, 1500, 30_000
     flat = rng.choice(n_users * n_items, size=n_cells, replace=False)
     t = CriteriaTensor(_IndexMap([f"u{x}" for x in range(n_users)]),
-                       _IndexMap([f"i{x}" for x in range(n_items)]), 4,
+                       _IndexMap([f"i{x}" for x in range(n_items)]),
                        flat // n_items, flat % n_items,
                        rng.integers(1, 6, size=(n_cells, 5)).astype(float),
                        RatingScale.one_to_five())

@@ -46,7 +46,7 @@ def _tensor(shape):
     flat = rng.choice(n_users * n_items, n_users * n_items // 10,
                       replace=False)
     return CriteriaTensor(_IndexMap([f"u{x}" for x in range(n_users)]),
-                          _IndexMap([f"i{x}" for x in range(n_items)]), 1,
+                          _IndexMap([f"i{x}" for x in range(n_items)]),
                           flat // n_items, flat % n_items,
                           rng.integers(1, 6, (len(flat), 2)).astype(float),
                           RatingScale.one_to_five())
