@@ -33,7 +33,6 @@ from .core import (
 )
 from .engine import (
     McConfig,
-    _cells_of,
     build_mc_model,
     mc_recommend_top_n,
     recommend_top_n,
@@ -59,8 +58,8 @@ from .ingest import (
     write_movielens,
     write_multicriteria,
 )
-from .linalg import (check_cell_budget, hosvd, impute_missing, pca, pca_cells,
-                     truncated_svd)
+from .linalg import (CellTensor, check_cell_budget, hosvd, impute_missing, pca,
+                     pca_cells, truncated_svd)
 
 SIM_CHOICES = tuple(SIM_NAME_MAP)
 TABLE_SIMS = ("pearson", "euclidean", "loglikelihood", "tanimoto")
@@ -189,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim", choices=SIM_CHOICES, required=True)
     p.add_argument("--train-fraction", type=_fraction, default=0.7)
     p.add_argument("--ranks", type=_ranks, default=None,
-                   help="latent rank for --sim latent (default 8)")
+                   help="latent rank for --sim latent "
+                        f"(default {BenchmarkConfig.latent_rank})")
     p.add_argument("--output", default=None, help="also write the report here")
 
     p = verb("sweep", _cmd_sweep, [data, bench],
@@ -284,6 +284,18 @@ def _load(args, matrix: bool = False):
     return Dataset.from_records(batch, _scale_of(args)) if matrix else batch
 
 
+def _check_ranks(data, ranks: tuple[int, ...]):
+    """data, once each --ranks value is checked against its dimensions: a
+    tensor's one per mode, a matrix's one against both (the zip repeats
+    it).  Empty input is left to the fill's and the split's own errors."""
+    dims = (data.n_users, data.n_items) + ((data.k + 1,) if len(ranks) == 3 else ())
+    if 0 < min(dims) and any(r > n for r, n in zip(ranks * 2, dims)):
+        raise UsageError(f"rank {','.join(map(str, ranks))} exceeds "
+                         f"{'tensor' if len(dims) == 3 else 'matrix'} "
+                         f"dimensions {dims}")
+    return data
+
+
 def _emit(text: str, output: str | None) -> None:
     print(text)
     if output:
@@ -319,27 +331,22 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    data = _load(args, matrix=True)
+    data = _check_ranks(_load(args, matrix=True), args.ranks)
     if args.format == "mc-csv":
-        model = hosvd(_cells_of(data), args.ranks, seed=args.seed)
+        model = hosvd(CellTensor(data), args.ranks, seed=args.seed)
         arrays = {"decomposition": "hosvd", "core": model.core,
                   "factor1": model.factors[0], "factor2": model.factors[1],
                   "factor3": model.factors[2]}
     else:
         # only PCA forms the filled matrix; the SVD factors it from the cells
-        rank, pca_on = args.ranks[0], args.pca_option == "on"
-        dims = (data.n_users, data.n_items)
-        if pca_on:
-            check_cell_budget(pca_cells(dims))
-        if 0 < min(dims) < rank:     # the fill rejects an empty matrix
-            raise UsageError(f"rank {rank} exceeds matrix dimensions {dims}")
-        if pca_on:
-            model = pca(impute_missing(data.to_dense()), rank)
+        if args.pca_option == "on":
+            check_cell_budget(pca_cells((data.n_users, data.n_items)))
+            model = pca(impute_missing(data.to_dense()), args.ranks[0])
             arrays = {"decomposition": "pca", "mean": model.mean,
                       "eigenvalues": model.eigenvalues,
                       "components": model.components}
         else:
-            model = truncated_svd(_cells_of(data), rank, seed=args.seed)
+            model = truncated_svd(CellTensor(data), args.ranks[0], seed=args.seed)
             arrays = {"decomposition": "svd", "sigma": model.sigma,
                       "u": model.u, "v": model.v}
     # an open handle keeps np.savez from appending ".npz" to the name
@@ -353,7 +360,7 @@ def _cmd_evaluate(args) -> int:
     config = BenchmarkConfig(
         sim=args.sim, train_fraction=args.train_fraction, seed=args.seed,
         top_n=args.top_n, relevance_threshold=args.relevance_threshold,
-        latent_rank=args.ranks[0] if args.ranks else 8)
+        latent_rank=args.ranks[0] if args.ranks else BenchmarkConfig.latent_rank)
     # a tensor contributes its overall ratings
     report = run_benchmark(_load(args), config, _scale_of(args))
     _emit(report.to_text(), args.output)
@@ -378,11 +385,11 @@ def _cmd_recommend(args) -> int:
         config = McConfig(pca_option=args.pca_option == "on",
                           sim_kind=SIM_NAME_MAP[args.sim or "latent"],
                           seed=args.seed)
-        model = build_mc_model(data, args.ranks, config)
+        model = build_mc_model(_check_ranks(data, args.ranks), args.ranks, config)
         top = mc_recommend_top_n(model, args.user, args.top_n)
     else:
-        sims = _build_store(data, args.sim or "pearson",
-                            args.ranks[0] if args.ranks else 8, args.seed)
+        latent = args.ranks[0] if args.ranks else BenchmarkConfig.latent_rank
+        sims = _build_store(data, args.sim or "pearson", latent, args.seed)
         top = recommend_top_n(data, sims, args.user, args.top_n)
     lines = [f"{rank} {item} {value:.4f}"
              for rank, (item, value) in enumerate(top, start=1)]
@@ -398,7 +405,7 @@ def _cmd_mc_evaluate(args) -> int:
         ranks=args.ranks, train_fraction=args.train_fraction, seed=args.seed,
         pca_option=args.pca_option == "on", sim=args.sim, top_n=args.top_n,
         relevance_threshold=args.relevance_threshold)
-    report = run_mc_benchmark(_load(args), config)
+    report = run_mc_benchmark(_check_ranks(_load(args), args.ranks), config)
     _emit(report.to_text(), args.output)
     return 0
 

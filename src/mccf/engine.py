@@ -33,7 +33,6 @@ from .core import (
     RatingScale,
     _IndexMap,
     criteria_slice,
-    overall_slice,
 )
 from .linalg import (CellTensor, TuckerModel, cell_factoring_cells,
                      check_cell_budget, hosvd)
@@ -387,8 +386,7 @@ class McModel:
     def _stores(self) -> tuple[SimilarityStore, ...]:
         t, kind = self.tensor, self.config.sim_kind
         if kind == "latent_cosine":
-            return (item_similarity_matrix(overall_slice(t), kind,
-                                           model=self.tucker),)
+            return (item_similarity_matrix(t, kind, model=self.tucker),)
         # each slice's observed cells with their reconstructed values,
         # clamped: a truncated reconstruction may overshoot the scale
         users, items = t.cell_index()
@@ -437,21 +435,15 @@ def mc_build_cells(t: CriteriaTensor, ranks: tuple[int, int, int],
             + ranks[0] * t.n_items * (t.k + 1) + 3 * t.k * t.n_cells + stores)
 
 
-def _cells_of(d: Dataset | CriteriaTensor, center: bool = False) -> CellTensor:
-    """d's CellTensor: one slice for a Dataset, k+1 for a tensor."""
-    return CellTensor((d.n_users, d.n_items, getattr(d, "k", 0) + 1),
-                      *d.cell_index(), d.values, center=center)
-
-
 def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
                    config: McConfig = McConfig()) -> McModel:
     """(Impute -> center) -> HOSVD -> similarities -> weights.
 
     The imputed (and centred) tensor is never formed: hosvd factors it
-    from the cells and the fill (linalg.CellTensor).
+    from t's cells, read in place, and the fill (linalg.CellTensor).
     """
     check_cell_budget(mc_build_cells(t, ranks, config))
-    cells = _cells_of(t, config.pca_option)
+    cells = CellTensor(t, config.pca_option)
     tucker, slice_means = hosvd(cells, ranks, seed=config.seed), cells.means
     del cells       # freed before the stores are built
     return McModel(t, config, tucker, slice_means)
@@ -623,5 +615,5 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
         raise ValueError("non-finite Tucker core or factor")
     check_cell_budget(mc_build_cells(tensor, tucker.core.shape, config))
     # the PCA option's slice means come from the cells, as in the build
-    slice_means = _cells_of(tensor, center=True).means if config.pca_option else None
+    slice_means = CellTensor(tensor, center=True).means if config.pca_option else None
     return McModel(tensor, config, tucker, slice_means)

@@ -32,7 +32,6 @@ from .engine import (
     McConfig,
     NeighborhoodSpec,
     _aggregate_rows,
-    _cells_of,
     _criteria_rows,
     _groups,
     _positive_weights,
@@ -44,7 +43,8 @@ from .engine import (
     products_cells,
 )
 from .ingest import MOVIELENS_SCALE, SplitSpec, _parse_movielens, _train_mask
-from .linalg import cell_factoring_cells, check_cell_budget, truncated_svd
+from .linalg import (CellTensor, cell_factoring_cells, check_cell_budget,
+                     truncated_svd)
 from .similarity import item_similarity_matrix, store_cells
 
 # CLI-facing measure names -> similarity-module kinds
@@ -247,7 +247,7 @@ def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
     # the factoring from the cells, then the store, before either runs
     check_cell_budget(_build_store_cells(train, sim, latent_rank))
     rank = min(latent_rank, train.n_users, train.n_items)
-    model = truncated_svd(_cells_of(train), rank, seed=seed)
+    model = truncated_svd(CellTensor(train), rank, seed=seed)
     return item_similarity_matrix(train, "latent_cosine", model=model)
 
 

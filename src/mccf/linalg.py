@@ -10,9 +10,9 @@ factor from the mode unfolding with the same sketch, forming only the left
 singular vectors, and forms the core by np.tensordot mode products with the
 factor transposes; one QR completes a factor the data cannot fill.  A
 CellTensor, an item-mean-filled (and optionally centred) tensor known by
-its observed cells, is factored from those cells and its fill and is never
-formed; its factors agree with the dense tensor's to rounding.
-truncated_svd takes a rating matrix the same way, as a one-slice CellTensor.
+the observed cells of a Dataset or CriteriaTensor, is factored from those
+cells and its fill and is never formed; its factors agree with the dense
+tensor's to rounding.  truncated_svd takes a Dataset's one-slice CellTensor.
 
 Conventions used throughout:
   - matrices are float64 ndarrays; tensors are 3-d ndarrays
@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import CriteriaTensor, Dataset
 
 # Relative cutoff below which a singular value is treated as exactly zero.
 SIGMA_CUTOFF = 1e-12
@@ -305,7 +307,8 @@ def _segment_sums(ptr: np.ndarray, rows, tail: tuple[int, ...]) -> np.ndarray:
 
 
 class CellTensor:
-    """A (users, items, slices) tensor known by its observed cells.
+    """The (users, items, slices) tensor of a Dataset (one slice) or a
+    CriteriaTensor (k+1), read in place from the container's cells.
 
     Each slice is filled elsewhere as impute_missing(..., "item_mean")
     fills a matrix: an item's mean over its cells, or the slice's mean
@@ -322,21 +325,17 @@ class CellTensor:
     Tibshirani, JMLR 11, 2010), so no users x items array is ever formed.
     """
 
-    def __init__(self, shape: tuple[int, int, int], users: np.ndarray,
-                 items: np.ndarray, values: np.ndarray, center: bool = False):
-        n_users, n_items, slices = self.shape = tuple(shape)
-        values = np.asarray(values, dtype=np.float64).reshape(-1, slices)
+    def __init__(self, cells: Dataset | CriteriaTensor, center: bool = False):
+        (users, items), values = cells.cell_index(), cells._ratings().values
+        n_users, n_items, slices = self.shape = (cells.n_users, cells.n_items,
+                                                 values.shape[1])
         self.n_cells = len(values)
         if not self.n_cells:
             raise ValueError(f"{'tensor' if slices > 1 else 'matrix'} "
                              "has no observed cells")
-        if np.any(users[1:] < users[:-1]):
-            by_user = np.argsort(users, kind="stable")
-            users, items, values = users[by_user], items[by_user], values[by_user]
         by_item = np.argsort(items, kind="stable")
-        self._u_ptr = users.searchsorted(np.arange(n_users + 1))
+        self._u_ptr, self._items = cells._u_ptr, items
         self._i_ptr = items[by_item].searchsorted(np.arange(n_items + 1))
-        self._users, self._items = users, items
 
         count = np.diff(self._i_ptr)[:, None]
         grouped = values[by_item]

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import CriteriaTensor, Dataset
 from .linalg import FactorModel, TuckerModel, check_cell_budget
 
 RATING_KINDS = ("pearson", "adjusted_cosine", "cosine", "euclidean")
@@ -317,13 +317,14 @@ def _dense_store(d: Dataset, kind: str) -> np.ndarray:
     return out
 
 
-def item_similarity_matrix(d: Dataset, kind: str, *,
+def item_similarity_matrix(d: Dataset | CriteriaTensor, kind: str, *,
                            model: FactorModel | TuckerModel | None = None
                            ) -> SimilarityStore:
     """All defined pairwise similarities with enough co-raters.
 
     ``kind="latent_cosine"`` requires a factor model and ignores
-    co-rating counts (latent vectors exist for every item).
+    co-rating counts (latent vectors exist for every item); it reads only
+    d's shape and item ids, so d may be a CriteriaTensor.
     """
     if kind not in SIMILARITY_KINDS:
         raise ValueError(f"unknown similarity kind {kind!r}")

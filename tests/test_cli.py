@@ -182,21 +182,34 @@ def test_decompose_all_modes(data_dir, tmp_path, capsys):
 
 def test_decompose_rank_above_matrix_dims_is_a_usage_error(data_dir, tmp_path,
                                                            monkeypatch, capsys):
-    # ratings.tsv is 30 users x 14 items; the rank is rejected before the
-    # PCA's dense fill or the SVD's cells are formed
+    # ratings.tsv is 30 users x 14 items, mc.csv 30 x 14 x 4 slices; a rank
+    # is rejected before the PCA's dense fill or any CellTensor is formed
     def fill(*args, **kwargs):
         raise AssertionError("matrix filled before the rank check")
 
     monkeypatch.setattr(Dataset, "to_dense", fill)
-    monkeypatch.setattr("mccf.cli._cells_of", fill)
+    monkeypatch.setattr(CriteriaTensor, "to_dense", fill)
+    monkeypatch.setattr("mccf.cli.CellTensor", fill)
+    monkeypatch.setattr("mccf.engine.CellTensor", fill)
+    out = tmp_path / "out.npz"
     for pca_flag in ([], ["--pca-option", "on"]):
-        out = tmp_path / "out.npz"
         code, _, err = run(["decompose", "--input", str(data_dir / "ratings.tsv"),
                             "--ranks", "15", *pca_flag, "--seed", "1",
                             "--output", str(out)], capsys)
         assert code == 1, err
         assert "rank 15 exceeds matrix dimensions (30, 14)" in err
         assert not out.exists()
+    mc = ["--input", str(data_dir / "mc.csv"), "--format", "mc-csv",
+          "--criteria", "3", "--seed", "1"]
+    for verb in (["decompose", "--output", str(out)],
+                 ["recommend", "--user", "u1"],
+                 ["mc-evaluate", "--train-fraction", "0.8"]):
+        for ranks in ("31,2,2", "2,15,2", "2,2,5"):
+            code, _, err = run(verb[:1] + mc + verb[1:] + ["--ranks", ranks],
+                               capsys)
+            assert code == 1, (verb, err)
+            assert f"rank {ranks} exceeds tensor dimensions (30, 14, 4)" in err
+    assert not out.exists()
 
 
 def test_evaluate_prints_report(data_dir, capsys):

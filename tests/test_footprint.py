@@ -11,13 +11,12 @@ import pytest
 
 from conftest import dataset_from_dense, traced
 from mccf.core import CriteriaTensor, Dataset, RatingScale, _IndexMap
-from mccf.engine import (McConfig, _cells_of, build_mc_model, load_model,
-                         mc_build_cells, predict_matrix, products_cells,
-                         save_model)
+from mccf.engine import (McConfig, build_mc_model, load_model, mc_build_cells,
+                         predict_matrix, products_cells, save_model)
 from mccf.evaluation import (BenchmarkConfig, _build_store, _build_store_cells,
                              _evaluate, _split)
-from mccf.linalg import (cell_factoring_cells, dense_hosvd_cells, hosvd,
-                         impute_missing, pca, pca_cells, truncated_svd)
+from mccf.linalg import (CellTensor, cell_factoring_cells, dense_hosvd_cells,
+                         hosvd, impute_missing, pca, pca_cells, truncated_svd)
 from mccf.similarity import (RATING_KINDS, SET_KINDS, _BLOCK, _float32_exact,
                              item_similarity_matrix, store_cells)
 
@@ -69,7 +68,7 @@ def _latent_store(shape):
 
 def _cells_svd(shape):
     d = _ratings(shape)
-    return (lambda: truncated_svd(_cells_of(d), 8, seed=1),
+    return (lambda: truncated_svd(CellTensor(d), 8, seed=1),
             cell_factoring_cells((*shape, 1), d.n_ratings, (8, 8, 1)), 0)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from mccf.core import CriteriaTensor, Dataset, RatingScale, _IndexMap
 from mccf.linalg import (
     CellTensor,
     FactorModel,
@@ -274,8 +275,8 @@ def test_hosvd_validation(monkeypatch):
     with pytest.raises(ValueError):
         hosvd(t, (4, 1, 1))
     with pytest.raises(ValueError, match="no observed cells"):
-        CellTensor((2, 2, 2), np.array([], dtype=np.intp),
-                   np.array([], dtype=np.intp), np.empty((0, 2)))
+        CellTensor(_container((2, 2, 2), np.array([], dtype=np.intp),
+                              np.array([], dtype=np.intp), np.empty((0, 2))))
     # a dense tensor is admitted at exactly its factoring's cells and
     # rejected at one cell fewer, before any unfolding of it is formed
     monkeypatch.setattr("mccf.linalg.DENSE_CELL_BUDGET",
@@ -336,6 +337,31 @@ def _observed_cells(rng, dims):
     return flat // n_items, flat % n_items, values
 
 
+def _container(dims, users, items, values):
+    """The Dataset (one slice) or CriteriaTensor of these cells on the 1-5
+    scale, which sorts them user-major; index x is id str(x)."""
+    maps = [_IndexMap([str(x) for x in range(n)]) for n in dims[:2]]
+    if dims[2] == 1:
+        return Dataset(*maps, users, items, values[:, 0],
+                       RatingScale.one_to_five())
+    return CriteriaTensor(*maps, users, items, values, RatingScale.one_to_five())
+
+
+def test_cell_tensor_reads_its_container():
+    # the container owns the cells' user-major order and row pointer: the
+    # CellTensor holds its arrays, not copies, and a Dataset is one slice
+    rng = np.random.default_rng(29)
+    for dims in ((6, 5, 1), (6, 5, 3)):
+        d = _container(dims, *_observed_cells(rng, dims))
+        cells = CellTensor(d)
+        assert cells.shape == dims and cells.n_cells == len(d.values)
+        assert cells._u_ptr is d._u_ptr
+        assert cells._items is d.cell_index()[1]
+        empty = np.array([], dtype=np.intp)
+        with pytest.raises(ValueError, match="no observed cells"):
+            CellTensor(_container(dims, empty, empty, np.empty((0, dims[2]))))
+
+
 def _filled(dims, users, items, values, center):
     """The dense tensor a CellTensor stands for: each slice imputed by
     impute_missing with item means, then centred on its means over users
@@ -363,7 +389,7 @@ def test_cell_tensor_products_match_dense_unfoldings(seed, center):
     dims = tuple(int(x) for x in rng.integers(1, 9, 3))
     users, items, values = _observed_cells(rng, dims)
     filled, means = _filled(dims, users, items, values, center)
-    cells = CellTensor(dims, users, items, values, center)
+    cells = CellTensor(_container(dims, users, items, values), center)
     for mode in (1, 2):
         a, op = mode_unfold(filled, mode), _CellUnfolding(cells, mode)
         assert op.shape == a.shape
@@ -384,7 +410,8 @@ def test_cell_unfolding_goes_with_its_last_reference():
     # without waiting for the cyclic collector
     rng = np.random.default_rng(7)
     dims = (5, 4, 2)
-    op = _CellUnfolding(CellTensor(dims, *_observed_cells(rng, dims), False), 1)
+    op = _CellUnfolding(
+        CellTensor(_container(dims, *_observed_cells(rng, dims))), 1)
     assert (op.T @ np.ones((5, 1))).shape == (4 * 2, 1)
     gone = weakref.ref(op)
     gc.disable()
@@ -423,7 +450,7 @@ def test_cell_tensor_hosvd_matches_reference(seed, center):
     filled, means = _filled(dims, users, items, values, center)
     assume(_separated(filled, ranks))
     want = hosvd_reference(filled, ranks, seed=3)
-    cells = CellTensor(dims, users, items, values, center)
+    cells = CellTensor(_container(dims, users, items, values), center)
     got = hosvd(cells, ranks, seed=3)
     for mode, a, b in zip((1, 2, 3), got.factors, want.factors):
         # columns past the unfolding's column count are a basis of the
@@ -455,7 +482,8 @@ def test_cell_tensor_svd_matches_reference(seed):
     filled, _ = _filled(dims, users, items, values, False)
     assume(_separated(filled, (k, k, 1)))
     want = truncated_svd(filled[:, :, 0], k, seed=3)
-    got = truncated_svd(CellTensor(dims, users, items, values), k, seed=3)
+    got = truncated_svd(CellTensor(_container(dims, users, items, values)), k,
+                        seed=3)
     for a, b in ((got.u, want.u), (got.sigma, want.sigma), (got.v, want.v)):
         _assert_close(a, b)
 
@@ -464,8 +492,8 @@ def test_cell_tensor_svd_validation(monkeypatch):
     rng = np.random.default_rng(28)
     users, items, values = _observed_cells(rng, (6, 5, 2))
     with pytest.raises(ValueError, match="one-slice"):
-        truncated_svd(CellTensor((6, 5, 2), users, items, values), 2)
-    cells = CellTensor((6, 5, 1), users, items, values[:, 0])
+        truncated_svd(CellTensor(_container((6, 5, 2), users, items, values)), 2)
+    cells = CellTensor(_container((6, 5, 1), users, items, values[:, :1]))
     # admitted at exactly its factoring's cells, rejected at one cell
     # fewer before any product with the matrix is formed
     budget = cell_factoring_cells(cells.shape, cells.n_cells, (2, 2, 1))
