@@ -381,11 +381,12 @@ def _cmd_recommend(args) -> int:
     if not data.has_user(args.user):
         print(f"error: unknown user {args.user!r}", file=sys.stderr)
         return 2
+    data = _check_ranks(data, args.ranks) if args.ranks else data
     if args.format == "mc-csv":
         config = McConfig(pca_option=args.pca_option == "on",
                           sim_kind=SIM_NAME_MAP[args.sim or "latent"],
                           seed=args.seed)
-        model = build_mc_model(_check_ranks(data, args.ranks), args.ranks, config)
+        model = build_mc_model(data, args.ranks, config)
         top = mc_recommend_top_n(model, args.user, args.top_n)
     else:
         latent = args.ranks[0] if args.ranks else BenchmarkConfig.latent_rank

@@ -94,9 +94,10 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
     Every value is bitwise what a one-item-at-a-time loop gives, because
     the summation order is the same: ascending item index, or descending
     similarity (stable) where the cap cut the row.  Rows are ordered by
-    neighbor count.  The cut rows form one (rows, k) block and the uncut
-    rows one contiguous block per count; each block is one np.vecdot,
-    the same BLAS ddot as a 1-D dot product.
+    neighbor count: the cut rows form one (rows, k) block and each count
+    of the uncut rows one contiguous slice, gathered once.  Each block
+    writes its row sums and np.vecdot (the BLAS ddot of a 1-D dot product)
+    into one (num, den) pair, divided once.
     """
     n, m = len(items), len(rated)
     # the store is symmetric: gather from the side with fewer rows
@@ -110,18 +111,21 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
     k = spec.max_neighbors
     lo = int(sizes.searchsorted(1))
     hi = n if k is None else int(sizes.searchsorted(k, "right"))
-    blocks = []     # (rows, weights, rated positions), each (len(rows), g)
+    c = ratings.shape[1]
+    num, den = np.empty((c, n - lo)), np.empty(n - lo)
     if lo < hi:
         rows, sizes = order[lo:hi], sizes[lo:hi]
         flat = keep[rows].ravel().nonzero()[0]
         cols = flat - np.arange(0, len(rows) * m, m).repeat(sizes)
-        kw = w.take(rows, axis=0).ravel().take(flat)
+        kw = w.ravel().take(rows.repeat(sizes) * m + cols)
+        rr = ratings.T.take(cols, axis=1)
         per = np.bincount(sizes)
         a = start = 0
         for g in per.nonzero()[0].tolist():
             b, end = a + int(per[g]), start + int(per[g]) * g
-            blocks.append((rows[a:b], kw[start:end].reshape(-1, g),
-                           cols[start:end].reshape(-1, g)))
+            gw = kw[start:end].reshape(-1, g)
+            gw.sum(axis=1, out=den[a:b])
+            np.vecdot(gw, rr[:, start:end].reshape(c, -1, g), out=num[:, a:b])
             a, start = b, end
     if hi < n:
         # sorted negated rows (NaN last) lead with the k largest weights:
@@ -141,13 +145,13 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
         cols = flat - np.arange(0, len(cut) * m, m).repeat(k)
         by_weight = (-wc.ravel().take(flat)).reshape(-1, k).argsort(
             axis=1, kind="stable") + np.arange(0, flat.size, k)[:, None]
-        blocks.append((cut, -s[:, :k], cols.take(by_weight)))
+        cols, gw = cols.take(by_weight), -s[:, :k]
+        gw.sum(axis=1, out=den[hi - lo:])
+        np.vecdot(gw, ratings.T.take(cols, axis=1), out=num[:, hi - lo:])
         count[cut] = k
-    values = np.full((n, ratings.shape[1]), np.nan)
-    for rows, gw, at in blocks:
-        den = gw.sum(axis=1)
-        den[den < DENOM_EPS] = np.nan    # the row stays NaN, without a warning
-        values[rows] = (np.vecdot(gw, ratings.T.take(at, axis=1)) / den).T
+    den[den < DENOM_EPS] = np.nan    # the row stays NaN, without a warning
+    values = np.full((n, c), np.nan)
+    values[order[lo:]] = (num / den).T
     return values, np.where(np.isnan(values[:, 0]), 0, count)
 
 

@@ -191,12 +191,15 @@ def test_decompose_rank_above_matrix_dims_is_a_usage_error(data_dir, tmp_path,
     monkeypatch.setattr(CriteriaTensor, "to_dense", fill)
     monkeypatch.setattr("mccf.cli.CellTensor", fill)
     monkeypatch.setattr("mccf.engine.CellTensor", fill)
+    monkeypatch.setattr("mccf.evaluation.CellTensor", fill)
     out = tmp_path / "out.npz"
-    for pca_flag in ([], ["--pca-option", "on"]):
-        code, _, err = run(["decompose", "--input", str(data_dir / "ratings.tsv"),
-                            "--ranks", "15", *pca_flag, "--seed", "1",
-                            "--output", str(out)], capsys)
-        assert code == 1, err
+    ratings = ["--input", str(data_dir / "ratings.tsv"), "--seed", "1"]
+    for verb in (["decompose", "--output", str(out)],
+                 ["decompose", "--pca-option", "on", "--output", str(out)],
+                 ["recommend", "--user", "u3", "--sim", "latent"]):
+        code, _, err = run(verb[:1] + ratings + verb[1:] + ["--ranks", "15"],
+                           capsys)
+        assert code == 1, (verb, err)
         assert "rank 15 exceeds matrix dimensions (30, 14)" in err
         assert not out.exists()
     mc = ["--input", str(data_dir / "mc.csv"), "--format", "mc-csv",
@@ -259,13 +262,15 @@ def test_sweep_csv_shape(data_dir, capsys):
 
 
 def test_recommend_plain(data_dir, capsys):
-    code, out, _ = run(["recommend", "--input", str(data_dir / "ratings.tsv"),
-                        "--user", "u3", "--sim", "euclidean", "--seed", "1",
-                        "--top-n", "3"], capsys)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert 1 <= len(lines) <= 3
-    assert all(re.fullmatch(r"\d+ \S+ \d\.\d{4}", ln) for ln in lines)
+    # a latent rank equal to the smaller dimension (14 items) is in range
+    for sim in (["--sim", "euclidean"], ["--sim", "latent", "--ranks", "14"]):
+        code, out, err = run(["recommend", "--input", str(data_dir / "ratings.tsv"),
+                              "--user", "u3", *sim, "--seed", "1",
+                              "--top-n", "3"], capsys)
+        assert code == 0, err
+        lines = out.strip().splitlines()
+        assert 1 <= len(lines) <= 3
+        assert all(re.fullmatch(r"\d+ \S+ \d\.\d{4}", ln) for ln in lines)
 
 
 def test_recommend_mc(data_dir, capsys):

@@ -187,6 +187,25 @@ def test_multicriteria_paths_match_loop(kind, spec):
             [(t.item_id(i), -v) for v, i in scored[:8]]
 
 
+def _kernel_matches_loop(sims, rated, ratings, items, spec):
+    """_neighborhood's (values, support) for one user, each rating column
+    checked against the loop bitwise, on a scale wide enough that no value
+    is clamped."""
+    got, support = _neighborhood(sims, rated, ratings, items, spec)
+    assert got.shape == (len(items), ratings.shape[1])
+    for j in range(ratings.shape[1]):
+        row = np.full((1, len(sims.item_ids)), np.nan)
+        row[0, rated] = ratings[:, j]
+        d = dataset_from_dense(row, RatingScale(-1e300, 1e300))
+        for p, i in enumerate(items.tolist()):
+            expect = loop_predict(d, sims, 0, i, spec)
+            if expect is None:
+                assert np.isnan(got[p, j]) and support[p] == 0
+            else:
+                assert (got[p, j], support[p]) == expect, (i, j)
+    return got, support
+
+
 @settings(deadline=None, max_examples=50)
 @given(seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([1, 3]),
        k=st.sampled_from([None, 1, 2, 3, 4, 5, 6]))
@@ -205,20 +224,7 @@ def test_kernel_columns_match_loop(seed, c, k):
     rated = np.flatnonzero(rng.random(n) < rng.random())
     ratings = rng.integers(1, 6, (len(rated), c)).astype(float)
     items = rng.permutation(n)[:int(rng.integers(1, n + 1))]
-    spec = NeighborhoodSpec(k)
-
-    got, support = _neighborhood(sims, rated, ratings, items, spec)
-    assert got.shape == (len(items), c)
-    for j in range(c):
-        row = np.full((1, n), np.nan)
-        row[0, rated] = ratings[:, j]
-        d = dataset_from_dense(row)
-        for p, i in enumerate(items.tolist()):
-            expect = loop_predict(d, sims, 0, i, spec)
-            if expect is None:
-                assert np.isnan(got[p, j]) and support[p] == 0
-            else:
-                assert (d.scale.clamp(got[p, j]), support[p]) == expect
+    _kernel_matches_loop(sims, rated, ratings, items, NeighborhoodSpec(k))
 
 
 @pytest.fixture(scope="module")
@@ -242,31 +248,51 @@ def test_wide_blocks_match_loop(wide_store, k, c):
     """Rows with dozens of kept neighbors, cut at k=30 with many ties at
     the cap, give the loop's values bitwise.  The user with 40 rated items
     is scored on more items than it rated and the one with 200 on fewer,
-    so both gather orientations run; the scale is wide enough that no
-    value is clamped."""
+    so both gather orientations run."""
     n = len(wide_store.item_ids)
-    spec = NeighborhoodSpec(k)
-    unclamped = RatingScale(-1e300, 1e300)
     rng = np.random.default_rng(75)
     tie_cuts = 0
     for n_rated in (40, 200):
         rated = np.sort(rng.permutation(n)[:n_rated])
         items = np.setdiff1d(np.arange(n), rated)
         ratings = rng.integers(1, 6, (n_rated, c)).astype(float)
-        got, support = _neighborhood(wide_store, rated, ratings, items, spec)
-        for j in range(c):
-            row = np.full((1, n), np.nan)
-            row[0, rated] = ratings[:, j]
-            d = dataset_from_dense(row, unclamped)
-            for p, i in enumerate(items.tolist()):
-                expect = loop_predict(d, wide_store, 0, i, spec)
-                if expect is None:
-                    assert np.isnan(got[p, j]) and support[p] == 0
-                else:
-                    assert (got[p, j], support[p]) == expect, (n_rated, i, j)
+        _kernel_matches_loop(wide_store, rated, ratings, items,
+                             NeighborhoodSpec(k))
         w = wide_store.values[np.ix_(items, rated)]
         best = -np.sort(-np.where(w > 0, w, -np.inf), axis=1)
         # the 30th and 31st best kept weights tie: a cap of 30 splits a tie
         tie_cuts += int(((best[:, 30] == best[:, 29])
                          & (best[:, 30] > -np.inf)).sum())
     assert tie_cuts > 50
+
+
+@pytest.mark.parametrize("c", [1, 4])
+def test_count_groups_mix_defined_and_negligible_rows(c):
+    """An unbounded call over 45 neighbor counts, three rows each: one of
+    weights near 1e-14, whose total stays below DENOM_EPS; one near 1e-13,
+    whose total falls on either side of it with the count; and one of
+    ordinary weights.  Undefined and defined rows share a count group, and
+    every row gives the loop's value and support bitwise."""
+    rng = np.random.default_rng(76)
+    m = 60
+    counts = np.repeat(np.arange(1, 46), 3)
+    scales = np.tile([1e-14, 1e-13, 1.0], 45)
+    # rated items first, then the scored ones; unkept pairs are negative
+    # or undefined
+    block = np.where(rng.random((len(counts), m)) < 0.5, -1.0, np.nan)
+    for r, (g, scale) in enumerate(zip(counts.tolist(), scales.tolist())):
+        block[r, rng.permutation(m)[:g]] = scale * rng.uniform(0.5, 1.5, g)
+    n = m + len(counts)
+    values = np.full((n, n), np.nan)
+    values[m:, :m], values[:m, m:] = block, block.T
+    sims = SimilarityStore("pearson", values, tuple(f"i{i}" for i in range(n)))
+    rated = np.arange(m)
+    ratings = rng.integers(1, 6, (m, c)).astype(float)
+    items = m + rng.permutation(len(counts))
+
+    got, support = _kernel_matches_loop(sims, rated, ratings, items,
+                                        NeighborhoodSpec())
+    negligible = np.isnan(got[:, 0])
+    assert 0 < negligible.sum() < len(items)
+    # each count holding a negligible row also holds a defined one
+    assert np.unique(support[~negligible]).size == 45
