@@ -92,12 +92,12 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
     the one neighbor set.
 
     Every value is bitwise what a one-item-at-a-time loop gives, because
-    the summation order is the same: ascending item index, or descending
-    similarity (stable) where the cap cut the row.  Rows are ordered by
-    neighbor count: the cut rows form one (rows, k) block and each count
-    of the uncut rows one contiguous slice, gathered once.  Each block
-    writes its row sums and np.vecdot (the BLAS ddot of a 1-D dot product)
-    into one (num, den) pair, divided once.
+    the summation order is the same: ascending item index.  A row with
+    more than k neighbors (a capped row) first narrows its kept cells to
+    the k selected ones and then counts k.  Rows are ordered by neighbor
+    count, so each count is one contiguous slice of the kept cells,
+    gathered once.  Each count writes its row sums and np.vecdot (the BLAS
+    ddot of a 1-D dot product) into one (num, den) pair, divided once.
     """
     n, m = len(items), len(rated)
     # the store is symmetric: gather from the side with fewer rows
@@ -105,16 +105,30 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
          else sims.values[rated].T[items])
     keep = w > 0    # NaN compares False
     count = keep.sum(axis=1)
-    # rows without neighbors, then uncut rows, then cut ones, by count
+    k = spec.max_neighbors
+    cut = [] if k is None else (count > k).nonzero()[0]
+    if len(cut):
+        # sorted negated rows (NaN last) lead with the k largest weights:
+        # keep those at or above the k-th
+        wc = w[cut]
+        kth = -np.sort(-wc, axis=1)[:, k - 1, None]
+        sel = wc >= kth
+        tied = (sel.sum(axis=1) > k).nonzero()[0]
+        if tied.size:
+            # too many ties at the k-th weight: the lower indices win
+            ties = wc[tied] == kth[tied]
+            room = k - (wc[tied] > kth[tied]).sum(axis=1, keepdims=True)
+            sel[tied] &= ~ties | (ties.cumsum(axis=1) <= room)
+        keep[cut] = sel
+        count[cut] = k
+    # rows without neighbors first, then the others by count
     order = count.argsort(kind="stable")
     sizes = count[order]
-    k = spec.max_neighbors
     lo = int(sizes.searchsorted(1))
-    hi = n if k is None else int(sizes.searchsorted(k, "right"))
     c = ratings.shape[1]
     num, den = np.empty((c, n - lo)), np.empty(n - lo)
-    if lo < hi:
-        rows, sizes = order[lo:hi], sizes[lo:hi]
+    if lo < n:
+        rows, sizes = order[lo:], sizes[lo:]
         flat = keep[rows].ravel().nonzero()[0]
         cols = flat - np.arange(0, len(rows) * m, m).repeat(sizes)
         kw = w.ravel().take(rows.repeat(sizes) * m + cols)
@@ -127,28 +141,6 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
             gw.sum(axis=1, out=den[a:b])
             np.vecdot(gw, rr[:, start:end].reshape(c, -1, g), out=num[:, a:b])
             a, start = b, end
-    if hi < n:
-        # sorted negated rows (NaN last) lead with the k largest weights:
-        # keep those at or above the k-th, summed in descending order
-        cut = order[hi:]
-        wc = w[cut]
-        s = np.sort(-wc, axis=1)
-        kth = -s[:, k - 1, None]
-        sel = wc >= kth
-        tied = (sel.sum(axis=1) > k).nonzero()[0]
-        if tied.size:
-            # too many ties at the k-th weight: the lower indices win
-            ties = wc[tied] == kth[tied]
-            room = k - (wc[tied] > kth[tied]).sum(axis=1, keepdims=True)
-            sel[tied] &= ~ties | (ties.cumsum(axis=1) <= room)
-        flat = sel.ravel().nonzero()[0]
-        cols = flat - np.arange(0, len(cut) * m, m).repeat(k)
-        by_weight = (-wc.ravel().take(flat)).reshape(-1, k).argsort(
-            axis=1, kind="stable") + np.arange(0, flat.size, k)[:, None]
-        cols, gw = cols.take(by_weight), -s[:, :k]
-        gw.sum(axis=1, out=den[hi - lo:])
-        np.vecdot(gw, ratings.T.take(cols, axis=1), out=num[:, hi - lo:])
-        count[cut] = k
     den[den < DENOM_EPS] = np.nan    # the row stays NaN, without a warning
     values = np.full((n, c), np.nan)
     values[order[lo:]] = (num / den).T

@@ -335,8 +335,9 @@ def hosvd_reference(t: np.ndarray, ranks: tuple[int, int, int],
 
 def loop_predict(d, sims, u, i, spec):
     """Reference: (clamped value, support) for one (user, item) index pair,
-    or None.  Kept weights are summed in ascending item order, or in
-    stable descending-similarity order when the cap cuts them."""
+    or None.  The cap keeps the largest weights, the lower item index
+    winning a tie, and the kept weights are summed in ascending item order
+    whether or not the cap cut them."""
     rated, values = d.items_of(u)
     row = sims.values[i, rated]
     keep = ~np.isnan(row) & (row > 0)
@@ -345,7 +346,7 @@ def loop_predict(d, sims, u, i, spec):
     weights = row[keep]
     ratings = values[keep]
     if spec.max_neighbors is not None and weights.size > spec.max_neighbors:
-        order = np.argsort(-weights, kind="stable")[:spec.max_neighbors]
+        order = np.sort(np.argsort(-weights, kind="stable")[:spec.max_neighbors])
         weights = weights[order]
         ratings = ratings[order]
     denom = float(np.abs(weights).sum())

@@ -296,3 +296,34 @@ def test_count_groups_mix_defined_and_negligible_rows(c):
     assert 0 < negligible.sum() < len(items)
     # each count holding a negligible row also holds a defined one
     assert np.unique(support[~negligible]).size == 45
+
+
+@pytest.mark.parametrize("c", [1, 4])
+def test_capped_rows_sum_in_item_order(c):
+    """A capped row sums its k kept weights in ascending item order, as an
+    uncut row does, and shares the count group of k with uncut rows.  Row
+    5 keeps weights 0.1, 0.2 and 0.3, whose float64 sum in that order
+    differs from the sum in descending order; row 6 ties three ways at the
+    3rd weight, and the two lower items win; row 7 keeps exactly 3
+    neighbors uncut; row 8 keeps none; row 9 keeps 0.4, 0.6 and 0.7."""
+    assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+    assert 0.4 + 0.6 + 0.7 != 0.7 + 0.6 + 0.4
+    nan = np.nan
+    block = np.array([[0.1, 0.2, 0.3, 0.05, nan],
+                      [0.5, 0.25, 0.25, 0.25, -0.5],
+                      [0.1, nan, 0.2, -1.0, 0.3],
+                      [nan, -0.2, nan, nan, nan],
+                      [0.4, 0.6, 0.7, 0.1, 0.2]])
+    values = np.full((10, 10), nan)
+    values[5:, :5], values[:5, 5:] = block, block.T
+    sims = SimilarityStore("pearson", values, tuple(f"i{i}" for i in range(10)))
+    rated = np.arange(5)
+    ratings = np.random.default_rng(77).integers(1, 6, (5, c)).astype(float)
+    ratings[:, 0] = (1.0, 2.0, 3.0, 5.0, 4.0)
+    items = np.array([9, 5, 8, 6, 7])
+
+    got, support = _kernel_matches_loop(sims, rated, ratings, items,
+                                        NeighborhoodSpec(3))
+    assert support.tolist() == [3, 3, 0, 3, 3]
+    # row 6 keeps items 0, 1 and 2, not item 3 of the same weight
+    assert got[3, 0] == (0.5 * 1.0 + 0.25 * 2.0 + 0.25 * 3.0) / 1.0
