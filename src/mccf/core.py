@@ -30,6 +30,19 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+# seeds key the split's hash with 8 bytes
+_SEED_BOUND = 2 ** 64
+
+
+def _check_integer(name: str, value, low: int = 1, high: int | None = None) -> None:
+    """ValueError unless value is an integer (numpy's too, not a bool)
+    with low <= value, and value < high when high is given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value >= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 # Worst-to-best ladder for the 13-level letter scale.  Only the endpoints
 # (F=1, A+=13) are fixed by convention; the interior follows the standard
 # US grade ladder, the unique 13-rung completion.

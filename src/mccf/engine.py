@@ -15,6 +15,10 @@ and the reconstruction U1[u] . w[i] elsewhere.  A linear aggregation
 fitted on training cells maps criterion predictions to the overall
 rating.
 
+Each model kind has one score of a user's items, _predict_user's one
+column or _mc_score's overall and k criteria, and every top-N list, of a
+request or of a benchmark harness, comes from one ranking step, _ranked.
+
 A model holds no per-criterion copy of the cells.  A saved model holds
 the training tensor, the settings and the Tucker factors; a load runs the
 model's one constructor on them, as a build does.
@@ -32,6 +36,8 @@ from .core import (
     Dataset,
     RatingScale,
     _IndexMap,
+    _SEED_BOUND,
+    _check_integer,
     criteria_slice,
 )
 from .linalg import (CellTensor, TuckerModel, cell_factoring_cells,
@@ -55,10 +61,8 @@ class NeighborhoodSpec:
     max_neighbors: int | None = None
 
     def __post_init__(self) -> None:
-        k = self.max_neighbors
-        if k is not None and (isinstance(k, bool)
-                              or not isinstance(k, (int, np.integer)) or k < 1):
-            raise ValueError(f"max_neighbors must be an integer >= 1, got {k!r}")
+        if self.max_neighbors is not None:
+            _check_integer("max_neighbors", self.max_neighbors)
 
 
 @dataclass(frozen=True)
@@ -149,16 +153,34 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
 
 def _predict_user(d: Dataset, sims: SimilarityStore, u: int, items: np.ndarray,
                   spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped (values, support) of user u for each item index in `items`."""
+    """The plain score: user u's clamped (len(items), 1) values, and support."""
+    _check_store(d, sims)
     rated, ratings = d.items_of(u)
     values, support = _neighborhood(sims, rated, ratings[:, None], items, spec)
-    return values[:, 0].clip(d.scale.min_value, d.scale.max_value), support
+    return values.clip(d.scale.min_value, d.scale.max_value, out=values), support
 
 
-def _unrated(n_items: int, rated: np.ndarray) -> np.ndarray:
-    unrated = np.ones(n_items, dtype=bool)
-    unrated[rated] = False
-    return np.flatnonzero(unrated)
+def _check_store(d: Dataset, sims: SimilarityStore) -> None:
+    """ValueError unless the store indexes d's items, in d's order; a store
+    built from d holds d's own id tuple, so one identity test passes it."""
+    if sims.item_ids is not d.item_ids and sims.item_ids != d.item_ids:
+        raise ValueError("the similarity store indexes other items than the data")
+
+
+def _ranked(cells: Dataset | CriteriaTensor, user_id: str, n: int, score):
+    """Every top-N list's one ranking step: the user's items without a cell,
+    score(u, items) -> (len(items), width) on them and the top n (item
+    index, value) pairs by column 0; None for an unknown user."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    u = cells._users.pos.get(user_id)
+    if u is None:
+        return None
+    unrated = np.ones(cells.n_items, dtype=bool)
+    unrated[cells._row(u)[0]] = False
+    items = np.flatnonzero(unrated)
+    scored = score(u, items)
+    return items, scored, _top_n(items, scored[:, 0], n)
 
 
 def _top_n(items: np.ndarray, values: np.ndarray,
@@ -189,7 +211,7 @@ def predict_single(user_id: str, item_id: str, d: Dataset,
                                     np.array([d.item_index(item_id)]), spec)
     if not support[0]:
         return None
-    return Prediction(user_id, item_id, float(values[0]), int(support[0]))
+    return Prediction(user_id, item_id, float(values[0, 0]), int(support[0]))
 
 
 def predict_matrix(d: Dataset, sims: SimilarityStore,
@@ -204,6 +226,7 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
     """
     if spec.max_neighbors is not None:
         raise ValueError("predict_matrix requires an unbounded neighborhood")
+    _check_store(d, sims)
     check_cell_budget(products_cells(d))
     return _weighted_means(d, _positive_weights(sims))
 
@@ -245,7 +268,7 @@ def batch_predict(d: Dataset, sims: SimilarityStore,
     items = np.asarray(items, dtype=np.int64)
     out = np.full(users.shape, np.nan)
     for u, pos in _groups(users):
-        out[pos] = _predict_user(d, sims, u, items[pos], spec)[0]
+        out[pos] = _predict_user(d, sims, u, items[pos], spec)[0][:, 0]
     return out
 
 
@@ -256,20 +279,9 @@ def recommend_top_n(d: Dataset, sims: SimilarityStore, user_id: str, n: int,
     Sort is by value descending with ties broken by ascending internal item
     index; items without a prediction are left out; unknown user -> [].
     """
-    return _recommend(d, user_id, n, lambda u, items: _predict_user(
+    ranked = _ranked(d, user_id, n, lambda u, items: _predict_user(
         d, sims, u, items, spec)[0])
-
-
-def _recommend(cells: Dataset | CriteriaTensor, user_id: str, n: int,
-               score) -> list[tuple[str, float]]:
-    """recommend_top_n of a Dataset or a tensor, by score(u, items)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not cells.has_user(user_id):
-        return []
-    u = cells.user_index(user_id)
-    items = _unrated(cells.n_items, cells._row(u)[0])
-    return [(cells.item_id(i), v) for i, v in _top_n(items, score(u, items), n)]
+    return [] if ranked is None else [(d.item_id(i), v) for i, v in ranked[2]]
 
 
 # ---- multi-criteria pipeline -----------------------------------------------
@@ -350,6 +362,7 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.sim_kind not in SIMILARITY_KINDS:
             raise ValueError(f"unknown sim_kind {self.sim_kind!r}")
+        _check_integer("seed", self.seed, 0, _SEED_BOUND)
 
 
 class McModel:
@@ -445,20 +458,22 @@ def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
     return McModel(t, config, tucker, slice_means)
 
 
-def _criteria_rows(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
-    """(len(items), k) clamped criterion predictions of user u, one kernel
-    call per similarity store: the latent space's one shared store scores
-    all k criteria over one neighbor selection.  Criteria whose
-    neighborhood yields nothing take the user's rating where the cell is
-    observed and the reconstruction elsewhere."""
+def _mc_score(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
+    """The multi-criteria score: user u's clamped (len(items), k+1) aggregated
+    overall and k criteria, one kernel call per similarity store: the
+    latent space's one shared store scores all k criteria over one neighbor
+    selection.  Criteria whose neighborhood yields nothing take the user's
+    rating where the cell is observed and the reconstruction elsewhere."""
     rated, cells = model.tensor.cells_of(u)
     stores = model.item_similarities
+    out = np.empty((len(items), model.k + 1))
     # k columns for one shared store, or one column for each of k stores
-    columns = np.array_split(np.arange(1, model.k + 1), len(stores))
-    out = np.hstack([_neighborhood(s, rated, cells[:, c], items,
-                                   model.config.neighborhood)[0]
-                     for s, c in zip(stores, columns)])
-    rows = np.isnan(out).any(axis=1).nonzero()[0]
+    step = model.k // len(stores)
+    for s, c in zip(stores, range(1, model.k + 1, step)):
+        out[:, c:c + step] = _neighborhood(s, rated, cells[:, c:c + step], items,
+                                           model.config.neighborhood)[0]
+    crits = out[:, 1:]
+    rows = np.isnan(crits).any(axis=1).nonzero()[0]
     if rows.size:
         at = items[rows]
         fill = model.reconstruction(np.full(len(at), u), at)
@@ -466,8 +481,19 @@ def _criteria_rows(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
         seen = pos < len(rated)
         seen[seen] = rated[pos[seen]] == at[seen]
         fill[seen] = cells[pos[seen], 1:]
-        out[rows] = np.where(np.isnan(out[rows]), fill, out[rows])
-    return np.clip(out, model.scale.min_value, model.scale.max_value)
+        crits[rows] = np.where(np.isnan(crits[rows]), fill, crits[rows])
+    np.clip(crits, model.scale.min_value, model.scale.max_value, out=crits)
+    out[:, 0] = _aggregate_rows(model.aggregation, crits, model.scale)
+    return out
+
+
+def _mc_pair(model: McModel, user_id: str, item_id: str) -> np.ndarray | None:
+    """_mc_score's row for one pair; None for unknown user/item."""
+    t = model.tensor
+    if not (t.has_user(user_id) and t.has_item(item_id)):
+        return None
+    return _mc_score(model, t.user_index(user_id),
+                     np.array([t.item_index(item_id)]))[0]
 
 
 def predict_criteria(model: McModel, user_id: str, item_id: str) -> np.ndarray | None:
@@ -477,24 +503,20 @@ def predict_criteria(model: McModel, user_id: str, item_id: str) -> np.ndarray |
     observed cell where there is one and the reconstructed-tensor value
     elsewhere, so indexed pairs always get a full vector.
     """
-    t = model.tensor
-    if not (t.has_user(user_id) and t.has_item(item_id)):
-        return None
-    return _criteria_rows(model, t.user_index(user_id),
-                          np.array([t.item_index(item_id)]))[0]
+    row = _mc_pair(model, user_id, item_id)
+    return None if row is None else row[1:]
 
 
 def predict_overall(model: McModel, user_id: str, item_id: str) -> float | None:
-    preds = predict_criteria(model, user_id, item_id)
-    if preds is None:
-        return None
-    return aggregate_overall(model.aggregation, preds, model.scale)
+    row = _mc_pair(model, user_id, item_id)
+    return None if row is None else float(row[0])
 
 
 def mc_recommend_top_n(model: McModel, user_id: str, n: int) -> list[tuple[str, float]]:
     """Top-n items the user has no training cell for, by predicted overall."""
-    return _recommend(model.tensor, user_id, n, lambda u, items: _aggregate_rows(
-        model.aggregation, _criteria_rows(model, u, items), model.scale))
+    t = model.tensor
+    ranked = _ranked(t, user_id, n, lambda u, items: _mc_score(model, u, items))
+    return [] if ranked is None else [(t.item_id(i), v) for i, v in ranked[2]]
 
 
 # ---- persistence ------------------------------------------------------------

@@ -13,9 +13,9 @@ Metric conventions:
 The harness splits with the keyed-hash splitter from ingest (no second
 source of randomness), so a (fraction, seed) pair fully determines the
 partition and every report is bitwise reproducible.  As the split is keyed
-by (user, item), no test pair is a training cell, so both harnesses score
-each test user the training data knows once, on every item without a
-training cell, and read the top-N list and the held-out pairs from that.
+by (user, item), no test pair is a training cell, so both harnesses take
+each test user the training data knows once through the engine's ranking
+step and read the top-N list and the held-out pairs from its scores.
 """
 
 from __future__ import annotations
@@ -27,17 +27,16 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .core import CriteriaRecord, CriteriaTensor, Dataset, RatingScale, _Ratings
+from .core import (CriteriaRecord, CriteriaTensor, Dataset, RatingScale,
+                   _Ratings, _SEED_BOUND, _check_integer)
 from .engine import (
     McConfig,
     NeighborhoodSpec,
-    _aggregate_rows,
-    _criteria_rows,
     _groups,
+    _mc_score,
     _positive_weights,
     _predict_user,
-    _top_n,
-    _unrated,
+    _ranked,
     _weighted_means,
     build_mc_model,
     products_cells,
@@ -211,10 +210,9 @@ class BenchmarkConfig:
                              f"choose from {sorted(SIM_NAME_MAP)}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        if self.latent_rank < 1:
-            raise ValueError("latent_rank must be >= 1")
+        _check_integer("seed", self.seed, 0, _SEED_BOUND)
+        _check_integer("top_n", self.top_n)
+        _check_integer("latent_rank", self.latent_rank)
 
 
 def _batch(source, k: int | None = None) -> _Ratings:
@@ -264,8 +262,8 @@ def _build_store_cells(train: Dataset, sim: str, latent_rank: int) -> float:
 def _matrix_top_n(pm: np.ndarray, train: Dataset, u: int, n: int) -> list[int]:
     """Top-n unrated item indices from a precomputed prediction matrix;
     value descending, index ascending on ties (the engine's rule)."""
-    items = _unrated(train.n_items, train.items_of(u)[0])
-    return [i for i, _ in _top_n(items, pm[u, items], n)]
+    top = _ranked(train, train.user_id(u), n, lambda u, items: pm[u, items, None])[2]
+    return [i for i, _ in top]
 
 
 def _decision_metrics(recommendations: dict[str, list[str]],
@@ -321,15 +319,12 @@ def _scored_test(test: _Ratings, train: Dataset | CriteriaTensor,
                      dtype=np.int64)[test.i]
     rows = np.full((len(test.u), width), np.nan)
     recommendations: dict[str, list[str]] = {}
-    # test users by first appearance, each with its rows in order
-    for code, at in sorted(_groups(test.u), key=lambda group: group[1][0]):
-        u = train._users.pos.get(test.user_ids[code])
-        if u is None:
+    for code, at in _groups(test.u):
+        ranked = _ranked(train, test.user_ids[code], top_n, score)
+        if ranked is None:
             continue
-        items = _unrated(train.n_items, train._row(u)[0])
-        scored = score(u, items)
-        recommendations[train.user_id(u)] = [
-            train.item_id(i) for i, _ in _top_n(items, scored[:, 0], top_n)]
+        items, scored, top = ranked
+        recommendations[test.user_ids[code]] = [train.item_id(i) for i, _ in top]
         # no test pair is a training cell, so each known one is in items
         at = at[known[at] >= 0]
         rows[at] = scored.take(items.searchsorted(known[at]), axis=0)
@@ -404,7 +399,7 @@ def _evaluate(train: Dataset, test: _Ratings,
         sims = _build_store(train, config.sim, config.latent_rank, config.seed)
 
         def score(u: int, items: np.ndarray) -> np.ndarray:
-            return _predict_user(train, sims, u, items, spec)[0][:, None]
+            return _predict_user(train, sims, u, items, spec)[0]
 
     ranks = (config.latent_rank,) if config.sim == "latent" else None
     return _report(config, ranks, test, train, threshold, 1, score)
@@ -449,8 +444,10 @@ class McBenchmarkConfig:
     neighborhood: NeighborhoodSpec = field(default_factory=NeighborhoodSpec)
 
     def __post_init__(self) -> None:
-        if len(self.ranks) != 3 or any(r < 1 for r in self.ranks):
+        if len(self.ranks) != 3:
             raise ValueError("ranks must be three positive integers")
+        for r in self.ranks:
+            _check_integer("rank", r)
         # the fields shared with BenchmarkConfig pass its checks
         BenchmarkConfig(self.sim, self.train_fraction, self.seed, self.top_n)
         latent = self.sim == "latent"
@@ -490,16 +487,9 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
         raise ValueError(f"ranks {config.ranks} exceed tensor dims {caps}")
     threshold = _relevance(config.relevance_threshold, scale)
     model = build_mc_model(train, config.ranks, config.engine_config())
-
-    def score(u: int, items: np.ndarray) -> np.ndarray:
-        # the overall, then the k criteria
-        crits = _criteria_rows(model, u, items)
-        return np.column_stack(
-            [_aggregate_rows(model.aggregation, crits, scale), crits])
-
     # unknown users or items are the only no-predictions
     return _report(config, tuple(config.ranks), test, train, threshold,
-                   k + 1, score)
+                   k + 1, lambda u, items: _mc_score(model, u, items))
 
 
 def global_mean_baseline(source, fraction: float, seed: int) -> float:

@@ -28,6 +28,8 @@ from .core import (
     RatingRecord,
     RatingScale,
     _Ratings,
+    _SEED_BOUND,
+    _check_integer,
     _check_scale,
     _codes,
 )
@@ -51,8 +53,7 @@ class SplitSpec:
             raise ValueError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _check_integer("seed", self.seed, 0, _SEED_BOUND)
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def _train_mask(batch: _Ratings, spec: SplitSpec) -> np.ndarray:
     a time, it peaks at 52.6 MiB at MovieLens-1M shape."""
     width = len(batch.item_ids)
     pairs, inverse = np.unique(batch.u * width + batch.i, return_inverse=True)
-    keyed = hashlib.blake2b(key=spec.seed.to_bytes(8, "little"), digest_size=8)
+    keyed = hashlib.blake2b(key=int(spec.seed).to_bytes(8, "little"), digest_size=8)
     users = [f"{x}\x1f".encode("utf-8") for x in batch.user_ids]    # each id once
     items = [x.encode("utf-8") for x in batch.item_ids]
     points = np.empty(len(pairs), dtype=">u8")

@@ -26,7 +26,7 @@ from mccf.engine import (
     predict_single,
     recommend_top_n,
     save_model,
-    _criteria_rows,
+    _mc_score,
     _top_n,
 )
 from mccf.linalg import tucker_reconstruct
@@ -73,6 +73,29 @@ def test_predict_matrix_matches_per_pair():
                 assert pm[u, i] == pytest.approx(got.value, abs=1e-10)
     with pytest.raises(ValueError):
         predict_matrix(d, store, NeighborhoodSpec(max_neighbors=5))
+
+
+def test_store_over_other_items_is_rejected():
+    # the kernel reads the store by the data's item indices, so a store of
+    # other items, or of the same items in another order, is an error
+    d = random_dataset(35, n_users=6, n_items=12)
+    wide = random_dataset(36, n_users=6, n_items=20)
+    store, wide_store = (item_similarity_matrix(x, "pearson") for x in (d, wide))
+    reindexed = Dataset.from_records(list(d.iter_records())[::-1], d.scale)
+    assert sorted(reindexed.item_ids) == sorted(d.item_ids) != list(d.item_ids)
+    for data, sims in ((reindexed, store), (d, wide_store), (wide, store)):
+        uid, iid = data.user_ids[0], data.item_ids[0]
+        for call in (lambda: predict_single(uid, iid, data, sims),
+                     lambda: batch_predict(data, sims, [0], [0]),
+                     lambda: recommend_top_n(data, sims, uid, 3),
+                     lambda: predict_matrix(data, sims)):
+            with pytest.raises(ValueError, match="other items"):
+                call()
+    # a store of equal ids in another tuple is the data's own
+    same = SimilarityStore(store.kind, store.values, tuple(list(d.item_ids)))
+    assert same.item_ids is not d.item_ids
+    uid = d.user_ids[0]
+    assert recommend_top_n(d, same, uid, 5) == recommend_top_n(d, store, uid, 5)
 
 
 def test_predict_matrix_is_bitwise_the_whole_matrix_build():
@@ -299,7 +322,7 @@ def test_factored_rows_preserve_observed_cells():
         model = _without_neighbors(m)
         for u in range(t.n_users):
             rated, cells = t.cells_of(u)
-            assert np.array_equal(_criteria_rows(model, u, rated), cells[:, 1:])
+            assert np.array_equal(_mc_score(model, u, rated)[:, 1:], cells[:, 1:])
         core, (u1, u2, u3) = m.tucker.core, m.tucker.factors
         assert np.allclose(m.w, np.einsum("abc,ib,sc->isa", core, u2, u3),
                            rtol=0, atol=1e-12)
@@ -346,7 +369,7 @@ def test_unreachable_neighborhood_falls_back_to_reconstruction():
                                   for i in range(t.n_items)], lo, hi)
                 # one item at a time and all at once give the same bits
                 assert np.array_equal(
-                    _criteria_rows(model, u, np.arange(t.n_items)), expect)
+                    _mc_score(model, u, np.arange(t.n_items))[:, 1:], expect)
                 for i, iid in enumerate(t.item_ids):
                     assert np.array_equal(predict_criteria(model, uid, iid),
                                           expect[i])

@@ -26,7 +26,7 @@ from mccf.evaluation import (
     run_mc_benchmark,
     run_sweep,
 )
-from mccf.engine import NeighborhoodSpec, predict_matrix, products_cells
+from mccf.engine import McConfig, NeighborhoodSpec, predict_matrix, products_cells
 from mccf.similarity import item_similarity_matrix, store_cells
 from mccf.ingest import SplitSpec, split_train_test, write_movielens
 from mccf.linalg import cell_factoring_cells
@@ -146,6 +146,31 @@ def test_benchmark_config_validation():
         BenchmarkConfig(sim="latent", train_fraction=0.7, seed=0, latent_rank=0)
     with pytest.raises(ValueError):
         McBenchmarkConfig(ranks=(2, 4), train_fraction=0.7, seed=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: McBenchmarkConfig(ranks=(True, 2, 2), train_fraction=0.7, seed=0),
+    lambda: McBenchmarkConfig(ranks=(2.5, 2, 2), train_fraction=0.7, seed=0),
+    lambda: McBenchmarkConfig(ranks=(2, 2, 2), train_fraction=0.7, seed=0,
+                              top_n=True),
+    lambda: BenchmarkConfig(sim="pearson", train_fraction=0.7, seed=0, top_n=2.5),
+    lambda: BenchmarkConfig(sim="latent", train_fraction=0.7, seed=0,
+                            latent_rank=2.5),
+    lambda: BenchmarkConfig(sim="pearson", train_fraction=0.7, seed=1.5),
+    lambda: BenchmarkConfig(sim="pearson", train_fraction=0.7, seed=-1),
+    lambda: SplitSpec(0.7, 1.5),
+    lambda: SplitSpec(0.7, True),
+    lambda: McConfig(seed=-2),
+    lambda: McConfig(seed=2 ** 64),
+    lambda: McConfig(seed=np.float64(3)),
+], ids=["rank-bool", "rank-float", "mc-top_n-bool", "top_n-float",
+        "latent_rank-float", "seed-float", "seed-negative", "split-seed-float",
+        "split-seed-bool", "mc-seed-negative", "mc-seed-wide", "mc-seed-float"])
+def test_counts_and_seeds_are_integers(build):
+    # each count or seed of a public config is an integer in its range,
+    # checked where the config is made, not where the value is first used
+    with pytest.raises(ValueError):
+        build()
 
 
 def bench_records(seed=60, noise=0.4):
