@@ -96,21 +96,33 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
     the one neighbor set.
 
     Every value is bitwise what a one-item-at-a-time loop gives, because
-    the summation order is the same: ascending item index.  A row with
-    more than k neighbors (a capped row) first narrows its kept cells to
-    the k selected ones and then counts k.  Rows are ordered by neighbor
-    count, so each count is one contiguous slice of the kept cells,
-    gathered once.  Each count writes its row sums and np.vecdot (the BLAS
-    ddot of a 1-D dot product) into one (num, den) pair, divided once.
+    both sum the same numbers in the same order: ascending item index.
+    Without a cap, a row keeps every rated item, weighing 0 unless it is
+    a neighbor, so one row sum and one np.vecdot (the BLAS ddot of a 1-D
+    dot product) over the whole row give its (num, den); its support is
+    counted before a NaN value drops it.  With a cap, only the kept cells
+    are summed, k of a heavy rater's many: a row with more than k
+    neighbors (a capped row) first narrows them to the k selected ones and
+    then counts k.  Rows are ordered by neighbor count, so each count is
+    one contiguous slice of the kept cells, gathered once, and writes its
+    row sums and np.vecdot into one (num, den) pair, divided once.
     """
     n, m = len(items), len(rated)
-    # the store is symmetric: gather from the side with fewer rows
+    # the store is symmetric: gather from the side with fewer rows; either
+    # way w is a new C-ordered block, so its rows sum in one order
     w = (sims.values[items[:, None], rated] if n <= m
          else sims.values[rated].T[items])
     keep = w > 0    # NaN compares False
     count = keep.sum(axis=1)
     k = spec.max_neighbors
-    cut = [] if k is None else (count > k).nonzero()[0]
+    if k is None:
+        np.fmax(w, 0.0, out=w)      # NaN and non-positive weights to 0
+        den = w.sum(axis=1)
+        num = np.vecdot(w, np.ascontiguousarray(ratings.T)[:, None, :])
+        den[den < DENOM_EPS] = np.nan    # the row stays NaN, without a warning
+        values = (num / den).T
+        return values, np.where(np.isnan(values[:, 0]), 0, count)
+    cut = (count > k).nonzero()[0]
     if len(cut):
         # sorted negated rows (NaN last) lead with the k largest weights:
         # keep those at or above the k-th

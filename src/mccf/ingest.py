@@ -64,8 +64,8 @@ class DensityFilterSpec:
     min_item_ratings: int
 
     def __post_init__(self):
-        if self.min_user_ratings < 0 or self.min_item_ratings < 0:
-            raise ValueError("thresholds must be >= 0")
+        _check_integer("min_user_ratings", self.min_user_ratings, 0)
+        _check_integer("min_item_ratings", self.min_item_ratings, 0)
 
 
 def _pieces(source):

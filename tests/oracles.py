@@ -335,25 +335,30 @@ def hosvd_reference(t: np.ndarray, ranks: tuple[int, int, int],
 
 def loop_predict(d, sims, u, i, spec):
     """Reference: (clamped value, support) for one (user, item) index pair,
-    or None.  The cap keeps the largest weights, the lower item index
-    winning a tie, and the kept weights are summed in ascending item order
-    whether or not the cap cut them."""
+    or None.  Unbounded, every rated item takes part with the weight 0
+    unless its similarity is strictly positive, so the sums run over the
+    whole row in item order, and the support counts the nonzero weights.
+    The cap keeps the largest positive weights, the lower item index
+    winning a tie, packed in ascending item order whether or not the cap
+    cut them."""
     rated, values = d.items_of(u)
     row = sims.values[i, rated]
     keep = ~np.isnan(row) & (row > 0)
     if not keep.any():
         return None
-    weights = row[keep]
-    ratings = values[keep]
-    if spec.max_neighbors is not None and weights.size > spec.max_neighbors:
-        order = np.sort(np.argsort(-weights, kind="stable")[:spec.max_neighbors])
-        weights = weights[order]
-        ratings = ratings[order]
-    denom = float(np.abs(weights).sum())
+    if spec.max_neighbors is None:
+        weights, ratings = np.where(keep, row, 0.0), values
+    else:
+        weights, ratings = row[keep], values[keep]
+        if weights.size > spec.max_neighbors:
+            order = np.sort(np.argsort(-weights,
+                                       kind="stable")[:spec.max_neighbors])
+            weights, ratings = weights[order], ratings[order]
+    denom = float(weights.sum())
     if denom < DENOM_EPS:
         return None
     value = float(weights @ ratings) / denom
-    return d.scale.clamp(value), int(weights.size)
+    return d.scale.clamp(value), int(np.count_nonzero(weights))
 
 
 def top_n(items: np.ndarray, values: np.ndarray, n: int) -> list[tuple[int, float]]:

@@ -159,9 +159,10 @@ def test_split_spec_validation():
         SplitSpec(1.0, 1)
     with pytest.raises(ValueError):
         SplitSpec(0.5, -1)
-    for mu, mi in ((-1, 0), (0, -1)):
+    for mu, mi in ((-1, 0), (0, -1), (True, 0), (0, 2.5)):
         with pytest.raises(ValueError):
             DensityFilterSpec(mu, mi)
+    assert DensityFilterSpec(np.int64(3), 0).min_user_ratings == 3
 
 
 @settings(deadline=None, max_examples=60)

@@ -327,3 +327,40 @@ def test_capped_rows_sum_in_item_order(c):
     assert support.tolist() == [3, 3, 0, 3, 3]
     # row 6 keeps items 0, 1 and 2, not item 3 of the same weight
     assert got[3, 0] == (0.5 * 1.0 + 0.25 * 2.0 + 0.25 * 3.0) / 1.0
+
+
+@pytest.mark.parametrize("c", [1, 4])
+def test_unbounded_rows_sum_the_whole_rated_row(c):
+    """An unbounded row sums over all of the user's rated items, in item
+    order, with the weight 0 for each NaN or non-positive similarity.
+    Item 12 keeps 7 of 12 rated items, with NaN and non-positive weights
+    between them, so its pairwise row sum differs in the last bit from
+    the sum of the 7 packed weights.  Each item scored alone (fewer
+    scored items than rated) gives bitwise its value among all 14 (more
+    scored than rated): both gather sides sum a C-ordered row."""
+    nan = np.nan
+    first = np.array([0.1, 0.2, 0.3, nan, 0.4, -0.5, 0.7, 0.0, nan, 0.6,
+                      -0.1, 0.05])
+    kept = first > 0
+    assert first[kept].sum() != np.where(kept, first, 0.0).sum()
+    rng = np.random.default_rng(78)
+    m, n = 12, 14
+    block = rng.integers(-2, 4, (n, m)) / 3
+    block[rng.random((n, m)) < 0.2] = nan
+    block[0] = first
+    values = np.full((m + n, m + n), nan)
+    values[m:, :m], values[:m, m:] = block, block.T
+    sims = SimilarityStore("pearson", values,
+                           tuple(f"i{i}" for i in range(m + n)))
+    rated, items = np.arange(m), m + np.arange(n)
+    ratings = rng.integers(1, 6, (m, c)).astype(float)
+    ratings[:, 0] = (1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0, 2.0, 4.0)
+    spec = NeighborhoodSpec()
+
+    got, support = _kernel_matches_loop(sims, rated, ratings, items, spec)
+    assert support[0] == 7
+    for p, i in enumerate(items.tolist()):
+        alone, alone_support = _neighborhood(sims, rated, ratings,
+                                             np.array([i]), spec)
+        assert np.array_equal(alone[0], got[p], equal_nan=True), i
+        assert alone_support[0] == support[p]
