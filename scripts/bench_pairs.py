@@ -58,7 +58,7 @@ def perfbench_run(checkout: Path, workload: str, seed: int,
 
 def _summary(values: list[float]) -> dict:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
+                      if len(values) > 1 else (values[0],) * 3)
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
