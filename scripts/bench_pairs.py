@@ -7,14 +7,15 @@ Usage (from the repository root):
     python3 scripts/bench_pairs.py --base HEAD~1 --seeds 1,3 --pairs 10 \\
         --seconds 5 --out BENCH.json
 
-The base revision is checked out with `git worktree` under a temporary
-directory, removed at the end.  Each pair runs `perfbench/run.py --trace 0`
-once in each checkout, the two in turn, flipping which goes first from
-pair to pair; each checkout imports its own `src/`.  For every workload,
-seed and end-to-end metric the output holds each run's value, the median
-and quartiles of each side and the pairs each side won, beside every
-run's `correct` and `failed`, the host (`run.machine()`) and the sha256 of
-both libraries.  It refuses (exit 2) when `perfbench/` differs between the
+The base revision's committed files are extracted with `git archive`
+into a temporary directory, removed at the end.  Each pair runs
+`perfbench/run.py --trace 0` once in each checkout, the two in turn,
+flipping which goes first from pair to pair; each checkout imports its
+own `src/`.  For every workload, seed and end-to-end metric the output
+holds each run's value, the median and quartiles of each side, the
+pairs each side won and a `verdict` (gain, worse, unresolved or no
+change; see verdict()), beside every run's `correct` and `failed`, the
+host (`run.machine()`) and the sha256 of both libraries.  It refuses (exit 2) when `perfbench/` differs between the
 two checkouts, since that would measure a benchmark change, not a
 library change.
 """
@@ -24,10 +25,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -62,6 +65,29 @@ def _summary(values: list[float]) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
+def verdict(summary: dict, values: dict, wins: dict, sign: int,
+            bound: float) -> str:
+    """One metric's reading of the pairs, sign 1 where lower is better:
+    "gain" when the head wins at least nine tenths of the pairs (a tie
+    counts for neither side) and its median is better by more than the
+    base's interquartile range; "worse" when the head's median is worse
+    by more than bound, a fraction of the base median; "unresolved" when
+    the base's interquartile range is wider than that bound, unless every
+    head run beats every base run; "no change" otherwise."""
+    base, head = summary["base"], summary["head"]
+    change = sign * (head["median"] - base["median"])
+    iqr, allowed = base["q3"] - base["q1"], bound * abs(base["median"])
+    if 10 * wins["head"] >= 9 * len(values["head"]) and -change > iqr:
+        return "gain"
+    if change > allowed:
+        return "worse"
+    apart = (max(sign * v for v in values["head"])
+             < min(sign * v for v in values["base"]))
+    if iqr > allowed and not apart:
+        return "unresolved"
+    return "no change"
+
+
 def compare(base: Path, head: Path, workloads: list[str], seeds: list[int],
             pairs: int, seconds: float, runner=perfbench_run) -> dict:
     """The paired comparison of the checkouts base and head, each run made
@@ -69,8 +95,7 @@ def compare(base: Path, head: Path, workloads: list[str], seeds: list[int],
     perfbench/ directories differ."""
     if tree_hash(base / "perfbench") != tree_hash(head / "perfbench"):
         raise ValueError("perfbench/ differs between the two revisions")
-    better = {m["name"]: m["better"] for m in
-              json.loads((head / "BENCHMARK.json").read_text())["end_to_end"]}
+    declared = json.loads((head / "BENCHMARK.json").read_text())["end_to_end"]
     checkouts = dict(zip(SIDES, (base, head)))
     results = {}
     for workload in workloads:
@@ -81,16 +106,19 @@ def compare(base: Path, head: Path, workloads: list[str], seeds: list[int],
                     runs[side].append(runner(checkouts[side], workload, seed,
                                              seconds))
             metrics = {}
-            for name, direction in better.items():
+            for metric in declared:
+                name, direction = metric["name"], metric["better"]
                 values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                           for side in SIDES}
                 sign = 1 if direction == "lower" else -1
                 wins = {side: sum(sign * (mine - theirs) < 0 for mine, theirs
                                   in zip(values[side], values[other]))
                         for side, other in zip(SIDES, SIDES[::-1])}
-                metrics[name] = {"better": direction,
-                                 **{side: _summary(values[side]) for side in SIDES},
-                                 "pair_wins": wins}
+                summary = {side: _summary(values[side]) for side in SIDES}
+                metrics[name] = {"better": direction, **summary,
+                                 "pair_wins": wins,
+                                 "verdict": verdict(summary, values, wins, sign,
+                                                    metric["bound"])}
             results.setdefault(workload, {})[str(seed)] = {
                 **{side: {"correct": [r["correct"] for r in runs[side]],
                           "failed": [r["failed"] for r in runs[side]]}
@@ -127,9 +155,12 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.seconds <= 0:
         ap.error("--pairs must be >= 1 and --seconds positive")
     commit = _git("rev-parse", "--verify", args.base + "^{commit}")
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
+                             check=True, capture_output=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
-        _git("worktree", "add", "--detach", str(base), commit)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base, filter="data")
         try:
             report = compare(base, ROOT, args.workloads.split(","),
                              [int(s) for s in args.seeds.split(",")],
@@ -137,8 +168,6 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        finally:
-            _git("worktree", "remove", "--force", str(base))
     text = json.dumps({"base": {"rev": args.base, "commit": commit},
                        "head": {"commit": _git("rev-parse", "HEAD"),
                                 "dirty": bool(_git("status", "--porcelain"))},

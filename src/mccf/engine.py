@@ -95,37 +95,27 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
     the lower item index.  Each column's value is sum(w * r) / sum(w) over
     the one neighbor set.
 
-    Every value is bitwise what a one-item-at-a-time loop gives, because
-    both sum the same numbers in the same order: ascending item index.
-    Without a cap, a row keeps every rated item, weighing 0 unless it is
-    a neighbor, so one row sum and one np.vecdot (the BLAS ddot of a 1-D
-    dot product) over the whole row give its (num, den); its support is
-    counted before a NaN value drops it.  With a cap, only the kept cells
-    are summed, k of a heavy rater's many: a row with more than k
-    neighbors (a capped row) first narrows them to the k selected ones and
-    then counts k.  Rows are ordered by neighbor count, so each count is
-    one contiguous slice of the kept cells, gathered once, and writes its
-    row sums and np.vecdot into one (num, den) pair, divided once.
+    Every row takes in every rated item, weighing 0 unless it is a kept
+    neighbor, so one row sum and one np.vecdot (the BLAS ddot of a 1-D
+    dot product) over the whole row give its (num, den), summed in
+    ascending item order as a one-item-at-a-time loop sums them; every
+    value is therefore that loop's, bitwise.  The support is counted
+    before NaN and non-positive weights go to 0 and before a NaN value
+    drops it.  A row with more than k neighbors (a capped row) also sets
+    the weights it does not select to 0 and counts k.
     """
     n, m = len(items), len(rated)
     # the store is symmetric: gather from the side with fewer rows; either
     # way w is a new C-ordered block, so its rows sum in one order
     w = (sims.values[items[:, None], rated] if n <= m
          else sims.values[rated].T[items])
-    keep = w > 0    # NaN compares False
-    count = keep.sum(axis=1)
+    count = (w > 0).sum(axis=1)     # NaN compares False
+    np.fmax(w, 0.0, out=w)          # NaN and non-positive weights to 0
     k = spec.max_neighbors
-    if k is None:
-        np.fmax(w, 0.0, out=w)      # NaN and non-positive weights to 0
-        den = w.sum(axis=1)
-        num = np.vecdot(w, np.ascontiguousarray(ratings.T)[:, None, :])
-        den[den < DENOM_EPS] = np.nan    # the row stays NaN, without a warning
-        values = (num / den).T
-        return values, np.where(np.isnan(values[:, 0]), 0, count)
-    cut = (count > k).nonzero()[0]
+    cut = [] if k is None else (count > k).nonzero()[0]
     if len(cut):
-        # sorted negated rows (NaN last) lead with the k largest weights:
-        # keep those at or above the k-th
+        # sorted negated rows lead with the k largest weights, all
+        # positive: keep those at or above the k-th
         wc = w[cut]
         kth = -np.sort(-wc, axis=1)[:, k - 1, None]
         sel = wc >= kth
@@ -135,31 +125,13 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
             ties = wc[tied] == kth[tied]
             room = k - (wc[tied] > kth[tied]).sum(axis=1, keepdims=True)
             sel[tied] &= ~ties | (ties.cumsum(axis=1) <= room)
-        keep[cut] = sel
+        wc *= sel
+        w[cut] = wc
         count[cut] = k
-    # rows without neighbors first, then the others by count
-    order = count.argsort(kind="stable")
-    sizes = count[order]
-    lo = int(sizes.searchsorted(1))
-    c = ratings.shape[1]
-    num, den = np.empty((c, n - lo)), np.empty(n - lo)
-    if lo < n:
-        rows, sizes = order[lo:], sizes[lo:]
-        flat = keep[rows].ravel().nonzero()[0]
-        cols = flat - np.arange(0, len(rows) * m, m).repeat(sizes)
-        kw = w.ravel().take(rows.repeat(sizes) * m + cols)
-        rr = ratings.T.take(cols, axis=1)
-        per = np.bincount(sizes)
-        a = start = 0
-        for g in per.nonzero()[0].tolist():
-            b, end = a + int(per[g]), start + int(per[g]) * g
-            gw = kw[start:end].reshape(-1, g)
-            gw.sum(axis=1, out=den[a:b])
-            np.vecdot(gw, rr[:, start:end].reshape(c, -1, g), out=num[:, a:b])
-            a, start = b, end
+    den = w.sum(axis=1)
+    num = np.vecdot(w, np.ascontiguousarray(ratings.T)[:, None, :])
     den[den < DENOM_EPS] = np.nan    # the row stays NaN, without a warning
-    values = np.full((n, c), np.nan)
-    values[order[lo:]] = (num / den).T
+    values = (num / den).T
     return values, np.where(np.isnan(values[:, 0]), 0, count)
 
 

@@ -335,29 +335,26 @@ def hosvd_reference(t: np.ndarray, ranks: tuple[int, int, int],
 
 def loop_predict(d, sims, u, i, spec):
     """Reference: (clamped value, support) for one (user, item) index pair,
-    or None.  Unbounded, every rated item takes part with the weight 0
-    unless its similarity is strictly positive, so the sums run over the
-    whole row in item order, and the support counts the nonzero weights.
-    The cap keeps the largest positive weights, the lower item index
-    winning a tie, packed in ascending item order whether or not the cap
-    cut them."""
+    or None.  The kept neighbors are the rated items of strictly positive
+    similarity, or with a cap of k the k largest of them, the lower item
+    index winning a tie.  Every rated item takes part, with the weight 0
+    unless it is kept, so the sums run over the whole row in item order,
+    and the support counts the nonzero weights."""
     rated, values = d.items_of(u)
     row = sims.values[i, rated]
-    keep = ~np.isnan(row) & (row > 0)
-    if not keep.any():
+    kept = row > 0      # NaN compares False
+    if not kept.any():
         return None
-    if spec.max_neighbors is None:
-        weights, ratings = np.where(keep, row, 0.0), values
-    else:
-        weights, ratings = row[keep], values[keep]
-        if weights.size > spec.max_neighbors:
-            order = np.sort(np.argsort(-weights,
-                                       kind="stable")[:spec.max_neighbors])
-            weights, ratings = weights[order], ratings[order]
+    k = spec.max_neighbors
+    if k is not None and kept.sum() > k:
+        idx = np.flatnonzero(kept)
+        kept = np.zeros_like(kept)
+        kept[idx[np.argsort(-row[idx], kind="stable")[:k]]] = True
+    weights = np.where(kept, row, 0.0)
     denom = float(weights.sum())
     if denom < DENOM_EPS:
         return None
-    value = float(weights @ ratings) / denom
+    value = float(weights @ values) / denom
     return d.scale.clamp(value), int(np.count_nonzero(weights))
 
 

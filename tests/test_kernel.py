@@ -271,8 +271,8 @@ def test_count_groups_mix_defined_and_negligible_rows(c):
     """An unbounded call over 45 neighbor counts, three rows each: one of
     weights near 1e-14, whose total stays below DENOM_EPS; one near 1e-13,
     whose total falls on either side of it with the count; and one of
-    ordinary weights.  Undefined and defined rows share a count group, and
-    every row gives the loop's value and support bitwise."""
+    ordinary weights.  Undefined rows lie among defined rows of the same
+    count, and every row gives the loop's value and support bitwise."""
     rng = np.random.default_rng(76)
     m = 60
     counts = np.repeat(np.arange(1, 46), 3)
@@ -301,11 +301,11 @@ def test_count_groups_mix_defined_and_negligible_rows(c):
 @pytest.mark.parametrize("c", [1, 4])
 def test_capped_rows_sum_in_item_order(c):
     """A capped row sums its k kept weights in ascending item order, as an
-    uncut row does, and shares the count group of k with uncut rows.  Row
-    5 keeps weights 0.1, 0.2 and 0.3, whose float64 sum in that order
-    differs from the sum in descending order; row 6 ties three ways at the
-    3rd weight, and the two lower items win; row 7 keeps exactly 3
-    neighbors uncut; row 8 keeps none; row 9 keeps 0.4, 0.6 and 0.7."""
+    uncut row does, beside uncut rows of k neighbors.  Row 5 keeps weights
+    0.1, 0.2 and 0.3, whose float64 sum in that order differs from the
+    sum in descending order; row 6 ties three ways at the 3rd weight, and
+    the two lower items win; row 7 keeps exactly 3 neighbors uncut; row 8
+    keeps none; row 9 keeps 0.4, 0.6 and 0.7."""
     assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
     assert 0.4 + 0.6 + 0.7 != 0.7 + 0.6 + 0.4
     nan = np.nan
@@ -359,6 +359,50 @@ def test_unbounded_rows_sum_the_whole_rated_row(c):
 
     got, support = _kernel_matches_loop(sims, rated, ratings, items, spec)
     assert support[0] == 7
+    for p, i in enumerate(items.tolist()):
+        alone, alone_support = _neighborhood(sims, rated, ratings,
+                                             np.array([i]), spec)
+        assert np.array_equal(alone[0], got[p], equal_nan=True), i
+        assert alone_support[0] == support[p]
+
+
+@pytest.mark.parametrize("c", [1, 4])
+def test_capped_rows_sum_the_whole_rated_row(c):
+    """A capped row sums over all of the user's rated items, in item
+    order, with the weight 0 for each item it does not keep, as an
+    unbounded row does.  With a cap of 5, item 12 has 8 positive weights
+    of 12 and keeps 0.3, 0.6, 0.4, 0.2 and 0.7, with unselected positive,
+    NaN and non-positive weights between them; item 13 keeps its 5
+    positive weights uncut.  For both, the pairwise sum of the whole row
+    differs in the last bit from the sum of the 5 packed weights.  Each
+    item scored alone (fewer scored items than rated) gives bitwise its
+    value among all 14 (more scored than rated)."""
+    nan = np.nan
+    first = np.array([0.3, 0.15, nan, 0.1, -0.3, 0.6, 0.4, 0.0, 0.05, nan,
+                      0.2, 0.7])
+    second = np.array([0.2, nan, 0.6, 0.3, -0.2, 0.0, 0.05, nan, -1 / 3,
+                       nan, 0.4, -0.1])
+    for row, kept in ((first, [0, 5, 6, 10, 11]), (second, [0, 2, 3, 6, 10])):
+        zero_filled = np.zeros_like(row)
+        zero_filled[kept] = row[kept]
+        assert row[kept].sum() != zero_filled.sum()
+    rng = np.random.default_rng(79)
+    m, n = 12, 14
+    block = rng.integers(-2, 4, (n, m)) / 3
+    block[rng.random((n, m)) < 0.2] = nan
+    block[:2] = first, second
+    values = np.full((m + n, m + n), nan)
+    values[m:, :m], values[:m, m:] = block, block.T
+    sims = SimilarityStore("pearson", values,
+                           tuple(f"i{i}" for i in range(m + n)))
+    rated, items = np.arange(m), m + np.arange(n)
+    ratings = rng.integers(1, 6, (m, c)).astype(float)
+    ratings[:, 0] = (1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0, 2.0, 4.0)
+    spec = NeighborhoodSpec(5)
+
+    got, support = _kernel_matches_loop(sims, rated, ratings, items, spec)
+    assert support[:2].tolist() == [5, 5]
+    assert ((block > 0).sum(axis=1) > 5).sum() > 2    # other rows are cut
     for p, i in enumerate(items.tolist()):
         alone, alone_support = _neighborhood(sims, rated, ratings,
                                              np.array([i]), spec)

@@ -56,16 +56,32 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     declared = (ROOT / "BENCHMARK.json").read_text("utf-8")
     (head / "BENCHMARK.json").write_text(declared)
     names = [m["name"] for m in json.loads(declared)["end_to_end"]]
+    # the n-th base and head run of a seed, each metric lower-is-better;
+    # the others read 7 in every run
+    shapes = {
+        # head wins 3 pairs of 4, one tied; base IQR 1.5, wider than the bound
+        "topn_p50_ms": (lambda n: n, lambda n: n if n == 3 else n / 2),
+        # head wins every pair by far more than base's IQR of 0.15
+        "eval_s": (lambda n: 10 + n / 10, lambda n: 5.0),
+        # head's median nearly twice base's
+        "fit_s": (lambda n: 10 + n / 10, lambda n: 20.0),
+        # a tie keeps head to 3 wins of 4: below nine tenths, no gain
+        "topn_p95_ms": (lambda n: 10 + n / 10,
+                        lambda n: 10.3 if n == 3 else 5.0),
+        # base's IQR of 4 is wider than the bound and than head's lead,
+        # but every head run beats every base run
+        "setup_s": (lambda n: 1.0 if n < 3 else 5.0, lambda n: 0.9),
+    }
     calls = []
 
     def runner(checkout, workload, seed, seconds):
-        # the n-th head run of a seed reads n / 2, the n-th base run n,
-        # but the third head run ties its pair
         calls.append(checkout.name)
         n = (len(calls) + 1) // 2
-        value = float(n) if checkout == base or n == 3 else n / 2
+        side = checkout != base
         return {"correct": True, "failed": 0,
-                "metrics": {name: {"value": value} for name in names}}
+                "metrics": {name: {"value": float(
+                    shapes[name][side](n) if name in shapes else 7)}
+                    for name in names}}
 
     out = bench.compare(base, head, ["w"], [1], 4, 0.1, runner)
     # each pair flips which side goes first
@@ -78,6 +94,11 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
                            "q1": 1.75, "q3": 3.25}
     assert p50["head"]["runs"] == [0.5, 1.0, 3.0, 2.0]
     assert p50["pair_wins"] == {"base": 0, "head": 3}
+    assert run["metrics"]["topn_p95_ms"]["pair_wins"] == {"base": 0, "head": 3}
+    assert {name: m["verdict"] for name, m in run["metrics"].items()} == {
+        "topn_p50_ms": "unresolved", "eval_s": "gain", "fit_s": "worse",
+        "topn_p95_ms": "no change", "setup_s": "no change",
+        "peak_rss_mb": "no change", "mae": "no change"}
 
     (head / "perfbench" / "run.py").write_text("changed")
     with pytest.raises(ValueError, match="perfbench"):
