@@ -268,9 +268,11 @@ def _check_flags(args) -> None:
 
 def _read(args) -> tuple[_Ratings, np.ndarray]:
     """The input's ratings that the --min-user/--min-item filter keeps, as
-    a batch, and the filter's mask over all the input's ratings."""
+    a batch, and the filter's mask over all the input's ratings; timestamps
+    are kept only for the verbs that write records."""
     batch = (_parse_multicriteria(args.input, args.criteria, _scale_of(args))
-             if args.format == "mc-csv" else _parse_movielens(args.input))
+             if args.format == "mc-csv" else _parse_movielens(
+                 args.input, stamps=args.verb in ("filter", "split")))
     kept = _density_mask(batch, DensityFilterSpec(args.min_user, args.min_item))
     return batch.take(kept), kept
 

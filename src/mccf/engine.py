@@ -101,8 +101,12 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
     ascending item order as a one-item-at-a-time loop sums them; every
     value is therefore that loop's, bitwise.  The support is counted
     before NaN and non-positive weights go to 0 and before a NaN value
-    drops it.  A row with more than k neighbors (a capped row) also sets
-    the weights it does not select to 0 and counts k.
+    drops it.  A row with more than k neighbors (a capped row) counts k.
+    One ascending sort of a copy of the capped rows gives each its k-th
+    largest weight, and one multiply in place by w >= a threshold per row
+    (that weight, or 0 for an uncut row: times 1) zeroes the smaller
+    weights; ties at the k-th weight past the top k's room go to 0 in
+    item order.
     """
     n, m = len(items), len(rated)
     # the store is symmetric: gather from the side with fewer rows; either
@@ -114,19 +118,24 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
     k = spec.max_neighbors
     cut = [] if k is None else (count > k).nonzero()[0]
     if len(cut):
-        # sorted negated rows lead with the k largest weights, all
-        # positive: keep those at or above the k-th
-        wc = w[cut]
-        kth = -np.sort(-wc, axis=1)[:, k - 1, None]
-        sel = wc >= kth
-        tied = (sel.sum(axis=1) > k).nonzero()[0]
+        # a sorted copy of the cut rows ends with the k largest weights, all
+        # positive, so the k-th largest is each one's threshold
+        srt = w[cut]
+        srt.sort(axis=1)
+        kth = srt[:, m - k]
+        thr = np.zeros((n, 1))
+        thr[cut, 0] = kth
+        w *= (w >= thr)
+        tied = (srt[:, m - k - 1] == kth).nonzero()[0]
         if tied.size:
-            # too many ties at the k-th weight: the lower indices win
-            ties = wc[tied] == kth[tied]
-            room = k - (wc[tied] > kth[tied]).sum(axis=1, keepdims=True)
-            sel[tied] &= ~ties | (ties.cumsum(axis=1) <= room)
-        wc *= sel
-        w[cut] = wc
+            # too many ties at the k-th weight: the lower indices win,
+            # as many as the top k has room for beside the larger weights
+            room = k - (srt[tied, m - k:] > kth[tied, None]).sum(axis=1)
+            rows = cut[tied]
+            r, c = (w[rows] == kth[tied, None]).nonzero()
+            # a tie's rank in its row: its place less its row's first place
+            drop = np.arange(len(r)) - np.searchsorted(r, r) >= room[r]
+            w[rows[r[drop]], c[drop]] = 0.0
         count[cut] = k
     den = w.sum(axis=1)
     num = np.vecdot(w, np.ascontiguousarray(ratings.T)[:, None, :])

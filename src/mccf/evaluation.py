@@ -219,7 +219,7 @@ def _batch(source, k: int | None = None) -> _Ratings:
     """The ratings of a MovieLens file path, a CriteriaTensor (its cells,
     user-major) or a record sequence (with k criteria when k is given)."""
     if isinstance(source, (str, Path)):
-        return _parse_movielens(source)
+        return _parse_movielens(source, stamps=False)
     if isinstance(source, CriteriaTensor):
         return source._ratings()
     return _Ratings.of_records(source, k)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mccf import ingest
 from mccf.cli import _check_flags, build_parser, main
 from mccf.core import (CriteriaTensor, Dataset, ParseError, RatingRecord,
                        RatingScale)
@@ -153,6 +154,24 @@ def test_split_partitions_file(data_dir, tmp_path, capsys):
         assert len(train) + len(test) == total
         assert len(train) > len(test)
     assert set(train + test) == set(parse_movielens(kept))
+
+
+def test_record_verbs_keep_timestamps(tmp_path, capsys):
+    """filter and split write each line back with its own timestamp; the
+    verbs that write no records keep none (see
+    test_compute_verbs_build_no_record)."""
+    lines = [f"u{n % 4}\ti{n % 5}\t{n % 5 + 1}\t{881250949 + n}\n"
+             for n in range(20)]
+    source, out = tmp_path / "u.data", tmp_path / "out"
+    source.write_text("".join(lines))
+    assert run(["filter", "--input", str(source), "--output", str(out)],
+               capsys)[0] == 0
+    assert out.read_text() == "".join(lines)
+    assert run(["split", "--input", str(source), "--train-fraction", "0.5",
+                "--seed", "1", "--output", str(out)], capsys)[0] == 0
+    written = [line for part in (".train", ".test") for line in
+               (tmp_path / f"out{part}").read_text().splitlines(keepends=True)]
+    assert sorted(written) == sorted(lines)
 
 
 def test_decompose_all_modes(data_dir, tmp_path, capsys):
@@ -419,6 +438,15 @@ def test_compute_verbs_build_no_record(data_dir, tmp_path, monkeypatch,
     # the patch reaches the records the parsers build
     with pytest.raises(AssertionError):
         parse_movielens(data_dir / "ratings.tsv")
+    # and no verb here keeps the timestamps only records carry
+    stamps, parse = [], ingest._parse
+
+    def kept(*args, **kwargs):
+        batch = parse(*args, **kwargs)
+        stamps.append(batch.timestamps)
+        return batch
+
+    monkeypatch.setattr(ingest, "_parse", kept)
     out = str(tmp_path / "factors.npz")
     ml = ["--input", str(data_dir / "ratings.tsv"), "--min-user", "2"]
     mc = ["--input", str(data_dir / "mc.csv"), "--format", "mc-csv",
@@ -435,6 +463,7 @@ def test_compute_verbs_build_no_record(data_dir, tmp_path, monkeypatch,
         for verb in verbs:
             code, _, err = run(verb[:1] + data + verb[1:], capsys)
             assert code == 0, (verb, err)
+    assert stamps == [None] * 11
 
 
 def test_over_budget_tensor_exits_before_dense_copy(tmp_path, monkeypatch,

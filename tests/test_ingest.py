@@ -378,6 +378,18 @@ def test_columnar_movielens_matches_per_record_oracles(scratch, text, seed, chun
         for source in (path, text.splitlines(keepends=True)):
             got = _outcome(parse_movielens, source)
             assert got == _outcome(oracles.parse_movielens, source)
+        # a parse that keeps no timestamps checks each one all the same
+        full, bare = (_outcome(_parse_movielens, path, keep)
+                      for keep in (True, False))
+        if isinstance(full, tuple):
+            assert bare == full
+        else:
+            assert bare.timestamps is None and full.timestamps is not None
+            assert (bare.user_ids, bare.item_ids) == (full.user_ids,
+                                                      full.item_ids)
+            for a, b in ((bare.u, full.u), (bare.i, full.i),
+                         (bare.values, full.values)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
         if isinstance(got, tuple):
             return
         _same_cells(Dataset.from_records(got, MOVIELENS_SCALE),

@@ -329,6 +329,18 @@ def test_capped_rows_sum_in_item_order(c):
     assert got[3, 0] == (0.5 * 1.0 + 0.25 * 2.0 + 0.25 * 3.0) / 1.0
 
 
+def _store_of(block):
+    """(store, rated, items): the m rated items come first and hold the
+    (n, m) block's similarities to the n scored items after them; every
+    other pair is undefined."""
+    n, m = block.shape
+    values = np.full((m + n, m + n), np.nan)
+    values[m:, :m], values[:m, m:] = block, block.T
+    sims = SimilarityStore("pearson", values,
+                           tuple(f"i{i}" for i in range(m + n)))
+    return sims, np.arange(m), m + np.arange(n)
+
+
 @pytest.mark.parametrize("c", [1, 4])
 def test_unbounded_rows_sum_the_whole_rated_row(c):
     """An unbounded row sums over all of the user's rated items, in item
@@ -348,11 +360,7 @@ def test_unbounded_rows_sum_the_whole_rated_row(c):
     block = rng.integers(-2, 4, (n, m)) / 3
     block[rng.random((n, m)) < 0.2] = nan
     block[0] = first
-    values = np.full((m + n, m + n), nan)
-    values[m:, :m], values[:m, m:] = block, block.T
-    sims = SimilarityStore("pearson", values,
-                           tuple(f"i{i}" for i in range(m + n)))
-    rated, items = np.arange(m), m + np.arange(n)
+    sims, rated, items = _store_of(block)
     ratings = rng.integers(1, 6, (m, c)).astype(float)
     ratings[:, 0] = (1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0, 2.0, 4.0)
     spec = NeighborhoodSpec()
@@ -391,11 +399,7 @@ def test_capped_rows_sum_the_whole_rated_row(c):
     block = rng.integers(-2, 4, (n, m)) / 3
     block[rng.random((n, m)) < 0.2] = nan
     block[:2] = first, second
-    values = np.full((m + n, m + n), nan)
-    values[m:, :m], values[:m, m:] = block, block.T
-    sims = SimilarityStore("pearson", values,
-                           tuple(f"i{i}" for i in range(m + n)))
-    rated, items = np.arange(m), m + np.arange(n)
+    sims, rated, items = _store_of(block)
     ratings = rng.integers(1, 6, (m, c)).astype(float)
     ratings[:, 0] = (1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0, 2.0, 4.0)
     spec = NeighborhoodSpec(5)
@@ -408,3 +412,44 @@ def test_capped_rows_sum_the_whole_rated_row(c):
                                              np.array([i]), spec)
         assert np.array_equal(alone[0], got[p], equal_nan=True), i
         assert alone_support[0] == support[p]
+
+
+@pytest.mark.parametrize("c", [1, 4])
+def test_capped_selection_at_its_boundaries(c):
+    """The capped selection at its edges, at k = 4, each row against the
+    loop.  Over m = 5 rated items: rows 0 and 1 have 5 positive weights,
+    so the tie test reads the first column of the sorted row; row 1's two
+    smallest tie at the k-th weight, and the lower item wins.  Row 2's
+    five equal weights all tie: the room is k, and the four lower items
+    win.  Row 3's three largest weights tie above the k-th weight but not
+    at it, so it is not tied.  Over m = 7: rows 0 and 1 are capped rows
+    holding -0.0 and 0.0, row 1 tied at the k-th weight.  The uncut rows
+    (the last over m = 5, the last two over m = 7, one of them with exactly
+    k neighbors), with small, -0.0, NaN and negative weights, score bitwise
+    as in a call that cuts no row."""
+    nan = np.nan
+    spec = NeighborhoodSpec(4)
+    rng = np.random.default_rng(80)
+    scored = []
+    for block, support in (
+            (np.array([[0.3, 0.1, 0.5, 0.2, 0.4],
+                       [0.3, 0.2, 0.5, 0.2, 0.4],
+                       [0.25] * 5,
+                       [0.5, 0.5, 0.5, 0.2, 0.1],
+                       [0.005, nan, 0.2, -0.5, -0.0]]), [4, 4, 4, 4, 2]),
+            (np.array([[0.3, -0.0, 0.2, 0.0, 0.4, 0.1, 0.5],
+                       [0.3, -0.0, 0.2, 0.0, 0.2, 0.4, 0.5],
+                       [0.1, nan, -0.0, 0.7, -0.3, 0.2, 0.0],
+                       [-0.0, 0.3, 0.3, nan, 0.3, 0.0, 0.6]]), [4, 4, 3, 4])):
+        sims, rated, items = _store_of(block)
+        ratings = rng.integers(1, 6, (len(rated), c)).astype(float)
+        ratings[:, 0] = np.arange(len(rated)) % 5 + 1
+        got, got_support = _kernel_matches_loop(sims, rated, ratings, items,
+                                                spec)
+        assert got_support.tolist() == support
+        uncut = (block > 0).sum(axis=1) <= 4
+        alone, _ = _neighborhood(sims, rated, ratings, items[uncut], spec)
+        assert alone.tobytes() == got[uncut].tobytes()
+        scored.append(got[:, 0])
+    # of the five equal weights, the one on rated item 4 (rating 5) is cut
+    assert scored[0][2] == (1 + 2 + 3 + 4) / 4
