@@ -15,9 +15,10 @@ own `src/`.  For every workload, seed and end-to-end metric the output
 holds each run's value, the median and quartiles of each side, the
 pairs each side won and a `verdict` (gain, worse, unresolved or no
 change; see verdict()), beside every run's `correct` and `failed`, the
-host (`run.machine()`) and the sha256 of both libraries.  It refuses (exit 2) when `perfbench/` differs between the
-two checkouts, since that would measure a benchmark change, not a
-library change.
+host (`run.machine()`), and the sha256 and line count (`wc -l
+src/mccf/*.py`) of both libraries.  It refuses (exit 2) when
+`perfbench/` differs between the two checkouts, since that would
+measure a benchmark change, not a library change.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ def tree_hash(top: Path) -> str:
                     if p.is_file() and "__pycache__" not in p.parts):
         h.update(f.relative_to(top).as_posix().encode() + b"\0" + f.read_bytes())
     return h.hexdigest()
+
+
+def library_lines(top: Path) -> int:
+    """Lines of the modules directly under top, as `wc -l` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in top.glob("*.py"))
 
 
 def perfbench_run(checkout: Path, workload: str, seed: int,
@@ -124,8 +130,10 @@ def compare(base: Path, head: Path, workloads: list[str], seeds: list[int],
                           "failed": [r["failed"] for r in runs[side]]}
                    for side in SIDES},
                 "metrics": metrics}
-    return {"library_sha256": {side: tree_hash(checkouts[side] / "src" / "mccf")
-                               for side in SIDES},
+    library = {side: checkouts[side] / "src" / "mccf" for side in SIDES}
+    return {"library_sha256": {side: tree_hash(library[side]) for side in SIDES},
+            "library_lines": {side: library_lines(library[side])
+                              for side in SIDES},
             "pairs": pairs, "seconds": seconds, "workloads": results}
 
 

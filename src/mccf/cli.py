@@ -289,8 +289,11 @@ def _load(args, matrix: bool = False):
 def _check_ranks(data, ranks: tuple[int, ...]):
     """data, once each --ranks value is checked against its dimensions: a
     tensor's one per mode, a matrix's one against both (the zip repeats
-    it).  Empty input is left to the fill's and the split's own errors."""
-    dims = (data.n_users, data.n_items) + ((data.k + 1,) if len(ranks) == 3 else ())
+    it); a batch's are the users and items its rows hold.  Empty input is
+    left to the fill's and the split's own errors."""
+    dims = ((len(np.unique(data.u)), len(np.unique(data.i)))
+            if isinstance(data, _Ratings) else (data.n_users, data.n_items))
+    dims += (data.k + 1,) if len(ranks) == 3 else ()
     if 0 < min(dims) and any(r > n for r, n in zip(ranks * 2, dims)):
         raise UsageError(f"rank {','.join(map(str, ranks))} exceeds "
                          f"{'tensor' if len(dims) == 3 else 'matrix'} "
@@ -363,8 +366,10 @@ def _cmd_evaluate(args) -> int:
         sim=args.sim, train_fraction=args.train_fraction, seed=args.seed,
         top_n=args.top_n, relevance_threshold=args.relevance_threshold,
         latent_rank=args.ranks[0] if args.ranks else BenchmarkConfig.latent_rank)
-    # a tensor contributes its overall ratings
-    report = run_benchmark(_load(args), config, _scale_of(args))
+    data = _load(args)      # a tensor contributes its overall ratings
+    if args.ranks:
+        _check_ranks(data, args.ranks)
+    report = run_benchmark(data, config, _scale_of(args))
     _emit(report.to_text(), args.output)
     return 0
 

@@ -223,6 +223,32 @@ def _check_scale(values: np.ndarray, scale: RatingScale) -> None:
         raise ValueError("rating outside scale bounds")
 
 
+# Cells per block of a segment sum: a block's per-cell rows (for a
+# CellTensor's products, (cells, slices, sketch width)) stay in cache.
+_CELL_BLOCK = 2048
+
+
+def _segment_sums(ptr: np.ndarray, rows, tail: tuple[int, ...]) -> np.ndarray:
+    """(len(ptr) - 1, *tail) sums of per-cell rows over the segments
+    ptr[j]:ptr[j + 1] of a row pointer such as _Cells._u_ptr; rows(lo, hi)
+    gives cells lo..hi's (hi - lo, *tail) rows, and an empty segment sums
+    to zero.  The cells go in blocks of about _CELL_BLOCK that end on
+    segment bounds, each one np.add.reduceat over its nonempty segments."""
+    n = len(ptr) - 1
+    out = np.zeros((n,) + tail)
+    cuts = np.unique(np.concatenate((
+        [0], ptr.searchsorted(np.arange(_CELL_BLOCK, ptr[-1], _CELL_BLOCK),
+                              "right") - 1, [n])))
+    filled = ptr[1:] > ptr[:-1]
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        lo, hi = int(ptr[a]), int(ptr[b])
+        if hi > lo:
+            keep = filled[a:b]
+            out[a:b][keep] = np.add.reduceat(rows(lo, hi), ptr[a:b][keep] - lo,
+                                             axis=0)
+    return out
+
+
 class _Cells:
     """Sparse user x item cells under two id maps; the shared core of
     Dataset and CriteriaTensor.
@@ -393,14 +419,8 @@ class Dataset(_Cells):
         """Per-user mean over all items the user rated; 0 for a user
         without ratings."""
         counts = np.diff(self._u_ptr)
-        rated = counts > 0
-        # a user's ratings are contiguous, so reducing from the rated
-        # users' row starts sums exactly each one's own ratings
-        sums = np.zeros(self.n_users)
-        sums[rated] = np.add.reduceat(self._values, self._u_ptr[:-1][rated])
-        means = np.zeros(self.n_users)
-        np.divide(sums, counts, out=means, where=rated)
-        return means
+        sums = _segment_sums(self._u_ptr, lambda lo, hi: self._values[lo:hi], ())
+        return np.divide(sums, counts, out=np.zeros(self.n_users), where=counts > 0)
 
 
 @dataclass(frozen=True)

@@ -272,14 +272,24 @@ def _number(v: float) -> str:
     return repr(float(v)).removesuffix(".0")
 
 
+def _id(x: str, sep: str, comment: bool = False) -> str:
+    """x, once checked to read back from a line as itself: ValueError if it
+    has outer whitespace, the separator or a line break, or (comment) if it
+    would start a comment line."""
+    if (x != x.strip() or sep in x or len(x.splitlines()) > 1
+            or comment and x.startswith("#")):
+        raise ValueError(f"cannot write id {x!r}: it would not read back")
+    return x
+
+
 def write_movielens(records: Iterable[RatingRecord], path) -> None:
     """TAB-separated ``user item rating timestamp``; missing timestamps
     write as 0 to keep the 4-field shape."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             ts = rec.timestamp if rec.timestamp is not None else 0
-            fh.write(f"{rec.user_id}\t{rec.item_id}\t{_number(rec.overall)}"
-                     f"\t{ts}\n")
+            user, item = _id(rec.user_id, "\t"), _id(rec.item_id, "\t")
+            fh.write(f"{user}\t{item}\t{_number(rec.overall)}\t{ts}\n")
 
 
 def write_multicriteria(records: Iterable[CriteriaRecord], path) -> None:
@@ -287,4 +297,5 @@ def write_multicriteria(records: Iterable[CriteriaRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             values = [_number(v) for v in (*rec.criteria, rec.overall)]
-            fh.write(",".join([rec.user_id, rec.item_id, *values]) + "\n")
+            fh.write(",".join([_id(rec.user_id, ",", comment=True),
+                               _id(rec.item_id, ","), *values]) + "\n")

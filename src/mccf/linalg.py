@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaTensor, Dataset
+from .core import CriteriaTensor, Dataset, _CELL_BLOCK, _segment_sums
 
 # Relative cutoff below which a singular value is treated as exactly zero.
 SIGMA_CUTOFF = 1e-12
@@ -243,10 +243,6 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
 # are 1.6 GB.
 DENSE_CELL_BUDGET = 2e8
 
-# Cells per block of a CellTensor's per-cell products: a block's
-# (cells, slices, sketch width) temporaries stay in cache.
-_CELL_BLOCK = 2048
-
 
 def check_cell_budget(cells: float) -> None:
     if cells > DENSE_CELL_BUDGET:
@@ -285,27 +281,6 @@ def cell_factoring_cells(shape: tuple[int, int, int], n_cells: int,
             + 2 * block * slices * width + users * ranks[1] * ranks[2])
 
 
-def _segment_sums(ptr: np.ndarray, rows, tail: tuple[int, ...]) -> np.ndarray:
-    """(len(ptr) - 1, *tail) sums of per-cell rows over the segments
-    ptr[j]:ptr[j + 1]; rows(lo, hi) gives cells lo..hi's (hi - lo, *tail)
-    rows, and an empty segment sums to zero.  The cells go in blocks of
-    about _CELL_BLOCK that end on segment bounds, each one np.add.reduceat
-    over its nonempty segments."""
-    n = len(ptr) - 1
-    out = np.zeros((n,) + tail)
-    cuts = np.unique(np.concatenate((
-        [0], ptr.searchsorted(np.arange(_CELL_BLOCK, ptr[-1], _CELL_BLOCK),
-                              "right") - 1, [n])))
-    filled = ptr[1:] > ptr[:-1]
-    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        lo, hi = int(ptr[a]), int(ptr[b])
-        if hi > lo:
-            keep = filled[a:b]
-            out[a:b][keep] = np.add.reduceat(rows(lo, hi), ptr[a:b][keep] - lo,
-                                             axis=0)
-    return out
-
-
 class CellTensor:
     """The (users, items, slices) tensor of a Dataset (one slice) or a
     CriteriaTensor (k+1), read in place from the container's cells.
@@ -319,7 +294,8 @@ class CellTensor:
 
         T[:, :, s] = 1 Q[:, s].T + D_s,
 
-    with Q the item means, or minus the centring's residual means.
+    with Q the item means, or 0 when centred: a filled column's mean over
+    users is its item mean, so centring leaves D.
     hosvd and truncated_svd factor it through the products of these parts,
     the sparse-plus-low-rank products of Soft-Impute (Mazumder, Hastie &
     Tibshirani, JMLR 11, 2010), so no users x items array is ever formed.
@@ -349,15 +325,9 @@ class CellTensor:
         self._term = (np.ones((n_users, slices)), q)
         self._d = values - self._fill_at_cells()
         self._u_im, self._d_im = users[by_item], self._d[by_item]
-        self.means = None
+        self.means = q if center else None
         if center:
-            # the means over users are the item means plus D's column sums
-            # over the user count: what is left after taking them out is
-            # minus that residual as the column term
-            residual = _segment_sums(self._i_ptr, lambda lo, hi:
-                                     self._d_im[lo:hi], (slices,)) / n_users
-            self.means = residual + q
-            self._term = (self._term[0], -residual)
+            self._term = (self._term[0], np.zeros_like(q))
 
     def _fill_at_cells(self) -> np.ndarray:
         # added to zeros, a -0.0 in Q enters the fill as 0.0

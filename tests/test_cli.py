@@ -234,6 +234,28 @@ def test_decompose_rank_above_matrix_dims_is_a_usage_error(data_dir, tmp_path,
     assert not out.exists()
 
 
+def test_evaluate_rank_is_checked_against_the_filtered_input(data_dir, capsys):
+    # a latent rank above the users or items the (filtered) input holds is a
+    # usage error, as in recommend, not a rank clamped under the report's
+    # ranks=; one equal to them runs and is the rank reported
+    ratings = ["--input", str(data_dir / "ratings.tsv")]
+    mc = ["--input", str(data_dir / "mc.csv"), "--format", "mc-csv",
+          "--criteria", "3"]
+    # --min-user 12 keeps 6 users and 12 items, though the batch still
+    # names all 30 users and 14 items
+    for source, dims in ((ratings, (30, 14)), (mc, (30, 14)),
+                         (ratings + ["--min-user", "12"], (6, 12))):
+        args = ["evaluate", *source, "--sim", "latent", "--seed", "1",
+                "--ranks"]
+        rank = min(dims)
+        code, _, err = run(args + [str(rank + 1)], capsys)
+        assert code == 1, (source, err)
+        assert f"rank {rank + 1} exceeds matrix dimensions {dims}" in err
+        code, out, _ = run(args + [str(rank)], capsys)
+        assert code == 0
+        assert f"ranks={rank}" in out.splitlines()
+
+
 def test_evaluate_prints_report(data_dir, capsys):
     args = ["evaluate", "--input", str(data_dir / "ratings.tsv"),
             "--sim", "euclidean", "--train-fraction", "0.8", "--seed", "7"]

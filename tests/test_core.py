@@ -12,6 +12,7 @@ from mccf.core import (
     Dataset,
     RatingRecord,
     RatingScale,
+    _CELL_BLOCK,
     _IndexMap,
     _Ratings,
     criteria_slice,
@@ -113,6 +114,24 @@ def test_user_means_oracle():
     d = Dataset.from_records(RECORDS, ONE_TO_FIVE)
     expected = np.nanmean(d.to_dense(), axis=1)
     assert np.allclose(d.user_means(), expected)
+
+
+def test_user_means_are_one_reduceat_over_the_rated_users():
+    # more cells than one segment-sum block, and users without ratings:
+    # the blocked sums round as one np.add.reduceat from the rated users'
+    # row starts does
+    rng = np.random.default_rng(4)
+    dense = np.where(rng.random((70, 80)) < 0.6, rng.uniform(1, 5, (70, 80)),
+                     np.nan)
+    dense[[0, 31, 69]] = np.nan
+    d = dataset_from_dense(dense)
+    assert d.n_ratings > _CELL_BLOCK
+    counts = np.diff(d._u_ptr)
+    rated = counts > 0
+    want = np.zeros(d.n_users)
+    want[rated] = (np.add.reduceat(d.values, d._u_ptr[:-1][rated])
+                   / counts[rated])
+    assert d.user_means().tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])

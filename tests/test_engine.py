@@ -29,7 +29,7 @@ from mccf.engine import (
     _mc_score,
     _top_n,
 )
-from mccf.linalg import tucker_reconstruct
+from mccf.linalg import CellTensor, tucker_reconstruct
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
 from oracles import (factored_value, loop_predict, sim, top_n,
@@ -401,8 +401,12 @@ def test_save_load_roundtrip(tmp_path):
         for pca_option in (False, True):
             config = McConfig(sim_kind=sim_kind, pca_option=pca_option, seed=9,
                               neighborhood=NeighborhoodSpec(max_neighbors=4))
-            _assert_roundtrip(build_mc_model(t, (2, 3, 3), config),
-                              tmp_path / "model.txt")
+            model = build_mc_model(t, (2, 3, 3), config)
+            if pca_option:
+                # the centring's slice means are the item means, bit for bit
+                assert (model.slice_means.tobytes()
+                        == CellTensor(t)._term[1].tobytes())
+            _assert_roundtrip(model, tmp_path / "model.txt")
 
 
 def _assert_roundtrip(model, path):

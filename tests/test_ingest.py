@@ -241,6 +241,33 @@ def test_multicriteria_roundtrip(tmp_path):
     assert parse_multicriteria(p, 3, RatingScale.one_to_five()) == records
 
 
+def test_writers_write_only_ids_that_read_back(tmp_path):
+    p = tmp_path / "out"
+    ml = lambda u, i: [RatingRecord(u, i, 4.0, 1)]
+    mc = lambda u, i: [CriteriaRecord(u, i, (4.0,), 3.0)]
+    # outer whitespace, the separator, a character splitlines breaks on,
+    # and an mc-csv user id that would start a comment line
+    line_breaks = ("u2\n", "u\r1", "a\x1cb", "a\x85b", "a\u2028b")
+    rejected = ([(write_movielens, ml, x) for x in (" u3 ", "u\t1", *line_breaks)]
+                + [(write_multicriteria, mc, x) for x in (" u3 ", "a,b", *line_breaks)])
+    for writer, make, x in rejected:
+        for records in (make(x, "i1"), make("u1", x)):
+            with pytest.raises(ValueError) as exc:
+                writer(records, p)
+            assert repr(x) in str(exc.value)
+    with pytest.raises(ValueError, match="'#u1'"):
+        write_multicriteria(mc("#u1", "i1"), p)
+    # an empty id, an inner space, a non-ASCII id and a "#" that starts no
+    # comment line all read back
+    ids = ("", "a b", "ü✓", "#1")
+    records = [RatingRecord(u, i, 4.0, 1) for u in ids for i in ids]
+    write_movielens(records, p)
+    assert parse_movielens(p) == records
+    records = [CriteriaRecord(u, i, (4.0,), 3.0) for u in ids[:3] for i in ids]
+    write_multicriteria(records, p)
+    assert parse_multicriteria(p, 1, RatingScale.one_to_five()) == records
+
+
 def test_parsed_mc_csv_holds_under_100_bytes_a_row():
     """Rows whose values repeat share their criteria tuple and floats, so a
     parse holds about a record and a list slot per row, not also a tuple

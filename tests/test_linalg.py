@@ -401,6 +401,11 @@ def test_cell_tensor_products_match_dense_unfoldings(seed, center):
     _assert_close(cells._gram(), a3 @ a3.T)
     if center:
         _assert_close(cells.means, means)
+        # a filled column's mean over users is its item mean: centring
+        # leaves D, and the means are the item means bit for bit
+        assert not cells._term[1].any()
+        plain = CellTensor(_container(dims, users, items, values))
+        assert cells.means.tobytes() == plain._term[1].tobytes()
     else:
         assert cells.means is None
 

@@ -48,7 +48,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     base, head = tmp_path / "base", tmp_path / "head"
-    for side, source in ((base, "old"), (head, "new")):
+    for side, source in ((base, "old\n"), (head, "new\nlines\n")):
         (side / "perfbench").mkdir(parents=True)
         (side / "perfbench" / "run.py").write_text("same")
         (side / "src" / "mccf").mkdir(parents=True)
@@ -87,6 +87,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     # each pair flips which side goes first
     assert calls == ["base", "head", "head", "base"] * 2
     assert out["library_sha256"]["base"] != out["library_sha256"]["head"]
+    assert out["library_lines"] == {"base": 1, "head": 2}
     run = out["workloads"]["w"]["1"]
     assert run["head"] == {"correct": [True] * 4, "failed": [0] * 4}
     p50 = run["metrics"]["topn_p50_ms"]
