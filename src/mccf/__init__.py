@@ -1,6 +1,8 @@
 """Item-based collaborative filtering with dimensionality reduction,
 single- and multi-criteria."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     CriteriaRecord,
     CriteriaTensor,
@@ -77,66 +79,6 @@ from .similarity import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregationWeights",
-    "BenchmarkConfig",
-    "CriteriaRecord",
-    "CriteriaTensor",
-    "Dataset",
-    "DatasetStats",
-    "DensityFilterSpec",
-    "EvalReport",
-    "FactorModel",
-    "MOVIELENS_SCALE",
-    "McBenchmarkConfig",
-    "McConfig",
-    "McModel",
-    "NeighborhoodSpec",
-    "ParseError",
-    "PcaModel",
-    "Prediction",
-    "RatingRecord",
-    "RatingScale",
-    "RelevanceSpec",
-    "SIMILARITY_KINDS",
-    "SimilarityStore",
-    "SplitSpec",
-    "TuckerModel",
-    "aggregate_overall",
-    "batch_predict",
-    "bias",
-    "build_mc_model",
-    "coverage",
-    "criteria_slice",
-    "dataset_stats",
-    "density_filter",
-    "fit_aggregation",
-    "hosvd",
-    "impute_missing",
-    "item_similarity_matrix",
-    "load_model",
-    "mae",
-    "mc_recommend_top_n",
-    "overall_slice",
-    "parse_movielens",
-    "parse_multicriteria",
-    "pca",
-    "pca_project",
-    "pca_reconstruct",
-    "precision_recall_f1",
-    "predict_criteria",
-    "predict_matrix",
-    "predict_overall",
-    "predict_single",
-    "recommend_top_n",
-    "rmse",
-    "run_benchmark",
-    "run_mc_benchmark",
-    "run_sweep",
-    "save_model",
-    "split_train_test",
-    "truncated_svd",
-    "tucker_reconstruct",
-    "write_movielens",
-    "write_multicriteria",
-]
+# the public surface is the import block above: every name it binds
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

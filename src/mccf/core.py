@@ -81,9 +81,6 @@ class RatingScale:
     def contains(self, value: float) -> bool:
         return self.min_value <= value <= self.max_value
 
-    def clamp(self, value: float) -> float:
-        return min(max(value, self.min_value), self.max_value)
-
     @property
     def span(self) -> float:
         return self.max_value - self.min_value
@@ -349,14 +346,6 @@ class _Cells:
         lo, hi = self._u_ptr[u], self._u_ptr[u + 1]
         return self._i_idx[lo:hi], self._values[lo:hi]
 
-    def _lookup(self, u: int, i: int):
-        """Values of cell (u, i), or None when it is not stored."""
-        items, vals = self._row(u)
-        pos = np.searchsorted(items, i)
-        if pos < len(items) and items[pos] == i:
-            return vals[pos]
-        return None
-
     def _dataset(self, values: np.ndarray) -> "Dataset":
         """A Dataset of these cells holding a copy of values, one per cell
         in user-major order, under the same index maps and arrays."""
@@ -411,10 +400,6 @@ class Dataset(_Cells):
 
     items_of = _Cells._row      # (item indices, ratings) of one user
 
-    def rating(self, u: int, i: int) -> float | None:
-        value = self._lookup(u, i)
-        return None if value is None else float(value)
-
     def user_means(self) -> np.ndarray:
         """Per-user mean over all items the user rated; 0 for a user
         without ratings."""
@@ -466,7 +451,6 @@ class CriteriaTensor(_Cells):
         return len(self._values)
 
     cells_of = _Cells._row      # (item indices, (cells x k+1) values)
-    cell = _Cells._lookup
 
     def cell_matrix(self) -> np.ndarray:
         """Copy of all cell values, one row per cell: [overall, c1..ck]."""

@@ -40,8 +40,8 @@ from .core import (
     _check_integer,
     criteria_slice,
 )
-from .linalg import (CellTensor, TuckerModel, cell_factoring_cells,
-                     check_cell_budget, hosvd)
+from .linalg import (CellTensor, TuckerModel, _item_means,
+                     cell_factoring_cells, check_cell_budget, hosvd)
 from .similarity import (
     SIMILARITY_KINDS,
     SimilarityStore,
@@ -626,5 +626,5 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
         raise ValueError("non-finite Tucker core or factor")
     check_cell_budget(mc_build_cells(tensor, tucker.core.shape, config))
     # the PCA option's slice means come from the cells, as in the build
-    slice_means = CellTensor(tensor, center=True).means if config.pca_option else None
+    slice_means = _item_means(tensor)[2] if config.pca_option else None
     return McModel(tensor, config, tucker, slice_means)

@@ -244,14 +244,13 @@ def _build_store(train: Dataset, sim: str, latent_rank: int, seed: int):
         return item_similarity_matrix(train, kind)
     # the factoring from the cells, then the store, before either runs
     check_cell_budget(_build_store_cells(train, sim, latent_rank))
-    rank = min(latent_rank, train.n_users, train.n_items)
-    model = truncated_svd(CellTensor(train), rank, seed=seed)
+    model = truncated_svd(CellTensor(train), latent_rank, seed=seed)
     return item_similarity_matrix(train, "latent_cosine", model=model)
 
 
 def _build_store_cells(train: Dataset, sim: str, latent_rank: int) -> float:
     """Cells _build_store holds: the store, for latent after the factoring
-    from the cells at latent_rank (at least the clamped rank's count)."""
+    from the cells at latent_rank."""
     kind = SIM_NAME_MAP[sim]
     factoring = cell_factoring_cells((train.n_users, train.n_items, 1),
                                      train.n_ratings, (latent_rank, latent_rank, 1))
@@ -482,9 +481,6 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
             raise ValueError("records without criteria; pass CriteriaRecords")
     train, test = _split(_batch(source, k), config.train_fraction, config.seed)
     train = CriteriaTensor.from_records(train, k, scale)
-    caps = (train.n_users, train.n_items, k + 1)
-    if any(r > cap for r, cap in zip(config.ranks, caps)):
-        raise ValueError(f"ranks {config.ranks} exceed tensor dims {caps}")
     threshold = _relevance(config.relevance_threshold, scale)
     model = build_mc_model(train, config.ranks, config.engine_config())
     # unknown users or items are the only no-predictions

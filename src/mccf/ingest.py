@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress, islice
 from pathlib import Path
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -282,20 +282,26 @@ def _id(x: str, sep: str, comment: bool = False) -> str:
     return x
 
 
+def _write(path, lines: Iterator[str]) -> None:
+    """The lines to a UTF-8 file, with one U+FEFF more before a first line
+    that starts with one: reading drops a byte-order mark there."""
+    with open(path, "w", encoding="utf-8") as fh:
+        first = next(lines, "")
+        fh.write("\ufeff" + first if first.startswith("\ufeff") else first)
+        fh.writelines(lines)
+
+
 def write_movielens(records: Iterable[RatingRecord], path) -> None:
     """TAB-separated ``user item rating timestamp``; missing timestamps
     write as 0 to keep the 4-field shape."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            ts = rec.timestamp if rec.timestamp is not None else 0
-            user, item = _id(rec.user_id, "\t"), _id(rec.item_id, "\t")
-            fh.write(f"{user}\t{item}\t{_number(rec.overall)}\t{ts}\n")
+    _write(path, ("\t".join([_id(rec.user_id, "\t"), _id(rec.item_id, "\t"),
+                             _number(rec.overall),
+                             str(0 if rec.timestamp is None else rec.timestamp)])
+                  + "\n" for rec in records))
 
 
 def write_multicriteria(records: Iterable[CriteriaRecord], path) -> None:
     """Comma-separated ``user,item,c1..ck,overall`` (numeric values)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            values = [_number(v) for v in (*rec.criteria, rec.overall)]
-            fh.write(",".join([_id(rec.user_id, ",", comment=True),
-                               _id(rec.item_id, ","), *values]) + "\n")
+    _write(path, (",".join([_id(rec.user_id, ",", comment=True), _id(rec.item_id, ","),
+                            *map(_number, (*rec.criteria, rec.overall))]) + "\n"
+                  for rec in records))

@@ -281,6 +281,24 @@ def cell_factoring_cells(shape: tuple[int, int, int], n_cells: int,
             + 2 * block * slices * width + users * ranks[1] * ranks[2])
 
 
+def _item_means(cells: Dataset | CriteriaTensor):
+    """(by_item, i_ptr, means): the stable order grouping a container's
+    cells by item, its item row pointer, and the (items, slices) item
+    means, the slice's mean for an item without cells."""
+    items, values = cells.cell_index()[1], cells._ratings().values
+    if not len(values):
+        raise ValueError(f"{'tensor' if values.shape[1] > 1 else 'matrix'} "
+                         "has no observed cells")
+    by_item = np.argsort(items, kind="stable")
+    i_ptr = items[by_item].searchsorted(np.arange(cells.n_items + 1))
+    count = np.diff(i_ptr)[:, None]
+    grouped = values[by_item]
+    sums = _segment_sums(i_ptr, lambda lo, hi: grouped[lo:hi], values.shape[1:])
+    means = np.full(sums.shape, values.mean(axis=0))
+    np.divide(sums, count, out=means, where=count > 0)
+    return by_item, i_ptr, means
+
+
 class CellTensor:
     """The (users, items, slices) tensor of a Dataset (one slice) or a
     CriteriaTensor (k+1), read in place from the container's cells.
@@ -303,23 +321,11 @@ class CellTensor:
 
     def __init__(self, cells: Dataset | CriteriaTensor, center: bool = False):
         (users, items), values = cells.cell_index(), cells._ratings().values
-        n_users, n_items, slices = self.shape = (cells.n_users, cells.n_items,
-                                                 values.shape[1])
+        n_users, _, slices = self.shape = (cells.n_users, cells.n_items,
+                                           values.shape[1])
         self.n_cells = len(values)
-        if not self.n_cells:
-            raise ValueError(f"{'tensor' if slices > 1 else 'matrix'} "
-                             "has no observed cells")
-        by_item = np.argsort(items, kind="stable")
+        by_item, self._i_ptr, q = _item_means(cells)
         self._u_ptr, self._items = cells._u_ptr, items
-        self._i_ptr = items[by_item].searchsorted(np.arange(n_items + 1))
-
-        count = np.diff(self._i_ptr)[:, None]
-        grouped = values[by_item]
-        sums = _segment_sums(self._i_ptr, lambda lo, hi: grouped[lo:hi],
-                             (slices,))
-        q = np.empty(sums.shape)
-        q[:] = values.mean(axis=0)
-        np.divide(sums, count, out=q, where=count > 0)
         # the column term (ones, Q): its products take the ones as a
         # matrix, so they round as matrix products, not as row sums
         self._term = (np.ones((n_users, slices)), q)

@@ -79,11 +79,24 @@ def store_for(model, c: int):
     return stores[0] if len(stores) == 1 else stores[c - 1]
 
 
+def stored(x, u: int, i: int):
+    """The value of cell (u, i) in a Dataset, or its k + 1 values in a
+    CriteriaTensor; None where the cell is not stored."""
+    users, items = x.cell_index()
+    at = np.flatnonzero((users == u) & (items == i))
+    return x.values[at[0]] if len(at) else None
+
+
+def clamp(scale, value: float) -> float:
+    """value moved into the scale's bounds."""
+    return min(max(value, scale.min_value), scale.max_value)
+
+
 def factored_value(model, u: int, i: int, c: int) -> float:
     """The value of cell (u, i) in slice c that an MC model falls back to:
     the rating where the cell is observed, else U1[u] . w[i, c] as one 1-D
     dot product, plus the PCA option's slice mean."""
-    cell = model.tensor.cell(u, i)
+    cell = stored(model.tensor, u, i)
     if cell is not None:
         return float(cell[c])
     value = float(np.dot(model.tucker.factors[0][u], model.w[i, c]))
@@ -355,7 +368,7 @@ def loop_predict(d, sims, u, i, spec):
     if denom < DENOM_EPS:
         return None
     value = float(weights @ values) / denom
-    return d.scale.clamp(value), int(np.count_nonzero(weights))
+    return clamp(d.scale, value), int(np.count_nonzero(weights))
 
 
 def top_n(items: np.ndarray, values: np.ndarray, n: int) -> list[tuple[int, float]]:
@@ -550,7 +563,7 @@ def reference_report(records, config, k: int | None = None,
             for c in range(1, k + 1):
                 got = loop_predict(criteria[c - 1], store_for(model, c), u, i,
                                    spec)
-                crits.append(scale.clamp(factored_value(model, u, i, c))
+                crits.append(clamp(scale, factored_value(model, u, i, c))
                              if got is None else got[0])
             return (aggregate_overall(model.aggregation, crits, scale), *crits)
 

@@ -256,6 +256,24 @@ def test_evaluate_rank_is_checked_against_the_filtered_input(data_dir, capsys):
         assert f"ranks={rank}" in out.splitlines()
 
 
+def test_a_rank_above_the_training_split_exits_2(tmp_path, capsys):
+    # the whole input admits rank 5, but at 30% and seed 0 the training
+    # split keeps 3 of the 5 items: a data error, not a clamped rank
+    path = tmp_path / "small.tsv"
+    write_movielens([RatingRecord(f"u{u}", f"i{i}", float(1 + (2 * u + i) % 5))
+                     for u in range(6) for i in range(5)], path)
+    code, out, err = run(["evaluate", "--input", str(path), "--sim", "latent",
+                          "--train-fraction", "0.3", "--seed", "0",
+                          "--ranks", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert "rank 5 out of range 1..3" in err
+    # the default rank 8 on a 6 x 5 matrix
+    code, out, err = run(["recommend", "--input", str(path), "--user", "u0",
+                          "--sim", "latent", "--seed", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "rank 8 out of range 1..5" in err
+
+
 def test_evaluate_prints_report(data_dir, capsys):
     args = ["evaluate", "--input", str(data_dir / "ratings.tsv"),
             "--sim", "euclidean", "--train-fraction", "0.8", "--seed", "7"]

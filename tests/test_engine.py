@@ -425,7 +425,7 @@ def _assert_roundtrip(model, path):
     if model.slice_means is None:
         assert back.slice_means is None
     else:
-        assert np.array_equal(back.slice_means, model.slice_means)
+        assert back.slice_means.tobytes() == model.slice_means.tobytes()
     assert len(back.item_similarities) == len(model.item_similarities)
     for a, b in zip(back.item_similarities, model.item_similarities):
         assert a.kind == b.kind

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,24 @@ def test_error_metric_desk_values():
     assert rmse(DESK_PAIRS) == pytest.approx(math.sqrt(2.5), abs=1e-12)
     assert bias(DESK_PAIRS) == -0.5
     assert mae([(4.0, 4.0), (2.0, 2.0)]) == 0.0
+
+
+def test_a_rank_above_the_training_split_is_an_error():
+    # at 30% and seed 0 the training split keeps 5 users and 3 of 5 items;
+    # neither harness clamps a rank to it
+    records = [RatingRecord(f"u{u}", f"i{i}", float(1 + (2 * u + i) % 5))
+               for u in range(6) for i in range(5)]
+    scale = RatingScale.one_to_five()
+    with pytest.raises(ValueError, match=r"rank 5 out of range 1\.\.3"):
+        run_benchmark(records, BenchmarkConfig(
+            sim="latent", train_fraction=0.3, seed=0, latent_rank=5), scale)
+    mc = [CriteriaRecord(r.user_id, r.item_id, (r.overall,) * 2, r.overall)
+          for r in records]
+    for ranks, error in (((3, 5, 3), "rank 5 out of range 1..3 for mode 2"),
+                         ((6, 3, 3), "rank 6 out of range 1..5 for mode 1")):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            run_mc_benchmark(mc, McBenchmarkConfig(
+                ranks=ranks, train_fraction=0.3, seed=0), 2, scale)
 
 
 def test_error_metric_validation():
@@ -671,9 +690,12 @@ def test_run_benchmark_follows_the_reference_protocol(records, sim, cap, seed):
     Unbounded, predict_matrix's products round otherwise: the errors agree
     to rounding, and the top-N lists are not compared, since a last-bit
     difference reorders items whose predictions tie."""
-    _split_both_sides(records, seed)
+    train = _split_both_sides(records, seed)
+    # a latent rank the training split admits, as in the MC test below
+    rank = min(2, len({r.user_id for r in train}),
+               len({r.item_id for r in train}))
     config = BenchmarkConfig(sim=sim, train_fraction=0.7, seed=seed, top_n=3,
-                             latent_rank=2, neighborhood=NeighborhoodSpec(cap))
+                             latent_rank=rank, neighborhood=NeighborhoodSpec(cap))
     got = run_benchmark(records, config)
     want = oracles.reference_report(records, config)
     if cap is not None:

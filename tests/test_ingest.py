@@ -258,14 +258,19 @@ def test_writers_write_only_ids_that_read_back(tmp_path):
     with pytest.raises(ValueError, match="'#u1'"):
         write_multicriteria(mc("#u1", "i1"), p)
     # an empty id, an inner space, a non-ASCII id and a "#" that starts no
-    # comment line all read back
-    ids = ("", "a b", "ü✓", "#1")
+    # comment line all read back, and so does a first id that starts with
+    # U+FEFF, which reading would take for a byte-order mark
+    ids = ("\ufeffu1", "", "a b", "ü✓", "#1")
     records = [RatingRecord(u, i, 4.0, 1) for u in ids for i in ids]
     write_movielens(records, p)
     assert parse_movielens(p) == records
-    records = [CriteriaRecord(u, i, (4.0,), 3.0) for u in ids[:3] for i in ids]
+    records = [CriteriaRecord(u, i, (4.0,), 3.0) for u in ids[:4] for i in ids]
     write_multicriteria(records, p)
     assert parse_multicriteria(p, 1, RatingScale.one_to_five()) == records
+    # any other first line is written without a byte-order mark
+    for writer, make in ((write_movielens, ml), (write_multicriteria, mc)):
+        writer(make("u1", "\ufeffi1") + make("\ufeffu1", "i1"), p)
+        assert p.read_bytes().startswith(b"u1")
 
 
 def test_parsed_mc_csv_holds_under_100_bytes_a_row():

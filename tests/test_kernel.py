@@ -28,7 +28,7 @@ from mccf.engine import (
 )
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
-from oracles import factored_value, loop_predict, store_for
+from oracles import clamp, factored_value, loop_predict, store_for
 
 SPECS = [
     NeighborhoodSpec(),
@@ -178,7 +178,7 @@ def test_multicriteria_paths_match_loop(kind, spec):
                                    store_for(model, c), u, i, spec)
                 value = factored_value(model, u, i, c) if got is None \
                     else got[0]
-                expect[c - 1] = t.scale.clamp(value)
+                expect[c - 1] = clamp(t.scale, value)
             assert np.array_equal(predict_criteria(model, uid, iid), expect)
             if i not in rated:
                 scored.append((-predict_overall(model, uid, iid), i))

@@ -1,10 +1,12 @@
 """The programs outside the library that drive it: a smoke test of the
-README's worked example script, a check of the benchmark's imports
-and a stub-runner check of the paired benchmark driver."""
+README's worked example script, checks of the benchmark's imports and
+of the package's public surface, and a stub-runner check of the paired
+benchmark driver."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -40,6 +42,21 @@ def test_benchmark_imports_exist():
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), (module, name)
 
+
+def test_star_import_binds_the_import_block():
+    # the package's __all__ is derived from its import block: a star import
+    # binds exactly the names its own modules' imports list, none of them
+    # a module or private
+    tree = ast.parse((ROOT / "src" / "mccf" / "__init__.py").read_text("utf-8"))
+    listed = {alias.asname or alias.name for node in tree.body
+              if isinstance(node, ast.ImportFrom) and node.level == 1
+              for alias in node.names}
+    namespace = {}
+    exec("from mccf import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == listed
+    for name, value in namespace.items():
+        assert not name.startswith("_") and not inspect.ismodule(value), name
 
 
 def test_bench_pairs_alternates_and_summarises(tmp_path):
