@@ -1,7 +1,7 @@
 """The programs outside the library that drive it: a smoke test of the
 README's worked example script, checks of the benchmark's imports and
-of the package's public surface, and a stub-runner check of the paired
-benchmark driver."""
+of the package's public surface, and a stub-runner check of
+scripts/bench_pairs.py."""
 
 import ast
 import importlib
