@@ -375,9 +375,26 @@ class _Cells:
     def to_mask(self, dtype=bool) -> np.ndarray:
         """user x item matrix of stored cells: True (1) where a cell is
         stored, False (0) elsewhere."""
-        out = np.zeros((self.n_users, self.n_items), dtype=dtype)
-        out[self._u_idx, self._i_idx] = 1
-        return out
+        return self._user_block(0, self.n_users, 0, (1,), dtype)[0]
+
+    def _user_block(self, lo: int, hi: int, first: int, layers,
+                    dtype) -> np.ndarray:
+        """Users lo..hi over items first.. as a dense (len(layers), hi - lo,
+        n_items - first) block, read from their user-major cells: layer k
+        holds layers[k] at each of those cells (a per-cell array in
+        user-major order, or one value for every cell), 0 elsewhere."""
+        c0, c1 = self._u_ptr[lo], self._u_ptr[hi]
+        items = self._i_idx[c0:c1]
+        keep = items >= first if first else slice(None)   # a slice copies none
+        width = self.n_items - first
+        flat = self._u_idx[c0:c1][keep] - lo    # each cell's offset in a layer
+        flat *= width
+        flat += items[keep]
+        flat -= first
+        out = np.zeros((len(layers), (hi - lo) * width), dtype)
+        for o, layer in zip(out, layers):
+            o[flat] = layer if np.ndim(layer) == 0 else layer[c0:c1][keep]
+        return out.reshape(len(layers), hi - lo, width)
 
 
 class Dataset(_Cells):

@@ -9,23 +9,30 @@ look at who rated what: tanimoto (rater intersection over union) and
 loglikelihood (1 - 1 / (1 + LLR) of the rater co-occurrence counts).
 latent_cosine is the cosine of two items' latent factor vectors.
 
-item_similarity_matrix computes every pair at once from dense sufficient
-statistics: Gram products of the users x items ratings and rater mask,
-finished elementwise into one items x items float64 store.  Only the
-upper triangle is finished, in blocks of _BLOCK item rows against the
+item_similarity_matrix computes every pair at once from sufficient
+statistics: Gram products of the rater mask, the ratings and their
+squares, finished elementwise into one items x items float64 store.  Only
+the upper triangle is finished, in blocks of _BLOCK item rows against the
 columns from the block's first item on, and then mirrored in place.  When
 every rating is an integer and n_users * max|rating|^2 < 2**24 (always,
 for the set measures), every partial sum of a product is an integer that
-float32 holds, so the blocks multiply in float32 and give exactly the
-float64 sums.  Other inputs (fractional ratings, adjusted_cosine's
-centred ratings, an empty dataset) keep one float64 block of the whole
-matrix, since a blocked float64 product can change the last bits.  The
-products keep their dtype and the finishers compute in float64, in place
-and into the store, forming each statistic when they first need it and
-dropping it after its last use.  Either way the store is bitwise the
-float64 whole-matrix build.  store_cells counts the memory each build
-holds, and a dataset whose count exceeds linalg.DENSE_CELL_BUDGET (2e8,
-1.6 GB of float64) is rejected before any dense copy.
+float32 holds, so float32 products give exactly the float64 sums in any
+order.  Such inputs never form a users x items array: each row block's
+statistics are float32 products summed over blocks of users, whose mask,
+ratings and squares are scattered from their cells
+(core._Cells._user_block) over the columns from the row block's first
+item on.  A user block holds at most _USER_BLOCK x n_items cells a layer,
+so narrower row blocks take more users at a time.  The summed statistics
+are then finished in tiles of _BLOCK columns.  Other inputs (fractional
+ratings, adjusted_cosine's centred ratings, an empty dataset) keep one
+float64 block of all users and all items, since a blocked float64 sum
+can change the last bits.  The statistics keep their dtype and the
+finishers compute in float64, in place and into the store; on the float64
+path they form each statistic when they first need it and drop it after
+its last use.  Either way the store is bitwise the float64 whole-matrix
+build.  store_cells counts the memory each build holds, and a dataset
+whose count exceeds linalg.DENSE_CELL_BUDGET (2e8, 1.6 GB of float64) is
+rejected before any dense copy.
 
 A pair is undefined, NaN in the store, with zero variance or norm or with
 fewer co-raters than the fixed gate: 2 for rating-based measures (a
@@ -56,6 +63,9 @@ _VAR_EPS = np.float64(1e-9)
 # Item rows per block of the float32 build and of the in-place mirror.
 _BLOCK = 256
 
+# Users per block of the float32 build's operands at the full item width.
+_USER_BLOCK = 512
+
 # float32 holds every integer of magnitude below this exactly.
 _FLOAT32_EXACT = 2 ** 24
 
@@ -77,7 +87,7 @@ class SimilarityStore:
         v = self.values
         if (v.shape != (len(self.item_ids),) * 2 or not np.isnan(v.diagonal()).all()
                 or any(((r != c) & ~(np.isnan(r) & np.isnan(c))).any() for r, c in (
-                    (v[a:a + _BLOCK], v[:, a:a + _BLOCK].T)     # a block at a time
+                    (v[a:a + _BLOCK, a:], v[a:, a:a + _BLOCK].T)  # each pair once
                     for a in range(0, len(v), _BLOCK)))):
             raise ValueError("similarity values must be a symmetric items x "
                              "items matrix with a NaN diagonal")
@@ -231,88 +241,148 @@ _FINISH = {"pearson": _pearson, "adjusted_cosine": _cosine,
            "cosine": _cosine, "euclidean": _euclidean,
            "tanimoto": _tanimoto, "loglikelihood": _loglikelihood}
 
-# row blocks a build holds beside the store at its peak: pearson's and
-# loglikelihood's statistics, else _mirror_upper's two blocks and mask
+# the Gram statistics each kind reads, as (left, right) operand layers,
+# 0 the mask, 1 the values and 2 their squares (see _finish): (0, 0)
+# counts co-raters, (1, 1) sums x_i x_j, (2, 0) and (0, 2) sum x_i^2 and
+# x_j^2, and pearson's (1, 0) and (0, 1) sum x_i and x_j
+_NORMS = ((0, 0), (1, 1), (2, 0), (0, 2))
+_GRAMS = {"pearson": _NORMS + ((1, 0), (0, 1)), "adjusted_cosine": _NORMS,
+          "cosine": _NORMS, "euclidean": _NORMS,
+          "tanimoto": ((0, 0),), "loglikelihood": ((0, 0),)}
+
+# blocks a finisher holds beside the store at its peak, each the size of
+# the block it finishes: pearson's and loglikelihood's statistics, else
+# _mirror_upper's two blocks and mask
 _BLOCK_ARRAYS = {"pearson": 3.25, "loglikelihood": 5.25}
 
 
 def store_cells(d: Dataset, kind: str, exact: bool | None = None) -> float:
     """Float64 cells item_similarity_matrix(d, kind) holds at its peak, a
-    float32 or bool cell at half or an eighth: the store, _BLOCK_ARRAYS
-    row blocks (2.25 by default) and the users x items operands (three for
-    a rating kind; a set kind's mask, counted whole, so the count is never
-    under users x items + items x items).  exact defaults to
-    _float32_exact(d, kind); False, the larger count, serves unformed values."""
-    latent = kind == "latent_cosine"
-    exact = latent or _float32_exact(d, kind) if exact is None else exact
-    operands = 0 if latent else max(
-        1, (3 if kind in RATING_KINDS else 1) * (0.5 if exact else 1))
-    rows = min(_BLOCK, d.n_items) if exact else d.n_items
-    return (d.n_items ** 2 + operands * d.n_users * d.n_items
-            + _BLOCK_ARRAYS.get(kind, 2.25) * rows * d.n_items)
+    float32 cell at half: the store, and _mirror_upper's blocks for
+    latent_cosine; for a rating or set kind either
+
+    - exact: the per-cell layers (see _finish), one row block's summed
+      statistics, and the larger of one product beside one user block's
+      layers and their scatter indices (2.125 cells a cell) or the
+      finisher's _BLOCK_ARRAYS tiles;
+    - else the users x items layers, and the larger of the per-cell
+      layers with their scatter indices or _BLOCK_ARRAYS items x items
+      blocks.
+
+    exact defaults to _float32_exact(d, kind); False counts the float64
+    build, which unformed values take."""
+    n, cells = d.n_items, len(d.values)
+    if kind == "latent_cosine":
+        return n * n + 2.25 * min(_BLOCK, n) * n
+    exact = _float32_exact(d, kind) if exact is None else exact
+    layers, finish = (3 if kind in RATING_KINDS else 1), _BLOCK_ARRAYS.get(kind, 2.25)
+    if not exact:
+        return (n * n + layers * d.n_users * n
+                + max((layers + 1.125) * cells, finish * n * n))
+    rows = min(_BLOCK, n)
+    return (n * n + (layers - 1) * cells / 2 + len(_GRAMS[kind]) * rows * n / 2
+            + max((rows + layers * min(_USER_BLOCK, d.n_users)) * n / 2
+                  + 2.125 * cells, finish * rows * rows))
 
 
-def _finish_block(kind: str, x, xx, b, counts, a: int, e: int,
-                  sims: np.ndarray) -> None:
-    """Write kind's similarities of item rows [a, e) against item columns
-    [a, n) into sims, NaN below the co-rater gate.
+def _finish(kind: str, gram, whole: bool, sims: np.ndarray, count_row,
+            count_col, n_users: int) -> None:
+    """Write kind's similarities of a block of item pairs into sims, NaN
+    below the co-rater gate.
 
-    Each Gram statistic is passed as a function that forms it, so a
-    finisher holds it only from its first use to its last.  Over the
-    co-raters of a pair (i, j) with i the row item: ``n_co()`` counts
-    them, ``sxy()`` sums x_i x_j, and ``sx()`` yields the sums of x_i
-    and then of x_j, ``sxx()`` those of x_i^2 and x_j^2.  A block that
-    covers every item yields the column sums as a transposed view of the
-    row sums.  The products keep the operands' dtype: float32 statistics
-    hold integers exactly, and the finishers compute in float64
-    (``dtype=np.float64`` or a float64 ``out``), so every operation sees
-    the operands of a float64 build.
+    gram(l, r) is a Gram statistic of the block, summed over users of
+    layer l of the row item times layer r of the column item, where layer
+    0 is the mask, 1 the values and 2 their squares; it is called as the
+    finisher first needs the statistic, which it holds only until its
+    last use.  Over the co-raters of a pair (i, j) with i the row item:
+    ``n_co()`` counts them, ``sxy()`` sums x_i x_j, and ``sx()`` yields
+    the sums of x_i and then of x_j, ``sxx()`` those of x_i^2 and x_j^2.
+    A whole block (every item against every item) yields the column sums
+    as a transposed view of the row sums.  The statistics keep their
+    dtype: float32 ones hold integers exactly, and the finishers compute
+    in float64 (``dtype=np.float64`` or a float64 ``out``), so every
+    operation sees the operands of a float64 build.
     """
-    whole = a == 0 and e == b.shape[1]
-
-    def gram(left, right):
-        return left[:, a:e].T @ right[:, a:]
-
     def sums(v):
-        s = gram(v, b)
+        s = gram(v, 0)
         yield s
         if whole:
             yield s.T
         else:
             del s
-            yield gram(b, v)
+            yield gram(0, v)
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        _FINISH[kind](sims, n_co=lambda: gram(b, b),
+        _FINISH[kind](sims, n_co=lambda: gram(0, 0),
                       gate=2 if kind in RATING_KINDS else 1,
-                      sxy=lambda: gram(x, x), sx=lambda: sums(x),
-                      sxx=lambda: sums(xx), count_row=counts[a:e, None],
-                      count_col=counts[None, a:], n_users=b.shape[0])
+                      sxy=lambda: gram(1, 1), sx=lambda: sums(1),
+                      sxx=lambda: sums(2), count_row=count_row,
+                      count_col=count_col, n_users=n_users)
+
+
+def _user_block_sums(d: Dataset, kind: str, layers, a: int, e: int) -> dict:
+    """kind's float32 Gram statistics of item rows [a, e) against item
+    columns [a, n), by (left, right) layer (see _GRAMS), summed over blocks
+    of users.  A block's layers hold at most _USER_BLOCK x n_items cells
+    each, so narrower row blocks take more users at a time.  Every partial
+    sum is an integer that float32 holds, so the sums are exact in any
+    order."""
+    n, users = d.n_items, d.n_users
+    step = _USER_BLOCK * n // (n - a)
+    sums = {}
+    for lo in range(0, users, step):
+        block = d._user_block(lo, min(lo + step, users), a, layers, np.float32)
+        for l, r in _GRAMS[kind]:
+            p = block[l][:, :e - a].T @ block[r]
+            if lo:
+                sums[l, r] += p
+            else:
+                sums[l, r] = p
+            del p       # before the next product forms
+        del block
+    return sums
+
+
+def _layers(d: Dataset, kind: str, dtype) -> tuple:
+    """kind's per-cell operand layers (see _finish): the mask, then for a
+    rating kind the values and their squares, adjusted_cosine's centred
+    on each user's mean."""
+    if kind not in RATING_KINDS:
+        return (1,)
+    x = d.values
+    if kind == "adjusted_cosine":
+        x = x - d.user_means()[d.cell_index()[0]]
+    x = x.astype(dtype, copy=False)
+    return 1, x, x * x
 
 
 def _dense_store(d: Dataset, kind: str) -> np.ndarray:
     """The mirrored items x items values of a rating or set kind.
 
-    Exact inputs run in float32 row blocks of the upper triangle; the
-    others in one float64 block of the whole matrix.
+    Exact inputs finish each row block's summed float32 statistics in
+    tiles of _BLOCK columns; the others form float64 statistics of one
+    block of all users and all items as the finisher needs them.
     """
-    exact = _float32_exact(d, kind)
-    dtype = np.float32 if exact else np.float64
-    b = d.to_mask(dtype)
-    x = xx = None
-    if kind in RATING_KINDS:
-        x = np.nan_to_num(d.to_dense(dtype), nan=0.0, copy=False)
-        if kind == "adjusted_cosine":
-            x -= d.user_means()[:, None]
-            x[b == 0] = 0.0
-        xx = x * x
-    counts = b.sum(axis=0, dtype=np.float64)
-    n = d.n_items
-    step = _BLOCK if exact else max(n, 1)
+    counts = np.bincount(d.cell_index()[1], minlength=d.n_items).astype(np.float64)
+    n, users = d.n_items, d.n_users
     out = np.empty((n, n))
-    for a in range(0, n, step):
-        e = min(a + step, n)
-        _finish_block(kind, x, xx, b, counts, a, e, out[a:e, a:])
+    if _float32_exact(d, kind):
+        layers = _layers(d, kind, np.float32)
+        for a in range(0, n, _BLOCK):
+            e = min(a + _BLOCK, n)
+            sums = _user_block_sums(d, kind, layers, a, e)
+            for c in range(a, n, _BLOCK):
+                t = slice(c - a, c - a + _BLOCK)
+                _finish(kind, lambda l, r: sums[l, r][:, t], False,
+                        out[a:e, c:c + _BLOCK], counts[a:e, None],
+                        counts[None, c:c + _BLOCK], users)
+            del sums
+    else:
+        block = d._user_block(0, users, 0, _layers(d, kind, np.float64),
+                              np.float64)
+        _finish(kind, lambda l, r: block[l].T @ block[r], True, out,
+                counts[:, None], counts[None, :], users)
+        del block
     _mirror_upper(out)
     return out
 

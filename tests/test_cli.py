@@ -562,9 +562,11 @@ def test_budget_counts_every_copy_of_the_mc_build(data_dir, monkeypatch,
 
 def test_over_budget_ratings_exit_before_dense_copy(tmp_path, monkeypatch,
                                                     capsys):
-    # 15,000 users x 15,000 items: even the 70% training split's ratings
-    # plus its item x item store are above the dense cell budget, and so
-    # is the PCA's filled matrix; the SVD factors the matrix from its cells
+    # 15,000 users x 15,000 items: the store of all the ratings (2.4e8
+    # cells) is above the dense cell budget, and so are the 70% training
+    # split's unbounded products (its item x item store and weights beside
+    # three users x items arrays, 5.5e8; its store alone, 1.2e8, fits) and
+    # the PCA's filled matrix; the SVD factors the matrix from its cells
     # and is over budget only at a rank of 15,000
     path = tmp_path / "diagonal.data"
     path.write_text("".join(f"u{x}\ti{x}\t3\t0\n" for x in range(15_000)))

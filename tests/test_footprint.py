@@ -17,14 +17,18 @@ from mccf.evaluation import (BenchmarkConfig, _build_store, _build_store_cells,
                              _evaluate, _split)
 from mccf.linalg import (CellTensor, cell_factoring_cells, dense_hosvd_cells,
                          hosvd, impute_missing, pca, pca_cells, truncated_svd)
-from mccf.similarity import (RATING_KINDS, SET_KINDS, _BLOCK, _float32_exact,
+from mccf.similarity import (_BLOCK_ARRAYS, RATING_KINDS, SET_KINDS, _BLOCK,
+                             _USER_BLOCK, _float32_exact,
                              item_similarity_matrix, store_cells)
 
 # (users, items): each rating matrix spans two _BLOCKs of items; the latent
 # MC build forms one items x items store and no users x items array, so it
-# runs at smaller, faster shapes
+# runs at smaller, faster shapes.  The stores also run with more users than
+# one user block.
 SHAPES = ((30, _BLOCK + 14), (40, _BLOCK + 6))
 SMALL_SHAPES = ((40, 80), (120, 60))
+TALL_SHAPE = (3 * _USER_BLOCK, _BLOCK + 14)
+STORES = RATING_KINDS + SET_KINDS
 OBJECTS = 4096
 
 
@@ -107,7 +111,7 @@ def _mc_build(sim_kind):
     return step
 
 
-STEPS = {**{f"store-{kind}": _store(kind) for kind in RATING_KINDS + SET_KINDS},
+STEPS = {**{f"store-{kind}": _store(kind) for kind in STORES},
          "latent-store": _latent_store, "cells-svd": _cells_svd, "pca": _pca,
          "dense-hosvd": _dense_hosvd, "unbounded-harness": _unbounded_harness,
          "predict-matrix": _predict_matrix}
@@ -118,7 +122,8 @@ MC_STEPS = {"mc-latent": _mc_build("latent_cosine"),
 @pytest.mark.parametrize("name, shape", [
     *((name, shape) for name in STEPS for shape in SHAPES),
     *(("mc-latent", shape) for shape in SMALL_SHAPES),
-    *(("mc-pearson", shape) for shape in SHAPES)],
+    *(("mc-pearson", shape) for shape in SHAPES),
+    *((f"store-{kind}", TALL_SHAPE) for kind in STORES)],
     ids=lambda x: x if isinstance(x, str) else "x".join(map(str, x)))
 def test_step_holds_at_most_its_footprint(name, shape, tmp_path_factory):
     run, cells, held = {**STEPS, **MC_STEPS}[name](shape)
@@ -135,3 +140,17 @@ def test_step_holds_at_most_its_footprint(name, shape, tmp_path_factory):
         assert load_peak <= 8 * cells + OBJECTS, load_peak / (8 * cells)
         assert load_peak - peak <= loaded - built + OBJECTS, \
             (load_peak - peak, loaded - built)
+
+
+@pytest.mark.parametrize("kind", [k for k in STORES if k != "adjusted_cosine"])
+def test_exact_store_counts_one_user_block(kind):
+    """With more users than one user block, a float32 store counts less
+    than a build holding users x items float32 layers (the mask counted
+    whole) beside _BLOCK_ARRAYS row blocks."""
+    d = _ratings(TALL_SHAPE)
+    assert _float32_exact(d, kind)
+    n_users, n_items = TALL_SHAPE
+    layers = 1.5 if kind in RATING_KINDS else 1
+    assert store_cells(d, kind) < (
+        n_items ** 2 + layers * n_users * n_items
+        + _BLOCK_ARRAYS.get(kind, 2.25) * _BLOCK * n_items)

@@ -447,6 +447,7 @@ def _separated(t, ranks) -> bool:
 @settings(deadline=None, max_examples=60)
 @given(**cell_cases)
 @example(seed=20037862, center=False)   # a completion that differs by 0.39
+@example(seed=64470475, center=False)   # 1 completion column of a 3-dim complement
 def test_cell_tensor_hosvd_matches_reference(seed, center):
     rng = np.random.default_rng(seed)
     dims = tuple(int(x) for x in rng.integers(2, 9, 3))
@@ -458,16 +459,19 @@ def test_cell_tensor_hosvd_matches_reference(seed, center):
     cells = CellTensor(_container(dims, users, items, values), center)
     got = hosvd(cells, ranks, seed=3)
     for mode, a, b in zip((1, 2, 3), got.factors, want.factors):
-        # columns past the unfolding's column count are a basis of the
-        # complement, which no singular vector determines: it is checked by
-        # what the library promises of it, not entry by entry
+        # columns past the unfolding's column count complete the leading
+        # ones, which no singular vector determines: they are checked by
+        # what the library promises of them, not entry by entry, and by
+        # their projector only where they fill the whole complement (a
+        # partial completion is any orthonormal subset of it)
         r_eff = min(a.shape[1], mode_unfold(filled, mode).shape[1])
         _assert_close(a[:, :r_eff], b[:, :r_eff])
         if r_eff < a.shape[1]:
             extra, ref = a[:, r_eff:], b[:, r_eff:]
             _assert_close(extra.T @ extra, np.eye(extra.shape[1]))
             _assert_close(a[:, :r_eff].T @ extra, np.zeros((r_eff, extra.shape[1])))
-            _assert_close(extra @ extra.T, ref @ ref.T)
+            if a.shape[1] == a.shape[0]:
+                _assert_close(extra @ extra.T, ref @ ref.T)
     _assert_close(got.core, want.core)
     _assert_close(tucker_reconstruct(got)[users, items],
                   tucker_reconstruct(want)[users, items])

@@ -9,6 +9,8 @@ from mccf.core import RatingScale
 from mccf.linalg import FactorModel, truncated_svd
 from mccf.similarity import (
     _BLOCK,
+    _GRAMS,
+    _USER_BLOCK,
     _VAR_EPS,
     RATING_KINDS,
     SET_KINDS,
@@ -375,16 +377,31 @@ def _wide_dataset(seed: int, continuous: bool):
     return dataset_from_dense(dense)
 
 
+def _tall_dataset(seed: int):
+    """Integer ratings of 61 users over more than two item blocks.  With
+    _USER_BLOCK at 8 they are more than two user blocks, the last one
+    ragged.  Users 8 to 39 rate only the first item block: a run longer
+    than two user blocks of the second item block, which take at most
+    8 x items // (items - _BLOCK) = 14 users each, so at least one of its
+    user blocks has no cell at or after its first item."""
+    n_users, n_items = 61, 2 * _BLOCK + 37
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n_users, n_items)) < 0.3,
+                     rng.integers(1, 6, (n_users, n_items)).astype(float), NAN)
+    dense[8:40, _BLOCK:] = NAN
+    return dataset_from_dense(dense)
+
+
 @pytest.mark.parametrize("kind", RATING_KINDS + SET_KINDS)
-def test_store_is_bitwise_the_whole_matrix_build(kind):
-    """Integer data takes the float32 row blocks (adjusted_cosine centres
-    it, so it does not); continuous data the one float64 block of the
-    rating kinds.  Both must give the float64 whole-matrix bits."""
-    for continuous in (False, True):
-        d = _wide_dataset(23, continuous)
-        assert _float32_exact(d, kind) == (
-            kind in SET_KINDS
-            or not (continuous or kind == "adjusted_cosine"))
+def test_store_is_bitwise_the_whole_matrix_build(kind, monkeypatch):
+    """Integer data takes the float32 sums over user blocks (adjusted_cosine
+    centres it, so it does not); continuous data the one float64 block of
+    the rating kinds.  Both must give the float64 whole-matrix bits."""
+    for d, exact, users in ((_wide_dataset(23, False), True, _USER_BLOCK),
+                            (_wide_dataset(23, True), kind in SET_KINDS, _USER_BLOCK),
+                            (_tall_dataset(31), True, 8)):
+        monkeypatch.setattr("mccf.similarity._USER_BLOCK", users)
+        assert _float32_exact(d, kind) == (exact and kind != "adjusted_cosine")
         assert_same_bits(item_similarity_matrix(d, kind).values,
                          whole_matrix_similarity(d, kind))
 
@@ -440,17 +457,25 @@ def _integer_dataset(n_users: int, n_items: int):
         rng.integers(1, 6, (n_users, n_items)).astype(float), NAN))
 
 
-@pytest.mark.parametrize("kind, operands", [("pearson", 3), ("tanimoto", 1)])
-def test_exact_build_holds_few_block_temporaries(kind, operands):
-    """The float32 row blocks hold the store, the float32 users x items
-    operands (mask, ratings, squares) and at most three float64 _BLOCK x
-    items arrays: statistics stay float32 and are finished in place."""
-    n_users, n_items = 300, 2 * _BLOCK + 88
+@pytest.mark.parametrize("kind, layers", [("pearson", 3), ("tanimoto", 1)])
+def test_exact_build_holds_few_block_temporaries(kind, layers):
+    """The float32 build holds the store, the per-cell layers, one user
+    block's float32 layers (mask, ratings, squares) of at most _USER_BLOCK
+    x items cells each with their scatter indices, and one row block's
+    float32 statistics and product, then float64 tiles of _BLOCK x _BLOCK.
+    That is less than a build holding users x items float32 layers beside
+    three float64 row blocks."""
+    n_users, n_items = 4 * _USER_BLOCK, _BLOCK + 88
     d = _integer_dataset(n_users, n_items)
     assert _float32_exact(d, kind)
-    bound = (8 * n_items ** 2 + operands * 4 * n_users * n_items
-             + 3 * 8 * _BLOCK * n_items)
-    assert traced(lambda: item_similarity_matrix(d, kind))[1] < bound
+    block = layers * 4 * _USER_BLOCK * n_items + 17 * d.n_ratings
+    sums = (len(_GRAMS[kind]) + 1) * 4 * _BLOCK * n_items
+    bound = (8 * n_items ** 2 + (layers - 1) * 4 * d.n_ratings + sums
+             + max(block, 3 * 8 * _BLOCK ** 2))
+    peak = traced(lambda: item_similarity_matrix(d, kind))[1]
+    assert peak < bound
+    assert peak < (8 * n_items ** 2 + layers * 4 * n_users * n_items
+                   + 3 * 8 * _BLOCK * n_items)
 
 
 def test_whole_matrix_build_holds_few_items_squared_temporaries():
