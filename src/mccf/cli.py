@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ from .core import (
     ParseError,
     RatingScale,
     _Ratings,
+    _SEED_BOUND,
+    _check_integer,
     dataset_stats,
     overall_slice,
 )
@@ -72,54 +75,41 @@ class UsageError(Exception):
 
 
 def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"fraction {text} not in (0, 1)")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(f"seed {text} not in [0, 2**64)")
-    return value
-
-
-def _ranks(text: str) -> tuple[int, ...]:
+    """A train fraction flag's value, as ingest.SplitSpec admits it."""
     try:
-        values = tuple(int(p) for p in text.split(","))
+        return SplitSpec(float(text), 0).train_fraction
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad ranks {text!r}") from None
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("ranks must be positive integers")
-    return values
+        raise argparse.ArgumentTypeError(
+            f"fraction {text!r} not in (0, 1)") from None
 
 
-def _fractions_list(text: str) -> tuple[float, ...]:
-    return tuple(_fraction(p) for p in text.split(","))
+def _integer(text: str, low: int = 1, high: int | None = None) -> int:
+    """An integer flag's value, as core._check_integer admits it with
+    these bounds; the error names the text and the bounds."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text    # rejected below, with the rule it breaks
+    try:
+        _check_integer("value", value, low, high)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
-def _sims_list(text: str) -> tuple[str, ...]:
-    sims = tuple(p.strip() for p in text.split(","))
-    for s in sims:
-        if s not in SIM_CHOICES:
-            raise argparse.ArgumentTypeError(
-                f"unknown similarity {s!r}; choose from {', '.join(SIM_CHOICES)}")
-    return sims
+def _sim(text: str) -> str:
+    if text.strip() not in SIM_CHOICES:
+        raise argparse.ArgumentTypeError(
+            f"unknown similarity {text!r}; choose from {', '.join(SIM_CHOICES)}")
+    return text.strip()
+
+
+def _listed(item):
+    """The type of a comma-separated flag whose every value has type item."""
+    return lambda text: tuple(item(p) for p in text.split(","))
+
+
+_seed, _ranks = partial(_integer, low=0, high=_SEED_BOUND), _listed(_integer)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,20 +127,20 @@ def build_parser() -> argparse.ArgumentParser:
                       default="movielens",
                       help="movielens: TAB user/item/rating/timestamp; "
                            "mc-csv: comma user,item,c1..cK,overall")
-    data.add_argument("--criteria", type=_positive_int, metavar="K",
+    data.add_argument("--criteria", type=_integer, metavar="K",
                       help="criterion count (required for mc-csv)")
     data.add_argument("--scale", choices=tuple(SCALES), default="1-5",
                       help="rating scale of the input")
-    data.add_argument("--min-user", type=_non_negative_int, default=0,
+    data.add_argument("--min-user", type=partial(_integer, low=0), default=0,
                       metavar="N", help="drop users with fewer than N ratings")
-    data.add_argument("--min-item", type=_non_negative_int, default=0,
+    data.add_argument("--min-item", type=partial(_integer, low=0), default=0,
                       metavar="N",
                       help="drop items with fewer than N ratings")
 
     # the protocol flags of evaluate, sweep and mc-evaluate
     bench = argparse.ArgumentParser(add_help=False)
     bench.add_argument("--seed", type=_seed, required=True)
-    bench.add_argument("--top-n", type=_positive_int, default=10)
+    bench.add_argument("--top-n", type=_integer, default=10)
     bench.add_argument("--relevance-threshold", type=float, default=None)
 
     def verb(name: str, handler, parents: list,
@@ -194,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("sweep", _cmd_sweep, [data, bench],
              "benchmark grid over measures x fractions (CSV)")
-    p.add_argument("--sims", type=_sims_list, default=TABLE_SIMS,
+    p.add_argument("--sims", type=_listed(_sim), default=TABLE_SIMS,
                    metavar="S1,S2,...", help=f"default {','.join(TABLE_SIMS)}")
-    p.add_argument("--fractions", type=_fractions_list, default=(0.7, 0.8),
+    p.add_argument("--fractions", type=_listed(_fraction), default=(0.7, 0.8),
                    metavar="F1,F2,...", help="default 0.7,0.8")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
 
@@ -206,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim", choices=SIM_CHOICES, default=None,
                    help="default pearson; latent on mc-csv input")
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--top-n", type=_positive_int, default=10)
+    p.add_argument("--top-n", type=_integer, default=10)
     p.add_argument("--ranks", type=_ranks, default=None,
                    help="rank of --sim latent (matrix) or R1,R2,R3 (mc-csv)")
     p.add_argument("--pca-option", choices=("on", "off"), default="off")

@@ -317,8 +317,10 @@ def fit_aggregation(train: CriteriaTensor) -> AggregationWeights:
         return AggregationWeights(0.0, (1.0 / k,) * k, fallback=True)
     y = cells[:, 0]
     x = np.column_stack([np.ones(len(cells)), cells[:, 1:]])
-    gram = x.T @ x + _RIDGE * np.eye(k + 1)
-    w = np.linalg.solve(gram, x.T @ y)
+    # squares past float64's range leave w non-finite: the fallback below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x.T @ x + _RIDGE * np.eye(k + 1)
+        w = np.linalg.solve(gram, x.T @ y)
     if not np.all(np.isfinite(w)):
         return AggregationWeights(0.0, (1.0 / k,) * k, fallback=True)
     return AggregationWeights(float(w[0]), tuple(float(v) for v in w[1:]))
@@ -588,12 +590,6 @@ def load_model(path) -> McModel:
         raise ModelFormatError(f"inconsistent model file: {exc}") from exc
 
 
-def _count(x) -> int:
-    if not float(x).is_integer():
-        raise ValueError(f"{x!r} is not a whole number")
-    return int(x)
-
-
 def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     lo, hi = a["scale"].tolist()
     scale = RatingScale(lo, hi, tuple(a["grade_labels"].tolist()) or None)
@@ -601,7 +597,9 @@ def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
     if pca not in ("on", "off"):
         raise ValueError(f"unknown pca flag {pca!r}")
     (cap,) = a["neighborhood"].tolist()
-    neighborhood = NeighborhoodSpec(None if np.isnan(cap) else _count(cap))
+    if not (np.isnan(cap) or float(cap).is_integer()):
+        raise ValueError(f"{cap!r} is not a whole number")
+    neighborhood = NeighborhoodSpec(None if np.isnan(cap) else int(cap))
     config = McConfig(pca_option=pca == "on", sim_kind=sim_kind,
                       neighborhood=neighborhood, seed=int(seed))
 

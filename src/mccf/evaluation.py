@@ -28,7 +28,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .core import (CriteriaRecord, CriteriaTensor, Dataset, RatingScale,
-                   _Ratings, _SEED_BOUND, _check_integer)
+                   _Ratings, _check_integer)
 from .engine import (
     McConfig,
     NeighborhoodSpec,
@@ -208,9 +208,7 @@ class BenchmarkConfig:
         if self.sim not in SIM_NAME_MAP:
             raise ValueError(f"unknown similarity {self.sim!r}; "
                              f"choose from {sorted(SIM_NAME_MAP)}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        _check_integer("seed", self.seed, 0, _SEED_BOUND)
+        SplitSpec(self.train_fraction, self.seed)
         _check_integer("top_n", self.top_n)
         _check_integer("latent_rank", self.latent_rank)
 

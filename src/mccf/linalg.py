@@ -380,11 +380,11 @@ class _CellUnfolding:
     gather of x's or y's rows at the cells and one segment sum, the rows'
     side of the cells for a @ x, the columns' side for a.T @ y."""
 
-    def __init__(self, cells: CellTensor, mode: int):
+    def __init__(self, cells: CellTensor, mode: int, transposed: bool = False):
         n_users, n_items, self._slices = cells.shape
         by_user = (cells._u_ptr, cells._items, cells._d)
         by_item = (cells._i_ptr, cells._u_im, cells._d_im)
-        self._mode = mode
+        self._cells, self._mode, self._transposed = cells, mode, transposed
         if mode == 1:
             rows, other = n_users, n_items
             self._by_row, self._by_col = by_user, by_item
@@ -394,15 +394,17 @@ class _CellUnfolding:
             self._by_row, self._by_col = by_item, by_user
             self._q, self._p = cells._term
         self._other = other
-        self.shape = (rows, other * self._slices)
+        self.shape = (rows, other * self._slices)[::-1 if transposed else 1]
 
     @property
-    def T(self) -> "_Transposed":
-        # made on each use: a stored one would form a reference cycle that
-        # keeps the cells' arrays alive until the cyclic collector runs
-        return _Transposed(self)
+    def T(self) -> "_CellUnfolding":
+        # a new one over the cells: one stored here would form a reference
+        # cycle, keeping the cells' arrays until the cyclic collector runs
+        return _CellUnfolding(self._cells, self._mode, not self._transposed)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if self._transposed:
+            return self._rmatmat(x)
         s, width = self._slices, x.shape[1]
         # the columns of mode 1 run slice-major, those of mode 2 other-major
         xo = (x.reshape(s, self._other, width).transpose(1, 0, 2)
@@ -423,14 +425,6 @@ class _CellUnfolding:
         if self._mode == 1:
             out = out.transpose(1, 0, 2)
         return out.reshape(-1, y.shape[1])
-
-
-class _Transposed:
-    def __init__(self, a: _CellUnfolding):
-        self._a = a
-
-    def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        return self._a._rmatmat(y)
 
 
 def _completed(u: np.ndarray, r: int) -> np.ndarray:

@@ -691,6 +691,25 @@ def test_exit_codes(data_dir, tmp_path, capsys):
                      "--format", "mc-csv", "--criteria", "3",
                      "--ranks", "2,3,3", "--seed", seed]) == 1
     capsys.readouterr()
+    # a bad integer or list value exits 1 before the input is read, and
+    # its error line names the value and the rule it breaks
+    for argv, line in (
+            (["stats", "--criteria", "0"],
+             "--criteria: value must be an integer >= 1, got 0"),
+            (["stats", "--criteria", "x"],
+             "--criteria: value must be an integer >= 1, got 'x'"),
+            (["stats", "--min-item", "1.5"],
+             "--min-item: value must be an integer >= 0, got '1.5'"),
+            (["sweep", "--seed", "1", "--fractions", "0.5,1"],
+             "--fractions: fraction '1' not in (0, 1)"),
+            (["sweep", "--seed", "1", "--fractions", "0.5,"],
+             "--fractions: fraction '' not in (0, 1)"),
+            (["decompose", "--seed", "1", "--output", str(tmp_path / "d"),
+              "--ranks", "2,,2"],
+             "--ranks: value must be an integer >= 1, got ''")):
+        code, _, err = run([*argv, *missing], capsys)
+        assert code == 1, argv
+        assert err.splitlines()[-1].endswith(f"error: argument {line}"), err
     # data errors -> 2
     assert main(["stats", "--input", str(tmp_path / "missing.tsv")]) == 2
     bad = tmp_path / "bad.tsv"
@@ -702,3 +721,81 @@ def test_exit_codes(data_dir, tmp_path, capsys):
     # help -> 0
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_fuzzed_calls_exit_0_1_or_2(tmp_path, capsys):
+    """Seeded verb-aware calls on small files: each verb's flags, drawn
+    from good values and bad ones (ranks above the data, empty and
+    malformed input, letter grades, unknown users, the largest seed and
+    the first one past it), give exit 0, 1 or 2 and raise nothing."""
+    t = generate_tensor(SyntheticTensorSpec(
+        n_users=10, n_items=7, n_groups=2, n_criteria=2, noise_std=0.3,
+        seed=3))
+    mc = [r for n, r in enumerate(t.iter_records()) if n % 3]
+    write_multicriteria(mc, tmp_path / "mc.csv")
+    write_movielens([RatingRecord(r.user_id, r.item_id,
+                                  float(np.clip(round(r.overall), 1, 5)), None)
+                     for r in mc], tmp_path / "ml.tsv")
+    labels = RatingScale.letter_13().grade_labels
+    lines = (tmp_path / "mc.csv").read_text().splitlines()
+    (tmp_path / "letters.csv").write_text("\n".join(
+        ",".join(f.split(",")[:2] + [labels[2 * round(float(v)) - 2]
+                                     for v in f.split(",")[2:]])
+        for f in lines) + "\n")
+    (tmp_path / "empty").write_text("")
+    (tmp_path / "bad.tsv").write_text(
+        (tmp_path / "ml.tsv").read_text() + "u1\ti1\tfive\t0\n")
+    mc_flags = ["--format", "mc-csv", "--criteria", "2"]
+    # (good, bad) inputs and flag values; a call draws a bad one now and then
+    inputs = ([("ml.tsv", []), ("mc.csv", mc_flags),
+               ("letters.csv", mc_flags + ["--scale", "letter13"])],
+              [("bad.tsv", []), ("empty", []), ("empty", mc_flags),
+               ("ml.tsv", mc_flags), ("letters.csv", mc_flags),
+               ("mc.csv", mc_flags[:2] + ["3"])])
+    values = {
+        "--seed": (["0", "7", str(2 ** 64 - 1)], [str(2 ** 64), "-1", "x"]),
+        "--ranks": (["1", "2"], ["7", "50", "0", "2,,2", "2,2"]),
+        "tensor ranks": (["2,2,2", "3,2,2", "1,1,1"], ["9,9,9", "2", "2,x,2"]),
+        "--train-fraction": (["0.5", "0.7", "0.2", "0.95"], ["1", "0"]),
+        "--fractions": (["0.5", "0.6,0.8"], ["0.5,", "1"]),
+        "--sims": (["pearson", "tanimoto,euclidean", "latent"], ["nope"]),
+        "--sim": (["pearson", "adjusted-cosine", "loglikelihood", "latent"],
+                  ["nope"]),
+        "--top-n": (["1", "3"], ["0"]),
+        "--user": (["u1", "u4"], ["nobody"]),
+        "--relevance-threshold": (["3", "4.5"], ["9"]),
+        "--pca-option": (["on", "off"], ["yes"]),
+        "--min-user": (["0", "3"], ["-1"]),
+        "--min-item": (["0", "4"], ["1.5"]),
+        "--output": ([str(tmp_path / "out")], [str(tmp_path / "no" / "x")]),
+    }
+    required = {"split": {"--train-fraction", "--seed", "--output"},
+                "decompose": {"--ranks", "--seed", "--output"},
+                "evaluate": {"--sim", "--seed"}, "sweep": {"--seed"},
+                "recommend": {"--user", "--seed"},
+                "mc-evaluate": {"--ranks", "--seed"},
+                "filter": {"--output"}, "stats": set()}
+    rng = np.random.default_rng(38)
+
+    def draw(pair):
+        pool = pair[rng.random() < 0.1]
+        return pool[rng.integers(len(pool))]
+
+    codes = []
+    for _ in range(120):
+        verb = VERBS[rng.integers(len(VERBS))]
+        name, flags = draw(inputs)
+        argv = [verb, "--input", str(tmp_path / name), *flags]
+        tensor = bool(flags) and verb in ("decompose", "recommend",
+                                          "mc-evaluate")
+        for flag in sorted(VERB_FLAGS[verb] | {"--min-user", "--min-item"}):
+            # a required flag is left out now and then, an optional one
+            # given some of the time
+            if rng.random() < (0.97 if flag in required[verb] else 0.3):
+                key = "tensor ranks" if tensor and flag == "--ranks" else flag
+                argv += [flag, draw(values[key])]
+        codes.append(main(argv))
+        capsys.readouterr()
+    assert set(codes) <= {0, 1, 2}
+    # every code occurs, so the draws reach the verbs' work and both errors
+    assert set(codes) == {0, 1, 2}

@@ -1,4 +1,5 @@
 import copy
+import warnings
 import zipfile
 
 import numpy as np
@@ -246,6 +247,18 @@ def test_fit_aggregation_recovers_linear_map():
     assert not w.fallback
     assert w.intercept == pytest.approx(0.2, abs=1e-5)
     assert np.allclose(w.weights, (0.5, 0.3, 0.4), atol=1e-5)
+
+
+def test_fit_aggregation_falls_back_quietly_when_squares_overflow():
+    # cells near 1e153 have squares near float64's limit, so their sums
+    # overflow: the fit falls back to equal weights without a warning
+    records = [CriteriaRecord(f"u{n}", "i0", (v, 2 * v), 3 * v)
+               for n, v in enumerate(np.linspace(1e153, 9e153, 6))]
+    t = CriteriaTensor.from_records(records, 2, RatingScale(0, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = fit_aggregation(t)
+    assert w == AggregationWeights(0.0, (0.5, 0.5), fallback=True)
 
 
 def test_fit_aggregation_fallback_when_underdetermined():

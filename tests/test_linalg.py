@@ -392,7 +392,8 @@ def test_cell_tensor_products_match_dense_unfoldings(seed, center):
     cells = CellTensor(_container(dims, users, items, values), center)
     for mode in (1, 2):
         a, op = mode_unfold(filled, mode), _CellUnfolding(cells, mode)
-        assert op.shape == a.shape
+        assert (op.shape, op.T.shape, op.T.T.shape) == (a.shape, a.T.shape,
+                                                        a.shape)
         x = rng.standard_normal((a.shape[1], 3))
         y = rng.standard_normal((a.shape[0], 3))
         _assert_close(op @ x, a @ x)
