@@ -7,8 +7,11 @@ Usage (from the repository root):
     python3 scripts/bench_pairs.py --base HEAD~1 --seeds 1,3 --pairs 10 \\
         --seconds 5 --out BENCH.json
 
-The base revision's committed files are extracted with `git archive`
-into a temporary directory, removed at the end.  Each pair runs
+Both sides run from the same kind of checkout: extract() writes each
+with `git archive` into a temporary directory, removed at the end.  The
+base is the revision's commit; the head is the working tree's tracked
+files as `git stash create` commits them (HEAD on a clean tree), so
+untracked files are left out of the head.  Each pair runs
 `perfbench/run.py --trace 0` once in each checkout, the two in turn,
 flipping which goes first from pair to pair; each checkout imports its
 own `src/`.  For every workload, seed and end-to-end metric the output
@@ -150,6 +153,14 @@ def _git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def extract(rev: str, dest: Path) -> None:
+    """The files committed at rev, written under dest by `git archive`."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare with")
@@ -163,14 +174,14 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.seconds <= 0:
         ap.error("--pairs must be >= 1 and --seconds positive")
     commit = _git("rev-parse", "--verify", args.base + "^{commit}")
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
-                             check=True, capture_output=True).stdout
+    # a commit of the tracked files as they are, or "" on a clean tree
+    head = _git("stash", "create") or "HEAD"
     with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp) / "base"
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(base, filter="data")
+        base, work = Path(tmp) / "base", Path(tmp) / "head"
+        extract(commit, base)
+        extract(head, work)
         try:
-            report = compare(base, ROOT, args.workloads.split(","),
+            report = compare(base, work, args.workloads.split(","),
                              [int(s) for s in args.seeds.split(",")],
                              args.pairs, args.seconds)
         except ValueError as exc:

@@ -164,8 +164,7 @@ def _ranked(cells: Dataset | CriteriaTensor, user_id: str, n: int, score):
     """Every top-N list's one ranking step: the user's items without a cell,
     score(u, items) -> (len(items), width) on them and the top n (item
     index, value) pairs by column 0; None for an unknown user."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_integer("n", n)
     u = cells._users.pos.get(user_id)
     if u is None:
         return None
@@ -183,7 +182,7 @@ def _top_n(items: np.ndarray, values: np.ndarray,
     `items`, which every caller passes ascending."""
     ok = ~np.isnan(values)
     items, values = items[ok], values[ok]
-    if 0 < n < len(values):     # keep the n-th best value and all above
+    if n < len(values):     # keep the n-th best value and all above
         keep = values >= np.partition(values, -n)[-n]
         items, values = items[keep], values[keep]
     order = np.argsort(-values, kind="stable")[:n]
@@ -221,24 +220,19 @@ def predict_matrix(d: Dataset, sims: SimilarityStore,
         raise ValueError("predict_matrix requires an unbounded neighborhood")
     _check_store(d, sims)
     check_cell_budget(products_cells(d))
-    return _weighted_means(d, _positive_weights(sims))
+    return _weighted_means(d, np.fmax(sims.values, 0.0))
 
 
 def products_cells(d: Dataset) -> int:
     """Float64 cells predict_matrix holds: the store, the positive weights
-    (their mask, an eighth, as they form) and three users x items arrays:
-    the ratings (then the mask), the numerator, the denominator."""
+    and three users x items arrays: the ratings (then the mask), the
+    numerator, the denominator."""
     return 2 * d.n_items ** 2 + 3 * d.n_users * d.n_items
 
 
-def _positive_weights(sims: SimilarityStore) -> np.ndarray:
-    """The store's strictly positive similarities, 0 elsewhere (NaN too):
-    an unbounded neighborhood's weights, as a new items x items array."""
-    return np.where(sims.values > 0, sims.values, 0.0)
-
-
 def _weighted_means(d: Dataset, s: np.ndarray) -> np.ndarray:
-    """predict_matrix from the positive weights s."""
+    """predict_matrix from the positive weights s, the store's values with
+    NaN and non-positive ones at 0, as the kernel's np.fmax makes them."""
     # the ratings are 0 off the mask, so they carry it; one unblocked
     # product, since blocks of user rows or of weight columns change bits
     num = np.nan_to_num(d.to_dense(), nan=0.0, copy=False) @ s
@@ -311,16 +305,14 @@ def fit_aggregation(train: CriteriaTensor) -> AggregationWeights:
     collinear criteria solvable; fewer cells than parameters falls back to
     equal weights.
     """
-    k = train.k
-    cells = train.values
-    if len(cells) < k + 1:
-        return AggregationWeights(0.0, (1.0 / k,) * k, fallback=True)
-    y = cells[:, 0]
-    x = np.column_stack([np.ones(len(cells)), cells[:, 1:]])
-    # squares past float64's range leave w non-finite: the fallback below
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = x.T @ x + _RIDGE * np.eye(k + 1)
-        w = np.linalg.solve(gram, x.T @ y)
+    k, cells = train.k, train.values
+    w = np.full(k + 1, np.nan)      # fewer cells than parameters: the fallback
+    if len(cells) > k:
+        x = np.column_stack([np.ones(len(cells)), cells[:, 1:]])
+        # squares past float64's range leave w non-finite: the fallback too
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = x.T @ x + _RIDGE * np.eye(k + 1)
+            w = np.linalg.solve(gram, x.T @ cells[:, 0])
     if not np.all(np.isfinite(w)):
         return AggregationWeights(0.0, (1.0 / k,) * k, fallback=True)
     return AggregationWeights(float(w[0]), tuple(float(v) for v in w[1:]))

@@ -34,7 +34,6 @@ from .engine import (
     NeighborhoodSpec,
     _groups,
     _mc_score,
-    _positive_weights,
     _predict_user,
     _ranked,
     _weighted_means,
@@ -387,8 +386,8 @@ def _evaluate(train: Dataset, test: _Ratings,
         check_cell_budget(max(
             _build_store_cells(train, config.sim, config.latent_rank),
             products_cells(train)))
-        pm = _weighted_means(train, _positive_weights(_build_store(
-            train, config.sim, config.latent_rank, config.seed)))
+        pm = _weighted_means(train, np.fmax(_build_store(
+            train, config.sim, config.latent_rank, config.seed).values, 0.0))
 
         def score(u: int, items: np.ndarray) -> np.ndarray:
             return pm[u, items, None]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaTensor, Dataset, _CELL_BLOCK, _segment_sums
+from .core import CriteriaTensor, Dataset, _CELL_BLOCK, _check_integer, _segment_sums
 
 # Relative cutoff below which a singular value is treated as exactly zero.
 SIGMA_CUTOFF = 1e-12
@@ -149,16 +149,15 @@ def truncated_svd(a: np.ndarray | CellTensor, k: int, seed: int = 0) -> FactorMo
     one-slice CellTensor, the item-mean-filled rating matrix, is sketched
     through its mode-1 unfolding's products, under hosvd's cell budget.
     """
+    if not isinstance(a, CellTensor):
+        a = np.asarray(a, dtype=np.float64)
+    elif a.shape[2] != 1:
+        raise ValueError("expected a one-slice CellTensor")
+    _check_integer("rank", k, 1, min(a.shape[:2]) + 1)
     if isinstance(a, CellTensor):
-        if a.shape[2] != 1:
-            raise ValueError("expected a one-slice CellTensor")
         check_cell_budget(cell_factoring_cells(a.shape, a.n_cells, (k, k, 1)))
         a = _CellUnfolding(a, 1)
-    else:
-        a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"rank {k} out of range 1..{min(m, n)}")
 
     u, sigma, bt, x = _left_factor(a, k, seed)
     v = np.zeros((n, len(sigma)))
@@ -185,8 +184,7 @@ def pca(x: np.ndarray, k: int) -> PcaModel:
     obs, n_vars = x.shape
     if obs < 2:
         raise ValueError(f"need at least 2 observations, got {obs}")
-    if not 1 <= k <= n_vars:
-        raise ValueError(f"component count {k} out of range 1..{n_vars}")
+    _check_integer("component count", k, 1, n_vars + 1)
     mean = x.mean(axis=0)
     xc = x - mean
     cov = (xc.T @ xc) / (obs - 1)
@@ -218,8 +216,7 @@ def pca_reconstruct(model: PcaModel, scores: np.ndarray) -> np.ndarray:
 def mode_unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Mode-s unfolding: rows index mode s, columns the other two modes
     with mode s+1 (cyclically) varying fastest."""
-    if mode not in _UNFOLD_AXES:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    _check_integer("mode", mode, 1, 4)
     t = np.asarray(t)
     axes = _UNFOLD_AXES[mode]
     return t.transpose(axes).reshape(t.shape[mode - 1], -1)
@@ -228,6 +225,7 @@ def mode_unfold(t: np.ndarray, mode: int) -> np.ndarray:
 def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     """Multiply a matrix into one tensor mode (one tensordot contraction):
     the result's mode-s unfolding is m @ (t's mode-s unfolding)."""
+    _check_integer("mode", mode, 1, 4)
     t = np.asarray(t, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     if m.shape[1] != t.shape[mode - 1]:
@@ -473,11 +471,8 @@ def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
             raise ValueError("expected a third-order tensor")
         check_cell_budget(dense_hosvd_cells(t.shape))
     for mode in (1, 2, 3):
-        if not 1 <= ranks[mode - 1] <= t.shape[mode - 1]:
-            raise ValueError(
-                f"rank {ranks[mode - 1]} out of range 1..{t.shape[mode - 1]} "
-                f"for mode {mode}"
-            )
+        _check_integer(f"mode {mode} rank", ranks[mode - 1], 1,
+                       t.shape[mode - 1] + 1)
     if cells:
         check_cell_budget(cell_factoring_cells(t.shape, t.n_cells, ranks))
         factors = tuple(t._factor(mode, ranks[mode - 1], seed + mode)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CriteriaTensor, Dataset, RatingScale, _IndexMap
+from .core import (CriteriaTensor, Dataset, RatingScale, _IndexMap, _SEED_BOUND,
+                   _check_integer)
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,11 @@ class SyntheticTensorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_users < 2 or self.n_items < 2:
-            raise ValueError("need at least 2 users and 2 items")
-        if not 1 <= self.n_groups <= self.n_items:
-            raise ValueError("n_groups must be in 1..n_items")
-        if self.n_criteria < 1:
-            raise ValueError("n_criteria must be positive")
+        _check_integer("n_users", self.n_users, 2)
+        _check_integer("n_items", self.n_items, 2)
+        _check_integer("n_groups", self.n_groups, 1, self.n_items + 1)
+        _check_integer("n_criteria", self.n_criteria)
+        _check_integer("seed", self.seed, 0, _SEED_BOUND)
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
 

@@ -266,12 +266,12 @@ def test_a_rank_above_the_training_split_exits_2(tmp_path, capsys):
                           "--train-fraction", "0.3", "--seed", "0",
                           "--ranks", "5"], capsys)
     assert (code, out) == (2, "")
-    assert "rank 5 out of range 1..3" in err
+    assert err == "error: rank must be an integer in [1, 4), got 5\n"
     # the default rank 8 on a 6 x 5 matrix
     code, out, err = run(["recommend", "--input", str(path), "--user", "u0",
                           "--sim", "latent", "--seed", "0"], capsys)
     assert (code, out) == (2, "")
-    assert "rank 8 out of range 1..5" in err
+    assert err == "error: rank must be an integer in [1, 6), got 8\n"
 
 
 def test_evaluate_prints_report(data_dir, capsys):

@@ -198,8 +198,10 @@ def test_recommend_excludes_rated_and_orders():
     tied = [item for item, v in top if v == max(values)]
     assert tied == sorted(tied)
     assert recommend_top_n(d, store, "ghost", 3) == []
-    with pytest.raises(ValueError):
-        recommend_top_n(d, store, "u0", 0)
+    for bad in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+            recommend_top_n(d, store, "u0", bad)
+    assert recommend_top_n(d, store, "u0", np.int64(3)) == top[:3]
 
 
 def _tie_matrix_full():
@@ -293,9 +295,13 @@ def test_mc_config_validation():
 
 def test_synthetic_spec_validation():
     for bad in (dict(n_users=1), dict(n_items=1), dict(n_groups=0),
-                dict(n_groups=25), dict(n_criteria=0), dict(noise_std=-0.1)):
+                dict(n_groups=25), dict(n_criteria=0), dict(noise_std=-0.1),
+                dict(n_users=60.5), dict(n_groups=True), dict(n_criteria=2.0),
+                dict(seed=1.5), dict(seed=-1), dict(seed=2 ** 64)):
         with pytest.raises(ValueError):
             SyntheticTensorSpec(**bad)
+    spec = SyntheticTensorSpec(n_groups=np.int64(24), seed=np.uint64(3))
+    assert spec.ranks == (2, 24, 4)
 
 
 def small_tensor(seed=50):
@@ -398,8 +404,10 @@ def test_mc_recommend_excludes_training_cells():
     values = [v for _, v in top]
     assert values == sorted(values, reverse=True)
     assert mc_recommend_top_n(model, "ghost", 5) == []
-    with pytest.raises(ValueError):
-        mc_recommend_top_n(model, uid, 0)
+    for bad in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+            mc_recommend_top_n(model, uid, bad)
+    assert mc_recommend_top_n(model, uid, np.int64(3)) == top[:3]
 
 
 MODEL_KEYS = {"magic", "version", "scale", "grade_labels", "config",

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from conftest import random_dataset, traced
+from mccf import evaluation
 from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, RatingRecord,
                        RatingScale, _IndexMap)
 from mccf.evaluation import (
@@ -49,14 +51,14 @@ def test_a_rank_above_the_training_split_is_an_error():
     records = [RatingRecord(f"u{u}", f"i{i}", float(1 + (2 * u + i) % 5))
                for u in range(6) for i in range(5)]
     scale = RatingScale.one_to_five()
-    with pytest.raises(ValueError, match=r"rank 5 out of range 1\.\.3"):
+    with pytest.raises(ValueError, match=r"^rank must be an integer in \[1, 4\), got 5$"):
         run_benchmark(records, BenchmarkConfig(
             sim="latent", train_fraction=0.3, seed=0, latent_rank=5), scale)
     mc = [CriteriaRecord(r.user_id, r.item_id, (r.overall,) * 2, r.overall)
           for r in records]
-    for ranks, error in (((3, 5, 3), "rank 5 out of range 1..3 for mode 2"),
-                         ((6, 3, 3), "rank 6 out of range 1..5 for mode 1")):
-        with pytest.raises(ValueError, match=re.escape(error)):
+    for ranks, error in (((3, 5, 3), "mode 2 rank must be an integer in [1, 4), got 5"),
+                         ((6, 3, 3), "mode 1 rank must be an integer in [1, 6), got 6")):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             run_mc_benchmark(mc, McBenchmarkConfig(
                 ranks=ranks, train_fraction=0.3, seed=0), 2, scale)
 
@@ -653,6 +655,28 @@ def test_unbounded_products_hold_one_items_squared_array(monkeypatch):
         sim="pearson", train_fraction=0.8, seed=1)))
     # a store's build may densify too, but the products' call is the last
     assert held and held[-1] <= 8 * n_items ** 2 + 2 ** 20
+
+
+def test_unbounded_harness_frees_the_store_before_its_products(monkeypatch):
+    # the store is handed to the weights unnamed, so neither it nor its
+    # values are alive when the products begin
+    build, weighted_means = evaluation._build_store, evaluation._weighted_means
+    refs, dead = [], []
+
+    def built(*args):
+        store = build(*args)
+        refs.extend((weakref.ref(store), weakref.ref(store.values)))
+        return store
+
+    def products(*args):
+        dead.append([ref() is None for ref in refs])
+        return weighted_means(*args)
+
+    monkeypatch.setattr(evaluation, "_build_store", built)
+    monkeypatch.setattr(evaluation, "_weighted_means", products)
+    run_benchmark(bench_records(), BenchmarkConfig(
+        sim="pearson", train_fraction=0.8, seed=2))
+    assert dead == [[True, True]]
 
 
 # ---- the harnesses against the reference protocol ---------------------------

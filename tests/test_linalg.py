@@ -80,10 +80,10 @@ def test_ssvd_matches_dense_oracle_on_decaying_spectrum():
 
 def test_ssvd_rank_validation():
     a = np.ones((4, 3))
-    with pytest.raises(ValueError):
-        truncated_svd(a, 0)
-    with pytest.raises(ValueError):
-        truncated_svd(a, 4)
+    for bad in (0, 4, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="^rank must be an integer in"):
+            truncated_svd(a, bad)
+    assert truncated_svd(a, np.int64(2)).sigma.shape == (2,)
     # factors whose ranks disagree
     for u, sigma, v in ((np.eye(3, 2), np.ones(3), np.eye(3, 3)),
                         (np.eye(3, 2), np.ones(2), np.eye(3, 3))):
@@ -165,10 +165,9 @@ def test_pca_full_rank_roundtrip():
 
 def test_pca_validation():
     x = np.random.default_rng(0).standard_normal((10, 3))
-    with pytest.raises(ValueError):
-        pca(x, 0)
-    with pytest.raises(ValueError):
-        pca(x, 4)
+    for bad in (0, 4, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="^component count must be"):
+            pca(x, bad)
     with pytest.raises(ValueError):
         pca(x[:1], 1)
     model = pca(x, 2)
@@ -189,8 +188,9 @@ def test_mode_unfold_layout():
                 assert m1[a, c * 3 + b] == t[a, b, c]
                 assert mode_unfold(t, 2)[b, a * 4 + c] == t[a, b, c]
                 assert mode_unfold(t, 3)[c, b * 2 + a] == t[a, b, c]
-    with pytest.raises(ValueError, match="mode"):
-        mode_unfold(t, 4)
+    for bad in (0, 4, True):
+        with pytest.raises(ValueError, match=r"^mode must be an integer in \[1, 4\)"):
+            mode_unfold(t, bad)
 
 
 def test_mode_product_einsum_oracle():
@@ -204,6 +204,10 @@ def test_mode_product_einsum_oracle():
                            np.einsum(pattern, m, t), atol=1e-12)
     with pytest.raises(ValueError):
         mode_product(t, np.zeros((2, 99)), 1)
+    # mode 0 would act on mode 3
+    for bad in (0, 4, True):
+        with pytest.raises(ValueError, match=r"^mode must be an integer in \[1, 4\)"):
+            mode_product(t, np.zeros((2, 3)), bad)
 
 
 @settings(deadline=None, max_examples=30)
@@ -270,10 +274,9 @@ def test_hosvd_validation(monkeypatch):
     t = np.zeros((3, 3, 3))
     with pytest.raises(ValueError):
         hosvd(np.zeros((3, 3)), (1, 1, 1))
-    with pytest.raises(ValueError):
-        hosvd(t, (0, 1, 1))
-    with pytest.raises(ValueError):
-        hosvd(t, (4, 1, 1))
+    for bad in (0, 4, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="^mode 2 rank must be an integer"):
+            hosvd(t, (1, bad, 1))
     with pytest.raises(ValueError, match="no observed cells"):
         CellTensor(_container((2, 2, 2), np.array([], dtype=np.intp),
                               np.array([], dtype=np.intp), np.empty((0, 2))))
@@ -504,6 +507,9 @@ def test_cell_tensor_svd_validation(monkeypatch):
     with pytest.raises(ValueError, match="one-slice"):
         truncated_svd(CellTensor(_container((6, 5, 2), users, items, values)), 2)
     cells = CellTensor(_container((6, 5, 1), users, items, values[:, :1]))
+    for bad in (0, 6, 2.5, True, "2"):
+        with pytest.raises(ValueError, match=r"^rank must be an integer in \[1, 6\)"):
+            truncated_svd(cells, bad)
     # admitted at exactly its factoring's cells, rejected at one cell
     # fewer before any product with the matrix is formed
     budget = cell_factoring_cells(cells.shape, cells.n_cells, (2, 2, 1))

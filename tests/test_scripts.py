@@ -1,13 +1,14 @@
 """The programs outside the library that drive it: a smoke test of the
 README's worked example script, checks of the benchmark's imports and
-of the package's public surface, and a stub-runner check of
-scripts/bench_pairs.py."""
+of the package's public surface, and a stub-runner check and an
+extraction check of scripts/bench_pairs.py."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -59,11 +60,16 @@ def test_star_import_binds_the_import_block():
         assert not name.startswith("_") and not inspect.ismodule(value), name
 
 
-def test_bench_pairs_alternates_and_summarises(tmp_path):
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_pairs_alternates_and_summarises(tmp_path):
+    bench = _bench_pairs()
     base, head = tmp_path / "base", tmp_path / "head"
     for side, source in ((base, "old\n"), (head, "new\nlines\n")):
         (side / "perfbench").mkdir(parents=True)
@@ -121,3 +127,20 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     (head / "perfbench" / "run.py").write_text("changed")
     with pytest.raises(ValueError, match="perfbench"):
         bench.compare(base, head, ["w"], [1], 1, 0.1, runner)
+
+
+def test_bench_pairs_extracts_the_tracked_files(tmp_path):
+    bench = _bench_pairs()
+    try:
+        tracked = subprocess.run(
+            ["git", "-C", str(ROOT), "ls-tree", "-r", "--name-only", "HEAD",
+             "src", "perfbench"], check=True, capture_output=True,
+            text=True).stdout.split()
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("git or the repository's history is absent")
+    bench.extract("HEAD", tmp_path)
+    got = sorted(p.relative_to(tmp_path).as_posix()
+                 for top in ("src", "perfbench")
+                 for p in (tmp_path / top).rglob("*") if p.is_file())
+    assert got == sorted(tracked)
+    assert "__pycache__" not in "".join(got)
