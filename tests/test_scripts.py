@@ -142,5 +142,5 @@ def test_bench_pairs_extracts_the_tracked_files(tmp_path):
     got = sorted(p.relative_to(tmp_path).as_posix()
                  for top in ("src", "perfbench")
                  for p in (tmp_path / top).rglob("*") if p.is_file())
+    # the tracked files only: no __pycache__ or other untracked file
     assert got == sorted(tracked)
-    assert "__pycache__" not in "".join(got)
