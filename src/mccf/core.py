@@ -364,11 +364,11 @@ class _Cells:
 
     # ---- dense views -------------------------------------------------------
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        """users x items array of the values (users x items x width for
-        vector cells); NaN fills every cell not stored."""
+    def to_dense(self) -> np.ndarray:
+        """users x items float64 array of the values (users x items x width
+        for vector cells); NaN fills every cell not stored."""
         out = np.full((self.n_users, self.n_items) + self._values.shape[1:],
-                      np.nan, dtype=dtype)
+                      np.nan)
         out[self._u_idx, self._i_idx] = self._values
         return out
 

@@ -40,7 +40,7 @@ from .core import (
     _check_integer,
     criteria_slice,
 )
-from .linalg import (CellTensor, TuckerModel, _item_means,
+from .linalg import (CellTensor, TuckerModel, _check_ranks, _item_means,
                      cell_factoring_cells, check_cell_budget, hosvd)
 from .similarity import (
     SIMILARITY_KINDS,
@@ -83,30 +83,18 @@ def _groups(labels: np.ndarray):
             yield int(ordered[lo]), order[lo:hi]
 
 
-def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
-                  items: np.ndarray,
-                  spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Unclamped (len(items), c) values and the support of one user who
-    rated the items `rated` with the (len(rated), c) `ratings`, for each
-    item index in `items`; NaN values and 0 support mark no prediction.
+def _select(sims: SimilarityStore, rated: np.ndarray, items: np.ndarray,
+            k: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The kept neighbors of each item index in `items` among a user's rated
+    items `rated`: the (len(items), len(rated)) weights, 0 off the
+    neighbors, and each row's count of them.
 
-    An item's neighbors are the user's rated items of strictly positive
-    similarity to it; with a cap of k, the k most similar, ties going to
-    the lower item index.  Each column's value is sum(w * r) / sum(w) over
-    the one neighbor set.
-
-    Every row takes in every rated item, weighing 0 unless it is a kept
-    neighbor, so one row sum and one np.vecdot (the BLAS ddot of a 1-D
-    dot product) over the whole row give its (num, den), summed in
-    ascending item order as a one-item-at-a-time loop sums them; every
-    value is therefore that loop's, bitwise.  The support is counted
-    before NaN and non-positive weights go to 0 and before a NaN value
-    drops it.  A row with more than k neighbors (a capped row) counts k.
-    One ascending sort of a copy of the capped rows gives each its k-th
-    largest weight, and one multiply in place by w >= a threshold per row
-    (that weight, or 0 for an uncut row: times 1) zeroes the smaller
-    weights; ties at the k-th weight past the top k's room go to 0 in
-    item order.
+    An item's neighbors are the rated items of strictly positive similarity
+    to it; with a cap of k, the k most similar, ties going to the lower item
+    index.  One ascending sort of a copy of the capped rows (of more than k)
+    gives each its k-th largest weight; one multiply in place by w >= a
+    threshold per row (that weight, or 0 for an uncut row) zeroes the
+    smaller ones, and ties at it past the top k's room go to 0 in item order.
     """
     n, m = len(items), len(rated)
     # the store is symmetric: gather from the side with fewer rows; either
@@ -115,7 +103,6 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
          else sims.values[rated].T[items])
     count = (w > 0).sum(axis=1)     # NaN compares False
     np.fmax(w, 0.0, out=w)          # NaN and non-positive weights to 0
-    k = spec.max_neighbors
     cut = [] if k is None else (count > k).nonzero()[0]
     if len(cut):
         # a sorted copy of the cut rows ends with the k largest weights, all
@@ -137,6 +124,23 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
             drop = np.arange(len(r)) - np.searchsorted(r, r) >= room[r]
             w[rows[r[drop]], c[drop]] = 0.0
         count[cut] = k
+    return w, count
+
+
+def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
+                  items: np.ndarray,
+                  spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped (len(items), c) values and the support of one user who
+    rated the items `rated` with the (len(rated), c) `ratings`, for each
+    item index in `items`; NaN values and 0 support mark no prediction.
+
+    Each column's value is sum(w * r) / sum(w) over _select's weights w,
+    whose rows take in every rated item, and the support is its count.  One
+    row sum and one np.vecdot (a 1-D BLAS ddot) over the whole row sum in
+    ascending item order, as a one-item-at-a-time loop does, so every value
+    is that loop's, bitwise.
+    """
+    w, count = _select(sims, rated, items, spec.max_neighbors)
     den = w.sum(axis=1)
     num = np.vecdot(w, np.ascontiguousarray(ratings.T)[:, None, :])
     den[den < DENOM_EPS] = np.nan    # the row stays NaN, without a warning
@@ -438,6 +442,7 @@ def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
     The imputed (and centred) tensor is never formed: hosvd factors it
     from t's cells, read in place, and the fill (linalg.CellTensor).
     """
+    _check_ranks(ranks, (t.n_users, t.n_items, t.k + 1))
     check_cell_budget(mc_build_cells(t, ranks, config))
     cells = CellTensor(t, config.pca_option)
     tucker, slice_means = hosvd(cells, ranks, seed=config.seed), cells.means

@@ -41,8 +41,8 @@ from .engine import (
     products_cells,
 )
 from .ingest import MOVIELENS_SCALE, SplitSpec, _parse_movielens, _train_mask
-from .linalg import (CellTensor, cell_factoring_cells, check_cell_budget,
-                     truncated_svd)
+from .linalg import (CellTensor, _check_ranks, cell_factoring_cells,
+                     check_cell_budget, truncated_svd)
 from .similarity import item_similarity_matrix, store_cells
 
 # CLI-facing measure names -> similarity-module kinds
@@ -440,10 +440,7 @@ class McBenchmarkConfig:
     neighborhood: NeighborhoodSpec = field(default_factory=NeighborhoodSpec)
 
     def __post_init__(self) -> None:
-        if len(self.ranks) != 3:
-            raise ValueError("ranks must be three positive integers")
-        for r in self.ranks:
-            _check_integer("rank", r)
+        _check_ranks(self.ranks)
         # the fields shared with BenchmarkConfig pass its checks
         BenchmarkConfig(self.sim, self.train_fraction, self.seed, self.top_n)
         latent = self.sim == "latent"

@@ -445,6 +445,14 @@ def _unfolding_factor(a, r: int, seed: int) -> np.ndarray:
     return _completed(_left_factor(a, r_eff, seed)[0][:, :r_eff].copy(), r)
 
 
+def _check_ranks(ranks, shape=(None,) * 3) -> None:
+    """The Tucker rank rule: three integers, each in 1..its mode's size."""
+    if len(ranks) != 3:
+        raise ValueError(f"ranks must be three integers, got {ranks!r}")
+    for mode, (r, n) in enumerate(zip(ranks, shape), 1):
+        _check_integer(f"mode {mode} rank", r, 1, None if n is None else n + 1)
+
+
 def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
           seed: int = 0) -> TuckerModel:
     """Tucker decomposition via per-mode truncated SVD.
@@ -470,9 +478,7 @@ def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
         if t.ndim != 3:
             raise ValueError("expected a third-order tensor")
         check_cell_budget(dense_hosvd_cells(t.shape))
-    for mode in (1, 2, 3):
-        _check_integer(f"mode {mode} rank", ranks[mode - 1], 1,
-                       t.shape[mode - 1] + 1)
+    _check_ranks(ranks, t.shape)
     if cells:
         check_cell_budget(cell_factoring_cells(t.shape, t.n_cells, ranks))
         factors = tuple(t._factor(mode, ranks[mode - 1], seed + mode)

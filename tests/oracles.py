@@ -6,10 +6,12 @@ the same numbers for all pairs at once.  whole_matrix_similarity and
 whole_matrix_predictions are the plain float64 whole-matrix builds that
 item_similarity_matrix and predict_matrix must match bit for bit.
 loop_predict is the per-pair neighborhood loop the engine's kernel must
-match bitwise.  hosvd_reference is the Tucker decomposition as truncated
-SVDs of whole unfoldings, the core formed after every factor: the factors
-and core hosvd must match bit for bit.  An undefined similarity is None here and NaN inside a
-store.  factored_value is the per-cell value an MC model falls back to.
+match bitwise, over loop_neighbors' kept set, which the kernel's
+selection, _select, must match exactly.  hosvd_reference is the Tucker
+decomposition as truncated SVDs of whole unfoldings, the core formed after
+every factor: the factors and core hosvd must match bit for bit.  An
+undefined similarity is None here and NaN inside a store.  factored_value
+is the per-cell value an MC model falls back to.
 
 The per-record ingest (parse_movielens, parse_multicriteria,
 split_train_test, index_records and the containers built on it) is the
@@ -346,24 +348,29 @@ def hosvd_reference(t: np.ndarray, ranks: tuple[int, int, int],
 # ---- per-pair neighborhood loop -------------------------------------------
 
 
-def loop_predict(d, sims, u, i, spec):
-    """Reference: (clamped value, support) for one (user, item) index pair,
-    or None.  The kept neighbors are the rated items of strictly positive
-    similarity, or with a cap of k the k largest of them, the lower item
-    index winning a tie.  Every rated item takes part, with the weight 0
-    unless it is kept, so the sums run over the whole row in item order,
-    and the support counts the nonzero weights."""
-    rated, values = d.items_of(u)
+def loop_neighbors(sims, rated, i, k):
+    """Reference: the mask over `rated` of item i's kept neighbors, the
+    rated items of strictly positive similarity, or with a cap of k the k
+    largest of them, the lower item index winning a tie."""
     row = sims.values[i, rated]
     kept = row > 0      # NaN compares False
-    if not kept.any():
-        return None
-    k = spec.max_neighbors
     if k is not None and kept.sum() > k:
         idx = np.flatnonzero(kept)
         kept = np.zeros_like(kept)
         kept[idx[np.argsort(-row[idx], kind="stable")[:k]]] = True
-    weights = np.where(kept, row, 0.0)
+    return kept
+
+
+def loop_predict(d, sims, u, i, spec):
+    """Reference: (clamped value, support) for one (user, item) index pair,
+    or None, over loop_neighbors' kept neighbors.  Every rated item takes
+    part, with the weight 0 unless it is kept, so the sums run over the
+    whole row in item order, and the support counts the nonzero weights."""
+    rated, values = d.items_of(u)
+    kept = loop_neighbors(sims, rated, i, spec.max_neighbors)
+    if not kept.any():
+        return None
+    weights = np.where(kept, sims.values[i, rated], 0.0)
     denom = float(weights.sum())
     if denom < DENOM_EPS:
         return None

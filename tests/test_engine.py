@@ -1,4 +1,5 @@
 import copy
+import re
 import warnings
 import zipfile
 
@@ -291,6 +292,13 @@ def test_mc_config_validation():
             McConfig(sim_kind=kind)
     assert McConfig().sim_kind == "latent_cosine"
     assert McConfig(sim_kind="tanimoto").sim_kind == "tanimoto"
+    # the build checks its ranks by hosvd's rule before counting its cells
+    t = small_tensor()
+    for ranks, error in ((("2", 2, 2), "mode 1 rank must be an integer in [1, 21), got '2'"),
+                         ((2, 2), "ranks must be three integers, got (2, 2)"),
+                         ((2, 2, 2, 2), "ranks must be three integers, got (2, 2, 2, 2)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            build_mc_model(t, ranks)
 
 
 def test_synthetic_spec_validation():

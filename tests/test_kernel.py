@@ -18,6 +18,7 @@ from mccf.engine import (
     McConfig,
     NeighborhoodSpec,
     _neighborhood,
+    _select,
     batch_predict,
     build_mc_model,
     mc_recommend_top_n,
@@ -28,7 +29,8 @@ from mccf.engine import (
 )
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
-from oracles import clamp, factored_value, loop_predict, store_for
+from oracles import (clamp, factored_value, loop_neighbors, loop_predict,
+                     store_for)
 
 SPECS = [
     NeighborhoodSpec(),
@@ -190,9 +192,16 @@ def test_multicriteria_paths_match_loop(kind, spec):
 def _kernel_matches_loop(sims, rated, ratings, items, spec):
     """_neighborhood's (values, support) for one user, each rating column
     checked against the loop bitwise, on a scale wide enough that no value
-    is clamped."""
+    is clamped; _select's kept weights are each row's similarities at
+    exactly the loop's kept neighbors, and its count is theirs."""
     got, support = _neighborhood(sims, rated, ratings, items, spec)
     assert got.shape == (len(items), ratings.shape[1])
+    w, count = _select(sims, rated, items, spec.max_neighbors)
+    for p, i in enumerate(items.tolist()):
+        kept = loop_neighbors(sims, rated, i, spec.max_neighbors)
+        # kept weights are positive, so the nonzero columns are the kept set
+        assert np.array_equal(w[p], np.where(kept, sims.values[i, rated], 0.0)), i
+        assert count[p] == kept.sum()
     for j in range(ratings.shape[1]):
         row = np.full((1, len(sims.item_ids)), np.nan)
         row[0, rated] = ratings[:, j]
@@ -272,7 +281,10 @@ def test_count_groups_mix_defined_and_negligible_rows(c):
     weights near 1e-14, whose total stays below DENOM_EPS; one near 1e-13,
     whose total falls on either side of it with the count; and one of
     ordinary weights.  Undefined rows lie among defined rows of the same
-    count, and every row gives the loop's value and support bitwise."""
+    count, and every row gives the loop's value and support bitwise.  Two
+    rated items without a positive weight are scored too: _select counts
+    their neighbors 0 and each negligible row's above 0, though both kinds
+    of row have no value and support 0."""
     rng = np.random.default_rng(76)
     m = 60
     counts = np.repeat(np.arange(1, 46), 3)
@@ -285,10 +297,12 @@ def test_count_groups_mix_defined_and_negligible_rows(c):
     n = m + len(counts)
     values = np.full((n, n), np.nan)
     values[m:, :m], values[:m, m:] = block, block.T
+    # rated items 0 and 1, scored too, see only negative or undefined weights
+    values[0, 1:m] = values[1:m, 0] = -1.0
     sims = SimilarityStore("pearson", values, tuple(f"i{i}" for i in range(n)))
     rated = np.arange(m)
     ratings = rng.integers(1, 6, (m, c)).astype(float)
-    items = m + rng.permutation(len(counts))
+    items = np.append(m + rng.permutation(len(counts)), [0, 1])
 
     got, support = _kernel_matches_loop(sims, rated, ratings, items,
                                         NeighborhoodSpec())
@@ -296,6 +310,10 @@ def test_count_groups_mix_defined_and_negligible_rows(c):
     assert 0 < negligible.sum() < len(items)
     # each count holding a negligible row also holds a defined one
     assert np.unique(support[~negligible]).size == 45
+    count = _select(sims, rated, items, None)[1]
+    none = items < m
+    assert (support[negligible] == 0).all() and negligible[none].all()
+    assert (count[negligible & ~none] > 0).all() and (count[none] == 0).all()
 
 
 @pytest.mark.parametrize("c", [1, 4])

@@ -277,6 +277,9 @@ def test_hosvd_validation(monkeypatch):
     for bad in (0, 4, 2.5, True, "2"):
         with pytest.raises(ValueError, match="^mode 2 rank must be an integer"):
             hosvd(t, (1, bad, 1))
+    for bad in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="^ranks must be three integers"):
+            hosvd(t, bad)
     with pytest.raises(ValueError, match="no observed cells"):
         CellTensor(_container((2, 2, 2), np.array([], dtype=np.intp),
                               np.array([], dtype=np.intp), np.empty((0, 2))))
