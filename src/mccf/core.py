@@ -148,6 +148,8 @@ class _Ratings:
         """The records' columns (a batch as it is); with k, the values are
         [overall, c1..ck] and every record must carry k criteria.  A list
         is read as it is; other input is copied to one."""
+        if k is not None:
+            _check_integer("k", k)
         if isinstance(records, _Ratings):
             return records
         records = records if isinstance(records, list) else list(records)

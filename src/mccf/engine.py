@@ -26,6 +26,7 @@ model's one constructor on them, as a build does.
 
 from __future__ import annotations
 
+import json
 import zipfile
 from dataclasses import dataclass, field
 
@@ -351,6 +352,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.pca_option, bool):
+            raise ValueError(f"pca_option must be a bool, got {self.pca_option!r}")
         if self.sim_kind not in SIMILARITY_KINDS:
             raise ValueError(f"unknown sim_kind {self.sim_kind!r}")
         _check_integer("seed", self.seed, 0, _SEED_BOUND)
@@ -514,7 +517,7 @@ def mc_recommend_top_n(model: McModel, user_id: str, n: int) -> list[tuple[str, 
 # ---- persistence ------------------------------------------------------------
 
 _MODEL_MAGIC = "mccf-model"
-_SCHEMA_VERSION = 5
+_SCHEMA_VERSION = 6
 
 
 class ModelFormatError(ValueError):
@@ -525,23 +528,18 @@ def save_model(model: McModel, path) -> None:
     """Versioned .npz archive of the training tensor, the settings and the
     Tucker factors: all a load cannot cheaply derive again.
 
-    The tensor goes in as its id arrays, the (user, item) index of every
-    cell in cell_matrix() row order and cell_matrix() itself, so a load
-    keeps every index map.  An open handle keeps np.savez from appending
-    ".npz" to the name."""
-    cfg = model.config
-    k = cfg.neighborhood.max_neighbors
-    scale = model.scale
-    t = model.tensor
+    The settings go in as one JSON header, numpy scalars as the Python
+    numbers they hold.  The tensor goes in as its id arrays, the (user,
+    item) index of every cell in cell_matrix() row order and cell_matrix()
+    itself, so a load keeps every index map.  An open handle keeps np.savez
+    from appending ".npz" to the name."""
+    cfg, scale, t = model.config, model.scale, model.tensor
+    header = {"magic": _MODEL_MAGIC, "version": _SCHEMA_VERSION,
+              "scale": [scale.min_value, scale.max_value, scale.grade_labels],
+              "config": [cfg.pca_option, cfg.sim_kind,
+                         cfg.neighborhood.max_neighbors, cfg.seed]}
     arrays = {
-        "magic": np.array(_MODEL_MAGIC),
-        "version": np.array(_SCHEMA_VERSION),
-        "scale": np.array([scale.min_value, scale.max_value]),
-        "grade_labels": np.array(scale.grade_labels or (), dtype=str),
-        "config": np.array(["on" if cfg.pca_option else "off", cfg.sim_kind,
-                            str(cfg.seed)]),
-        # NaN marks an unbounded neighborhood
-        "neighborhood": np.array([np.nan if k is None else k]),
+        "header": np.array(json.dumps(header, default=np.generic.item)),
         "user_ids": np.array(t.user_ids, dtype=str),
         "item_ids": np.array(t.item_ids, dtype=str),
         "cell_index": np.stack(t.cell_index(), axis=1).astype(np.intp),
@@ -568,47 +566,46 @@ def _read_archive(path) -> dict[str, np.ndarray]:
 
 def load_model(path) -> McModel:
     """Rebuild a model from save_model output (same schema version only):
-    the McModel constructor, which build_mc_model ends with too, derives
-    every array but the saved ones again, so a loaded model equals the
-    saved one bitwise."""
+    the settings' own constructors check the header's values, and the
+    McModel constructor, which build_mc_model ends with too, derives every
+    array but the saved ones again, so a loaded model equals the saved one
+    bitwise."""
     a = _read_archive(path)
-    if str(a.get("magic")) != _MODEL_MAGIC:
-        raise ModelFormatError("not a model file")
-    version = a.get("version")
-    if version is None or version.shape != () or version.dtype.kind not in "iu":
-        raise ModelFormatError("schema version is not an integer")
-    if int(version) != _SCHEMA_VERSION:
-        raise ModelFormatError(f"unsupported schema version {int(version)}")
     try:
-        return _model_from_arrays(a)
+        header = json.loads(a.pop("header").item())
+        magic, version = header["magic"], header["version"]
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ModelFormatError(f"not a model file: {exc}") from exc
+    if magic != _MODEL_MAGIC:
+        raise ModelFormatError("not a model file")
+    if type(version) is not int or version != _SCHEMA_VERSION:
+        raise ModelFormatError(f"unsupported schema version {version!r}")
+    try:
+        return _model_from_arrays(header, a)
     except KeyError as exc:
         raise ModelFormatError(f"missing key {exc}") from exc
     except (ValueError, IndexError, TypeError) as exc:
         raise ModelFormatError(f"inconsistent model file: {exc}") from exc
 
 
-def _model_from_arrays(a: dict[str, np.ndarray]) -> McModel:
-    lo, hi = a["scale"].tolist()
-    scale = RatingScale(lo, hi, tuple(a["grade_labels"].tolist()) or None)
-    pca, sim_kind, seed = a["config"].tolist()
-    if pca not in ("on", "off"):
-        raise ValueError(f"unknown pca flag {pca!r}")
-    (cap,) = a["neighborhood"].tolist()
-    if not (np.isnan(cap) or float(cap).is_integer()):
-        raise ValueError(f"{cap!r} is not a whole number")
-    neighborhood = NeighborhoodSpec(None if np.isnan(cap) else int(cap))
-    config = McConfig(pca_option=pca == "on", sim_kind=sim_kind,
-                      neighborhood=neighborhood, seed=int(seed))
+def _model_from_arrays(header: dict, a: dict[str, np.ndarray]) -> McModel:
+    lo, hi, labels = header["scale"]
+    scale = RatingScale(lo, hi, None if labels is None else tuple(labels))
+    pca_option, sim_kind, cap, seed = header["config"]
+    config = McConfig(pca_option=pca_option, sim_kind=sim_kind,
+                      neighborhood=NeighborhoodSpec(cap), seed=seed)
 
     # taken out of the archive, so the tensor's copies are the only ones kept
     cells, index = a.pop("cells"), a.pop("cell_index")
+    users, items = a.pop("user_ids"), a.pop("item_ids")
     if index.shape != (len(cells), 2):
         raise ValueError("cell index does not match the cells")
+    if users.dtype.kind != "U" or items.dtype.kind != "U":
+        raise ValueError("ids are not strings")
     # the constructor rejects non-integer, out-of-range and repeated cells
-    tensor = CriteriaTensor(_IndexMap(a.pop("user_ids").tolist()),
-                            _IndexMap(a.pop("item_ids").tolist()),
+    tensor = CriteriaTensor(_IndexMap(users.tolist()), _IndexMap(items.tolist()),
                             index[:, 0], index[:, 1], cells, scale)
-    del cells, index
+    del cells, index, users, items
 
     # a factor of one row would broadcast over a whole tensor mode, one of
     # one column over a whole core mode

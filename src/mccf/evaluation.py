@@ -441,8 +441,9 @@ class McBenchmarkConfig:
 
     def __post_init__(self) -> None:
         _check_ranks(self.ranks)
-        # the fields shared with BenchmarkConfig pass its checks
+        # the fields shared with BenchmarkConfig and McConfig pass their checks
         BenchmarkConfig(self.sim, self.train_fraction, self.seed, self.top_n)
+        self.engine_config()
         latent = self.sim == "latent"
         if self.sim_space not in (None, "latent" if latent else "reconstructed"):
             raise ValueError(f"sim_space {self.sim_space!r} does not match "

@@ -196,6 +196,7 @@ def _mc_row(no: int, line: str, k: int, scale: RatingScale) -> tuple:
 
 
 def _parse_multicriteria(source, k: int, scale: RatingScale) -> _Ratings:
+    _check_integer("k", k)
     return _parse(source, ",",
                   lambda line: line.strip() and not line.lstrip().startswith("#"),
                   lambda no, line: _mc_row(no, line, k, scale), scale, k + 1)

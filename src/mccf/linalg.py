@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriteriaTensor, Dataset, _CELL_BLOCK, _check_integer, _segment_sums
+from .core import (CriteriaTensor, Dataset, _CELL_BLOCK, _SEED_BOUND, _check_integer,
+                   _segment_sums)
 
 # Relative cutoff below which a singular value is treated as exactly zero.
 SIGMA_CUTOFF = 1e-12
@@ -154,6 +155,7 @@ def truncated_svd(a: np.ndarray | CellTensor, k: int, seed: int = 0) -> FactorMo
     elif a.shape[2] != 1:
         raise ValueError("expected a one-slice CellTensor")
     _check_integer("rank", k, 1, min(a.shape[:2]) + 1)
+    _check_integer("seed", seed, 0, _SEED_BOUND)
     if isinstance(a, CellTensor):
         check_cell_budget(cell_factoring_cells(a.shape, a.n_cells, (k, k, 1)))
         a = _CellUnfolding(a, 1)
@@ -479,6 +481,7 @@ def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
             raise ValueError("expected a third-order tensor")
         check_cell_budget(dense_hosvd_cells(t.shape))
     _check_ranks(ranks, t.shape)
+    _check_integer("seed", seed, 0, _SEED_BOUND)
     if cells:
         check_cell_budget(cell_factoring_cells(t.shape, t.n_cells, ranks))
         factors = tuple(t._factor(mode, ranks[mode - 1], seed + mode)

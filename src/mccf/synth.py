@@ -11,11 +11,11 @@ global-mean predictor cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CriteriaTensor, Dataset, RatingScale, _IndexMap, _SEED_BOUND,
+from .core import (CriteriaTensor, RatingScale, _IndexMap, _SEED_BOUND,
                    _check_integer)
 
 
@@ -82,15 +82,3 @@ def generate_tensor(spec: SyntheticTensorSpec) -> CriteriaTensor:
                           *cells,
                           full.reshape(-1, spec.n_criteria + 1), SYNTH_SCALE)
 
-
-def duplicate_overall_tensor(d: Dataset) -> CriteriaTensor:
-    """Degenerate k=1 tensor whose single criterion repeats the overall.
-
-    The multi-criteria pipeline run on this tensor has exactly the same
-    information as the plain single-rating dataset, which makes it a
-    consistency probe: predictions should agree with the plain engine.
-    """
-    cells = d._ratings()
-    # indexed anew, as records of the cells in user-major order would be
-    return CriteriaTensor.from_records(
-        replace(cells, values=cells.values[:, [0, 0]]), 1, d.scale)

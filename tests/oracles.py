@@ -27,7 +27,8 @@ built from these references: run_benchmark with a capped neighbourhood
 and run_mc_benchmark must give its report bit for bit.
 
 The small helpers read stores, models and datasets the way the tests need
-to, through nothing but their public arrays.
+to, through nothing but their public arrays; duplicate_overall_tensor makes
+a Dataset the k = 1 tensor whose criterion repeats the overall.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -105,6 +107,19 @@ def factored_value(model, u: int, i: int, c: int) -> float:
     if model.slice_means is not None:
         value += model.slice_means[i, c]
     return value
+
+
+def duplicate_overall_tensor(d: Dataset) -> CriteriaTensor:
+    """Degenerate k=1 tensor whose single criterion repeats the overall.
+
+    The multi-criteria pipeline run on this tensor has exactly the same
+    information as the plain single-rating dataset, which makes it a
+    consistency probe: predictions should agree with the plain engine.
+    """
+    cells = d._ratings()
+    # indexed anew, as records of the cells in user-major order would be
+    return CriteriaTensor.from_records(
+        replace(cells, values=cells.values[:, [0, 0]]), 1, d.scale)
 
 
 # ---- per-pair similarity measures -----------------------------------------

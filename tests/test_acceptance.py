@@ -35,7 +35,7 @@ from mccf.evaluation import (
 from mccf.ingest import SplitSpec, parse_movielens, split_train_test
 from mccf.linalg import hosvd, impute_missing, pca, pca_project, pca_reconstruct, truncated_svd, tucker_reconstruct
 from mccf.similarity import item_similarity_matrix
-from mccf.synth import SyntheticTensorSpec, duplicate_overall_tensor, generate_tensor
+from mccf.synth import SyntheticTensorSpec, generate_tensor
 import oracles
 
 TABLE_SIMS = ("pearson", "euclidean", "loglikelihood", "tanimoto")
@@ -266,9 +266,10 @@ def test_criterion_7_multicriteria_pipeline(capsys):
     d = Dataset.from_records(overall, RatingScale.one_to_five())
     plain = run_benchmark(overall, BenchmarkConfig(
         sim="euclidean", train_fraction=0.8, seed=11))
-    degen = run_mc_benchmark(duplicate_overall_tensor(d), McBenchmarkConfig(
-        ranks=(d.n_users, d.n_items, 2), train_fraction=0.8, seed=11,
-        sim="euclidean"))
+    degen = run_mc_benchmark(
+        oracles.duplicate_overall_tensor(d), McBenchmarkConfig(
+            ranks=(d.n_users, d.n_items, 2), train_fraction=0.8, seed=11,
+            sim="euclidean"))
     degen_gap = abs(degen.mae - plain.mae)
 
     ok = improvement >= 0.20 and clean_rep.mae <= 0.05 and degen_gap <= 1e-6

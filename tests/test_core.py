@@ -261,10 +261,11 @@ def test_tensor_basics():
 def test_tensor_wrong_arity():
     with pytest.raises(ValueError):
         CriteriaTensor.from_records(MC_RECORDS, 2, ONE_TO_FIVE)
-    # an overall rating alone is no multi-criteria cell
-    with pytest.raises(ValueError, match="k >= 1"):
-        CriteriaTensor.from_records([CriteriaRecord("a", "x", (), 3.0)], 0,
-                                    ONE_TO_FIVE)
+    # an overall rating alone is no multi-criteria cell, and k is a count
+    for k in (0, -1, True, 1.0, "2"):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+            CriteriaTensor.from_records([CriteriaRecord("a", "x", (), 3.0)], k,
+                                        ONE_TO_FIVE)
     # the constructor reads k from the values' width
     users, items = _IndexMap(["a", "b"]), _IndexMap(["x"])
     cells = np.array([0, 1]), np.array([0, 0])

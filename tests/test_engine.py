@@ -1,4 +1,5 @@
 import copy
+import json
 import re
 import warnings
 import zipfile
@@ -34,8 +35,8 @@ from mccf.engine import (
 from mccf.linalg import CellTensor, tucker_reconstruct
 from mccf.similarity import SimilarityStore, item_similarity_matrix
 from mccf.synth import SyntheticTensorSpec, generate_tensor
-from oracles import (factored_value, loop_predict, sim, top_n,
-                     whole_matrix_predictions)
+from oracles import (duplicate_overall_tensor, factored_value, loop_predict,
+                     sim, top_n, whole_matrix_predictions)
 
 NAN = np.nan
 
@@ -292,6 +293,10 @@ def test_mc_config_validation():
             McConfig(sim_kind=kind)
     assert McConfig().sim_kind == "latent_cosine"
     assert McConfig(sim_kind="tanimoto").sim_kind == "tanimoto"
+    # a truthy string or number would build a centred model
+    for pca in ("off", "on", 1, 0, None, np.True_):
+        with pytest.raises(ValueError, match="^pca_option must be a bool"):
+            McConfig(pca_option=pca)
     # the build checks its ranks by hosvd's rule before counting its cells
     t = small_tensor()
     for ranks, error in ((("2", 2, 2), "mode 1 rank must be an integer in [1, 21), got '2'"),
@@ -418,8 +423,7 @@ def test_mc_recommend_excludes_training_cells():
     assert mc_recommend_top_n(model, uid, np.int64(3)) == top[:3]
 
 
-MODEL_KEYS = {"magic", "version", "scale", "grade_labels", "config",
-              "neighborhood", "user_ids", "item_ids", "cell_index", "cells",
+MODEL_KEYS = {"header", "user_ids", "item_ids", "cell_index", "cells",
               "core", "factor1", "factor2", "factor3"}
 
 
@@ -436,6 +440,15 @@ def test_save_load_roundtrip(tmp_path):
                 assert (model.slice_means.tobytes()
                         == CellTensor(t)._term[1].tobytes())
             _assert_roundtrip(model, tmp_path / "model.txt")
+    # numpy scalars are saved as the numbers they hold, a float32 bound
+    # neither cut to an integer nor rounded
+    t = CriteriaTensor(_IndexMap(t.user_ids), _IndexMap(t.item_ids),
+                       *t.cell_index(), t.cell_matrix(),
+                       RatingScale(np.float32(0.7), 5.0))
+    config = McConfig(seed=np.int64(9),
+                      neighborhood=NeighborhoodSpec(np.int64(4)))
+    _assert_roundtrip(build_mc_model(t, (2, 3, 3), config),
+                      tmp_path / "model.npz")
 
 
 def _assert_roundtrip(model, path):
@@ -445,6 +458,7 @@ def _assert_roundtrip(model, path):
     back = load_model(path)
     assert back.ranks == model.ranks == (2, 3, 3)
     assert back.config == model.config
+    assert back.scale == model.scale
     assert back.aggregation == model.aggregation
     t = model.tensor
     assert back.tensor.user_ids == t.user_ids
@@ -524,7 +538,10 @@ def test_load_rejects_corrupt_file(tmp_path):
     save_model(model, p)
     good = dict(np.load(p, allow_pickle=False))
     raw = p.read_bytes()
-    assert int(good["version"]) == 5
+    header = json.loads(good["header"].item())
+    assert header == {"magic": "mccf-model", "version": 6,
+                      "scale": [1.0, 5.0, None],
+                      "config": [False, "latent_cosine", None, 10]}
     load_model(p)
 
     def assert_rejected(data=None, **changes):
@@ -539,6 +556,9 @@ def test_load_rejects_corrupt_file(tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(bad)
 
+    def with_header(**changes):
+        return np.array(json.dumps({**header, **changes}))
+
     # not an npz archive: an old text model, an .npy array, an empty file
     assert_rejected(b"mccf-model 1\nscale 1.0 5.0 5 -\n")
     with open(tmp_path / "array.npy", "wb") as fh:
@@ -548,13 +568,24 @@ def test_load_rejects_corrupt_file(tmp_path):
     # truncated archives
     assert_rejected(raw[:len(raw) // 2])
     assert_rejected(raw[:-1])
-    # header, every key, then the cells and factors against the id maps
-    assert_rejected(magic=np.array("not-a-model"))
-    for version in (1, 2, 3, 4, 6):
-        assert_rejected(version=np.array(version))
-    assert_rejected(version=np.array(5.0))
-    assert_rejected(version=np.array("5"))
-    assert_rejected(version=np.array([5]))
+    # a schema 5 file, which kept each setting in a member of its own
+    assert_rejected(header=None, magic=np.array("mccf-model"),
+                    version=np.array(5), scale=np.array([1.0, 5.0]),
+                    grade_labels=np.array((), dtype=str),
+                    config=np.array(["off", "latent_cosine", "10"]),
+                    neighborhood=np.array([np.nan]))
+    # a header that is no JSON object, or lacks an entry
+    for text in ("", "not json", "[6]", "6", '"mccf-model"'):
+        assert_rejected(header=np.array(text))
+    assert_rejected(header=np.arange(3))
+    for key in header:
+        assert_rejected(header=np.array(json.dumps(
+            {k: v for k, v in header.items() if k != key})))
+    # the header's magic and version, every member, then the cells and
+    # factors against the id maps
+    assert_rejected(header=with_header(magic="not-a-model"))
+    for version in (1, 2, 3, 4, 5, 7, 6.0, "6", [6], True, None):
+        assert_rejected(header=with_header(version=version))
     assert set(good) == MODEL_KEYS
     for key in good:
         assert_rejected(**{key: None})
@@ -571,22 +602,36 @@ def test_load_rejects_corrupt_file(tmp_path):
     # indices that would not index, or would mask
     assert_rejected(cell_index=good["cell_index"] + 0.25)
     assert_rejected(cell_index=good["cell_index"] > 0)
-    assert_rejected(config=np.array(["off", "dice", "10"]))
-    assert_rejected(config=np.array(["yes", "latent_cosine", "10"]))
-    # schema 4's config also stored the impute strategy
-    assert_rejected(config=np.array(["off", "latent_cosine", "item_mean", "10"]))
-    # a cap that is not a whole number, a cap of the wrong shape (schema 3
-    # also stored a similarity threshold), infinite or missing bounds, a
-    # scale of the wrong shape (schema 4 also stored a level count)
-    for cap in ([np.inf], [-np.inf], [2.5], [0.0], [np.inf, np.nan],
-                [2.0, np.nan], [], np.array(2.0), [[2.0]], ["3"]):
-        assert_rejected(neighborhood=np.array(cap))
-    for scale in ([1.0, np.inf], [1.0, np.nan], [np.nan, 5.0], [5.0, 1.0],
-                  [-np.inf, 5.0], [1.0], [1.0, 5.0, 5.0], [[1.0, 5.0]]):
-        assert_rejected(scale=np.array(scale))
+    # ids that are not strings
+    assert_rejected(user_ids=np.arange(t.n_users))
+    assert_rejected(item_ids=np.arange(t.n_items).astype(float))
+    # a PCA flag that is no bool, an unknown kind, a seed that is no seed;
+    # a config of the wrong length (schema 4's also stored the impute
+    # strategy) or with no cap
+    for config in (["off", "latent_cosine", None, 10],
+                   [1, "latent_cosine", None, 10],
+                   [False, "dice", None, 10], [False, ["pearson"], None, 10],
+                   [False, "latent_cosine", None, -1],
+                   [False, "latent_cosine", None, "10"],
+                   [False, "latent_cosine", "item_mean", None, 10],
+                   [False, "latent_cosine", 10]):
+        assert_rejected(header=with_header(config=config))
+    # a cap that is not a whole number, non-positive, infinite or of the
+    # wrong type
+    for cap in (2.5, 2.0, 0, -1, np.inf, -np.inf, np.nan, "3", [2], True):
+        assert_rejected(header=with_header(
+            config=[False, "latent_cosine", cap, 10]))
+    # infinite, unordered or missing bounds, a scale of the wrong length
+    # (schema 4's also stored a level count)
+    for scale in ([1.0, np.inf, None], [1.0, np.nan, None],
+                  [np.nan, 5.0, None], [5.0, 1.0, None], [-np.inf, 5.0, None],
+                  ["1", 5.0, None], [1.0, None, None], [1.0, 5.0],
+                  [1.0, 5.0, 5, None], [[1.0, 5.0], None]):
+        assert_rejected(header=with_header(scale=scale))
     # grade labels that do not give each whole number of the scale one
-    for scale, labels in (([1.0, 5.0], ["a", "b"]), ([1.0, 5.5], list("abcde"))):
-        assert_rejected(scale=np.array(scale), grade_labels=np.array(labels))
+    for scale in ([1.0, 5.0, ["a", "b"]], [1.0, 5.5, list("abcde")],
+                  [1.0, 5.0, []]):
+        assert_rejected(header=with_header(scale=scale))
     # factors of another tensor shape, or of other ranks than the core's;
     # one user row would otherwise broadcast over every user
     assert_rejected(factor1=good["factor1"][:1])
@@ -697,7 +742,6 @@ def test_sparse_build_peaks_below_one_dense_copy():
 
 
 def test_degenerate_single_criterion_matches_plain_cf():
-    from mccf.synth import duplicate_overall_tensor
     d = random_dataset(59, n_users=15, n_items=10, fill=0.8)
     t = duplicate_overall_tensor(d)
     ranks = (t.n_users, t.n_items, 2)

@@ -33,7 +33,7 @@ from mccf.engine import McConfig, NeighborhoodSpec, predict_matrix, products_cel
 from mccf.similarity import item_similarity_matrix, store_cells
 from mccf.ingest import SplitSpec, split_train_test, write_movielens
 from mccf.linalg import cell_factoring_cells
-from mccf.synth import SyntheticTensorSpec,duplicate_overall_tensor, generate_tensor
+from mccf.synth import SyntheticTensorSpec, generate_tensor
 
 DESK_PAIRS = [(3.0, 2.0), (4.0, 6.0)]
 
@@ -280,6 +280,9 @@ def test_mc_benchmark_config_sim_picks_the_space():
                dict(sim_space="projected", sim="pearson")):
         with pytest.raises(ValueError):
             config(**kw)
+    # the engine's own checks, as McConfig makes them
+    with pytest.raises(ValueError, match="^pca_option must be a bool"):
+        config(pca_option="off")
     assert config().engine_config().sim_kind == "latent_cosine"
     assert config(sim_space="latent").engine_config() == config().engine_config()
     t = mc_tensor()
@@ -342,6 +345,10 @@ def test_run_mc_benchmark_needs_k_and_scale_for_records():
         neighborhood=NeighborhoodSpec(max_neighbors=3)),
         k=t.k, scale=t.scale)
     assert len(report.criteria_mae) == 3
+    for k in (0, -1, True, 1.0, "2"):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+            run_mc_benchmark(records, McBenchmarkConfig(
+                ranks=(2, 4, 4), train_fraction=0.8, seed=1), k=k, scale=t.scale)
 
 
 def test_run_mc_benchmark_rejects_a_file_path(tmp_path):
@@ -405,7 +412,7 @@ def test_degenerate_tensor_matches_single_criterion_harness():
     records = bench_records(67, noise=0.3)
     from mccf.core import Dataset
     d = Dataset.from_records(records, RatingScale.one_to_five())
-    t = duplicate_overall_tensor(d)
+    t = oracles.duplicate_overall_tensor(d)
     plain = run_benchmark(records, BenchmarkConfig(
         sim="euclidean", train_fraction=0.8, seed=11))
     mc = run_mc_benchmark(t, McBenchmarkConfig(

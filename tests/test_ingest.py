@@ -98,6 +98,10 @@ def test_parse_multicriteria_errors():
         parse_multicriteria(["u,i,1,2,3,7"], 3, RatingScale.one_to_five())
     with pytest.raises(ParseError):
         parse_multicriteria(["u,i,1,2,3,Q"], 3, LETTER)
+    # k is a count of criteria, checked before any line is read
+    for k in (0, -1, True, 1.0, "2"):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+            parse_multicriteria(["u,i,1,2"], k, RatingScale.one_to_five())
 
 
 triples = st.lists(

@@ -84,6 +84,11 @@ def test_ssvd_rank_validation():
         with pytest.raises(ValueError, match="^rank must be an integer in"):
             truncated_svd(a, bad)
     assert truncated_svd(a, np.int64(2)).sigma.shape == (2,)
+    for bad in (True, 2 ** 64, 1.5, -5, "1"):
+        with pytest.raises(ValueError, match="^seed must be an integer in"):
+            truncated_svd(a, 2, seed=bad)
+    assert np.array_equal(truncated_svd(a, 2, seed=np.uint64(5)).v,
+                          truncated_svd(a, 2, seed=5).v)
     # factors whose ranks disagree
     for u, sigma, v in ((np.eye(3, 2), np.ones(3), np.eye(3, 3)),
                         (np.eye(3, 2), np.ones(2), np.eye(3, 3))):
@@ -280,6 +285,10 @@ def test_hosvd_validation(monkeypatch):
     for bad in ((1, 1), (1, 1, 1, 1)):
         with pytest.raises(ValueError, match="^ranks must be three integers"):
             hosvd(t, bad)
+    for bad in (True, 2 ** 64, 1.5, -5, "1"):
+        with pytest.raises(ValueError, match="^seed must be an integer in"):
+            hosvd(t, (1, 1, 1), seed=bad)
+    assert hosvd(t, (1, 1, 1), seed=np.uint64(5)).core.shape == (1, 1, 1)
     with pytest.raises(ValueError, match="no observed cells"):
         CellTensor(_container((2, 2, 2), np.array([], dtype=np.intp),
                               np.array([], dtype=np.intp), np.empty((0, 2))))
