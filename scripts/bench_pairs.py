@@ -17,11 +17,14 @@ flipping which goes first from pair to pair; each checkout imports its
 own `src/`.  For every workload, seed and end-to-end metric the output
 holds each run's value, the median and quartiles of each side, the
 pairs each side won and a `verdict` (gain, worse, unresolved or no
-change; see verdict()), beside every run's `correct` and `failed`, the
-host (`run.machine()`), and the sha256 and line count (`wc -l
+change; see verdict()), beside every run's `correct` and `failed`, each
+side's `checks_passed` (every run correct with 0 failed), the host
+(`run.machine()`), and the sha256 and line count (`wc -l
 src/mccf/*.py`) of both libraries.  It refuses (exit 2) when
 `perfbench/` differs between the two checkouts, since that would
-measure a benchmark change, not a library change.
+measure a benchmark change, not a library change.  It exits 1, after
+writing the JSON, when a run of either side is not correct or failed an
+operation: such a run times broken work, so its verdicts mean nothing.
 """
 
 from __future__ import annotations
@@ -132,6 +135,9 @@ def compare(base: Path, head: Path, workloads: list[str], seeds: list[int],
                 **{side: {"correct": [r["correct"] for r in runs[side]],
                           "failed": [r["failed"] for r in runs[side]]}
                    for side in SIDES},
+                "checks_passed": {side: all(r["correct"] and r["failed"] == 0
+                                            for r in runs[side])
+                                  for side in SIDES},
                 "metrics": metrics}
     library = {side: checkouts[side] / "src" / "mccf" for side in SIDES}
     return {"library_sha256": {side: tree_hash(library[side]) for side in SIDES},
@@ -195,6 +201,11 @@ def main(argv=None) -> int:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
+    if not all(passed for by_seed in report["workloads"].values()
+               for run in by_seed.values()
+               for passed in run["checks_passed"].values()):
+        print("error: a run failed its checks", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse, repeat
+from numbers import Real
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -61,14 +62,14 @@ class RatingScale:
     grade_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not -np.inf < self.min_value < self.max_value < np.inf:
-            raise ValueError(
-                f"need finite min_value < max_value, got [{self.min_value}, {self.max_value}]"
-            )
-        if self.grade_labels is not None and \
-                len(self.grade_labels) != self.max_value - self.min_value + 1:
-            raise ValueError(f"{len(self.grade_labels)} grade labels for the "
-                             f"scale [{self.min_value}, {self.max_value}]")
+        lo, hi, labels = self.min_value, self.max_value, self.grade_labels
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in (lo, hi)) \
+                or not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"need real finite min_value < max_value, got [{lo}, {hi}]")
+        if labels is not None and not (isinstance(labels, tuple) and all(
+                isinstance(g, str) for g in labels) and len(labels) == hi - lo + 1):
+            raise ValueError(f"need a tuple of one str grade label per whole number "
+                             f"of the scale [{lo}, {hi}], got {labels!r}")
 
     @classmethod
     def one_to_five(cls) -> "RatingScale":

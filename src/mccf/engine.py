@@ -85,14 +85,14 @@ def _groups(labels: np.ndarray):
 
 
 def _select(sims: SimilarityStore, rated: np.ndarray, items: np.ndarray,
-            k: int | None) -> tuple[np.ndarray, np.ndarray]:
+            k: int | None) -> np.ndarray:
     """The kept neighbors of each item index in `items` among a user's rated
-    items `rated`: the (len(items), len(rated)) weights, 0 off the
-    neighbors, and each row's count of them.
+    items `rated`: the (len(items), len(rated)) weights, nonzero just there.
 
     An item's neighbors are the rated items of strictly positive similarity
     to it; with a cap of k, the k most similar, ties going to the lower item
-    index.  One ascending sort of a copy of the capped rows (of more than k)
+    index.  Rows of more than k positive weights, counted only when the user
+    rated more than k items, are capped: one ascending sort of a copy of them
     gives each its k-th largest weight; one multiply in place by w >= a
     threshold per row (that weight, or 0 for an uncut row) zeroes the
     smaller ones, and ties at it past the top k's room go to 0 in item order.
@@ -102,9 +102,8 @@ def _select(sims: SimilarityStore, rated: np.ndarray, items: np.ndarray,
     # way w is a new C-ordered block, so its rows sum in one order
     w = (sims.values[items[:, None], rated] if n <= m
          else sims.values[rated].T[items])
-    count = (w > 0).sum(axis=1)     # NaN compares False
     np.fmax(w, 0.0, out=w)          # NaN and non-positive weights to 0
-    cut = [] if k is None else (count > k).nonzero()[0]
+    cut = [] if k is None or m <= k else ((w > 0).sum(axis=1) > k).nonzero()[0]
     if len(cut):
         # a sorted copy of the cut rows ends with the k largest weights, all
         # positive, so the k-th largest is each one's threshold
@@ -124,38 +123,36 @@ def _select(sims: SimilarityStore, rated: np.ndarray, items: np.ndarray,
             # a tie's rank in its row: its place less its row's first place
             drop = np.arange(len(r)) - np.searchsorted(r, r) >= room[r]
             w[rows[r[drop]], c[drop]] = 0.0
-        count[cut] = k
-    return w, count
+    return w
 
 
 def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
                   items: np.ndarray,
                   spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Unclamped (len(items), c) values and the support of one user who
-    rated the items `rated` with the (len(rated), c) `ratings`, for each
-    item index in `items`; NaN values and 0 support mark no prediction.
+    """Unclamped (len(items), c) values of one user who rated the items
+    `rated` with the (len(rated), c) `ratings`, for each item index in
+    `items`, NaN for no prediction, and _select's kept weights w.
 
-    Each column's value is sum(w * r) / sum(w) over _select's weights w,
-    whose rows take in every rated item, and the support is its count.  One
-    row sum and one np.vecdot (a 1-D BLAS ddot) over the whole row sum in
-    ascending item order, as a one-item-at-a-time loop does, so every value
-    is that loop's, bitwise.
+    A column's value is sum(w * r) / sum(w) over the whole rated row: one
+    row sum and one np.vecdot (a 1-D BLAS ddot) in ascending item order, as
+    a one-item-at-a-time loop sums, so every value is that loop's, bitwise.
+    A row's den, a sum of weights >= 0, is 0 with no positive neighbor and
+    in (0, DENOM_EPS) with a negligible total weight: no prediction either way.
     """
-    w, count = _select(sims, rated, items, spec.max_neighbors)
+    w = _select(sims, rated, items, spec.max_neighbors)
     den = w.sum(axis=1)
     num = np.vecdot(w, np.ascontiguousarray(ratings.T)[:, None, :])
     den[den < DENOM_EPS] = np.nan    # the row stays NaN, without a warning
-    values = (num / den).T
-    return values, np.where(np.isnan(values[:, 0]), 0, count)
+    return (num / den).T, w
 
 
 def _predict_user(d: Dataset, sims: SimilarityStore, u: int, items: np.ndarray,
                   spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The plain score: user u's clamped (len(items), 1) values, and support."""
+    """The plain score: user u's clamped (len(items), 1) values, and kept weights."""
     _check_store(d, sims)
     rated, ratings = d.items_of(u)
-    values, support = _neighborhood(sims, rated, ratings[:, None], items, spec)
-    return values.clip(d.scale.min_value, d.scale.max_value, out=values), support
+    values, w = _neighborhood(sims, rated, ratings[:, None], items, spec)
+    return values.clip(d.scale.min_value, d.scale.max_value, out=values), w
 
 
 def _check_store(d: Dataset, sims: SimilarityStore) -> None:
@@ -204,11 +201,11 @@ def predict_single(user_id: str, item_id: str, d: Dataset,
     """
     if not (d.has_user(user_id) and d.has_item(item_id)):
         return None
-    values, support = _predict_user(d, sims, d.user_index(user_id),
-                                    np.array([d.item_index(item_id)]), spec)
-    if not support[0]:
+    values, w = _predict_user(d, sims, d.user_index(user_id),
+                              np.array([d.item_index(item_id)]), spec)
+    if np.isnan(values[0, 0]):
         return None
-    return Prediction(user_id, item_id, float(values[0, 0]), int(support[0]))
+    return Prediction(user_id, item_id, float(values[0, 0]), int(np.count_nonzero(w)))
 
 
 def predict_matrix(d: Dataset, sims: SimilarityStore,
@@ -590,7 +587,7 @@ def load_model(path) -> McModel:
 
 def _model_from_arrays(header: dict, a: dict[str, np.ndarray]) -> McModel:
     lo, hi, labels = header["scale"]
-    scale = RatingScale(lo, hi, None if labels is None else tuple(labels))
+    scale = RatingScale(lo, hi, tuple(labels) if isinstance(labels, list) else labels)
     pca_option, sim_kind, cap, seed = header["config"]
     config = McConfig(pca_option=pca_option, sim_kind=sim_kind,
                       neighborhood=NeighborhoodSpec(cap), seed=seed)

@@ -460,9 +460,9 @@ def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
     """Tucker decomposition via per-mode truncated SVD.
 
     Factor s holds the top-r_s left singular vectors of the mode-s
-    unfolding, those truncated_svd with seed + s returns; the core is the
-    tensor multiplied by every factor transpose.  Only the left factors
-    are formed.
+    unfolding that truncated_svd's sketch finds with the Python int seed
+    + s (no numpy wrap); the core is the tensor multiplied by every
+    factor transpose.  Only the left factors are formed.
 
     A dense tensor over its dense_hosvd_cells budget is rejected before
     any unfolding of it is formed.
@@ -484,11 +484,11 @@ def hosvd(t: np.ndarray | CellTensor, ranks: tuple[int, int, int], *,
     _check_integer("seed", seed, 0, _SEED_BOUND)
     if cells:
         check_cell_budget(cell_factoring_cells(t.shape, t.n_cells, ranks))
-        factors = tuple(t._factor(mode, ranks[mode - 1], seed + mode)
+        factors = tuple(t._factor(mode, ranks[mode - 1], int(seed) + mode)
                         for mode in (1, 2, 3))
         return TuckerModel(t._core(factors), factors)
     factors = tuple(_unfolding_factor(mode_unfold(t, mode), ranks[mode - 1],
-                                      seed + mode) for mode in (1, 2, 3))
+                                      int(seed) + mode) for mode in (1, 2, 3))
     core = t
     for mode, u in zip((1, 2, 3), factors):
         core = mode_product(core, u.T, mode)

@@ -55,6 +55,19 @@ def test_scale_validation():
                        (2.5, ("a", "b"))):
         with pytest.raises(ValueError):
             RatingScale(1.0, hi, labels)
+    # bounds are real numbers, numpy's too, but not bools; labels are a
+    # tuple of strings, so a string is not split into one-letter labels
+    for lo, hi in ((True, 5.0), (0.0, True), (np.True_, 5.0), ("1", 5.0),
+                   (None, 5.0), (1.0, 5 + 0j), (np.complex128(1), 5.0)):
+        with pytest.raises(ValueError, match="need real finite"):
+            RatingScale(lo, hi)
+    for labels in ("abcde", list("abcde"), (1, 2, 3, 4, 5),
+                   ("a", "b", "c", "d", None)):
+        with pytest.raises(ValueError, match="grade label"):
+            RatingScale(1.0, 5.0, labels)
+    for lo, hi in ((np.float32(0.5), 5.0), (1, np.int64(5)), (-2, 2.0)):
+        assert RatingScale(lo, hi).span == hi - lo
+    assert RatingScale(1.0, 5.0, tuple("abcde")).grade_labels == tuple("abcde")
 
 
 def test_first_appearance_indexing():

@@ -632,6 +632,13 @@ def test_load_rejects_corrupt_file(tmp_path):
     for scale in ([1.0, 5.0, ["a", "b"]], [1.0, 5.5, list("abcde")],
                   [1.0, 5.0, []]):
         assert_rejected(header=with_header(scale=scale))
+    # bools for bounds; labels that are one string (not split into
+    # letters), a number, an object or a list not all of strings
+    for scale in ([True, 5.0, None], [0.0, True, None], [1.0, 5.0, "abcde"],
+                  [1.0, 5.0, 5], [1.0, 5.0, {"a": 1}],
+                  [1.0, 5.0, [1, 2, 3, 4, 5]],
+                  [1.0, 5.0, ["a", "b", "c", "d", None]]):
+        assert_rejected(header=with_header(scale=scale))
     # factors of another tensor shape, or of other ranks than the core's;
     # one user row would otherwise broadcast over every user
     assert_rejected(factor1=good["factor1"][:1])

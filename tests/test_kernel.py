@@ -189,19 +189,28 @@ def test_multicriteria_paths_match_loop(kind, spec):
             [(t.item_id(i), -v) for v, i in scored[:8]]
 
 
+def _support(values, w):
+    """Each row's support, as predict_single reports it: the count of its
+    kept weights, or 0 for a row without a value."""
+    return np.where(np.isnan(values[:, 0]), 0, np.count_nonzero(w, axis=1))
+
+
 def _kernel_matches_loop(sims, rated, ratings, items, spec):
     """_neighborhood's (values, support) for one user, each rating column
     checked against the loop bitwise, on a scale wide enough that no value
-    is clamped; _select's kept weights are each row's similarities at
-    exactly the loop's kept neighbors, and its count is theirs."""
-    got, support = _neighborhood(sims, rated, ratings, items, spec)
+    is clamped; _select's kept weights, which _neighborhood returns, are
+    each row's similarities at exactly the loop's kept neighbors, so their
+    count of nonzeros is the loop's count."""
+    got, kept_w = _neighborhood(sims, rated, ratings, items, spec)
+    support = _support(got, kept_w)
     assert got.shape == (len(items), ratings.shape[1])
-    w, count = _select(sims, rated, items, spec.max_neighbors)
+    w = _select(sims, rated, items, spec.max_neighbors)
+    assert np.array_equal(kept_w, w)
     for p, i in enumerate(items.tolist()):
         kept = loop_neighbors(sims, rated, i, spec.max_neighbors)
         # kept weights are positive, so the nonzero columns are the kept set
         assert np.array_equal(w[p], np.where(kept, sims.values[i, rated], 0.0)), i
-        assert count[p] == kept.sum()
+        assert np.count_nonzero(w[p]) == kept.sum()
     for j in range(ratings.shape[1]):
         row = np.full((1, len(sims.item_ids)), np.nan)
         row[0, rated] = ratings[:, j]
@@ -282,9 +291,9 @@ def test_count_groups_mix_defined_and_negligible_rows(c):
     whose total falls on either side of it with the count; and one of
     ordinary weights.  Undefined rows lie among defined rows of the same
     count, and every row gives the loop's value and support bitwise.  Two
-    rated items without a positive weight are scored too: _select counts
-    their neighbors 0 and each negligible row's above 0, though both kinds
-    of row have no value and support 0."""
+    rated items without a positive weight are scored too: _select keeps
+    none of their neighbors and some of each negligible row's, though both
+    kinds of row have no value and support 0."""
     rng = np.random.default_rng(76)
     m = 60
     counts = np.repeat(np.arange(1, 46), 3)
@@ -310,7 +319,7 @@ def test_count_groups_mix_defined_and_negligible_rows(c):
     assert 0 < negligible.sum() < len(items)
     # each count holding a negligible row also holds a defined one
     assert np.unique(support[~negligible]).size == 45
-    count = _select(sims, rated, items, None)[1]
+    count = np.count_nonzero(_select(sims, rated, items, None), axis=1)
     none = items < m
     assert (support[negligible] == 0).all() and negligible[none].all()
     assert (count[negligible & ~none] > 0).all() and (count[none] == 0).all()
@@ -386,10 +395,10 @@ def test_unbounded_rows_sum_the_whole_rated_row(c):
     got, support = _kernel_matches_loop(sims, rated, ratings, items, spec)
     assert support[0] == 7
     for p, i in enumerate(items.tolist()):
-        alone, alone_support = _neighborhood(sims, rated, ratings,
-                                             np.array([i]), spec)
+        alone, alone_w = _neighborhood(sims, rated, ratings, np.array([i]),
+                                       spec)
         assert np.array_equal(alone[0], got[p], equal_nan=True), i
-        assert alone_support[0] == support[p]
+        assert _support(alone, alone_w)[0] == support[p]
 
 
 @pytest.mark.parametrize("c", [1, 4])
@@ -426,10 +435,10 @@ def test_capped_rows_sum_the_whole_rated_row(c):
     assert support[:2].tolist() == [5, 5]
     assert ((block > 0).sum(axis=1) > 5).sum() > 2    # other rows are cut
     for p, i in enumerate(items.tolist()):
-        alone, alone_support = _neighborhood(sims, rated, ratings,
-                                             np.array([i]), spec)
+        alone, alone_w = _neighborhood(sims, rated, ratings, np.array([i]),
+                                       spec)
         assert np.array_equal(alone[0], got[p], equal_nan=True), i
-        assert alone_support[0] == support[p]
+        assert _support(alone, alone_w)[0] == support[p]
 
 
 @pytest.mark.parametrize("c", [1, 4])
@@ -444,7 +453,12 @@ def test_capped_selection_at_its_boundaries(c):
     holding -0.0 and 0.0, row 1 tied at the k-th weight.  The uncut rows
     (the last over m = 5, the last two over m = 7, one of them with exactly
     k neighbors), with small, -0.0, NaN and negative weights, score bitwise
-    as in a call that cuts no row."""
+    as in a call that cuts no row.  Then a user of exactly k rated items,
+    whose rows cannot be cut, so _select counts none, and one of k + 1,
+    each with NaN, -0.0, negative and tiny weights: rows whose total stays
+    below DENOM_EPS (row 1 over m = k; over m = k + 1, row 2, cut from five
+    weights to four), a capped row that keeps 1e-13 out (row 1) and one of
+    five equal weights whose kept four still pass it (row 4)."""
     nan = np.nan
     spec = NeighborhoodSpec(4)
     rng = np.random.default_rng(80)
@@ -458,7 +472,17 @@ def test_capped_selection_at_its_boundaries(c):
             (np.array([[0.3, -0.0, 0.2, 0.0, 0.4, 0.1, 0.5],
                        [0.3, -0.0, 0.2, 0.0, 0.2, 0.4, 0.5],
                        [0.1, nan, -0.0, 0.7, -0.3, 0.2, 0.0],
-                       [-0.0, 0.3, 0.3, nan, 0.3, 0.0, 0.6]]), [4, 4, 3, 4])):
+                       [-0.0, 0.3, 0.3, nan, 0.3, 0.0, 0.6]]), [4, 4, 3, 4]),
+            (np.array([[0.3, nan, -0.0, 0.2],
+                       [1e-13, 2e-13, nan, -0.5],
+                       [0.5, 0.25, 0.4, 0.1],
+                       [nan, -0.0, -0.2, 0.0],
+                       [1e-13, 0.3, -0.0, 0.1]]), [2, 0, 4, 0, 3]),
+            (np.array([[0.3, 1e-13, nan, 0.2, 0.4],
+                       [0.3, 1e-13, 0.5, 0.2, 0.4],
+                       [1e-14, 2e-14, 3e-14, 4e-14, 5e-14],
+                       [-0.0, nan, -0.3, 0.0, 0.2],
+                       [3e-13] * 5]), [4, 4, 0, 1, 4])):
         sims, rated, items = _store_of(block)
         ratings = rng.integers(1, 6, (len(rated), c)).astype(float)
         ratings[:, 0] = np.arange(len(rated)) % 5 + 1

@@ -547,6 +547,21 @@ def test_hosvd_determinism():
         assert np.array_equal(a, b)
 
 
+def test_hosvd_numpy_seed_is_its_integer():
+    # mode s sketches with the Python integer seed + s, so a numpy seed near
+    # 2**64 does not wrap (nor warn, which fails a test here) and gives the
+    # factors of the integer it holds, dense or from the cells
+    rng = np.random.default_rng(32)
+    dims = (6, 5, 3)
+    for t in (rng.standard_normal(dims),
+              CellTensor(_container(dims, *_observed_cells(rng, dims)))):
+        for seed in (np.uint64(2 ** 64 - 1), np.int64(7)):
+            got = hosvd(t, (2, 2, 2), seed=seed)
+            want = hosvd(t, (2, 2, 2), seed=int(seed))
+            for a, b in zip((got.core, *got.factors), (want.core, *want.factors)):
+                assert a.tobytes() == b.tobytes()
+
+
 def test_tucker_reconstruct_einsum_oracle():
     rng = np.random.default_rng(25)
     model = TuckerModel(

@@ -1,6 +1,6 @@
 """The programs outside the library that drive it: a smoke test of the
 README's worked example script, checks of the benchmark's imports and
-of the package's public surface, and a stub-runner check and an
+of the package's public surface, and stub-runner checks and an
 extraction check of scripts/bench_pairs.py."""
 
 import ast
@@ -68,17 +68,26 @@ def _bench_pairs():
     return bench
 
 
+def _toy_checkout(top, source):
+    """A checkout of the repository's BENCHMARK.json, a one-line perfbench
+    and a one-module library of the text source."""
+    (top / "perfbench").mkdir(parents=True)
+    (top / "perfbench" / "run.py").write_text("same")
+    (top / "src" / "mccf").mkdir(parents=True)
+    (top / "src" / "mccf" / "engine.py").write_text(source)
+    (top / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text("utf-8"))
+
+
+METRIC_NAMES = [m["name"] for m in json.loads(
+    (ROOT / "BENCHMARK.json").read_text("utf-8"))["end_to_end"]]
+
+
 def test_bench_pairs_alternates_and_summarises(tmp_path):
     bench = _bench_pairs()
     base, head = tmp_path / "base", tmp_path / "head"
-    for side, source in ((base, "old\n"), (head, "new\nlines\n")):
-        (side / "perfbench").mkdir(parents=True)
-        (side / "perfbench" / "run.py").write_text("same")
-        (side / "src" / "mccf").mkdir(parents=True)
-        (side / "src" / "mccf" / "engine.py").write_text(source)
-    declared = (ROOT / "BENCHMARK.json").read_text("utf-8")
-    (head / "BENCHMARK.json").write_text(declared)
-    names = [m["name"] for m in json.loads(declared)["end_to_end"]]
+    _toy_checkout(base, "old\n")
+    _toy_checkout(head, "new\nlines\n")
     # the n-th base and head run of a seed, each metric lower-is-better;
     # the others read 7 in every run
     shapes = {
@@ -104,7 +113,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
         return {"correct": True, "failed": 0,
                 "metrics": {name: {"value": float(
                     shapes[name][side](n) if name in shapes else 7)}
-                    for name in names}}
+                    for name in METRIC_NAMES}}
 
     out = bench.compare(base, head, ["w"], [1], 4, 0.1, runner)
     # each pair flips which side goes first
@@ -113,6 +122,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     assert out["library_lines"] == {"base": 1, "head": 2}
     run = out["workloads"]["w"]["1"]
     assert run["head"] == {"correct": [True] * 4, "failed": [0] * 4}
+    assert run["checks_passed"] == {"base": True, "head": True}
     p50 = run["metrics"]["topn_p50_ms"]
     assert p50["base"] == {"runs": [1.0, 2.0, 3.0, 4.0], "median": 2.5,
                            "q1": 1.75, "q3": 3.25}
@@ -127,6 +137,41 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     (head / "perfbench" / "run.py").write_text("changed")
     with pytest.raises(ValueError, match="perfbench"):
         bench.compare(base, head, ["w"], [1], 1, 0.1, runner)
+
+
+def test_bench_pairs_exits_1_when_a_run_fails_its_checks(tmp_path, monkeypatch):
+    # a stub runner in toy checkouts: the verdicts of a side whose run is
+    # not correct, or failed an operation, are written and flagged, and
+    # main exits 1; with every run passing it exits 0
+    bench = _bench_pairs()
+    monkeypatch.setattr(bench, "extract", lambda rev, dest: _toy_checkout(
+        dest, f"{dest.name}\n"))
+    monkeypatch.setattr(bench, "_git", lambda *args: "" if args[0] in (
+        "stash", "status") else "c0ffee")
+    compare, bad = bench.compare, {}
+
+    def runner(checkout, workload, seed, seconds):
+        flaw = bad.get((checkout.name, seed), {})
+        return {"correct": flaw.get("correct", True),
+                "failed": flaw.get("failed", 0),
+                "metrics": {name: {"value": 1.0} for name in METRIC_NAMES}}
+
+    monkeypatch.setattr(bench, "compare", lambda *args: compare(
+        *args, runner=runner))
+    out = tmp_path / "out.json"
+    argv = ["--base", "HEAD", "--workloads", "w", "--seeds", "1,3",
+            "--pairs", "2", "--seconds", "0.1", "--out", str(out)]
+    for flaws, status, passed in (
+            ({}, 0, {"base": True, "head": True}),
+            ({("head", 3): {"failed": 1}}, 1, {"base": True, "head": False}),
+            ({("base", 3): {"correct": False}}, 1,
+             {"base": False, "head": True})):
+        bad.clear()
+        bad.update(flaws)
+        assert bench.main(argv) == status
+        runs = json.loads(out.read_text())["workloads"]["w"]
+        assert runs["1"]["checks_passed"] == {"base": True, "head": True}
+        assert runs["3"]["checks_passed"] == passed
 
 
 def test_bench_pairs_extracts_the_tracked_files(tmp_path):
