@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Real
 from pathlib import Path
 from typing import Callable, ClassVar, Sequence
 
@@ -105,9 +106,9 @@ def precision_recall_f1(recommended, interesting) -> tuple[float, float, float]:
 def coverage(attempted: int, made: int, catalog,
              recommendable) -> tuple[float, float]:
     """(prediction coverage, catalog coverage)."""
-    if attempted == 0:
-        raise ValueError("no prediction attempts")
-    if made > attempted:
+    if attempted <= 0:
+        raise ValueError(f"no prediction attempts (got {attempted})")
+    if not 0 <= made <= attempted:
         raise ValueError(f"made {made} predictions out of {attempted} attempts")
     cat = set(catalog)
     reachable = set(recommendable) & cat
@@ -120,6 +121,11 @@ class RelevanceSpec:
     """Ratings at or above the threshold mark a test item as interesting."""
 
     threshold: float
+
+    def __post_init__(self) -> None:
+        t = self.threshold
+        if isinstance(t, bool) or not isinstance(t, Real) or not abs(t) < math.inf:
+            raise ValueError(f"relevance threshold must be a finite number, got {t!r}")
 
     @classmethod
     def default_for(cls, scale: RatingScale) -> "RelevanceSpec":
@@ -210,6 +216,8 @@ class BenchmarkConfig:
         SplitSpec(self.train_fraction, self.seed)
         _check_integer("top_n", self.top_n)
         _check_integer("latent_rank", self.latent_rank)
+        if self.relevance_threshold is not None:
+            RelevanceSpec(self.relevance_threshold)
 
 
 def _batch(source, k: int | None = None) -> _Ratings:
@@ -266,20 +274,13 @@ def _decision_metrics(recommendations: dict[str, list[str]],
                       interesting: dict[str, set[str]],
                       catalog, attempted: int, made: int):
     """Macro-averaged precision/recall (+f1 of the averages) and coverage."""
-    precisions: list[float] = []
-    recalls: list[float] = []
-    recommended_union: set[str] = set()
-    for uid, top in recommendations.items():
-        recommended_union.update(top)
-    for uid, good in interesting.items():
-        p, r, _ = precision_recall_f1(recommendations.get(uid, []), good)
-        precisions.append(p)
-        recalls.append(r)
-    precision = float(np.mean(precisions)) if precisions else 0.0
-    recall = float(np.mean(recalls)) if recalls else 0.0
+    scores = [precision_recall_f1(recommendations.get(uid, []), good)[:2]
+              for uid, good in interesting.items()] or [(0.0, 0.0)]
+    precision, recall = (float(np.mean(c)) for c in zip(*scores))
     f1 = 0.0 if precision + recall == 0 else \
         2.0 * precision * recall / (precision + recall)
-    pred_cov, cat_cov = coverage(attempted, made, catalog, recommended_union)
+    pred_cov, cat_cov = coverage(attempted, made, catalog,
+                                 set().union(*recommendations.values()))
     return precision, recall, f1, pred_cov, cat_cov
 
 
@@ -442,7 +443,8 @@ class McBenchmarkConfig:
     def __post_init__(self) -> None:
         _check_ranks(self.ranks)
         # the fields shared with BenchmarkConfig and McConfig pass their checks
-        BenchmarkConfig(self.sim, self.train_fraction, self.seed, self.top_n)
+        BenchmarkConfig(self.sim, self.train_fraction, self.seed, self.top_n,
+                        self.relevance_threshold)
         self.engine_config()
         latent = self.sim == "latent"
         if self.sim_space not in (None, "latent" if latent else "reconstructed"):

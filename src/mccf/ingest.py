@@ -17,6 +17,7 @@ import hashlib
 from array import array
 from dataclasses import dataclass
 from itertools import compress, islice
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TypeVar
 
@@ -39,6 +40,7 @@ MOVIELENS_SCALE = RatingScale.one_to_five()
 RecordT = TypeVar("RecordT", RatingRecord, CriteriaRecord)
 
 _CHUNK = 1 << 16    # characters or lines parsed, or pairs hashed, at a time
+_SEP_NAMES = {"\t": "TAB", ",": "comma"}   # as field-count errors name them
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,9 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
+        f = self.train_fraction
+        if isinstance(f, bool) or not isinstance(f, Real) or not 0.0 < f < 1.0:
+            raise ValueError(f"train_fraction must be a real number in (0, 1), got {f!r}")
         _check_integer("seed", self.seed, 0, _SEED_BOUND)
 
 
@@ -82,17 +83,18 @@ def _pieces(source):
             yield [raw.rstrip("\r\n") for raw in piece]
 
 
-def _parse(source, sep: str, data, row, scale: RatingScale, n: int,
+def _parse(source, sep: str, data, scale: RatingScale, n: int,
            stamped: bool = False, keep: bool = True) -> _Ratings:
     """The data lines of a path or of lines as a batch: user, item, n values
     on the scale (the overall last) and, if stamped, a timestamp, checked
     with int() and kept unless keep is False.  Each piece's columns convert
-    at once, numpy taking the tokens float() takes; on any failure the
-    per-line row(line number, line) reruns the piece, raising its first bad
-    line's ParseError (or taking what only it takes: grade labels).  Holding
-    its output and one piece, a 1M-line MovieLens-1M-shaped file peaks at
-    62.1 MiB traced for 60.6 MiB held, or 25.8 MiB for 24.1 MiB held
-    without its timestamps."""
+    at once, numpy taking the tokens float() takes; on any failure the piece
+    reruns line by line under the one row rule of both formats (the field
+    count, then each value through _parse_value, then the timestamp), which
+    raises its first bad line's ParseError or takes what only it takes:
+    grade labels.  Holding its output and one piece, a 1M-line
+    MovieLens-1M-shaped file peaks at 62.1 MiB traced for 60.6 MiB held, or
+    25.8 MiB for 24.1 MiB held without its timestamps."""
     width = 2 + n + stamped
     codes: tuple[dict[str, int], dict[str, int]] = ({}, {})     # id -> code
     u, i, values = array("q"), array("q"), array("d")    # grown piece by piece
@@ -108,6 +110,17 @@ def _parse(source, sep: str, data, row, scale: RatingScale, n: int,
         for column, code, out in zip(cols, codes, (u, i)):
             out.frombytes(_codes(code, map(str.strip, column)).tobytes())
         values.frombytes(np.roll(rated, 1, axis=0).T.tobytes())  # the overall first
+
+    def row(no: int, line: str) -> tuple:
+        parts = [part.strip() for part in line.split(sep)]
+        if len(parts) != width:
+            raise ParseError(f"expected {width} {_SEP_NAMES[sep]}-separated "
+                             f"fields, got {len(parts)}", no)
+        rated = [_parse_value(token, scale, no) for token in parts[2:2 + n]]
+        try:
+            return (*parts[:2], *rated, *map(int, parts[2 + n:]))
+        except ValueError:
+            raise ParseError(f"non-integer timestamp {parts[-1]!r}", no) from None
 
     def columnar(kept: list[str]) -> bool:
         if {line.count(sep) for line in kept} - {width - 1}:
@@ -130,26 +143,11 @@ def _parse(source, sep: str, data, row, scale: RatingScale, n: int,
                     np.frombuffer(values).reshape(-1, n), stamps)
 
 
-def _movielens_row(no: int, line: str) -> tuple[str, str, float, int]:
-    parts = line.split("\t")
-    if len(parts) != 4:
-        raise ParseError(f"expected 4 TAB-separated fields, got {len(parts)}", no)
-    user, item, rating_s, ts_s = (p.strip() for p in parts)
-    try:
-        rating = float(rating_s)
-        timestamp = int(ts_s)
-    except ValueError:
-        raise ParseError(f"non-numeric rating or timestamp in {line!r}", no) from None
-    if not MOVIELENS_SCALE.contains(rating):
-        raise ParseError(f"rating {rating} outside [1, 5]", no)
-    return user, item, rating, timestamp
-
-
 def _parse_movielens(source, stamps: bool = True) -> _Ratings:
     """The batch of a MovieLens path or lines; without stamps, a caller that
     returns no records checks each timestamp but keeps none."""
-    return _parse(source, "\t", str.strip, _movielens_row, MOVIELENS_SCALE, 1,
-                  stamped=True, keep=stamps)
+    return _parse(source, "\t", str.strip, MOVIELENS_SCALE, 1, stamped=True,
+                  keep=stamps)
 
 
 def parse_movielens(source) -> list[RatingRecord]:
@@ -172,10 +170,12 @@ def grade_to_number(grade: str, scale: RatingScale) -> float:
 
 
 def _parse_value(token: str, scale: RatingScale, line_no: int) -> float:
-    token = token.strip()
+    """A stripped token's value: a number, else a grade label of the scale."""
     try:
         value = float(token)
     except ValueError:
+        if scale.grade_labels is None:
+            raise ParseError(f"non-numeric value {token!r}", line_no) from None
         try:
             value = grade_to_number(token, scale)
         except ValueError as exc:
@@ -185,21 +185,11 @@ def _parse_value(token: str, scale: RatingScale, line_no: int) -> float:
     return value
 
 
-def _mc_row(no: int, line: str, k: int, scale: RatingScale) -> tuple:
-    parts = line.split(",")
-    if len(parts) != k + 3:
-        raise ParseError(
-            f"expected {k + 3} comma-separated fields, got {len(parts)}", no
-        )
-    return (parts[0].strip(), parts[1].strip(),
-            *[_parse_value(tok, scale, no) for tok in parts[2:]])
-
-
 def _parse_multicriteria(source, k: int, scale: RatingScale) -> _Ratings:
     _check_integer("k", k)
     return _parse(source, ",",
                   lambda line: line.strip() and not line.lstrip().startswith("#"),
-                  lambda no, line: _mc_row(no, line, k, scale), scale, k + 1)
+                  scale, k + 1)
 
 
 def parse_multicriteria(source, k: int, scale: RatingScale) -> list[CriteriaRecord]:

@@ -425,13 +425,11 @@ def parse_movielens(source) -> list[RatingRecord]:
         if len(parts) != 4:
             raise ParseError(f"expected 4 TAB-separated fields, got {len(parts)}", no)
         user, item, rating_s, ts_s = (p.strip() for p in parts)
+        rating = parse_value(rating_s, MOVIELENS_SCALE, no)
         try:
-            rating = float(rating_s)
             timestamp = int(ts_s)
         except ValueError:
-            raise ParseError(f"non-numeric rating or timestamp in {line!r}", no) from None
-        if not MOVIELENS_SCALE.contains(rating):
-            raise ParseError(f"rating {rating} outside [1, 5]", no)
+            raise ParseError(f"non-integer timestamp {ts_s!r}", no) from None
         records.append(RatingRecord(user, item, rating, timestamp))
     return records
 
@@ -441,6 +439,8 @@ def parse_value(token: str, scale, line_no: int) -> float:
     try:
         value = float(token)
     except ValueError:
+        if scale.grade_labels is None:
+            raise ParseError(f"non-numeric value {token!r}", line_no) from None
         try:
             value = grade_to_number(token, scale)
         except ValueError as exc:

@@ -97,6 +97,10 @@ def test_coverage_identities():
         coverage(0, 0, ["a"], [])
     with pytest.raises(ValueError):
         coverage(3, 4, ["a"], [])
+    # a count is never negative
+    for attempted, made in ((3, -1), (-2, -3), (-1, 0)):
+        with pytest.raises(ValueError):
+            coverage(attempted, made, ["a"], [])
 
 
 def test_relevance_defaults():
@@ -104,6 +108,12 @@ def test_relevance_defaults():
     assert RelevanceSpec.default_for(RatingScale.letter_13()).threshold == 9.0
     with pytest.raises(ValueError):
         RelevanceSpec(7.0).check(RatingScale.one_to_five())
+    # the threshold is a real, finite number; the scale is checked apart
+    for bad in (True, "4", float("nan"), float("inf"), None):
+        with pytest.raises(ValueError, match="^relevance threshold must be"):
+            RelevanceSpec(bad)
+    for good in (4, 4.5, np.float64(3), np.int64(2), 7.0):
+        assert RelevanceSpec(good).threshold == good
 
 
 pair_sets = st.lists(
@@ -167,6 +177,17 @@ def test_benchmark_config_validation():
         BenchmarkConfig(sim="latent", train_fraction=0.7, seed=0, latent_rank=0)
     with pytest.raises(ValueError):
         McBenchmarkConfig(ranks=(2, 4), train_fraction=0.7, seed=0)
+    # a threshold that is no number fails where the config is made: True
+    # would run as 1, marking every held-out rating interesting
+    for bad in (True, "4", float("nan")):
+        with pytest.raises(ValueError, match="^relevance threshold must be"):
+            BenchmarkConfig("pearson", 0.8, 1, relevance_threshold=bad)
+        with pytest.raises(ValueError, match="^relevance threshold must be"):
+            McBenchmarkConfig(ranks=(2, 2, 2), train_fraction=0.8, seed=1,
+                              relevance_threshold=bad)
+    # the scale is the run's to check
+    assert BenchmarkConfig("pearson", 0.8, 1,
+                           relevance_threshold=7.0).relevance_threshold == 7.0
 
 
 @pytest.mark.parametrize("build", [

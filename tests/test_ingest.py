@@ -59,12 +59,20 @@ def test_parse_files_with_byte_order_mark(tmp_path):
 
 
 def test_parse_movielens_errors():
-    with pytest.raises(ParseError, match="line 1"):
+    with pytest.raises(ParseError, match="^line 1: expected 4 TAB-separated "
+                                         "fields, got 3$"):
         parse_movielens(["1\t2\t3"])
     with pytest.raises(ParseError, match="line 2"):
         parse_movielens(["1\t2\t3\t4", "1\t2\tx\t4"])
-    with pytest.raises(ParseError, match="outside"):
+    with pytest.raises(ParseError, match="^line 1: value 9.0 outside scale bounds$"):
         parse_movielens(["1\t2\t9\t4"])
+    # one row rule for both formats: the values, then the timestamp
+    with pytest.raises(ParseError, match="^line 1: non-numeric value 'x'$"):
+        parse_movielens(["1\t2\t x\t4"])
+    with pytest.raises(ParseError, match="^line 1: non-integer timestamp 'x'$"):
+        parse_movielens(["1\t2\t3\t x "])
+    with pytest.raises(ParseError, match="value 9.0 outside"):
+        parse_movielens(["1\t2\t9\tx"])
 
 
 def test_grade_mapping():
@@ -92,12 +100,15 @@ def test_parse_multicriteria_grades():
 
 
 def test_parse_multicriteria_errors():
-    with pytest.raises(ParseError, match="fields"):
+    with pytest.raises(ParseError, match="^line 1: expected 6 comma-separated "
+                                         "fields, got 4$"):
         parse_multicriteria(["u,i,1,2"], 3, RatingScale.one_to_five())
     with pytest.raises(ParseError, match="outside"):
         parse_multicriteria(["u,i,1,2,3,7"], 3, RatingScale.one_to_five())
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 1: unknown grade 'Q'$"):
         parse_multicriteria(["u,i,1,2,3,Q"], 3, LETTER)
+    with pytest.raises(ParseError, match="^line 1: non-numeric value 'Q'$"):
+        parse_multicriteria(["u,i,1,2,3, Q"], 3, RatingScale.one_to_five())
     # k is a count of criteria, checked before any line is read
     for k in (0, -1, True, 1.0, "2"):
         with pytest.raises(ValueError, match="^k must be an integer >= 1"):
@@ -163,6 +174,11 @@ def test_split_spec_validation():
         SplitSpec(1.0, 1)
     with pytest.raises(ValueError):
         SplitSpec(0.5, -1)
+    # the fraction is a real number, not a string or a bool
+    for fraction in ("0.5", True, None, float("nan")):
+        with pytest.raises(ValueError, match="^train_fraction must be"):
+            SplitSpec(fraction, 1)
+    assert SplitSpec(np.float64(0.5), 1).train_fraction == 0.5
     for mu, mi in ((-1, 0), (0, -1), (True, 0), (0, 2.5)):
         with pytest.raises(ValueError):
             DensityFilterSpec(mu, mi)
@@ -325,7 +341,7 @@ ids = st.builds(
 ML_RATINGS = ["1", "5", "3.5", " 4", "+2", "0_1", "\u0663", "2e0"]
 ML_STAMPS = ["0", "881250949", " 7", "+5", "1_0", "-3", "9" * 25]
 ML_BAD = ["u\ti\t3", "u\ti\tx\t5", "u\ti\t7\t5", "u\ti\tnan\t1",
-          "u\ti\t3\t1.5", "u\ti\t3\t5\textra", "u\ti\t1__0\t5"]
+          "u\ti\t3\t1.5", "u\ti\t3\t5\textra", "u\ti\t1__0\t5", "u\ti\t9\tx"]
 MC_NUMBERS = ["1", "13", " 7", "+2", "0_5", "\u0663"]
 MC_LABELS = ["A+", "F", " B- ", "C"]
 MC_BAD = ["u,i,1,2,3", "u,i,1,2,3,14", "u,i,1,2,Q,3", "u,i,nan,1,1,1",
