@@ -11,7 +11,9 @@ Both sides run from the same kind of checkout: extract() writes each
 with `git archive` into a temporary directory, removed at the end.  The
 base is the revision's commit; the head is the working tree's tracked
 files as `git stash create` commits them (HEAD on a clean tree), so
-untracked files are left out of the head.  Each pair runs
+untracked files are left out of the head.  The JSON's `head` names that
+commit and whether the tree was dirty, both read before the first run.
+Each pair runs
 `perfbench/run.py --trace 0` once in each checkout, the two in turn,
 flipping which goes first from pair to pair; each checkout imports its
 own `src/`.  For every workload, seed and end-to-end metric the output
@@ -181,11 +183,12 @@ def main(argv=None) -> int:
         ap.error("--pairs must be >= 1 and --seconds positive")
     commit = _git("rev-parse", "--verify", args.base + "^{commit}")
     # a commit of the tracked files as they are, or "" on a clean tree
-    head = _git("stash", "create") or "HEAD"
+    stash = _git("stash", "create")
+    head = {"commit": stash or _git("rev-parse", "HEAD"), "dirty": bool(stash)}
     with tempfile.TemporaryDirectory() as tmp:
         base, work = Path(tmp) / "base", Path(tmp) / "head"
         extract(commit, base)
-        extract(head, work)
+        extract(head["commit"], work)
         try:
             report = compare(base, work, args.workloads.split(","),
                              [int(s) for s in args.seeds.split(",")],
@@ -194,9 +197,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     text = json.dumps({"base": {"rev": args.base, "commit": commit},
-                       "head": {"commit": _git("rev-parse", "HEAD"),
-                                "dirty": bool(_git("status", "--porcelain"))},
-                       "machine": _machine(), **report}, indent=1)
+                       "head": head, "machine": _machine(), **report}, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:

@@ -292,9 +292,10 @@ def _check_ranks(data, ranks: tuple[int, ...]):
 
 
 def _emit(text: str, output: str | None) -> None:
-    print(text)
+    if text:
+        print(text)
     if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
+        Path(output).write_text(text and text + "\n", encoding="utf-8")
 
 
 def _cmd_stats(args) -> int:
@@ -391,10 +392,7 @@ def _cmd_recommend(args) -> int:
         top = recommend_top_n(data, sims, args.user, args.top_n)
     lines = [f"{rank} {item} {value:.4f}"
              for rank, (item, value) in enumerate(top, start=1)]
-    if lines:
-        _emit("\n".join(lines), args.output)
-    elif args.output:
-        Path(args.output).write_text("", encoding="utf-8")
+    _emit("\n".join(lines), args.output)
     return 0
 
 

@@ -36,6 +36,7 @@ from .core import (
     CriteriaTensor,
     Dataset,
     RatingScale,
+    _CELL_BLOCK,
     _IndexMap,
     _SEED_BOUND,
     _check_integer,
@@ -353,30 +354,31 @@ class McConfig:
             raise ValueError(f"pca_option must be a bool, got {self.pca_option!r}")
         if self.sim_kind not in SIMILARITY_KINDS:
             raise ValueError(f"unknown sim_kind {self.sim_kind!r}")
+        if not isinstance(self.neighborhood, NeighborhoodSpec):
+            raise ValueError(f"neighborhood must be a NeighborhoodSpec, "
+                             f"got {self.neighborhood!r}")
         _check_integer("seed", self.seed, 0, _SEED_BOUND)
 
 
 class McModel:
     """Immutable multi-criteria model; safe for concurrent prediction.
 
-    Of the tensor and its Tucker model it derives the aggregation weights,
-    the stores and w = core x2 U2 x3 U3, laid out (items, k+1, r1), so the
-    reconstruction of cell (u, i, s) is the dot product of w[i, s] with
-    U1[u], plus the PCA option's slice mean.
+    Of the tensor, its settings and its Tucker model it derives the PCA
+    option's slice means, the aggregation weights, the stores and w = core
+    x2 U2 x3 U3, laid out (items, k+1, r1), so the reconstruction of cell
+    (u, i, s) is the dot product of w[i, s] with U1[u], plus the slice mean.
     """
 
     def __init__(self, tensor: CriteriaTensor, config: McConfig,
-                 tucker: TuckerModel, slice_means: np.ndarray | None):
-        self.tensor = tensor
-        self.config = config
-        self.tucker = tucker
-        # (items, k+1) means over users, for the PCA option; else None
-        self.slice_means = slice_means
+                 tucker: TuckerModel):
+        self.tensor, self.config, self.tucker = tensor, config, tucker
+        # (items, k+1) item means the PCA option's CellTensor took out; else None
+        self.slice_means = _item_means(tensor)[2] if config.pca_option else None
         self.scale = tensor.scale
         _, u2, u3 = tucker.factors
         self.w = np.ascontiguousarray(
             np.einsum("abc,ib,sc->isa", tucker.core, u2, u3))
-        for arr in (self.w, slice_means):
+        for arr in (self.w, self.slice_means):
             if arr is not None:
                 arr.setflags(write=False)
         self.aggregation = fit_aggregation(tensor)
@@ -387,13 +389,12 @@ class McModel:
         t, kind = self.tensor, self.config.sim_kind
         if kind == "latent_cosine":
             return (item_similarity_matrix(t, kind, model=self.tucker),)
-        # each slice's observed cells with their reconstructed values,
+        # each criterion's observed cells with their reconstructed values,
         # clamped: a truncated reconstruction may overshoot the scale
-        users, items = t.cell_index()
-        lo, hi = self.scale.min_value, self.scale.max_value
-        return tuple(item_similarity_matrix(t._dataset(np.clip(
-            self.reconstruction(users, items, slice(c, c + 1))[:, 0], lo, hi)),
-            kind) for c in range(1, t.k + 1))
+        crits = np.clip(self.reconstruction(*t.cell_index()),
+                        self.scale.min_value, self.scale.max_value)
+        return tuple(item_similarity_matrix(t._dataset(crits[:, c]), kind)
+                     for c in range(t.k))
 
     @property
     def criteria_data(self) -> tuple[Dataset, ...]:
@@ -408,14 +409,16 @@ class McModel:
     def ranks(self) -> tuple[int, int, int]:
         return tuple(int(r) for r in self.tucker.core.shape)
 
-    def reconstruction(self, users: np.ndarray, items: np.ndarray,
-                       s: slice = slice(1, None)) -> np.ndarray:
-        """(pairs, slices) reconstructed tensor at the (user, item) index
-        pairs, slices s (the criteria by default): one dot product per
-        value, so a value does not depend on the other pairs asked for."""
-        out = np.vecdot(self.w[items, s], self.tucker.factors[0][users, None])
+    def reconstruction(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """(pairs, k) reconstructed criteria at the (user, item) index pairs,
+        gathered _CELL_BLOCK pairs at a time: one dot product per value, so
+        a value does not depend on the other pairs or criteria asked for."""
+        u1, out = self.tucker.factors[0], np.empty((len(users), self.k))
+        for lo in range(0, len(users), _CELL_BLOCK):
+            at = slice(lo, lo + _CELL_BLOCK)
+            out[at] = np.vecdot(self.w[items[at], 1:], u1[users[at], None])
         if self.slice_means is not None:
-            out += self.slice_means[items, s]
+            out += self.slice_means[items, 1:]
         return out
 
 
@@ -424,9 +427,9 @@ def mc_build_cells(t: CriteriaTensor, ranks: tuple[int, int, int],
     """Float64 cells build_mc_model holds, and load_model too: the factoring
     from the cells (its per-cell arrays cover a load's archive and tensor),
     w, three cells per cell and criterion for the per-cell arrays that
-    follow it (the aggregation fit's design matrix, a reconstructed store's
-    values at the cells), and one latent store or k reconstructed ones, the
-    last on the float64 path fractional values take."""
+    follow it (the aggregation fit's design matrix, the k reconstructed
+    criteria at the cells, held at once), and one latent store or k
+    reconstructed ones, the last on the float64 path fractional values take."""
     shape = (t.n_users, t.n_items, t.k + 1)
     stores = (store_cells(t, "latent_cosine") if config.sim_kind == "latent_cosine"
               else (t.k - 1) * t.n_items ** 2
@@ -444,10 +447,9 @@ def build_mc_model(t: CriteriaTensor, ranks: tuple[int, int, int],
     """
     _check_ranks(ranks, (t.n_users, t.n_items, t.k + 1))
     check_cell_budget(mc_build_cells(t, ranks, config))
-    cells = CellTensor(t, config.pca_option)
-    tucker, slice_means = hosvd(cells, ranks, seed=config.seed), cells.means
-    del cells       # freed before the stores are built
-    return McModel(t, config, tucker, slice_means)
+    # the CellTensor goes with hosvd's return, before the stores are built
+    return McModel(t, config, hosvd(CellTensor(t, config.pca_option), ranks,
+                                    seed=config.seed))
 
 
 def _mc_score(model: McModel, u: int, items: np.ndarray) -> np.ndarray:
@@ -565,8 +567,8 @@ def load_model(path) -> McModel:
     """Rebuild a model from save_model output (same schema version only):
     the settings' own constructors check the header's values, and the
     McModel constructor, which build_mc_model ends with too, derives every
-    array but the saved ones again, so a loaded model equals the saved one
-    bitwise."""
+    array but the saved ones, the PCA slice means too, so a loaded model
+    equals the saved one bitwise."""
     a = _read_archive(path)
     try:
         header = json.loads(a.pop("header").item())
@@ -614,6 +616,4 @@ def _model_from_arrays(header: dict, a: dict[str, np.ndarray]) -> McModel:
     if not all(np.isfinite(x).all() for x in (tucker.core, *tucker.factors)):
         raise ValueError("non-finite Tucker core or factor")
     check_cell_budget(mc_build_cells(tensor, tucker.core.shape, config))
-    # the PCA option's slice means come from the cells, as in the build
-    slice_means = _item_means(tensor)[2] if config.pca_option else None
-    return McModel(tensor, config, tucker, slice_means)
+    return McModel(tensor, config, tucker)

@@ -218,6 +218,7 @@ class BenchmarkConfig:
         _check_integer("latent_rank", self.latent_rank)
         if self.relevance_threshold is not None:
             RelevanceSpec(self.relevance_threshold)
+        McConfig(neighborhood=self.neighborhood)    # McConfig checks the spec
 
 
 def _batch(source, k: int | None = None) -> _Ratings:

@@ -306,9 +306,9 @@ class CellTensor:
     Each slice is filled elsewhere as impute_missing(..., "item_mean")
     fills a matrix: an item's mean over its cells, or the slice's mean
     for an item without cells.  With center, it also has its (item,
-    slice) means over users taken out (the PCA option's input; they are
-    kept in means).  Either way every slice is a column term plus a part
-    D_s that is nonzero on the observed cells only,
+    slice) means over users taken out (the PCA option's input; McModel
+    adds the same _item_means back).  Either way every slice is a column
+    term plus a part D_s that is nonzero on the observed cells only,
 
         T[:, :, s] = 1 Q[:, s].T + D_s,
 
@@ -331,7 +331,6 @@ class CellTensor:
         self._term = (np.ones((n_users, slices)), q)
         self._d = values - self._fill_at_cells()
         self._u_im, self._d_im = users[by_item], self._d[by_item]
-        self.means = q if center else None
         if center:
             self._term = (self._term[0], np.zeros_like(q))
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_from_dense, random_dataset, traced
 from mccf.core import (CriteriaRecord, CriteriaTensor, Dataset, RatingScale,
-                       _IndexMap, overall_slice)
+                       _CELL_BLOCK, _IndexMap, overall_slice)
 from mccf.engine import (
     AggregationWeights,
     McConfig,
@@ -304,6 +304,12 @@ def test_mc_config_validation():
                          ((2, 2, 2, 2), "ranks must be three integers, got (2, 2, 2, 2)")):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             build_mc_model(t, ranks)
+    # a neighborhood that is no NeighborhoodSpec fails where the config is
+    # made, not at the model's first prediction or save
+    for bad in (5, None, "5", (5,)):
+        error = f"neighborhood must be a NeighborhoodSpec, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            McConfig(neighborhood=bad)
 
 
 def test_synthetic_spec_validation():
@@ -346,7 +352,8 @@ def _without_neighbors(m):
 
 def test_factored_rows_preserve_observed_cells():
     # the fallback at an observed cell is its rating; w is core x2 U2 x3
-    # U3, and U1[u] . w[i] (plus the slice means) the dense reconstruction
+    # U3, and U1[u] . w[i] (plus the slice means) the dense reconstruction's
+    # criteria
     t = small_tensor(51)
     for pca_option in (False, True):
         m = build_mc_model(t, (2, 3, 3), McConfig(pca_option=pca_option,
@@ -362,9 +369,32 @@ def test_factored_rows_preserve_observed_cells():
         if pca_option:
             dense += m.slice_means
         users, items = t.cell_index()
-        assert np.allclose(m.reconstruction(users, items, slice(None)),
-                           dense[users, items], rtol=0, atol=1e-12)
+        assert np.allclose(m.reconstruction(users, items),
+                           dense[users, items, 1:], rtol=0, atol=1e-12)
         assert (m.slice_means is None) == (not pca_option)
+
+
+def test_batch_reconstruction_is_per_pair_calls():
+    # one dot product over w's contiguous r1 axis per value: a batch that
+    # spans a block bound gives each pair's and each criterion's bits alone,
+    # so the reconstructed-space stores take all k criteria in one call
+    t = small_tensor(58)
+    rng = np.random.default_rng(58)
+    users = rng.integers(0, t.n_users, _CELL_BLOCK + 100)
+    items = rng.integers(0, t.n_items, len(users))
+    for pca_option in (False, True):
+        m = build_mc_model(t, (2, 3, 3), McConfig(pca_option=pca_option,
+                                                  seed=8))
+        batch = m.reconstruction(users, items)
+        assert batch.shape == (len(users), t.k)
+        u1, means = m.tucker.factors[0], m.slice_means
+        for p, (u, i) in enumerate(zip(users.tolist(), items.tolist())):
+            one = m.reconstruction(users[p:p + 1], items[p:p + 1])[0]
+            assert one.tobytes() == batch[p].tobytes()
+            for c in range(1, t.k + 1):
+                value = np.vecdot(m.w[i, c], u1[u])
+                value += 0.0 if means is None else means[i, c]
+                assert value == one[c - 1]
 
 
 def test_predict_criteria_shape_and_bounds():

@@ -188,6 +188,19 @@ def test_benchmark_config_validation():
     # the scale is the run's to check
     assert BenchmarkConfig("pearson", 0.8, 1,
                            relevance_threshold=7.0).relevance_threshold == 7.0
+    # a neighborhood that is no NeighborhoodSpec fails where the config is
+    # made, not in the run as an AttributeError
+    for bad in (30, None, "30", (30,)):
+        with pytest.raises(ValueError, match="^neighborhood must be a "
+                                             "NeighborhoodSpec, got "):
+            BenchmarkConfig("pearson", 0.8, 1, neighborhood=bad)
+        with pytest.raises(ValueError, match="^neighborhood must be a "
+                                             "NeighborhoodSpec, got "):
+            McBenchmarkConfig((2, 2, 2), 0.8, 1, neighborhood=bad)
+    spec = NeighborhoodSpec(30)
+    assert BenchmarkConfig("pearson", 0.8, 1, neighborhood=spec).neighborhood is spec
+    assert McBenchmarkConfig((2, 2, 2), 0.8, 1,
+                             neighborhood=spec).engine_config().neighborhood is spec
 
 
 @pytest.mark.parametrize("build", [

@@ -1,11 +1,14 @@
 import gc
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mccf.core import CriteriaTensor, Dataset, RatingScale, _IndexMap
+from mccf.engine import McConfig, McModel, load_model, save_model
 from mccf.linalg import (
     CellTensor,
     FactorModel,
@@ -389,6 +392,17 @@ def _filled(dims, users, items, values, center):
     return (filled - means if center else filled), means
 
 
+def _pca_slice_means(t, tucker):
+    """The slice means of the PCA model of t and these factors, as built;
+    the model saved and loaded again holds the same bits."""
+    built = McModel(t, McConfig(pca_option=True), tucker)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(built, Path(tmp) / "model.npz")
+        loaded = load_model(Path(tmp) / "model.npz")
+    assert loaded.slice_means.tobytes() == built.slice_means.tobytes()
+    return built.slice_means
+
+
 def _assert_close(got, want, rtol=1e-10):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
@@ -416,14 +430,16 @@ def test_cell_tensor_products_match_dense_unfoldings(seed, center):
     a3 = mode_unfold(filled, 3)
     _assert_close(cells._gram(), a3 @ a3.T)
     if center:
-        _assert_close(cells.means, means)
         # a filled column's mean over users is its item mean: centring
-        # leaves D, and the means are the item means bit for bit
+        # leaves D and takes out the plain fill's column term, the item means
         assert not cells._term[1].any()
-        plain = CellTensor(_container(dims, users, items, values))
-        assert cells.means.tobytes() == plain._term[1].tobytes()
-    else:
-        assert cells.means is None
+        t = _container(dims, users, items, values)
+        plain = CellTensor(t)
+        _assert_close(plain._term[1], means)
+        if dims[2] > 1:
+            # a PCA model adds back that fill, built and loaded, bit for bit
+            fill = _pca_slice_means(t, hosvd(cells, (1, 1, 1)))
+            assert fill.tobytes() == plain._term[1].tobytes()
 
 
 def test_cell_unfolding_goes_with_its_last_reference():
@@ -492,7 +508,8 @@ def test_cell_tensor_hosvd_matches_reference(seed, center):
     _assert_close(tucker_reconstruct(got)[users, items],
                   tucker_reconstruct(want)[users, items])
     if center:
-        _assert_close(cells.means, means)
+        _assert_close(_pca_slice_means(_container(dims, users, items, values),
+                                       got), means)
 
 
 @settings(deadline=None, max_examples=60)

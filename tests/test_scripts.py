@@ -174,6 +174,39 @@ def test_bench_pairs_exits_1_when_a_run_fails_its_checks(tmp_path, monkeypatch):
         assert runs["3"]["checks_passed"] == passed
 
 
+def test_bench_pairs_records_the_head_it_measured(tmp_path, monkeypatch):
+    # the stub's `git stash create` makes a commit on a dirty tree and none
+    # on a clean one; head names the commit extracted, and git is asked
+    # nothing after the first run, so a tree edited during the runs does
+    # not change the record
+    bench = _bench_pairs()
+    extracted, calls = [], []
+    monkeypatch.setattr(bench, "extract", lambda rev, dest: (
+        extracted.append(rev), _toy_checkout(dest, f"{dest.name}\n")))
+    compare = bench.compare
+
+    def runner(checkout, workload, seed, seconds):
+        calls.append("run")
+        return {"correct": True, "failed": 0,
+                "metrics": {name: {"value": 1.0} for name in METRIC_NAMES}}
+
+    monkeypatch.setattr(bench, "compare", lambda *args: compare(
+        *args, runner=runner))
+    out = tmp_path / "out.json"
+    argv = ["--base", "HEAD", "--workloads", "w", "--pairs", "1",
+            "--seconds", "0.1", "--out", str(out)]
+    for stash, head in (("5ta5h", {"commit": "5ta5h", "dirty": True}),
+                        ("", {"commit": "c0ffee", "dirty": False})):
+        extracted.clear()
+        calls.clear()
+        monkeypatch.setattr(bench, "_git", lambda *args, stash=stash: (
+            calls.append(args[0]), stash if args[0] == "stash" else "c0ffee")[1])
+        assert bench.main(argv) == 0
+        assert json.loads(out.read_text())["head"] == head
+        assert extracted == ["c0ffee", head["commit"]]
+        assert set(calls[calls.index("run"):]) == {"run"}
+
+
 def test_bench_pairs_extracts_the_tracked_files(tmp_path):
     bench = _bench_pairs()
     try:
