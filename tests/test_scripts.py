@@ -146,8 +146,8 @@ def test_bench_pairs_exits_1_when_a_run_fails_its_checks(tmp_path, monkeypatch):
     bench = _bench_pairs()
     monkeypatch.setattr(bench, "extract", lambda rev, dest: _toy_checkout(
         dest, f"{dest.name}\n"))
-    monkeypatch.setattr(bench, "_git", lambda *args: "" if args[0] in (
-        "stash", "status") else "c0ffee")
+    monkeypatch.setattr(bench, "_git", lambda *args: "" if args[0] == "stash"
+                        else "c0ffee")
     compare, bad = bench.compare, {}
 
     def runner(checkout, workload, seed, seconds):
