@@ -22,9 +22,17 @@ pairs each side won and a `verdict` (gain, worse, unresolved or no
 change; see verdict()), beside every run's `correct` and `failed`, each
 side's `checks_passed` (every run correct with 0 failed), the host
 (`run.machine()`), and the sha256 and line count (`wc -l
-src/mccf/*.py`) of both libraries.  It refuses (exit 2) when
-`perfbench/` differs between the two checkouts, since that would
-measure a benchmark change, not a library change.  It exits 1, after
+src/mccf/*.py`) of both libraries.  After the pairs of a workload and
+seed, each checkout makes one traced pass (TRACED_PASS) over perfbench's
+`fit`, `evaluate` and RECOMMENDS `recommend` calls: the JSON holds each
+stage's `traced_peak_mib` per side and, in `traced_agree`, whether the
+sides agree to TRACED_AGREE.  A traced peak does not follow the
+allocator's thresholds, as `peak_rss_mb` does, so it tells a memory
+change from heap layout; it sets no verdict.  On the three workloads the
+passes add about 17 s of wall time per seed (2-core Xeon, Python 3.11).
+It refuses (exit 2) when `perfbench/` differs between the two
+checkouts, since that would measure a benchmark change, not a library
+change.  It exits 1, after
 writing the JSON, when a run of either side is not correct or failed an
 operation: such a run times broken work, so its verdicts mean nothing.
 """
@@ -45,6 +53,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
+RECOMMENDS = 50
+TRACED_AGREE = 1e-3     # sides agree when within this fraction of the base
+# Run in a checkout with a workload name, a seed and RECOMMENDS: each
+# stage's tracemalloc peak in MiB as one JSON line.  Each stage is traced
+# alone, so what an earlier stage left alive (the model) is not counted.
+TRACED_PASS = """
+import json, sys, tempfile, tracemalloc
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import workloads as wl
+
+w, seed, peaks = wl.WORKLOADS[sys.argv[1]], int(sys.argv[2]), {}
+
+def traced(stage, fn):
+    tracemalloc.start()
+    out = fn()
+    peaks[stage] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
+    return out
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = wl.input_path(w, Path(tmp))
+    wl.write_input(w, seed, path)
+    records = wl.parse_input(w, path)
+    model = traced("fit", lambda: wl.fit(w, records, seed))
+    del records
+    traced("evaluate", lambda: wl.evaluate(w, path, seed))
+    users = wl.request_users(model, seed)[:int(sys.argv[3])]
+    traced("recommend", lambda: [wl.recommend(model, u) for u in users])
+print(json.dumps(peaks))
+"""
 
 
 def tree_hash(top: Path) -> str:
@@ -69,6 +108,14 @@ def perfbench_run(checkout: Path, workload: str, seed: int,
         [sys.executable, str(checkout / "perfbench" / "run.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def traced_peaks(checkout: Path, workload: str, seed: int) -> dict:
+    """TRACED_PASS in checkout: {stage: traced peak in MiB}."""
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_PASS, workload, str(seed), str(RECOMMENDS)],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -103,10 +150,12 @@ def verdict(summary: dict, values: dict, wins: dict, sign: int,
 
 
 def compare(base: Path, head: Path, workloads: list[str], seeds: list[int],
-            pairs: int, seconds: float, runner=perfbench_run) -> dict:
+            pairs: int, seconds: float, runner=perfbench_run,
+            tracer=traced_peaks) -> dict:
     """The paired comparison of the checkouts base and head, each run made
-    by runner(checkout, workload, seed, seconds); ValueError when their
-    perfbench/ directories differ."""
+    by runner(checkout, workload, seed, seconds) and each traced pass by
+    tracer(checkout, workload, seed); ValueError when their perfbench/
+    directories differ."""
     if tree_hash(base / "perfbench") != tree_hash(head / "perfbench"):
         raise ValueError("perfbench/ differs between the two revisions")
     declared = json.loads((head / "BENCHMARK.json").read_text())["end_to_end"]
@@ -133,6 +182,8 @@ def compare(base: Path, head: Path, workloads: list[str], seeds: list[int],
                                  "pair_wins": wins,
                                  "verdict": verdict(summary, values, wins, sign,
                                                     metric["bound"])}
+            peaks = {side: tracer(checkouts[side], workload, seed)
+                     for side in SIDES}
             results.setdefault(workload, {})[str(seed)] = {
                 **{side: {"correct": [r["correct"] for r in runs[side]],
                           "failed": [r["failed"] for r in runs[side]]}
@@ -140,7 +191,11 @@ def compare(base: Path, head: Path, workloads: list[str], seeds: list[int],
                 "checks_passed": {side: all(r["correct"] and r["failed"] == 0
                                             for r in runs[side])
                                   for side in SIDES},
-                "metrics": metrics}
+                "metrics": metrics,
+                "traced_peak_mib": peaks,
+                "traced_agree": {stage: abs(peak - peaks["base"][stage])
+                                 <= TRACED_AGREE * peaks["base"][stage]
+                                 for stage, peak in peaks["head"].items()}}
     library = {side: checkouts[side] / "src" / "mccf" for side in SIDES}
     return {"library_sha256": {side: tree_hash(library[side]) for side in SIDES},
             "library_lines": {side: library_lines(library[side])

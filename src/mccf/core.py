@@ -157,10 +157,12 @@ class _Ratings:
         n, column = len(records), lambda name: map(attrgetter(name), records)
         values = np.empty((n, (k or 0) + 1))
         if k is not None:
-            for rec in compress(records, map(k.__ne__, map(len, column("criteria")))):
+            # a record without criteria, such as a RatingRecord, counts 0
+            crits = map(getattr, records, repeat("criteria"), repeat(()))
+            for rec in compress(records, map(k.__ne__, map(len, crits))):
                 raise ValueError(
                     f"record for ({rec.user_id}, {rec.item_id}) has "
-                    f"{len(rec.criteria)} criteria, expected {k}")
+                    f"{len(getattr(rec, 'criteria', ()))} criteria, expected {k}")
             values[:, 1:] = np.fromiter(chain.from_iterable(column("criteria")),
                                         np.float64, n * k).reshape(n, k)
         values[:, 0] = np.fromiter(column("overall"), np.float64, n)
@@ -253,9 +255,10 @@ class _Cells:
     """Sparse user x item cells under two id maps; the shared core of
     Dataset and CriteriaTensor.
 
-    Values hold one row per cell, shaped (cells,) or (cells, width).  Cells
-    are kept user-major (by user, then item) with a row pointer, so one
-    user's cells are a contiguous slice.  Each (user, item) cell occurs at
+    Values hold one row per cell, shaped as _VALUES says: (cells,) for a
+    Dataset, (cells, width) for a CriteriaTensor.  Cells are kept
+    user-major (by user, then item) with a row pointer, so one user's cells
+    are a contiguous slice.  Each (user, item) cell occurs at
     most once.  __init__ builds and checks every container, slice views
     included; a view shares its source's read-only index arrays.
     """
@@ -264,6 +267,9 @@ class _Cells:
                  u_idx: np.ndarray, i_idx: np.ndarray, values: np.ndarray,
                  scale: RatingScale, duplicates: int = 0):
         values = np.asarray(values, dtype=np.float64)
+        ndim, rule = self._VALUES
+        if values.ndim != ndim or ndim == 2 and values.shape[1] < 2:
+            raise ValueError(f"{rule}, got {values.shape}")
         if u_idx.dtype.kind not in "iu" or i_idx.dtype.kind not in "iu":
             raise ValueError("cell index of a non-integer type")
         if not len(u_idx) == len(i_idx) == len(values):
@@ -344,6 +350,19 @@ class _Cells:
         (read-only)."""
         return self._u_idx, self._i_idx
 
+    def _pairs(self, users, items) -> tuple[np.ndarray, np.ndarray]:
+        """(user, item) index pairs as intp arrays; ValueError unless both
+        are 1-D integer arrays (or empty) of one length with every index in
+        range: no negative index wraps, no array broadcasts."""
+        pairs = np.asarray(users), np.asarray(items)
+        for name, x, n in zip(("user", "item"), pairs, (self.n_users, self.n_items)):
+            if x.ndim != 1 or x.size and (x.dtype.kind not in "iu"
+                                          or x.min() < 0 or x.max() >= n):
+                raise ValueError(f"{name} indices must be a 1-D integer array in [0, {n})")
+        if len(pairs[0]) != len(pairs[1]):
+            raise ValueError("user and item indices differ in length")
+        return tuple(x.astype(np.intp, copy=False) for x in pairs)
+
     def _row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """(item indices, values) of one user's cells, ascending item index."""
         lo, hi = self._u_ptr[u], self._u_ptr[u + 1]
@@ -407,6 +426,8 @@ class Dataset(_Cells):
     continuous.
     """
 
+    _VALUES = 1, "need one value per cell: cell values (cells,)"
+
     @classmethod
     def from_records(cls, records: Iterable[RatingRecord],
                      scale: RatingScale) -> "Dataset":
@@ -451,13 +472,7 @@ class CriteriaTensor(_Cells):
     construction (the source data gives no semantics for them).
     """
 
-    def __init__(self, user_map: _IndexMap, item_map: _IndexMap,
-                 u_idx: np.ndarray, i_idx: np.ndarray, values: np.ndarray,
-                 scale: RatingScale, duplicates: int = 0):
-        if np.ndim(values) != 2 or np.shape(values)[1] < 2:
-            raise ValueError(f"need k >= 1: cell values (cells, k + 1), got {np.shape(values)}")
-        super().__init__(user_map, item_map, u_idx, i_idx, values, scale, duplicates)
-        self.k = self._values.shape[1] - 1
+    _VALUES = 2, "need k >= 1: cell values (cells, k + 1)"
 
     @classmethod
     def from_records(cls, records: Iterable[CriteriaRecord], k: int,
@@ -469,6 +484,10 @@ class CriteriaTensor(_Cells):
     @property
     def n_cells(self) -> int:
         return len(self._values)
+
+    @property
+    def k(self) -> int:
+        return self._values.shape[1] - 1
 
     cells_of = _Cells._row      # (item indices, (cells x k+1) values)
 

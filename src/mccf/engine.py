@@ -234,15 +234,14 @@ def products_cells(d: Dataset) -> int:
 
 
 def _weighted_means(d: Dataset, s: np.ndarray) -> np.ndarray:
-    """predict_matrix from the positive weights s, the store's values with
-    NaN and non-positive ones at 0, as the kernel's np.fmax makes them."""
-    # the ratings are 0 off the mask, so they carry it; one unblocked
-    # product, since blocks of user rows or of weight columns change bits
-    num = np.nan_to_num(d.to_dense(), nan=0.0, copy=False) @ s
+    """predict_matrix from the positive weights s (the kernel's np.fmax of
+    the store) and _Cells._user_block's zero-filled ratings, then mask: one
+    unblocked product each, as blocks change bits.  _neighborhood's rule:
+    a den below DENOM_EPS (0: no positive neighbor) is no prediction."""
+    num = d._user_block(0, d.n_users, 0, (d.values,), np.float64)[0] @ s
     den = d.to_mask(np.float64) @ s
-    good = den >= DENOM_EPS
-    np.divide(num, den, out=num, where=good)
-    num[~good] = np.nan
+    den[den < DENOM_EPS] = np.nan    # the cell stays NaN, without a warning
+    num /= den
     return np.clip(num, d.scale.min_value, d.scale.max_value, out=num)
 
 
@@ -252,10 +251,9 @@ def batch_predict(d: Dataset, sims: SimilarityStore,
     """Predictions for parallel index arrays; NaN marks no-prediction.
 
     One kernel call per distinct user, so every value equals
-    predict_single's bitwise.
+    predict_single's bitwise.  The indices pass _Cells._pairs's checks.
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
+    users, items = d._pairs(users, items)
     out = np.full(users.shape, np.nan)
     for u, pos in _groups(users):
         out[pos] = _predict_user(d, sims, u, items[pos], spec)[0][:, 0]
@@ -410,9 +408,10 @@ class McModel:
         return tuple(int(r) for r in self.tucker.core.shape)
 
     def reconstruction(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """(pairs, k) reconstructed criteria at the (user, item) index pairs,
-        gathered _CELL_BLOCK pairs at a time: one dot product per value, so
-        a value does not depend on the other pairs or criteria asked for."""
+        """(pairs, k) reconstructed criteria at the index pairs _Cells._pairs
+        checks, gathered _CELL_BLOCK pairs at a time: one dot product per
+        value, so a value does not depend on the other pairs or criteria."""
+        users, items = self.tensor._pairs(users, items)
         u1, out = self.tucker.factors[0], np.empty((len(users), self.k))
         for lo in range(0, len(users), _CELL_BLOCK):
             at = slice(lo, lo + _CELL_BLOCK)

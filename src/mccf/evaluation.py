@@ -28,8 +28,8 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .core import (CriteriaRecord, CriteriaTensor, Dataset, RatingScale,
-                   _Ratings, _check_integer)
+from .core import (CriteriaTensor, Dataset, RatingScale, _Ratings,
+                   _check_integer)
 from .engine import (
     McConfig,
     NeighborhoodSpec,
@@ -473,10 +473,7 @@ def run_mc_benchmark(source, config: McBenchmarkConfig,
         k, scale = source.k, source.scale
     elif k is None or scale is None:
         raise ValueError("record input needs explicit k and scale")
-    else:
-        source = list(source)
-        if not all(isinstance(r, CriteriaRecord) for r in source):
-            raise ValueError("records without criteria; pass CriteriaRecords")
+    # _batch rejects a record without k criteria before the split
     train, test = _split(_batch(source, k), config.train_fraction, config.seed)
     train = CriteriaTensor.from_records(train, k, scale)
     threshold = _relevance(config.relevance_threshold, scale)

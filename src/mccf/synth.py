@@ -12,6 +12,7 @@ global-mean predictor cannot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -40,8 +41,9 @@ class SyntheticTensorSpec:
         _check_integer("n_groups", self.n_groups, 1, self.n_items + 1)
         _check_integer("n_criteria", self.n_criteria)
         _check_integer("seed", self.seed, 0, _SEED_BOUND)
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        sd = self.noise_std
+        if isinstance(sd, bool) or not isinstance(sd, Real) or not 0 <= sd < np.inf:
+            raise ValueError(f"noise_std must be a finite number >= 0, got {sd!r}")
 
     @property
     def ranks(self) -> tuple[int, int, int]:

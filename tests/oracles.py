@@ -529,10 +529,12 @@ def factorize(ids) -> tuple[tuple[str, ...], np.ndarray]:
 def ratings_of_records(records, k: int | None = None) -> _Ratings:
     records = list(records)
     for rec in records if k is not None else ():
-        if len(rec.criteria) != k:
+        # a RatingRecord carries no criteria
+        count = len(rec.criteria) if isinstance(rec, CriteriaRecord) else 0
+        if count != k:
             raise ValueError(
                 f"record for ({rec.user_id}, {rec.item_id}) has "
-                f"{len(rec.criteria)} criteria, expected {k}")
+                f"{count} criteria, expected {k}")
     values = np.array([r.overall for r in records] if k is None else
                       [(r.overall, *r.criteria) for r in records],
                       dtype=np.float64).reshape(len(records), (k or 0) + 1)

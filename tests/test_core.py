@@ -168,6 +168,12 @@ def test_constructors_reject_bad_cells():
     with pytest.raises(ValueError):
         Dataset(users, items, np.array([0, 1]), np.array([0, 1]),
                 np.array([1.0]), ONE_TO_FIVE)
+    # a Dataset holds one value per cell; a vector per cell is a tensor's
+    for values in (np.ones((2, 3)), np.ones((2, 1))):
+        with pytest.raises(ValueError, match=r"^need one value per cell: cell "
+                           r"values \(cells,\), got \(2, \d\)$"):
+            Dataset(users, _IndexMap(["x"]), np.array([0, 1]), np.array([0, 0]),
+                    values, ONE_TO_FIVE)
     # index arrays of a type that would not index, or would mask
     for bad in (np.array([0.0, 1.0]), np.array([False, True])):
         for u_idx, i_idx in ((bad, np.array([0, 1])), (np.array([0, 1]), bad)):
@@ -288,6 +294,10 @@ def test_tensor_wrong_arity():
     for values in (np.ones((2, 1)), np.ones(2)):
         with pytest.raises(ValueError, match="k >= 1"):
             CriteriaTensor(users, items, *cells, values, ONE_TO_FIVE)
+    # a record without criteria is named, not read for them
+    with pytest.raises(ValueError, match=r"^record for \(u, i\) has 0 criteria, "
+                       "expected 1$"):
+        CriteriaTensor.from_records([RatingRecord("u", "i", 3.0)], 1, ONE_TO_FIVE)
 
 
 def test_cell_matrix_layout():
@@ -379,7 +389,7 @@ SIGNED_OVERALLS = st.one_of(SIGNED_VALUES, st.sampled_from(["-0", "0.5", "-1e0"]
 def edge_records(draw):
     """(k, CriteriaRecords) whose value rows come from a small pool, so
     rows repeat; float, int and str values; at most one record with the
-    wrong number of criteria."""
+    wrong number of criteria, or a RatingRecord with none."""
     k = draw(st.integers(1, 3))
     pool = draw(st.lists(st.tuples(SIGNED_OVERALLS, st.tuples(
         *[SIGNED_VALUES] * k)), min_size=1, max_size=4))
@@ -388,8 +398,10 @@ def edge_records(draw):
                for overall, criteria in draw(st.lists(st.sampled_from(pool),
                                                       max_size=30))]
     if draw(st.booleans()):
-        records.insert(draw(st.integers(0, len(records))), CriteriaRecord(
-            "u9", "i9", (0.0,) * draw(st.sampled_from([k - 1, k + 1])), 1.0))
+        width = draw(st.sampled_from([k - 1, k + 1, None]))
+        records.insert(draw(st.integers(0, len(records))),
+                       RatingRecord("u9", "i9", 1.0) if width is None else
+                       CriteriaRecord("u9", "i9", (0.0,) * width, 1.0))
     return k, records
 
 

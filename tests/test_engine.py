@@ -321,6 +321,13 @@ def test_synthetic_spec_validation():
             SyntheticTensorSpec(**bad)
     spec = SyntheticTensorSpec(n_groups=np.int64(24), seed=np.uint64(3))
     assert spec.ranks == (2, 24, 4)
+    # the noise is a real, finite sigma >= 0 where the spec is made: NaN
+    # built a noiseless tensor, True a noise of 1 and inf failed in the scale
+    for bad in (float("nan"), True, float("inf"), "0.1", -0.1, None):
+        with pytest.raises(ValueError, match="^noise_std must be a finite number >= 0"):
+            SyntheticTensorSpec(noise_std=bad)
+    for sd in (0, 0.0, np.float64(0.5), 2):
+        assert SyntheticTensorSpec(noise_std=sd).noise_std == sd
 
 
 def small_tensor(seed=50):
@@ -395,6 +402,29 @@ def test_batch_reconstruction_is_per_pair_calls():
                 value = np.vecdot(m.w[i, c], u1[u])
                 value += 0.0 if means is None else means[i, c]
                 assert value == one[c - 1]
+
+
+def test_index_pairs_are_checked_alike():
+    # batch_predict and reconstruction take one rule: equal-length 1-D
+    # integer arrays of indices in range, so no negative index wraps to the
+    # last user or item and no array of one broadcasts over the other
+    d = random_dataset(33, n_users=10, n_items=6)
+    store = item_similarity_matrix(d, "tanimoto")
+    t = small_tensor(59)
+    m = build_mc_model(t, (2, 3, 3), McConfig(seed=3))
+    for n_users, n_items, call in (
+            (d.n_users, d.n_items, lambda u, i: batch_predict(d, store, u, i)),
+            (t.n_users, t.n_items, lambda u, i: m.reconstruction(
+                np.asarray(u), np.asarray(i)))):
+        for users, items in (([0], [-1]), ([-1], [0]), ([0, 1, 2], [0]),
+                             ([0], [0, 1]), ([n_users], [0]), ([0], [n_items]),
+                             ([0.0], [0]), ([0], [True]), ([[0]], [[0]]),
+                             (0, 0)):
+            with pytest.raises(ValueError, match="indices"):
+                call(users, items)
+        # the last indices, in any integer type, and no pairs at all pass
+        assert len(call(np.uint8([n_users - 1]), np.int32([n_items - 1]))) == 1
+        assert len(call([], [])) == 0
 
 
 def test_predict_criteria_shape_and_bounds():

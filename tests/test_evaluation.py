@@ -679,23 +679,42 @@ def test_unbounded_budget_counts_the_weights_and_products(monkeypatch):
 
 
 def test_unbounded_products_hold_one_items_squared_array(monkeypatch):
-    # when the products' ratings operand is formed, the store is gone and
-    # the weights are the one items x items array left
+    # when the products' ratings and mask operands are formed, the store is
+    # gone and the weights are the one items x items array left
     n_items = 1000
     records = list(random_dataset(5, n_users=30, n_items=n_items,
                                   fill=0.1).iter_records())
     held = []
-    to_dense = Dataset.to_dense
+    user_block = Dataset._user_block
 
     def recorded(self, *args, **kwargs):
         held.append(tracemalloc.get_traced_memory()[0])
-        return to_dense(self, *args, **kwargs)
+        return user_block(self, *args, **kwargs)
 
-    monkeypatch.setattr(Dataset, "to_dense", recorded)
+    monkeypatch.setattr(Dataset, "_user_block", recorded)
     traced(lambda: run_benchmark(records, BenchmarkConfig(
         sim="pearson", train_fraction=0.8, seed=1)))
-    # a store's build may densify too, but the products' call is the last
-    assert held and held[-1] <= 8 * n_items ** 2 + 2 ** 20
+    # a store's build scatters blocks too, but the products' two are the last
+    assert len(held) > 2 and max(held[-2:]) <= 8 * n_items ** 2 + 2 ** 20
+
+
+def test_unbounded_products_form_no_nan_filled_copy(monkeypatch):
+    # the products read the cells' zero-filled scatter, not a NaN-filled
+    # dense copy, and keep their bits
+    records = bench_records()
+    d = Dataset.from_records(records, RatingScale.one_to_five())
+    store = item_similarity_matrix(d, "pearson")
+    config = BenchmarkConfig(sim="pearson", train_fraction=0.8, seed=2)
+    expect = oracles.whole_matrix_predictions(d, store)
+    report = run_benchmark(records, config)
+
+    def dense_copy(*args, **kwargs):
+        raise AssertionError("NaN-filled dense copy formed")
+
+    monkeypatch.setattr(Dataset, "to_dense", dense_copy)
+    got = predict_matrix(d, store)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    assert repr(run_benchmark(records, config)) == repr(report)
 
 
 def test_unbounded_harness_frees_the_store_before_its_products(monkeypatch):

@@ -1,13 +1,14 @@
 """The programs outside the library that drive it: a smoke test of the
 README's worked example script, checks of the benchmark's imports and
-of the package's public surface, and stub-runner checks and an
-extraction check of scripts/bench_pairs.py."""
+of the package's public surface, and stub-runner checks, a toy-shape
+traced pass and an extraction check of scripts/bench_pairs.py."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import json
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -81,6 +82,12 @@ def _toy_checkout(top, source):
 
 METRIC_NAMES = [m["name"] for m in json.loads(
     (ROOT / "BENCHMARK.json").read_text("utf-8"))["end_to_end"]]
+STAGES = ("fit", "evaluate", "recommend")
+
+
+def _flat_peaks(checkout, workload, seed):
+    """A stub traced pass: 1 MiB at every stage."""
+    return dict.fromkeys(STAGES, 1.0)
 
 
 def test_bench_pairs_alternates_and_summarises(tmp_path):
@@ -115,7 +122,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
                     shapes[name][side](n) if name in shapes else 7)}
                     for name in METRIC_NAMES}}
 
-    out = bench.compare(base, head, ["w"], [1], 4, 0.1, runner)
+    out = bench.compare(base, head, ["w"], [1], 4, 0.1, runner, _flat_peaks)
     # each pair flips which side goes first
     assert calls == ["base", "head", "head", "base"] * 2
     assert out["library_sha256"]["base"] != out["library_sha256"]["head"]
@@ -136,7 +143,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
 
     (head / "perfbench" / "run.py").write_text("changed")
     with pytest.raises(ValueError, match="perfbench"):
-        bench.compare(base, head, ["w"], [1], 1, 0.1, runner)
+        bench.compare(base, head, ["w"], [1], 1, 0.1, runner, _flat_peaks)
 
 
 def test_bench_pairs_exits_1_when_a_run_fails_its_checks(tmp_path, monkeypatch):
@@ -157,7 +164,7 @@ def test_bench_pairs_exits_1_when_a_run_fails_its_checks(tmp_path, monkeypatch):
                 "metrics": {name: {"value": 1.0} for name in METRIC_NAMES}}
 
     monkeypatch.setattr(bench, "compare", lambda *args: compare(
-        *args, runner=runner))
+        *args, runner=runner, tracer=_flat_peaks))
     out = tmp_path / "out.json"
     argv = ["--base", "HEAD", "--workloads", "w", "--seeds", "1,3",
             "--pairs", "2", "--seconds", "0.1", "--out", str(out)]
@@ -191,7 +198,7 @@ def test_bench_pairs_records_the_head_it_measured(tmp_path, monkeypatch):
                 "metrics": {name: {"value": 1.0} for name in METRIC_NAMES}}
 
     monkeypatch.setattr(bench, "compare", lambda *args: compare(
-        *args, runner=runner))
+        *args, runner=runner, tracer=_flat_peaks))
     out = tmp_path / "out.json"
     argv = ["--base", "HEAD", "--workloads", "w", "--pairs", "1",
             "--seconds", "0.1", "--out", str(out)]
@@ -205,6 +212,45 @@ def test_bench_pairs_records_the_head_it_measured(tmp_path, monkeypatch):
         assert json.loads(out.read_text())["head"] == head
         assert extracted == ["c0ffee", head["commit"]]
         assert set(calls[calls.index("run"):]) == {"run"}
+
+
+def test_bench_pairs_traces_both_sides_at_a_toy_shape(tmp_path):
+    # the real traced pass, in checkouts of the repository's perfbench and
+    # library with a toy-shape workload added; the head's library keeps one
+    # extra MiB alive per store build, so its fit and evaluate peaks rise
+    bench = _bench_pairs()
+    skip = shutil.ignore_patterns("__pycache__")
+    for side in ("base", "head"):
+        for top in ("perfbench", "src"):
+            shutil.copytree(ROOT / top, tmp_path / side / top, ignore=skip)
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side)
+        with open(tmp_path / side / "perfbench" / "workloads.py", "a") as fh:
+            fh.write('\nWORKLOADS["toy"] = Workload("toy", gen.PlainShape('
+                     'users=40, items=30, draws=700), max_neighbors=5)\n')
+    with open(tmp_path / "head" / "src" / "mccf" / "similarity.py", "a") as fh:
+        fh.write("\n_KEPT, _build = [], item_similarity_matrix\n\n\n"
+                 "def item_similarity_matrix(*args, **kwargs):\n"
+                 "    _KEPT.append(np.ones(2 ** 17))\n"
+                 "    return _build(*args, **kwargs)\n")
+
+    def runner(checkout, workload, seed, seconds):
+        return {"correct": True, "failed": 0,
+                "metrics": {name: {"value": 1.0} for name in METRIC_NAMES}}
+
+    out = bench.compare(tmp_path / "base", tmp_path / "head", ["toy"], [1], 1,
+                        0.1, runner)
+    run = out["workloads"]["toy"]["1"]
+    peaks = run["traced_peak_mib"]
+    for side in ("base", "head"):
+        assert set(peaks[side]) == set(STAGES)
+        assert all(peak > 0 for peak in peaks[side].values())
+    assert set(run["traced_agree"]) == set(STAGES)
+    for stage in ("fit", "evaluate"):
+        assert run["traced_agree"][stage] is False
+        assert peaks["base"][stage] < 1 <= peaks["head"][stage]
+    assert abs(peaks["head"]["recommend"] - peaks["base"]["recommend"]) < 0.01
+    # the timed runs' verdicts stand beside the traced peaks, unchanged
+    assert run["metrics"]["peak_rss_mb"]["verdict"] == "no change"
 
 
 def test_bench_pairs_extracts_the_tracked_files(tmp_path):
