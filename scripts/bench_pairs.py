@@ -26,9 +26,10 @@ src/mccf/*.py`) of both libraries.  After the pairs of a workload and
 seed, each checkout makes one traced pass (TRACED_PASS) over perfbench's
 `fit`, `evaluate` and RECOMMENDS `recommend` calls: the JSON holds each
 stage's `traced_peak_mib` per side and, in `traced_agree`, whether the
-sides agree to TRACED_AGREE.  A traced peak does not follow the
-allocator's thresholds, as `peak_rss_mb` does, so it tells a memory
-change from heap layout; it sets no verdict.  On the three workloads the
+sides agree to TRACED_AGREE of the base or TRACED_FLOOR MiB, the larger.
+A traced peak does not follow the allocator's thresholds, as
+`peak_rss_mb` does, so it tells a memory change from heap layout; it
+sets no verdict.  On the three workloads the
 passes add about 17 s of wall time per seed (2-core Xeon, Python 3.11).
 It refuses (exit 2) when `perfbench/` differs between the two
 checkouts, since that would measure a benchmark change, not a library
@@ -54,7 +55,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 RECOMMENDS = 50
-TRACED_AGREE = 1e-3     # sides agree when within this fraction of the base
+# sides agree when within this fraction of the base, or within TRACED_FLOOR
+# MiB: one code's traced peak differs by up to ~110 B between processes, so
+# a small stage's peak needs an absolute floor
+TRACED_AGREE = 1e-3
+TRACED_FLOOR = 1 / 64
 # Run in a checkout with a workload name, a seed and RECOMMENDS: each
 # stage's tracemalloc peak in MiB as one JSON line.  Each stage is traced
 # alone, so what an earlier stage left alive (the model) is not counted.
@@ -194,7 +199,8 @@ def compare(base: Path, head: Path, workloads: list[str], seeds: list[int],
                 "metrics": metrics,
                 "traced_peak_mib": peaks,
                 "traced_agree": {stage: abs(peak - peaks["base"][stage])
-                                 <= TRACED_AGREE * peaks["base"][stage]
+                                 <= max(TRACED_AGREE * peaks["base"][stage],
+                                        TRACED_FLOOR)
                                  for stage, peak in peaks["head"].items()}}
     library = {side: checkouts[side] / "src" / "mccf" for side in SIDES}
     return {"library_sha256": {side: tree_hash(library[side]) for side in SIDES},

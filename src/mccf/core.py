@@ -158,12 +158,12 @@ class _Ratings:
         values = np.empty((n, (k or 0) + 1))
         if k is not None:
             # a record without criteria, such as a RatingRecord, counts 0
-            crits = map(getattr, records, repeat("criteria"), repeat(()))
-            for rec in compress(records, map(k.__ne__, map(len, crits))):
-                raise ValueError(
-                    f"record for ({rec.user_id}, {rec.item_id}) has "
-                    f"{len(getattr(rec, 'criteria', ()))} criteria, expected {k}")
-            values[:, 1:] = np.fromiter(chain.from_iterable(column("criteria")),
+            crits = list(map(getattr, records, repeat("criteria"), repeat(())))
+            for rec, c in compress(zip(records, crits),
+                                   map(k.__ne__, map(len, crits))):
+                raise ValueError(f"record for ({rec.user_id}, {rec.item_id}) has "
+                                 f"{len(c)} criteria, expected {k}")
+            values[:, 1:] = np.fromiter(chain.from_iterable(crits),
                                         np.float64, n * k).reshape(n, k)
         values[:, 0] = np.fromiter(column("overall"), np.float64, n)
         users, items = {}, {}
@@ -206,18 +206,20 @@ def _index(batch: _Ratings):
     """First-appearance id maps and keep-last deduplication: (user_map,
     item_map, u_idx, i_idx, rows, duplicates), one entry of u_idx, i_idx
     and rows (the batch row of its last rating) per cell, user-major."""
-    maps, index = [], []
+    maps, index, n = [], [], len(batch.u)
     for codes, ids in ((batch.u, batch.user_ids), (batch.i, batch.item_ids)):
-        uniq, first, inverse = np.unique(codes, return_index=True,
-                                         return_inverse=True)
-        order = np.argsort(first)
-        maps.append(_IndexMap([ids[c] for c in uniq[order].tolist()]))
-        index.append(np.argsort(order)[inverse])
+        first = np.full(len(ids), n)
+        np.minimum.at(first, codes, np.arange(n))
+        order = codes[np.sort(first[first < n])]    # the codes used, by first row
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        maps.append(_IndexMap([ids[c] for c in order.tolist()]))
+        index.append(rank[codes])
     (u, i), width = index, len(maps[1])
-    # a cell's first row in reverse is its last rating
-    cells, first = np.unique((u * width + i)[::-1], return_index=True)
-    return (*maps, cells // width, cells % width, len(u) - 1 - first,
-            len(u) - len(cells))
+    cells, inverse = np.unique(u * width + i, return_inverse=True)
+    last = np.full(len(cells), -1)
+    np.maximum.at(last, inverse, np.arange(n))
+    return *maps, cells // width, cells % width, last, n - len(cells)
 
 
 def _check_scale(values: np.ndarray, scale: RatingScale) -> None:

@@ -250,9 +250,10 @@ def batch_predict(d: Dataset, sims: SimilarityStore,
                   spec: NeighborhoodSpec = NeighborhoodSpec()) -> np.ndarray:
     """Predictions for parallel index arrays; NaN marks no-prediction.
 
-    One kernel call per distinct user, so every value equals
-    predict_single's bitwise.  The indices pass _Cells._pairs's checks.
+    One kernel call per distinct user, so every value equals predict_single's
+    bitwise.  The store is checked before the pairs (_Cells._pairs's checks).
     """
+    _check_store(d, sims)
     users, items = d._pairs(users, items)
     out = np.full(users.shape, np.nan)
     for u, pos in _groups(users):

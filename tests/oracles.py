@@ -9,7 +9,10 @@ loop_predict is the per-pair neighborhood loop the engine's kernel must
 match bitwise, over loop_neighbors' kept set, which the kernel's
 selection, _select, must match exactly.  hosvd_reference is the Tucker
 decomposition as truncated SVDs of whole unfoldings, the core formed after
-every factor: the factors and core hosvd must match bit for bit.  An
+every factor: the factors and core hosvd must match bit for bit.
+cell_unfolding_products and cell_core are a CellTensor's products with
+each cell's products formed alone: its unfoldings' products and its core
+must match them bit for bit, signed zeros included.  An
 undefined similarity is None here and NaN inside a store.  factored_value
 is the per-cell value an MC model falls back to.
 
@@ -358,6 +361,78 @@ def hosvd_reference(t: np.ndarray, ranks: tuple[int, int, int],
     for mode, u in zip((1, 2, 3), factors):
         core = mode_product(core, u.T, mode)
     return TuckerModel(core, tuple(factors))
+
+
+# ---- sparse tensor products ------------------------------------------------
+
+
+def _cell_sums(groups: np.ndarray, n: int, row) -> np.ndarray:
+    """(n, ...) sums of the per-cell rows row(c) over the cells of each
+    group 0..n-1: the cells in their stable order by group, each group
+    summed cells first by one np.add.reduceat, as _segment_sums sums a
+    segment within its block; an empty group sums to zero."""
+    order = np.argsort(groups, kind="stable")
+    rows = np.array([row(c) for c in order.tolist()])
+    ptr = groups[order].searchsorted(np.arange(n + 1))
+    filled = ptr[1:] > ptr[:-1]
+    out = np.zeros((n,) + rows.shape[1:])
+    out[filled] = np.add.reduceat(rows, ptr[:-1][filled], axis=0)
+    return out
+
+
+def _dot_from_zero(d: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum over s of d[s] * xs[s], each product formed alone and added in
+    s order to a zeroed row, as einsum's "cs,csw->cw" adds them."""
+    out = np.zeros(xs.shape[1])
+    for a, x in zip(d.tolist(), xs):
+        out += a * x
+    return out
+
+
+def _cell_parts(cells):
+    """(users, items, D) at a CellTensor's cells, user-major, and its column
+    term (ones, Q): T[:, :, s] = 1 Q[:, s].T + D_s."""
+    users = np.repeat(np.arange(cells.shape[0]), np.diff(cells._u_ptr))
+    return users, cells._items, cells._d, cells._term
+
+
+def cell_unfolding_products(cells, mode: int, x: np.ndarray,
+                            y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A @ x, A.T @ y) for the mode-1 or mode-2 unfolding A of a
+    CellTensor: each cell's products formed alone (np.multiply.outer for
+    A.T @ y) and summed per row or column by _cell_sums, plus the column
+    term, a dense product formed as the library forms it."""
+    users, items, d, (ones, q) = _cell_parts(cells)
+    n_users, n_items, s = cells.shape
+    if mode == 1:
+        rows, cols, p = (users, n_users), (items, n_items), ones
+        xo = x.reshape(s, n_items, -1).transpose(1, 0, 2)
+    else:
+        rows, cols, p, q = (items, n_items), (users, n_users), q, ones
+        xo = x.reshape(n_users, s, -1)
+    ax = p @ np.einsum("os,osw->sw", q, xo) + _cell_sums(
+        *rows, lambda c: _dot_from_zero(d[c], xo[cols[0][c]]))
+    aty = _cell_sums(*cols, lambda c: np.multiply.outer(d[c], y[rows[0][c]]))
+    aty += q[:, :, None] * (p.T @ y)
+    if mode == 1:
+        aty = aty.transpose(1, 0, 2)
+    return ax, aty.reshape(-1, y.shape[1])
+
+
+def cell_core(cells, factors) -> np.ndarray:
+    """A CellTensor times every factor transpose: D's part from each cell's
+    products of its U2 row and its row of D U3, formed alone and summed per
+    user by _cell_sums, then taken into U1; the column term's part formed
+    as the library forms it."""
+    users, items, d, (ones, q) = _cell_parts(cells)
+    u1, u2, u3 = factors
+    e = d @ u3
+    per_user = _cell_sums(users, cells.shape[0],
+                          lambda c: np.multiply.outer(u2[items[c]], e[c]))
+    core = (u1.T @ per_user.reshape(len(per_user), -1)).reshape(
+        -1, u2.shape[1], u3.shape[1])
+    core += np.einsum("as,bs,sc->abc", u1.T @ ones, u2.T @ q, u3)
+    return core
 
 
 # ---- per-pair neighborhood loop -------------------------------------------

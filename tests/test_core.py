@@ -15,6 +15,7 @@ from mccf.core import (
     _CELL_BLOCK,
     _IndexMap,
     _Ratings,
+    _index,
     criteria_slice,
     dataset_stats,
     overall_slice,
@@ -446,3 +447,46 @@ def test_tensor_out_of_scale_rejected():
     with pytest.raises(ValueError):
         CriteriaTensor.from_records(
             [CriteriaRecord("u", "i", (0.5, 3.0, 3.0), 3.0)], 3, ONE_TO_FIVE)
+
+
+# ---- indexing a taken batch against its oracle ------------------------------
+
+
+def _same_index(batch: _Ratings) -> tuple:
+    """_index(batch) equals oracles.index_records on the batch's records,
+    its cells put user-major and each kept record named by its row."""
+    got = _index(batch)
+    records = oracles.batch_records(batch)
+    umap, imap, u, i, kept, dups = oracles.index_records(records)
+    order = np.lexsort((i, u))
+    row_of = {id(rec): row for row, rec in enumerate(records)}
+    rows = np.array([row_of[id(kept[c])] for c in order.tolist()], dtype=np.int64)
+    assert (got[0].ids, got[1].ids, got[5]) == (umap.ids, imap.ids, dups)
+    for a, b in zip(got[2:5], (u[order], i[order], rows)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    return got
+
+
+def test_index_of_taken_batches_matches_its_oracle():
+    # a taken batch, as evaluation._split makes one, keeps the whole
+    # input's id tuples and codes: its codes need not follow first
+    # appearance, and its tuples name ids no kept row uses
+    rng = np.random.default_rng(46)
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        ids = rng.integers(0, int(rng.integers(1, 9)), (n, 2)).tolist()
+        batch = _Ratings.of_records([RatingRecord(f"u{a}", f"i{b}", float(v))
+                                     for (a, b), v in zip(ids, rng.integers(1, 6, n))])
+        _same_index(batch.take(rng.random(n) < rng.random()))
+    batch = _Ratings.of_records(RECORDS + RECORDS[::-1])
+    taken = batch.take(np.array([False, True, True, False, False, False, False, True]))
+    # bob's and y's codes come first, and no kept row is carol's
+    assert (taken.u.tolist(), taken.i.tolist()) == ([1, 0, 0], [1, 1, 0])
+    umap, imap, *_ = _same_index(taken)
+    assert (umap.ids, imap.ids) == (("bob", "alice"), ("y", "x"))
+    # every row repeats one cell: the last row is kept
+    same = _Ratings.of_records([RatingRecord("u", "i", v) for v in (1.0, 2.0, 3.0)])
+    got = _same_index(same.take(np.array([True, False, True])))
+    assert (got[4].tolist(), got[5]) == ([1], 1)
+    empty = _same_index(batch.take(np.zeros(8, dtype=bool)))
+    assert (len(empty[0]), len(empty[1]), empty[5]) == (0, 0, 0)

@@ -101,6 +101,18 @@ def test_store_over_other_items_is_rejected():
     assert recommend_top_n(d, same, uid, 5) == recommend_top_n(d, store, uid, 5)
 
 
+def test_batch_predict_checks_the_store_before_any_pair():
+    # a store of other items is rejected with no pair to predict, and
+    # before the pairs' own checks
+    d = random_dataset(35, n_users=6, n_items=12)
+    wide = item_similarity_matrix(random_dataset(36, n_users=6, n_items=20),
+                                  "pearson")
+    for users, items in (([], []), ([0], [-1]), ([0, 1], [0])):
+        with pytest.raises(ValueError, match="other items"):
+            batch_predict(d, wide, users, items)
+    assert batch_predict(d, item_similarity_matrix(d, "pearson"), [], []).shape == (0,)
+
+
 def test_predict_matrix_is_bitwise_the_whole_matrix_build():
     d = random_dataset(34, n_users=40, n_items=25, fill=0.3)
     for kind in ("pearson", "euclidean"):

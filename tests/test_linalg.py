@@ -28,7 +28,7 @@ from mccf.linalg import (
     tucker_reconstruct,
 )
 
-from oracles import hosvd_reference
+from oracles import cell_core, cell_unfolding_products, hosvd_reference
 
 NAN = np.nan
 
@@ -440,6 +440,47 @@ def test_cell_tensor_products_match_dense_unfoldings(seed, center):
             # a PCA model adds back that fill, built and loaded, bit for bit
             fill = _pca_slice_means(t, hosvd(cells, (1, 1, 1)))
             assert fill.tobytes() == plain._term[1].tobytes()
+
+
+def _sparse_cells(rng, dims):
+    """Cells of a (users, items, slices) tensor in shuffled order, with
+    integer 1-5 ratings, where about half the items have one cell: a
+    single-cell item's D is 0.0, so its products are signed zeros."""
+    n_users, n_items, slices = dims
+    flat = np.concatenate([
+        i + n_items * rng.choice(n_users, 1 if rng.random() < 0.5 or not i
+                                 else int(rng.integers(0, n_users + 1)),
+                                 replace=False) for i in range(n_items)])
+    flat = rng.permutation(flat)
+    values = rng.integers(1, 6, (len(flat), slices)).astype(float)
+    return flat // n_items, flat % n_items, values
+
+
+def _signed_zeros(rng, shape):
+    """A standard normal array with about a third of its entries -0.0."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.3] = -0.0
+    return x
+
+
+def test_cell_products_are_bitwise_the_per_cell_reference():
+    # the products a segment sums are each one multiply: no zeroed output
+    # turns a -0.0 product into 0.0, with or without the centring
+    rng = np.random.default_rng(46)
+    for _ in range(12):
+        dims = tuple(int(x) for x in rng.integers(1, 7, 3))
+        data = _container(dims, *_sparse_cells(rng, dims))
+        for center in (False, True):
+            cells = CellTensor(data, center)
+            for mode in (1, 2):
+                op = _CellUnfolding(cells, mode)
+                x, y = (_signed_zeros(rng, (n, 3)) for n in op.shape[::-1])
+                ax, aty = cell_unfolding_products(cells, mode, x, y)
+                assert (op @ x).tobytes() == ax.tobytes()
+                assert (op.T @ y).tobytes() == aty.tobytes()
+            factors = [_signed_zeros(rng, (n, int(rng.integers(1, n + 1))))
+                       for n in dims]
+            assert cells._core(factors).tobytes() == cell_core(cells, factors).tobytes()
 
 
 def test_cell_unfolding_goes_with_its_last_reference():
