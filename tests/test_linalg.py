@@ -457,7 +457,7 @@ def _sparse_cells(rng, dims):
 
 
 def _signed_zeros(rng, shape):
-    """A standard normal array with about a third of its entries -0.0."""
+    """A standard normal array with about 30% of its entries -0.0."""
     x = rng.standard_normal(shape)
     x[rng.random(shape) < 0.3] = -0.0
     return x
@@ -478,6 +478,8 @@ def test_cell_products_are_bitwise_the_per_cell_reference():
                 ax, aty = cell_unfolding_products(cells, mode, x, y)
                 assert (op @ x).tobytes() == ax.tobytes()
                 assert (op.T @ y).tobytes() == aty.tobytes()
+            # the column term's einsum adds 0.0 or more to each core entry,
+            # so the core's bytes pin its sums' order, not a product's sign
             factors = [_signed_zeros(rng, (n, int(rng.integers(1, n + 1))))
                        for n in dims]
             assert cells._core(factors).tobytes() == cell_core(cells, factors).tobytes()
