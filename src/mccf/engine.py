@@ -149,8 +149,7 @@ def _neighborhood(sims: SimilarityStore, rated: np.ndarray, ratings: np.ndarray,
 
 def _predict_user(d: Dataset, sims: SimilarityStore, u: int, items: np.ndarray,
                   spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The plain score: user u's clamped (len(items), 1) values, and kept weights."""
-    _check_store(d, sims)
+    """User u's clamped (len(items), 1) plain scores and kept weights; store checked."""
     rated, ratings = d.items_of(u)
     values, w = _neighborhood(sims, rated, ratings[:, None], items, spec)
     return values.clip(d.scale.min_value, d.scale.max_value, out=values), w
@@ -200,6 +199,7 @@ def predict_single(user_id: str, item_id: str, d: Dataset,
     Unknown users/items are a no-prediction (they count against coverage),
     not an error.
     """
+    _check_store(d, sims)
     if not (d.has_user(user_id) and d.has_item(item_id)):
         return None
     values, w = _predict_user(d, sims, d.user_index(user_id),
@@ -268,6 +268,7 @@ def recommend_top_n(d: Dataset, sims: SimilarityStore, user_id: str, n: int,
     Sort is by value descending with ties broken by ascending internal item
     index; items without a prediction are left out; unknown user -> [].
     """
+    _check_store(d, sims)
     ranked = _ranked(d, user_id, n, lambda u, items: _predict_user(
         d, sims, u, items, spec)[0])
     return [] if ranked is None else [(d.item_id(i), v) for i, v in ranked[2]]

@@ -289,8 +289,8 @@ def _item_means(cells: Dataset | CriteriaTensor):
     if not len(values):
         raise ValueError(f"{'tensor' if values.shape[1] > 1 else 'matrix'} "
                          "has no observed cells")
-    # unique keys sort stably; in the cell budget they stay below 2e8 ** 2 < 2 ** 63
-    by_item = np.argsort(items * len(values) + np.arange(len(values)))
+    # unique int64 keys sort stably, below 2e8 ** 2 < 2 ** 63 in the cell budget
+    by_item = np.argsort(items.astype(np.int64) * len(values) + np.arange(len(values)))
     i_ptr = items[by_item].searchsorted(np.arange(cells.n_items + 1))
     count = np.diff(i_ptr)[:, None]
     grouped = values[by_item]
@@ -365,13 +365,9 @@ class CellTensor:
         u1, u2, u3 = factors
         r2, r3 = u2.shape[1], u3.shape[1]
         e = self._d @ u3
-
-        def products(lo, hi):   # each one multiply: einsum would make a -0.0 one 0.0
-            p = u2.take(self._items[lo:hi], axis=0).repeat(r3, axis=1)
-            p.reshape(hi - lo, r2, r3)[...] *= e[lo:hi, None, :]
-            return p
-        per_user = _segment_sums(self._u_ptr, products, (r2 * r3,))
-        core = (u1.T @ per_user).reshape(-1, r2, r3)
+        per_user = _segment_sums(self._u_ptr, lambda lo, hi: _row_outer(
+            u2.take(self._items[lo:hi], axis=0), e[lo:hi]), (r2, r3))
+        core = (u1.T @ per_user.reshape(len(u1), -1)).reshape(-1, r2, r3)
         p, q = self._term
         core += np.einsum("as,bs,sc->abc", u1.T @ p, u2.T @ q, u3)
         return core
@@ -421,16 +417,19 @@ class _CellUnfolding:
 
     def _rmatmat(self, y: np.ndarray) -> np.ndarray:
         ptr, at, d = self._by_col
-
-        def products(lo, hi):   # formed as CellTensor._core forms its products
-            p = d[lo:hi].repeat(y.shape[1], axis=1).reshape(hi - lo, self._slices, -1)
-            p *= y.take(at[lo:hi], axis=0)[:, None, :]
-            return p
-        out = _segment_sums(ptr, products, (self._slices, y.shape[1]))
+        out = _segment_sums(ptr, lambda lo, hi: _row_outer(
+            d[lo:hi], y.take(at[lo:hi], axis=0)), (self._slices, y.shape[1]))
         out += self._q[:, :, None] * (self._p.T @ y)
         if self._mode == 1:
             out = out.transpose(1, 0, 2)
         return out.reshape(-1, y.shape[1])
+
+
+def _row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(rows, m, n) outer products of rows, one multiply each: einsum turns -0.0 to 0.0."""
+    p = a.repeat(b.shape[1], axis=1).reshape(len(a), a.shape[1], -1)
+    p *= b[:, None, :]
+    return p
 
 
 def _completed(u: np.ndarray, r: int) -> np.ndarray:

@@ -94,6 +94,12 @@ def test_store_over_other_items_is_rejected():
                      lambda: predict_matrix(data, sims)):
             with pytest.raises(ValueError, match="other items"):
                 call()
+        # the store is checked before the ids, so an unknown one is no way round
+        for call in (lambda: predict_single("nobody", iid, data, sims),
+                     lambda: predict_single(uid, "nothing", data, sims),
+                     lambda: recommend_top_n(data, sims, "nobody", 3)):
+            with pytest.raises(ValueError, match="other items"):
+                call()
     # a store of equal ids in another tuple is the data's own
     same = SimilarityStore(store.kind, store.values, tuple(list(d.item_ids)))
     assert same.item_ids is not d.item_ids

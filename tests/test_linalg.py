@@ -15,6 +15,7 @@ from mccf.linalg import (
     IMPUTE_STRATEGIES,
     TuckerModel,
     _CellUnfolding,
+    _item_means,
     cell_factoring_cells,
     dense_hosvd_cells,
     hosvd,
@@ -378,6 +379,25 @@ def test_cell_tensor_reads_its_container():
         empty = np.array([], dtype=np.intp)
         with pytest.raises(ValueError, match="no observed cells"):
             CellTensor(_container(dims, empty, empty, np.empty((0, dims[2]))))
+
+
+def test_narrow_cell_index_types_group_items_as_int64_does():
+    # a container keeps its index's integer type, and the item grouping's
+    # keys, items * cells, pass 2 ** 31, 2 ** 16 and 2 ** 8 here: they must
+    # neither wrap nor overflow
+    rng = np.random.default_rng(47)
+    for dtype, dims in ((np.int32, (1, 50_000, 1)), (np.uint16, (1, 300, 3)),
+                        (np.uint8, (2, 200, 2))):
+        users, items = (x.ravel() for x in np.indices(dims[:2]))
+        values = rng.integers(1, 6, (len(users), dims[2])).astype(float)
+        wide, narrow = (_container(dims, users.astype(t), items.astype(t), values)
+                        for t in (np.int64, dtype))
+        assert narrow.cell_index()[1].dtype == dtype
+        for got, want in zip(_item_means(narrow), _item_means(wide)):
+            assert got.tobytes() == want.tobytes()
+        y = rng.standard_normal((dims[0], 2))
+        got, want = (_CellUnfolding(CellTensor(x), 1).T @ y for x in (narrow, wide))
+        assert got.tobytes() == want.tobytes()
 
 
 def _filled(dims, users, items, values, center):
