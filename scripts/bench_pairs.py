@@ -22,11 +22,12 @@ pairs each side won and a `verdict` (gain, worse, unresolved or no
 change; see verdict()), beside every run's `correct` and `failed`, each
 side's `checks_passed` (every run correct with 0 failed), the host
 (`run.machine()`), and the sha256 and line count (`wc -l
-src/mccf/*.py`) of both libraries.  After the pairs of a workload and
-seed, each checkout makes one traced pass (TRACED_PASS) over perfbench's
-`fit`, `evaluate` and RECOMMENDS `recommend` calls: the JSON holds each
-stage's `traced_peak_mib` per side and, in `traced_agree`, whether the
-sides agree to TRACED_AGREE of the base or TRACED_FLOOR MiB, the larger.
+src/mccf/*.py`, in total and per module) of both libraries.  After the
+pairs of a workload and seed, each checkout makes one traced pass
+(TRACED_PASS) over perfbench's `fit`, `evaluate` and RECOMMENDS
+`recommend` calls: the JSON holds each stage's `traced_peak_mib` per
+side and, in `traced_agree`, whether the sides agree to TRACED_AGREE of
+the base or TRACED_FLOOR MiB, the larger.
 A traced peak does not follow the allocator's thresholds, as
 `peak_rss_mb` does, so it tells a memory change from heap layout; it
 sets no verdict.  On the three workloads the
@@ -101,9 +102,9 @@ def tree_hash(top: Path) -> str:
     return h.hexdigest()
 
 
-def library_lines(top: Path) -> int:
-    """Lines of the modules directly under top, as `wc -l` counts them."""
-    return sum(f.read_bytes().count(b"\n") for f in top.glob("*.py"))
+def module_lines(top: Path) -> dict[str, int]:
+    """Lines of each module directly under top, as `wc -l` counts them."""
+    return {f.name: f.read_bytes().count(b"\n") for f in sorted(top.glob("*.py"))}
 
 
 def perfbench_run(checkout: Path, workload: str, seed: int,
@@ -203,9 +204,10 @@ def compare(base: Path, head: Path, workloads: list[str], seeds: list[int],
                                         TRACED_FLOOR)
                                  for stage, peak in peaks["head"].items()}}
     library = {side: checkouts[side] / "src" / "mccf" for side in SIDES}
+    lines = {side: module_lines(library[side]) for side in SIDES}
     return {"library_sha256": {side: tree_hash(library[side]) for side in SIDES},
-            "library_lines": {side: library_lines(library[side])
-                              for side in SIDES},
+            "library_lines": {side: sum(lines[side].values()) for side in SIDES},
+            "library_module_lines": lines,
             "pairs": pairs, "seconds": seconds, "workloads": results}
 
 

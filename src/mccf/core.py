@@ -260,9 +260,9 @@ class _Cells:
     Values hold one row per cell, shaped as _VALUES says: (cells,) for a
     Dataset, (cells, width) for a CriteriaTensor.  Cells are kept
     user-major (by user, then item) with a row pointer, so one user's cells
-    are a contiguous slice.  Each (user, item) cell occurs at
-    most once.  __init__ builds and checks every container, slice views
-    included; a view shares its source's read-only index arrays.
+    are a contiguous slice.  Each (user, item) cell occurs at most once.
+    __init__ builds and checks every container, slice views included, and
+    each one owns its arrays.
     """
 
     def __init__(self, user_map: _IndexMap, item_map: _IndexMap,
@@ -281,19 +281,14 @@ class _Cells:
                                and 0 <= i_idx.min()
                                and i_idx.max() < len(item_map)):
             raise ValueError("cell index out of range")
-        # in range, the keys order cells user-major; strictly increasing
-        # keys are sorted cells without a repeat, so only other input sorts
+        # in range, the keys order cells user-major: their stable sort is
+        # one pass over sorted cells, and taking its order copies each array
         keys = u_idx.astype(np.int64) * len(item_map) + i_idx
-        if np.any(keys[1:] <= keys[:-1]):
-            order = np.lexsort((i_idx, u_idx))
-            keys = keys[order]
-            if np.any(keys[1:] == keys[:-1]):
-                raise ValueError("repeated (user, item) cell")
-            u_idx, i_idx, values = u_idx[order], i_idx[order], values[order]
-        else:   # a read-only array owning its data is another container's own
-            u_idx, i_idx = (x.copy() if x.flags.writeable or x.base is not None
-                            else x for x in (u_idx, i_idx))
-            values = values.copy()
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("repeated (user, item) cell")
+        u_idx, i_idx, values = u_idx[order], i_idx[order], values[order]
         self._users = user_map
         self._items = item_map
         self.scale = scale
@@ -372,7 +367,7 @@ class _Cells:
 
     def _dataset(self, values: np.ndarray) -> "Dataset":
         """A Dataset of these cells holding a copy of values, one per cell
-        in user-major order, under the same index maps and arrays."""
+        in user-major order, under the same index maps."""
         return Dataset(self._users, self._items, self._u_idx, self._i_idx,
                        values, self.scale)
 

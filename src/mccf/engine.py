@@ -27,6 +27,7 @@ model's one constructor on them, as a build does.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 
@@ -327,6 +328,8 @@ def aggregate_overall(weights: AggregationWeights, criteria_preds,
     if preds.shape != (weights.k,):
         raise ValueError(f"expected {weights.k} criterion predictions, "
                          f"got shape {preds.shape}")
+    if not all(map(math.isfinite, preds.tolist())):
+        raise ValueError(f"criterion predictions must be finite, got {preds.tolist()}")
     return float(_aggregate_rows(weights, preds[None, :], scale)[0])
 
 

@@ -14,6 +14,7 @@ line endings are accepted.
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from dataclasses import dataclass
 from itertools import compress, islice
@@ -258,9 +259,19 @@ def split_train_test(records: Sequence[RecordT],
             list(compress(records, (~train).tolist())))
 
 
-def _number(v: float) -> str:
-    """v in its shortest round-trip form, without a trailing ".0"."""
+def _number(v: float, ok=math.isfinite) -> str:
+    """v in its shortest round-trip form, without a trailing ".0": ValueError
+    unless ok(v), the check reading it back makes (finite, or on the scale)."""
+    if not ok(v):
+        raise ValueError(f"cannot write value {v!r}: it would not read back")
     return repr(float(v)).removesuffix(".0")
+
+
+def _stamp(t: int | None) -> str:
+    """t (None as 0): ValueError unless an integer (not a bool), as reading needs."""
+    if t is not None and (isinstance(t, bool) or not isinstance(t, (int, np.integer))):
+        raise ValueError(f"cannot write timestamp {t!r}: it would not read back")
+    return str(t or 0)
 
 
 def _id(x: str, sep: str, comment: bool = False) -> str:
@@ -286,8 +297,8 @@ def write_movielens(records: Iterable[RatingRecord], path) -> None:
     """TAB-separated ``user item rating timestamp``; missing timestamps
     write as 0 to keep the 4-field shape."""
     _write(path, ("\t".join([_id(rec.user_id, "\t"), _id(rec.item_id, "\t"),
-                             _number(rec.overall),
-                             str(0 if rec.timestamp is None else rec.timestamp)])
+                             _number(rec.overall, MOVIELENS_SCALE.contains),
+                             _stamp(rec.timestamp)])
                   + "\n" for rec in records))
 
 

@@ -198,20 +198,16 @@ def pca(x: np.ndarray, k: int) -> PcaModel:
 
 def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != model.mean.shape[0]:
-        raise ValueError(
-            f"data has {x.shape[1]} variables, model has {model.mean.shape[0]}"
-        )
+    if x.ndim != 2 or x.shape[1] != len(model.mean):
+        raise ValueError(f"need 2-D data of {len(model.mean)} variables, got {x.shape}")
     return (x - model.mean) @ model.components
 
 
 def pca_reconstruct(model: PcaModel, scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape[1] != model.components.shape[1]:
-        raise ValueError(
-            f"scores have {scores.shape[1]} components, model has "
-            f"{model.components.shape[1]}"
-        )
+    r = model.components.shape[1]
+    if scores.ndim != 2 or scores.shape[1] != r:
+        raise ValueError(f"need 2-D scores of {r} components, got {scores.shape}")
     return scores @ model.components.T + model.mean
 
 

@@ -213,6 +213,23 @@ def test_unsorted_cells_are_sorted_or_rejected():
                            np.ones((3, 2)), ONE_TO_FIVE)
 
 
+def test_a_container_owns_its_index_arrays():
+    # a caller's sorted, read-only arrays that own their data stay the
+    # caller's: made writable again and written, they leave it as it was
+    users, items = _IndexMap(["a", "b"]), _IndexMap(["x", "y"])
+    for cls, values in ((Dataset, np.array([1.0, 2.0])),
+                        (CriteriaTensor, np.ones((2, 2)))):
+        index = np.array([0, 1]), np.array([1, 0])
+        for x in index:
+            x.setflags(write=False)
+        t = cls(users, items, *index, values, ONE_TO_FIVE)
+        for x in index:
+            x.setflags(write=True)
+            x[:] = 0
+        assert [x.tolist() for x in t.cell_index()] == [[0, 1], [1, 0]]
+        assert t._row(0)[0].tolist() == [1] and t._row(1)[0].tolist() == [0]
+
+
 def test_view_rejects_bad_values():
     # a view is built by the one constructor, so its values are checked
     t = CriteriaTensor.from_records(MC_RECORDS, 3, ONE_TO_FIVE)
@@ -322,10 +339,11 @@ def test_slices_share_index_maps():
     dense = t.to_dense()
     assert np.array_equal(overall.to_dense(), dense[:, :, 0], equal_nan=True)
     assert np.array_equal(c2.to_dense(), dense[:, :, 2], equal_nan=True)
-    # a view keeps the tensor's read-only index arrays, not its values
+    # a view's index arrays equal the tensor's and are not shared, nor are
+    # its values
     for view in (overall, c2):
         for mine, its in zip(view.cell_index(), t.cell_index()):
-            assert np.shares_memory(mine, its)
+            assert np.array_equal(mine, its) and not np.shares_memory(mine, its)
         assert not np.shares_memory(view.values, t.values)
 
 

@@ -303,6 +303,12 @@ def test_aggregate_overall_clamps_and_validates():
     assert aggregate_overall(w, [0.4], scale) == 1.0
     with pytest.raises(ValueError):
         aggregate_overall(w, [1.0, 2.0], scale)
+    # a non-finite prediction is refused, as a non-finite weight is: an
+    # infinity would clamp to a bound and a NaN would pass through
+    w = AggregationWeights(0.0, (0.5, 0.5))
+    for preds in ([np.inf, 3.0], [np.nan, 3.0], [3.0, -np.inf]):
+        with pytest.raises(ValueError, match="^criterion predictions must be finite"):
+            aggregate_overall(w, preds, scale)
 
 
 def test_mc_config_validation():

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import combinations
 from unittest import mock
@@ -259,6 +260,34 @@ def test_multicriteria_roundtrip(tmp_path):
     write_multicriteria(records, p)
     assert p.read_text().splitlines()[1] == "u2,i2,1,2,3,2"
     assert parse_multicriteria(p, 3, RatingScale.one_to_five()) == records
+
+
+def test_writers_write_only_values_that_read_back(tmp_path):
+    p = tmp_path / "out"
+    # a MovieLens value off the 1-5 scale, a MovieLens timestamp that is not
+    # an integer, and a non-finite mc-csv value (that writer has no scale)
+    rejected = ([(write_movielens, [RatingRecord("u", "i", v, 5)], "value", v)
+                 for v in (np.nan, 7.0, 0.5, np.inf)]
+                + [(write_movielens, [RatingRecord("u", "i", 4.0, t)], "timestamp", t)
+                   for t in (1.5, True, "5")]
+                + [(write_multicriteria, [CriteriaRecord("u", "i", (v, 3.0), 3.0)],
+                    "value", v) for v in (np.nan, np.inf, -np.inf)]
+                + [(write_multicriteria, [CriteriaRecord("u", "i", (3.0,), np.inf)],
+                    "value", np.inf)])
+    for writer, records, what, x in rejected:
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot write {what} {x!r}: it would not read back")):
+            writer(records, p)
+    # the scale's ends, an integer timestamp of any sign (numpy's too) and
+    # no timestamp (written as 0) read back; so do finite off-scale mc-csv values
+    write_movielens([RatingRecord("u", "i", 1.0, None), RatingRecord("u", "j", 5.0, -3),
+                     RatingRecord("v", "i", 2.5, np.int64(7))], p)
+    assert parse_movielens(p) == [RatingRecord("u", "i", 1.0, 0),
+                                  RatingRecord("u", "j", 5.0, -3),
+                                  RatingRecord("v", "i", 2.5, 7)]
+    records = [CriteriaRecord("u", "i", (0.5, -0.0), 7.0)]
+    write_multicriteria(records, p)
+    assert parse_multicriteria(p, 2, RatingScale(-1.0, 7.0)) == records
 
 
 def test_writers_write_only_ids_that_read_back(tmp_path):

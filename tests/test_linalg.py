@@ -184,6 +184,13 @@ def test_pca_validation():
         pca_project(model, np.zeros((4, 5)))
     with pytest.raises(ValueError):
         pca_reconstruct(model, np.zeros((4, 3)))
+    # an array that is not 2-D is refused, also when its second axis fits
+    for x in (np.zeros(3), np.zeros((2, 3, 3)), np.zeros((2, 4, 3))):
+        with pytest.raises(ValueError, match="^need 2-D data of 3 variables"):
+            pca_project(model, x)
+    for scores in (np.zeros(2), np.zeros((2, 2, 2)), np.zeros((2, 3, 2))):
+        with pytest.raises(ValueError, match="^need 2-D scores of 2 components"):
+            pca_reconstruct(model, scores)
 
 
 def test_mode_unfold_layout():
@@ -503,6 +510,22 @@ def test_cell_products_are_bitwise_the_per_cell_reference():
             factors = [_signed_zeros(rng, (n, int(rng.integers(1, n + 1))))
                        for n in dims]
             assert cells._core(factors).tobytes() == cell_core(cells, factors).tobytes()
+
+
+def test_cell_core_forms_its_products_by_row_outer(monkeypatch):
+    # the core's bytes cannot show a product's sign of zero (see above), so
+    # the core is pinned to the one helper whose products keep -0.0
+    rng = np.random.default_rng(47)
+    dims = (5, 4, 2)
+    cells = CellTensor(_container(dims, *_observed_cells(rng, dims)))
+    factors = [np.eye(n) for n in dims]
+
+    def refused(a, b):
+        raise RuntimeError("products formed by _row_outer")
+
+    monkeypatch.setattr("mccf.linalg._row_outer", refused)
+    with pytest.raises(RuntimeError, match="_row_outer"):
+        cells._core(factors)
 
 
 def test_cell_unfolding_goes_with_its_last_reference():

@@ -127,6 +127,8 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     assert calls == ["base", "head", "head", "base"] * 2
     assert out["library_sha256"]["base"] != out["library_sha256"]["head"]
     assert out["library_lines"] == {"base": 1, "head": 2}
+    assert out["library_module_lines"] == {"base": {"engine.py": 1},
+                                           "head": {"engine.py": 2}}
     run = out["workloads"]["w"]["1"]
     assert run["head"] == {"correct": [True] * 4, "failed": [0] * 4}
     assert run["checks_passed"] == {"base": True, "head": True}
